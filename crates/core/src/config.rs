@@ -10,7 +10,7 @@ use std::str::FromStr;
 
 use crate::{
     AddressIndexed, Agree, AlwaysNotTaken, AlwaysTaken, BiMode, BranchPredictor, Btfn, Combining,
-    Gas, Gshare, Gskew, LastTime, Pas, PathBased, Sas, Yags,
+    Gas, Gshare, Gskew, LastTime, Pas, PathBased, Sas, TableGeometry, Yags,
 };
 
 /// A buildable description of one predictor configuration.
@@ -249,6 +249,11 @@ impl PredictorConfig {
     /// Number of second-level two-bit counters (0 for static schemes;
     /// for the tournament, the sum over components and chooser). The
     /// tier key of the paper's constant-cost comparisons.
+    ///
+    /// Every parsed configuration has table widths within
+    /// [`TableGeometry::MAX_TOTAL_BITS`], so the count never
+    /// overflows; a hand-built variant with wider tables panics here
+    /// as it would in [`build`](Self::build).
     pub fn counters(&self) -> u64 {
         match *self {
             PredictorConfig::AlwaysTaken
@@ -298,6 +303,122 @@ impl PredictorConfig {
                 cache_bits,
                 ..
             } => (1u64 << choice_bits) + 2 * (1u64 << cache_bits),
+        }
+    }
+
+    /// Index widths (log2 of the entry count) of every table the
+    /// configuration builds, each with the parameters that set it.
+    fn table_widths(&self) -> Vec<(&'static str, u64)> {
+        let w = u64::from;
+        match *self {
+            PredictorConfig::AlwaysTaken
+            | PredictorConfig::AlwaysNotTaken
+            | PredictorConfig::Btfn => vec![],
+            PredictorConfig::LastTime { addr_bits }
+            | PredictorConfig::AddressIndexed { addr_bits } => vec![("a", w(addr_bits))],
+            PredictorConfig::Gas {
+                history_bits,
+                col_bits,
+            }
+            | PredictorConfig::Gshare {
+                history_bits,
+                col_bits,
+            }
+            | PredictorConfig::PasInfinite {
+                history_bits,
+                col_bits,
+            }
+            | PredictorConfig::Sas {
+                history_bits,
+                col_bits,
+                ..
+            } => vec![("h+c", w(history_bits) + w(col_bits))],
+            PredictorConfig::PasFinite {
+                history_bits,
+                col_bits,
+                entries,
+                ..
+            } => vec![
+                ("h+c", w(history_bits) + w(col_bits)),
+                ("log2(e)", w(entries.trailing_zeros())),
+            ],
+            PredictorConfig::Path {
+                row_bits, col_bits, ..
+            } => vec![("r+c", w(row_bits) + w(col_bits))],
+            PredictorConfig::Tournament {
+                addr_bits,
+                history_bits,
+                chooser_bits,
+            } => vec![
+                ("a", w(addr_bits)),
+                ("h", w(history_bits)),
+                ("k", w(chooser_bits)),
+            ],
+            PredictorConfig::Agree { index_bits, .. } => vec![("i", w(index_bits))],
+            PredictorConfig::BiMode {
+                direction_bits,
+                choice_bits,
+                ..
+            } => vec![("d", w(direction_bits)), ("k", w(choice_bits))],
+            PredictorConfig::Gskew { bank_bits, .. } => vec![("b", w(bank_bits))],
+            PredictorConfig::Yags {
+                choice_bits,
+                cache_bits,
+                ..
+            } => vec![("k", w(choice_bits)), ("b", w(cache_bits))],
+        }
+    }
+
+    /// Rejects what [`build`](Self::build) would panic on: each
+    /// family's structural limits, then any table index width over
+    /// [`TableGeometry::MAX_TOTAL_BITS`].
+    fn check_buildable(&self) -> Result<(), ParseConfigError> {
+        let (ok, limit) = match *self {
+            PredictorConfig::Path {
+                bits_per_target, ..
+            } => (
+                (1..=16).contains(&bits_per_target),
+                "path needs 1 <= q <= 16",
+            ),
+            PredictorConfig::PasFinite { entries, ways, .. } => (
+                entries.is_power_of_two() && ways.is_power_of_two() && ways <= entries,
+                "pas needs power-of-two e and w with w <= e",
+            ),
+            PredictorConfig::Sas { set_bits, .. } => (set_bits <= 20, "sas needs s <= 20"),
+            PredictorConfig::Agree {
+                history_bits,
+                index_bits,
+            } => (history_bits <= index_bits, "agree needs h <= i"),
+            PredictorConfig::BiMode {
+                history_bits,
+                direction_bits,
+                ..
+            } => (history_bits <= direction_bits, "bimode needs h <= d"),
+            PredictorConfig::Gskew {
+                history_bits,
+                bank_bits,
+            } => (
+                history_bits <= 64 && bank_bits <= 24,
+                "gskew needs h <= 64 and b <= 24",
+            ),
+            PredictorConfig::Yags { tag_bits, .. } => {
+                ((1..=8).contains(&tag_bits), "yags needs 1 <= t <= 8")
+            }
+            _ => (true, ""),
+        };
+        if !ok {
+            return Err(ParseConfigError::new(format!("{limit}, got {self}")));
+        }
+        let max = TableGeometry::MAX_TOTAL_BITS;
+        match self
+            .table_widths()
+            .into_iter()
+            .find(|&(_, width)| width > u64::from(max))
+        {
+            Some((params, width)) => Err(ParseConfigError::new(format!(
+                "{params} = {width}: a table of 2^{width} entries exceeds the maximum 2^{max}"
+            ))),
+            None => Ok(()),
         }
     }
 }
@@ -439,13 +560,17 @@ fn single_char(s: &str) -> Option<char> {
 impl FromStr for PredictorConfig {
     type Err = ParseConfigError;
 
+    /// Parses the compact syntax, accepting only configurations that
+    /// [`build`](PredictorConfig::build) can construct: every table
+    /// index width within [`TableGeometry::MAX_TOTAL_BITS`] and every
+    /// family's structural limits met.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let (scheme, rest) = match s.split_once(':') {
             Some((scheme, rest)) => (scheme, rest),
             None => (s, ""),
         };
         let params = Params::parse(rest)?;
-        match scheme {
+        let config = match scheme {
             "taken" => Ok(PredictorConfig::AlwaysTaken),
             "not-taken" => Ok(PredictorConfig::AlwaysNotTaken),
             "btfn" => Ok(PredictorConfig::Btfn),
@@ -540,7 +665,9 @@ impl FromStr for PredictorConfig {
                 })
             }
             other => Err(ParseConfigError::new(format!("unknown scheme {other:?}"))),
-        }
+        }?;
+        config.check_buildable()?;
+        Ok(config)
     }
 }
 
@@ -692,6 +819,72 @@ mod tests {
         assert!(err.to_string().contains("key=value"));
         let err = "pas:h=8,w=4".parse::<PredictorConfig>().unwrap_err();
         assert!(err.to_string().contains("requires e="));
+    }
+
+    #[test]
+    fn tables_wider_than_the_geometry_cap_are_rejected() {
+        for text in [
+            "gshare:h=40",
+            "gas:h=20,c=11",
+            "gshare:h=4294967295,c=1",
+            "last:a=31",
+            "bimodal:a=31",
+            "path:r=28,c=3",
+            "pas:h=31",
+            "pas:h=8,e=2147483648,w=4",
+            "sas:h=25,s=2,c=6",
+            "tournament:a=8,h=31,k=8",
+            "agree:h=8,i=31",
+            "bimode:h=8,k=31",
+            "yags:k=31,b=8",
+        ] {
+            let err = text.parse::<PredictorConfig>().unwrap_err();
+            assert!(
+                err.to_string().contains("exceeds the maximum 2^30"),
+                "{text}: {err}"
+            );
+        }
+        let err = "gshare:h=40".parse::<PredictorConfig>().unwrap_err();
+        assert!(err.to_string().contains("h+c = 40"), "{err}");
+        // The cap itself is accepted, and its counter count is exact.
+        let cfg: PredictorConfig = "gas:h=20,c=10".parse().unwrap();
+        assert_eq!(cfg.counters(), 1 << 30);
+        let cfg: PredictorConfig = "tournament:a=30,h=30,k=30".parse().unwrap();
+        assert_eq!(cfg.counters(), 3 << 30);
+    }
+
+    #[test]
+    fn family_limits_are_rejected_before_construction() {
+        for text in [
+            "path:r=6,q=0",
+            "path:r=6,q=17",
+            "pas:h=8,e=0",
+            "pas:h=8,e=1000",
+            "pas:h=8,e=512,w=3",
+            "pas:h=8,e=4,w=8",
+            "sas:h=4,s=21",
+            "agree:h=12,i=10",
+            "bimode:h=12,d=10",
+            "gskew:h=8,b=25",
+            "gskew:h=65,b=8",
+            "yags:k=8,t=0",
+            "yags:k=8,t=9",
+        ] {
+            let err = text.parse::<PredictorConfig>().unwrap_err();
+            assert!(err.to_string().contains("needs"), "{text}: {err}");
+        }
+        for text in [
+            "path:r=6,q=16",
+            "pas:h=8,e=512,w=512",
+            "sas:h=4,s=20",
+            "agree:h=10,i=10",
+            "bimode:h=10,d=10,k=4",
+            "gskew:h=40,b=24",
+            "yags:k=8,t=8",
+        ] {
+            let cfg: PredictorConfig = text.parse().unwrap_or_else(|e| panic!("{text}: {e}"));
+            assert_eq!(cfg.config_id().parse::<PredictorConfig>().unwrap(), cfg);
+        }
     }
 
     #[test]

@@ -83,6 +83,9 @@ pub struct Metrics {
     pub inflight_batches: AtomicU64,
     /// Batch wall-clock latency.
     pub batch_latency: Histogram,
+    /// Workload models materialised by the service's model memo (at
+    /// most one per suite benchmark per process).
+    pub workload_models_built: AtomicU64,
     /// Per-tier store counters, attached when the server opens its
     /// result store; the store series render as zeros until then.
     store: OnceLock<Arc<StoreStats>>,
@@ -131,7 +134,7 @@ impl Metrics {
     /// Renders the Prometheus text exposition format.
     pub fn render_prometheus(&self) -> String {
         let mut out = String::with_capacity(2048);
-        let counters: [(&str, &str, &AtomicU64); 8] = [
+        let counters: [(&str, &str, &AtomicU64); 9] = [
             (
                 "bpred_http_requests_total",
                 "HTTP requests accepted",
@@ -167,6 +170,11 @@ impl Metrics {
                 "bpred_batches_total",
                 "Batches submitted to the simulation engine",
                 &self.batches,
+            ),
+            (
+                "bpred_workload_models_built_total",
+                "Workload models materialised by the sweep service",
+                &self.workload_models_built,
             ),
         ];
         for (name, help, counter) in counters {
@@ -360,6 +368,7 @@ mod tests {
         assert!(text.contains("bpred_http_requests_total 1"));
         assert!(text.contains("bpred_cache_hits_total 5"));
         assert!(text.contains("bpred_cache_misses_total 0"));
+        assert!(text.contains("bpred_workload_models_built_total 0"));
         assert!(text.contains("bpred_inflight_batches 0"));
         assert!(text.contains("bpred_batch_seconds_count 2"));
         // 3ms falls in le=0.01; 300ms in le=1; cumulative buckets.

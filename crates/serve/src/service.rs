@@ -18,14 +18,22 @@
 //! return byte-identical bodies whether answered hot or cold — the
 //! provenance (`hits=… misses=… coalesced=…`) rides in the
 //! `X-Bpred-Provenance` response header instead.
+//!
+//! Workload models are a pure function of their suite spec, so the
+//! service materialises each benchmark's model at most once per
+//! process, on first request, and shares it (`Arc`) with every later
+//! request and worker — store hits and cold batches alike. The memo
+//! has one slot per suite benchmark, so it is bounded by the suite:
+//! about 2.3 MiB once the three focus models are built, about 6.5 MiB
+//! if all fourteen are requested.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use bpred_core::PredictorConfig;
 use bpred_sim::cache::CellKey;
 use bpred_sim::{run_batched, SimResult, Simulator, DEFAULT_SHARD_SIZE};
-use bpred_workloads::{suite, WorkloadSource};
+use bpred_workloads::{suite, BenchmarkSpec, WorkloadModel, WorkloadSource};
 
 use crate::flight::{Flight, Join, LeaderGuard};
 use crate::http::parse_query;
@@ -155,6 +163,13 @@ impl Provenance {
     }
 }
 
+/// One suite benchmark's slot in the service's model memo.
+#[derive(Debug)]
+struct ModelSlot {
+    spec: BenchmarkSpec,
+    model: OnceLock<Arc<WorkloadModel>>,
+}
+
 /// The sweep-answering engine behind the HTTP server.
 #[derive(Debug)]
 pub struct SweepService {
@@ -162,6 +177,7 @@ pub struct SweepService {
     flight: Flight<SimResult>,
     metrics: Arc<Metrics>,
     max_branches: usize,
+    models: Vec<ModelSlot>,
 }
 
 impl SweepService {
@@ -178,6 +194,13 @@ impl SweepService {
             flight: Flight::new(),
             metrics,
             max_branches,
+            models: suite::all_specs()
+                .into_iter()
+                .map(|spec| ModelSlot {
+                    spec,
+                    model: OnceLock::new(),
+                })
+                .collect(),
         }
     }
 
@@ -186,10 +209,27 @@ impl SweepService {
         &self.metrics
     }
 
+    /// The shared model for suite benchmark `name`, materialised on
+    /// first use; `None` for a name outside the suite. A build holds
+    /// only its own slot's once-cell, so requests for other benchmarks
+    /// never wait on it, and concurrent first requests for the same
+    /// one wait for a single build. A build that panics leaves its
+    /// slot empty for the next request to retry.
+    fn model(&self, name: &str) -> Option<Arc<WorkloadModel>> {
+        let slot = self.models.iter().find(|slot| slot.spec.name == name)?;
+        let model = slot.model.get_or_init(|| {
+            let model = Arc::new(WorkloadModel::from_spec(&slot.spec));
+            Metrics::inc(&self.metrics.workload_models_built);
+            model
+        });
+        Some(Arc::clone(model))
+    }
+
     /// Answers one sweep request: the deterministic JSON body plus
     /// provenance for the response header.
     pub fn execute(&self, request: &SweepRequest) -> Result<(String, Provenance), BadRequest> {
-        let model = suite::by_name(&request.workload)
+        let model = self
+            .model(&request.workload)
             .ok_or_else(|| BadRequest::new(format!("unknown workload {:?}", request.workload)))?;
         let source = match request.branches {
             Some(n) => WorkloadSource::with_length(model, request.seed, n),
@@ -385,6 +425,7 @@ fn cell_json(config: &PredictorConfig, result: &SimResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
 
     fn gshare_configs() -> String {
         "configs=gshare:h=6,c=2;gas:h=6,c=2".to_owned()
@@ -440,6 +481,108 @@ mod tests {
         let (a, _) = service.execute(&request).unwrap();
         let (b, _) = service.execute(&request).unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn shared_models_answer_like_fresh_services_for_every_benchmark() {
+        let long_lived = SweepService::new(None, Arc::new(Metrics::new()), 1_000_000);
+        for spec in suite::all_specs() {
+            for seed in [DEFAULT_SEED, 7] {
+                for branches in [1_500, 4_000] {
+                    let request = SweepRequest::parse(&format!(
+                        "workload={}&seed={seed}&branches={branches}&configs=gshare:h=6,c=2;pas:h=4,c=2",
+                        spec.name
+                    ))
+                    .unwrap();
+                    let fresh = SweepService::new(None, Arc::new(Metrics::new()), 1_000_000);
+                    let (expected, _) = fresh.execute(&request).unwrap();
+                    let (body, _) = long_lived.execute(&request).unwrap();
+                    assert_eq!(body, expected, "{} s{seed} n{branches}", spec.name);
+                    // The same body from an owned, unshared model.
+                    let owned = WorkloadSource::with_length(
+                        suite::by_name(&spec.name).unwrap(),
+                        seed,
+                        branches,
+                    );
+                    let results = run_batched(
+                        &request.configs,
+                        &owned,
+                        Simulator::new(),
+                        DEFAULT_SHARD_SIZE,
+                    );
+                    let direct = sweep_body(&request, branches, &owned.cache_id(), &results);
+                    assert_eq!(body, direct, "{} s{seed} n{branches}", spec.name);
+                }
+            }
+        }
+        let built = long_lived
+            .metrics()
+            .workload_models_built
+            .load(Ordering::Relaxed);
+        assert_eq!(built, 14, "one build per benchmark across 56 requests");
+    }
+
+    #[test]
+    fn repeated_requests_build_a_model_once() {
+        let service = SweepService::new(None, Arc::new(Metrics::new()), 1_000_000);
+        let built = || {
+            service
+                .metrics()
+                .workload_models_built
+                .load(Ordering::Relaxed)
+        };
+        let espresso =
+            SweepRequest::parse("workload=espresso&branches=1000&configs=gshare:h=5").unwrap();
+        let first = service.execute(&espresso).unwrap();
+        for seed in [1, 2, 3] {
+            let mut again = espresso.clone();
+            again.seed = seed;
+            service.execute(&again).unwrap();
+        }
+        assert_eq!(service.execute(&espresso).unwrap(), first);
+        assert_eq!(built(), 1);
+        let eqntott =
+            SweepRequest::parse("workload=eqntott&branches=1000&configs=gshare:h=5").unwrap();
+        service.execute(&eqntott).unwrap();
+        service.execute(&eqntott).unwrap();
+        assert_eq!(built(), 2);
+    }
+
+    #[test]
+    fn concurrent_first_requests_share_one_build() {
+        let service = SweepService::new(None, Arc::new(Metrics::new()), 1_000_000);
+        let request =
+            SweepRequest::parse("workload=real_gcc&branches=1000&configs=gshare:h=5").unwrap();
+        let bodies: Vec<String> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| scope.spawn(|| service.execute(&request).unwrap().0))
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert!(bodies.windows(2).all(|pair| pair[0] == pair[1]));
+        let built = service
+            .metrics()
+            .workload_models_built
+            .load(Ordering::Relaxed);
+        assert_eq!(built, 1);
+    }
+
+    #[test]
+    fn unknown_workloads_never_enter_the_memo() {
+        let service = SweepService::new(None, Arc::new(Metrics::new()), 1_000_000);
+        for name in ["nope", "", "ESPRESSO", "espresso ", "real-gcc"] {
+            let mut request = SweepRequest::parse("workload=x&configs=gshare:h=5").unwrap();
+            request.workload = name.to_owned();
+            let err = service.execute(&request).unwrap_err();
+            assert!(err.message.contains("unknown workload"), "{name:?}");
+        }
+        assert_eq!(service.models.len(), 14);
+        assert!(service.models.iter().all(|slot| slot.model.get().is_none()));
+        let built = service
+            .metrics()
+            .workload_models_built
+            .load(Ordering::Relaxed);
+        assert_eq!(built, 0);
     }
 
     #[test]

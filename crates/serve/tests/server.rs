@@ -128,6 +128,8 @@ fn repeated_sweep_hits_the_cache_bit_identically() {
     );
     assert_eq!(metric(addr, "bpred_cache_hits_total"), 3);
     assert_eq!(metric(addr, "bpred_batches_total"), 1);
+    // Both requests shared one materialisation of the espresso model.
+    assert_eq!(metric(addr, "bpred_workload_models_built_total"), 1);
 
     // The body is real JSON with the cells in request order.
     let text = String::from_utf8(warm_body).expect("JSON is UTF-8");
@@ -152,6 +154,33 @@ fn sweep_without_store_still_answers_consistently() {
         header(&headers, "X-Bpred-Provenance"),
         Some("hits=0 misses=3 coalesced=0")
     );
+    server.shutdown();
+}
+
+#[test]
+fn oversize_configs_get_400_and_leave_every_worker_alive() {
+    let server = start(None);
+    let addr = server.addr();
+    // More bad sweeps than the four compute workers: had any of them
+    // reached a worker and panicked there, the valid sweep below
+    // would never be answered.
+    for bad in [
+        "gshare:h=40",
+        "gas:h=20,c=11",
+        "yags:k=31",
+        "gskew:h=8,b=25",
+    ] {
+        for _ in 0..2 {
+            let (status, _, body) = get(addr, &format!("/sweep?workload=espresso&configs={bad}"));
+            assert!(status.contains("400"), "{bad}: got {status}");
+            let reason = String::from_utf8_lossy(&body);
+            assert!(reason.contains(bad), "{bad}: {reason}");
+        }
+    }
+    let (status, _, body) = get(addr, SWEEP);
+    assert!(status.contains("200"), "got {status}");
+    assert!(String::from_utf8_lossy(&body).contains("\"cells\""));
+    assert_eq!(metric(addr, "bpred_bad_requests_total"), 8);
     server.shutdown();
 }
 

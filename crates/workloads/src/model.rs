@@ -22,6 +22,8 @@
 //! chains blocks into preferred successor sequences, re-sampling by
 //! execution weight with probability `1 - sequence_coherence`.
 
+use std::sync::Arc;
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -367,6 +369,11 @@ impl Iterator for TraceStream<'_> {
 /// the batched replay engine where an in-memory [`Trace`] was needed
 /// before.
 ///
+/// The model is held behind an [`Arc`], so sources over one model —
+/// at different seeds or lengths, or cloned across threads — share a
+/// single materialisation. The constructors take either an owned
+/// [`WorkloadModel`] or an existing `Arc<WorkloadModel>`.
+///
 /// # Examples
 ///
 /// ```
@@ -378,7 +385,7 @@ impl Iterator for TraceStream<'_> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct WorkloadSource {
-    model: WorkloadModel,
+    model: Arc<WorkloadModel>,
     seed: u64,
     conditionals: usize,
 }
@@ -386,7 +393,8 @@ pub struct WorkloadSource {
 impl WorkloadSource {
     /// A source replaying `model` at `seed` for the model's default
     /// trace length.
-    pub fn new(model: WorkloadModel, seed: u64) -> Self {
+    pub fn new(model: impl Into<Arc<WorkloadModel>>, seed: u64) -> Self {
+        let model = model.into();
         let conditionals = model.dynamic_branches();
         WorkloadSource {
             model,
@@ -397,9 +405,13 @@ impl WorkloadSource {
 
     /// A source replaying `model` at `seed` with exactly
     /// `conditionals` conditional branches.
-    pub fn with_length(model: WorkloadModel, seed: u64, conditionals: usize) -> Self {
+    pub fn with_length(
+        model: impl Into<Arc<WorkloadModel>>,
+        seed: u64,
+        conditionals: usize,
+    ) -> Self {
         WorkloadSource {
-            model,
+            model: model.into(),
             seed,
             conditionals,
         }
@@ -826,6 +838,20 @@ mod tests {
             .flat_map(|chunk| chunk.iter().collect::<Vec<_>>())
             .collect();
         assert_eq!(again, streamed);
+    }
+
+    #[test]
+    fn sources_sharing_one_model_match_owned_sources() {
+        let shared = Arc::new(suite::espresso().scaled(2_000));
+        let a = WorkloadSource::new(Arc::clone(&shared), 5);
+        let b = WorkloadSource::with_length(Arc::clone(&shared), 6, 1_500);
+        let owned_a = WorkloadSource::new(suite::espresso().scaled(2_000), 5);
+        let owned_b = WorkloadSource::with_length(suite::espresso(), 6, 1_500);
+        assert!(std::ptr::eq(a.model(), b.model()));
+        assert_eq!(a.cache_id(), owned_a.cache_id());
+        assert_eq!(b.cache_id(), owned_b.cache_id());
+        assert_eq!(a.collect_trace(), owned_a.collect_trace());
+        assert_eq!(b.collect_trace(), owned_b.collect_trace());
     }
 
     #[test]

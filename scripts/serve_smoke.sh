@@ -5,7 +5,8 @@
 # twice, and asserts the cache contract:
 #   * both responses are bit-identical,
 #   * the second advances the hit counter, not the miss counter
-#     (i.e. it never re-entered the simulation engine).
+#     (i.e. it never re-entered the simulation engine),
+#   * both share one materialised workload model.
 #
 # Usage: scripts/serve_smoke.sh [port]   (default 8199)
 
@@ -83,6 +84,7 @@ curl -fsS "$SWEEP" -o "$CACHE_DIR/warm.json"
 MISSES_WARM=$(scrape bpred_cache_misses_total)
 HITS_WARM=$(scrape bpred_cache_hits_total)
 RECORDS_WARM=$(scrape bpred_records_replayed_total)
+MODELS_BUILT=$(scrape bpred_workload_models_built_total)
 
 cmp "$CACHE_DIR/cold.json" "$CACHE_DIR/warm.json" \
     || { echo "FAIL: cached response differs from cold response"; exit 1; }
@@ -91,6 +93,9 @@ cmp "$CACHE_DIR/cold.json" "$CACHE_DIR/warm.json" \
 [[ "$HITS_WARM" -gt 0 ]] || { echo "FAIL: warm request did not hit the cache"; exit 1; }
 [[ "$RECORDS_WARM" -eq "$RECORDS_COLD" ]] \
     || { echo "FAIL: warm request replayed records ($RECORDS_COLD -> $RECORDS_WARM)"; exit 1; }
+# Cold and warm sweeps share one materialisation of the espresso model.
+[[ "$MODELS_BUILT" == 1 ]] \
+    || { echo "FAIL: espresso model built ${MODELS_BUILT:-?} times (bpred_workload_models_built_total)"; exit 1; }
 
 # The event-driven serve layer's metrics surface: per-status request
 # counts, the connection gauge, the shed counter, the queue gauge,
@@ -108,6 +113,7 @@ for series in \
     'bpred_store_segments' \
     'bpred_store_hot_bytes' \
     'bpred_replay_scalar_lanes' \
+    'bpred_workload_models_built_total' \
     'bpred_replay_group_lanes{plan="tournament"}' \
     'bpred_replay_group_lanes{plan="yags"}' \
     'bpred_replay_group_lanes{plan="path"}' \
