@@ -1,20 +1,18 @@
 //! Criterion throughput bench for the decode-once chunked sweep
 //! pipeline: the acceptance-sized sweep (32 gshare configurations,
 //! 120k branches of an IBS-calibrated generated workload) through the
-//! chunked engine vs the retained per-shard-replay baseline.
+//! chunked engine, plus its components (generation, decode, one
+//! lane's replay).
 //!
 //! Throughput is reported in lane-records per second (records ×
-//! configurations — the replay work both engines must do). The
-//! baseline regenerates the workload once per 8-predictor shard (4
-//! generation passes through a boxed per-record iterator) and pays an
-//! enum dispatch per lane-record; the chunked engine generates the
-//! trace once into structure-of-arrays chunks and replays them with
-//! the dispatch hoisted to once per lane×chunk.
+//! configurations — the replay work the engine must do): the chunked
+//! engine generates the trace once into structure-of-arrays chunks
+//! and replays every lane over them.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 use bpred_core::PredictorConfig;
-use bpred_sim::{run_batched_chunked, run_batched_per_shard, Simulator, DEFAULT_SHARD_SIZE};
+use bpred_sim::{run_batched_chunked, Simulator, DEFAULT_SHARD_SIZE};
 use bpred_trace::TraceChunk;
 use bpred_workloads::{suite, WorkloadSource};
 
@@ -50,9 +48,6 @@ fn sweep_throughput(c: &mut Criterion) {
                 TraceChunk::DEFAULT_LEN,
             )
         });
-    });
-    group.bench_function("per-shard-replay", |b| {
-        b.iter(|| run_batched_per_shard(&configs, &source, Simulator::new(), DEFAULT_SHARD_SIZE));
     });
     group.finish();
 }

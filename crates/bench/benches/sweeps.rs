@@ -1,13 +1,12 @@
 //! Criterion macrobenchmarks: whole-tier parallel sweeps — the unit of
-//! work behind every surface figure — plus the head-to-head between
-//! the batched single-pass engine (`run_configs`) and the
-//! one-replay-per-configuration baseline (`run_configs_per_config`)
-//! on the acceptance-sized sweep (32 configurations, 120k branches).
+//! work behind every surface figure — plus the batched single-pass
+//! engine (`run_configs`) on the acceptance-sized sweep (32
+//! configurations, 120k branches).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use bpred_core::PredictorConfig;
-use bpred_sim::{run_configs, run_configs_per_config, Simulator, Surface};
+use bpred_sim::{run_configs, Simulator, Surface};
 use bpred_workloads::suite;
 
 fn tier_sweep(c: &mut Criterion) {
@@ -39,10 +38,9 @@ fn tier_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-/// The acceptance sweep: 32 configurations over a 120k-branch trace,
-/// batched engine vs the per-configuration baseline. The batched
-/// engine walks the trace once per 8-predictor shard (4 passes total)
-/// instead of once per configuration (32 passes).
+/// The acceptance sweep: 32 configurations over a 120k-branch trace
+/// through the batched engine, which decodes the trace once and
+/// replays every configuration over the shared chunks.
 fn engine_comparison(c: &mut Criterion) {
     let trace = suite::espresso().scaled(120_000).trace(2);
     let configs: Vec<PredictorConfig> = (2..10u32)
@@ -72,9 +70,6 @@ fn engine_comparison(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("batched", |b| {
         b.iter(|| run_configs(&configs, &trace, Simulator::new()));
-    });
-    group.bench_function("per-config", |b| {
-        b.iter(|| run_configs_per_config(&configs, &trace, Simulator::new()));
     });
     group.finish();
 }

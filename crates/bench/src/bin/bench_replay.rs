@@ -15,28 +15,20 @@
 //!
 //! - `scalar` — `BPRED_FORCE_SCALAR=1`: every lane is the pinned
 //!   hoisted-dispatch [`ReplayCore`](bpred_sim::ReplayCore) fallback.
-//! - `grouped` — `BPRED_GROUP_STEP=scalar`: record-major lane
-//!   grouping with per-lane counter steps (isolates the grouping +
-//!   decode-once win).
-//! - `grouped-swar` — `BPRED_GROUP_STEP=swar`: record-major grouping
-//!   with the packed `cell::step_packed` counter step (isolates the
-//!   packed step).
 //! - `multilane` — the default tier
 //!   ([`dispatch_tier`](bpred_sim::dispatch_tier)): the fused
-//!   lane-major kernel on stable, explicit SIMD under
-//!   `portable-simd`.
+//!   lane-major group kernels.
 //!
-//! Every mode produces bit-identical results (asserted here on every
+//! Both modes produce bit-identical results (asserted here on every
 //! run); only wall-clock differs. Families cover the Direct shapes
 //! (gshare/GAs/address-indexed), the statics, the table-walk-plan
 //! families (PAs/SAs/agree/bi-mode/gskew), and the multi-structure
-//! plans (tournament/YAGS/path/lasttime). A grouped-mode row whose
-//! sweep actually ran lanes on the scalar tier is recorded as
-//! `"mode": "scalar-fallback"` instead of a misleading grouped
+//! plans (tournament/YAGS/path/lasttime). A multilane row whose sweep
+//! actually ran lanes on the scalar tier is recorded as
+//! `"mode": "scalar-fallback"` instead of a misleading multilane
 //! number. A spill-scale scenario block re-measures the multilane
-//! tier at ~L2/~LLC/4×LLC arena footprints with chunk-level prefetch
-//! forced off vs the footprint-gated `auto` default, and every row
-//! records the prefetch choice the engine resolved. Alongside the
+//! tier at ~L2/~LLC/4×LLC arena footprints, and every row records
+//! the chunk-level prefetch the footprint gate resolved. Alongside the
 //! gshare headline `speedup`, the artifact carries a
 //! `geomean_speedup` across all kernel families. `--quick` shrinks
 //! the trace and rep count for CI smoke use and additionally asserts
@@ -59,9 +51,9 @@ struct Family {
 }
 
 /// A measured (family × mode) cell. `mode` is the requested dispatch
-/// mode, rewritten to `"scalar-fallback"` when a nominally-grouped
+/// mode, rewritten to `"scalar-fallback"` when a multilane
 /// measurement actually ran lanes on the scalar tier — a fallback row
-/// must not masquerade as a grouped number.
+/// must not masquerade as a multilane number.
 struct Measurement {
     family: String,
     mode: String,
@@ -282,8 +274,6 @@ fn main() -> ExitCode {
         std::env::set_var("BPRED_THREADS", "1");
     }
     std::env::remove_var("BPRED_FORCE_SCALAR");
-    std::env::remove_var("BPRED_GROUP_STEP");
-    std::env::remove_var("BPRED_GROUP_PREFETCH");
 
     let source = WorkloadSource::new(suite::mpeg_play().scaled(conditionals), 2);
     let records: usize = source
@@ -312,25 +302,17 @@ fn main() -> ExitCode {
         gen_records_per_sec / 1e6
     );
 
-    // (mode name, BPRED_FORCE_SCALAR, BPRED_GROUP_STEP)
-    let modes: [(&str, Option<&str>, Option<&str>); 4] = [
-        ("scalar", Some("1"), None),
-        ("grouped", None, Some("scalar")),
-        ("grouped-swar", None, Some("swar")),
-        ("multilane", None, None),
-    ];
+    // (mode name, whether BPRED_FORCE_SCALAR is set)
+    let modes = [("scalar", true), ("multilane", false)];
 
     let mut measurements: Vec<Measurement> = Vec::new();
     for family in families() {
         let mut oracle: Option<Vec<SimResult>> = None;
-        for (mode, force_scalar, group_step) in modes {
-            match force_scalar {
-                Some(v) => std::env::set_var("BPRED_FORCE_SCALAR", v),
-                None => std::env::remove_var("BPRED_FORCE_SCALAR"),
-            }
-            match group_step {
-                Some(v) => std::env::set_var("BPRED_GROUP_STEP", v),
-                None => std::env::remove_var("BPRED_GROUP_STEP"),
+        for (mode, force_scalar) in modes {
+            if force_scalar {
+                std::env::set_var("BPRED_FORCE_SCALAR", "1");
+            } else {
+                std::env::remove_var("BPRED_FORCE_SCALAR");
             }
             let (pairs_per_sec, results) = measure(&family.configs, &source, records, reps);
             match &oracle {
@@ -341,10 +323,10 @@ fn main() -> ExitCode {
                     family.name
                 ),
             }
-            // A grouped-mode row that actually ran lanes on the scalar
-            // tier is not a grouped number: mark it instead of
+            // A multilane row that actually ran lanes on the scalar
+            // tier is not a multilane number: mark it instead of
             // recording a misleading rate.
-            let fell_back = force_scalar.is_none() && bpred_sim::replay_scalar_lanes() > 0;
+            let fell_back = !force_scalar && bpred_sim::replay_scalar_lanes() > 0;
             let mode = if fell_back {
                 "scalar-fallback".to_owned()
             } else {
@@ -367,14 +349,12 @@ fn main() -> ExitCode {
         }
     }
     std::env::remove_var("BPRED_FORCE_SCALAR");
-    std::env::remove_var("BPRED_GROUP_STEP");
 
     // Spill-scale scenarios: identical-geometry gshare lanes sized so
     // one fused group's shared arena lands at ~L2 (1 MiB), ~LLC
     // (16 MiB), and 4×LLC (64 MiB) — 16 lanes × 2^(h+c) cells × 8 B.
-    // Each footprint is measured with chunk-level prefetch forced off
-    // and with the footprint-gated `auto` default, so the artifact
-    // shows where the heuristic's spill threshold earns its keep.
+    // Each row records whether the footprint gate turned chunk-level
+    // prefetch on.
     let spill_scenarios: [(&str, u32); 3] =
         [("spill-l2", 11), ("spill-llc", 15), ("spill-4xllc", 17)];
     for (name, history_bits) in spill_scenarios {
@@ -385,34 +365,22 @@ fn main() -> ExitCode {
             };
             16
         ];
-        let mut oracle: Option<Vec<SimResult>> = None;
-        for prefetch_env in ["off", "auto"] {
-            std::env::set_var("BPRED_GROUP_PREFETCH", prefetch_env);
-            let (pairs_per_sec, results) = measure(&configs, &source, records, reps);
-            match &oracle {
-                None => oracle = Some(results),
-                Some(want) => assert_eq!(
-                    want, &results,
-                    "{name} prefetch={prefetch_env} changed sweep results"
-                ),
-            }
-            let prefetch = resolved_prefetch();
-            eprintln!(
-                "{:<16} multilane ({prefetch_env:>4} -> {prefetch:<3}) {:>2} lanes  {:>7.1} M pairs/s",
-                name,
-                configs.len(),
-                pairs_per_sec / 1e6
-            );
-            measurements.push(Measurement {
-                family: name.to_owned(),
-                mode: format!("multilane-prefetch-{prefetch_env}"),
-                lanes: configs.len(),
-                pairs_per_sec,
-                prefetch,
-            });
-        }
+        let (pairs_per_sec, _) = measure(&configs, &source, records, reps);
+        let prefetch = resolved_prefetch();
+        eprintln!(
+            "{:<16} multilane ({prefetch:<3}) {:>2} lanes  {:>7.1} M pairs/s",
+            name,
+            configs.len(),
+            pairs_per_sec / 1e6
+        );
+        measurements.push(Measurement {
+            family: name.to_owned(),
+            mode: "multilane".to_owned(),
+            lanes: configs.len(),
+            pairs_per_sec,
+            prefetch,
+        });
     }
-    std::env::remove_var("BPRED_GROUP_PREFETCH");
 
     // Schema assertion (CI smoke runs `--quick`): every family in
     // this table is groupable, so each must report a non-fallback

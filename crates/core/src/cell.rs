@@ -10,12 +10,6 @@
 //! helpers in this module, so there is exactly one definition of the
 //! cell transition function in the workspace.
 //!
-//! [`step_packed`] is the SWAR tier of that transition: up to
-//! [`PACKED_LANES`] two-bit counters packed side by side in one `u64`
-//! advance toward a shared outcome in a handful of word ops, with the
-//! same per-field semantics as [`step`] (property-tested below and in
-//! the workspace multilane suite).
-//!
 //! # Examples
 //!
 //! ```
@@ -38,12 +32,10 @@ use crate::counter::next_counter_bits;
 /// instruction in the last word of the address space).
 pub const EMPTY_OWNER: u64 = (1 << 62) - 1;
 
-/// Two-bit counter fields that fit side by side in one packed `u64`
-/// ([`step_packed`]'s lane width).
+/// Lanes per fused multilane replay group in `bpred-sim` (the number
+/// of two-bit counter fields one `u64` holds): larger sweeps split
+/// into several groups.
 pub const PACKED_LANES: usize = 32;
-
-/// Mask of the low bit of every two-bit field in a packed word.
-const FIELD_LO: u64 = 0x5555_5555_5555_5555;
 
 /// A cell holding `counter_bits` with no owner recorded yet.
 #[inline]
@@ -111,37 +103,6 @@ pub fn retrain(cell: u64, outcome: Outcome) -> u64 {
     (cell & !0b11) | next_counter_bits(counter_bits(cell), outcome) as u64
 }
 
-/// SWAR saturating step: every two-bit field of `packed` moves one
-/// state toward `outcome` and clamps at the strong states — up to
-/// [`PACKED_LANES`] counters per word op, each transitioning exactly
-/// like [`TwoBitCounter::train`](crate::TwoBitCounter::train).
-///
-/// Branch-free: fields at 0b11 contribute no increment and fields at
-/// 0b00 no decrement, so no add ever carries (and no subtract ever
-/// borrows) across a field boundary.
-///
-/// # Examples
-///
-/// ```
-/// use bpred_core::cell::step_packed;
-/// use bpred_trace::Outcome;
-///
-/// // Fields [0b00, 0b01, 0b10, 0b11] all step toward taken (the
-/// // word's other 28 fields step 0b00 -> 0b01 too, hence the mask).
-/// assert_eq!(step_packed(0b11_10_01_00, Outcome::Taken) & 0xFF, 0b11_11_10_01);
-/// // ... and toward not-taken.
-/// assert_eq!(step_packed(0b11_10_01_00, Outcome::NotTaken), 0b10_01_00_00);
-/// ```
-#[inline]
-pub fn step_packed(packed: u64, outcome: Outcome) -> u64 {
-    let hi = (packed >> 1) & FIELD_LO;
-    let lo = packed & FIELD_LO;
-    let inc = !(hi & lo) & FIELD_LO; // +1 everywhere below strong taken
-    let dec = (hi | lo) & FIELD_LO; // -1 everywhere above strong not-taken
-    let taken = 0u64.wrapping_sub(outcome.is_taken() as u64); // all-ones when taken
-    packed + (inc & taken) - (dec & !taken)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,33 +153,5 @@ mod tests {
         let trained = retrain(cell, Outcome::NotTaken);
         assert_eq!(trained >> 2, tag(0x88));
         assert_eq!(counter_bits(trained), 1);
-    }
-
-    #[test]
-    fn step_packed_matches_scalar_in_every_field() {
-        // Every field value in every field position, both outcomes.
-        for outcome in [Outcome::Taken, Outcome::NotTaken] {
-            for pattern in [
-                0x0000_0000_0000_0000u64,
-                0xFFFF_FFFF_FFFF_FFFF,
-                0x1B1B_1B1B_1B1B_1B1B, // fields 3,2,1,0 repeating
-                0xE4E4_E4E4_E4E4_E4E4, // fields 0,1,2,3 repeating
-                0x0123_4567_89AB_CDEF,
-            ] {
-                let stepped = step_packed(pattern, outcome);
-                for lane in 0..PACKED_LANES {
-                    let before = ((pattern >> (2 * lane)) & 0b11) as u8;
-                    let after = ((stepped >> (2 * lane)) & 0b11) as u8;
-                    let mut reference =
-                        TwoBitCounter::new(CounterState::from_bits(before).expect("two bits"));
-                    reference.train(outcome);
-                    assert_eq!(
-                        after,
-                        reference.state().bits(),
-                        "lane {lane} of {pattern:#x} toward {outcome:?}"
-                    );
-                }
-            }
-        }
     }
 }

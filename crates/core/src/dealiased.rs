@@ -272,8 +272,13 @@ impl Gskew {
         }
     }
 
+    /// The skewed hash's top `bank_bits` bits; a zero-bit bank holds
+    /// one counter, at index 0.
     fn bank_index(&self, bank: usize, pc: u64) -> u64 {
         let bits = self.banks[bank].geometry().row_bits();
+        if bits == 0 {
+            return 0;
+        }
         let key = ((pc >> 2) << 20) ^ self.history.bits();
         (key.wrapping_mul(SKEW_BANK_MULTIPLIERS[bank])) >> (64 - bits)
     }
@@ -412,6 +417,20 @@ mod tests {
         assert!(a != b || b != c, "degenerate bank hashing");
         for bank in 0..3 {
             assert!(p.bank_index(bank, 0x1234) < 256);
+        }
+    }
+
+    #[test]
+    fn zero_bit_gskew_banks_index_their_single_counter() {
+        for history_bits in [0, 4] {
+            let mut p = Gskew::new(history_bits, 0);
+            for pc in [0x40, 0x1234, u64::MAX >> 2] {
+                for bank in 0..3 {
+                    assert_eq!(p.bank_index(bank, pc), 0);
+                }
+                step(&mut p, pc, Outcome::Taken);
+            }
+            assert_eq!(p.predict(0x40, 0), Outcome::Taken);
         }
     }
 

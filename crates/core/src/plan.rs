@@ -28,8 +28,7 @@
 //!    partial-update policy folded in.
 //!
 //! [`WalkPlan::of`] maps a [`PredictorConfig`] to its plan (or `None`
-//! for shapes the grouped tier cannot express — those lanes stay on
-//! the scalar fallback). Lanes whose plans share a [`PlanKind`]
+//! for the stateless static schemes, which need no table walk). Lanes whose plans share a [`PlanKind`]
 //! execute the same fused loop and may share a group.
 //!
 //! # Examples
@@ -103,6 +102,8 @@ pub enum IndexFn {
     },
     /// gskew's skewed bank hash: `idx = (((pc-word << 20) ^ pattern)
     /// * SKEW_BANK_MULTIPLIERS[bank]) >> (64 - row_bits)`.
+    ///
+    /// A zero-bit (single-counter) bank always indexes 0.
     Skewed {
         /// Which of the three bank multipliers to use.
         bank: u8,
@@ -220,8 +221,8 @@ pub struct WalkPlan {
 }
 
 impl WalkPlan {
-    /// The plan for `config`, or `None` when the grouped tier cannot
-    /// express its lookup (those lanes stay on the scalar fallback).
+    /// The plan for `config`, or `None` for the stateless static
+    /// schemes (always-taken, always-not-taken, BTFN).
     pub fn of(config: &PredictorConfig) -> Option<WalkPlan> {
         let unified = |row_bits: u32, col_bits: u32, xor: bool| TableRead {
             row_bits,
@@ -316,12 +317,10 @@ impl WalkPlan {
                 ],
                 combine: CombineRule::ChooserSteered,
             }),
-            // A zero-bit gskew bank would need a 64-bit shift in the
-            // hash; leave that degenerate shape to the scalar oracle.
             PredictorConfig::Gskew {
                 history_bits,
                 bank_bits,
-            } if bank_bits > 0 => Some(WalkPlan {
+            } => Some(WalkPlan {
                 level1: Level1Read::GlobalHistory,
                 history_bits,
                 reads: (0..3u8)
@@ -580,19 +579,22 @@ mod tests {
     }
 
     #[test]
-    fn ungroupable_shapes_have_no_plan() {
+    fn only_the_statics_have_no_plan() {
         for config in [
             PredictorConfig::AlwaysTaken,
             PredictorConfig::AlwaysNotTaken,
             PredictorConfig::Btfn,
-            // Degenerate zero-bit gskew banks stay scalar.
-            PredictorConfig::Gskew {
-                history_bits: 0,
-                bank_bits: 0,
-            },
         ] {
             assert!(WalkPlan::of(&config).is_none(), "{config:?}");
         }
+        // A zero-bit gskew bank is a one-counter table, not a hole.
+        let zero = WalkPlan::of(&PredictorConfig::Gskew {
+            history_bits: 0,
+            bank_bits: 0,
+        })
+        .expect("zero-bit gskew has a plan");
+        assert_eq!(zero.kind(), PlanKind::SkewedMajority);
+        assert_eq!(zero.cells(), 3);
     }
 
     #[test]

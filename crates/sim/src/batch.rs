@@ -11,13 +11,12 @@
 //! publishes into a bounded ref-counted ring shared by all shard
 //! workers (see [`crate::ring`]), overlapping generation with replay.
 //!
-//! Each lane is a [`ReplayCore`] over the configuration's
-//! enum-dispatched [`PredictorKernel`](bpred_core::PredictorKernel),
-//! and the chunk feed hoists that enum match to once per lane×chunk,
-//! so the inner record loop is fully monomorphized. Because lanes are
-//! independent and [`ReplayCore::feed_observed`] is the single feed
-//! path, a batched run is *bit-identical* to running each
-//! configuration alone through [`Simulator::run`], which
+//! Each shard replays its lanes through one [`LaneSet`]: fused
+//! multilane groups per plan kind, or the scalar
+//! [`ReplayCore`](crate::ReplayCore) dispatch under
+//! `BPRED_FORCE_SCALAR`. Because lanes are independent, a batched run
+//! is *bit-identical* to running each configuration alone through
+//! [`Simulator::run`], which
 //! `tests/determinism.rs` at the workspace root enforces for every
 //! configuration variant.
 //!
@@ -29,9 +28,7 @@
 //! [`DEFAULT_SHARD_SIZE`] (8) is a good default for the paper's
 //! predictor sizes (≤ 64 KiB of counters each); use smaller shards
 //! for very large predictors. Shard count also bounds worker
-//! parallelism, and in the retained per-shard engine
-//! ([`run_batched_per_shard`]) it still sets how often the source is
-//! re-streamed.
+//! parallelism.
 //!
 //! # Thread count
 //!
@@ -42,24 +39,20 @@
 //! on stderr. Thread count never changes results, only wall-clock
 //! time.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, Once};
 use std::time::Instant;
 
-use bpred_core::{PredictorConfig, PredictorKernel};
+use bpred_core::PredictorConfig;
 use bpred_trace::{TraceChunk, TraceSource};
 
 use crate::multilane::LANE_TIER_LABELS;
 use crate::ring::{ChunkRing, DetachGuard, FinishGuard, RING_CAPACITY};
-use crate::{LaneSet, ReplayCore, SimResult, Simulator};
+use crate::{LaneSet, SimResult, Simulator};
 
 /// Predictors replayed together per shard by [`run_batched_default`]
 /// and the sweep layers built on it.
 pub const DEFAULT_SHARD_SIZE: usize = 8;
-
-/// One batched lane: a [`ReplayCore`] over the configuration's
-/// enum-dispatched kernel.
-type Lane = ReplayCore<PredictorKernel>;
 
 /// Records replayed through the chunked pipeline, process-wide.
 static RECORDS_REPLAYED: AtomicU64 = AtomicU64::new(0);
@@ -124,7 +117,7 @@ pub fn replay_group_lanes() -> [u64; LANE_TIER_LABELS.len()] {
 
 /// Number of fused groups in the most recent chunked sweep that
 /// resolved chunk-level arena prefetch *on* (see
-/// `BPRED_GROUP_PREFETCH` in [`crate::multilane`]); 0 before the first
+/// [`PREFETCH_SPILL_BYTES`](crate::multilane::PREFETCH_SPILL_BYTES)); 0 before the first
 /// sweep. Lets benches and `/metrics` record which prefetch mode a
 /// sweep's footprint heuristic actually chose.
 pub fn replay_prefetch_groups() -> u64 {
@@ -402,70 +395,6 @@ where
         .collect()
 }
 
-/// The pre-pipeline batched engine, retained as a baseline: every
-/// shard opens its *own* streaming pass over the source, so a sweep
-/// re-generates the trace once per shard rather than once overall.
-/// Results are bit-identical to [`run_batched`]; the
-/// `sweep_throughput` bench in `bpred-bench` measures the difference.
-///
-/// Shards are distributed over worker threads by work-stealing; the
-/// source must replay the same sequence on every
-/// [`TraceSource::stream`] call (all sources in this workspace do).
-///
-/// # Panics
-///
-/// Panics if `shard_size` is zero.
-pub fn run_batched_per_shard<S>(
-    configs: &[PredictorConfig],
-    source: &S,
-    simulator: Simulator,
-    shard_size: usize,
-) -> Vec<SimResult>
-where
-    S: TraceSource + Sync + ?Sized,
-{
-    assert!(shard_size > 0, "shard size must be positive");
-    if configs.is_empty() {
-        return Vec::new();
-    }
-    let shard_count = configs.len().div_ceil(shard_size);
-    let next_shard = AtomicUsize::new(0);
-    let results: Mutex<Vec<Option<SimResult>>> = Mutex::new(vec![None; configs.len()]);
-
-    std::thread::scope(|scope| {
-        for _ in 0..worker_count(shard_count) {
-            scope.spawn(|| loop {
-                let shard = next_shard.fetch_add(1, Ordering::Relaxed);
-                if shard >= shard_count {
-                    return;
-                }
-                let base = shard * shard_size;
-                let shard_configs = &configs[base..(base + shard_size).min(configs.len())];
-                let mut lanes: Vec<Lane> = shard_configs
-                    .iter()
-                    .map(|config| ReplayCore::from_config(config, simulator))
-                    .collect();
-                for record in source.stream() {
-                    for lane in &mut lanes {
-                        lane.feed(&record);
-                    }
-                }
-                let mut results = lock_ignoring_poison(&results);
-                for (offset, lane) in lanes.into_iter().enumerate() {
-                    results[base + offset] = Some(lane.finish());
-                }
-            });
-        }
-    });
-
-    results
-        .into_inner()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-        .into_iter()
-        .map(|r| r.expect("every configuration simulated"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -516,11 +445,19 @@ mod tests {
         }
     }
 
+    /// Each configuration replayed alone through the scalar oracle.
+    fn oracle(configs: &[PredictorConfig], trace: &Trace) -> Vec<SimResult> {
+        configs
+            .iter()
+            .map(|config| run_config(*config, trace, Simulator::new()))
+            .collect()
+    }
+
     #[test]
-    fn chunked_matches_the_per_shard_engine_at_any_chunk_len() {
+    fn chunked_matches_the_scalar_oracle_at_any_chunk_len() {
         let t = trace(3_000);
         let configs = mixed_configs();
-        let baseline = run_batched_per_shard(&configs, &t, Simulator::new(), 2);
+        let baseline = oracle(&configs, &t);
         for chunk_len in [1, 7, 2_999, 3_000, 3_001] {
             let chunked = run_batched_chunked(&configs, &t, Simulator::new(), 2, chunk_len);
             assert_eq!(baseline, chunked, "chunk_len {chunk_len}");
@@ -548,8 +485,7 @@ mod tests {
         let source = WorkloadSource::new(model.clone(), 23);
         let configs = mixed_configs();
         let streamed = run_chunked_pipelined(&configs, &source, Simulator::new(), 2, 256, 2);
-        let materialised = run_batched_per_shard(&configs, &model.trace(23), Simulator::new(), 2);
-        assert_eq!(streamed, materialised);
+        assert_eq!(streamed, oracle(&configs, &model.trace(23)));
     }
 
     #[test]

@@ -30,8 +30,7 @@
 //! configuration (enforced by `tests/determinism.rs` at the
 //! workspace root). Shard sizing: [`DEFAULT_SHARD_SIZE`] (8) fits
 //! the paper's predictor sizes; shrink it when a shard's combined
-//! predictor state would fall out of cache. The pre-pipeline engine
-//! is retained as [`run_batched_per_shard`], and
+//! predictor state would fall out of cache.
 //! [`records_replayed_total`] exposes the pipeline's process-wide
 //! replay counter.
 //!
@@ -40,9 +39,8 @@
 //! `cargo test -q` at the workspace root runs the tier-1 integration
 //! tests (paper claims, determinism, golden workload statistics);
 //! `cargo test -q --workspace` adds per-crate unit and property
-//! tests; `cargo bench -p bpred-bench --bench sweeps` measures the
-//! batched engine against the retained per-configuration baseline
-//! ([`run_configs_per_config`]).
+//! tests; `cargo bench -p bpred-bench --bench sweeps` measures
+//! whole-tier sweeps through the batched engine.
 //!
 //! # Examples
 //!
@@ -62,7 +60,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
-#![cfg_attr(feature = "portable-simd", feature(portable_simd))]
 
 mod batch;
 pub mod cache;
@@ -82,8 +79,7 @@ mod sweep;
 
 pub use batch::{
     records_replayed_total, replay_group_lanes, replay_pairs_per_sec, replay_prefetch_groups,
-    replay_scalar_lanes, run_batched, run_batched_chunked, run_batched_default,
-    run_batched_per_shard, DEFAULT_SHARD_SIZE,
+    replay_scalar_lanes, run_batched, run_batched_chunked, run_batched_default, DEFAULT_SHARD_SIZE,
 };
 pub use cache::{run_configs_keyed, CellKey, ResultCache, ENGINE_VERSION};
 pub use cost::CpiModel;
@@ -95,4 +91,4 @@ pub use replay::{Observer, ReplayCore};
 pub use replicate::{replicate, Replication};
 pub use report::TextTable;
 pub use surface::{Surface, SurfacePoint, Tier};
-pub use sweep::{run_config, run_configs, run_configs_per_config};
+pub use sweep::{run_config, run_configs};

@@ -11,43 +11,37 @@
 //!   BTFN have no state, so whole chunks collapse into popcounts over
 //!   the [`TraceChunk`] metadata words (sixteen records per `u64` op)
 //!   and one branchless pass over the pc/target columns.
-//! * **Lane groups** — every configuration whose lookup reduces to a
+//! * **Lane groups** — every other configuration reduces to a
 //!   [`WalkPlan`] (a first-level history read, one to three counter
-//!   reads over a shared arena, and a combine/update rule) shares a
-//!   monomorphic loop with the other lanes of the same [`PlanKind`]:
-//!   the chunk metadata is reduced to a dense `(pc, taken)`
-//!   conditional list once (sixteen records per `u64` nibble op), and
-//!   up to [`cell::PACKED_LANES`] lanes step their packed cells
-//!   through a shared arena. The original global-history family
-//!   (address-indexed, GAg/GAs, gshare) runs the single-read *fused*
-//!   loop of [`GlobalGroup`], lane-major with all lane parameters and
-//!   accumulators register-resident; PAg/PAs (perfect or finite
-//!   first level) and SAg/SAs add a per-address/per-set history read
-//!   in front of the same counter step ([`TwoLevelGroup`]); agree,
-//!   bi-mode and gskew run their dealiased combine rules
-//!   ([`AgreeGroup`], [`BiModeGroup`], [`GskewGroup`]); the
-//!   multi-structure schemes run their own fused loops — tournament's
-//!   chooser over two component reads ([`TournamentGroup`]), YAGS's
-//!   tagged exception caches over a choice bias ([`TaggedGroup`]),
-//!   path-based row selection fed by every control transfer
-//!   ([`PathGroup`]), and the one-bit LastTime table
-//!   ([`LastTimeGroup`]). Groups iterate lanes in *row-blocked* order
-//!   (descending region size, ties by configuration position — the
-//!   same order the arena placer assigns bases), so consecutive lanes
-//!   of a sweep walk adjacent arena regions and same-row reads land
-//!   in neighbouring cache lines. Two
-//!   record-major variants of the single-read loop are kept behind
-//!   `BPRED_GROUP_STEP` — one stepping every gathered counter in a
-//!   single [`cell::step_packed`] word op, one stepping per lane —
-//!   to decompose where the speedup comes from. With the
-//!   off-by-default `portable-simd` feature the single-read group
-//!   instead runs eight lanes per `std::simd` gather/scatter vector.
-//! * **Scalar fallback** — every scheme without a plan (today only
-//!   the degenerate zero-bit gskew bank, plus everything when
-//!   `BPRED_FORCE_SCALAR` is set) replays through the hoisted
-//!   [`ReplayCore`] dispatch unchanged. The scalar kernel remains the
-//!   oracle: multilane results are bit-identical by construction and
-//!   by test (`tests/multilane.rs` at the workspace root).
+//!   reads over a shared arena, and a combine/update rule) and shares
+//!   a monomorphic, lane-major loop with up to [`cell::PACKED_LANES`]
+//!   other lanes of the same [`PlanKind`]. Every group sits behind one
+//!   shell ([`Group`]): the per-lane result tallies, the
+//!   [`LANE_TIER_LABELS`] slot, and the finish step are shared, and
+//!   only the per-kind [`GroupKernel`] — lane parameters, arena and
+//!   inner loop — differs. The chunk is decoded once into the shared
+//!   [`ChunkInputs`] (a dense `(pc, taken)` conditional stream, plus
+//!   dense branch ids, agree bias bits and path events when a group
+//!   reads them). The kernels: the single-read global-history family
+//!   (address-indexed, GAg/GAs, gshare) in [`GlobalGroup`]; PAg/PAs
+//!   (perfect or finite first level) and SAg/SAs, which add a
+//!   per-address/per-set history read in front of the same counter
+//!   step ([`TwoLevelGroup`]); the dealiased combine rules of agree,
+//!   bi-mode and gskew ([`AgreeGroup`], [`BiModeGroup`],
+//!   [`GskewGroup`]); tournament's chooser over two component reads
+//!   ([`TournamentGroup`]); YAGS's tagged exception caches over a
+//!   choice bias ([`TaggedGroup`]); path-based row selection fed by
+//!   every control transfer ([`PathGroup`]); and the one-bit LastTime
+//!   table ([`LastTimeGroup`]). Groups iterate lanes in *row-blocked*
+//!   order (descending region size, ties by configuration position —
+//!   the same order the arena placer assigns bases), so consecutive
+//!   lanes of a sweep walk adjacent arena regions and same-row reads
+//!   land in neighbouring cache lines.
+//! * **Scalar fallback** — under `BPRED_FORCE_SCALAR` every lane
+//!   replays through the hoisted [`ReplayCore`] dispatch instead. The
+//!   scalar kernel remains the oracle: multilane results are
+//!   bit-identical by construction and by test (`tests/multilane.rs`
+//!   at the workspace root).
 //!
 //! Lane grouping never straddles plan kinds: a group holds only
 //! configurations whose per-record transition is structurally
@@ -58,27 +52,7 @@
 //!
 //! * `BPRED_FORCE_SCALAR` — any value other than empty/`0` pins every
 //!   lane to the scalar tier (the determinism suite runs under this in
-//!   CI).
-//! * `BPRED_GROUP_STEP=scalar` — single-read lane groups go
-//!   record-major and step counters one lane at a time (isolates the
-//!   grouping + decode-once win); `BPRED_GROUP_STEP=swar` —
-//!   record-major with the packed [`cell::step_packed`] counter step
-//!   (isolates the packed step). Any other value selects the fused
-//!   lane-major default. Used to decompose the speedup in
-//!   EXPERIMENTS.md.
-//! * `BPRED_GROUP_PREFETCH=auto|on|off` — whether the single-read
-//!   fused loop runs in a blocked two-phase form: a short
-//!   address-generation pass touches the upcoming arena slots (the
-//!   known hot gather) before the counter read-modify-write pass
-//!   consumes them. The default `auto` turns the two-phase form on
-//!   only for groups whose arena footprint exceeds the spill
-//!   threshold (`BPRED_GROUP_PREFETCH_THRESHOLD`, bytes, default
-//!   [`PREFETCH_SPILL_BYTES`]): prefetch costs ~4% while arenas stay
-//!   cache-resident and only earns its keep once the gather misses.
-//!   `on`/`off` (or the legacy `1`/`0`) force it either way.
-//!
-//! None of the knobs changes results, only the code path that computes
-//! them.
+//!   CI). It changes the code path, never the results.
 
 use std::collections::HashMap;
 
@@ -100,21 +74,13 @@ type Lane = ReplayCore<PredictorKernel>;
 const NIBBLE_LO: u64 = 0x1111_1111_1111_1111;
 
 /// Records per block of the two-phase prefetch form of the fused loop
-/// (`BPRED_GROUP_PREFETCH`): long enough to cover the load latency the
+/// ([`PREFETCH_SPILL_BYTES`]): long enough to cover the load latency the
 /// touch pass hides, short enough that the touched lines are still
 /// resident when the read-modify-write pass consumes them.
 const PREFETCH_WINDOW: usize = 16;
 
-/// `bits` low ones (0 for `bits == 0`); widths here are at most
-/// [`bpred_core::TableGeometry::MAX_TOTAL_BITS`].
-#[inline]
-fn low_mask(bits: u32) -> u64 {
-    (1u64 << bits) - 1
-}
-
-/// `bits` low ones for any width `0..=64` — [`low_mask`] is enough
-/// for table geometries (≤ 30 bits), but gskew history registers may
-/// be up to 64 bits wide.
+/// `bits` low ones for any width `0..=64` (gskew history registers may
+/// be up to 64 bits wide).
 #[inline]
 fn wide_low_mask(bits: u32) -> u64 {
     match bits {
@@ -143,91 +109,20 @@ fn force_scalar() -> bool {
     matches!(std::env::var("BPRED_FORCE_SCALAR"), Ok(v) if !v.is_empty() && v != "0")
 }
 
-/// Default arena-footprint threshold (bytes) above which
-/// [`PrefetchMode::Auto`] turns the two-phase prefetch form on: the
-/// point where a group's arena has outgrown a typical L2 and the
-/// gather starts missing. Overridable via
-/// `BPRED_GROUP_PREFETCH_THRESHOLD`.
+/// Arena footprint (bytes) above which a [`GlobalGroup`] runs its
+/// fused loop in the blocked two-phase prefetch form: the point where
+/// a group's arena has outgrown a typical L2 and the gather starts
+/// missing. Below it the blocking costs ~4%; above it the touch pass
+/// hides the gathered-row misses (EXPERIMENTS.md, spill-scale sweeps).
 pub const PREFETCH_SPILL_BYTES: u64 = 4 << 20;
 
-/// The `BPRED_GROUP_PREFETCH` policy: whether a lane group runs the
-/// blocked two-phase fused loop with arena-slot prefetch (module
-/// docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PrefetchMode {
-    /// Footprint-gated: on only when the group's arena exceeds the
-    /// spill threshold. The default.
-    Auto,
-    /// Always on (legacy `1` accepted).
-    On,
-    /// Always off (legacy `0` accepted).
-    Off,
-}
-
-impl PrefetchMode {
-    /// Resolves the policy for one group given its arena footprint.
-    fn resolve(self, arena_bytes: u64, threshold: u64) -> bool {
-        match self {
-            PrefetchMode::On => true,
-            PrefetchMode::Off => false,
-            PrefetchMode::Auto => arena_bytes > threshold,
-        }
-    }
-}
-
-/// The `BPRED_GROUP_PREFETCH` knob (module docs): unset/empty/`auto`
-/// gate on arena footprint, `off`/`0` force off, anything else
-/// (including the legacy `1`) forces on.
-fn group_prefetch() -> PrefetchMode {
-    match std::env::var("BPRED_GROUP_PREFETCH").as_deref() {
-        Err(_) | Ok("") | Ok("auto") => PrefetchMode::Auto,
-        Ok("off") | Ok("0") => PrefetchMode::Off,
-        Ok(_) => PrefetchMode::On,
-    }
-}
-
-/// The spill threshold (bytes) for [`PrefetchMode::Auto`]:
-/// `BPRED_GROUP_PREFETCH_THRESHOLD` or [`PREFETCH_SPILL_BYTES`].
-fn prefetch_threshold() -> u64 {
-    std::env::var("BPRED_GROUP_PREFETCH_THRESHOLD")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(PREFETCH_SPILL_BYTES)
-}
-
-/// Counter-step strategy inside a lane group (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum GroupStep {
-    /// Lane-major with register-resident parameters and a fused
-    /// branch-free cell step — the default (fastest) tier.
-    Fused,
-    /// Record-major, all gathered counters stepped in one
-    /// [`cell::step_packed`] word op (decomposition knob).
-    RecordSwar,
-    /// Record-major, counters stepped one lane at a time through the
-    /// scalar oracle [`cell::step`] (decomposition knob).
-    RecordScalar,
-}
-
-/// The `BPRED_GROUP_STEP` decomposition knob (module docs).
-fn group_step() -> GroupStep {
-    match std::env::var("BPRED_GROUP_STEP").as_deref() {
-        Ok("swar") => GroupStep::RecordSwar,
-        Ok("scalar") => GroupStep::RecordScalar,
-        _ => GroupStep::Fused,
-    }
-}
-
 /// The dispatch tier the next [`LaneSet`] will use for groupable
-/// configurations: `"scalar"` under `BPRED_FORCE_SCALAR`, `"simd"`
-/// when the `portable-simd` feature is compiled in, `"swar"`
+/// configurations: `"scalar"` under `BPRED_FORCE_SCALAR`, `"swar"`
 /// otherwise. Exported (with this label) as the
 /// `bpred_replay_pairs_per_sec` gauge's `tier` by `bpred-serve`.
 pub fn dispatch_tier() -> &'static str {
     if force_scalar() {
         "scalar"
-    } else if cfg!(feature = "portable-simd") {
-        "simd"
     } else {
         "swar"
     }
@@ -399,43 +294,273 @@ fn btfn_wrong(chunk: &TraceChunk) -> u64 {
     wrong
 }
 
-/// Per-lane parameters of one groupable configuration, before arena
-/// placement.
-struct GroupSpec {
+/// One groupable lane: its result slot, the display name and *static*
+/// state cost captured from the kernel at build time (dynamic
+/// per-branch state — perfect-BHT histories, agree bias bits — is
+/// added at finish from the shared distinct-pc count), and its
+/// [`WalkPlan`].
+struct PlanSpec {
     index: usize,
     name: String,
     state_bits: u64,
-    row_bits: u32,
-    col_bits: u32,
-    /// gshare XORs row-address bits into the history row.
-    xor: bool,
-    /// Whether the scheme keeps a history register at all
-    /// (address-indexed does not).
-    history: bool,
+    plan: WalkPlan,
 }
 
-impl GroupSpec {
-    fn cells(&self) -> u64 {
-        1u64 << (self.row_bits + self.col_bits)
+/// The part of a fused lane that every group kind shares: its result
+/// slot in the caller's configuration order, display name, static
+/// state cost, and the three accumulators the kernels add into once
+/// per lane and chunk.
+#[derive(Debug)]
+struct LaneTally {
+    index: usize,
+    name: String,
+    state_bits: u64,
+    conflicts: u64,
+    harmless: u64,
+    mispredictions: u64,
+}
+
+/// One lane's counts over one chunk: conflicts, harmless conflicts,
+/// mispredictions.
+type LaneCounts = (u64, u64, u64);
+
+impl LaneTally {
+    fn add(&mut self, (conflicts, harmless, mispredictions): LaneCounts) {
+        self.conflicts += conflicts;
+        self.harmless += harmless;
+        self.mispredictions += mispredictions;
     }
 }
 
-/// A lane group: up to [`cell::PACKED_LANES`] global-family lanes
-/// stepping record-major through a shared cell arena.
+/// A chunk decoded once for every lane group. The conditional stream
+/// is always filled; the other columns only when a group reads them.
+#[derive(Debug, Default)]
+struct ChunkInputs {
+    /// The dense conditional stream: element `i` is `(pc << 1) |
+    /// taken` of the i-th conditional (see [`collect_conditionals`]).
+    conditionals: Vec<u64>,
+    /// `conditionals[i]`'s dense branch id, in first-appearance order
+    /// over the whole stream (perfect-BHT rows, agree bias latches).
+    ids: Vec<u32>,
+    /// Pre-latch (bit 0) / post-latch (bit 1) agree bias-is-taken
+    /// flags per conditional.
+    bias_bits: Vec<u8>,
+    /// One element per record for path lanes, `(dest_word << 1) |
+    /// is_conditional` — the resolved destination word every control
+    /// transfer shifts into a path register.
+    events: Vec<u64>,
+    needs_ids: bool,
+    needs_bias: bool,
+    needs_events: bool,
+    /// Persistent dense branch ids behind `ids`.
+    id_map: HashMap<u64, u32>,
+    /// Persistent agree bias latch per dense id: 0 unset (reads as
+    /// taken, the scalar default), 1 latched taken, 2 latched
+    /// not-taken.
+    bias: Vec<u8>,
+}
+
+impl ChunkInputs {
+    /// Decodes `chunk` into the columns the groups read.
+    fn decode(&mut self, chunk: &TraceChunk) {
+        collect_conditionals(chunk, &mut self.conditionals);
+        if self.needs_events {
+            // Path lanes shift on every record: the destination a
+            // path register would hash (conditionals resolve to
+            // target or fall-through by outcome, everything else to
+            // its target) plus the is-conditional flag.
+            self.events.clear();
+            let pcs = chunk.pcs();
+            let targets = chunk.targets();
+            let words = chunk.meta_words();
+            for i in 0..pcs.len() {
+                let bits = (words[i / TraceChunk::META_RECORDS_PER_WORD]
+                    >> (TraceChunk::META_BITS_PER_RECORD
+                        * (i % TraceChunk::META_RECORDS_PER_WORD)))
+                    & 0xF;
+                let cond = (bits & 0b1110 == 0) as u64;
+                let fallthrough = cond & (1 - (bits & 1));
+                let dest = if fallthrough == 1 {
+                    pcs[i].wrapping_add(4)
+                } else {
+                    targets[i]
+                };
+                self.events.push(((dest >> 2) << 1) | cond);
+            }
+        }
+        if self.needs_ids {
+            // Dense ids in first-appearance order and, when agree
+            // lanes exist, the record-major bias latch column.
+            self.ids.clear();
+            self.bias_bits.clear();
+            for &packed in &self.conditionals {
+                let pc = packed >> 1;
+                let next = self.id_map.len() as u32;
+                let id = *self.id_map.entry(pc).or_insert(next);
+                self.ids.push(id);
+                if self.needs_bias {
+                    let taken = (packed & 1) as u8;
+                    if id as usize == self.bias.len() {
+                        self.bias.push(0);
+                    }
+                    let b = &mut self.bias[id as usize];
+                    let pre = (*b != 2) as u8;
+                    if *b == 0 {
+                        *b = 2 - taken;
+                    }
+                    let post = (*b != 2) as u8;
+                    self.bias_bits.push(pre | (post << 1));
+                }
+            }
+        }
+    }
+}
+
+/// The per-kind half of a fused lane group: lane parameters,
+/// first-level state, the counter arena, and the kind's monomorphic
+/// inner loop. The shared half lives in [`Group`].
 ///
-/// Lane parameters and accumulators are structure-of-arrays so the
-/// inner loop (and its `portable-simd` twin) reads them as flat
-/// vectors. Each lane owns a power-of-two region of the arena at a
-/// base offset aligned to its size (lanes are placed in descending
-/// size order), so `base | idx` is the lane's slot and regions never
-/// overlap — which also makes the SIMD scatter safe.
+/// Implementations mark [`replay_lane`](GroupKernel::replay_lane)
+/// `#[inline(never)]`: a lane's hot loop then owns the registers, with
+/// no group bookkeeping live across it, and its accumulators cannot
+/// be packed into vector registers to match the tally update (which
+/// measured ~35% slower on the tournament and YAGS kernels).
+trait GroupKernel: std::fmt::Debug + Send {
+    /// Feeds one decoded chunk through lane `lane` and returns its
+    /// counts. `seen`/`warmup` reproduce the scalar core's warmup
+    /// scoring exactly.
+    fn replay_lane(
+        &mut self,
+        lane: usize,
+        input: &ChunkInputs,
+        seen: u64,
+        warmup: u64,
+    ) -> LaneCounts;
+
+    /// Feeds one decoded chunk through every lane, adding each lane's
+    /// counts into its tally (`lanes` is in kernel lane order).
+    fn replay(&mut self, lanes: &mut [LaneTally], input: &ChunkInputs, seen: u64, warmup: u64) {
+        for (lane, tally) in lanes.iter_mut().enumerate() {
+            tally.add(self.replay_lane(lane, input, seen, warmup));
+        }
+    }
+
+    /// Alias-instrumented table accesses per conditional, or `None`
+    /// when the scheme reports no alias statistics.
+    fn accesses_per_conditional(&self) -> Option<u64> {
+        Some(1)
+    }
+
+    /// Dynamic state to add to a lane's static cost at finish
+    /// (`distinct` is the shared distinct-conditional-pc count).
+    fn extra_state_bits(&self, _lane: usize, _distinct: u64) -> u64 {
+        0
+    }
+
+    /// First-level access statistics, when the scheme reports them
+    /// (`seen` is the shared conditional count).
+    fn bht_stats(&self, _lane: usize, _seen: u64) -> Option<BhtStats> {
+        None
+    }
+
+    /// Whether the kernel runs the blocked two-phase prefetch form.
+    fn prefetches(&self) -> bool {
+        false
+    }
+}
+
+/// A fused lane group: up to [`cell::PACKED_LANES`] lanes of one
+/// [`PlanKind`], their shared tallies, and the kind's kernel.
+#[derive(Debug)]
+struct Group {
+    /// The group's slot in [`LANE_TIER_LABELS`].
+    tier: usize,
+    lanes: Vec<LaneTally>,
+    kernel: Box<dyn GroupKernel>,
+}
+
+impl Group {
+    /// Builds the group for `specs`, all of plan kind `kind`, in
+    /// row-blocked order.
+    fn new(kind: PlanKind, specs: Vec<PlanSpec>) -> Self {
+        debug_assert!(!specs.is_empty() && specs.len() <= cell::PACKED_LANES);
+        let (label, kernel): (&str, Box<dyn GroupKernel>) = match kind {
+            PlanKind::Direct => ("direct", Box::new(GlobalGroup::new(&specs))),
+            PlanKind::PerAddressPerfect => (
+                "pas-perfect",
+                Box::new(TwoLevelGroup::new(&specs, PerfectRows::new(&specs))),
+            ),
+            PlanKind::PerAddressFinite => (
+                "pas-finite",
+                Box::new(TwoLevelGroup::new(&specs, FiniteRows::new(&specs))),
+            ),
+            PlanKind::PerSet => (
+                "per-set",
+                Box::new(TwoLevelGroup::new(&specs, SetRows::new(&specs))),
+            ),
+            PlanKind::AgreeBias => ("agree", Box::new(AgreeGroup::new(&specs))),
+            PlanKind::BiModeChoice => ("bimode", Box::new(BiModeGroup::new(&specs))),
+            PlanKind::SkewedMajority => ("gskew", Box::new(GskewGroup::new(&specs))),
+            PlanKind::TournamentChooser => ("tournament", Box::new(TournamentGroup::new(&specs))),
+            PlanKind::TaggedChoice => ("yags", Box::new(TaggedGroup::new(&specs))),
+            PlanKind::PathHistory => ("path", Box::new(PathGroup::new(&specs))),
+            PlanKind::LastOutcome => ("last-time", Box::new(LastTimeGroup::new(&specs))),
+        };
+        Group {
+            tier: tier_slot(label),
+            lanes: specs
+                .into_iter()
+                .map(|spec| LaneTally {
+                    index: spec.index,
+                    name: spec.name,
+                    state_bits: spec.state_bits,
+                    conflicts: 0,
+                    harmless: 0,
+                    mispredictions: 0,
+                })
+                .collect(),
+            kernel,
+        }
+    }
+
+    /// Drains the group into per-lane results. `seen` is the shared
+    /// conditional count (every conditional fed), `scored` the shared
+    /// post-warmup count, `distinct` the shared distinct-pc count.
+    fn finish(self, seen: u64, scored: u64, distinct: u64, results: &mut [Option<SimResult>]) {
+        let accesses = self.kernel.accesses_per_conditional();
+        for (lane, tally) in self.lanes.into_iter().enumerate() {
+            results[tally.index] = Some(SimResult {
+                predictor: tally.name,
+                state_bits: tally.state_bits + self.kernel.extra_state_bits(lane, distinct),
+                conditionals: scored,
+                mispredictions: tally.mispredictions,
+                alias: accesses.map(|per| AliasStats {
+                    accesses: per * seen,
+                    conflicts: tally.conflicts,
+                    harmless_conflicts: tally.harmless,
+                }),
+                bht: self.kernel.bht_stats(lane, seen),
+            });
+        }
+    }
+}
+
+/// The position of `label` in [`LANE_TIER_LABELS`].
+fn tier_slot(label: &str) -> usize {
+    LANE_TIER_LABELS
+        .iter()
+        .position(|&l| l == label)
+        .expect("a known tier label")
+}
+
+/// A lane group for [`PlanKind::Direct`] — address-indexed, GAg/GAs
+/// and gshare: one unified counter read off global (or no) history.
+///
+/// Lane parameters are structure-of-arrays, each lane owning the
+/// power-of-two arena region [`place_regions`] assigned it, so
+/// `base | idx` is the lane's slot and regions never overlap.
 #[derive(Debug)]
 struct GlobalGroup {
-    /// Result slot per lane in the caller's configuration order.
-    indices: Vec<usize>,
-    names: Vec<String>,
-    state_bits: Vec<u64>,
-    // Per-lane parameters (structure-of-arrays).
     hist: Vec<u64>,
     hist_mask: Vec<u64>,
     /// Value `hist` equals exactly when the history pattern is
@@ -447,400 +572,178 @@ struct GlobalGroup {
     col_shift: Vec<u64>,
     col_mask: Vec<u64>,
     base: Vec<u64>,
-    // Per-lane accumulators.
-    conflicts: Vec<u64>,
-    harmless: Vec<u64>,
-    mispredictions: Vec<u64>,
-    /// Per-record slot scratch for the two-phase SWAR step.
-    slots: Vec<usize>,
     /// All lanes' packed counter cells.
     arena: Vec<u64>,
-    /// `arena.len() - 1` (length is a power of two): slots are already
-    /// in range, but masking lets the compiler drop the bounds check.
-    arena_mask: u64,
-    /// Which group step to run (`BPRED_GROUP_STEP`). The explicit-SIMD
-    /// tier supersedes all three, so the knob is inert under
-    /// `portable-simd`.
-    #[cfg_attr(feature = "portable-simd", allow(dead_code))]
-    step: GroupStep,
-    /// Whether the fused loop runs its blocked two-phase prefetch form
-    /// (`BPRED_GROUP_PREFETCH`). Inert for the record-major and SIMD
-    /// paths.
-    #[cfg_attr(feature = "portable-simd", allow(dead_code))]
+    /// Whether the fused loop runs its blocked two-phase prefetch
+    /// form: on when the arena outgrows [`PREFETCH_SPILL_BYTES`].
     prefetch: bool,
 }
 
 impl GlobalGroup {
-    fn new(mut specs: Vec<GroupSpec>, step: GroupStep, prefetch: PrefetchMode) -> Self {
-        debug_assert!(!specs.is_empty() && specs.len() <= cell::PACKED_LANES);
-        // Descending size order: every earlier region is a multiple of
-        // each later size, so each base is aligned to its lane's size
-        // and `base | idx` is exact addition.
-        specs.sort_by(|a, b| b.cells().cmp(&a.cells()).then(a.index.cmp(&b.index)));
-        let lanes = specs.len();
-        let mut group = GlobalGroup {
-            indices: Vec::with_capacity(lanes),
-            names: Vec::with_capacity(lanes),
-            state_bits: Vec::with_capacity(lanes),
-            hist: vec![0; lanes],
-            hist_mask: Vec::with_capacity(lanes),
-            all_taken_ref: Vec::with_capacity(lanes),
-            xor_mask: Vec::with_capacity(lanes),
-            row_mask: Vec::with_capacity(lanes),
-            col_shift: Vec::with_capacity(lanes),
-            col_mask: Vec::with_capacity(lanes),
-            base: Vec::with_capacity(lanes),
-            conflicts: vec![0; lanes],
-            harmless: vec![0; lanes],
-            mispredictions: vec![0; lanes],
-            slots: vec![0; lanes],
-            arena: Vec::new(),
-            arena_mask: 0,
-            step,
-            prefetch: false,
-        };
-        let mut next_base = 0u64;
-        for spec in specs {
-            let row_mask = low_mask(spec.row_bits);
-            let cells = spec.cells();
-            group.indices.push(spec.index);
-            group.state_bits.push(spec.state_bits);
-            group.names.push(spec.name);
-            group
-                .hist_mask
-                .push(if spec.history { row_mask } else { 0 });
-            group
-                .all_taken_ref
-                .push(if spec.history && spec.row_bits > 0 {
-                    row_mask
-                } else {
-                    u64::MAX
-                });
-            group.xor_mask.push(if spec.xor { row_mask } else { 0 });
-            group.row_mask.push(row_mask);
-            group.col_shift.push(u64::from(spec.col_bits));
-            group.col_mask.push(low_mask(spec.col_bits));
-            group.base.push(next_base);
-            next_base += cells;
-        }
-        let arena_len = next_base.next_power_of_two().max(1) as usize;
-        let fresh = cell::fresh(TwoBitCounter::default().state().bits());
-        group.arena = vec![fresh; arena_len];
-        group.arena_mask = (arena_len - 1) as u64;
-        // Footprint-gate the two-phase prefetch form now that the
-        // arena size is known (8 bytes per packed cell).
-        group.prefetch = prefetch.resolve(8 * arena_len as u64, prefetch_threshold());
-        group
-    }
-
-    /// Feeds a chunk's dense conditional stream (elements
-    /// `(pc << 1) | taken`, non-conditionals already dropped — a no-op
-    /// for this family) through all lanes. `seen`/`warmup` reproduce
-    /// the scalar core's warmup scoring exactly.
-    fn replay_conditionals(&mut self, stream: &[u64], seen: u64, warmup: u64) {
-        #[cfg(feature = "portable-simd")]
-        {
-            self.replay_record_major(stream, seen, warmup, Self::step_record_simd);
-        }
-        #[cfg(not(feature = "portable-simd"))]
-        match self.step {
-            GroupStep::Fused if self.prefetch => self.replay_fused_prefetch(stream, seen, warmup),
-            GroupStep::Fused => self.replay_fused(stream, seen, warmup),
-            GroupStep::RecordSwar => {
-                self.replay_record_major(stream, seen, warmup, |group, w, t, tk, s| {
-                    group.step_record_swar(w, t, tk, s, 0)
-                })
-            }
-            GroupStep::RecordScalar => {
-                self.replay_record_major(stream, seen, warmup, Self::step_record_scalar)
-            }
+    fn new(specs: &[PlanSpec]) -> Self {
+        let (base, arena) = lane_arena(specs);
+        GlobalGroup {
+            hist: vec![0; specs.len()],
+            hist_mask: per_lane(specs, |p| wide_low_mask(p.history_bits)),
+            all_taken_ref: per_lane(specs, |p| all_taken_reference(p.history_bits)),
+            xor_mask: per_lane(specs, |p| match p.reads[0].index {
+                IndexFn::Unified { xor: true } => wide_low_mask(p.reads[0].row_bits),
+                _ => 0,
+            }),
+            row_mask: per_lane(specs, |p| wide_low_mask(p.reads[0].row_bits)),
+            col_shift: per_lane(specs, |p| u64::from(p.reads[0].col_bits)),
+            col_mask: per_lane(specs, |p| wide_low_mask(p.reads[0].col_bits)),
+            base,
+            // 8 bytes per packed cell.
+            prefetch: 8 * arena.len() as u64 > PREFETCH_SPILL_BYTES,
+            arena,
         }
     }
 
-    /// Drives one of the record-major step kernels over the
-    /// conditional stream.
-    fn replay_record_major(
-        &mut self,
-        stream: &[u64],
-        seen: u64,
-        warmup: u64,
-        mut step: impl FnMut(&mut Self, u64, u64, u64, u64),
-    ) {
-        for (i, &packed) in stream.iter().enumerate() {
-            let scored = (seen + i as u64 >= warmup) as u64;
-            let pc = packed >> 1;
-            step(self, pc >> 2, cell::tag(pc), packed & 1, scored);
-        }
-    }
-
-    /// The default group kernel (superseded by the vector kernel when
-    /// `portable-simd` is compiled in): lane-major over the conditional
-    /// stream with every lane parameter, the history register, and all
-    /// three accumulators held in locals, so the inner loop touches
+    /// One lane's pass over the conditional stream, with every lane
+    /// parameter, the history register, and all three accumulators
+    /// held in locals, so the inner loop touches
     /// memory only for the (shared, cache-hot) conditional columns and
     /// the lane's own arena region. The cell step is fused and
     /// branch-free, semantically [`cell::step`].
-    #[cfg_attr(feature = "portable-simd", allow(dead_code))]
-    fn replay_fused(&mut self, stream: &[u64], seen: u64, warmup: u64) {
-        for lane in 0..self.hist.len() {
-            let col_shift = self.col_shift[lane];
-            let xor_mask = self.xor_mask[lane];
-            let row_mask = self.row_mask[lane];
-            let col_mask = self.col_mask[lane];
-            let base = self.base[lane];
-            let hist_mask = self.hist_mask[lane];
-            let all_taken_ref = self.all_taken_ref[lane];
-            let mut hist = self.hist[lane];
-            let (mut conflicts, mut harmless, mut wrong) = (0u64, 0u64, 0u64);
-            let arena = self.arena.as_mut_slice();
-            // Masking by `len - 1` (a power of two) also elides the
-            // bounds check.
-            let mask = arena.len() - 1;
-            for (i, &packed) in stream.iter().enumerate() {
-                let scored = (seen + i as u64 >= warmup) as u64;
-                let taken = packed & 1;
-                let word = packed >> 3;
-                let tag = (packed >> 1) & cell::EMPTY_OWNER;
-                let row = (hist ^ ((word >> col_shift) & xor_mask)) & row_mask;
-                let idx = (row << col_shift) | (word & col_mask);
-                let slot = ((base | idx) as usize) & mask;
-                let cell_word = arena[slot];
-                let owner = cell_word >> 2;
-                let bits = cell_word & 0b11;
-                let conflict = ((owner != cell::EMPTY_OWNER) & (owner != tag)) as u64;
-                conflicts += conflict;
-                harmless += conflict & ((hist == all_taken_ref) as u64);
-                wrong += scored & ((bits >= 2) as u64 ^ taken);
-                hist = ((hist << 1) | taken) & hist_mask;
-                // Saturating two-bit step: +1 below strong taken when
-                // taken, -1 above strong not-taken otherwise.
-                let inc = ((bits < 3) as u64) & taken;
-                let dec = ((bits > 0) as u64) & (1 - taken);
-                arena[slot] = (tag << 2) | (bits + inc - dec);
-            }
-            self.hist[lane] = hist;
-            self.conflicts[lane] += conflicts;
-            self.harmless[lane] += harmless;
-            self.mispredictions[lane] += wrong;
+    #[inline(never)]
+    fn fused_lane(&mut self, lane: usize, stream: &[u64], seen: u64, warmup: u64) -> LaneCounts {
+        let col_shift = self.col_shift[lane];
+        let xor_mask = self.xor_mask[lane];
+        let row_mask = self.row_mask[lane];
+        let col_mask = self.col_mask[lane];
+        let base = self.base[lane];
+        let hist_mask = self.hist_mask[lane];
+        let all_taken_ref = self.all_taken_ref[lane];
+        let mut hist = self.hist[lane];
+        let (mut conflicts, mut harmless, mut wrong) = (0u64, 0u64, 0u64);
+        let arena = self.arena.as_mut_slice();
+        // Masking by `len - 1` (a power of two) also elides the
+        // bounds check.
+        let mask = arena.len() - 1;
+        for (i, &packed) in stream.iter().enumerate() {
+            let scored = (seen + i as u64 >= warmup) as u64;
+            let taken = packed & 1;
+            let word = packed >> 3;
+            let tag = (packed >> 1) & cell::EMPTY_OWNER;
+            let row = (hist ^ ((word >> col_shift) & xor_mask)) & row_mask;
+            let idx = (row << col_shift) | (word & col_mask);
+            let slot = ((base | idx) as usize) & mask;
+            let cell_word = arena[slot];
+            let owner = cell_word >> 2;
+            let bits = cell_word & 0b11;
+            let conflict = ((owner != cell::EMPTY_OWNER) & (owner != tag)) as u64;
+            conflicts += conflict;
+            harmless += conflict & ((hist == all_taken_ref) as u64);
+            wrong += scored & ((bits >= 2) as u64 ^ taken);
+            hist = ((hist << 1) | taken) & hist_mask;
+            // Saturating two-bit step: +1 below strong taken when
+            // taken, -1 above strong not-taken otherwise.
+            let inc = ((bits < 3) as u64) & taken;
+            let dec = ((bits > 0) as u64) & (1 - taken);
+            arena[slot] = (tag << 2) | (bits + inc - dec);
         }
+        self.hist[lane] = hist;
+        (conflicts, harmless, wrong)
     }
 
-    /// The fused loop in blocked two-phase form
-    /// (`BPRED_GROUP_PREFETCH`): per window of [`PREFETCH_WINDOW`]
+    /// The fused loop in blocked two-phase form, for arenas past
+    /// [`PREFETCH_SPILL_BYTES`]: per window of [`PREFETCH_WINDOW`]
     /// records, an address-generation pass runs the (arena-independent)
     /// index and history recurrence, touches each upcoming arena slot —
     /// the gather is the loop's one data-dependent load — and parks
     /// `(slot << 1) | all_taken` in scratch; the second pass then
     /// performs the identical counter read-modify-write and scoring.
-    /// Bit-identical to [`replay_fused`](Self::replay_fused) (the
+    /// Bit-identical to [`fused_lane`](Self::fused_lane) (the
     /// in-window touch reads are value-discarded, and the RMW pass is
     /// sequential).
-    #[cfg_attr(feature = "portable-simd", allow(dead_code))]
-    fn replay_fused_prefetch(&mut self, stream: &[u64], seen: u64, warmup: u64) {
-        for lane in 0..self.hist.len() {
-            let col_shift = self.col_shift[lane];
-            let xor_mask = self.xor_mask[lane];
-            let row_mask = self.row_mask[lane];
-            let col_mask = self.col_mask[lane];
-            let base = self.base[lane];
-            let hist_mask = self.hist_mask[lane];
-            let all_taken_ref = self.all_taken_ref[lane];
-            let mut hist = self.hist[lane];
-            let (mut conflicts, mut harmless, mut wrong) = (0u64, 0u64, 0u64);
-            let arena = self.arena.as_mut_slice();
-            let mask = arena.len() - 1;
-            let mut scratch = [0u64; PREFETCH_WINDOW];
-            let mut start = 0usize;
-            while start < stream.len() {
-                let end = stream.len().min(start + PREFETCH_WINDOW);
-                let block = &stream[start..end];
-                let mut h = hist;
-                for (j, &packed) in block.iter().enumerate() {
-                    let taken = packed & 1;
-                    let word = packed >> 3;
-                    let row = (h ^ ((word >> col_shift) & xor_mask)) & row_mask;
-                    let idx = (row << col_shift) | (word & col_mask);
-                    let slot = ((base | idx) as usize) & mask;
-                    scratch[j] = ((slot as u64) << 1) | ((h == all_taken_ref) as u64);
-                    // Safe-code prefetch: pull the cell's line now, drop
-                    // the value.
-                    std::hint::black_box(arena[slot]);
-                    h = ((h << 1) | taken) & hist_mask;
-                }
-                for (j, &packed) in block.iter().enumerate() {
-                    let scored = (seen + (start + j) as u64 >= warmup) as u64;
-                    let taken = packed & 1;
-                    let tag = (packed >> 1) & cell::EMPTY_OWNER;
-                    let slot = (scratch[j] >> 1) as usize;
-                    let all_taken = scratch[j] & 1;
-                    let cell_word = arena[slot];
-                    let owner = cell_word >> 2;
-                    let bits = cell_word & 0b11;
-                    let conflict = ((owner != cell::EMPTY_OWNER) & (owner != tag)) as u64;
-                    conflicts += conflict;
-                    harmless += conflict & all_taken;
-                    wrong += scored & ((bits >= 2) as u64 ^ taken);
-                    let inc = ((bits < 3) as u64) & taken;
-                    let dec = ((bits > 0) as u64) & (1 - taken);
-                    arena[slot] = (tag << 2) | (bits + inc - dec);
-                }
-                hist = h;
-                start = end;
+    #[inline(never)]
+    fn fused_prefetch_lane(
+        &mut self,
+        lane: usize,
+        stream: &[u64],
+        seen: u64,
+        warmup: u64,
+    ) -> LaneCounts {
+        let col_shift = self.col_shift[lane];
+        let xor_mask = self.xor_mask[lane];
+        let row_mask = self.row_mask[lane];
+        let col_mask = self.col_mask[lane];
+        let base = self.base[lane];
+        let hist_mask = self.hist_mask[lane];
+        let all_taken_ref = self.all_taken_ref[lane];
+        let mut hist = self.hist[lane];
+        let (mut conflicts, mut harmless, mut wrong) = (0u64, 0u64, 0u64);
+        let arena = self.arena.as_mut_slice();
+        let mask = arena.len() - 1;
+        let mut scratch = [0u64; PREFETCH_WINDOW];
+        let mut start = 0usize;
+        while start < stream.len() {
+            let end = stream.len().min(start + PREFETCH_WINDOW);
+            let block = &stream[start..end];
+            let mut h = hist;
+            for (j, &packed) in block.iter().enumerate() {
+                let taken = packed & 1;
+                let word = packed >> 3;
+                let row = (h ^ ((word >> col_shift) & xor_mask)) & row_mask;
+                let idx = (row << col_shift) | (word & col_mask);
+                let slot = ((base | idx) as usize) & mask;
+                scratch[j] = ((slot as u64) << 1) | ((h == all_taken_ref) as u64);
+                // Safe-code prefetch: pull the cell's line now, drop
+                // the value.
+                std::hint::black_box(arena[slot]);
+                h = ((h << 1) | taken) & hist_mask;
             }
-            self.hist[lane] = hist;
-            self.conflicts[lane] += conflicts;
-            self.harmless[lane] += harmless;
-            self.mispredictions[lane] += wrong;
+            for (j, &packed) in block.iter().enumerate() {
+                let scored = (seen + (start + j) as u64 >= warmup) as u64;
+                let taken = packed & 1;
+                let tag = (packed >> 1) & cell::EMPTY_OWNER;
+                let slot = (scratch[j] >> 1) as usize;
+                let all_taken = scratch[j] & 1;
+                let cell_word = arena[slot];
+                let owner = cell_word >> 2;
+                let bits = cell_word & 0b11;
+                let conflict = ((owner != cell::EMPTY_OWNER) & (owner != tag)) as u64;
+                conflicts += conflict;
+                harmless += conflict & all_taken;
+                wrong += scored & ((bits >= 2) as u64 ^ taken);
+                let inc = ((bits < 3) as u64) & taken;
+                let dec = ((bits > 0) as u64) & (1 - taken);
+                arena[slot] = (tag << 2) | (bits + inc - dec);
+            }
+            hist = h;
+            start = end;
         }
-    }
-
-    /// Two-phase record step over lanes `[first, K)`: per-lane slot
-    /// computation, gather, score and history push, then one
-    /// [`cell::step_packed`] word op advances every gathered counter
-    /// at once and the second loop scatters the re-tagged cells back.
-    fn step_record_swar(&mut self, word: u64, tag: u64, taken: u64, scored: u64, first: usize) {
-        let lanes = self.hist.len();
-        let mut packed = 0u64;
-        for lane in first..lanes {
-            let row = (self.hist[lane] ^ ((word >> self.col_shift[lane]) & self.xor_mask[lane]))
-                & self.row_mask[lane];
-            let idx = (row << self.col_shift[lane]) | (word & self.col_mask[lane]);
-            let slot = ((self.base[lane] | idx) & self.arena_mask) as usize;
-            self.slots[lane] = slot;
-            let cell_word = self.arena[slot];
-            let owner = cell_word >> 2;
-            let bits = cell_word & 0b11;
-            packed |= bits << (2 * (lane - first));
-            let conflict = ((owner != cell::EMPTY_OWNER) & (owner != tag)) as u64;
-            let all_taken = (self.hist[lane] == self.all_taken_ref[lane]) as u64;
-            self.conflicts[lane] += conflict;
-            self.harmless[lane] += conflict & all_taken;
-            self.mispredictions[lane] += scored & ((bits >= 2) as u64 ^ taken);
-            self.hist[lane] = ((self.hist[lane] << 1) | taken) & self.hist_mask[lane];
-        }
-        let stepped = cell::step_packed(packed, Outcome::from_bit(taken));
-        let owner_bits = tag << 2;
-        for lane in first..lanes {
-            self.arena[self.slots[lane]] = owner_bits | ((stepped >> (2 * (lane - first))) & 0b11);
-        }
-    }
-
-    /// Record-major step with per-lane counter transitions through the
-    /// scalar oracle [`cell::step`] — the `BPRED_GROUP_STEP=scalar`
-    /// decomposition path (lane grouping without SWAR).
-    #[cfg_attr(feature = "portable-simd", allow(dead_code))]
-    fn step_record_scalar(&mut self, word: u64, tag: u64, taken: u64, scored: u64) {
-        let outcome = Outcome::from_bit(taken);
-        for lane in 0..self.hist.len() {
-            let row = (self.hist[lane] ^ ((word >> self.col_shift[lane]) & self.xor_mask[lane]))
-                & self.row_mask[lane];
-            let idx = (row << self.col_shift[lane]) | (word & self.col_mask[lane]);
-            let slot = ((self.base[lane] | idx) & self.arena_mask) as usize;
-            let (predicted, conflict, next) = cell::step(self.arena[slot], tag, outcome);
-            self.arena[slot] = next;
-            let all_taken = (self.hist[lane] == self.all_taken_ref[lane]) as u64;
-            self.conflicts[lane] += conflict as u64;
-            self.harmless[lane] += conflict as u64 & all_taken;
-            self.mispredictions[lane] += scored & ((predicted.is_taken() as u64) ^ taken);
-            self.hist[lane] = ((self.hist[lane] << 1) | taken) & self.hist_mask[lane];
-        }
-    }
-
-    /// Explicit-SIMD record step: eight lanes per `std::simd` vector
-    /// gather/score/scatter, with the SWAR path covering the
-    /// remainder. Semantics are identical to
-    /// [`step_record_swar`](Self::step_record_swar) over all lanes.
-    #[cfg(feature = "portable-simd")]
-    fn step_record_simd(&mut self, word: u64, tag: u64, taken: u64, scored: u64) {
-        use std::simd::cmp::{SimdPartialEq, SimdPartialOrd};
-        use std::simd::num::SimdUint;
-        use std::simd::{Select, Simd};
-
-        const N: usize = 8;
-        let lanes = self.hist.len();
-        let blocks = lanes / N * N;
-        let word_v = Simd::<u64, N>::splat(word);
-        let tag_v = Simd::<u64, N>::splat(tag);
-        let taken_v = Simd::<u64, N>::splat(taken);
-        let scored_v = Simd::<u64, N>::splat(scored);
-        let zero = Simd::<u64, N>::splat(0);
-        let one = Simd::<u64, N>::splat(1);
-        for b in (0..blocks).step_by(N) {
-            let hist = Simd::from_slice(&self.hist[b..b + N]);
-            let col_shift = Simd::from_slice(&self.col_shift[b..b + N]);
-            let row = (hist ^ ((word_v >> col_shift) & Simd::from_slice(&self.xor_mask[b..b + N])))
-                & Simd::from_slice(&self.row_mask[b..b + N]);
-            let idx = (row << col_shift) | (word_v & Simd::from_slice(&self.col_mask[b..b + N]));
-            let slot = ((Simd::from_slice(&self.base[b..b + N]) | idx)
-                & Simd::splat(self.arena_mask))
-            .cast::<usize>();
-            let cells = Simd::gather_or_default(&self.arena, slot);
-            let owner = cells >> Simd::splat(2u64);
-            let bits = cells & Simd::splat(3u64);
-            let conflict = (!(owner.simd_eq(Simd::splat(cell::EMPTY_OWNER))
-                | owner.simd_eq(tag_v)))
-            .select(one, zero);
-            let all_taken = hist
-                .simd_eq(Simd::from_slice(&self.all_taken_ref[b..b + N]))
-                .select(one, zero);
-            (Simd::from_slice(&self.conflicts[b..b + N]) + conflict)
-                .copy_to_slice(&mut self.conflicts[b..b + N]);
-            (Simd::from_slice(&self.harmless[b..b + N]) + (conflict & all_taken))
-                .copy_to_slice(&mut self.harmless[b..b + N]);
-            let predicted = bits.simd_ge(Simd::splat(2)).select(one, zero);
-            (Simd::from_slice(&self.mispredictions[b..b + N]) + (scored_v & (predicted ^ taken_v)))
-                .copy_to_slice(&mut self.mispredictions[b..b + N]);
-            // Saturating two-bit step, element-wise: +1 below strong
-            // taken when taken, -1 above strong not-taken otherwise.
-            let inc = bits.simd_lt(Simd::splat(3)).select(one, zero);
-            let dec = bits.simd_gt(zero).select(one, zero);
-            let next_bits = bits + (inc & taken_v) - (dec & (one - taken_v));
-            // Lane regions are disjoint, so the scatter targets are too.
-            ((tag_v << Simd::splat(2u64)) | next_bits).scatter(&mut self.arena, slot);
-            (((hist << one) | taken_v) & Simd::from_slice(&self.hist_mask[b..b + N]))
-                .copy_to_slice(&mut self.hist[b..b + N]);
-        }
-        self.step_record_swar(word, tag, taken, scored, blocks);
-    }
-
-    /// Drains the group into per-lane results. `seen` is the shared
-    /// access count (every conditional fed), `scored` the shared
-    /// post-warmup count.
-    fn finish(self, seen: u64, scored: u64, results: &mut [Option<SimResult>]) {
-        for lane in 0..self.indices.len() {
-            results[self.indices[lane]] = Some(SimResult {
-                predictor: self.names[lane].clone(),
-                state_bits: self.state_bits[lane],
-                conditionals: scored,
-                mispredictions: self.mispredictions[lane],
-                alias: Some(AliasStats {
-                    accesses: seen,
-                    conflicts: self.conflicts[lane],
-                    harmless_conflicts: self.harmless[lane],
-                }),
-                bht: None,
-            });
-        }
+        self.hist[lane] = hist;
+        (conflicts, harmless, wrong)
     }
 }
 
-/// One groupable lane beyond the single-read family: its result slot,
-/// the display name and *static* state cost captured from the kernel
-/// at build time (dynamic per-branch state — perfect-BHT histories,
-/// agree bias bits — is added at finish from the shared distinct-pc
-/// count), and its [`WalkPlan`].
-struct PlanSpec {
-    index: usize,
-    name: String,
-    state_bits: u64,
-    plan: WalkPlan,
+impl GroupKernel for GlobalGroup {
+    #[inline(never)]
+    fn replay_lane(
+        &mut self,
+        lane: usize,
+        input: &ChunkInputs,
+        seen: u64,
+        warmup: u64,
+    ) -> LaneCounts {
+        if self.prefetch {
+            self.fused_prefetch_lane(lane, &input.conditionals, seen, warmup)
+        } else {
+            self.fused_lane(lane, &input.conditionals, seen, warmup)
+        }
+    }
+
+    fn prefetches(&self) -> bool {
+        self.prefetch
+    }
 }
 
 /// Places power-of-two regions into one arena: regions are assigned
 /// bases in descending size order (ties by original position), so each
 /// base is aligned to its own region's size and `base | idx` is exact
-/// addition, exactly as [`GlobalGroup::new`] lays out its lanes.
-/// Returns the bases in original order plus the (power-of-two) arena
+/// addition. Returns the bases in original order plus the (power-of-two) arena
 /// length.
 fn place_regions(sizes: &[u64]) -> (Vec<u64>, usize) {
     let mut order: Vec<usize> = (0..sizes.len()).collect();
@@ -854,10 +757,28 @@ fn place_regions(sizes: &[u64]) -> (Vec<u64>, usize) {
     (bases, next.next_power_of_two().max(1) as usize)
 }
 
-/// A fresh arena of `len` packed cells in the workspace default
-/// counter state (weakly taken), shared by every group kind.
-fn fresh_arena(len: usize) -> Vec<u64> {
-    vec![cell::fresh(TwoBitCounter::default().state().bits()); len]
+/// Places every lane's table regions (its plan's reads, in order) into
+/// one arena of fresh cells in the workspace default counter state
+/// (weakly taken). Returns the region bases, lane-major, and the arena.
+fn lane_arena(specs: &[PlanSpec]) -> (Vec<u64>, Vec<u64>) {
+    let sizes: Vec<u64> = specs
+        .iter()
+        .flat_map(|s| s.plan.reads.iter().map(TableRead::cells))
+        .collect();
+    let (bases, len) = place_regions(&sizes);
+    let fresh = cell::fresh(TwoBitCounter::default().state().bits());
+    (bases, vec![fresh; len])
+}
+
+/// One per-lane parameter column: `f` of each lane's plan.
+fn per_lane(specs: &[PlanSpec], f: impl Fn(&WalkPlan) -> u64) -> Vec<u64> {
+    specs.iter().map(|s| f(&s.plan)).collect()
+}
+
+/// The bases of every lane's `read`-th region, for three-read plans
+/// (see [`lane_arena`]).
+fn region_bases(bases: &[u64], read: usize) -> Vec<u64> {
+    bases.iter().skip(read).step_by(3).copied().collect()
 }
 
 /// Row-blocked lane order: sorts plan specs by descending arena
@@ -867,7 +788,7 @@ fn fresh_arena(len: usize) -> Vec<u64> {
 /// walk adjacent arena regions and same-row reads of the shared arena
 /// land in neighbouring cache lines instead of striding the whole
 /// footprint. Pure iteration-order change: lanes are independent and
-/// results are written through `indices`, so output order (and every
+/// each result goes to its lane's own slot, so output order (and every
 /// result bit) is unchanged.
 fn row_block_plans(specs: &mut [PlanSpec]) {
     specs.sort_by(|a, b| {
@@ -898,7 +819,7 @@ fn split_at_lane_limit<T>(mut specs: Vec<T>) -> Vec<Vec<T>> {
 /// [`RowSelector`](bpred_core::RowSelector): one
 /// [`row`](RowSource::row) before the counter read-modify-write, one
 /// [`advance`](RowSource::advance) after it.
-trait RowSource {
+trait RowSource: std::fmt::Debug + Send + 'static {
     /// Whether [`row`](RowSource::row)/[`advance`](RowSource::advance)
     /// consume the dense per-record branch ids the [`LaneSet`]
     /// pre-pass assigns (first-appearance order over the conditional
@@ -1024,30 +945,40 @@ impl RowSource for FiniteRows {
 /// Per-set histories ([`bpred_core::SetSelector`]): a flat register
 /// file per lane indexed by low word-address bits. Registers start at
 /// zero (not the reset pattern — set registers are never "missing").
+///
+/// All lanes' files share one vector, so the hot loop's register
+/// writes cannot alias the bookkeeping it reads (with one vector per
+/// lane, every record would reload that lane's vector header).
 #[derive(Debug)]
 struct SetRows {
     set_masks: Vec<u64>,
     width_masks: Vec<u64>,
-    sets: Vec<Vec<u64>>,
+    /// Start of each lane's file in `regs`.
+    offsets: Vec<u64>,
+    regs: Vec<u64>,
 }
 
 impl SetRows {
     fn new(specs: &[PlanSpec]) -> Self {
-        let mut rows = SetRows {
-            set_masks: Vec::with_capacity(specs.len()),
-            width_masks: Vec::with_capacity(specs.len()),
-            sets: Vec::with_capacity(specs.len()),
+        let set_bits = |p: &WalkPlan| match p.level1 {
+            Level1Read::SetHistories { set_bits } => set_bits,
+            ref other => unreachable!("set rows from {other:?}"),
         };
-        for spec in specs {
-            let set_bits = match spec.plan.level1 {
-                Level1Read::SetHistories { set_bits } => set_bits,
-                ref other => unreachable!("set rows from {other:?}"),
-            };
-            rows.set_masks.push(wide_low_mask(set_bits));
-            rows.width_masks.push(wide_low_mask(spec.plan.history_bits));
-            rows.sets.push(vec![0u64; 1usize << set_bits]);
+        let sizes = per_lane(specs, |p| 1 << set_bits(p));
+        let offsets: Vec<u64> = sizes
+            .iter()
+            .scan(0, |next, &size| {
+                let offset = *next;
+                *next += size;
+                Some(offset)
+            })
+            .collect();
+        SetRows {
+            set_masks: per_lane(specs, |p| wide_low_mask(set_bits(p))),
+            width_masks: per_lane(specs, |p| wide_low_mask(p.history_bits)),
+            offsets,
+            regs: vec![0; sizes.iter().sum::<u64>() as usize],
         }
-        rows
     }
 }
 
@@ -1056,13 +987,13 @@ impl RowSource for SetRows {
 
     #[inline]
     fn row(&mut self, lane: usize, pc: u64, _id: u32) -> u64 {
-        self.sets[lane][((pc >> 2) & self.set_masks[lane]) as usize]
+        self.regs[(self.offsets[lane] + ((pc >> 2) & self.set_masks[lane])) as usize]
     }
 
     #[inline]
     fn advance(&mut self, lane: usize, pc: u64, _id: u32, row: u64, taken: u64) {
-        let set = ((pc >> 2) & self.set_masks[lane]) as usize;
-        self.sets[lane][set] = ((row << 1) | taken) & self.width_masks[lane];
+        let reg = (self.offsets[lane] + ((pc >> 2) & self.set_masks[lane])) as usize;
+        self.regs[reg] = ((row << 1) | taken) & self.width_masks[lane];
     }
 
     fn bht_stats(&self, _lane: usize, _seen: u64) -> Option<BhtStats> {
@@ -1081,117 +1012,84 @@ impl RowSource for SetRows {
 /// conditional stream.
 #[derive(Debug)]
 struct TwoLevelGroup<R> {
-    indices: Vec<usize>,
-    names: Vec<String>,
-    state_bits: Vec<u64>,
     all_taken_ref: Vec<u64>,
     row_mask: Vec<u64>,
     col_shift: Vec<u64>,
     col_mask: Vec<u64>,
     base: Vec<u64>,
-    conflicts: Vec<u64>,
-    harmless: Vec<u64>,
-    mispredictions: Vec<u64>,
     rows: R,
     arena: Vec<u64>,
 }
 
 impl<R: RowSource> TwoLevelGroup<R> {
-    fn new(specs: Vec<PlanSpec>, rows: R) -> Self {
-        debug_assert!(!specs.is_empty() && specs.len() <= cell::PACKED_LANES);
-        let sizes: Vec<u64> = specs.iter().map(|s| s.plan.cells()).collect();
-        let (bases, arena_len) = place_regions(&sizes);
-        let lanes = specs.len();
-        let mut group = TwoLevelGroup {
-            indices: Vec::with_capacity(lanes),
-            names: Vec::with_capacity(lanes),
-            state_bits: Vec::with_capacity(lanes),
-            all_taken_ref: Vec::with_capacity(lanes),
-            row_mask: Vec::with_capacity(lanes),
-            col_shift: Vec::with_capacity(lanes),
-            col_mask: Vec::with_capacity(lanes),
-            base: bases,
-            conflicts: vec![0; lanes],
-            harmless: vec![0; lanes],
-            mispredictions: vec![0; lanes],
+    fn new(specs: &[PlanSpec], rows: R) -> Self {
+        let (base, arena) = lane_arena(specs);
+        TwoLevelGroup {
+            all_taken_ref: per_lane(specs, |p| all_taken_reference(p.history_bits)),
+            row_mask: per_lane(specs, |p| wide_low_mask(p.reads[0].row_bits)),
+            col_shift: per_lane(specs, |p| u64::from(p.reads[0].col_bits)),
+            col_mask: per_lane(specs, |p| wide_low_mask(p.reads[0].col_bits)),
+            base,
             rows,
-            arena: fresh_arena(arena_len),
-        };
-        for spec in specs {
-            let read = spec.plan.reads[0];
-            group.indices.push(spec.index);
-            group.names.push(spec.name);
-            group.state_bits.push(spec.state_bits);
-            group
-                .all_taken_ref
-                .push(all_taken_reference(spec.plan.history_bits));
-            group.row_mask.push(wide_low_mask(read.row_bits));
-            group.col_shift.push(u64::from(read.col_bits));
-            group.col_mask.push(wide_low_mask(read.col_bits));
+            arena,
         }
-        group
     }
+}
 
-    /// Feeds the chunk's dense conditional stream through every lane.
-    /// `ids` is the per-record dense branch-id column (read only when
-    /// the row source asks for it). Per record and lane this is the
-    /// scalar sequence select → fused counter access-train → selector
-    /// train, branch-free.
-    fn replay(&mut self, stream: &[u64], ids: &[u32], seen: u64, warmup: u64) {
+impl<R: RowSource> GroupKernel for TwoLevelGroup<R> {
+    /// Per record and lane: the scalar sequence select → fused counter
+    /// access-train → selector train, branch-free. The dense id column
+    /// is read only when the row source asks for it.
+    #[inline(never)]
+    fn replay_lane(
+        &mut self,
+        lane: usize,
+        input: &ChunkInputs,
+        seen: u64,
+        warmup: u64,
+    ) -> LaneCounts {
+        let (stream, ids) = (&input.conditionals[..], &input.ids[..]);
         debug_assert!(!R::NEEDS_IDS || ids.len() == stream.len());
-        for lane in 0..self.indices.len() {
-            let col_shift = self.col_shift[lane];
-            let col_mask = self.col_mask[lane];
-            let row_mask = self.row_mask[lane];
-            let base = self.base[lane];
-            let all_taken_ref = self.all_taken_ref[lane];
-            let (mut conflicts, mut harmless, mut wrong) = (0u64, 0u64, 0u64);
-            let rows = &mut self.rows;
-            let arena = self.arena.as_mut_slice();
-            let mask = arena.len() - 1;
-            for (i, &packed) in stream.iter().enumerate() {
-                let scored = (seen + i as u64 >= warmup) as u64;
-                let taken = packed & 1;
-                let pc = packed >> 1;
-                let word = packed >> 3;
-                let tag = pc & cell::EMPTY_OWNER;
-                let id = if R::NEEDS_IDS { ids[i] } else { 0 };
-                let row = rows.row(lane, pc, id);
-                let idx = ((row & row_mask) << col_shift) | (word & col_mask);
-                let slot = ((base | idx) as usize) & mask;
-                let cell_word = arena[slot];
-                let owner = cell_word >> 2;
-                let bits = cell_word & 0b11;
-                let conflict = ((owner != cell::EMPTY_OWNER) & (owner != tag)) as u64;
-                conflicts += conflict;
-                harmless += conflict & ((row == all_taken_ref) as u64);
-                wrong += scored & ((bits >= 2) as u64 ^ taken);
-                let inc = ((bits < 3) as u64) & taken;
-                let dec = ((bits > 0) as u64) & (1 - taken);
-                arena[slot] = (tag << 2) | (bits + inc - dec);
-                rows.advance(lane, pc, id, row, taken);
-            }
-            self.conflicts[lane] += conflicts;
-            self.harmless[lane] += harmless;
-            self.mispredictions[lane] += wrong;
+        let col_shift = self.col_shift[lane];
+        let col_mask = self.col_mask[lane];
+        let row_mask = self.row_mask[lane];
+        let base = self.base[lane];
+        let all_taken_ref = self.all_taken_ref[lane];
+        let (mut conflicts, mut harmless, mut wrong) = (0u64, 0u64, 0u64);
+        let rows = &mut self.rows;
+        let arena = self.arena.as_mut_slice();
+        let mask = arena.len() - 1;
+        for (i, &packed) in stream.iter().enumerate() {
+            let scored = (seen + i as u64 >= warmup) as u64;
+            let taken = packed & 1;
+            let pc = packed >> 1;
+            let word = packed >> 3;
+            let tag = pc & cell::EMPTY_OWNER;
+            let id = if R::NEEDS_IDS { ids[i] } else { 0 };
+            let row = rows.row(lane, pc, id);
+            let idx = ((row & row_mask) << col_shift) | (word & col_mask);
+            let slot = ((base | idx) as usize) & mask;
+            let cell_word = arena[slot];
+            let owner = cell_word >> 2;
+            let bits = cell_word & 0b11;
+            let conflict = ((owner != cell::EMPTY_OWNER) & (owner != tag)) as u64;
+            conflicts += conflict;
+            harmless += conflict & ((row == all_taken_ref) as u64);
+            wrong += scored & ((bits >= 2) as u64 ^ taken);
+            let inc = ((bits < 3) as u64) & taken;
+            let dec = ((bits > 0) as u64) & (1 - taken);
+            arena[slot] = (tag << 2) | (bits + inc - dec);
+            rows.advance(lane, pc, id, row, taken);
         }
+        (conflicts, harmless, wrong)
     }
 
-    fn finish(self, seen: u64, scored: u64, distinct: u64, results: &mut [Option<SimResult>]) {
-        for lane in 0..self.indices.len() {
-            results[self.indices[lane]] = Some(SimResult {
-                predictor: self.names[lane].clone(),
-                state_bits: self.state_bits[lane] + self.rows.extra_state_bits(lane, distinct),
-                conditionals: scored,
-                mispredictions: self.mispredictions[lane],
-                alias: Some(AliasStats {
-                    accesses: seen,
-                    conflicts: self.conflicts[lane],
-                    harmless_conflicts: self.harmless[lane],
-                }),
-                bht: self.rows.bht_stats(lane, seen),
-            });
-        }
+    fn extra_state_bits(&self, lane: usize, distinct: u64) -> u64 {
+        self.rows.extra_state_bits(lane, distinct)
+    }
+
+    fn bht_stats(&self, lane: usize, seen: u64) -> Option<BhtStats> {
+        self.rows.bht_stats(lane, seen)
     }
 }
 
@@ -1205,118 +1103,83 @@ impl<R: RowSource> TwoLevelGroup<R> {
 /// reads once the first lane had latched).
 #[derive(Debug)]
 struct AgreeGroup {
-    indices: Vec<usize>,
-    names: Vec<String>,
-    state_bits: Vec<u64>,
     hist: Vec<u64>,
     hist_mask: Vec<u64>,
     all_taken_ref: Vec<u64>,
     row_mask: Vec<u64>,
     base: Vec<u64>,
-    conflicts: Vec<u64>,
-    harmless: Vec<u64>,
-    mispredictions: Vec<u64>,
     arena: Vec<u64>,
 }
 
 impl AgreeGroup {
-    fn new(specs: Vec<PlanSpec>) -> Self {
-        debug_assert!(!specs.is_empty() && specs.len() <= cell::PACKED_LANES);
-        let sizes: Vec<u64> = specs.iter().map(|s| s.plan.cells()).collect();
-        let (bases, arena_len) = place_regions(&sizes);
-        let lanes = specs.len();
-        let mut group = AgreeGroup {
-            indices: Vec::with_capacity(lanes),
-            names: Vec::with_capacity(lanes),
-            state_bits: Vec::with_capacity(lanes),
-            hist: vec![0; lanes],
-            hist_mask: Vec::with_capacity(lanes),
-            all_taken_ref: Vec::with_capacity(lanes),
-            row_mask: Vec::with_capacity(lanes),
-            base: bases,
-            conflicts: vec![0; lanes],
-            harmless: vec![0; lanes],
-            mispredictions: vec![0; lanes],
-            arena: fresh_arena(arena_len),
-        };
-        for spec in specs {
-            group.indices.push(spec.index);
-            group.names.push(spec.name);
-            group.state_bits.push(spec.state_bits);
-            group.hist_mask.push(wide_low_mask(spec.plan.history_bits));
-            group
-                .all_taken_ref
-                .push(all_taken_reference(spec.plan.history_bits));
-            group
-                .row_mask
-                .push(wide_low_mask(spec.plan.reads[0].row_bits));
+    fn new(specs: &[PlanSpec]) -> Self {
+        let (base, arena) = lane_arena(specs);
+        AgreeGroup {
+            hist: vec![0; specs.len()],
+            hist_mask: per_lane(specs, |p| wide_low_mask(p.history_bits)),
+            all_taken_ref: per_lane(specs, |p| all_taken_reference(p.history_bits)),
+            row_mask: per_lane(specs, |p| wide_low_mask(p.reads[0].row_bits)),
+            base,
+            arena,
         }
-        group
     }
+}
 
+impl GroupKernel for AgreeGroup {
     /// `bias_bits[i]` carries the shared pre-latch (bit 0) and
     /// post-latch (bit 1) bias-is-taken flags of conditional `i`.
-    fn replay(&mut self, stream: &[u64], bias_bits: &[u8], seen: u64, warmup: u64) {
+    #[inline(never)]
+    fn replay_lane(
+        &mut self,
+        lane: usize,
+        input: &ChunkInputs,
+        seen: u64,
+        warmup: u64,
+    ) -> LaneCounts {
+        let (stream, bias_bits) = (&input.conditionals[..], &input.bias_bits[..]);
         debug_assert_eq!(bias_bits.len(), stream.len());
-        for lane in 0..self.indices.len() {
-            let row_mask = self.row_mask[lane];
-            let base = self.base[lane];
-            let hist_mask = self.hist_mask[lane];
-            let all_taken_ref = self.all_taken_ref[lane];
-            let mut hist = self.hist[lane];
-            let (mut conflicts, mut harmless, mut wrong) = (0u64, 0u64, 0u64);
-            let arena = self.arena.as_mut_slice();
-            let mask = arena.len() - 1;
-            for (i, &packed) in stream.iter().enumerate() {
-                let scored = (seen + i as u64 >= warmup) as u64;
-                let taken = packed & 1;
-                let word = packed >> 3;
-                let tag = (packed >> 1) & cell::EMPTY_OWNER;
-                let pre = u64::from(bias_bits[i] & 1);
-                let post = u64::from((bias_bits[i] >> 1) & 1);
-                let row = (hist ^ (word & row_mask)) & row_mask;
-                let slot = ((base | row) as usize) & mask;
-                let cell_word = arena[slot];
-                let owner = cell_word >> 2;
-                let bits = cell_word & 0b11;
-                let conflict = ((owner != cell::EMPTY_OWNER) & (owner != tag)) as u64;
-                conflicts += conflict;
-                harmless += conflict & ((hist == all_taken_ref) as u64);
-                // Prediction: bias if the counter says "agree", its
-                // complement otherwise — an XNOR of the two bits.
-                let agree = (bits >= 2) as u64;
-                wrong += scored & ((1 ^ agree ^ pre) ^ taken);
-                // Training direction is agreement with the
-                // *post-latch* bias, not the raw outcome.
-                let agreement = 1 ^ taken ^ post;
-                let inc = ((bits < 3) as u64) & agreement;
-                let dec = ((bits > 0) as u64) & (1 - agreement);
-                arena[slot] = (tag << 2) | (bits + inc - dec);
-                hist = ((hist << 1) | taken) & hist_mask;
-            }
-            self.hist[lane] = hist;
-            self.conflicts[lane] += conflicts;
-            self.harmless[lane] += harmless;
-            self.mispredictions[lane] += wrong;
+        let row_mask = self.row_mask[lane];
+        let base = self.base[lane];
+        let hist_mask = self.hist_mask[lane];
+        let all_taken_ref = self.all_taken_ref[lane];
+        let mut hist = self.hist[lane];
+        let (mut conflicts, mut harmless, mut wrong) = (0u64, 0u64, 0u64);
+        let arena = self.arena.as_mut_slice();
+        let mask = arena.len() - 1;
+        for (i, &packed) in stream.iter().enumerate() {
+            let scored = (seen + i as u64 >= warmup) as u64;
+            let taken = packed & 1;
+            let word = packed >> 3;
+            let tag = (packed >> 1) & cell::EMPTY_OWNER;
+            let pre = u64::from(bias_bits[i] & 1);
+            let post = u64::from((bias_bits[i] >> 1) & 1);
+            let row = (hist ^ (word & row_mask)) & row_mask;
+            let slot = ((base | row) as usize) & mask;
+            let cell_word = arena[slot];
+            let owner = cell_word >> 2;
+            let bits = cell_word & 0b11;
+            let conflict = ((owner != cell::EMPTY_OWNER) & (owner != tag)) as u64;
+            conflicts += conflict;
+            harmless += conflict & ((hist == all_taken_ref) as u64);
+            // Prediction: bias if the counter says "agree", its
+            // complement otherwise — an XNOR of the two bits.
+            let agree = (bits >= 2) as u64;
+            wrong += scored & ((1 ^ agree ^ pre) ^ taken);
+            // Training direction is agreement with the
+            // *post-latch* bias, not the raw outcome.
+            let agreement = 1 ^ taken ^ post;
+            let inc = ((bits < 3) as u64) & agreement;
+            let dec = ((bits > 0) as u64) & (1 - agreement);
+            arena[slot] = (tag << 2) | (bits + inc - dec);
+            hist = ((hist << 1) | taken) & hist_mask;
         }
+        self.hist[lane] = hist;
+        (conflicts, harmless, wrong)
     }
 
-    fn finish(self, seen: u64, scored: u64, distinct: u64, results: &mut [Option<SimResult>]) {
-        for lane in 0..self.indices.len() {
-            results[self.indices[lane]] = Some(SimResult {
-                predictor: self.names[lane].clone(),
-                // One BTB-resident bias bit per distinct branch.
-                state_bits: self.state_bits[lane] + distinct,
-                conditionals: scored,
-                mispredictions: self.mispredictions[lane],
-                alias: Some(AliasStats {
-                    accesses: seen,
-                    conflicts: self.conflicts[lane],
-                    harmless_conflicts: self.harmless[lane],
-                }),
-                bht: None,
-            });
-        }
+    /// One BTB-resident bias bit per distinct branch.
+    fn extra_state_bits(&self, _lane: usize, distinct: u64) -> u64 {
+        distinct
     }
 }
 
@@ -1329,9 +1192,6 @@ impl AgreeGroup {
 /// no alias accounting — exactly the scalar tables' split.
 #[derive(Debug)]
 struct BiModeGroup {
-    indices: Vec<usize>,
-    names: Vec<String>,
-    state_bits: Vec<u64>,
     hist: Vec<u64>,
     hist_mask: Vec<u64>,
     all_taken_ref: Vec<u64>,
@@ -1340,134 +1200,87 @@ struct BiModeGroup {
     taken_base: Vec<u64>,
     not_taken_base: Vec<u64>,
     choice_base: Vec<u64>,
-    conflicts: Vec<u64>,
-    harmless: Vec<u64>,
-    mispredictions: Vec<u64>,
     arena: Vec<u64>,
 }
 
 impl BiModeGroup {
-    fn new(specs: Vec<PlanSpec>) -> Self {
-        debug_assert!(!specs.is_empty() && specs.len() <= cell::PACKED_LANES);
+    fn new(specs: &[PlanSpec]) -> Self {
         // Three regions per lane: taken, not-taken, choice.
-        let sizes: Vec<u64> = specs
-            .iter()
-            .flat_map(|s| s.plan.reads.iter().map(TableRead::cells))
-            .collect();
-        let (bases, arena_len) = place_regions(&sizes);
-        let lanes = specs.len();
-        let mut group = BiModeGroup {
-            indices: Vec::with_capacity(lanes),
-            names: Vec::with_capacity(lanes),
-            state_bits: Vec::with_capacity(lanes),
-            hist: vec![0; lanes],
-            hist_mask: Vec::with_capacity(lanes),
-            all_taken_ref: Vec::with_capacity(lanes),
-            dir_mask: Vec::with_capacity(lanes),
-            choice_mask: Vec::with_capacity(lanes),
-            taken_base: Vec::with_capacity(lanes),
-            not_taken_base: Vec::with_capacity(lanes),
-            choice_base: Vec::with_capacity(lanes),
-            conflicts: vec![0; lanes],
-            harmless: vec![0; lanes],
-            mispredictions: vec![0; lanes],
-            arena: fresh_arena(arena_len),
-        };
-        for (lane, spec) in specs.into_iter().enumerate() {
-            group.indices.push(spec.index);
-            group.names.push(spec.name);
-            group.state_bits.push(spec.state_bits);
-            group.hist_mask.push(wide_low_mask(spec.plan.history_bits));
-            group
-                .all_taken_ref
-                .push(all_taken_reference(spec.plan.history_bits));
-            group
-                .dir_mask
-                .push(wide_low_mask(spec.plan.reads[0].row_bits));
-            group
-                .choice_mask
-                .push(wide_low_mask(spec.plan.reads[2].col_bits));
-            group.taken_base.push(bases[3 * lane]);
-            group.not_taken_base.push(bases[3 * lane + 1]);
-            group.choice_base.push(bases[3 * lane + 2]);
-        }
-        group
-    }
-
-    fn replay(&mut self, stream: &[u64], seen: u64, warmup: u64) {
-        for lane in 0..self.indices.len() {
-            let dir_mask = self.dir_mask[lane];
-            let choice_mask = self.choice_mask[lane];
-            let taken_base = self.taken_base[lane];
-            let not_taken_base = self.not_taken_base[lane];
-            let choice_base = self.choice_base[lane];
-            let hist_mask = self.hist_mask[lane];
-            let all_taken_ref = self.all_taken_ref[lane];
-            let mut hist = self.hist[lane];
-            let (mut conflicts, mut harmless, mut wrong) = (0u64, 0u64, 0u64);
-            let arena = self.arena.as_mut_slice();
-            let mask = arena.len() - 1;
-            for (i, &packed) in stream.iter().enumerate() {
-                let scored = (seen + i as u64 >= warmup) as u64;
-                let taken = packed & 1;
-                let word = packed >> 3;
-                let tag = (packed >> 1) & cell::EMPTY_OWNER;
-                let row = (hist ^ (word & dir_mask)) & dir_mask;
-                let choice_slot = ((choice_base | (word & choice_mask)) as usize) & mask;
-                let choice_cell = arena[choice_slot];
-                let ch_bits = choice_cell & 0b11;
-                let use_taken = (ch_bits >= 2) as u64;
-                // Branchless region select between the two direction
-                // tables.
-                let dir_base =
-                    not_taken_base ^ ((taken_base ^ not_taken_base) & use_taken.wrapping_neg());
-                let slot = ((dir_base | row) as usize) & mask;
-                let cell_word = arena[slot];
-                let owner = cell_word >> 2;
-                let bits = cell_word & 0b11;
-                let conflict = ((owner != cell::EMPTY_OWNER) & (owner != tag)) as u64;
-                conflicts += conflict;
-                harmless += conflict & ((hist == all_taken_ref) as u64);
-                let predicted = (bits >= 2) as u64;
-                wrong += scored & (predicted ^ taken);
-                // Selected direction counter trains toward the outcome.
-                let inc = ((bits < 3) as u64) & taken;
-                let dec = ((bits > 0) as u64) & (1 - taken);
-                arena[slot] = (tag << 2) | (bits + inc - dec);
-                // Choice trains toward the outcome except on the
-                // bi-mode exception; its owner (empty) is preserved —
-                // peek and retrain never tag.
-                let exception = (use_taken ^ taken) & (1 - (predicted ^ taken));
-                let train = 1 - exception;
-                let cinc = ((ch_bits < 3) as u64) & taken & train;
-                let cdec = ((ch_bits > 0) as u64) & (1 - taken) & train;
-                arena[choice_slot] = (choice_cell & !0b11u64) | (ch_bits + cinc - cdec);
-                hist = ((hist << 1) | taken) & hist_mask;
-            }
-            self.hist[lane] = hist;
-            self.conflicts[lane] += conflicts;
-            self.harmless[lane] += harmless;
-            self.mispredictions[lane] += wrong;
+        let (bases, arena) = lane_arena(specs);
+        BiModeGroup {
+            hist: vec![0; specs.len()],
+            hist_mask: per_lane(specs, |p| wide_low_mask(p.history_bits)),
+            all_taken_ref: per_lane(specs, |p| all_taken_reference(p.history_bits)),
+            dir_mask: per_lane(specs, |p| wide_low_mask(p.reads[0].row_bits)),
+            choice_mask: per_lane(specs, |p| wide_low_mask(p.reads[2].col_bits)),
+            taken_base: region_bases(&bases, 0),
+            not_taken_base: region_bases(&bases, 1),
+            choice_base: region_bases(&bases, 2),
+            arena,
         }
     }
+}
 
-    fn finish(self, seen: u64, scored: u64, results: &mut [Option<SimResult>]) {
-        for lane in 0..self.indices.len() {
-            results[self.indices[lane]] = Some(SimResult {
-                predictor: self.names[lane].clone(),
-                state_bits: self.state_bits[lane],
-                conditionals: scored,
-                mispredictions: self.mispredictions[lane],
-                // Direction tables only; the choice table is peeked,
-                // never accessed, in the paper's accounting.
-                alias: Some(AliasStats {
-                    accesses: seen,
-                    conflicts: self.conflicts[lane],
-                    harmless_conflicts: self.harmless[lane],
-                }),
-                bht: None,
-            });
+impl GroupKernel for BiModeGroup {
+    #[inline(never)]
+    fn replay_lane(
+        &mut self,
+        lane: usize,
+        input: &ChunkInputs,
+        seen: u64,
+        warmup: u64,
+    ) -> LaneCounts {
+        let stream = &input.conditionals[..];
+        let dir_mask = self.dir_mask[lane];
+        let choice_mask = self.choice_mask[lane];
+        let taken_base = self.taken_base[lane];
+        let not_taken_base = self.not_taken_base[lane];
+        let choice_base = self.choice_base[lane];
+        let hist_mask = self.hist_mask[lane];
+        let all_taken_ref = self.all_taken_ref[lane];
+        let mut hist = self.hist[lane];
+        let (mut conflicts, mut harmless, mut wrong) = (0u64, 0u64, 0u64);
+        let arena = self.arena.as_mut_slice();
+        let mask = arena.len() - 1;
+        for (i, &packed) in stream.iter().enumerate() {
+            let scored = (seen + i as u64 >= warmup) as u64;
+            let taken = packed & 1;
+            let word = packed >> 3;
+            let tag = (packed >> 1) & cell::EMPTY_OWNER;
+            let row = (hist ^ (word & dir_mask)) & dir_mask;
+            let choice_slot = ((choice_base | (word & choice_mask)) as usize) & mask;
+            let choice_cell = arena[choice_slot];
+            let ch_bits = choice_cell & 0b11;
+            let use_taken = (ch_bits >= 2) as u64;
+            // Branchless region select between the two direction
+            // tables.
+            let dir_base =
+                not_taken_base ^ ((taken_base ^ not_taken_base) & use_taken.wrapping_neg());
+            let slot = ((dir_base | row) as usize) & mask;
+            let cell_word = arena[slot];
+            let owner = cell_word >> 2;
+            let bits = cell_word & 0b11;
+            let conflict = ((owner != cell::EMPTY_OWNER) & (owner != tag)) as u64;
+            conflicts += conflict;
+            harmless += conflict & ((hist == all_taken_ref) as u64);
+            let predicted = (bits >= 2) as u64;
+            wrong += scored & (predicted ^ taken);
+            // Selected direction counter trains toward the outcome.
+            let inc = ((bits < 3) as u64) & taken;
+            let dec = ((bits > 0) as u64) & (1 - taken);
+            arena[slot] = (tag << 2) | (bits + inc - dec);
+            // Choice trains toward the outcome except on the
+            // bi-mode exception; its owner (empty) is preserved —
+            // peek and retrain never tag.
+            let exception = (use_taken ^ taken) & (1 - (predicted ^ taken));
+            let train = 1 - exception;
+            let cinc = ((ch_bits < 3) as u64) & taken & train;
+            let cdec = ((ch_bits > 0) as u64) & (1 - taken) & train;
+            arena[choice_slot] = (choice_cell & !0b11u64) | (ch_bits + cinc - cdec);
+            hist = ((hist << 1) | taken) & hist_mask;
         }
+        self.hist[lane] = hist;
+        (conflicts, harmless, wrong)
     }
 }
 
@@ -1478,148 +1291,108 @@ impl BiModeGroup {
 /// read-modify-write per bank.
 #[derive(Debug)]
 struct GskewGroup {
-    indices: Vec<usize>,
-    names: Vec<String>,
-    state_bits: Vec<u64>,
     hist: Vec<u64>,
     hist_mask: Vec<u64>,
     all_taken_ref: Vec<u64>,
-    /// `64 - bank_bits`, the hash down-shift (bank_bits ≥ 1 is
-    /// guaranteed by [`WalkPlan::of`]).
+    /// The hash down-shift, `64 - bank_bits` (0 for a zero-bit bank).
     shift: Vec<u64>,
+    /// All ones, or zero for a zero-bit bank: its hash key is then 0,
+    /// so every bank index is 0 — the scalar `Gskew` rule for
+    /// single-counter banks.
+    key_mask: Vec<u64>,
     bank_base: [Vec<u64>; 3],
-    conflicts: Vec<u64>,
-    harmless: Vec<u64>,
-    mispredictions: Vec<u64>,
     arena: Vec<u64>,
 }
 
 impl GskewGroup {
-    fn new(specs: Vec<PlanSpec>) -> Self {
-        debug_assert!(!specs.is_empty() && specs.len() <= cell::PACKED_LANES);
-        let sizes: Vec<u64> = specs
-            .iter()
-            .flat_map(|s| s.plan.reads.iter().map(TableRead::cells))
-            .collect();
-        let (bases, arena_len) = place_regions(&sizes);
-        let lanes = specs.len();
-        let mut group = GskewGroup {
-            indices: Vec::with_capacity(lanes),
-            names: Vec::with_capacity(lanes),
-            state_bits: Vec::with_capacity(lanes),
-            hist: vec![0; lanes],
-            hist_mask: Vec::with_capacity(lanes),
-            all_taken_ref: Vec::with_capacity(lanes),
-            shift: Vec::with_capacity(lanes),
-            bank_base: [
-                Vec::with_capacity(lanes),
-                Vec::with_capacity(lanes),
-                Vec::with_capacity(lanes),
-            ],
-            conflicts: vec![0; lanes],
-            harmless: vec![0; lanes],
-            mispredictions: vec![0; lanes],
-            arena: fresh_arena(arena_len),
-        };
-        for (lane, spec) in specs.into_iter().enumerate() {
-            group.indices.push(spec.index);
-            group.names.push(spec.name);
-            group.state_bits.push(spec.state_bits);
-            group.hist_mask.push(wide_low_mask(spec.plan.history_bits));
-            group
-                .all_taken_ref
-                .push(all_taken_reference(spec.plan.history_bits));
-            group
-                .shift
-                .push(u64::from(64 - spec.plan.reads[0].row_bits));
-            for bank in 0..3 {
-                group.bank_base[bank].push(bases[3 * lane + bank]);
-            }
-        }
-        group
-    }
-
-    fn replay(&mut self, stream: &[u64], seen: u64, warmup: u64) {
-        for lane in 0..self.indices.len() {
-            let shift = self.shift[lane];
-            let base0 = self.bank_base[0][lane];
-            let base1 = self.bank_base[1][lane];
-            let base2 = self.bank_base[2][lane];
-            let hist_mask = self.hist_mask[lane];
-            let all_taken_ref = self.all_taken_ref[lane];
-            let mut hist = self.hist[lane];
-            let (mut conflicts, mut harmless, mut wrong) = (0u64, 0u64, 0u64);
-            let arena = self.arena.as_mut_slice();
-            let mask = arena.len() - 1;
-            for (i, &packed) in stream.iter().enumerate() {
-                let scored = (seen + i as u64 >= warmup) as u64;
-                let taken = packed & 1;
-                let word = packed >> 3;
-                let tag = (packed >> 1) & cell::EMPTY_OWNER;
-                let key = (word << 20) ^ hist;
-                let all_taken = (hist == all_taken_ref) as u64;
-                // Unrolled banks, all three loads issued before any
-                // store: the bank regions are disjoint, but an
-                // interleaved read-modify-write would force the
-                // compiler to order every load after the previous
-                // bank's store (it cannot prove the slots don't
-                // alias). The scalar predict-all-banks-then-train-
-                // all-banks sequence is equivalent to one fused RMW
-                // per bank either way.
-                let slot0 = ((base0 | (key.wrapping_mul(SKEW_BANK_MULTIPLIERS[0]) >> shift))
-                    as usize)
-                    & mask;
-                let slot1 = ((base1 | (key.wrapping_mul(SKEW_BANK_MULTIPLIERS[1]) >> shift))
-                    as usize)
-                    & mask;
-                let slot2 = ((base2 | (key.wrapping_mul(SKEW_BANK_MULTIPLIERS[2]) >> shift))
-                    as usize)
-                    & mask;
-                let (cell0, cell1, cell2) = (arena[slot0], arena[slot1], arena[slot2]);
-                let step = |cell_word: u64| {
-                    let owner = cell_word >> 2;
-                    let bits = cell_word & 0b11;
-                    let conflict = ((owner != cell::EMPTY_OWNER) & (owner != tag)) as u64;
-                    let vote = (bits >= 2) as u64;
-                    let inc = ((bits < 3) as u64) & taken;
-                    let dec = ((bits > 0) as u64) & (1 - taken);
-                    ((tag << 2) | (bits + inc - dec), conflict, vote)
-                };
-                let (next0, conflict0, vote0) = step(cell0);
-                let (next1, conflict1, vote1) = step(cell1);
-                let (next2, conflict2, vote2) = step(cell2);
-                arena[slot0] = next0;
-                arena[slot1] = next1;
-                arena[slot2] = next2;
-                let conflict = conflict0 + conflict1 + conflict2;
-                conflicts += conflict;
-                harmless += conflict & all_taken.wrapping_neg();
-                wrong += scored & ((vote0 + vote1 + vote2 >= 2) as u64 ^ taken);
-                hist = ((hist << 1) | taken) & hist_mask;
-            }
-            self.hist[lane] = hist;
-            self.conflicts[lane] += conflicts;
-            self.harmless[lane] += harmless;
-            self.mispredictions[lane] += wrong;
+    fn new(specs: &[PlanSpec]) -> Self {
+        let (bases, arena) = lane_arena(specs);
+        GskewGroup {
+            hist: vec![0; specs.len()],
+            hist_mask: per_lane(specs, |p| wide_low_mask(p.history_bits)),
+            all_taken_ref: per_lane(specs, |p| all_taken_reference(p.history_bits)),
+            shift: per_lane(specs, |p| u64::from(64 - p.reads[0].row_bits) % 64),
+            key_mask: per_lane(specs, |p| match p.reads[0].row_bits {
+                0 => 0,
+                _ => u64::MAX,
+            }),
+            bank_base: [0, 1, 2].map(|bank| region_bases(&bases, bank)),
+            arena,
         }
     }
+}
 
-    fn finish(self, seen: u64, scored: u64, results: &mut [Option<SimResult>]) {
-        for lane in 0..self.indices.len() {
-            results[self.indices[lane]] = Some(SimResult {
-                predictor: self.names[lane].clone(),
-                state_bits: self.state_bits[lane],
-                conditionals: scored,
-                mispredictions: self.mispredictions[lane],
-                alias: Some(AliasStats {
-                    // Three bank accesses per conditional.
-                    accesses: 3 * seen,
-                    conflicts: self.conflicts[lane],
-                    harmless_conflicts: self.harmless[lane],
-                }),
-                bht: None,
-            });
+impl GroupKernel for GskewGroup {
+    #[inline(never)]
+    fn replay_lane(
+        &mut self,
+        lane: usize,
+        input: &ChunkInputs,
+        seen: u64,
+        warmup: u64,
+    ) -> LaneCounts {
+        let stream = &input.conditionals[..];
+        let shift = self.shift[lane];
+        let key_mask = self.key_mask[lane];
+        let base0 = self.bank_base[0][lane];
+        let base1 = self.bank_base[1][lane];
+        let base2 = self.bank_base[2][lane];
+        let hist_mask = self.hist_mask[lane];
+        let all_taken_ref = self.all_taken_ref[lane];
+        let mut hist = self.hist[lane];
+        let (mut conflicts, mut harmless, mut wrong) = (0u64, 0u64, 0u64);
+        let arena = self.arena.as_mut_slice();
+        let mask = arena.len() - 1;
+        for (i, &packed) in stream.iter().enumerate() {
+            let scored = (seen + i as u64 >= warmup) as u64;
+            let taken = packed & 1;
+            let word = packed >> 3;
+            let tag = (packed >> 1) & cell::EMPTY_OWNER;
+            let key = ((word << 20) ^ hist) & key_mask;
+            let all_taken = (hist == all_taken_ref) as u64;
+            // Unrolled banks, all three loads issued before any
+            // store: the bank regions are disjoint, but an
+            // interleaved read-modify-write would force the
+            // compiler to order every load after the previous
+            // bank's store (it cannot prove the slots don't
+            // alias). The scalar predict-all-banks-then-train-
+            // all-banks sequence is equivalent to one fused RMW
+            // per bank either way.
+            let slot0 =
+                ((base0 | (key.wrapping_mul(SKEW_BANK_MULTIPLIERS[0]) >> shift)) as usize) & mask;
+            let slot1 =
+                ((base1 | (key.wrapping_mul(SKEW_BANK_MULTIPLIERS[1]) >> shift)) as usize) & mask;
+            let slot2 =
+                ((base2 | (key.wrapping_mul(SKEW_BANK_MULTIPLIERS[2]) >> shift)) as usize) & mask;
+            let (cell0, cell1, cell2) = (arena[slot0], arena[slot1], arena[slot2]);
+            let step = |cell_word: u64| {
+                let owner = cell_word >> 2;
+                let bits = cell_word & 0b11;
+                let conflict = ((owner != cell::EMPTY_OWNER) & (owner != tag)) as u64;
+                let vote = (bits >= 2) as u64;
+                let inc = ((bits < 3) as u64) & taken;
+                let dec = ((bits > 0) as u64) & (1 - taken);
+                ((tag << 2) | (bits + inc - dec), conflict, vote)
+            };
+            let (next0, conflict0, vote0) = step(cell0);
+            let (next1, conflict1, vote1) = step(cell1);
+            let (next2, conflict2, vote2) = step(cell2);
+            arena[slot0] = next0;
+            arena[slot1] = next1;
+            arena[slot2] = next2;
+            let conflict = conflict0 + conflict1 + conflict2;
+            conflicts += conflict;
+            harmless += conflict & all_taken.wrapping_neg();
+            wrong += scored & ((vote0 + vote1 + vote2 >= 2) as u64 ^ taken);
+            hist = ((hist << 1) | taken) & hist_mask;
         }
+        self.hist[lane] = hist;
+        (conflicts, harmless, wrong)
+    }
+
+    /// Three bank accesses per conditional.
+    fn accesses_per_conditional(&self) -> Option<u64> {
+        Some(3)
     }
 }
 
@@ -1634,9 +1407,6 @@ impl GskewGroup {
 /// right" only when the components disagreed.
 #[derive(Debug)]
 struct TournamentGroup {
-    indices: Vec<usize>,
-    names: Vec<String>,
-    state_bits: Vec<u64>,
     hist: Vec<u64>,
     hist_mask: Vec<u64>,
     all_taken_ref: Vec<u64>,
@@ -1646,160 +1416,114 @@ struct TournamentGroup {
     addr_base: Vec<u64>,
     gshare_base: Vec<u64>,
     chooser_base: Vec<u64>,
-    conflicts: Vec<u64>,
-    harmless: Vec<u64>,
-    mispredictions: Vec<u64>,
     arena: Vec<u64>,
 }
 
 impl TournamentGroup {
-    fn new(specs: Vec<PlanSpec>) -> Self {
-        debug_assert!(!specs.is_empty() && specs.len() <= cell::PACKED_LANES);
+    fn new(specs: &[PlanSpec]) -> Self {
         // Three regions per lane: address-indexed, gshare, chooser.
-        let sizes: Vec<u64> = specs
-            .iter()
-            .flat_map(|s| s.plan.reads.iter().map(TableRead::cells))
-            .collect();
-        let (bases, arena_len) = place_regions(&sizes);
-        let lanes = specs.len();
+        let (bases, arena) = lane_arena(specs);
         let mut group = TournamentGroup {
-            indices: Vec::with_capacity(lanes),
-            names: Vec::with_capacity(lanes),
-            state_bits: Vec::with_capacity(lanes),
-            hist: vec![0; lanes],
-            hist_mask: Vec::with_capacity(lanes),
-            all_taken_ref: Vec::with_capacity(lanes),
-            addr_mask: Vec::with_capacity(lanes),
-            gshare_mask: Vec::with_capacity(lanes),
-            chooser_mask: Vec::with_capacity(lanes),
-            addr_base: Vec::with_capacity(lanes),
-            gshare_base: Vec::with_capacity(lanes),
-            chooser_base: Vec::with_capacity(lanes),
-            conflicts: vec![0; lanes],
-            harmless: vec![0; lanes],
-            mispredictions: vec![0; lanes],
-            arena: fresh_arena(arena_len),
+            hist: vec![0; specs.len()],
+            hist_mask: per_lane(specs, |p| wide_low_mask(p.history_bits)),
+            all_taken_ref: per_lane(specs, |p| all_taken_reference(p.history_bits)),
+            addr_mask: per_lane(specs, |p| wide_low_mask(p.reads[0].col_bits)),
+            gshare_mask: per_lane(specs, |p| wide_low_mask(p.reads[1].row_bits)),
+            chooser_mask: per_lane(specs, |p| wide_low_mask(p.reads[2].col_bits)),
+            addr_base: region_bases(&bases, 0),
+            gshare_base: region_bases(&bases, 1),
+            chooser_base: region_bases(&bases, 2),
+            arena,
         };
-        for (lane, spec) in specs.into_iter().enumerate() {
-            group.indices.push(spec.index);
-            group.names.push(spec.name);
-            group.state_bits.push(spec.state_bits);
-            group.hist_mask.push(wide_low_mask(spec.plan.history_bits));
-            group
-                .all_taken_ref
-                .push(all_taken_reference(spec.plan.history_bits));
-            group
-                .addr_mask
-                .push(wide_low_mask(spec.plan.reads[0].col_bits));
-            group
-                .gshare_mask
-                .push(wide_low_mask(spec.plan.reads[1].row_bits));
-            group
-                .chooser_mask
-                .push(wide_low_mask(spec.plan.reads[2].col_bits));
-            group.addr_base.push(bases[3 * lane]);
-            group.gshare_base.push(bases[3 * lane + 1]);
-            let chooser_base = bases[3 * lane + 2];
-            group.chooser_base.push(chooser_base);
-            // The scalar chooser starts weakly-not-taken ("trust the
-            // first component"), unlike the arena's weakly-taken
-            // default.
-            let chooser_cells = spec.plan.reads[2].cells();
-            for slot in chooser_base..chooser_base + chooser_cells {
-                group.arena[slot as usize] = cell::fresh(1);
-            }
+        // The scalar chooser starts weakly-not-taken ("trust the first
+        // component"), unlike the arena's weakly-taken default.
+        for (spec, &base) in specs.iter().zip(&group.chooser_base) {
+            let cells = spec.plan.reads[2].cells();
+            group.arena[base as usize..(base + cells) as usize].fill(cell::fresh(1));
         }
         group
     }
+}
 
-    fn replay(&mut self, stream: &[u64], seen: u64, warmup: u64) {
-        for lane in 0..self.indices.len() {
-            let addr_mask = self.addr_mask[lane];
-            let gshare_mask = self.gshare_mask[lane];
-            let chooser_mask = self.chooser_mask[lane];
-            let addr_base = self.addr_base[lane];
-            let gshare_base = self.gshare_base[lane];
-            let chooser_base = self.chooser_base[lane];
-            let hist_mask = self.hist_mask[lane];
-            let all_taken_ref = self.all_taken_ref[lane];
-            let mut hist = self.hist[lane];
-            let (mut conflicts, mut harmless, mut wrong) = (0u64, 0u64, 0u64);
-            let arena = self.arena.as_mut_slice();
-            let mask = arena.len() - 1;
-            for (i, &packed) in stream.iter().enumerate() {
-                let scored = (seen + i as u64 >= warmup) as u64;
-                let taken = packed & 1;
-                let word = packed >> 3;
-                let tag = (packed >> 1) & cell::EMPTY_OWNER;
-                // Component 0: address-indexed (row always zero, so
-                // never an all-taken pattern).
-                let a_slot = ((addr_base | (word & addr_mask)) as usize) & mask;
-                let a_cell = arena[a_slot];
-                let a_owner = a_cell >> 2;
-                let a_bits = a_cell & 0b11;
-                let a_conflict = ((a_owner != cell::EMPTY_OWNER) & (a_owner != tag)) as u64;
-                // Component 1: gshare (column-free — the read is
-                // `history_bits` rows wide).
-                let g_row = (hist ^ (word & gshare_mask)) & gshare_mask;
-                let g_slot = ((gshare_base | g_row) as usize) & mask;
-                let g_cell = arena[g_slot];
-                let g_owner = g_cell >> 2;
-                let g_bits = g_cell & 0b11;
-                let g_conflict = ((g_owner != cell::EMPTY_OWNER) & (g_owner != tag)) as u64;
-                conflicts += a_conflict + g_conflict;
-                harmless += g_conflict & ((hist == all_taken_ref) as u64);
-                let a_pred = (a_bits >= 2) as u64;
-                let g_pred = (g_bits >= 2) as u64;
-                let chooser_slot = ((chooser_base | (word & chooser_mask)) as usize) & mask;
-                let chooser_cell = arena[chooser_slot];
-                let ch_bits = chooser_cell & 0b11;
-                let use_second = (ch_bits >= 2) as u64;
-                let predicted = a_pred ^ ((a_pred ^ g_pred) & use_second.wrapping_neg());
-                wrong += scored & (predicted ^ taken);
-                // Chooser trains toward "the second component was
-                // right", only on disagreement; its owner (empty) is
-                // preserved — the scalar chooser is untagged.
-                let train = a_pred ^ g_pred;
-                let toward_second = 1 ^ g_pred ^ taken;
-                let cinc = ((ch_bits < 3) as u64) & toward_second & train;
-                let cdec = ((ch_bits > 0) as u64) & (1 - toward_second) & train;
-                arena[chooser_slot] = (chooser_cell & !0b11u64) | (ch_bits + cinc - cdec);
-                // Both components train toward the outcome, owner
-                // re-tagged — the scalar access-then-retrain pair,
-                // fused as in [`cell::step`].
-                let a_inc = ((a_bits < 3) as u64) & taken;
-                let a_dec = ((a_bits > 0) as u64) & (1 - taken);
-                arena[a_slot] = (tag << 2) | (a_bits + a_inc - a_dec);
-                let g_inc = ((g_bits < 3) as u64) & taken;
-                let g_dec = ((g_bits > 0) as u64) & (1 - taken);
-                arena[g_slot] = (tag << 2) | (g_bits + g_inc - g_dec);
-                hist = ((hist << 1) | taken) & hist_mask;
-            }
-            self.hist[lane] = hist;
-            self.conflicts[lane] += conflicts;
-            self.harmless[lane] += harmless;
-            self.mispredictions[lane] += wrong;
+impl GroupKernel for TournamentGroup {
+    #[inline(never)]
+    fn replay_lane(
+        &mut self,
+        lane: usize,
+        input: &ChunkInputs,
+        seen: u64,
+        warmup: u64,
+    ) -> LaneCounts {
+        let stream = &input.conditionals[..];
+        let addr_mask = self.addr_mask[lane];
+        let gshare_mask = self.gshare_mask[lane];
+        let chooser_mask = self.chooser_mask[lane];
+        let addr_base = self.addr_base[lane];
+        let gshare_base = self.gshare_base[lane];
+        let chooser_base = self.chooser_base[lane];
+        let hist_mask = self.hist_mask[lane];
+        let all_taken_ref = self.all_taken_ref[lane];
+        let mut hist = self.hist[lane];
+        let (mut conflicts, mut harmless, mut wrong) = (0u64, 0u64, 0u64);
+        let arena = self.arena.as_mut_slice();
+        let mask = arena.len() - 1;
+        for (i, &packed) in stream.iter().enumerate() {
+            let scored = (seen + i as u64 >= warmup) as u64;
+            let taken = packed & 1;
+            let word = packed >> 3;
+            let tag = (packed >> 1) & cell::EMPTY_OWNER;
+            // Component 0: address-indexed (row always zero, so
+            // never an all-taken pattern).
+            let a_slot = ((addr_base | (word & addr_mask)) as usize) & mask;
+            let a_cell = arena[a_slot];
+            let a_owner = a_cell >> 2;
+            let a_bits = a_cell & 0b11;
+            let a_conflict = ((a_owner != cell::EMPTY_OWNER) & (a_owner != tag)) as u64;
+            // Component 1: gshare (column-free — the read is
+            // `history_bits` rows wide).
+            let g_row = (hist ^ (word & gshare_mask)) & gshare_mask;
+            let g_slot = ((gshare_base | g_row) as usize) & mask;
+            let g_cell = arena[g_slot];
+            let g_owner = g_cell >> 2;
+            let g_bits = g_cell & 0b11;
+            let g_conflict = ((g_owner != cell::EMPTY_OWNER) & (g_owner != tag)) as u64;
+            conflicts += a_conflict + g_conflict;
+            harmless += g_conflict & ((hist == all_taken_ref) as u64);
+            let a_pred = (a_bits >= 2) as u64;
+            let g_pred = (g_bits >= 2) as u64;
+            let chooser_slot = ((chooser_base | (word & chooser_mask)) as usize) & mask;
+            let chooser_cell = arena[chooser_slot];
+            let ch_bits = chooser_cell & 0b11;
+            let use_second = (ch_bits >= 2) as u64;
+            let predicted = a_pred ^ ((a_pred ^ g_pred) & use_second.wrapping_neg());
+            wrong += scored & (predicted ^ taken);
+            // Chooser trains toward "the second component was
+            // right", only on disagreement; its owner (empty) is
+            // preserved — the scalar chooser is untagged.
+            let train = a_pred ^ g_pred;
+            let toward_second = 1 ^ g_pred ^ taken;
+            let cinc = ((ch_bits < 3) as u64) & toward_second & train;
+            let cdec = ((ch_bits > 0) as u64) & (1 - toward_second) & train;
+            arena[chooser_slot] = (chooser_cell & !0b11u64) | (ch_bits + cinc - cdec);
+            // Both components train toward the outcome, owner
+            // re-tagged — the scalar access-then-retrain pair,
+            // fused as in [`cell::step`].
+            let a_inc = ((a_bits < 3) as u64) & taken;
+            let a_dec = ((a_bits > 0) as u64) & (1 - taken);
+            arena[a_slot] = (tag << 2) | (a_bits + a_inc - a_dec);
+            let g_inc = ((g_bits < 3) as u64) & taken;
+            let g_dec = ((g_bits > 0) as u64) & (1 - taken);
+            arena[g_slot] = (tag << 2) | (g_bits + g_inc - g_dec);
+            hist = ((hist << 1) | taken) & hist_mask;
         }
+        self.hist[lane] = hist;
+        (conflicts, harmless, wrong)
     }
 
-    fn finish(self, seen: u64, scored: u64, results: &mut [Option<SimResult>]) {
-        for lane in 0..self.indices.len() {
-            results[self.indices[lane]] = Some(SimResult {
-                predictor: self.names[lane].clone(),
-                state_bits: self.state_bits[lane],
-                conditionals: scored,
-                mispredictions: self.mispredictions[lane],
-                // Both components access per conditional (the scalar
-                // kernel sums its components' stats); the chooser is
-                // never an access.
-                alias: Some(AliasStats {
-                    accesses: 2 * seen,
-                    conflicts: self.conflicts[lane],
-                    harmless_conflicts: self.harmless[lane],
-                }),
-                bht: None,
-            });
-        }
+    /// Both components access per conditional (the scalar kernel sums
+    /// its components' stats); the chooser is never an access.
+    fn accesses_per_conditional(&self) -> Option<u64> {
+        Some(2)
     }
 }
 
@@ -1816,9 +1540,6 @@ impl TournamentGroup {
 /// sentinel is unreachable).
 #[derive(Debug)]
 struct TaggedGroup {
-    indices: Vec<usize>,
-    names: Vec<String>,
-    state_bits: Vec<u64>,
     hist: Vec<u64>,
     hist_mask: Vec<u64>,
     all_taken_ref: Vec<u64>,
@@ -1828,9 +1549,6 @@ struct TaggedGroup {
     choice_base: Vec<u64>,
     taken_base: Vec<u64>,
     not_taken_base: Vec<u64>,
-    conflicts: Vec<u64>,
-    harmless: Vec<u64>,
-    mispredictions: Vec<u64>,
     arena: Vec<u64>,
 }
 
@@ -1839,154 +1557,107 @@ impl TaggedGroup {
     /// scalar cache's `u16::MAX` sentinel.
     const EMPTY_TAG: u64 = u16::MAX as u64;
 
-    fn new(specs: Vec<PlanSpec>) -> Self {
-        debug_assert!(!specs.is_empty() && specs.len() <= cell::PACKED_LANES);
+    fn new(specs: &[PlanSpec]) -> Self {
         // Three regions per lane: choice, taken-cache, not-taken-cache.
-        let sizes: Vec<u64> = specs
-            .iter()
-            .flat_map(|s| s.plan.reads.iter().map(TableRead::cells))
-            .collect();
-        let (bases, arena_len) = place_regions(&sizes);
-        let lanes = specs.len();
+        let (bases, arena) = lane_arena(specs);
         let mut group = TaggedGroup {
-            indices: Vec::with_capacity(lanes),
-            names: Vec::with_capacity(lanes),
-            state_bits: Vec::with_capacity(lanes),
-            hist: vec![0; lanes],
-            hist_mask: Vec::with_capacity(lanes),
-            all_taken_ref: Vec::with_capacity(lanes),
-            choice_mask: Vec::with_capacity(lanes),
-            cache_mask: Vec::with_capacity(lanes),
-            tag_mask: Vec::with_capacity(lanes),
-            choice_base: Vec::with_capacity(lanes),
-            taken_base: Vec::with_capacity(lanes),
-            not_taken_base: Vec::with_capacity(lanes),
-            conflicts: vec![0; lanes],
-            harmless: vec![0; lanes],
-            mispredictions: vec![0; lanes],
-            arena: fresh_arena(arena_len),
+            hist: vec![0; specs.len()],
+            hist_mask: per_lane(specs, |p| wide_low_mask(p.history_bits)),
+            all_taken_ref: per_lane(specs, |p| all_taken_reference(p.history_bits)),
+            choice_mask: per_lane(specs, |p| wide_low_mask(p.reads[0].col_bits)),
+            cache_mask: per_lane(specs, |p| wide_low_mask(p.reads[1].row_bits)),
+            tag_mask: per_lane(specs, |p| wide_low_mask(p.reads[1].tag_bits)),
+            choice_base: region_bases(&bases, 0),
+            taken_base: region_bases(&bases, 1),
+            not_taken_base: region_bases(&bases, 2),
+            arena,
         };
-        for (lane, spec) in specs.into_iter().enumerate() {
-            group.indices.push(spec.index);
-            group.names.push(spec.name);
-            group.state_bits.push(spec.state_bits);
-            group.hist_mask.push(wide_low_mask(spec.plan.history_bits));
-            group
-                .all_taken_ref
-                .push(all_taken_reference(spec.plan.history_bits));
-            group
-                .choice_mask
-                .push(wide_low_mask(spec.plan.reads[0].col_bits));
-            group
-                .cache_mask
-                .push(wide_low_mask(spec.plan.reads[1].row_bits));
-            group
-                .tag_mask
-                .push(wide_low_mask(spec.plan.reads[1].tag_bits));
-            group.choice_base.push(bases[3 * lane]);
-            let (t_base, nt_base) = (bases[3 * lane + 1], bases[3 * lane + 2]);
-            group.taken_base.push(t_base);
-            group.not_taken_base.push(nt_base);
-            // Empty cache entries: sentinel tag, weakly-taken counter
-            // in the taken cache / weakly-not-taken in the not-taken
-            // cache (the scalar caches' initial counters — never
-            // observable before an allocation overwrites them, kept
-            // identical anyway).
-            let cache_cells = spec.plan.reads[1].cells();
-            for slot in t_base..t_base + cache_cells {
-                group.arena[slot as usize] = (Self::EMPTY_TAG << 2) | 2;
-            }
-            for slot in nt_base..nt_base + cache_cells {
-                group.arena[slot as usize] = (Self::EMPTY_TAG << 2) | 1;
+        // Empty cache entries: sentinel tag, weakly-taken counter in
+        // the taken cache / weakly-not-taken in the not-taken cache
+        // (the scalar caches' initial counters — never observable
+        // before an allocation overwrites them, kept identical anyway).
+        for (lane, spec) in specs.iter().enumerate() {
+            let cells = spec.plan.reads[1].cells();
+            for (base, bits) in [(group.taken_base[lane], 2), (group.not_taken_base[lane], 1)] {
+                group.arena[base as usize..(base + cells) as usize]
+                    .fill((Self::EMPTY_TAG << 2) | bits);
             }
         }
         group
     }
+}
 
-    fn replay(&mut self, stream: &[u64], seen: u64, warmup: u64) {
-        for lane in 0..self.indices.len() {
-            let choice_mask = self.choice_mask[lane];
-            let cache_mask = self.cache_mask[lane];
-            let tag_mask = self.tag_mask[lane];
-            let choice_base = self.choice_base[lane];
-            let taken_base = self.taken_base[lane];
-            let not_taken_base = self.not_taken_base[lane];
-            let hist_mask = self.hist_mask[lane];
-            let all_taken_ref = self.all_taken_ref[lane];
-            let mut hist = self.hist[lane];
-            let (mut conflicts, mut harmless, mut wrong) = (0u64, 0u64, 0u64);
-            let arena = self.arena.as_mut_slice();
-            let mask = arena.len() - 1;
-            for (i, &packed) in stream.iter().enumerate() {
-                let scored = (seen + i as u64 >= warmup) as u64;
-                let taken = packed & 1;
-                let word = packed >> 3;
-                let tag = (packed >> 1) & cell::EMPTY_OWNER;
-                let all_taken = (hist == all_taken_ref) as u64;
-                // The choice access: bias prediction plus the lane's
-                // only alias accounting (the scalar caches are
-                // uninstrumented).
-                let choice_slot = ((choice_base | (word & choice_mask)) as usize) & mask;
-                let choice_cell = arena[choice_slot];
-                let owner = choice_cell >> 2;
-                let c_bits = choice_cell & 0b11;
-                let conflict = ((owner != cell::EMPTY_OWNER) & (owner != tag)) as u64;
-                conflicts += conflict;
-                harmless += conflict & all_taken;
-                let bias = (c_bits >= 2) as u64;
-                // Probe the cache opposite the bias for an exception.
-                let cache_base = taken_base ^ ((not_taken_base ^ taken_base) & bias.wrapping_neg());
-                let entry_slot = ((cache_base | ((hist ^ word) & cache_mask)) as usize) & mask;
-                let entry = arena[entry_slot];
-                let entry_tag = entry >> 2;
-                let entry_bits = entry & 0b11;
-                let partial = word & tag_mask;
-                let hit = (entry_tag == partial) as u64;
-                let entry_pred = (entry_bits >= 2) as u64;
-                let predicted = bias ^ ((bias ^ entry_pred) & hit.wrapping_neg());
-                wrong += scored & (predicted ^ taken);
-                // Cache entry: train on a hit, allocate (evict) on a
-                // wrong-bias miss, leave untouched otherwise.
-                let inc = ((entry_bits < 3) as u64) & taken;
-                let dec = ((entry_bits > 0) as u64) & (1 - taken);
-                let trained = (entry_tag << 2) | (entry_bits + inc - dec);
-                let allocated = (partial << 2) | (1 + taken);
-                let hit_m = hit.wrapping_neg();
-                let alloc_m = ((1 - hit) & (taken ^ bias)).wrapping_neg();
-                arena[entry_slot] =
-                    (trained & hit_m) | (allocated & alloc_m) | (entry & !(hit_m | alloc_m));
-                // Choice: retrain toward the outcome unless a hit
-                // already captured the anti-bias outcome; owner is
-                // re-tagged either way (the scalar access touched it).
-                let train = 1 - (hit & (taken ^ bias));
-                let cinc = ((c_bits < 3) as u64) & taken & train;
-                let cdec = ((c_bits > 0) as u64) & (1 - taken) & train;
-                arena[choice_slot] = (tag << 2) | (c_bits + cinc - cdec);
-                hist = ((hist << 1) | taken) & hist_mask;
-            }
-            self.hist[lane] = hist;
-            self.conflicts[lane] += conflicts;
-            self.harmless[lane] += harmless;
-            self.mispredictions[lane] += wrong;
+impl GroupKernel for TaggedGroup {
+    #[inline(never)]
+    fn replay_lane(
+        &mut self,
+        lane: usize,
+        input: &ChunkInputs,
+        seen: u64,
+        warmup: u64,
+    ) -> LaneCounts {
+        let stream = &input.conditionals[..];
+        let choice_mask = self.choice_mask[lane];
+        let cache_mask = self.cache_mask[lane];
+        let tag_mask = self.tag_mask[lane];
+        let choice_base = self.choice_base[lane];
+        let taken_base = self.taken_base[lane];
+        let not_taken_base = self.not_taken_base[lane];
+        let hist_mask = self.hist_mask[lane];
+        let all_taken_ref = self.all_taken_ref[lane];
+        let mut hist = self.hist[lane];
+        let (mut conflicts, mut harmless, mut wrong) = (0u64, 0u64, 0u64);
+        let arena = self.arena.as_mut_slice();
+        let mask = arena.len() - 1;
+        for (i, &packed) in stream.iter().enumerate() {
+            let scored = (seen + i as u64 >= warmup) as u64;
+            let taken = packed & 1;
+            let word = packed >> 3;
+            let tag = (packed >> 1) & cell::EMPTY_OWNER;
+            let all_taken = (hist == all_taken_ref) as u64;
+            // The choice access: bias prediction plus the lane's
+            // only alias accounting (the scalar caches are
+            // uninstrumented).
+            let choice_slot = ((choice_base | (word & choice_mask)) as usize) & mask;
+            let choice_cell = arena[choice_slot];
+            let owner = choice_cell >> 2;
+            let c_bits = choice_cell & 0b11;
+            let conflict = ((owner != cell::EMPTY_OWNER) & (owner != tag)) as u64;
+            conflicts += conflict;
+            harmless += conflict & all_taken;
+            let bias = (c_bits >= 2) as u64;
+            // Probe the cache opposite the bias for an exception.
+            let cache_base = taken_base ^ ((not_taken_base ^ taken_base) & bias.wrapping_neg());
+            let entry_slot = ((cache_base | ((hist ^ word) & cache_mask)) as usize) & mask;
+            let entry = arena[entry_slot];
+            let entry_tag = entry >> 2;
+            let entry_bits = entry & 0b11;
+            let partial = word & tag_mask;
+            let hit = (entry_tag == partial) as u64;
+            let entry_pred = (entry_bits >= 2) as u64;
+            let predicted = bias ^ ((bias ^ entry_pred) & hit.wrapping_neg());
+            wrong += scored & (predicted ^ taken);
+            // Cache entry: train on a hit, allocate (evict) on a
+            // wrong-bias miss, leave untouched otherwise.
+            let inc = ((entry_bits < 3) as u64) & taken;
+            let dec = ((entry_bits > 0) as u64) & (1 - taken);
+            let trained = (entry_tag << 2) | (entry_bits + inc - dec);
+            let allocated = (partial << 2) | (1 + taken);
+            let hit_m = hit.wrapping_neg();
+            let alloc_m = ((1 - hit) & (taken ^ bias)).wrapping_neg();
+            arena[entry_slot] =
+                (trained & hit_m) | (allocated & alloc_m) | (entry & !(hit_m | alloc_m));
+            // Choice: retrain toward the outcome unless a hit
+            // already captured the anti-bias outcome; owner is
+            // re-tagged either way (the scalar access touched it).
+            let train = 1 - (hit & (taken ^ bias));
+            let cinc = ((c_bits < 3) as u64) & taken & train;
+            let cdec = ((c_bits > 0) as u64) & (1 - taken) & train;
+            arena[choice_slot] = (tag << 2) | (c_bits + cinc - cdec);
+            hist = ((hist << 1) | taken) & hist_mask;
         }
-    }
-
-    fn finish(self, seen: u64, scored: u64, results: &mut [Option<SimResult>]) {
-        for lane in 0..self.indices.len() {
-            results[self.indices[lane]] = Some(SimResult {
-                predictor: self.names[lane].clone(),
-                state_bits: self.state_bits[lane],
-                conditionals: scored,
-                mispredictions: self.mispredictions[lane],
-                // Choice table only, as in the scalar kernel.
-                alias: Some(AliasStats {
-                    accesses: seen,
-                    conflicts: self.conflicts[lane],
-                    harmless_conflicts: self.harmless[lane],
-                }),
-                bht: None,
-            });
-        }
+        self.hist[lane] = hist;
+        (conflicts, harmless, wrong)
     }
 }
 
@@ -2001,9 +1672,6 @@ impl TaggedGroup {
 /// zero, as in the scalar selector.
 #[derive(Debug)]
 struct PathGroup {
-    indices: Vec<usize>,
-    names: Vec<String>,
-    state_bits: Vec<u64>,
     /// The path register, kept masked to its width.
     reg: Vec<u64>,
     reg_mask: Vec<u64>,
@@ -2014,115 +1682,82 @@ struct PathGroup {
     col_shift: Vec<u64>,
     col_mask: Vec<u64>,
     base: Vec<u64>,
-    conflicts: Vec<u64>,
-    mispredictions: Vec<u64>,
     arena: Vec<u64>,
 }
 
 impl PathGroup {
-    fn new(specs: Vec<PlanSpec>) -> Self {
-        debug_assert!(!specs.is_empty() && specs.len() <= cell::PACKED_LANES);
-        let sizes: Vec<u64> = specs.iter().map(|s| s.plan.cells()).collect();
-        let (bases, arena_len) = place_regions(&sizes);
-        let lanes = specs.len();
-        let mut group = PathGroup {
-            indices: Vec::with_capacity(lanes),
-            names: Vec::with_capacity(lanes),
-            state_bits: Vec::with_capacity(lanes),
-            reg: vec![0; lanes],
-            reg_mask: Vec::with_capacity(lanes),
-            bpt: Vec::with_capacity(lanes),
-            bpt_mask: Vec::with_capacity(lanes),
-            row_mask: Vec::with_capacity(lanes),
-            col_shift: Vec::with_capacity(lanes),
-            col_mask: Vec::with_capacity(lanes),
-            base: bases,
-            conflicts: vec![0; lanes],
-            mispredictions: vec![0; lanes],
-            arena: fresh_arena(arena_len),
+    fn new(specs: &[PlanSpec]) -> Self {
+        let (base, arena) = lane_arena(specs);
+        let bits_per_target = |p: &WalkPlan| match p.level1 {
+            Level1Read::PathHistory { bits_per_target } => bits_per_target,
+            ref other => unreachable!("path group from {other:?}"),
         };
-        for spec in specs {
-            let read = spec.plan.reads[0];
-            let bits_per_target = match spec.plan.level1 {
-                Level1Read::PathHistory { bits_per_target } => bits_per_target,
-                ref other => unreachable!("path group from {other:?}"),
-            };
-            group.indices.push(spec.index);
-            group.names.push(spec.name);
-            group.state_bits.push(spec.state_bits);
+        PathGroup {
+            reg: vec![0; specs.len()],
             // A zero-width register is inert: the mask pins it to
             // zero, matching the scalar push's width-0 no-op.
-            group.reg_mask.push(wide_low_mask(spec.plan.history_bits));
-            group.bpt.push(u64::from(bits_per_target));
-            group.bpt_mask.push(wide_low_mask(bits_per_target));
-            group.row_mask.push(wide_low_mask(read.row_bits));
-            group.col_shift.push(u64::from(read.col_bits));
-            group.col_mask.push(wide_low_mask(read.col_bits));
+            reg_mask: per_lane(specs, |p| wide_low_mask(p.history_bits)),
+            bpt: per_lane(specs, |p| u64::from(bits_per_target(p))),
+            bpt_mask: per_lane(specs, |p| wide_low_mask(bits_per_target(p))),
+            row_mask: per_lane(specs, |p| wide_low_mask(p.reads[0].row_bits)),
+            col_shift: per_lane(specs, |p| u64::from(p.reads[0].col_bits)),
+            col_mask: per_lane(specs, |p| wide_low_mask(p.reads[0].col_bits)),
+            base,
+            arena,
         }
-        group
     }
+}
 
+impl GroupKernel for PathGroup {
     /// Walks the per-record event column (`(dest_word << 1) |
     /// is_conditional`) with a cursor into the dense conditional
     /// stream: conditionals read-modify-write their counter before
     /// the register shifts in their destination; every record shifts.
-    fn replay(&mut self, stream: &[u64], events: &[u64], seen: u64, warmup: u64) {
-        for lane in 0..self.indices.len() {
-            let reg_mask = self.reg_mask[lane];
-            let bpt = self.bpt[lane];
-            let bpt_mask = self.bpt_mask[lane];
-            let row_mask = self.row_mask[lane];
-            let col_shift = self.col_shift[lane];
-            let col_mask = self.col_mask[lane];
-            let base = self.base[lane];
-            let mut reg = self.reg[lane];
-            let (mut conflicts, mut wrong) = (0u64, 0u64);
-            let arena = self.arena.as_mut_slice();
-            let mask = arena.len() - 1;
-            let mut ci = 0usize;
-            for &event in events {
-                if event & 1 == 1 {
-                    let packed = stream[ci];
-                    let scored = (seen + ci as u64 >= warmup) as u64;
-                    ci += 1;
-                    let taken = packed & 1;
-                    let word = packed >> 3;
-                    let tag = (packed >> 1) & cell::EMPTY_OWNER;
-                    let idx = ((reg & row_mask) << col_shift) | (word & col_mask);
-                    let slot = ((base | idx) as usize) & mask;
-                    let cell_word = arena[slot];
-                    let owner = cell_word >> 2;
-                    let bits = cell_word & 0b11;
-                    conflicts += ((owner != cell::EMPTY_OWNER) & (owner != tag)) as u64;
-                    wrong += scored & ((bits >= 2) as u64 ^ taken);
-                    let inc = ((bits < 3) as u64) & taken;
-                    let dec = ((bits > 0) as u64) & (1 - taken);
-                    arena[slot] = (tag << 2) | (bits + inc - dec);
-                }
-                reg = ((reg << bpt) | ((event >> 1) & bpt_mask)) & reg_mask;
+    #[inline(never)]
+    fn replay_lane(
+        &mut self,
+        lane: usize,
+        input: &ChunkInputs,
+        seen: u64,
+        warmup: u64,
+    ) -> LaneCounts {
+        let (stream, events) = (&input.conditionals[..], &input.events[..]);
+        let reg_mask = self.reg_mask[lane];
+        let bpt = self.bpt[lane];
+        let bpt_mask = self.bpt_mask[lane];
+        let row_mask = self.row_mask[lane];
+        let col_shift = self.col_shift[lane];
+        let col_mask = self.col_mask[lane];
+        let base = self.base[lane];
+        let mut reg = self.reg[lane];
+        let (mut conflicts, mut wrong) = (0u64, 0u64);
+        let arena = self.arena.as_mut_slice();
+        let mask = arena.len() - 1;
+        let mut ci = 0usize;
+        for &event in events {
+            if event & 1 == 1 {
+                let packed = stream[ci];
+                let scored = (seen + ci as u64 >= warmup) as u64;
+                ci += 1;
+                let taken = packed & 1;
+                let word = packed >> 3;
+                let tag = (packed >> 1) & cell::EMPTY_OWNER;
+                let idx = ((reg & row_mask) << col_shift) | (word & col_mask);
+                let slot = ((base | idx) as usize) & mask;
+                let cell_word = arena[slot];
+                let owner = cell_word >> 2;
+                let bits = cell_word & 0b11;
+                conflicts += ((owner != cell::EMPTY_OWNER) & (owner != tag)) as u64;
+                wrong += scored & ((bits >= 2) as u64 ^ taken);
+                let inc = ((bits < 3) as u64) & taken;
+                let dec = ((bits > 0) as u64) & (1 - taken);
+                arena[slot] = (tag << 2) | (bits + inc - dec);
             }
-            debug_assert_eq!(ci, stream.len());
-            self.reg[lane] = reg;
-            self.conflicts[lane] += conflicts;
-            self.mispredictions[lane] += wrong;
+            reg = ((reg << bpt) | ((event >> 1) & bpt_mask)) & reg_mask;
         }
-    }
-
-    fn finish(self, seen: u64, scored: u64, results: &mut [Option<SimResult>]) {
-        for lane in 0..self.indices.len() {
-            results[self.indices[lane]] = Some(SimResult {
-                predictor: self.names[lane].clone(),
-                state_bits: self.state_bits[lane],
-                conditionals: scored,
-                mispredictions: self.mispredictions[lane],
-                alias: Some(AliasStats {
-                    accesses: seen,
-                    conflicts: self.conflicts[lane],
-                    harmless_conflicts: 0,
-                }),
-                bht: None,
-            });
-        }
+        debug_assert_eq!(ci, stream.len());
+        self.reg[lane] = reg;
+        (conflicts, 0, wrong)
     }
 }
 
@@ -2134,40 +1769,27 @@ impl PathGroup {
 /// serializes the walk.
 #[derive(Debug)]
 struct LastTimeGroup {
-    indices: Vec<usize>,
-    names: Vec<String>,
-    state_bits: Vec<u64>,
     addr_mask: Vec<u64>,
     /// Per-lane last-outcome table, one byte per entry (0 =
     /// not-taken, the initial state, 1 = taken).
     table: Vec<Vec<u8>>,
-    mispredictions: Vec<u64>,
 }
 
 impl LastTimeGroup {
-    fn new(specs: Vec<PlanSpec>) -> Self {
-        debug_assert!(!specs.is_empty() && specs.len() <= cell::PACKED_LANES);
-        let lanes = specs.len();
-        let mut group = LastTimeGroup {
-            indices: Vec::with_capacity(lanes),
-            names: Vec::with_capacity(lanes),
-            state_bits: Vec::with_capacity(lanes),
-            addr_mask: Vec::with_capacity(lanes),
-            table: Vec::with_capacity(lanes),
-            mispredictions: vec![0; lanes],
-        };
-        for spec in specs {
-            let read = spec.plan.reads[0];
-            group.indices.push(spec.index);
-            group.names.push(spec.name);
-            group.state_bits.push(spec.state_bits);
-            group.addr_mask.push(wide_low_mask(read.col_bits));
-            group.table.push(vec![0u8; read.cells() as usize]);
+    fn new(specs: &[PlanSpec]) -> Self {
+        LastTimeGroup {
+            addr_mask: per_lane(specs, |p| wide_low_mask(p.reads[0].col_bits)),
+            table: specs
+                .iter()
+                .map(|s| vec![0u8; s.plan.reads[0].cells() as usize])
+                .collect(),
         }
-        group
     }
+}
 
-    fn replay(&mut self, stream: &[u64], seen: u64, warmup: u64) {
+impl GroupKernel for LastTimeGroup {
+    fn replay(&mut self, lanes: &mut [LaneTally], input: &ChunkInputs, seen: u64, warmup: u64) {
+        let stream = &input.conditionals[..];
         // Split the chunk at the warmup boundary once instead of
         // testing `seen >= warmup` per record: warmup records update
         // the table without scoring, scored records pay one load +
@@ -2177,7 +1799,7 @@ impl LastTimeGroup {
         let boundary = warmup.saturating_sub(seen).min(stream.len() as u64) as usize;
         let (unscored, rest) = stream.split_at(boundary);
         let mut lane = 0;
-        while lane + 8 <= self.indices.len() {
+        while lane + 8 <= lanes.len() {
             let masks: [u64; 8] = std::array::from_fn(|k| self.addr_mask[lane + k]);
             let mut wrong = [0u64; 8];
             if let [t0, t1, t2, t3, t4, t5, t6, t7] = &mut self.table[lane..lane + 8] {
@@ -2209,11 +1831,11 @@ impl LastTimeGroup {
                 }
             }
             for (k, wrong) in wrong.into_iter().enumerate() {
-                self.mispredictions[lane + k] += wrong;
+                lanes[lane + k].mispredictions += wrong;
             }
             lane += 8;
         }
-        while lane + 4 <= self.indices.len() {
+        while lane + 4 <= lanes.len() {
             let [m0, m1, m2, m3] = [
                 self.addr_mask[lane],
                 self.addr_mask[lane + 1],
@@ -2259,38 +1881,46 @@ impl LastTimeGroup {
                 }
             }
             for (k, wrong) in wrong.into_iter().enumerate() {
-                self.mispredictions[lane + k] += wrong;
+                lanes[lane + k].mispredictions += wrong;
             }
             lane += 4;
         }
-        for lane in lane..self.indices.len() {
-            let addr_mask = self.addr_mask[lane];
-            let table = &mut self.table[lane][..=(addr_mask as usize)];
-            let mut wrong = 0u64;
-            for &packed in unscored {
-                table[((packed >> 3) & addr_mask) as usize] = (packed & 1) as u8;
-            }
-            for &packed in rest {
-                let taken = (packed & 1) as u8;
-                let idx = ((packed >> 3) & addr_mask) as usize;
-                wrong += (table[idx] ^ taken) as u64;
-                table[idx] = taken;
-            }
-            self.mispredictions[lane] += wrong;
+        for (lane, tally) in lanes.iter_mut().enumerate().skip(lane) {
+            tally.add(self.replay_lane(lane, input, seen, warmup));
         }
     }
 
-    fn finish(self, scored: u64, results: &mut [Option<SimResult>]) {
-        for lane in 0..self.indices.len() {
-            results[self.indices[lane]] = Some(SimResult {
-                predictor: self.names[lane].clone(),
-                state_bits: self.state_bits[lane],
-                conditionals: scored,
-                mispredictions: self.mispredictions[lane],
-                alias: None,
-                bht: None,
-            });
+    /// One lane alone: the tail of [`replay`](GroupKernel::replay)'s
+    /// octets and quads.
+    #[inline(never)]
+    fn replay_lane(
+        &mut self,
+        lane: usize,
+        input: &ChunkInputs,
+        seen: u64,
+        warmup: u64,
+    ) -> LaneCounts {
+        let stream = &input.conditionals[..];
+        let boundary = warmup.saturating_sub(seen).min(stream.len() as u64) as usize;
+        let (unscored, rest) = stream.split_at(boundary);
+        let addr_mask = self.addr_mask[lane];
+        let table = &mut self.table[lane][..=(addr_mask as usize)];
+        let mut wrong = 0u64;
+        for &packed in unscored {
+            table[((packed >> 3) & addr_mask) as usize] = (packed & 1) as u8;
         }
+        for &packed in rest {
+            let taken = (packed & 1) as u8;
+            let idx = ((packed >> 3) & addr_mask) as usize;
+            wrong += (table[idx] ^ taken) as u64;
+            table[idx] = taken;
+        }
+        (0, 0, wrong)
+    }
+
+    /// A one-bit table has no owner tags to account.
+    fn accesses_per_conditional(&self) -> Option<u64> {
+        None
     }
 }
 
@@ -2332,40 +1962,10 @@ pub struct LaneSet {
     seen: u64,
     /// Conditionals scored so far (past the warmup prefix).
     scored: u64,
-    groups: Vec<GlobalGroup>,
-    pas_groups: Vec<TwoLevelGroup<PerfectRows>>,
-    finite_groups: Vec<TwoLevelGroup<FiniteRows>>,
-    sas_groups: Vec<TwoLevelGroup<SetRows>>,
-    agree_groups: Vec<AgreeGroup>,
-    bimode_groups: Vec<BiModeGroup>,
-    gskew_groups: Vec<GskewGroup>,
-    tournament_groups: Vec<TournamentGroup>,
-    yags_groups: Vec<TaggedGroup>,
-    path_groups: Vec<PathGroup>,
-    last_groups: Vec<LastTimeGroup>,
+    groups: Vec<Group>,
     statics: Vec<StaticUnit>,
     scalars: Vec<(usize, Lane)>,
-    /// Per-chunk scratch: the dense conditional stream shared by every
-    /// lane group (`(pc << 1) | taken`, non-conditionals dropped).
-    conditionals: Vec<u64>,
-    /// Per-chunk scratch for path lanes: one element per record,
-    /// `(dest_word << 1) | is_conditional` — the resolved destination
-    /// word every control transfer shifts into a path register.
-    events: Vec<u64>,
-    /// Persistent dense branch ids (first-appearance order), shared by
-    /// the perfect-BHT row source and the agree bias column.
-    id_map: HashMap<u64, u32>,
-    /// Per-chunk scratch: `conditionals[i]`'s dense id.
-    ids: Vec<u32>,
-    /// Shared agree bias latch per dense id: 0 unset (reads as taken,
-    /// the scalar default), 1 latched taken, 2 latched not-taken.
-    bias: Vec<u8>,
-    /// Per-chunk scratch: pre-latch (bit 0) / post-latch (bit 1)
-    /// bias-is-taken flags per conditional.
-    bias_bits: Vec<u8>,
-    needs_ids: bool,
-    needs_bias: bool,
-    needs_events: bool,
+    inputs: ChunkInputs,
 }
 
 impl LaneSet {
@@ -2374,18 +1974,8 @@ impl LaneSet {
     /// `simulator`'s warmup policy, shared by every tier.
     pub fn new(configs: &[PredictorConfig], simulator: Simulator) -> Self {
         let force_scalar = force_scalar();
-        let step = group_step();
-        let mut specs: Vec<GroupSpec> = Vec::new();
-        let mut pas_specs: Vec<PlanSpec> = Vec::new();
-        let mut finite_specs: Vec<PlanSpec> = Vec::new();
-        let mut sas_specs: Vec<PlanSpec> = Vec::new();
-        let mut agree_specs: Vec<PlanSpec> = Vec::new();
-        let mut bimode_specs: Vec<PlanSpec> = Vec::new();
-        let mut gskew_specs: Vec<PlanSpec> = Vec::new();
-        let mut tournament_specs: Vec<PlanSpec> = Vec::new();
-        let mut yags_specs: Vec<PlanSpec> = Vec::new();
-        let mut path_specs: Vec<PlanSpec> = Vec::new();
-        let mut last_specs: Vec<PlanSpec> = Vec::new();
+        // Plan specs bucketed by kind, in first-appearance order.
+        let mut buckets: Vec<(PlanKind, Vec<PlanSpec>)> = Vec::new();
         let mut statics = Vec::new();
         let mut scalars = Vec::new();
         for (index, config) in configs.iter().enumerate() {
@@ -2409,149 +1999,51 @@ impl LaneSet {
             } else {
                 WalkPlan::of(config)
             };
-            match plan {
-                Some(plan) => {
-                    // Name and state cost come from the kernel itself
-                    // — the single source of the describe() rules —
-                    // captured once at build and the kernel dropped.
-                    let kernel = config.kernel();
-                    let (name, state_bits) = (kernel.name(), kernel.state_bits());
-                    if plan.kind() == PlanKind::Direct {
-                        let read = plan.reads[0];
-                        specs.push(GroupSpec {
-                            index,
-                            name,
-                            state_bits,
-                            row_bits: read.row_bits,
-                            col_bits: read.col_bits,
-                            xor: matches!(read.index, IndexFn::Unified { xor: true }),
-                            history: plan.level1 == Level1Read::GlobalHistory,
-                        });
-                    } else {
-                        let bucket = match plan.kind() {
-                            PlanKind::PerAddressPerfect => &mut pas_specs,
-                            PlanKind::PerAddressFinite => &mut finite_specs,
-                            PlanKind::PerSet => &mut sas_specs,
-                            PlanKind::AgreeBias => &mut agree_specs,
-                            PlanKind::BiModeChoice => &mut bimode_specs,
-                            PlanKind::SkewedMajority => &mut gskew_specs,
-                            PlanKind::TournamentChooser => &mut tournament_specs,
-                            PlanKind::TaggedChoice => &mut yags_specs,
-                            PlanKind::PathHistory => &mut path_specs,
-                            PlanKind::LastOutcome => &mut last_specs,
-                            PlanKind::Direct => unreachable!(),
-                        };
-                        bucket.push(PlanSpec {
-                            index,
-                            name,
-                            state_bits,
-                            plan,
-                        });
-                    }
-                }
-                None => scalars.push((index, ReplayCore::from_config(config, simulator))),
+            let Some(plan) = plan else {
+                scalars.push((index, ReplayCore::from_config(config, simulator)));
+                continue;
+            };
+            // Name and state cost come from the kernel itself — the
+            // single source of the describe() rules — captured once
+            // at build and the kernel dropped.
+            let kernel = config.kernel();
+            let spec = PlanSpec {
+                index,
+                name: kernel.name(),
+                state_bits: kernel.state_bits(),
+                plan,
+            };
+            let kind = spec.plan.kind();
+            match buckets.iter_mut().find(|(k, _)| *k == kind) {
+                Some((_, specs)) => specs.push(spec),
+                None => buckets.push((kind, vec![spec])),
             }
         }
-        let prefetch = group_prefetch();
-        // Row-blocked lane order (see `row_block_plans`): sort every
-        // bucket by descending footprint before the group split so
-        // iteration order matches arena placement order. The Direct
-        // specs get the same treatment with `GlobalGroup::new`'s own
-        // sort key, making its internal re-sort a no-op.
-        specs.sort_by(|a, b| b.cells().cmp(&a.cells()).then(a.index.cmp(&b.index)));
-        row_block_plans(&mut pas_specs);
-        row_block_plans(&mut finite_specs);
-        row_block_plans(&mut sas_specs);
-        row_block_plans(&mut agree_specs);
-        row_block_plans(&mut bimode_specs);
-        row_block_plans(&mut gskew_specs);
-        row_block_plans(&mut tournament_specs);
-        row_block_plans(&mut yags_specs);
-        row_block_plans(&mut path_specs);
-        row_block_plans(&mut last_specs);
-        let groups = split_at_lane_limit(specs)
-            .into_iter()
-            .map(|chunk| GlobalGroup::new(chunk, step, prefetch))
-            .collect();
-        let pas_groups: Vec<_> = split_at_lane_limit(pas_specs)
-            .into_iter()
-            .map(|chunk| {
-                let rows = PerfectRows::new(&chunk);
-                TwoLevelGroup::new(chunk, rows)
-            })
-            .collect();
-        let finite_groups = split_at_lane_limit(finite_specs)
-            .into_iter()
-            .map(|chunk| {
-                let rows = FiniteRows::new(&chunk);
-                TwoLevelGroup::new(chunk, rows)
-            })
-            .collect();
-        let sas_groups = split_at_lane_limit(sas_specs)
-            .into_iter()
-            .map(|chunk| {
-                let rows = SetRows::new(&chunk);
-                TwoLevelGroup::new(chunk, rows)
-            })
-            .collect();
-        let agree_groups: Vec<_> = split_at_lane_limit(agree_specs)
-            .into_iter()
-            .map(AgreeGroup::new)
-            .collect();
-        let bimode_groups = split_at_lane_limit(bimode_specs)
-            .into_iter()
-            .map(BiModeGroup::new)
-            .collect();
-        let gskew_groups = split_at_lane_limit(gskew_specs)
-            .into_iter()
-            .map(GskewGroup::new)
-            .collect();
-        let tournament_groups = split_at_lane_limit(tournament_specs)
-            .into_iter()
-            .map(TournamentGroup::new)
-            .collect();
-        let yags_groups = split_at_lane_limit(yags_specs)
-            .into_iter()
-            .map(TaggedGroup::new)
-            .collect();
-        let path_groups: Vec<_> = split_at_lane_limit(path_specs)
-            .into_iter()
-            .map(PathGroup::new)
-            .collect();
-        let last_groups = split_at_lane_limit(last_specs)
-            .into_iter()
-            .map(LastTimeGroup::new)
-            .collect();
-        let needs_ids = !pas_groups.is_empty() || !agree_groups.is_empty();
-        let needs_bias = !agree_groups.is_empty();
-        let needs_events = !path_groups.is_empty();
+        let has = |kind| buckets.iter().any(|(k, _)| *k == kind);
+        let inputs = ChunkInputs {
+            needs_ids: has(PlanKind::PerAddressPerfect) || has(PlanKind::AgreeBias),
+            needs_bias: has(PlanKind::AgreeBias),
+            needs_events: has(PlanKind::PathHistory),
+            ..ChunkInputs::default()
+        };
+        let mut groups = Vec::new();
+        for (kind, mut specs) in buckets {
+            row_block_plans(&mut specs);
+            groups.extend(
+                split_at_lane_limit(specs)
+                    .into_iter()
+                    .map(|chunk| Group::new(kind, chunk)),
+            );
+        }
         LaneSet {
             len: configs.len(),
             warmup: simulator.warmup() as u64,
             seen: 0,
             scored: 0,
             groups,
-            pas_groups,
-            finite_groups,
-            sas_groups,
-            agree_groups,
-            bimode_groups,
-            gskew_groups,
-            tournament_groups,
-            yags_groups,
-            path_groups,
-            last_groups,
             statics,
             scalars,
-            conditionals: Vec::new(),
-            events: Vec::new(),
-            id_map: HashMap::new(),
-            ids: Vec::new(),
-            bias: Vec::new(),
-            bias_bits: Vec::new(),
-            needs_ids,
-            needs_bias,
-            needs_events,
+            inputs,
         }
     }
 
@@ -2574,30 +2066,19 @@ impl LaneSet {
     /// [`LANE_TIER_LABELS`] — the raw material of the
     /// `bpred_replay_group_lanes{plan=...}` gauge.
     pub fn lane_tier_counts(&self) -> [u64; LANE_TIER_LABELS.len()] {
-        fn lanes_of<T>(groups: &[T], len: impl Fn(&T) -> usize) -> u64 {
-            groups.iter().map(len).sum::<usize>() as u64
+        let mut counts = [0u64; LANE_TIER_LABELS.len()];
+        for group in &self.groups {
+            counts[group.tier] += group.lanes.len() as u64;
         }
-        [
-            lanes_of(&self.groups, |g| g.indices.len()),
-            lanes_of(&self.pas_groups, |g| g.indices.len()),
-            lanes_of(&self.finite_groups, |g| g.indices.len()),
-            lanes_of(&self.sas_groups, |g| g.indices.len()),
-            lanes_of(&self.agree_groups, |g| g.indices.len()),
-            lanes_of(&self.bimode_groups, |g| g.indices.len()),
-            lanes_of(&self.gskew_groups, |g| g.indices.len()),
-            lanes_of(&self.tournament_groups, |g| g.indices.len()),
-            lanes_of(&self.yags_groups, |g| g.indices.len()),
-            lanes_of(&self.path_groups, |g| g.indices.len()),
-            lanes_of(&self.last_groups, |g| g.indices.len()),
-            self.statics.len() as u64,
-            self.scalars.len() as u64,
-        ]
+        counts[tier_slot("static")] = self.statics.len() as u64;
+        counts[tier_slot("scalar")] = self.scalars.len() as u64;
+        counts
     }
 
-    /// Number of single-read groups whose footprint gate resolved the
-    /// two-phase prefetch form on (see `BPRED_GROUP_PREFETCH`).
+    /// Number of groups whose arena footprint turned the two-phase
+    /// prefetch form on (see [`PREFETCH_SPILL_BYTES`]).
     pub fn prefetch_groups(&self) -> usize {
-        self.groups.iter().filter(|g| g.prefetch).count()
+        self.groups.iter().filter(|g| g.kernel.prefetches()).count()
     }
 
     /// Feeds one chunk through every lane. Chunks must arrive in
@@ -2605,103 +2086,12 @@ impl LaneSet {
     /// [`ReplayCore::feed`] over the same records.
     pub fn replay_chunk(&mut self, chunk: &TraceChunk) {
         let (conditionals, taken) = conditional_counts(chunk);
-        let any_groups = !self.groups.is_empty()
-            || !self.pas_groups.is_empty()
-            || !self.finite_groups.is_empty()
-            || !self.sas_groups.is_empty()
-            || !self.agree_groups.is_empty()
-            || !self.bimode_groups.is_empty()
-            || !self.gskew_groups.is_empty()
-            || !self.tournament_groups.is_empty()
-            || !self.yags_groups.is_empty()
-            || !self.path_groups.is_empty()
-            || !self.last_groups.is_empty();
-        if any_groups {
-            collect_conditionals(chunk, &mut self.conditionals);
-            if self.needs_events {
-                // Path lanes shift on every record: build the shared
-                // per-record event column once — the destination a
-                // path register would hash (conditionals resolve to
-                // target or fall-through by outcome, everything else
-                // to its target) plus the is-conditional flag.
-                self.events.clear();
-                let pcs = chunk.pcs();
-                let targets = chunk.targets();
-                let words = chunk.meta_words();
-                for i in 0..pcs.len() {
-                    let bits = (words[i / TraceChunk::META_RECORDS_PER_WORD]
-                        >> (TraceChunk::META_BITS_PER_RECORD
-                            * (i % TraceChunk::META_RECORDS_PER_WORD)))
-                        & 0xF;
-                    let cond = (bits & 0b1110 == 0) as u64;
-                    let fallthrough = cond & (1 - (bits & 1));
-                    let dest = if fallthrough == 1 {
-                        pcs[i].wrapping_add(4)
-                    } else {
-                        targets[i]
-                    };
-                    self.events.push(((dest >> 2) << 1) | cond);
-                }
-            }
-            if self.needs_ids {
-                // One shared pre-pass: dense ids in first-appearance
-                // order (serving the perfect-BHT allocation and the
-                // agree bias store) and, when agree lanes exist, the
-                // record-major bias latch column.
-                self.ids.clear();
-                self.bias_bits.clear();
-                for &packed in &self.conditionals {
-                    let pc = packed >> 1;
-                    let next = self.id_map.len() as u32;
-                    let id = *self.id_map.entry(pc).or_insert(next);
-                    self.ids.push(id);
-                    if self.needs_bias {
-                        let taken = (packed & 1) as u8;
-                        if id as usize == self.bias.len() {
-                            self.bias.push(0);
-                        }
-                        let b = &mut self.bias[id as usize];
-                        let pre = (*b != 2) as u8;
-                        if *b == 0 {
-                            *b = 2 - taken;
-                        }
-                        let post = (*b != 2) as u8;
-                        self.bias_bits.push(pre | (post << 1));
-                    }
-                }
-            }
+        if !self.groups.is_empty() {
+            self.inputs.decode(chunk);
             for group in &mut self.groups {
-                group.replay_conditionals(&self.conditionals, self.seen, self.warmup);
-            }
-            for group in &mut self.pas_groups {
-                group.replay(&self.conditionals, &self.ids, self.seen, self.warmup);
-            }
-            for group in &mut self.finite_groups {
-                group.replay(&self.conditionals, &self.ids, self.seen, self.warmup);
-            }
-            for group in &mut self.sas_groups {
-                group.replay(&self.conditionals, &self.ids, self.seen, self.warmup);
-            }
-            for group in &mut self.agree_groups {
-                group.replay(&self.conditionals, &self.bias_bits, self.seen, self.warmup);
-            }
-            for group in &mut self.bimode_groups {
-                group.replay(&self.conditionals, self.seen, self.warmup);
-            }
-            for group in &mut self.gskew_groups {
-                group.replay(&self.conditionals, self.seen, self.warmup);
-            }
-            for group in &mut self.tournament_groups {
-                group.replay(&self.conditionals, self.seen, self.warmup);
-            }
-            for group in &mut self.yags_groups {
-                group.replay(&self.conditionals, self.seen, self.warmup);
-            }
-            for group in &mut self.path_groups {
-                group.replay(&self.conditionals, &self.events, self.seen, self.warmup);
-            }
-            for group in &mut self.last_groups {
-                group.replay(&self.conditionals, self.seen, self.warmup);
+                group
+                    .kernel
+                    .replay(&mut group.lanes, &self.inputs, self.seen, self.warmup);
             }
         }
         for unit in &mut self.statics {
@@ -2719,39 +2109,9 @@ impl LaneSet {
     /// order.
     pub fn finish(self) -> Vec<SimResult> {
         let mut results: Vec<Option<SimResult>> = (0..self.len).map(|_| None).collect();
-        let distinct = self.id_map.len() as u64;
+        let distinct = self.inputs.id_map.len() as u64;
         for group in self.groups {
-            group.finish(self.seen, self.scored, &mut results);
-        }
-        for group in self.pas_groups {
             group.finish(self.seen, self.scored, distinct, &mut results);
-        }
-        for group in self.finite_groups {
-            group.finish(self.seen, self.scored, distinct, &mut results);
-        }
-        for group in self.sas_groups {
-            group.finish(self.seen, self.scored, distinct, &mut results);
-        }
-        for group in self.agree_groups {
-            group.finish(self.seen, self.scored, distinct, &mut results);
-        }
-        for group in self.bimode_groups {
-            group.finish(self.seen, self.scored, &mut results);
-        }
-        for group in self.gskew_groups {
-            group.finish(self.seen, self.scored, &mut results);
-        }
-        for group in self.tournament_groups {
-            group.finish(self.seen, self.scored, &mut results);
-        }
-        for group in self.yags_groups {
-            group.finish(self.seen, self.scored, &mut results);
-        }
-        for group in self.path_groups {
-            group.finish(self.seen, self.scored, &mut results);
-        }
-        for group in self.last_groups {
-            group.finish(self.scored, &mut results);
         }
         for unit in self.statics {
             let slot = unit.index;
@@ -2850,6 +2210,15 @@ mod tests {
         }
     }
 
+    /// Fused groups of `lanes` on the tier labelled `label`.
+    fn groups_on(lanes: &LaneSet, label: &str) -> usize {
+        lanes
+            .groups
+            .iter()
+            .filter(|g| g.tier == tier_slot(label))
+            .count()
+    }
+
     #[test]
     fn grouped_tiers_match_serial_replay() {
         assert_matches_serial(&grouped_configs(), &trace(3_000), Simulator::new());
@@ -2896,14 +2265,17 @@ mod tests {
     }
 
     #[test]
-    fn zero_bit_gskew_banks_stay_on_the_scalar_tier() {
-        // The one remaining plan-less shape: a zero-bit gskew bank
-        // would need a 64-bit shift in the skew hash, so it keeps the
-        // scalar fallback alive (bucket-level check only — the scalar
-        // oracle itself rejects the degenerate shift in debug builds).
+    fn zero_bit_gskew_banks_match_the_scalar_oracle() {
+        // A zero-bit bank (explicit, or defaulted from h=0) indexes
+        // its single counter at 0 in both kernels; it groups like any
+        // other gskew lane.
         let configs = vec![
             PredictorConfig::Gskew {
                 history_bits: 4,
+                bank_bits: 0,
+            },
+            PredictorConfig::Gskew {
+                history_bits: 0,
                 bank_bits: 0,
             },
             PredictorConfig::Gshare {
@@ -2912,7 +2284,10 @@ mod tests {
             },
         ];
         let lanes = LaneSet::new(&configs, Simulator::new());
-        assert_eq!(lanes.scalar_lanes(), if force_scalar() { 2 } else { 1 });
+        let fused = if force_scalar() { 0 } else { 3 };
+        assert_eq!(lanes.scalar_lanes(), configs.len() - fused);
+        assert_matches_serial(&configs, &trace(2_000), Simulator::new());
+        assert_matches_serial(&configs, &trace(2_000), Simulator::with_warmup(500));
     }
 
     #[test]
@@ -3056,18 +2431,33 @@ mod tests {
             // Every family must land on its plan group, not the
             // scalar fallback.
             assert_eq!(lanes.scalar_lanes(), 0);
-            assert_eq!(lanes.pas_groups.len(), 1);
-            assert_eq!(lanes.finite_groups.len(), 1);
-            assert_eq!(lanes.sas_groups.len(), 1);
-            assert_eq!(lanes.agree_groups.len(), 1);
-            assert_eq!(lanes.bimode_groups.len(), 1);
-            assert_eq!(lanes.gskew_groups.len(), 1);
-            assert_eq!(lanes.tournament_groups.len(), 1);
-            assert_eq!(lanes.yags_groups.len(), 1);
-            assert_eq!(lanes.path_groups.len(), 1);
-            assert_eq!(lanes.last_groups.len(), 1);
+            for label in &LANE_TIER_LABELS[1..11] {
+                assert_eq!(groups_on(&lanes, label), 1, "{label}");
+            }
+            assert_eq!(groups_on(&lanes, "direct"), 0);
         }
         assert_matches_serial(&configs, &trace(3_000), Simulator::new());
+    }
+
+    #[test]
+    fn every_plan_kind_splits_at_the_lane_limit() {
+        // 17 copies of two lanes per plan kind (eight Direct): every
+        // kind outgrows one group, and each splits into exactly as
+        // many groups as the lane limit requires.
+        let mut one_copy = plan_configs();
+        one_copy.extend(grouped_configs());
+        let configs: Vec<PredictorConfig> = (0..17).flat_map(|_| one_copy.clone()).collect();
+        let lanes = LaneSet::new(&configs, Simulator::new());
+        if !force_scalar() {
+            let counts = lanes.lane_tier_counts();
+            for label in &LANE_TIER_LABELS[..11] {
+                let count = counts[tier_slot(label)] as usize;
+                assert!(count > cell::PACKED_LANES, "{label}");
+                let want = count.div_ceil(cell::PACKED_LANES);
+                assert_eq!(groups_on(&lanes, label), want, "{label}");
+            }
+        }
+        assert_matches_serial(&configs, &trace(600), Simulator::with_warmup(100));
     }
 
     #[test]
@@ -3082,16 +2472,23 @@ mod tests {
     }
 
     #[test]
-    fn gskew_zero_bank_bits_stays_on_the_scalar_tier() {
-        // A zero-bit bank has no plan (the skew hash would shift by
-        // 64); it must classify to the scalar fallback, not a group.
-        let configs = vec![PredictorConfig::Gskew {
-            history_bits: 4,
-            bank_bits: 0,
-        }];
+    fn gskew_zero_bank_bits_rides_the_gskew_group() {
+        let configs = vec![
+            PredictorConfig::Gskew {
+                history_bits: 4,
+                bank_bits: 0,
+            },
+            PredictorConfig::Gskew {
+                history_bits: 6,
+                bank_bits: 3,
+            },
+        ];
         let lanes = LaneSet::new(&configs, Simulator::new());
-        assert_eq!(lanes.scalar_lanes(), 1);
-        assert!(lanes.gskew_groups.is_empty());
+        if !force_scalar() {
+            assert_eq!(lanes.scalar_lanes(), 0);
+            assert_eq!(groups_on(&lanes, "gskew"), 1);
+        }
+        assert_matches_serial(&configs, &trace(2_500), Simulator::new());
     }
 
     #[test]
@@ -3176,31 +2573,60 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_auto_gates_on_arena_footprint() {
-        let at = PREFETCH_SPILL_BYTES;
-        assert!(!PrefetchMode::Auto.resolve(at, at));
-        assert!(PrefetchMode::Auto.resolve(at + 1, at));
-        assert!(PrefetchMode::On.resolve(0, at));
-        assert!(!PrefetchMode::Off.resolve(u64::MAX, at));
+    fn prefetch_gates_on_arena_footprint() {
+        // One gshare lane of 2^19 cells fills exactly
+        // PREFETCH_SPILL_BYTES; one more history bit crosses it.
+        let lane = |history_bits| PredictorConfig::Gshare {
+            history_bits,
+            col_bits: 0,
+        };
+        let at = LaneSet::new(&[lane(19)], Simulator::new());
+        let past = LaneSet::new(&[lane(20)], Simulator::new());
+        assert_eq!(at.prefetch_groups(), 0);
+        assert_eq!(past.prefetch_groups(), usize::from(!force_scalar()));
     }
 
     #[test]
     fn prefetch_path_is_bit_identical() {
-        // Flip the prefetch flag directly (instead of racing the env
-        // var across test threads) and compare against the default
-        // fused path over the same chunk stream.
-        let configs = grouped_configs();
-        let t = trace(2_500);
-        let mut plain = LaneSet::new(&configs, Simulator::new());
-        let mut prefetched = LaneSet::new(&configs, Simulator::new());
-        for group in &mut prefetched.groups {
-            group.prefetch = true;
+        // Flip the prefetch flag on a second group built from the same
+        // specs and compare against the plain fused loop.
+        let specs = || -> Vec<PlanSpec> {
+            grouped_configs()
+                .iter()
+                .enumerate()
+                .filter_map(|(index, config)| {
+                    let plan = WalkPlan::of(config)?;
+                    (plan.kind() == PlanKind::Direct).then(|| PlanSpec {
+                        index,
+                        name: config.to_string(),
+                        state_bits: 0,
+                        plan,
+                    })
+                })
+                .collect()
+        };
+        let mut plain = Group::new(PlanKind::Direct, specs());
+        let mut prefetched = Group {
+            kernel: Box::new(GlobalGroup {
+                prefetch: true,
+                ..GlobalGroup::new(&specs())
+            }),
+            ..Group::new(PlanKind::Direct, specs())
+        };
+        let (mut input, mut seen, warmup) = (ChunkInputs::default(), 0, 300);
+        for chunk in trace(2_500).chunks(256) {
+            input.decode(&chunk);
+            for group in [&mut plain, &mut prefetched] {
+                group.kernel.replay(&mut group.lanes, &input, seen, warmup);
+            }
+            seen += input.conditionals.len() as u64;
         }
-        for chunk in t.chunks(256) {
-            plain.replay_chunk(&chunk);
-            prefetched.replay_chunk(&chunk);
-        }
-        assert_eq!(plain.finish(), prefetched.finish());
+        let finish = |group: Group| {
+            let mut results = vec![None; grouped_configs().len()];
+            group.finish(seen, seen - warmup, 0, &mut results);
+            results
+        };
+        assert_eq!(finish(plain), finish(prefetched));
     }
 
     #[test]

@@ -8,13 +8,10 @@
 //! one streaming pass per predictor shard instead of one full replay
 //! per configuration.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
 use bpred_core::PredictorConfig;
 use bpred_trace::{Trace, TraceSource};
 
-use crate::batch::{lock_ignoring_poison, run_batched, worker_count, DEFAULT_SHARD_SIZE};
+use crate::batch::{run_batched, DEFAULT_SHARD_SIZE};
 use crate::{ReplayCore, SimResult, Simulator};
 
 /// Simulates every configuration against `source` in parallel,
@@ -53,42 +50,6 @@ where
     S: TraceSource + Sync + ?Sized,
 {
     run_batched(configs, source, simulator, DEFAULT_SHARD_SIZE)
-}
-
-/// The pre-batching sweep implementation: one full trace replay per
-/// configuration, work-stolen across threads. Retained as the baseline
-/// the `sweeps` criterion bench compares [`run_configs`] against.
-pub fn run_configs_per_config(
-    configs: &[PredictorConfig],
-    trace: &Trace,
-    simulator: Simulator,
-) -> Vec<SimResult> {
-    if configs.is_empty() {
-        return Vec::new();
-    }
-    let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<Option<SimResult>>> = Mutex::new(vec![None; configs.len()]);
-
-    std::thread::scope(|scope| {
-        for _ in 0..worker_count(configs.len()) {
-            scope.spawn(|| loop {
-                let index = next.fetch_add(1, Ordering::Relaxed);
-                if index >= configs.len() {
-                    return;
-                }
-                let mut predictor = configs[index].build();
-                let result = simulator.run(&mut predictor, trace);
-                lock_ignoring_poison(&results)[index] = Some(result);
-            });
-        }
-    });
-
-    results
-        .into_inner()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-        .into_iter()
-        .map(|r| r.expect("every configuration simulated"))
-        .collect()
 }
 
 /// Simulates one configuration (convenience wrapper matching
@@ -154,7 +115,7 @@ mod tests {
     }
 
     #[test]
-    fn per_config_baseline_matches_batched() {
+    fn batched_matches_the_scalar_oracle_per_config() {
         let configs: Vec<PredictorConfig> = (2..8)
             .map(|n| PredictorConfig::Gshare {
                 history_bits: n,
@@ -162,16 +123,16 @@ mod tests {
             })
             .collect();
         let t = trace(1_500);
-        assert_eq!(
-            run_configs_per_config(&configs, &t, Simulator::new()),
-            run_configs(&configs, &t, Simulator::new())
-        );
+        let oracle: Vec<SimResult> = configs
+            .iter()
+            .map(|config| run_config(*config, &t, Simulator::new()))
+            .collect();
+        assert_eq!(oracle, run_configs(&configs, &t, Simulator::new()));
     }
 
     #[test]
     fn empty_config_list_is_empty_result() {
         assert!(run_configs(&[], &trace(10), Simulator::new()).is_empty());
-        assert!(run_configs_per_config(&[], &trace(10), Simulator::new()).is_empty());
     }
 
     #[test]

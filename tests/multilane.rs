@@ -11,15 +11,18 @@
 
 use proptest::prelude::*;
 
-use bpred::core::PredictorConfig;
-use bpred::sim::{replay_multilane, run_batched_chunked, LaneSet, SimResult, Simulator};
+use bpred::core::{cell, PredictorConfig};
+use bpred::sim::{
+    replay_multilane, run_batched_chunked, LaneSet, SimResult, Simulator, LANE_TIER_LABELS,
+};
 use bpred::trace::{BranchKind, BranchRecord, Outcome, Trace, TraceChunk};
 use bpred::workloads::suite;
 
 /// One configuration of every `PredictorConfig` variant: the three
 /// static schemes ride the record-parallel tier and every dynamic
 /// scheme — including the multi-structure tournament/YAGS/path/
-/// last-time plans — dispatches to a fused group.
+/// last-time plans and the zero-bit gskew banks — dispatches to a
+/// fused group.
 fn every_variant() -> Vec<PredictorConfig> {
     vec![
         PredictorConfig::AlwaysTaken,
@@ -72,6 +75,16 @@ fn every_variant() -> Vec<PredictorConfig> {
         PredictorConfig::Gskew {
             history_bits: 6,
             bank_bits: 7,
+        },
+        // Zero-bit banks, explicit and defaulted from `gskew:h=0`: one
+        // counter per bank, indexed at 0.
+        PredictorConfig::Gskew {
+            history_bits: 4,
+            bank_bits: 0,
+        },
+        PredictorConfig::Gskew {
+            history_bits: 0,
+            bank_bits: 0,
         },
         PredictorConfig::Yags {
             choice_bits: 7,
@@ -315,6 +328,107 @@ fn duplicate_plan_configurations_stay_independent() {
     assert_eq!(multilane[4], multilane[5]);
 }
 
+/// Builds lane `n` of one plan kind.
+type LaneOf = fn(u32) -> PredictorConfig;
+
+/// Lane `n` of each fused plan kind, keyed by its `LANE_TIER_LABELS`
+/// label; shapes vary with `n` (degenerate widths included).
+const PLAN_KIND_LANES: [(&str, LaneOf); 11] = [
+    ("direct", |n| match n % 3 {
+        0 => PredictorConfig::AddressIndexed { addr_bits: n % 9 },
+        1 => PredictorConfig::Gas {
+            history_bits: n % 7,
+            col_bits: n % 3,
+        },
+        _ => PredictorConfig::Gshare {
+            history_bits: n % 9,
+            col_bits: n % 3,
+        },
+    }),
+    ("pas-perfect", |n| PredictorConfig::PasInfinite {
+        history_bits: n % 6 + 1,
+        col_bits: n % 3,
+    }),
+    ("pas-finite", |n| PredictorConfig::PasFinite {
+        history_bits: n % 5 + 1,
+        col_bits: n % 3,
+        entries: 16 << (n % 3),
+        ways: 1 << (n % 3),
+    }),
+    ("per-set", |n| PredictorConfig::Sas {
+        history_bits: n % 5 + 1,
+        set_bits: n % 4,
+        col_bits: n % 3,
+    }),
+    ("agree", |n| PredictorConfig::Agree {
+        history_bits: n % 6,
+        index_bits: n % 6 + 3,
+    }),
+    ("bimode", |n| PredictorConfig::BiMode {
+        history_bits: n % 5,
+        direction_bits: n % 5 + 2,
+        choice_bits: n % 6,
+    }),
+    ("gskew", |n| PredictorConfig::Gskew {
+        history_bits: n % 10,
+        bank_bits: n % 8,
+    }),
+    ("tournament", |n| PredictorConfig::Tournament {
+        addr_bits: n % 6,
+        history_bits: n % 7,
+        chooser_bits: n % 5,
+    }),
+    ("yags", |n| PredictorConfig::Yags {
+        choice_bits: n % 7,
+        cache_bits: n % 6,
+        tag_bits: n % 8 + 1,
+    }),
+    ("path", |n| PredictorConfig::Path {
+        row_bits: n % 8,
+        col_bits: n % 3,
+        bits_per_target: n % 4 + 1,
+    }),
+    ("last-time", |n| PredictorConfig::LastTime {
+        addr_bits: n % 9,
+    }),
+];
+
+#[test]
+fn every_plan_kind_splits_cleanly_past_the_packed_lane_limit() {
+    // PACKED_LANES + 1 lanes of every plan kind force a second group
+    // per kind; lanes of all kinds are interleaved with each other and
+    // with statics, so every group's lanes are scattered across the
+    // configuration order.
+    let lanes_per_kind = cell::PACKED_LANES as u32 + 1;
+    let statics = [
+        PredictorConfig::AlwaysTaken,
+        PredictorConfig::AlwaysNotTaken,
+        PredictorConfig::Btfn,
+    ];
+    let mut configs = Vec::new();
+    for n in 0..lanes_per_kind {
+        configs.extend(PLAN_KIND_LANES.iter().map(|(_, lane)| lane(n)));
+        configs.push(statics[n as usize % 3]);
+    }
+    let trace = suite::sdet().scaled(2_500).trace(53);
+    let serial = serial_reference(&configs, &trace, Simulator::with_warmup(400));
+    let multilane = replay_multilane(&configs, &trace, Simulator::with_warmup(400));
+    assert_eq!(serial, multilane);
+
+    let counts = LaneSet::new(&configs, Simulator::new()).lane_tier_counts();
+    assert_eq!(counts.iter().sum::<u64>() as usize, configs.len());
+    let of = |label: &str| counts[LANE_TIER_LABELS.iter().position(|&l| l == label).unwrap()];
+    if std::env::var("BPRED_FORCE_SCALAR").is_ok_and(|v| !v.is_empty() && v != "0") {
+        assert_eq!(of("scalar") as usize, configs.len());
+    } else {
+        for (label, _) in PLAN_KIND_LANES {
+            assert_eq!(of(label), u64::from(lanes_per_kind), "{label}");
+        }
+        assert_eq!(of("static"), u64::from(lanes_per_kind));
+        assert_eq!(of("scalar"), 0);
+    }
+}
+
 /// A small pool of branch addresses so random traces still alias.
 fn arb_record() -> impl Strategy<Value = BranchRecord> {
     (
@@ -401,7 +515,7 @@ fn arb_config() -> impl Strategy<Value = PredictorConfig> {
                 choice_bits,
             }
         }),
-        (0u32..10, 1u32..8).prop_map(|(history_bits, bank_bits)| PredictorConfig::Gskew {
+        (0u32..10, 0u32..8).prop_map(|(history_bits, bank_bits)| PredictorConfig::Gskew {
             history_bits,
             bank_bits,
         }),
