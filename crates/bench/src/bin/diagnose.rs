@@ -51,7 +51,6 @@ fn main() -> ExitCode {
 
     let classes: HashMap<u64, &'static str> = model
         .branches()
-        .iter()
         .map(|b| (b.pc, class_of(&b.behavior)))
         .collect();
     let trace = model.scaled(branches).trace(seed);

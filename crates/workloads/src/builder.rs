@@ -264,7 +264,7 @@ mod tests {
     fn different_names_produce_different_programs() {
         let a = WorkloadBuilder::new("alpha").build();
         let b = WorkloadBuilder::new("beta").build();
-        assert_ne!(a.branches().first(), b.branches().first());
+        assert_ne!(a.branches().next(), b.branches().next());
     }
 
     #[test]

@@ -46,7 +46,7 @@ mod spec;
 pub mod suites;
 mod weights;
 
-pub use behavior::{BehaviorState, BranchBehavior};
+pub use behavior::BranchBehavior;
 pub use builder::WorkloadBuilder;
 pub use cfg::{Block, BlockId, CfgConfig, CfgProgram, Condition, Effect, Terminator};
 pub use layout::{TextLayout, TEXT_BASE};

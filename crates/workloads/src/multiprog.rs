@@ -157,8 +157,8 @@ mod tests {
     fn both_contexts_appear_in_their_segments() {
         let m = mix(500);
         let t = m.trace(1, 10_000);
-        let mpeg_pcs: HashSet<u64> = m.contexts()[0].branches().iter().map(|b| b.pc).collect();
-        let sdet_pcs: HashSet<u64> = m.contexts()[1].branches().iter().map(|b| b.pc).collect();
+        let mpeg_pcs: HashSet<u64> = m.contexts()[0].branches().map(|b| b.pc).collect();
+        let sdet_pcs: HashSet<u64> = m.contexts()[1].branches().map(|b| b.pc).collect();
         let mut saw = [false, false];
         for r in t.iter().filter(|r| r.is_conditional()) {
             let segment = (r.pc >> 28) as usize;

@@ -96,7 +96,7 @@ proptest! {
     fn all_emitted_pcs_belong_to_the_program(seed in any::<u64>()) {
         let model = suite::xlisp().scaled(1_000);
         let valid: std::collections::HashSet<u64> =
-            model.branches().iter().map(|b| b.pc).collect();
+            model.branches().map(|b| b.pc).collect();
         for r in model.trace(seed).iter().filter(|r| r.is_conditional()) {
             prop_assert!(valid.contains(&r.pc));
         }
