@@ -4,7 +4,8 @@
 //! branches of the IBS-calibrated `mpeg_play` workload, seed 2)
 //! through the chunked engine once per kernel family and once per
 //! dispatch mode, and writes the measured predict+update pairs per
-//! second — plus toolchain metadata — as JSON:
+//! second — plus toolchain metadata and the chunk-generation rates of
+//! `mpeg_play` and of the largest model, `real_gcc` — as JSON:
 //!
 //! ```text
 //! cargo run --release -p bpred-bench --bin bench_replay -- [out.json] [--quick]
@@ -238,6 +239,22 @@ fn measure(
     (best, results)
 }
 
+/// Best-of-`reps` records per second of generating `source` into
+/// default-length chunks, asserting every pass emits `records`.
+fn generation_rate(source: &WorkloadSource, records: usize, reps: usize) -> f64 {
+    let mut best = 0.0f64;
+    for _ in 0..reps {
+        let start = Instant::now();
+        let n: usize = source
+            .chunks(TraceChunk::DEFAULT_LEN)
+            .map(|c| c.len())
+            .sum();
+        assert_eq!(n, records);
+        best = best.max(records as f64 / start.elapsed().as_secs_f64());
+    }
+    best
+}
+
 fn json_escape(text: &str) -> String {
     text.replace('\\', "\\\\").replace('"', "\\\"")
 }
@@ -283,23 +300,18 @@ fn main() -> ExitCode {
 
     // Chunk generation alone: every sweep pays this once regardless
     // of tier, so it bounds the speedup any replay kernel can show
-    // (Amdahl) — reported so the decomposition can subtract it.
-    let gen_records_per_sec = {
-        let mut best = 0.0f64;
-        for _ in 0..reps {
-            let start = Instant::now();
-            let n: usize = source
-                .chunks(TraceChunk::DEFAULT_LEN)
-                .map(|c| c.len())
-                .sum();
-            assert_eq!(n, records);
-            best = best.max(records as f64 / start.elapsed().as_secs_f64());
-        }
-        best
-    };
+    // (Amdahl) — reported so the decomposition can subtract it. The
+    // sweep's own mpeg_play model, and real_gcc: the largest program
+    // (15,351 static branches) and the model behind the narrow sweeps
+    // where generation is half the time.
+    let gen_records_per_sec = generation_rate(&source, records, reps);
+    let real_gcc = WorkloadSource::new(suite::real_gcc().scaled(conditionals), 2);
+    let real_gcc_records = real_gcc.stream().count();
+    let gen_real_gcc_records_per_sec = generation_rate(&real_gcc, real_gcc_records, reps);
     eprintln!(
-        "chunk generation: {:.1} M records/s",
-        gen_records_per_sec / 1e6
+        "chunk generation: {:.1} M records/s (mpeg_play), {:.1} M records/s (real_gcc)",
+        gen_records_per_sec / 1e6,
+        gen_real_gcc_records_per_sec / 1e6
     );
 
     // (mode name, whether BPRED_FORCE_SCALAR is set)
@@ -471,6 +483,10 @@ fn main() -> ExitCode {
         json_escape(&std::env::var("BPRED_THREADS").unwrap_or_default())
     );
     let _ = writeln!(json, "  \"gen_records_per_sec\": {gen_records_per_sec:.0},");
+    let _ = writeln!(
+        json,
+        "  \"gen_real_gcc_records_per_sec\": {gen_real_gcc_records_per_sec:.0},"
+    );
     let _ = writeln!(json, "  \"scalar_pairs_per_sec\": {scalar:.0},");
     let _ = writeln!(json, "  \"multilane_pairs_per_sec\": {multilane:.0},");
     let _ = writeln!(json, "  \"speedup\": {speedup:.3},");
