@@ -21,22 +21,23 @@
 //!   only the per-kind [`GroupKernel`] — lane parameters, arena and
 //!   inner loop — differs. The chunk is decoded once into the shared
 //!   [`ChunkInputs`] (a dense `(pc, taken)` conditional stream, plus
-//!   dense branch ids, agree bias bits and path events when a group
-//!   reads them). The kernels: the single-read global-history family
-//!   (address-indexed, GAg/GAs, gshare) in [`GlobalGroup`]; PAg/PAs
-//!   (perfect or finite first level) and SAg/SAs, which add a
-//!   per-address/per-set history read in front of the same counter
-//!   step ([`TwoLevelGroup`]); the dealiased combine rules of agree,
-//!   bi-mode and gskew ([`AgreeGroup`], [`BiModeGroup`],
-//!   [`GskewGroup`]); tournament's chooser over two component reads
-//!   ([`TournamentGroup`]); YAGS's tagged exception caches over a
-//!   choice bias ([`TaggedGroup`]); path-based row selection fed by
-//!   every control transfer ([`PathGroup`]); and the one-bit LastTime
-//!   table ([`LastTimeGroup`]). Groups iterate lanes in *row-blocked*
-//!   order (descending region size, ties by configuration position —
-//!   the same order the arena placer assigns bases), so consecutive
-//!   lanes of a sweep walk adjacent arena regions and same-row reads
-//!   land in neighbouring cache lines.
+//!   dense branch ids, agree bias bits, path events and one width-free
+//!   first-level walk per per-address/per-set table geometry,
+//!   [`Level1Walk`], when a group reads them). The kernels: the
+//!   single-read global-history family (address-indexed, GAg/GAs,
+//!   gshare) in [`GlobalGroup`]; PAg/PAs (perfect or finite first
+//!   level) and SAg/SAs, which read their row off the shared walk in
+//!   front of the same counter step ([`TwoLevelGroup`]); the dealiased
+//!   combine rules of agree, bi-mode and gskew ([`AgreeGroup`],
+//!   [`BiModeGroup`], [`GskewGroup`]); tournament's chooser over two
+//!   component reads ([`TournamentGroup`]); YAGS's tagged exception
+//!   caches over a choice bias ([`TaggedGroup`]); path-based row
+//!   selection fed by every control transfer ([`PathGroup`]); and the
+//!   one-bit LastTime table ([`LastTimeGroup`]). Groups iterate lanes
+//!   in *row-blocked* order (descending region size, ties by
+//!   configuration position — the same order the arena placer assigns
+//!   bases), so consecutive lanes of a sweep walk adjacent arena
+//!   regions and same-row reads land in neighbouring cache lines.
 //! * **Scalar fallback** — under `BPRED_FORCE_SCALAR` every lane
 //!   replays through the hoisted [`ReplayCore`] dispatch instead. The
 //!   scalar kernel remains the oracle: multilane results are
@@ -57,9 +58,8 @@
 use std::collections::HashMap;
 
 use bpred_core::{
-    cell, reset_pattern, AliasStats, BhtStats, HistoryTable, IndexFn, Level1Read, PlanKind,
-    PredictorConfig, PredictorKernel, SetAssocBht, TableRead, TwoBitCounter, WalkPlan,
-    SKEW_BANK_MULTIPLIERS,
+    cell, reset_pattern, AliasStats, BhtStats, IndexFn, Level1Read, PlanKind, PredictorConfig,
+    PredictorKernel, TableRead, TwoBitCounter, WalkPlan, SKEW_BANK_MULTIPLIERS,
 };
 use bpred_trace::{Outcome, TraceChunk, TraceSource};
 
@@ -349,6 +349,9 @@ struct ChunkInputs {
     /// is_conditional` — the resolved destination word every control
     /// transfer shifts into a path register.
     events: Vec<u64>,
+    /// One first-level walk per distinct [`Level1Read`] the
+    /// per-address/per-set lanes use, in first-use order.
+    walks: Vec<Level1Walk>,
     needs_ids: bool,
     needs_bias: bool,
     needs_events: bool,
@@ -413,7 +416,148 @@ impl ChunkInputs {
                 }
             }
         }
+        for walk in &mut self.walks {
+            walk.walk(&self.conditionals, &self.ids, self.id_map.len());
+        }
     }
+
+    /// The slot of `read`'s walk in [`walks`](Self::walks), added on
+    /// first use.
+    fn walk_slot(&mut self, read: Level1Read) -> usize {
+        if let Some(slot) = self.walks.iter().position(|w| w.read == read) {
+            return slot;
+        }
+        self.needs_ids |= read == Level1Read::PerfectBht;
+        self.walks.push(Level1Walk::new(read));
+        self.walks.len() - 1
+    }
+}
+
+/// One first-level history entry as the walk tracks it: the last (up
+/// to 64) outcomes recorded since allocation and how many that is,
+/// saturating at 64. Finite-table ways add their tag and LRU stamp.
+#[derive(Debug, Clone, Copy)]
+struct WalkEntry {
+    /// `u64::MAX` marks a never-filled way (no tag reaches it).
+    tag: u64,
+    last_use: u64,
+    hist: u64,
+    age: u64,
+}
+
+impl WalkEntry {
+    const FRESH: WalkEntry = WalkEntry {
+        tag: u64::MAX,
+        last_use: 0,
+        hist: 0,
+        age: 0,
+    };
+
+    /// Parks `(H, k)` in a record's column slots, then shifts in its outcome.
+    #[inline]
+    fn step(&mut self, packed: u64, hist: &mut u64, age: &mut u8) {
+        (*hist, *age) = (self.hist, self.age as u8);
+        self.hist = (self.hist << 1) | (packed & 1);
+        self.age = (self.age + 1).min(64);
+    }
+}
+
+/// The width-free first-level walk of one [`Level1Read`] geometry,
+/// run once per chunk for every lane that reads it (DESIGN.md, "Shared
+/// first-level walks", argues the width independence). A `w`-bit entry
+/// allocated with [`reset_pattern`]`(w)` and fed `k` outcomes `H` holds
+/// `((reset_pattern(w) << k) | H) & mask(w)`, and finite-table hits and
+/// LRU victims depend on the pc order alone, so the walk emits `(H, k)`
+/// per conditional and each lane reads `reset_fill(w)[k] | (H &
+/// mask(w))`. Per-set registers start at zero, which is `k = 64`.
+#[derive(Debug)]
+struct Level1Walk {
+    read: Level1Read,
+    /// Per conditional of the chunk: its entry's `H` before the record.
+    hist: Vec<u64>,
+    /// Per conditional: its entry's `k` before the record.
+    age: Vec<u8>,
+    /// Finite-table misses so far (the scalar `BhtStats::misses`).
+    misses: u64,
+    /// Finite ways (set-major), perfect entries (by id) or set registers.
+    entries: Vec<WalkEntry>,
+    /// Finite-table LRU clock: one tick per access.
+    clock: u64,
+}
+
+impl Level1Walk {
+    fn new(read: Level1Read) -> Self {
+        // `PredictorConfig::kernel` has validated finite geometries.
+        let len = match read {
+            Level1Read::PerfectBht => 0,
+            Level1Read::SetAssocBht { entries, .. } => entries,
+            Level1Read::SetHistories { set_bits } => 1 << set_bits,
+            other => unreachable!("no per-address walk for {other:?}"),
+        };
+        Level1Walk {
+            read,
+            hist: Vec::new(),
+            age: Vec::new(),
+            misses: 0,
+            entries: vec![WalkEntry::FRESH; len],
+            clock: 0,
+        }
+    }
+
+    /// Walks one chunk's conditional stream into the columns (perfect
+    /// tables key by `ids`, its dense branch ids, `distinct` so far).
+    fn walk(&mut self, conditionals: &[u64], ids: &[u32], distinct: usize) {
+        self.hist.resize(conditionals.len(), 0);
+        // Per-set registers never reset, so their ages stay at 64.
+        self.age.resize(conditionals.len(), 64);
+        let columns = self.hist.iter_mut().zip(self.age.iter_mut());
+        match self.read {
+            Level1Read::PerfectBht => {
+                self.entries.resize(distinct, WalkEntry::FRESH);
+                for ((&packed, &id), (hist, age)) in conditionals.iter().zip(ids).zip(columns) {
+                    self.entries[id as usize].step(packed, hist, age);
+                }
+            }
+            Level1Read::SetHistories { set_bits } => {
+                let mask = wide_low_mask(set_bits);
+                for (&packed, (hist, _)) in conditionals.iter().zip(columns) {
+                    let entry = &mut self.entries[((packed >> 3) & mask) as usize];
+                    *hist = entry.hist;
+                    entry.hist = (entry.hist << 1) | (packed & 1);
+                }
+            }
+            Level1Read::SetAssocBht { entries, ways } => {
+                let sets = entries / ways;
+                for (&packed, (hist, age)) in conditionals.iter().zip(columns) {
+                    let word = packed >> 3;
+                    let tag = word >> sets.trailing_zeros();
+                    let start = (word as usize & (sets - 1)) * ways;
+                    let set = &mut self.entries[start..start + ways];
+                    self.clock += 1;
+                    let way = set.iter().position(|w| w.tag == tag).unwrap_or_else(|| {
+                        // Miss: the first least-recently-used way
+                        // restarts from the reset pattern.
+                        self.misses += 1;
+                        let victim = (0..ways).min_by_key(|&w| set[w].last_use).unwrap_or(0);
+                        set[victim] = WalkEntry::FRESH;
+                        set[victim].tag = tag;
+                        victim
+                    });
+                    set[way].last_use = self.clock;
+                    set[way].step(packed, hist, age);
+                }
+            }
+            other => unreachable!("no per-address walk for {other:?}"),
+        }
+    }
+}
+
+/// The reset part of a `width`-bit walked row, by the entry's age `k`:
+/// `(reset_pattern(width) << k) & mask(width)`, zero at `k = 64`.
+fn reset_fill(width: u32) -> [u64; 65] {
+    std::array::from_fn(|k| {
+        reset_pattern(width).checked_shl(k as u32).unwrap_or(0) & wide_low_mask(width)
+    })
 }
 
 /// The per-kind half of a fused lane group: lane parameters,
@@ -459,7 +603,7 @@ trait GroupKernel: std::fmt::Debug + Send {
 
     /// First-level access statistics, when the scheme reports them
     /// (`seen` is the shared conditional count).
-    fn bht_stats(&self, _lane: usize, _seen: u64) -> Option<BhtStats> {
+    fn bht_stats(&self, _lane: usize, _input: &ChunkInputs, _seen: u64) -> Option<BhtStats> {
         None
     }
 
@@ -481,23 +625,19 @@ struct Group {
 
 impl Group {
     /// Builds the group for `specs`, all of plan kind `kind`, in
-    /// row-blocked order.
-    fn new(kind: PlanKind, specs: Vec<PlanSpec>) -> Self {
+    /// row-blocked order, registering the first-level walks its lanes
+    /// read with `input`.
+    fn new(kind: PlanKind, specs: Vec<PlanSpec>, input: &mut ChunkInputs) -> Self {
         debug_assert!(!specs.is_empty() && specs.len() <= cell::PACKED_LANES);
         let (label, kernel): (&str, Box<dyn GroupKernel>) = match kind {
             PlanKind::Direct => ("direct", Box::new(GlobalGroup::new(&specs))),
-            PlanKind::PerAddressPerfect => (
-                "pas-perfect",
-                Box::new(TwoLevelGroup::new(&specs, PerfectRows::new(&specs))),
-            ),
-            PlanKind::PerAddressFinite => (
-                "pas-finite",
-                Box::new(TwoLevelGroup::new(&specs, FiniteRows::new(&specs))),
-            ),
-            PlanKind::PerSet => (
-                "per-set",
-                Box::new(TwoLevelGroup::new(&specs, SetRows::new(&specs))),
-            ),
+            PlanKind::PerAddressPerfect => {
+                ("pas-perfect", Box::new(TwoLevelGroup::new(&specs, input)))
+            }
+            PlanKind::PerAddressFinite => {
+                ("pas-finite", Box::new(TwoLevelGroup::new(&specs, input)))
+            }
+            PlanKind::PerSet => ("per-set", Box::new(TwoLevelGroup::new(&specs, input))),
             PlanKind::AgreeBias => ("agree", Box::new(AgreeGroup::new(&specs))),
             PlanKind::BiModeChoice => ("bimode", Box::new(BiModeGroup::new(&specs))),
             PlanKind::SkewedMajority => ("gskew", Box::new(GskewGroup::new(&specs))),
@@ -525,9 +665,17 @@ impl Group {
 
     /// Drains the group into per-lane results. `seen` is the shared
     /// conditional count (every conditional fed), `scored` the shared
-    /// post-warmup count, `distinct` the shared distinct-pc count.
-    fn finish(self, seen: u64, scored: u64, distinct: u64, results: &mut [Option<SimResult>]) {
+    /// post-warmup count; `input` holds the distinct-pc count and the
+    /// first-level walks.
+    fn finish(
+        self,
+        input: &ChunkInputs,
+        seen: u64,
+        scored: u64,
+        results: &mut [Option<SimResult>],
+    ) {
         let accesses = self.kernel.accesses_per_conditional();
+        let distinct = input.id_map.len() as u64;
         for (lane, tally) in self.lanes.into_iter().enumerate() {
             results[tally.index] = Some(SimResult {
                 predictor: tally.name,
@@ -539,7 +687,7 @@ impl Group {
                     conflicts: tally.conflicts,
                     harmless_conflicts: tally.harmless,
                 }),
-                bht: self.kernel.bht_stats(lane, seen),
+                bht: self.kernel.bht_stats(lane, input, seen),
             });
         }
     }
@@ -811,235 +959,58 @@ fn split_at_lane_limit<T>(mut specs: Vec<T>) -> Vec<Vec<T>> {
     out
 }
 
-/// The first-level row source of a [`TwoLevelGroup`] — the part of a
-/// per-address/per-set plan that differs between PAs(inf), finite PAs
-/// and SAs while the counter step stays shared.
-///
-/// The protocol per conditional record mirrors the scalar
-/// [`RowSelector`](bpred_core::RowSelector): one
-/// [`row`](RowSource::row) before the counter read-modify-write, one
-/// [`advance`](RowSource::advance) after it.
-trait RowSource: std::fmt::Debug + Send + 'static {
-    /// Whether [`row`](RowSource::row)/[`advance`](RowSource::advance)
-    /// consume the dense per-record branch ids the [`LaneSet`]
-    /// pre-pass assigns (first-appearance order over the conditional
-    /// stream).
-    const NEEDS_IDS: bool;
-
-    /// The history pattern selecting this record's row.
-    fn row(&mut self, lane: usize, pc: u64, id: u32) -> u64;
-
-    /// Shifts the outcome into the first level after the counter step.
-    fn advance(&mut self, lane: usize, pc: u64, id: u32, row: u64, taken: u64);
-
-    /// First-level access statistics, when the scheme reports them
-    /// (`seen` is the shared conditional count — one lookup each).
-    fn bht_stats(&self, lane: usize, seen: u64) -> Option<BhtStats>;
-
-    /// Dynamic first-level state to add to the lane's static cost at
-    /// finish (`distinct` is the shared distinct-conditional-pc
-    /// count).
-    fn extra_state_bits(&self, lane: usize, distinct: u64) -> u64;
-}
-
-/// Unbounded per-address histories ([`bpred_core::PerfectBht`]):
-/// id-indexed dense vectors instead of hash lookups, grown lazily in
-/// first-appearance order — ids are assigned sequentially, so a new id
-/// always equals the vector's length, exactly when the scalar table
-/// would insert the reset pattern.
-#[derive(Debug)]
-struct PerfectRows {
-    widths: Vec<u32>,
-    masks: Vec<u64>,
-    hists: Vec<Vec<u64>>,
-}
-
-impl PerfectRows {
-    fn new(specs: &[PlanSpec]) -> Self {
-        let widths: Vec<u32> = specs.iter().map(|s| s.plan.history_bits).collect();
-        PerfectRows {
-            masks: widths.iter().map(|&w| wide_low_mask(w)).collect(),
-            hists: specs.iter().map(|_| Vec::new()).collect(),
-            widths,
-        }
-    }
-}
-
-impl RowSource for PerfectRows {
-    const NEEDS_IDS: bool = true;
-
-    #[inline]
-    fn row(&mut self, lane: usize, _pc: u64, id: u32) -> u64 {
-        let v = &mut self.hists[lane];
-        if id as usize == v.len() {
-            v.push(reset_pattern(self.widths[lane]));
-        }
-        v[id as usize]
-    }
-
-    #[inline]
-    fn advance(&mut self, lane: usize, _pc: u64, id: u32, row: u64, taken: u64) {
-        // Width-0 masks to zero, matching the scalar no-op record.
-        self.hists[lane][id as usize] = ((row << 1) | taken) & self.masks[lane];
-    }
-
-    fn bht_stats(&self, _lane: usize, seen: u64) -> Option<BhtStats> {
-        Some(BhtStats {
-            accesses: seen,
-            misses: 0,
-        })
-    }
-
-    fn extra_state_bits(&self, lane: usize, distinct: u64) -> u64 {
-        distinct * u64::from(self.widths[lane])
-    }
-}
-
-/// Finite tagged per-address histories: each lane embeds the real
-/// [`SetAssocBht`] and drives it through the same lookup/record calls
-/// the scalar selector makes, so LRU clocks, evictions and miss
-/// statistics are exact by construction.
-#[derive(Debug)]
-struct FiniteRows {
-    bhts: Vec<SetAssocBht>,
-}
-
-impl FiniteRows {
-    fn new(specs: &[PlanSpec]) -> Self {
-        FiniteRows {
-            bhts: specs
-                .iter()
-                .map(|s| match s.plan.level1 {
-                    Level1Read::SetAssocBht { entries, ways } => {
-                        SetAssocBht::new(entries, ways, s.plan.history_bits)
-                    }
-                    ref other => unreachable!("finite rows from {other:?}"),
-                })
-                .collect(),
-        }
-    }
-}
-
-impl RowSource for FiniteRows {
-    const NEEDS_IDS: bool = false;
-
-    #[inline]
-    fn row(&mut self, lane: usize, pc: u64, _id: u32) -> u64 {
-        self.bhts[lane].lookup(pc)
-    }
-
-    #[inline]
-    fn advance(&mut self, lane: usize, pc: u64, _id: u32, _row: u64, taken: u64) {
-        self.bhts[lane].record(pc, Outcome::from_bit(taken));
-    }
-
-    fn bht_stats(&self, lane: usize, _seen: u64) -> Option<BhtStats> {
-        Some(self.bhts[lane].stats())
-    }
-
-    fn extra_state_bits(&self, _lane: usize, _distinct: u64) -> u64 {
-        0 // entries x width is static, already in the kernel's cost
-    }
-}
-
-/// Per-set histories ([`bpred_core::SetSelector`]): a flat register
-/// file per lane indexed by low word-address bits. Registers start at
-/// zero (not the reset pattern — set registers are never "missing").
-///
-/// All lanes' files share one vector, so the hot loop's register
-/// writes cannot alias the bookkeeping it reads (with one vector per
-/// lane, every record would reload that lane's vector header).
-#[derive(Debug)]
-struct SetRows {
-    set_masks: Vec<u64>,
-    width_masks: Vec<u64>,
-    /// Start of each lane's file in `regs`.
-    offsets: Vec<u64>,
-    regs: Vec<u64>,
-}
-
-impl SetRows {
-    fn new(specs: &[PlanSpec]) -> Self {
-        let set_bits = |p: &WalkPlan| match p.level1 {
-            Level1Read::SetHistories { set_bits } => set_bits,
-            ref other => unreachable!("set rows from {other:?}"),
-        };
-        let sizes = per_lane(specs, |p| 1 << set_bits(p));
-        let offsets: Vec<u64> = sizes
-            .iter()
-            .scan(0, |next, &size| {
-                let offset = *next;
-                *next += size;
-                Some(offset)
-            })
-            .collect();
-        SetRows {
-            set_masks: per_lane(specs, |p| wide_low_mask(set_bits(p))),
-            width_masks: per_lane(specs, |p| wide_low_mask(p.history_bits)),
-            offsets,
-            regs: vec![0; sizes.iter().sum::<u64>() as usize],
-        }
-    }
-}
-
-impl RowSource for SetRows {
-    const NEEDS_IDS: bool = false;
-
-    #[inline]
-    fn row(&mut self, lane: usize, pc: u64, _id: u32) -> u64 {
-        self.regs[(self.offsets[lane] + ((pc >> 2) & self.set_masks[lane])) as usize]
-    }
-
-    #[inline]
-    fn advance(&mut self, lane: usize, pc: u64, _id: u32, row: u64, taken: u64) {
-        let reg = (self.offsets[lane] + ((pc >> 2) & self.set_masks[lane])) as usize;
-        self.regs[reg] = ((row << 1) | taken) & self.width_masks[lane];
-    }
-
-    fn bht_stats(&self, _lane: usize, _seen: u64) -> Option<BhtStats> {
-        None
-    }
-
-    fn extra_state_bits(&self, _lane: usize, _distinct: u64) -> u64 {
-        0 // 2^set_bits x width is static, already in the kernel's cost
-    }
-}
-
 /// A lane group for the per-address/per-set two-level plans
 /// ([`PlanKind::PerAddressPerfect`], [`PlanKind::PerAddressFinite`],
-/// [`PlanKind::PerSet`]): the [`GlobalGroup`] counter step with a
-/// [`RowSource`] first-level read in front, lane-major over the shared
-/// conditional stream.
+/// [`PlanKind::PerSet`]): the [`GlobalGroup`] counter step with the
+/// row read off the lane's shared [`Level1Walk`], lane-major over the
+/// shared conditional stream.
 #[derive(Debug)]
-struct TwoLevelGroup<R> {
+struct TwoLevelGroup {
+    /// Each lane's walk in [`ChunkInputs::walks`].
+    walk: Vec<usize>,
+    /// Each lane's [`reset_fill`] table.
+    fill: Vec<[u64; 65]>,
+    /// The row mask too: these plans read `history_bits`-wide rows.
+    hist_mask: Vec<u64>,
     all_taken_ref: Vec<u64>,
-    row_mask: Vec<u64>,
     col_shift: Vec<u64>,
     col_mask: Vec<u64>,
     base: Vec<u64>,
-    rows: R,
+    /// History width of perfect-table lanes, whose state grows with
+    /// the distinct-branch count; 0 for the static-cost tables.
+    dynamic_width: Vec<u64>,
     arena: Vec<u64>,
 }
 
-impl<R: RowSource> TwoLevelGroup<R> {
-    fn new(specs: &[PlanSpec], rows: R) -> Self {
+impl TwoLevelGroup {
+    fn new(specs: &[PlanSpec], input: &mut ChunkInputs) -> Self {
         let (base, arena) = lane_arena(specs);
         TwoLevelGroup {
+            walk: specs
+                .iter()
+                .map(|s| input.walk_slot(s.plan.level1))
+                .collect(),
+            fill: specs
+                .iter()
+                .map(|s| reset_fill(s.plan.history_bits))
+                .collect(),
+            hist_mask: per_lane(specs, |p| wide_low_mask(p.history_bits)),
             all_taken_ref: per_lane(specs, |p| all_taken_reference(p.history_bits)),
-            row_mask: per_lane(specs, |p| wide_low_mask(p.reads[0].row_bits)),
             col_shift: per_lane(specs, |p| u64::from(p.reads[0].col_bits)),
             col_mask: per_lane(specs, |p| wide_low_mask(p.reads[0].col_bits)),
             base,
-            rows,
+            dynamic_width: per_lane(specs, |p| match p.level1 {
+                Level1Read::PerfectBht => u64::from(p.history_bits),
+                _ => 0,
+            }),
             arena,
         }
     }
 }
 
-impl<R: RowSource> GroupKernel for TwoLevelGroup<R> {
+impl GroupKernel for TwoLevelGroup {
     /// Per record and lane: the scalar sequence select → fused counter
-    /// access-train → selector train, branch-free. The dense id column
-    /// is read only when the row source asks for it.
+    /// access-train, branch-free; the selector train is the walk's.
     #[inline(never)]
     fn replay_lane(
         &mut self,
@@ -1048,26 +1019,27 @@ impl<R: RowSource> GroupKernel for TwoLevelGroup<R> {
         seen: u64,
         warmup: u64,
     ) -> LaneCounts {
-        let (stream, ids) = (&input.conditionals[..], &input.ids[..]);
-        debug_assert!(!R::NEEDS_IDS || ids.len() == stream.len());
+        let walk = &input.walks[self.walk[lane]];
+        let stream = &input.conditionals[..];
+        debug_assert!(walk.hist.len() == stream.len() && walk.age.len() == stream.len());
+        let fill = &self.fill[lane];
+        let hist_mask = self.hist_mask[lane];
         let col_shift = self.col_shift[lane];
         let col_mask = self.col_mask[lane];
-        let row_mask = self.row_mask[lane];
         let base = self.base[lane];
         let all_taken_ref = self.all_taken_ref[lane];
         let (mut conflicts, mut harmless, mut wrong) = (0u64, 0u64, 0u64);
-        let rows = &mut self.rows;
         let arena = self.arena.as_mut_slice();
         let mask = arena.len() - 1;
-        for (i, &packed) in stream.iter().enumerate() {
+        let records = stream.iter().zip(&walk.hist).zip(&walk.age);
+        for (i, ((&packed, &hist), &age)) in records.enumerate() {
             let scored = (seen + i as u64 >= warmup) as u64;
             let taken = packed & 1;
-            let pc = packed >> 1;
             let word = packed >> 3;
-            let tag = pc & cell::EMPTY_OWNER;
-            let id = if R::NEEDS_IDS { ids[i] } else { 0 };
-            let row = rows.row(lane, pc, id);
-            let idx = ((row & row_mask) << col_shift) | (word & col_mask);
+            let tag = (packed >> 1) & cell::EMPTY_OWNER;
+            // `age <= 64` always; the clamp only elides the bounds check.
+            let row = fill[usize::from(age).min(64)] | (hist & hist_mask);
+            let idx = (row << col_shift) | (word & col_mask);
             let slot = ((base | idx) as usize) & mask;
             let cell_word = arena[slot];
             let owner = cell_word >> 2;
@@ -1079,17 +1051,21 @@ impl<R: RowSource> GroupKernel for TwoLevelGroup<R> {
             let inc = ((bits < 3) as u64) & taken;
             let dec = ((bits > 0) as u64) & (1 - taken);
             arena[slot] = (tag << 2) | (bits + inc - dec);
-            rows.advance(lane, pc, id, row, taken);
         }
         (conflicts, harmless, wrong)
     }
 
     fn extra_state_bits(&self, lane: usize, distinct: u64) -> u64 {
-        self.rows.extra_state_bits(lane, distinct)
+        // Finite and per-set tables are static, already in the kernel's cost.
+        distinct * self.dynamic_width[lane]
     }
 
-    fn bht_stats(&self, lane: usize, seen: u64) -> Option<BhtStats> {
-        self.rows.bht_stats(lane, seen)
+    fn bht_stats(&self, lane: usize, input: &ChunkInputs, seen: u64) -> Option<BhtStats> {
+        let walk = &input.walks[self.walk[lane]];
+        (!matches!(walk.read, Level1Read::SetHistories { .. })).then_some(BhtStats {
+            accesses: seen,
+            misses: walk.misses,
+        })
     }
 }
 
@@ -1785,103 +1761,69 @@ impl LastTimeGroup {
                 .collect(),
         }
     }
+
+    /// Walks one chunk through lanes `lane..lane + N` together and
+    /// returns their mispredictions. The chunk is split at the warmup
+    /// boundary once instead of testing `seen >= warmup` per record:
+    /// warmup records update the table without scoring, scored records
+    /// pay one load + xor + blind store each. Walking lanes in blocks
+    /// amortizes the shared record decode and overlaps same-entry
+    /// store-to-load chains from different lanes.
+    fn replay_block<const N: usize>(
+        &mut self,
+        lane: usize,
+        stream: &[u64],
+        seen: u64,
+        warmup: u64,
+    ) -> [u64; N] {
+        let boundary = warmup.saturating_sub(seen).min(stream.len() as u64) as usize;
+        let (unscored, rest) = stream.split_at(boundary);
+        let masks: [u64; N] = std::array::from_fn(|k| self.addr_mask[lane + k]);
+        let block: &mut [Vec<u8>; N] = (&mut self.table[lane..lane + N])
+            .try_into()
+            .expect("N lanes");
+        // Reslice each table to exactly `mask + 1` entries (its full
+        // length) so the masked index is provably in bounds and the
+        // inner loops stay check-free.
+        let mut tables = block.each_mut().map(Vec::as_mut_slice);
+        for (table, &mask) in tables.iter_mut().zip(&masks) {
+            *table = &mut std::mem::take(table)[..=(mask as usize)];
+        }
+        let mut wrong = [0u64; N];
+        for &packed in unscored {
+            let (taken, key) = ((packed & 1) as u8, packed >> 3);
+            for k in 0..N {
+                tables[k][(key & masks[k]) as usize] = taken;
+            }
+        }
+        for &packed in rest {
+            let (taken, key) = ((packed & 1) as u8, packed >> 3);
+            for k in 0..N {
+                let idx = (key & masks[k]) as usize;
+                wrong[k] += (tables[k][idx] ^ taken) as u64;
+                tables[k][idx] = taken;
+            }
+        }
+        wrong
+    }
 }
 
 impl GroupKernel for LastTimeGroup {
+    /// Lanes in octets, then a quad, then one at a time.
     fn replay(&mut self, lanes: &mut [LaneTally], input: &ChunkInputs, seen: u64, warmup: u64) {
         let stream = &input.conditionals[..];
-        // Split the chunk at the warmup boundary once instead of
-        // testing `seen >= warmup` per record: warmup records update
-        // the table without scoring, scored records pay one load +
-        // xor + blind store each. Lanes walk the stream in quads so
-        // the shared record decode amortizes and same-entry
-        // store-to-load chains from different lanes overlap.
-        let boundary = warmup.saturating_sub(seen).min(stream.len() as u64) as usize;
-        let (unscored, rest) = stream.split_at(boundary);
         let mut lane = 0;
         while lane + 8 <= lanes.len() {
-            let masks: [u64; 8] = std::array::from_fn(|k| self.addr_mask[lane + k]);
-            let mut wrong = [0u64; 8];
-            if let [t0, t1, t2, t3, t4, t5, t6, t7] = &mut self.table[lane..lane + 8] {
-                let tables: [&mut [u8]; 8] = [
-                    &mut t0[..=(masks[0] as usize)],
-                    &mut t1[..=(masks[1] as usize)],
-                    &mut t2[..=(masks[2] as usize)],
-                    &mut t3[..=(masks[3] as usize)],
-                    &mut t4[..=(masks[4] as usize)],
-                    &mut t5[..=(masks[5] as usize)],
-                    &mut t6[..=(masks[6] as usize)],
-                    &mut t7[..=(masks[7] as usize)],
-                ];
-                for &packed in unscored {
-                    let taken = (packed & 1) as u8;
-                    let key = packed >> 3;
-                    for k in 0..8 {
-                        tables[k][(key & masks[k]) as usize] = taken;
-                    }
-                }
-                for &packed in rest {
-                    let taken = (packed & 1) as u8;
-                    let key = packed >> 3;
-                    for k in 0..8 {
-                        let idx = (key & masks[k]) as usize;
-                        wrong[k] += (tables[k][idx] ^ taken) as u64;
-                        tables[k][idx] = taken;
-                    }
-                }
-            }
-            for (k, wrong) in wrong.into_iter().enumerate() {
-                lanes[lane + k].mispredictions += wrong;
+            let wrong = self.replay_block::<8>(lane, stream, seen, warmup);
+            for (tally, wrong) in lanes[lane..].iter_mut().zip(wrong) {
+                tally.mispredictions += wrong;
             }
             lane += 8;
         }
-        while lane + 4 <= lanes.len() {
-            let [m0, m1, m2, m3] = [
-                self.addr_mask[lane],
-                self.addr_mask[lane + 1],
-                self.addr_mask[lane + 2],
-                self.addr_mask[lane + 3],
-            ];
-            let mut wrong = [0u64; 4];
-            if let [t0, t1, t2, t3] = &mut self.table[lane..lane + 4] {
-                // Reslice each table to exactly `mask + 1` entries (its
-                // full length) so the masked index is provably in
-                // bounds and the inner loops stay check-free.
-                let (t0, t1, t2, t3) = (
-                    &mut t0[..=(m0 as usize)],
-                    &mut t1[..=(m1 as usize)],
-                    &mut t2[..=(m2 as usize)],
-                    &mut t3[..=(m3 as usize)],
-                );
-                for &packed in unscored {
-                    let taken = (packed & 1) as u8;
-                    let key = packed >> 3;
-                    t0[(key & m0) as usize] = taken;
-                    t1[(key & m1) as usize] = taken;
-                    t2[(key & m2) as usize] = taken;
-                    t3[(key & m3) as usize] = taken;
-                }
-                for &packed in rest {
-                    let taken = (packed & 1) as u8;
-                    let key = packed >> 3;
-                    let (i0, i1, i2, i3) = (
-                        (key & m0) as usize,
-                        (key & m1) as usize,
-                        (key & m2) as usize,
-                        (key & m3) as usize,
-                    );
-                    wrong[0] += (t0[i0] ^ taken) as u64;
-                    t0[i0] = taken;
-                    wrong[1] += (t1[i1] ^ taken) as u64;
-                    t1[i1] = taken;
-                    wrong[2] += (t2[i2] ^ taken) as u64;
-                    t2[i2] = taken;
-                    wrong[3] += (t3[i3] ^ taken) as u64;
-                    t3[i3] = taken;
-                }
-            }
-            for (k, wrong) in wrong.into_iter().enumerate() {
-                lanes[lane + k].mispredictions += wrong;
+        if lane + 4 <= lanes.len() {
+            let wrong = self.replay_block::<4>(lane, stream, seen, warmup);
+            for (tally, wrong) in lanes[lane..].iter_mut().zip(wrong) {
+                tally.mispredictions += wrong;
             }
             lane += 4;
         }
@@ -1891,7 +1833,7 @@ impl GroupKernel for LastTimeGroup {
     }
 
     /// One lane alone: the tail of [`replay`](GroupKernel::replay)'s
-    /// octets and quads.
+    /// octets and quad.
     #[inline(never)]
     fn replay_lane(
         &mut self,
@@ -1900,21 +1842,7 @@ impl GroupKernel for LastTimeGroup {
         seen: u64,
         warmup: u64,
     ) -> LaneCounts {
-        let stream = &input.conditionals[..];
-        let boundary = warmup.saturating_sub(seen).min(stream.len() as u64) as usize;
-        let (unscored, rest) = stream.split_at(boundary);
-        let addr_mask = self.addr_mask[lane];
-        let table = &mut self.table[lane][..=(addr_mask as usize)];
-        let mut wrong = 0u64;
-        for &packed in unscored {
-            table[((packed >> 3) & addr_mask) as usize] = (packed & 1) as u8;
-        }
-        for &packed in rest {
-            let taken = (packed & 1) as u8;
-            let idx = ((packed >> 3) & addr_mask) as usize;
-            wrong += (table[idx] ^ taken) as u64;
-            table[idx] = taken;
-        }
+        let [wrong] = self.replay_block::<1>(lane, &input.conditionals, seen, warmup);
         (0, 0, wrong)
     }
 
@@ -2020,8 +1948,8 @@ impl LaneSet {
             }
         }
         let has = |kind| buckets.iter().any(|(k, _)| *k == kind);
-        let inputs = ChunkInputs {
-            needs_ids: has(PlanKind::PerAddressPerfect) || has(PlanKind::AgreeBias),
+        let mut inputs = ChunkInputs {
+            needs_ids: has(PlanKind::AgreeBias),
             needs_bias: has(PlanKind::AgreeBias),
             needs_events: has(PlanKind::PathHistory),
             ..ChunkInputs::default()
@@ -2032,7 +1960,7 @@ impl LaneSet {
             groups.extend(
                 split_at_lane_limit(specs)
                     .into_iter()
-                    .map(|chunk| Group::new(kind, chunk)),
+                    .map(|chunk| Group::new(kind, chunk, &mut inputs)),
             );
         }
         LaneSet {
@@ -2109,9 +2037,8 @@ impl LaneSet {
     /// order.
     pub fn finish(self) -> Vec<SimResult> {
         let mut results: Vec<Option<SimResult>> = (0..self.len).map(|_| None).collect();
-        let distinct = self.inputs.id_map.len() as u64;
         for group in self.groups {
-            group.finish(self.seen, self.scored, distinct, &mut results);
+            group.finish(&self.inputs, self.seen, self.scored, &mut results);
         }
         for unit in self.statics {
             let slot = unit.index;
@@ -2554,12 +2481,7 @@ mod tests {
         let lanes = LaneSet::new(&configs, Simulator::new());
         let counts = lanes.lane_tier_counts();
         assert_eq!(counts.iter().sum::<u64>() as usize, configs.len());
-        let of = |label: &str| {
-            counts[LANE_TIER_LABELS
-                .iter()
-                .position(|&l| l == label)
-                .expect("known label")]
-        };
+        let of = |label| counts[tier_slot(label)];
         if force_scalar() {
             assert_eq!(of("scalar") as usize, configs.len());
             assert_eq!(of("static"), 0, "statics force-scalar too");
@@ -2605,15 +2527,16 @@ mod tests {
                 })
                 .collect()
         };
-        let mut plain = Group::new(PlanKind::Direct, specs());
+        let mut input = ChunkInputs::default();
+        let mut plain = Group::new(PlanKind::Direct, specs(), &mut input);
         let mut prefetched = Group {
             kernel: Box::new(GlobalGroup {
                 prefetch: true,
                 ..GlobalGroup::new(&specs())
             }),
-            ..Group::new(PlanKind::Direct, specs())
+            ..Group::new(PlanKind::Direct, specs(), &mut input)
         };
-        let (mut input, mut seen, warmup) = (ChunkInputs::default(), 0, 300);
+        let (mut seen, warmup) = (0, 300);
         for chunk in trace(2_500).chunks(256) {
             input.decode(&chunk);
             for group in [&mut plain, &mut prefetched] {
@@ -2623,10 +2546,87 @@ mod tests {
         }
         let finish = |group: Group| {
             let mut results = vec![None; grouped_configs().len()];
-            group.finish(seen, seen - warmup, 0, &mut results);
+            group.finish(&input, seen, seen - warmup, &mut results);
             results
         };
         assert_eq!(finish(plain), finish(prefetched));
+    }
+
+    #[test]
+    fn level1_walk_rows_match_the_scalar_tables() {
+        use bpred_core::{HistoryTable, PerfectBht, RowSelector, SetAssocBht, SetSelector};
+        enum Oracle {
+            Table(Box<dyn HistoryTable>),
+            Sets(SetSelector),
+        }
+        // Eight hot branches outliving 64 outcomes between evictions,
+        // under a 1-in-16 drizzle of 200 cold ones that keeps evicting.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let t: Trace = (0..20_000)
+            .map(|_| {
+                // A 64-bit LCG; only its high bits are used.
+                x = x.wrapping_mul(0x5851_F42D_4C95_7F2D).wrapping_add(1);
+                let word = if x >> 60 == 0 {
+                    8 + (x >> 32) % 200
+                } else {
+                    (x >> 32) % 8
+                };
+                BranchRecord::conditional(4 * word, 0x100, Outcome::from_bit((x >> 59) & 1))
+            })
+            .collect();
+        let finite = |entries, ways| Level1Read::SetAssocBht { entries, ways };
+        let sets = |set_bits| Level1Read::SetHistories { set_bits };
+        let (perfect, widths) = (Level1Read::PerfectBht, [0, 1, 5, 16, 18, 63, 64]);
+        for read in [
+            finite(16, 1),
+            finite(64, 4),
+            finite(16, 16),
+            perfect,
+            sets(0),
+            sets(3),
+        ] {
+            let mut oracles: Vec<Oracle> = (widths.iter())
+                .map(|&w| match read {
+                    Level1Read::SetAssocBht { entries, ways } => {
+                        Oracle::Table(Box::new(SetAssocBht::new(entries, ways, w)))
+                    }
+                    Level1Read::SetHistories { set_bits } => {
+                        Oracle::Sets(SetSelector::new(w, set_bits))
+                    }
+                    _ => Oracle::Table(Box::new(PerfectBht::new(w))),
+                })
+                .collect();
+            let (mut input, mut saturated) = (ChunkInputs::default(), false);
+            let slot = input.walk_slot(read);
+            for chunk in t.chunks(1_500) {
+                input.decode(&chunk);
+                let walk = &input.walks[slot];
+                for (i, &packed) in input.conditionals.iter().enumerate() {
+                    let (pc, outcome, age) =
+                        (packed >> 1, Outcome::from_bit(packed & 1), walk.age[i]);
+                    saturated |= age == 64;
+                    for (&width, oracle) in widths.iter().zip(&mut oracles) {
+                        let row = reset_fill(width)[usize::from(age)]
+                            | (walk.hist[i] & wide_low_mask(width));
+                        let want = match oracle {
+                            Oracle::Table(table) => (table.lookup(pc), table.record(pc, outcome)).0,
+                            Oracle::Sets(sel) => {
+                                let row = sel.history_for(pc).bits();
+                                sel.train(pc, 0, outcome, bpred_core::TableGeometry::new(0, 0));
+                                row
+                            }
+                        };
+                        assert_eq!(row, want, "{read:?} width {width} record {i}");
+                    }
+                }
+                for oracle in &oracles {
+                    if let Oracle::Table(table) = oracle {
+                        assert_eq!(walk.misses, table.stats().misses, "{read:?}");
+                    }
+                }
+            }
+            assert!(saturated, "{read:?}: no entry outlived 64 outcomes");
+        }
     }
 
     #[test]

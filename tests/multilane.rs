@@ -328,6 +328,65 @@ fn duplicate_plan_configurations_stay_independent() {
     assert_eq!(multilane[4], multilane[5]);
 }
 
+#[test]
+fn per_address_lanes_sharing_first_level_walks_match_the_scalar_oracle() {
+    // One lane set over every way the shared first-level walks are
+    // keyed and read: zero and non-zero widths on one geometry, 16- and
+    // 18-bit rows (the reset prefix survives into the row), four finite
+    // geometries beside perfect-table and agree lanes (which share the
+    // dense branch ids), per-set lanes, and 36 lanes of one geometry,
+    // so one walk feeds two groups.
+    let finite = |history_bits, col_bits, entries, ways| PredictorConfig::PasFinite {
+        history_bits,
+        col_bits,
+        entries,
+        ways,
+    };
+    let perfect = |history_bits, col_bits| PredictorConfig::PasInfinite {
+        history_bits,
+        col_bits,
+    };
+    let mut configs = vec![
+        finite(0, 2, 64, 4),
+        finite(16, 0, 256, 4),
+        finite(18, 0, 256, 4),
+        finite(3, 1, 16, 1),
+        finite(7, 2, 128, 2),
+        perfect(0, 2),
+        perfect(16, 0),
+        perfect(18, 0),
+        PredictorConfig::Sas {
+            history_bits: 16,
+            set_bits: 3,
+            col_bits: 0,
+        },
+        PredictorConfig::Sas {
+            history_bits: 0,
+            set_bits: 2,
+            col_bits: 1,
+        },
+        PredictorConfig::Agree {
+            history_bits: 6,
+            index_bits: 8,
+        },
+    ];
+    configs.extend((0..35u32).map(|n| finite(n % 9, n % 3, 64, 4)));
+    let trace = suite::espresso().scaled(20_000).trace(61);
+    let simulator = Simulator::with_warmup(500);
+    let serial = serial_reference(&configs, &trace, simulator);
+    assert_eq!(serial, replay_multilane(&configs, &trace, simulator));
+    let chunked = run_batched_chunked(&configs, &trace, simulator, 4, 777);
+    assert_eq!(serial, chunked);
+    let counts = LaneSet::new(&configs, simulator).lane_tier_counts();
+    let of = |label: &str| counts[LANE_TIER_LABELS.iter().position(|&l| l == label).unwrap()];
+    if std::env::var("BPRED_FORCE_SCALAR").is_ok_and(|v| !v.is_empty() && v != "0") {
+        assert_eq!(of("scalar") as usize, configs.len());
+    } else {
+        assert!(of("pas-finite") as usize > cell::PACKED_LANES);
+        assert_eq!((of("pas-perfect"), of("per-set"), of("agree")), (3, 2, 1));
+    }
+}
+
 /// Builds lane `n` of one plan kind.
 type LaneOf = fn(u32) -> PredictorConfig;
 
@@ -471,7 +530,7 @@ fn arb_config() -> impl Strategy<Value = PredictorConfig> {
             col_bits
         }),
         (0u32..8).prop_map(|addr_bits| PredictorConfig::AddressIndexed { addr_bits }),
-        (1u32..6, 1u32..3).prop_map(|(history_bits, col_bits)| PredictorConfig::PasInfinite {
+        (0u32..6, 1u32..3).prop_map(|(history_bits, col_bits)| PredictorConfig::PasInfinite {
             history_bits,
             col_bits
         }),
@@ -483,9 +542,9 @@ fn arb_config() -> impl Strategy<Value = PredictorConfig> {
             }
         }),
         (
-            1u32..6,
+            0u32..6,
             0u32..3,
-            prop::sample::select(vec![(8u32, 1u32), (16, 2), (16, 16)])
+            prop::sample::select(vec![(8u32, 1u32), (16, 2), (16, 16), (64, 4)])
         )
             .prop_map(|(history_bits, col_bits, (entries, ways))| {
                 PredictorConfig::PasFinite {
@@ -495,7 +554,7 @@ fn arb_config() -> impl Strategy<Value = PredictorConfig> {
                     ways,
                 }
             }),
-        (1u32..6, 0u32..4, 0u32..3).prop_map(|(history_bits, set_bits, col_bits)| {
+        (0u32..6, 0u32..4, 0u32..3).prop_map(|(history_bits, set_bits, col_bits)| {
             PredictorConfig::Sas {
                 history_bits,
                 set_bits,
