@@ -6,7 +6,7 @@
 //! --branches <n>   trace length in conditional branches (default: model)
 //! --seed <n>       trace seed (default 1996)
 //! --min-bits <n>   smallest tier, log2 counters (default 4)
-//! --max-bits <n>   largest tier, log2 counters (default 15)
+//! --max-bits <n>   largest tier, log2 counters (default 15, at most 30)
 //! --csv            emit CSV instead of aligned text
 //! --quick          shorthand for --branches 50000 --max-bits 10
 //! ```
@@ -19,6 +19,7 @@
 
 use std::process::ExitCode;
 
+use bpred_core::TableGeometry;
 use bpred_sim::experiments::ExperimentOptions;
 
 /// Parsed command-line options for an experiment binary.
@@ -51,8 +52,8 @@ impl Args {
             match arg.as_str() {
                 "--branches" => options.branches = Some(require_number(&arg, iter.next())?),
                 "--seed" => options.seed = require_number(&arg, iter.next())? as u64,
-                "--min-bits" => options.min_bits = require_number(&arg, iter.next())? as u32,
-                "--max-bits" => options.max_bits = require_number(&arg, iter.next())? as u32,
+                "--min-bits" => options.min_bits = require_bits(&arg, iter.next())?,
+                "--max-bits" => options.max_bits = require_bits(&arg, iter.next())?,
                 "--csv" => csv = true,
                 "--quick" => {
                     options.branches = Some(50_000);
@@ -74,6 +75,13 @@ impl Args {
             eprintln!("--min-bits must not exceed --max-bits");
             return Err(ExitCode::FAILURE);
         }
+        if options.max_bits > TableGeometry::MAX_TOTAL_BITS {
+            eprintln!(
+                "--max-bits must not exceed {} (the largest supported table)",
+                TableGeometry::MAX_TOTAL_BITS
+            );
+            return Err(ExitCode::FAILURE);
+        }
         Ok(Args { options, csv })
     }
 }
@@ -87,6 +95,12 @@ fn require_number(flag: &str, value: Option<String>) -> Result<usize, ExitCode> 
         eprintln!("{flag}: {text:?} is not a number");
         ExitCode::FAILURE
     })
+}
+
+/// A table-size flag's value in bits; values past `u32` saturate, so
+/// the range check rejects them instead of wrapping them small.
+fn require_bits(flag: &str, value: Option<String>) -> Result<u32, ExitCode> {
+    Ok(require_number(flag, value)?.try_into().unwrap_or(u32::MAX))
 }
 
 #[cfg(test)]
@@ -140,5 +154,17 @@ mod tests {
         assert!(parse(&["--seed"]).is_err());
         assert!(parse(&["--seed", "abc"]).is_err());
         assert!(parse(&["--min-bits", "9", "--max-bits", "5"]).is_err());
+    }
+
+    #[test]
+    fn max_bits_past_the_table_limit_is_rejected() {
+        let limit = TableGeometry::MAX_TOTAL_BITS.to_string();
+        let past = (TableGeometry::MAX_TOTAL_BITS + 1).to_string();
+        let args = parse(&["--max-bits", &limit]).unwrap();
+        assert_eq!(args.options.max_bits, TableGeometry::MAX_TOTAL_BITS);
+        assert!(parse(&["--max-bits", &past]).is_err());
+        assert!(parse(&["--min-bits", "40", "--max-bits", "40"]).is_err());
+        // 2^32 + 5 must not wrap to 5.
+        assert!(parse(&["--max-bits", "4294967301"]).is_err());
     }
 }
