@@ -23,8 +23,9 @@
 //! Both modes produce bit-identical results (asserted here on every
 //! run); only wall-clock differs. Families cover the Direct shapes
 //! (gshare/GAs/address-indexed), the statics, the table-walk-plan
-//! families (PAs/SAs/agree/bi-mode/gskew), and the multi-structure
-//! plans (tournament/YAGS/path/lasttime). A multilane row whose sweep
+//! families (PAs with a perfect and with a finite first level,
+//! SAs/agree/bi-mode/gskew), and the multi-structure plans
+//! (tournament/YAGS/path/lasttime). A multilane row whose sweep
 //! actually ran lanes on the scalar tier is recorded as
 //! `"mode": "scalar-fallback"` instead of a misleading multilane
 //! number. A spill-scale scenario block re-measures the multilane
@@ -125,6 +126,19 @@ fn families() -> Vec<Family> {
                 .map(|history_bits| PredictorConfig::PasInfinite {
                     history_bits,
                     col_bits: 2,
+                })
+                .collect(),
+        },
+        Family {
+            name: "pas-finite",
+            // One 1024x4 first level under eight history widths: the
+            // lanes share one first-level walk per chunk.
+            configs: (2..=9u32)
+                .map(|history_bits| PredictorConfig::PasFinite {
+                    history_bits,
+                    col_bits: 2,
+                    entries: 1024,
+                    ways: 4,
                 })
                 .collect(),
         },
