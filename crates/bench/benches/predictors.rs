@@ -89,8 +89,9 @@ fn predictor_throughput(c: &mut Criterion) {
 
 /// Enum-dispatched [`PredictorKernel`](bpred_core::PredictorKernel)
 /// (the hot path since the replay-core rework) against the same
-/// replay over a `Box<dyn BranchPredictor>`: identical `ReplayCore`,
-/// identical results, differing only in how predict/update dispatch.
+/// replay over a `Box<dyn BranchPredictor>` (`PredictorConfig::build`,
+/// a boxed kernel): identical `ReplayCore`, identical results,
+/// differing only in how predict/update dispatch.
 fn dispatch_comparison(c: &mut Criterion) {
     let trace = suite::mpeg_play().scaled(BRANCHES).trace(1);
     let sweep: Vec<PredictorConfig> = (6..14)

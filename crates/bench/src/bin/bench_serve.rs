@@ -37,7 +37,7 @@ use std::time::{Duration, Instant};
 use bpred_serve::peers::PeerSet;
 use bpred_serve::server::{Server, ServerConfig};
 use bpred_serve::service::{sweep_body, SweepRequest};
-use bpred_serve::store::{Backend, StoreOptions};
+use bpred_serve::store::StoreOptions;
 use bpred_sim::cache::run_configs_keyed;
 use bpred_sim::Simulator;
 use bpred_workloads::{suite, WorkloadSource};
@@ -266,9 +266,8 @@ fn store_pass(
     }
 }
 
-fn store_options(backend: Backend, peers: Option<PeerSet>) -> StoreOptions {
+fn store_options(peers: Option<PeerSet>) -> StoreOptions {
     StoreOptions {
-        backend,
         hot_bytes: 64 << 20,
         seal_bytes: 8 << 20,
         peers,
@@ -288,9 +287,8 @@ fn start_node(cache_dir: &std::path::Path, options: StoreOptions) -> bpred_serve
 }
 
 /// Store-tier comparison: cold compute into pack segments, repeat
-/// hits served by the hot tier, the same repeats against the flat
-/// object-tree backend, and a cold node warming itself entirely over
-/// the peer protocol. Returns the passes plus the peer-warm cell
+/// hits served by the hot tier, and a cold node warming itself
+/// entirely over the peer protocol. Returns the passes plus the peer-warm cell
 /// accounting `(cells, peer_cells)`.
 fn run_store_scenarios(
     warm: &[Target],
@@ -299,26 +297,18 @@ fn run_store_scenarios(
 ) -> (Vec<StorePass>, usize, u64) {
     let mut passes = Vec::new();
 
-    // Packed backend: first pass computes every cell (cold), repeat
-    // passes must be answered from the in-memory hot tier.
+    // First pass computes every cell (cold), repeat passes must be
+    // answered from the in-memory hot tier.
     let packed_dir = scratch.join("packed");
-    let packed = start_node(&packed_dir, store_options(Backend::Packed, None));
+    let packed = start_node(&packed_dir, store_options(None));
     passes.push(store_pass(packed.addr(), "pack_cold", warm, 1));
     passes.push(store_pass(packed.addr(), "hot_warm", warm, repeats));
-
-    // Flat backend (the previous one-file-per-object layout): same
-    // warm repeats, but every hit opens and reads a file.
-    let flat_dir = scratch.join("flat");
-    let flat = start_node(&flat_dir, store_options(Backend::Flat, None));
-    store_pass(flat.addr(), "flat_prime", warm, 1);
-    passes.push(store_pass(flat.addr(), "flat_warm", warm, repeats));
-    flat.shutdown();
 
     // Peer warm: a cold node whose only source of cells is the warm
     // packed node — every cell must arrive by digest fetch.
     let peer_dir = scratch.join("peer");
     let peers = PeerSet::from_list(&packed.addr().to_string()).expect("peer list");
-    let cold_node = start_node(&peer_dir, store_options(Backend::Packed, Some(peers)));
+    let cold_node = start_node(&peer_dir, store_options(Some(peers)));
     passes.push(store_pass(cold_node.addr(), "peer_warm", warm, 1));
     let store = cold_node.store().expect("node has a store");
     let cells = store.len();
@@ -437,7 +427,7 @@ fn main() -> ExitCode {
     let _ = std::fs::remove_dir_all(&cache_dir);
 
     // Store-tier comparison on the warm pool: cold pack writes, hot
-    // repeats, flat-backend repeats, and a two-node peer warm-up.
+    // repeats, and a two-node peer warm-up.
     let store_scratch =
         std::env::temp_dir().join(format!("bpred-bench-store-{}", std::process::id()));
     let store_repeats = if quick { 8 } else { 32 };
@@ -461,21 +451,6 @@ fn main() -> ExitCode {
     if peer_fraction < 0.9 {
         eprintln!("error: peer warm-up below 90% — the peer tier is not pulling its weight");
         return ExitCode::FAILURE;
-    }
-    let hot_p50 = store_passes
-        .iter()
-        .find(|p| p.scenario == "hot_warm")
-        .map(|p| p.p50_ms)
-        .unwrap_or(f64::INFINITY);
-    let flat_p50 = store_passes
-        .iter()
-        .find(|p| p.scenario == "flat_warm")
-        .map(|p| p.p50_ms)
-        .unwrap_or(0.0);
-    if hot_p50 > flat_p50 {
-        eprintln!(
-            "warning: hot-tier warm p50 ({hot_p50:.3} ms) did not beat the flat store ({flat_p50:.3} ms)"
-        );
     }
 
     let mut json = String::new();

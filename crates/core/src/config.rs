@@ -1,17 +1,14 @@
 //! Declarative predictor configurations.
 //!
 //! [`PredictorConfig`] names every scheme the workspace can simulate,
-//! builds boxed predictors for sweep harnesses, and round-trips through
+//! builds it (as a kernel or a boxed predictor), and round-trips through
 //! a compact text syntax (`"gshare:h=8,c=4"`) so experiment binaries can
 //! take predictors on the command line.
 
 use std::fmt;
 use std::str::FromStr;
 
-use crate::{
-    AddressIndexed, Agree, AlwaysNotTaken, AlwaysTaken, BiMode, BranchPredictor, Btfn, Combining,
-    Gas, Gshare, Gskew, LastTime, Pas, PathBased, Sas, TableGeometry, Yags,
-};
+use crate::{BranchPredictor, TableGeometry};
 
 /// A buildable description of one predictor configuration.
 ///
@@ -144,77 +141,10 @@ pub enum PredictorConfig {
 }
 
 impl PredictorConfig {
-    /// Builds the predictor this configuration describes.
+    /// Builds the predictor this configuration describes, boxed behind
+    /// the trait (the [`kernel`](Self::kernel) with dynamic dispatch).
     pub fn build(&self) -> Box<dyn BranchPredictor> {
-        match *self {
-            PredictorConfig::AlwaysTaken => Box::new(AlwaysTaken),
-            PredictorConfig::AlwaysNotTaken => Box::new(AlwaysNotTaken),
-            PredictorConfig::Btfn => Box::new(Btfn),
-            PredictorConfig::LastTime { addr_bits } => Box::new(LastTime::new(addr_bits)),
-            PredictorConfig::AddressIndexed { addr_bits } => {
-                Box::new(AddressIndexed::new(addr_bits))
-            }
-            PredictorConfig::Gas {
-                history_bits,
-                col_bits,
-            } => Box::new(Gas::new(history_bits, col_bits)),
-            PredictorConfig::Gshare {
-                history_bits,
-                col_bits,
-            } => Box::new(Gshare::new(history_bits, col_bits)),
-            PredictorConfig::Path {
-                row_bits,
-                col_bits,
-                bits_per_target,
-            } => Box::new(PathBased::new(row_bits, col_bits, bits_per_target)),
-            PredictorConfig::PasInfinite {
-                history_bits,
-                col_bits,
-            } => Box::new(Pas::perfect(history_bits, col_bits)),
-            PredictorConfig::PasFinite {
-                history_bits,
-                col_bits,
-                entries,
-                ways,
-            } => Box::new(Pas::with_bht(
-                history_bits,
-                col_bits,
-                entries as usize,
-                ways as usize,
-            )),
-            PredictorConfig::Tournament {
-                addr_bits,
-                history_bits,
-                chooser_bits,
-            } => Box::new(Combining::new(
-                AddressIndexed::new(addr_bits),
-                Gshare::new(history_bits, 0),
-                chooser_bits,
-            )),
-            PredictorConfig::Sas {
-                history_bits,
-                set_bits,
-                col_bits,
-            } => Box::new(Sas::new(history_bits, set_bits, col_bits)),
-            PredictorConfig::Agree {
-                history_bits,
-                index_bits,
-            } => Box::new(Agree::new(history_bits, index_bits)),
-            PredictorConfig::BiMode {
-                history_bits,
-                direction_bits,
-                choice_bits,
-            } => Box::new(BiMode::new(history_bits, direction_bits, choice_bits)),
-            PredictorConfig::Gskew {
-                history_bits,
-                bank_bits,
-            } => Box::new(Gskew::new(history_bits, bank_bits)),
-            PredictorConfig::Yags {
-                choice_bits,
-                cache_bits,
-                tag_bits,
-            } => Box::new(Yags::new(choice_bits, cache_bits, tag_bits)),
-        }
+        Box::new(self.kernel())
     }
 
     /// The configuration's stable canonical identifier.

@@ -1,20 +1,19 @@
 //! Enum-dispatched predictor kernels.
 //!
 //! [`PredictorKernel`] is the replay loop's view of a predictor: one
-//! enum variant per concrete scheme a [`PredictorConfig`] can build,
-//! plus a [`Boxed`](PredictorKernel::Boxed) escape hatch for exotic
-//! wrappers (delayed update, speculative history) that only exist
-//! behind the [`BranchPredictor`] trait. The hot loop matches on the
+//! enum variant per concrete scheme a [`PredictorConfig`] can build.
+//! Wrappers that only exist behind the [`BranchPredictor`] trait
+//! (delayed update, speculative history) stay trait objects and never
+//! enter a kernel. The hot loop matches on the
 //! variant once per call and then runs the scheme's *monomorphized*
 //! predict/update — a single predictable branch instead of two virtual
 //! calls per record — while everything outside the loop keeps using
 //! the trait ([`PredictorKernel`] implements [`BranchPredictor`]
 //! itself, so the two worlds compose).
 //!
-//! Kernels are built with [`PredictorConfig::kernel`]; prediction
-//! behaviour is bit-identical to the boxed predictor
-//! [`PredictorConfig::build`] returns, which the sweep determinism
-//! tests enforce.
+//! [`PredictorConfig::kernel`] is the only constructor that maps a
+//! configuration to its scheme; [`PredictorConfig::build`] boxes the
+//! same kernel behind the trait.
 //!
 //! # Examples
 //!
@@ -47,9 +46,7 @@ pub type TournamentKernel = Combining<AddressIndexed, Gshare>;
 /// A predictor with enum dispatch on the hot path.
 ///
 /// One variant per concrete scheme, each holding the scheme's own type
-/// so `predict`/`update` monomorphize inside a `match`; the
-/// [`Boxed`](Self::Boxed) variant folds any other [`BranchPredictor`]
-/// into the same interface at the old virtual-call cost.
+/// so `predict`/`update` monomorphize inside a `match`.
 #[non_exhaustive]
 pub enum PredictorKernel {
     /// Static always-taken.
@@ -84,8 +81,6 @@ pub enum PredictorKernel {
     Gskew(Gskew),
     /// YAGS predictor.
     Yags(Yags),
-    /// Fallback: any other predictor, at trait-object dispatch cost.
-    Boxed(Box<dyn BranchPredictor>),
 }
 
 /// Dispatches one method call to the concrete scheme in each variant.
@@ -108,17 +103,11 @@ macro_rules! dispatch {
             PredictorKernel::BiMode($p) => $body,
             PredictorKernel::Gskew($p) => $body,
             PredictorKernel::Yags($p) => $body,
-            PredictorKernel::Boxed($p) => $body,
         }
     };
 }
 
 impl PredictorKernel {
-    /// Wraps an arbitrary boxed predictor in the fallback variant.
-    pub fn boxed(predictor: Box<dyn BranchPredictor>) -> Self {
-        PredictorKernel::Boxed(predictor)
-    }
-
     /// Predicts the branch at `pc` (see [`BranchPredictor::predict`]).
     #[inline]
     pub fn predict(&mut self, pc: u64, target: u64) -> Outcome {
@@ -214,7 +203,6 @@ impl PredictorKernel {
             PredictorKernel::BiMode(p) => visitor.visit(p, PredictorKernel::BiMode),
             PredictorKernel::Gskew(p) => visitor.visit(p, PredictorKernel::Gskew),
             PredictorKernel::Yags(p) => visitor.visit(p, PredictorKernel::Yags),
-            PredictorKernel::Boxed(p) => visitor.visit(p, PredictorKernel::Boxed),
         }
     }
 }
@@ -222,12 +210,6 @@ impl PredictorKernel {
 impl fmt::Debug for PredictorKernel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "PredictorKernel({})", self.name())
-    }
-}
-
-impl From<Box<dyn BranchPredictor>> for PredictorKernel {
-    fn from(predictor: Box<dyn BranchPredictor>) -> Self {
-        PredictorKernel::boxed(predictor)
     }
 }
 
@@ -272,10 +254,8 @@ impl BranchPredictor for PredictorKernel {
 }
 
 impl PredictorConfig {
-    /// Builds this configuration as an enum-dispatched kernel.
-    ///
-    /// Behaviour is bit-identical to [`build`](Self::build); the only
-    /// difference is dispatch cost in the replay loop.
+    /// Builds this configuration as an enum-dispatched kernel: the
+    /// one place a configuration is mapped to its concrete scheme.
     pub fn kernel(&self) -> PredictorKernel {
         match *self {
             PredictorConfig::AlwaysTaken => PredictorKernel::AlwaysTaken(AlwaysTaken),
@@ -355,116 +335,6 @@ impl PredictorConfig {
 mod tests {
     use super::*;
     use bpred_trace::Outcome;
-
-    fn every_config() -> Vec<PredictorConfig> {
-        vec![
-            PredictorConfig::AlwaysTaken,
-            PredictorConfig::AlwaysNotTaken,
-            PredictorConfig::Btfn,
-            PredictorConfig::LastTime { addr_bits: 4 },
-            PredictorConfig::AddressIndexed { addr_bits: 4 },
-            PredictorConfig::Gas {
-                history_bits: 5,
-                col_bits: 2,
-            },
-            PredictorConfig::Gshare {
-                history_bits: 5,
-                col_bits: 2,
-            },
-            PredictorConfig::Path {
-                row_bits: 5,
-                col_bits: 2,
-                bits_per_target: 2,
-            },
-            PredictorConfig::PasInfinite {
-                history_bits: 4,
-                col_bits: 1,
-            },
-            PredictorConfig::PasFinite {
-                history_bits: 4,
-                col_bits: 1,
-                entries: 32,
-                ways: 2,
-            },
-            PredictorConfig::Tournament {
-                addr_bits: 4,
-                history_bits: 4,
-                chooser_bits: 4,
-            },
-            PredictorConfig::Sas {
-                history_bits: 4,
-                set_bits: 2,
-                col_bits: 1,
-            },
-            PredictorConfig::Agree {
-                history_bits: 5,
-                index_bits: 6,
-            },
-            PredictorConfig::BiMode {
-                history_bits: 5,
-                direction_bits: 5,
-                choice_bits: 5,
-            },
-            PredictorConfig::Gskew {
-                history_bits: 5,
-                bank_bits: 5,
-            },
-            PredictorConfig::Yags {
-                choice_bits: 5,
-                cache_bits: 4,
-                tag_bits: 4,
-            },
-        ]
-    }
-
-    /// A little deterministic branch workload touching several pcs.
-    fn drive(p: &mut impl BranchPredictor) -> (Vec<Outcome>, String, u64) {
-        let mut outcomes = Vec::new();
-        for i in 0..600u64 {
-            let pc = 0x400 + 4 * (i % 13);
-            let outcome = Outcome::from((i * 7) % 5 < 3);
-            outcomes.push(p.predict(pc, 0x100 + 8 * (i % 3)));
-            p.update(pc, 0x100 + 8 * (i % 3), outcome);
-            if i % 9 == 0 {
-                p.note_control_transfer(&BranchRecord::jump(pc + 4, 0x900 + 16 * (i % 4)));
-            }
-        }
-        (outcomes, p.name(), p.state_bits())
-    }
-
-    #[test]
-    fn kernel_matches_boxed_for_every_variant() {
-        for config in every_config() {
-            let mut kernel = config.kernel();
-            let mut boxed = config.build();
-            assert_eq!(drive(&mut kernel), drive(&mut boxed), "{config}");
-            assert_eq!(kernel.alias_stats(), boxed.alias_stats(), "{config}");
-            assert_eq!(kernel.bht_stats(), boxed.bht_stats(), "{config}");
-        }
-    }
-
-    #[test]
-    fn no_config_built_kernel_pays_for_the_boxed_fallback() {
-        for config in every_config() {
-            assert!(
-                !matches!(config.kernel(), PredictorKernel::Boxed(_)),
-                "{config} fell back to virtual dispatch"
-            );
-        }
-    }
-
-    #[test]
-    fn boxed_fallback_wraps_arbitrary_predictors() {
-        let inner = PredictorConfig::Gshare {
-            history_bits: 4,
-            col_bits: 1,
-        };
-        let mut kernel = PredictorKernel::boxed(inner.build());
-        let mut reference = inner.build();
-        assert_eq!(drive(&mut kernel), drive(&mut reference));
-        let via_from: PredictorKernel = inner.build().into();
-        assert_eq!(via_from.name(), reference.name());
-    }
 
     #[test]
     fn kernel_is_a_branch_predictor() {

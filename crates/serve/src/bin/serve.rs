@@ -16,14 +16,13 @@
 //! `BPRED_SERVE_TIMEOUT_MS` (read/write timeout),
 //! `BPRED_SERVE_IDLE_MS` (keep-alive idle timeout),
 //! `BPRED_SERVE_PEERS` (peer nodes for cell exchange),
-//! `BPRED_STORE_HOT_BYTES` / `BPRED_STORE_SEAL_BYTES` /
-//! `BPRED_STORE_BACKEND` (store tuning).
+//! `BPRED_STORE_HOT_BYTES` / `BPRED_STORE_SEAL_BYTES` (store tuning).
 
 use std::process::ExitCode;
 
 use bpred_serve::peers::PeerSet;
 use bpred_serve::server::{Server, ServerConfig};
-use bpred_serve::store::{self, Backend, ResultStore, StoreOptions};
+use bpred_serve::store::{self, ResultStore, StoreOptions};
 
 fn usage() -> ! {
     eprintln!(
@@ -43,24 +42,20 @@ fn usage() -> ! {
          --queue $BPRED_SERVE_QUEUE (64), --cache-dir $BPRED_CACHE_DIR (unset: uncached),\n\
          --peers $BPRED_SERVE_PEERS (unset: no peer fetch);\n\
          timeouts via BPRED_SERVE_TIMEOUT_MS (10000) and BPRED_SERVE_IDLE_MS (30000);\n\
-         store tuning via BPRED_STORE_HOT_BYTES, BPRED_STORE_SEAL_BYTES, BPRED_STORE_BACKEND"
+         store tuning via BPRED_STORE_HOT_BYTES and BPRED_STORE_SEAL_BYTES"
     );
     std::process::exit(2);
 }
 
 /// `serve store migrate DIR` — pack a legacy flat tree into segments.
 fn store_migrate(dir: &str) -> ExitCode {
-    // Opening the packed backend migrates any `objects/` tree it
-    // finds; all this subcommand adds is the report.
-    let options = StoreOptions {
-        backend: Backend::Packed,
-        ..StoreOptions::from_env()
-    };
-    match ResultStore::open_with(dir, options) {
+    // Opening the store migrates any `objects/` tree it finds; all
+    // this subcommand adds is the report.
+    match ResultStore::open_with(dir, StoreOptions::from_env()) {
         Ok(store) => {
             match store.migration() {
                 Some(report) => println!(
-                    "migrated {} objects ({} bytes) into pack segments, skipped {} corrupt",
+                    "migrated {} objects ({} bytes) into pack segments, skipped {} corrupt or stray",
                     report.migrated, report.bytes, report.skipped
                 ),
                 None => println!("no legacy objects/ tree; store is already packed"),
@@ -84,7 +79,6 @@ fn store_migrate(dir: &str) -> ExitCode {
 /// with respect to the legacy tree (no auto-migration).
 fn store_stats(dir: &str) -> ExitCode {
     let options = StoreOptions {
-        backend: Backend::Packed,
         auto_migrate: false,
         ..StoreOptions::from_env()
     };

@@ -282,7 +282,7 @@ impl Metrics {
 
         // Predict+update throughput of the most recent sweep, labelled
         // with the dispatch tier the engine would use for groupable
-        // lanes (scalar / swar). 0 until the first sweep runs.
+        // lanes (scalar / multilane). 0 until the first sweep runs.
         let pairs = bpred_sim::replay_pairs_per_sec();
         let tier = bpred_sim::dispatch_tier();
         let _ = writeln!(

@@ -2,7 +2,7 @@
 //! segments with a page-aligned persistent index.
 //!
 //! Replaces the one-file-per-object layout for scale — a hundred
-//! million cells is a hundred million inodes in the flat store, but
+//! million cells is a hundred million inodes in that layout, but
 //! only a few thousand segments here. Layout:
 //!
 //! ```text
@@ -230,7 +230,7 @@ struct Writer {
 
 /// What a [`PackStore::gc`] pass did (cells and file bytes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PackGcReport {
+pub struct GcReport {
     /// Live cells dropped with their segments.
     pub evicted: usize,
     /// Segment file bytes deleted.
@@ -702,8 +702,8 @@ impl PackStore {
     ///
     /// Active segments are never evicted or rewritten, so a cell
     /// being appended concurrently can never be collected.
-    pub fn gc(&self, max_bytes: u64) -> io::Result<PackGcReport> {
-        let mut report = PackGcReport::default();
+    pub fn gc(&self, max_bytes: u64) -> io::Result<GcReport> {
+        let mut report = GcReport::default();
         let mut total = self.file_bytes();
 
         let victims: Vec<(u64, PathBuf, u64)> = self

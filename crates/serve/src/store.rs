@@ -10,8 +10,7 @@
 //!    results ([`crate::hot`]); repeat hits never touch the
 //!    filesystem.
 //! 2. **pack** — checksummed append-only pack segments with a
-//!    persistent page-aligned index ([`crate::pack`]); replaces the
-//!    PR 3 one-file-per-object layout.
+//!    persistent page-aligned index ([`crate::pack`]).
 //! 3. **peer** — other serve nodes named in `BPRED_SERVE_PEERS`,
 //!    asked by digest over `GET /cell/<digest>` ([`crate::peers`])
 //!    before the cell is recomputed.
@@ -23,24 +22,20 @@
 //! Concurrent compute for the same cell stays single-flighted via
 //! [`crate::flight`].
 //!
-//! The legacy flat layout (`objects/<aa>/<digest>.bin`) survives two
-//! ways: opening a packed store over a directory that still has an
-//! `objects/` tree migrates it into segments automatically (also
-//! exposed as `serve store migrate`), and [`Backend::Flat`] keeps the
-//! old per-file read/write path alive for comparison benchmarks.
+//! The legacy one-file-per-object layout (`objects/<aa>/<digest>.bin`)
+//! is only ever read: opening a store over a directory that still has
+//! an `objects/` tree packs it into segments and removes it (also
+//! exposed as `serve store migrate`).
 //!
 //! The store implements [`ResultCache`], so
 //! [`bpred_sim::cache::install`]ing one memoises every keyed sweep in
 //! the process; [`install_from_env`] does that from `BPRED_CACHE_DIR`.
 
-use std::collections::HashMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::process;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::SystemTime;
+use std::sync::Arc;
 
 use bpred_sim::cache::{CellKey, ResultCache};
 use bpred_sim::{SimResult, ENGINE_VERSION};
@@ -52,31 +47,19 @@ use crate::hot::HotTier;
 use crate::pack::PackStore;
 use crate::peers::PeerSet;
 
+pub use crate::pack::GcReport;
+
 const OBJECTS_DIR: &str = "objects";
 const LEGACY_INDEX_FILE: &str = "index.log";
-const TMP_DIR: &str = "tmp";
-
-/// Which disk layout backs the store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Backend {
-    /// Pack segments + hot tier + peers (the default).
-    #[default]
-    Packed,
-    /// The legacy PR 3/PR 7 one-file-per-object layout; no hot tier,
-    /// no peers. Kept for migration sources and benchmarks.
-    Flat,
-}
 
 /// Tuning for [`ResultStore::open_with`].
 #[derive(Debug, Clone)]
 pub struct StoreOptions {
-    /// Disk layout.
-    pub backend: Backend,
     /// Hot-tier byte budget; 0 disables the tier.
     pub hot_bytes: u64,
     /// Active pack segment seal threshold in bytes.
     pub seal_bytes: u64,
-    /// Peers to fetch missing cells from (packed backend only).
+    /// Peers to fetch missing cells from.
     pub peers: Option<PeerSet>,
     /// Migrate a legacy `objects/` tree into segments at open.
     pub auto_migrate: bool,
@@ -85,7 +68,6 @@ pub struct StoreOptions {
 impl Default for StoreOptions {
     fn default() -> StoreOptions {
         StoreOptions {
-            backend: Backend::Packed,
             hot_bytes: 64 << 20,
             seal_bytes: 8 << 20,
             peers: None,
@@ -96,15 +78,10 @@ impl Default for StoreOptions {
 
 impl StoreOptions {
     /// Defaults overridden by the environment:
-    /// `BPRED_STORE_BACKEND` (`packed`|`flat`), `BPRED_STORE_HOT_BYTES`,
-    /// `BPRED_STORE_SEAL_BYTES`, and `BPRED_SERVE_PEERS`.
+    /// `BPRED_STORE_HOT_BYTES`, `BPRED_STORE_SEAL_BYTES`, and
+    /// `BPRED_SERVE_PEERS`.
     pub fn from_env() -> StoreOptions {
         let mut options = StoreOptions::default();
-        if let Ok(backend) = std::env::var("BPRED_STORE_BACKEND") {
-            if backend.eq_ignore_ascii_case("flat") {
-                options.backend = Backend::Flat;
-            }
-        }
         if let Some(v) = env_u64("BPRED_STORE_HOT_BYTES") {
             options.hot_bytes = v;
         }
@@ -129,7 +106,7 @@ fn env_u64(name: &str) -> Option<u64> {
 pub struct StoreStats {
     /// Cells answered from the in-memory hot tier.
     pub hot_hits: AtomicU64,
-    /// Cells answered from disk (pack segments, or the flat tree).
+    /// Cells answered from pack segments.
     pub pack_hits: AtomicU64,
     /// Cells answered by a peer fetch.
     pub peer_hits: AtomicU64,
@@ -139,37 +116,15 @@ pub struct StoreStats {
     pub hot_bytes: AtomicU64,
 }
 
-/// What a [`ResultStore::gc`] pass did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct GcReport {
-    /// Cells removed.
-    pub evicted: usize,
-    /// Bytes freed.
-    pub freed_bytes: u64,
-    /// Cells remaining.
-    pub kept: usize,
-    /// Bytes remaining (segment file bytes for the packed backend,
-    /// object bytes for the flat one).
-    pub kept_bytes: u64,
-}
-
 /// What migrating a legacy flat tree into pack segments did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MigrateReport {
     /// Objects packed into segments.
     pub migrated: usize,
-    /// Corrupt or misnamed objects dropped.
+    /// Corrupt, misnamed or stray entries dropped.
     pub skipped: usize,
     /// Payload bytes migrated.
     pub bytes: u64,
-}
-
-// PackStore is boxed: its striped index makes it far larger than
-// FlatStore, and ResultStore lives behind an Arc anyway.
-#[derive(Debug)]
-enum Disk {
-    Packed(Box<PackStore>),
-    Flat(FlatStore),
 }
 
 /// A tiered content-addressed cache of simulation results.
@@ -179,7 +134,7 @@ enum Disk {
 #[derive(Debug)]
 pub struct ResultStore {
     root: PathBuf,
-    disk: Disk,
+    pack: PackStore,
     hot: HotTier,
     peers: Option<PeerSet>,
     stats: Arc<StoreStats>,
@@ -196,33 +151,22 @@ impl ResultStore {
 
     /// Opens (creating if needed) the store rooted at `root`.
     ///
-    /// With the packed backend, a leftover partial active segment is
-    /// recovered, a missing or corrupt persistent index is rebuilt by
-    /// scanning segments, and (unless `auto_migrate` is off) a legacy
-    /// flat `objects/` tree is packed into segments first.
+    /// A leftover partial active segment is recovered, a missing or
+    /// corrupt persistent index is rebuilt by scanning segments, and
+    /// (unless `auto_migrate` is off) a legacy flat `objects/` tree is
+    /// packed into segments first.
     pub fn open_with(root: impl Into<PathBuf>, options: StoreOptions) -> io::Result<ResultStore> {
         let root = root.into();
-        fs::create_dir_all(root.join(TMP_DIR))?;
+        let pack = PackStore::open(&root, options.seal_bytes)?;
         let mut migration = None;
-        let (disk, hot, peers) = match options.backend {
-            Backend::Packed => {
-                let pack = PackStore::open(&root, options.seal_bytes)?;
-                if options.auto_migrate && root.join(OBJECTS_DIR).is_dir() {
-                    migration = Some(migrate_flat_tree(&root, &pack)?);
-                }
-                (
-                    Disk::Packed(Box::new(pack)),
-                    HotTier::new(options.hot_bytes),
-                    options.peers,
-                )
-            }
-            Backend::Flat => (Disk::Flat(FlatStore::open(&root)?), HotTier::new(0), None),
-        };
+        if options.auto_migrate && root.join(OBJECTS_DIR).is_dir() {
+            migration = Some(migrate_flat_tree(&root, &pack)?);
+        }
         let store = ResultStore {
             root,
-            disk,
-            hot,
-            peers,
+            pack,
+            hot: HotTier::new(options.hot_bytes),
+            peers: options.peers,
             stats: Arc::new(StoreStats::default()),
             flight: Flight::new(),
             migration,
@@ -234,14 +178,6 @@ impl ResultStore {
     /// The store's root directory.
     pub fn root(&self) -> &Path {
         &self.root
-    }
-
-    /// Which disk layout is in use.
-    pub fn backend(&self) -> Backend {
-        match self.disk {
-            Disk::Packed(_) => Backend::Packed,
-            Disk::Flat(_) => Backend::Flat,
-        }
     }
 
     /// Per-tier hit counters and gauges, shared with `/metrics`.
@@ -256,10 +192,7 @@ impl ResultStore {
 
     /// Number of cached cells on disk.
     pub fn len(&self) -> usize {
-        match &self.disk {
-            Disk::Packed(pack) => pack.len(),
-            Disk::Flat(flat) => flat.len(),
-        }
+        self.pack.len()
     }
 
     /// Returns `true` when no cells are cached.
@@ -269,18 +202,12 @@ impl ResultStore {
 
     /// Total payload bytes of cached objects.
     pub fn total_bytes(&self) -> u64 {
-        match &self.disk {
-            Disk::Packed(pack) => pack.payload_bytes(),
-            Disk::Flat(flat) => flat.total_bytes(),
-        }
+        self.pack.payload_bytes()
     }
 
-    /// Segments on disk (1 for the flat backend's single tree).
+    /// Segments on disk.
     pub fn segments(&self) -> usize {
-        match &self.disk {
-            Disk::Packed(pack) => pack.segments(),
-            Disk::Flat(_) => 1,
-        }
+        self.pack.segments()
     }
 
     /// Cells resident in the hot tier.
@@ -304,69 +231,46 @@ impl ResultStore {
     pub fn get(&self, key: &CellKey) -> Option<SimResult> {
         let canonical = key.canonical();
         let hex = key.digest();
-        match &self.disk {
-            Disk::Flat(flat) => {
-                let bytes = flat.get(&hex)?;
-                match codec::decode(&bytes, &canonical) {
-                    Ok(result) => {
-                        self.stats.pack_hits.fetch_add(1, Ordering::Relaxed);
-                        Some(result)
-                    }
-                    Err(_) => {
-                        flat.remove(&hex);
-                        None
-                    }
-                }
-            }
-            Disk::Packed(pack) => {
-                let digest = parse_digest(&hex)?;
-                if let Some(result) = self.hot.get(digest) {
-                    self.stats.hot_hits.fetch_add(1, Ordering::Relaxed);
+        let digest = parse_digest(&hex)?;
+        if let Some(result) = self.hot.get(digest) {
+            self.stats.hot_hits.fetch_add(1, Ordering::Relaxed);
+            return Some(result);
+        }
+        if let Some(bytes) = self.pack.get(digest) {
+            match codec::decode(&bytes, &canonical) {
+                Ok(result) => {
+                    self.hot.put(digest, &result, bytes.len());
+                    self.stats.pack_hits.fetch_add(1, Ordering::Relaxed);
+                    self.refresh_gauges();
                     return Some(result);
                 }
-                if let Some(bytes) = pack.get(digest) {
-                    match codec::decode(&bytes, &canonical) {
-                        Ok(result) => {
-                            self.hot.put(digest, &result, bytes.len());
-                            self.stats.pack_hits.fetch_add(1, Ordering::Relaxed);
-                            self.refresh_gauges();
-                            return Some(result);
-                        }
-                        // Corrupt on disk: drop it, but still give
-                        // the peer tier a chance below.
-                        Err(_) => pack.forget(digest),
-                    }
-                }
-                let peers = self.peers.as_ref()?;
-                let bytes = peers.fetch(&hex)?;
-                match codec::decode(&bytes, &canonical) {
-                    Ok(result) => {
-                        let _ = pack.put(digest, &bytes);
-                        self.hot.put(digest, &result, bytes.len());
-                        self.stats.peer_hits.fetch_add(1, Ordering::Relaxed);
-                        self.refresh_gauges();
-                        Some(result)
-                    }
-                    Err(_) => None,
-                }
+                // Corrupt on disk: drop it, but still give the peer
+                // tier a chance below.
+                Err(_) => self.pack.forget(digest),
             }
+        }
+        let peers = self.peers.as_ref()?;
+        let bytes = peers.fetch(&hex)?;
+        match codec::decode(&bytes, &canonical) {
+            Ok(result) => {
+                let _ = self.pack.put(digest, &bytes);
+                self.hot.put(digest, &result, bytes.len());
+                self.stats.peer_hits.fetch_add(1, Ordering::Relaxed);
+                self.refresh_gauges();
+                Some(result)
+            }
+            Err(_) => None,
         }
     }
 
-    /// Stores the result for `key` durably (pack append or flat
-    /// object write) and, for the packed backend, in the hot tier.
+    /// Stores the result for `key` durably (a pack append) and in the
+    /// hot tier.
     pub fn put(&self, key: &CellKey, result: &SimResult) -> io::Result<()> {
         let bytes = codec::encode(&key.canonical(), result);
-        let hex = key.digest();
-        match &self.disk {
-            Disk::Flat(flat) => flat.put(&hex, &bytes)?,
-            Disk::Packed(pack) => {
-                let digest = parse_digest(&hex)
-                    .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "bad digest"))?;
-                pack.put(digest, &bytes)?;
-                self.hot.put(digest, result, bytes.len());
-            }
-        }
+        let digest = parse_digest(&key.digest())
+            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "bad digest"))?;
+        self.pack.put(digest, &bytes)?;
+        self.hot.put(digest, result, bytes.len());
         self.refresh_gauges();
         Ok(())
     }
@@ -375,13 +279,7 @@ impl ResultStore {
     /// tiers only — this is what `GET /cell/<digest>` serves, so two
     /// peers asking each other can never loop.
     pub fn get_raw(&self, digest_hex: &str) -> Option<Vec<u8>> {
-        if !digest_ok(digest_hex) {
-            return None;
-        }
-        match &self.disk {
-            Disk::Packed(pack) => pack.get(parse_digest(digest_hex)?),
-            Disk::Flat(flat) => flat.get(digest_hex),
-        }
+        self.pack.get(parse_digest(digest_hex)?)
     }
 
     /// Accepts a raw object for `digest_hex` (the `PUT /cell/…`
@@ -397,14 +295,9 @@ impl ResultStore {
         if fnv::fnv128_hex(stored_key.as_bytes()) != digest_hex {
             return Err("object key does not hash to the given digest".to_owned());
         }
-        match &self.disk {
-            Disk::Packed(pack) => {
-                let digest = parse_digest(digest_hex).expect("digest_ok checked");
-                pack.put(digest, bytes).map_err(|e| e.to_string())?;
-                self.hot.put(digest, &result, bytes.len());
-            }
-            Disk::Flat(flat) => flat.put(digest_hex, bytes).map_err(|e| e.to_string())?,
-        }
+        let digest = parse_digest(digest_hex).expect("digest_ok checked");
+        self.pack.put(digest, bytes).map_err(|e| e.to_string())?;
+        self.hot.put(digest, &result, bytes.len());
         self.refresh_gauges();
         Ok(())
     }
@@ -440,24 +333,11 @@ impl ResultStore {
 
     /// Trims the store to at most `max_bytes` on disk.
     ///
-    /// Packed backend: whole sealed segments are dropped oldest
-    /// generation first and mostly-dead ones compacted; the active
-    /// segment is never touched, so a cell being written concurrently
-    /// can never be collected. Flat backend: legacy oldest-mtime
-    /// eviction.
+    /// Whole sealed segments are dropped oldest generation first and
+    /// mostly-dead ones compacted; the active segment is never touched,
+    /// so a cell being written concurrently can never be collected.
     pub fn gc(&self, max_bytes: u64) -> io::Result<GcReport> {
-        let report = match &self.disk {
-            Disk::Packed(pack) => {
-                let r = pack.gc(max_bytes)?;
-                GcReport {
-                    evicted: r.evicted,
-                    freed_bytes: r.freed_bytes,
-                    kept: r.kept,
-                    kept_bytes: r.kept_bytes,
-                }
-            }
-            Disk::Flat(flat) => flat.gc(max_bytes)?,
-        };
+        let report = self.pack.gc(max_bytes)?;
         self.refresh_gauges();
         Ok(report)
     }
@@ -475,26 +355,28 @@ fn parse_digest(hex: &str) -> Option<u128> {
 }
 
 /// Packs every valid object of a legacy flat `objects/` tree into the
-/// segment store, then removes the tree (and the old journal).
-/// Corrupt or misnamed objects are dropped — they were unreadable in
-/// the old layout too.
+/// segment store, seals it, then removes the tree (and the old
+/// journal). Corrupt or misnamed objects, and any stray entry that is
+/// not `objects/<aa>/<digest>.bin`, are counted as skipped and dropped
+/// with the tree — they were unreadable in the old layout too.
 fn migrate_flat_tree(root: &Path, pack: &PackStore) -> io::Result<MigrateReport> {
     let mut report = MigrateReport::default();
     let objects = root.join(OBJECTS_DIR);
     for fan in fs::read_dir(&objects)? {
         let fan = fan?;
         if !fan.file_type()?.is_dir() {
+            report.skipped += 1;
             continue;
         }
         for entry in fs::read_dir(fan.path())? {
             let entry = entry?;
             let name = entry.file_name();
-            let Some(hex) = name.to_str().and_then(|n| n.strip_suffix(".bin")) else {
-                continue;
-            };
-            let Some(digest) = parse_digest(hex) else {
+            let hex = name.to_str().and_then(|n| n.strip_suffix(".bin"));
+            let digest = hex
+                .and_then(parse_digest)
+                .filter(|_| entry.file_type().is_ok_and(|t| t.is_file()));
+            let (Some(hex), Some(digest)) = (hex, digest) else {
                 report.skipped += 1;
-                let _ = fs::remove_file(entry.path());
                 continue;
             };
             let bytes = fs::read(entry.path())?;
@@ -508,135 +390,12 @@ fn migrate_flat_tree(root: &Path, pack: &PackStore) -> io::Result<MigrateReport>
             } else {
                 report.skipped += 1;
             }
-            let _ = fs::remove_file(entry.path());
         }
-        let _ = fs::remove_dir(fan.path());
     }
-    let _ = fs::remove_dir(&objects);
-    let _ = fs::remove_file(root.join(LEGACY_INDEX_FILE));
     pack.seal_active()?;
+    let _ = fs::remove_dir_all(&objects);
+    let _ = fs::remove_file(root.join(LEGACY_INDEX_FILE));
     Ok(report)
-}
-
-/// The legacy one-file-per-object layout
-/// (`objects/<aa>/<digest>.bin`), kept as a named backend for
-/// migration sources and benchmark baselines. No journal — the tree
-/// is scanned at open.
-#[derive(Debug)]
-struct FlatStore {
-    root: PathBuf,
-    index: Mutex<HashMap<String, u64>>,
-}
-
-impl FlatStore {
-    fn open(root: &Path) -> io::Result<FlatStore> {
-        fs::create_dir_all(root.join(OBJECTS_DIR))?;
-        let mut index = HashMap::new();
-        for fan in fs::read_dir(root.join(OBJECTS_DIR))? {
-            let fan = fan?;
-            if !fan.file_type()?.is_dir() {
-                continue;
-            }
-            for entry in fs::read_dir(fan.path())? {
-                let entry = entry?;
-                let name = entry.file_name();
-                let Some(digest) = name.to_str().and_then(|n| n.strip_suffix(".bin")) else {
-                    continue;
-                };
-                if digest_ok(digest) {
-                    index.insert(digest.to_owned(), entry.metadata()?.len());
-                }
-            }
-        }
-        Ok(FlatStore {
-            root: root.to_owned(),
-            index: Mutex::new(index),
-        })
-    }
-
-    fn object_path(&self, digest: &str) -> PathBuf {
-        self.root
-            .join(OBJECTS_DIR)
-            .join(&digest[..2])
-            .join(format!("{digest}.bin"))
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<String, u64>> {
-        self.index.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    fn total_bytes(&self) -> u64 {
-        self.lock().values().sum()
-    }
-
-    fn get(&self, digest: &str) -> Option<Vec<u8>> {
-        if !self.lock().contains_key(digest) {
-            return None;
-        }
-        match fs::read(self.object_path(digest)) {
-            Ok(bytes) => Some(bytes),
-            Err(_) => {
-                self.lock().remove(digest);
-                None
-            }
-        }
-    }
-
-    fn remove(&self, digest: &str) {
-        let _ = fs::remove_file(self.object_path(digest));
-        self.lock().remove(digest);
-    }
-
-    fn put(&self, digest: &str, bytes: &[u8]) -> io::Result<()> {
-        let path = self.object_path(digest);
-        if let Some(parent) = path.parent() {
-            fs::create_dir_all(parent)?;
-        }
-        static COUNTER: AtomicU64 = AtomicU64::new(0);
-        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-        let tmp = self
-            .root
-            .join(TMP_DIR)
-            .join(format!("{digest}.{}.{n}", process::id()));
-        fs::write(&tmp, bytes)?;
-        fs::rename(&tmp, &path)?;
-        self.lock().insert(digest.to_owned(), bytes.len() as u64);
-        Ok(())
-    }
-
-    fn gc(&self, max_bytes: u64) -> io::Result<GcReport> {
-        let snapshot: Vec<(String, u64)> =
-            self.lock().iter().map(|(d, &l)| (d.clone(), l)).collect();
-        let mut aged: Vec<(SystemTime, String, u64)> = Vec::with_capacity(snapshot.len());
-        let mut total: u64 = 0;
-        for (digest, len) in snapshot {
-            let mtime = fs::metadata(self.object_path(&digest))
-                .and_then(|m| m.modified())
-                .unwrap_or(SystemTime::UNIX_EPOCH);
-            total += len;
-            aged.push((mtime, digest, len));
-        }
-        aged.sort(); // oldest first; digest tiebreak keeps it total
-
-        let mut report = GcReport::default();
-        for (_, digest, len) in &aged {
-            if total <= max_bytes {
-                break;
-            }
-            self.remove(digest);
-            total -= len;
-            report.evicted += 1;
-            report.freed_bytes += len;
-        }
-        let map = self.lock();
-        report.kept = map.len();
-        report.kept_bytes = map.values().sum();
-        Ok(report)
-    }
 }
 
 impl ResultCache for ResultStore {

@@ -11,7 +11,7 @@ use bpred_core::PredictorConfig;
 use bpred_serve::codec;
 use bpred_serve::peers::PeerSet;
 use bpred_serve::server::{Server, ServerConfig, ServerHandle};
-use bpred_serve::store::{Backend, StoreOptions};
+use bpred_serve::store::StoreOptions;
 use bpred_sim::cache::CellKey;
 use bpred_sim::{SimResult, Simulator};
 
@@ -25,7 +25,6 @@ fn scratch(tag: &str) -> PathBuf {
 
 fn options(peers: Option<PeerSet>) -> StoreOptions {
     StoreOptions {
-        backend: Backend::Packed,
         hot_bytes: 16 << 20,
         seal_bytes: 1 << 20,
         peers,

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 
 use bpred_core::{AliasStats, BhtStats, PredictorConfig};
 use bpred_serve::codec;
-use bpred_serve::store::{Backend, ResultStore, StoreOptions};
+use bpred_serve::store::{ResultStore, StoreOptions};
 use bpred_sim::cache::CellKey;
 use bpred_sim::{SimResult, Simulator};
 
@@ -57,7 +57,6 @@ fn packed(dir: &Path, hot_bytes: u64, seal_bytes: u64) -> ResultStore {
     ResultStore::open_with(
         dir,
         StoreOptions {
-            backend: Backend::Packed,
             hot_bytes,
             seal_bytes,
             peers: None,
@@ -67,15 +66,16 @@ fn packed(dir: &Path, hot_bytes: u64, seal_bytes: u64) -> ResultStore {
     .unwrap()
 }
 
-fn flat(dir: &Path) -> ResultStore {
-    ResultStore::open_with(
-        dir,
-        StoreOptions {
-            backend: Backend::Flat,
-            ..StoreOptions::default()
-        },
-    )
-    .unwrap()
+/// Writes `cells` as a legacy flat tree: one `codec::encode`d object
+/// per cell at `objects/<aa>/<digest>.bin`.
+fn write_legacy_tree(dir: &Path, cells: &[(CellKey, SimResult)]) {
+    for (key, result) in cells {
+        let digest = key.digest();
+        let fan = dir.join("objects").join(&digest[..2]);
+        fs::create_dir_all(&fan).unwrap();
+        let bytes = codec::encode(&key.canonical(), result);
+        fs::write(fan.join(format!("{digest}.bin")), bytes).unwrap();
+    }
 }
 
 // ------------------------------------------------------------ codec
@@ -285,39 +285,47 @@ fn persistent_index_is_an_optimisation_not_the_truth() {
 
 #[test]
 fn migration_packs_a_legacy_flat_tree() {
-    let dir = scratch("migrate");
-    {
-        let legacy = flat(&dir);
-        for i in 0..10u64 {
-            legacy.put(&key(&format!("m{i}")), &result(i)).unwrap();
+    // The second input adds stray entries no flat store ever wrote: a
+    // plain file directly under `objects/` and a non-`.bin` file in a
+    // fan directory. They count as skipped and leave with the tree.
+    let strays: [&[&str]; 2] = [&[], &["README", "00/notes.txt"]];
+    for (case, stray) in strays.iter().enumerate() {
+        let dir = scratch(&format!("migrate-{case}"));
+        let cells: Vec<_> = (0..10u64)
+            .map(|i| (key(&format!("m{i}")), result(i)))
+            .collect();
+        write_legacy_tree(&dir, &cells);
+        fs::write(dir.join("index.log"), b"legacy journal").unwrap();
+        // Plant one corrupt object: it must be skipped, not migrated.
+        let corrupt = dir.join("objects").join("00");
+        fs::create_dir_all(&corrupt).unwrap();
+        fs::write(
+            corrupt.join("00000000000000000000000000000000.bin"),
+            b"not a result object",
+        )
+        .unwrap();
+        for path in *stray {
+            fs::write(dir.join("objects").join(path), b"stray").unwrap();
         }
-        assert_eq!(legacy.len(), 10);
-    }
-    // Plant one corrupt object: it must be skipped, not migrated.
-    let corrupt = dir.join("objects").join("00");
-    fs::create_dir_all(&corrupt).unwrap();
-    fs::write(
-        corrupt.join("00000000000000000000000000000000.bin"),
-        b"not a result object",
-    )
-    .unwrap();
 
-    let store = packed(&dir, 1 << 20, 1 << 20);
-    let report = store.migration().expect("migration ran");
-    assert_eq!(report.migrated, 10);
-    assert_eq!(report.skipped, 1);
-    assert!(report.bytes > 0);
-    assert!(!dir.join("objects").exists(), "legacy tree removed");
-    assert!(!dir.join("index.log").exists(), "legacy journal removed");
-    for i in 0..10u64 {
-        assert_eq!(store.get(&key(&format!("m{i}"))), Some(result(i)));
-    }
+        let store = packed(&dir, 1 << 20, 1 << 20);
+        let report = store.migration().expect("migration ran");
+        assert_eq!(report.migrated, 10, "case {case}");
+        assert_eq!(report.skipped, 1 + stray.len(), "case {case}");
+        assert!(report.bytes > 0);
+        assert!(!dir.join("objects").exists(), "legacy tree removed");
+        assert!(!dir.join("index.log").exists(), "legacy journal removed");
+        for (key, result) in &cells {
+            assert_eq!(store.get(key).as_ref(), Some(result));
+        }
 
-    // Re-opening does not migrate again.
-    drop(store);
-    let store = packed(&dir, 1 << 20, 1 << 20);
-    assert!(store.migration().is_none());
-    assert_eq!(store.len(), 10);
+        // Re-opening does not migrate again.
+        drop(store);
+        let store = packed(&dir, 1 << 20, 1 << 20);
+        assert!(store.migration().is_none(), "case {case}: migrated twice");
+        assert!(!dir.join("objects").exists());
+        assert_eq!(store.len(), 10);
+    }
 }
 
 #[test]
@@ -338,22 +346,6 @@ fn raw_object_exchange_validates_digests() {
     assert_eq!(store.get(&a), Some(result(1)));
     assert_eq!(store.get_raw(&a.digest()).unwrap(), bytes_a);
     assert_eq!(store.get_raw(&b.digest()), None);
-}
-
-#[test]
-fn flat_backend_round_trips_and_gcs() {
-    let dir = scratch("flatrt");
-    let store = flat(&dir);
-    for i in 0..10u64 {
-        store.put(&key(&format!("f{i}")), &result(i)).unwrap();
-    }
-    assert_eq!(store.len(), 10);
-    assert_eq!(store.get(&key("f4")), Some(result(4)));
-    let budget = store.total_bytes() / 2;
-    let report = store.gc(budget).unwrap();
-    assert!(report.evicted > 0);
-    assert!(report.kept_bytes <= budget);
-    assert_eq!(report.kept, store.len());
 }
 
 #[test]

@@ -117,14 +117,14 @@ fn force_scalar() -> bool {
 pub const PREFETCH_SPILL_BYTES: u64 = 4 << 20;
 
 /// The dispatch tier the next [`LaneSet`] will use for groupable
-/// configurations: `"scalar"` under `BPRED_FORCE_SCALAR`, `"swar"`
-/// otherwise. Exported (with this label) as the
+/// configurations: `"scalar"` under `BPRED_FORCE_SCALAR`,
+/// `"multilane"` otherwise. Exported (with this label) as the
 /// `bpred_replay_pairs_per_sec` gauge's `tier` by `bpred-serve`.
 pub fn dispatch_tier() -> &'static str {
     if force_scalar() {
         "scalar"
     } else {
-        "swar"
+        "multilane"
     }
 }
 

@@ -38,8 +38,8 @@
 //!
 //! Sweeps that replay *many* configurations over one chunk stream go
 //! one tier further: [`replay_multilane`](crate::replay_multilane)
-//! (module [`multilane`](crate::multilane)) regroups compatible lanes
-//! record-major and steps their counters SWAR-packed, with this core
+//! (module [`multilane`](crate::multilane)) fuses compatible lanes
+//! into lane-major groups over shared counter arenas, with this core
 //! pinned underneath as the scalar fallback and bit-identity oracle.
 //!
 //! # Examples

@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use bpred_serve::server::{Server, ServerConfig};
 use bpred_serve::service::{sweep_body, SweepRequest};
-use bpred_serve::store::{Backend, ResultStore, StoreOptions};
+use bpred_serve::store::{ResultStore, StoreOptions};
 use bpred_sim::cache::{run_configs_keyed, CellKey};
 use bpred_sim::Simulator;
 use bpred_workloads::{suite, WorkloadSource};
@@ -332,7 +332,6 @@ proptest! {
     ) {
         let dir = scratch(&format!("storm-{threads}-{}-{hot_bytes}", seeds.len()));
         let options = StoreOptions {
-            backend: Backend::Packed,
             hot_bytes,
             // ~2 cells per segment: every storm crosses many seals.
             seal_bytes: 512,
