@@ -17,6 +17,10 @@ fn main() -> ExitCode {
         Ok(args) => args,
         Err(code) => return code,
     };
+    if args.csv {
+        eprintln!("all prints aligned text only; run the per-exhibit binaries (table1, fig4, ...) for --csv");
+        return ExitCode::FAILURE;
+    }
     let opts = &args.options;
 
     println!("================ Table 1 ================\n");

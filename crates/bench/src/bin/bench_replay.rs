@@ -17,7 +17,7 @@
 //! - `scalar` — `BPRED_FORCE_SCALAR=1`: every lane is the pinned
 //!   hoisted-dispatch [`ReplayCore`](bpred_sim::ReplayCore) fallback.
 //! - `multilane` — the default tier
-//!   ([`dispatch_tier`](bpred_sim::dispatch_tier)): the fused
+//!   ([`dispatch_tier`]): the fused
 //!   lane-major group kernels.
 //!
 //! Both modes produce bit-identical results (asserted here on every

@@ -7,7 +7,7 @@
 //! --seed <n>       trace seed (default 1996)
 //! --min-bits <n>   smallest tier, log2 counters (default 4)
 //! --max-bits <n>   largest tier, log2 counters (default 15, at most 30)
-//! --csv            emit CSV instead of aligned text
+//! --csv            emit CSV instead of aligned text (`all` rejects it)
 //! --quick          shorthand for --branches 50000 --max-bits 10
 //! ```
 //!

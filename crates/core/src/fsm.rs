@@ -5,7 +5,7 @@
 //! same author as the path scheme in Figure 8) showed several
 //! alternatives match or beat it on particular workloads. [`FsmSpec`]
 //! describes any 4-state machine by its transition and output tables,
-//! and [`FsmTable`]/[`FsmPredictor`] run an address-indexed predictor
+//! and [`FsmPredictor`] runs an address-indexed predictor
 //! over it, so counter-design ablations can explore the full space.
 
 use std::fmt;

@@ -100,8 +100,8 @@ pub enum IndexFn {
         /// family) or only concatenated as columns (GAs family).
         xor: bool,
     },
-    /// gskew's skewed bank hash: `idx = (((pc-word << 20) ^ pattern)
-    /// * SKEW_BANK_MULTIPLIERS[bank]) >> (64 - row_bits)`.
+    /// gskew's skewed bank hash:
+    /// `idx = (((pc-word << 20) ^ pattern) * SKEW_BANK_MULTIPLIERS[bank]) >> (64 - row_bits)`.
     ///
     /// A zero-bit (single-counter) bank always indexes 0.
     Skewed {

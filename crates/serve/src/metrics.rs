@@ -406,7 +406,7 @@ mod tests {
     #[test]
     fn replayed_records_series_tracks_the_engine_counter() {
         use bpred_core::PredictorConfig;
-        use bpred_sim::{run_batched_default, Simulator};
+        use bpred_sim::{run_configs, Simulator};
         use bpred_trace::{BranchRecord, Outcome, Trace};
 
         let m = Metrics::new();
@@ -414,7 +414,7 @@ mod tests {
             .map(|i| BranchRecord::conditional(0x40 + 4 * (i % 8), 0x20, Outcome::from(i % 3 == 0)))
             .collect();
         let before = bpred_sim::records_replayed_total();
-        run_batched_default(&[PredictorConfig::AlwaysTaken], &trace, Simulator::new());
+        run_configs(&[PredictorConfig::AlwaysTaken], &trace, Simulator::new());
         assert!(bpred_sim::records_replayed_total() >= before + 200);
         let value: u64 = m
             .render_prometheus()
@@ -429,14 +429,14 @@ mod tests {
     #[test]
     fn replay_throughput_gauge_carries_the_dispatch_tier_label() {
         use bpred_core::PredictorConfig;
-        use bpred_sim::{run_batched_default, Simulator};
+        use bpred_sim::{run_configs, Simulator};
         use bpred_trace::{BranchRecord, Outcome, Trace};
 
         let m = Metrics::new();
         let trace: Trace = (0..500)
             .map(|i| BranchRecord::conditional(0x40 + 4 * (i % 8), 0x20, Outcome::from(i % 3 == 0)))
             .collect();
-        run_batched_default(&[PredictorConfig::AlwaysTaken], &trace, Simulator::new());
+        run_configs(&[PredictorConfig::AlwaysTaken], &trace, Simulator::new());
         let text = m.render_prometheus();
         assert!(text.contains("# TYPE bpred_replay_pairs_per_sec gauge"));
         let line = text

@@ -2,7 +2,7 @@
 //! bounded compute handoff with load shedding.
 //!
 //! The connection layer is an event-driven readiness loop on
-//! nonblocking `std::net` (see [`reactor`](crate::reactor)): each
+//! nonblocking `std::net` (see [`reactor`]): each
 //! **shard** thread polls a cloned listener, its wake channel, and
 //! its connections, and drives per-connection state machines through
 //! `Reading → Computing → Writing → Reading` with HTTP/1.1

@@ -50,8 +50,8 @@ use crate::multilane::LANE_TIER_LABELS;
 use crate::ring::{ChunkRing, DetachGuard, FinishGuard, RING_CAPACITY};
 use crate::{LaneSet, SimResult, Simulator};
 
-/// Predictors replayed together per shard by [`run_batched_default`]
-/// and the sweep layers built on it.
+/// Predictors replayed together per shard by
+/// [`run_configs`](crate::run_configs) and the sweep layers built on it.
 pub const DEFAULT_SHARD_SIZE: usize = 8;
 
 /// Records replayed through the chunked pipeline, process-wide.
@@ -225,18 +225,6 @@ where
     )
 }
 
-/// [`run_batched`] with [`DEFAULT_SHARD_SIZE`].
-pub fn run_batched_default<S>(
-    configs: &[PredictorConfig],
-    source: &S,
-    simulator: Simulator,
-) -> Vec<SimResult>
-where
-    S: TraceSource + Sync + ?Sized,
-{
-    run_batched(configs, source, simulator, DEFAULT_SHARD_SIZE)
-}
-
 /// The chunked pipeline with an explicit chunk length: the source is
 /// decoded into [`TraceChunk`]s of up to `chunk_len` records exactly
 /// once, and every configuration's lane replays that one sequence.
@@ -253,7 +241,7 @@ where
 /// `chunk_len` trades ring memory against synchronisation frequency;
 /// [`TraceChunk::DEFAULT_LEN`] suits everything in this workspace.
 /// `shard_size` groups the lanes a worker advances consecutively
-/// through each chunk (see the [module docs](self)).
+/// through each chunk (see [`DEFAULT_SHARD_SIZE`]).
 ///
 /// # Panics
 ///
@@ -586,8 +574,8 @@ mod tests {
         let model = suite::espresso().scaled(2_000);
         let source = WorkloadSource::new(model.clone(), 11);
         let configs = mixed_configs();
-        let streamed = run_batched_default(&configs, &source, Simulator::new());
-        let materialised = run_batched_default(&configs, &model.trace(11), Simulator::new());
+        let streamed = crate::run_configs(&configs, &source, Simulator::new());
+        let materialised = crate::run_configs(&configs, &model.trace(11), Simulator::new());
         assert_eq!(streamed, materialised);
     }
 }

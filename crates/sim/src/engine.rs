@@ -6,7 +6,7 @@
 //! (for path-history schemes), and the result collects the paper's
 //! figures of merit — misprediction rate, second-level aliasing, and
 //! first-level miss rate. The replay itself is one pass of the shared
-//! [`ReplayCore`](crate::ReplayCore); `Simulator` carries only the
+//! [`ReplayCore`]; `Simulator` carries only the
 //! scoring policy (warmup) and the convenience entry point.
 
 use bpred_core::{AliasStats, BhtStats, BranchPredictor};

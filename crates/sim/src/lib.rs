@@ -79,13 +79,13 @@ mod sweep;
 
 pub use batch::{
     records_replayed_total, replay_group_lanes, replay_pairs_per_sec, replay_prefetch_groups,
-    replay_scalar_lanes, run_batched, run_batched_chunked, run_batched_default, DEFAULT_SHARD_SIZE,
+    replay_scalar_lanes, run_batched, run_batched_chunked, DEFAULT_SHARD_SIZE,
 };
 pub use cache::{run_configs_keyed, CellKey, ResultCache, ENGINE_VERSION};
 pub use cost::CpiModel;
 pub use engine::{SimResult, Simulator};
 pub use interference::{InterferenceObserver, InterferenceStats};
-pub use multilane::{dispatch_tier, replay_multilane, LaneSet, LANE_TIER_LABELS};
+pub use multilane::{dispatch_tier, LaneSet, LANE_TIER_LABELS};
 pub use profiled::{BranchOutcomeCounts, BranchProfiler, ProfiledRun};
 pub use replay::{Observer, ReplayCore};
 pub use replicate::{replicate, Replication};

@@ -16,28 +16,33 @@
 //!   reads over a shared arena, and a combine/update rule) and shares
 //!   a monomorphic, lane-major loop with up to [`cell::PACKED_LANES`]
 //!   other lanes of the same [`PlanKind`]. Every group sits behind one
-//!   shell ([`Group`]): the per-lane result tallies, the
+//!   shell (`Group`): the per-lane result tallies, the
 //!   [`LANE_TIER_LABELS`] slot, and the finish step are shared, and
-//!   only the per-kind [`GroupKernel`] — lane parameters, arena and
-//!   inner loop — differs. The chunk is decoded once into the shared
-//!   [`ChunkInputs`] (a dense `(pc, taken)` conditional stream, plus
-//!   dense branch ids, agree bias bits, path events and one width-free
-//!   first-level walk per per-address/per-set table geometry,
-//!   [`Level1Walk`], when a group reads them). The kernels: the
-//!   single-read global-history family (address-indexed, GAg/GAs,
-//!   gshare) in [`GlobalGroup`]; PAg/PAs (perfect or finite first
-//!   level) and SAg/SAs, which read their row off the shared walk in
-//!   front of the same counter step ([`TwoLevelGroup`]); the dealiased
-//!   combine rules of agree, bi-mode and gskew ([`AgreeGroup`],
-//!   [`BiModeGroup`], [`GskewGroup`]); tournament's chooser over two
-//!   component reads ([`TournamentGroup`]); YAGS's tagged exception
-//!   caches over a choice bias ([`TaggedGroup`]); path-based row
-//!   selection fed by every control transfer ([`PathGroup`]); and the
-//!   one-bit LastTime table ([`LastTimeGroup`]). Groups iterate lanes
-//!   in *row-blocked* order (descending region size, ties by
-//!   configuration position — the same order the arena placer assigns
-//!   bases), so consecutive lanes of a sweep walk adjacent arena
-//!   regions and same-row reads land in neighbouring cache lines.
+//!   only the per-kind kernel (`GroupKernel`: lane parameters, arena
+//!   and inner loop) differs. The chunk is decoded once into the
+//!   shared `ChunkInputs`: a dense `(pc, taken)` conditional stream,
+//!   plus dense branch ids, agree bias bits and one first-level walk
+//!   (`Level1Walk`) per per-address/per-set table geometry and per
+//!   path-register `q`, when a group reads them.
+//!
+//!   Every plan with a single counter read — address-indexed, GAg/GAs,
+//!   gshare, PAg/PAs (perfect or finite first level), SAg/SAs, Nair's
+//!   path scheme and agree — runs one lane loop, `SingleReadGroup`,
+//!   compiled once per pair of a *row source* and a *counter rule*.
+//!   The row source is the lane's global history register, advanced
+//!   in the loop (Direct lanes and agree), or its shared first-level
+//!   walk (PAs, SAs, path). The counter rule trains toward the outcome,
+//!   or, for agree, toward agreement with the shared bias column. The
+//!   multi-read plans keep their own loops over the same counter step
+//!   and history register: bi-mode's choice-steered direction tables,
+//!   gskew's majority of three skewed banks, tournament's chooser over
+//!   two components, and YAGS's tagged exception caches over a choice
+//!   bias. The one-bit LastTime table has a loop of its own, with no
+//!   shared arena. Groups iterate lanes in *row-blocked* order
+//!   (descending region size, ties by configuration position — the
+//!   same order the arena placer assigns bases), so consecutive lanes
+//!   of a sweep walk adjacent arena regions and same-row reads land in
+//!   neighbouring cache lines.
 //! * **Scalar fallback** — under `BPRED_FORCE_SCALAR` every lane
 //!   replays through the hoisted [`ReplayCore`] dispatch instead. The
 //!   scalar kernel remains the oracle: multilane results are
@@ -56,12 +61,13 @@
 //!   CI). It changes the code path, never the results.
 
 use std::collections::HashMap;
+use std::marker::PhantomData;
 
 use bpred_core::{
-    cell, reset_pattern, AliasStats, BhtStats, IndexFn, Level1Read, PlanKind, PredictorConfig,
-    PredictorKernel, TableRead, TwoBitCounter, WalkPlan, SKEW_BANK_MULTIPLIERS,
+    cell, reset_pattern, AliasStats, BhtStats, CombineRule, IndexFn, Level1Read, PlanKind,
+    PredictorConfig, PredictorKernel, TableRead, TwoBitCounter, WalkPlan, SKEW_BANK_MULTIPLIERS,
 };
-use bpred_trace::{Outcome, TraceChunk, TraceSource};
+use bpred_trace::{Outcome, TraceChunk};
 
 use crate::{ReplayCore, SimResult, Simulator};
 
@@ -90,30 +96,19 @@ fn wide_low_mask(bits: u32) -> u64 {
     }
 }
 
-/// The value a lane's history register equals exactly when its
-/// pattern is all-taken, or the `u64::MAX` sentinel when the register
-/// is absent/zero-width (the register then never leaves zero, which
-/// cannot reach the sentinel; a genuine 64-bit all-ones history *is*
-/// the sentinel value, consistently).
-#[inline]
-fn all_taken_reference(history_bits: u32) -> u64 {
-    if history_bits > 0 {
-        wide_low_mask(history_bits)
-    } else {
-        u64::MAX
-    }
-}
-
 /// Whether `BPRED_FORCE_SCALAR` pins every lane to the scalar tier.
 fn force_scalar() -> bool {
     matches!(std::env::var("BPRED_FORCE_SCALAR"), Ok(v) if !v.is_empty() && v != "0")
 }
 
-/// Arena footprint (bytes) above which a [`GlobalGroup`] runs its
-/// fused loop in the blocked two-phase prefetch form: the point where
-/// a group's arena has outgrown a typical L2 and the gather starts
-/// missing. Below it the blocking costs ~4%; above it the touch pass
-/// hides the gathered-row misses (EXPERIMENTS.md, spill-scale sweeps).
+/// Arena footprint (bytes) above which a single-read group whose rows
+/// come from a global history register (Direct and agree lanes) runs
+/// its lane loop in the blocked two-phase prefetch form: the point
+/// where a group's arena has outgrown a typical L2 and the gather
+/// starts missing. Below it the blocking costs ~4%; above it the touch
+/// pass hides the gathered-row misses (EXPERIMENTS.md, spill-scale
+/// sweeps). Lanes that read their rows off a shared first-level walk
+/// never take the blocked form: it measured slower on them.
 pub const PREFETCH_SPILL_BYTES: u64 = 4 << 20;
 
 /// The dispatch tier the next [`LaneSet`] will use for groupable
@@ -345,16 +340,11 @@ struct ChunkInputs {
     /// Pre-latch (bit 0) / post-latch (bit 1) agree bias-is-taken
     /// flags per conditional.
     bias_bits: Vec<u8>,
-    /// One element per record for path lanes, `(dest_word << 1) |
-    /// is_conditional` — the resolved destination word every control
-    /// transfer shifts into a path register.
-    events: Vec<u64>,
     /// One first-level walk per distinct [`Level1Read`] the
-    /// per-address/per-set lanes use, in first-use order.
+    /// per-address, per-set and path lanes use, in first-use order.
     walks: Vec<Level1Walk>,
     needs_ids: bool,
     needs_bias: bool,
-    needs_events: bool,
     /// Persistent dense branch ids behind `ids`.
     id_map: HashMap<u64, u32>,
     /// Persistent agree bias latch per dense id: 0 unset (reads as
@@ -367,30 +357,6 @@ impl ChunkInputs {
     /// Decodes `chunk` into the columns the groups read.
     fn decode(&mut self, chunk: &TraceChunk) {
         collect_conditionals(chunk, &mut self.conditionals);
-        if self.needs_events {
-            // Path lanes shift on every record: the destination a
-            // path register would hash (conditionals resolve to
-            // target or fall-through by outcome, everything else to
-            // its target) plus the is-conditional flag.
-            self.events.clear();
-            let pcs = chunk.pcs();
-            let targets = chunk.targets();
-            let words = chunk.meta_words();
-            for i in 0..pcs.len() {
-                let bits = (words[i / TraceChunk::META_RECORDS_PER_WORD]
-                    >> (TraceChunk::META_BITS_PER_RECORD
-                        * (i % TraceChunk::META_RECORDS_PER_WORD)))
-                    & 0xF;
-                let cond = (bits & 0b1110 == 0) as u64;
-                let fallthrough = cond & (1 - (bits & 1));
-                let dest = if fallthrough == 1 {
-                    pcs[i].wrapping_add(4)
-                } else {
-                    targets[i]
-                };
-                self.events.push(((dest >> 2) << 1) | cond);
-            }
-        }
         if self.needs_ids {
             // Dense ids in first-appearance order and, when agree
             // lanes exist, the record-major bias latch column.
@@ -417,7 +383,7 @@ impl ChunkInputs {
             }
         }
         for walk in &mut self.walks {
-            walk.walk(&self.conditionals, &self.ids, self.id_map.len());
+            walk.walk(chunk, &self.conditionals, &self.ids, self.id_map.len());
         }
     }
 
@@ -469,7 +435,10 @@ impl WalkEntry {
 /// `((reset_pattern(w) << k) | H) & mask(w)`, and finite-table hits and
 /// LRU victims depend on the pc order alone, so the walk emits `(H, k)`
 /// per conditional and each lane reads `reset_fill(w)[k] | (H &
-/// mask(w))`. Per-set registers start at zero, which is `k = 64`.
+/// mask(w))`. Per-set registers start at zero, which is `k = 64`. A
+/// path register only ever shifts left, so a `w`-bit one is the low
+/// `w` bits of the full 64-bit register the walk keeps per `q`, which
+/// starts at zero (`k = 64`) too.
 #[derive(Debug)]
 struct Level1Walk {
     read: Level1Read,
@@ -479,7 +448,8 @@ struct Level1Walk {
     age: Vec<u8>,
     /// Finite-table misses so far (the scalar `BhtStats::misses`).
     misses: u64,
-    /// Finite ways (set-major), perfect entries (by id) or set registers.
+    /// Finite ways (set-major), perfect entries (by id), set registers
+    /// or the one path register.
     entries: Vec<WalkEntry>,
     /// Finite-table LRU clock: one tick per access.
     clock: u64,
@@ -492,7 +462,8 @@ impl Level1Walk {
             Level1Read::PerfectBht => 0,
             Level1Read::SetAssocBht { entries, .. } => entries,
             Level1Read::SetHistories { set_bits } => 1 << set_bits,
-            other => unreachable!("no per-address walk for {other:?}"),
+            Level1Read::PathHistory { .. } => 1,
+            other => unreachable!("no first-level walk for {other:?}"),
         };
         Level1Walk {
             read,
@@ -504,11 +475,14 @@ impl Level1Walk {
         }
     }
 
-    /// Walks one chunk's conditional stream into the columns (perfect
-    /// tables key by `ids`, its dense branch ids, `distinct` so far).
-    fn walk(&mut self, conditionals: &[u64], ids: &[u32], distinct: usize) {
-        self.hist.resize(conditionals.len(), 0);
-        // Per-set registers never reset, so their ages stay at 64.
+    /// Walks one chunk into the columns: its conditional stream, or
+    /// for a path register every record of `chunk` (perfect tables key
+    /// by `ids`, the dense branch ids, `distinct` so far).
+    fn walk(&mut self, chunk: &TraceChunk, conditionals: &[u64], ids: &[u32], distinct: usize) {
+        // A spare slot takes what a path register parks after the last
+        // conditional. Per-set and path registers never reset, so their
+        // ages stay at 64.
+        self.hist.resize(conditionals.len() + 1, 0);
         self.age.resize(conditionals.len(), 64);
         let columns = self.hist.iter_mut().zip(self.age.iter_mut());
         match self.read {
@@ -547,8 +521,33 @@ impl Level1Walk {
                     set[way].step(packed, hist, age);
                 }
             }
-            other => unreachable!("no per-address walk for {other:?}"),
+            Level1Read::PathHistory { bits_per_target: q } => {
+                // Every control transfer shifts in `q` low bits of its
+                // destination word (a conditional's target or
+                // fall-through by outcome, any other transfer's target);
+                // the value before each record parks in the next
+                // conditional's slot.
+                let (reg, keep, mut next) = (&mut self.entries[0].hist, wide_low_mask(q), 0);
+                let (pcs, targets, words) = (chunk.pcs(), chunk.targets(), chunk.meta_words());
+                for i in 0..pcs.len() {
+                    let bits = (words[i / TraceChunk::META_RECORDS_PER_WORD]
+                        >> (TraceChunk::META_BITS_PER_RECORD
+                            * (i % TraceChunk::META_RECORDS_PER_WORD)))
+                        & 0xF;
+                    let conditional = bits & 0b1110 == 0;
+                    let dest = if conditional && bits & 1 == 0 {
+                        pcs[i].wrapping_add(4)
+                    } else {
+                        targets[i]
+                    };
+                    self.hist[next] = *reg;
+                    next += usize::from(conditional);
+                    *reg = (*reg << q) | ((dest >> 2) & keep);
+                }
+            }
+            other => unreachable!("no first-level walk for {other:?}"),
         }
+        self.hist.truncate(conditionals.len());
     }
 }
 
@@ -630,20 +629,18 @@ impl Group {
     fn new(kind: PlanKind, specs: Vec<PlanSpec>, input: &mut ChunkInputs) -> Self {
         debug_assert!(!specs.is_empty() && specs.len() <= cell::PACKED_LANES);
         let (label, kernel): (&str, Box<dyn GroupKernel>) = match kind {
-            PlanKind::Direct => ("direct", Box::new(GlobalGroup::new(&specs))),
+            PlanKind::Direct => ("direct", Box::new(DirectGroup::new(&specs, input))),
             PlanKind::PerAddressPerfect => {
-                ("pas-perfect", Box::new(TwoLevelGroup::new(&specs, input)))
+                ("pas-perfect", Box::new(WalkedGroup::new(&specs, input)))
             }
-            PlanKind::PerAddressFinite => {
-                ("pas-finite", Box::new(TwoLevelGroup::new(&specs, input)))
-            }
-            PlanKind::PerSet => ("per-set", Box::new(TwoLevelGroup::new(&specs, input))),
-            PlanKind::AgreeBias => ("agree", Box::new(AgreeGroup::new(&specs))),
+            PlanKind::PerAddressFinite => ("pas-finite", Box::new(WalkedGroup::new(&specs, input))),
+            PlanKind::PerSet => ("per-set", Box::new(WalkedGroup::new(&specs, input))),
+            PlanKind::AgreeBias => ("agree", Box::new(AgreeBiasGroup::new(&specs, input))),
             PlanKind::BiModeChoice => ("bimode", Box::new(BiModeGroup::new(&specs))),
             PlanKind::SkewedMajority => ("gskew", Box::new(GskewGroup::new(&specs))),
             PlanKind::TournamentChooser => ("tournament", Box::new(TournamentGroup::new(&specs))),
             PlanKind::TaggedChoice => ("yags", Box::new(TaggedGroup::new(&specs))),
-            PlanKind::PathHistory => ("path", Box::new(PathGroup::new(&specs))),
+            PlanKind::PathHistory => ("path", Box::new(WalkedGroup::new(&specs, input))),
             PlanKind::LastOutcome => ("last-time", Box::new(LastTimeGroup::new(&specs))),
         };
         Group {
@@ -701,173 +698,388 @@ fn tier_slot(label: &str) -> usize {
         .expect("a known tier label")
 }
 
-/// A lane group for [`PlanKind::Direct`] — address-indexed, GAg/GAs
-/// and gshare: one unified counter read off global (or no) history.
+/// The saturating two-bit counter step toward `toward` (1 = taken):
+/// +1 below strong taken, −1 above strong not-taken. Every fused
+/// kernel trains its counters through this one step.
 ///
-/// Lane parameters are structure-of-arrays, each lane owning the
-/// power-of-two arena region [`place_regions`] assigned it, so
-/// `base | idx` is the lane's slot and regions never overlap.
+/// With `w = bits + 2 * toward - 1` in `-1..=4`, `w - (w >> 2)`
+/// (arithmetic shift) clamps it to `0..=3`: four branch-free
+/// instructions, and no compare for the backend to turn into a
+/// data-dependent branch.
+#[inline(always)]
+fn counter_step(bits: u64, toward: u64) -> u64 {
+    let w = (bits + 2 * toward) as i64 - 1;
+    (w - (w >> 2)) as u64
+}
+
+/// A cell's counter bits, and 1 when a branch other than `tag`'s owns
+/// it (an alias conflict).
+#[inline(always)]
+fn peek(cell_word: u64, tag: u64) -> (u64, u64) {
+    let owner = cell_word >> 2;
+    let conflict = (owner != cell::EMPTY_OWNER) & (owner != tag);
+    (cell_word & 0b11, conflict as u64)
+}
+
+/// A cell's [`counter_step`] taken only when `train` is 1, with the
+/// cell's owner bits kept: the untagged chooser and choice cells are
+/// peeked and retrained, never tagged, exactly like the scalar
+/// counter vectors they mirror.
+#[inline(always)]
+fn retrain(cell_word: u64, toward: u64, train: u64) -> u64 {
+    let bits = cell_word & 0b11;
+    let stepped = counter_step(bits, toward);
+    (cell_word & !0b11) | (bits ^ ((bits ^ stepped) & train.wrapping_neg()))
+}
+
+/// Where a [`SingleReadGroup`] lane's rows come from: one record per
+/// lane, its parameters and state, copied into locals for the lane's
+/// loop and written back after it.
+trait RowSource: Copy + std::fmt::Debug + Send + 'static {
+    /// Whether the group runs the blocked two-phase prefetch form once
+    /// its arena outgrows [`PREFETCH_SPILL_BYTES`]: a property of the
+    /// source, not an option (it paid off only for the register).
+    const PREFETCHES: bool;
+
+    /// `spec`'s record, registering the walk it reads with `input`.
+    fn new(spec: &PlanSpec, input: &mut ChunkInputs) -> Self;
+
+    /// The walk's `(H, k)` columns the lane reads; none by default.
+    fn columns<'a>(&self, _input: &'a ChunkInputs) -> WalkColumns<'a> {
+        (&[], &[])
+    }
+
+    /// Conditional `i`'s counter index in the lane's region, `(row <<
+    /// col_bits) | column`, and 1 when its history pattern is all-taken
+    /// (a conflict there is harmless); `packed` is its stream element.
+    fn index(&self, columns: WalkColumns, i: usize, packed: u64) -> (u64, u64);
+
+    /// Moves past one conditional (`packed` carries its outcome).
+    fn advance(&mut self, _packed: u64) {}
+
+    /// First-level access statistics, when the source reports them.
+    fn bht_stats(&self, _input: &ChunkInputs, _seen: u64) -> Option<BhtStats> {
+        None
+    }
+}
+
+/// The global history register as a row source (address-indexed,
+/// GAg/GAs, gshare and agree; the multi-read kernels keep one too),
+/// advanced inside the lane loop: the row is `history ^ ((word >>
+/// col_bits) & xor_mask)`. Every read it feeds (bar gskew's hashed
+/// banks) has at least `history_bits` row bits, so the history needs
+/// no row mask.
+///
+/// The register and its masks are kept shifted left by the column
+/// bits, so the whole index is `history ^ (word & addr_mask)` and the
+/// loop runs no variable shift. The history is all-taken when it
+/// equals its mask; a zero-width register shifts in nothing and stays
+/// zero under an all-ones mask, so it never is, as in the scalar
+/// selector.
+#[derive(Debug, Clone, Copy)]
+struct GlobalRegister {
+    hist: u64,
+    hist_mask: u64,
+    /// `1 << col_bits`, or 0 for a zero-width register.
+    low_bit: u64,
+    /// The address bits in the index: the column bits, and the row
+    /// bits too for gshare-family reads.
+    addr_mask: u64,
+}
+
+impl GlobalRegister {
+    /// `plan`'s history register, feeding the rows of `read`.
+    fn feeding(plan: &WalkPlan, read: TableRead) -> Self {
+        let skewed = matches!(read.index, IndexFn::Skewed { .. });
+        debug_assert!(skewed || plan.history_bits <= read.row_bits);
+        let placed = |mask: u64| mask << read.col_bits;
+        GlobalRegister {
+            hist: 0,
+            hist_mask: placed(match plan.history_bits {
+                0 => u64::MAX,
+                h => wide_low_mask(h),
+            }),
+            low_bit: placed(u64::from(plan.history_bits > 0)),
+            addr_mask: wide_low_mask(read.col_bits)
+                | placed(match read.index {
+                    IndexFn::Unified { xor: true } => wide_low_mask(read.row_bits),
+                    _ => 0,
+                }),
+        }
+    }
+
+    /// The counter index of the conditional `packed` in its region.
+    #[inline(always)]
+    fn index_of(&self, packed: u64) -> u64 {
+        self.hist ^ ((packed >> 3) & self.addr_mask)
+    }
+
+    /// 1 when the history pattern is all-taken.
+    #[inline(always)]
+    fn all_taken(&self) -> u64 {
+        (self.hist == self.hist_mask) as u64
+    }
+}
+
+impl RowSource for GlobalRegister {
+    const PREFETCHES: bool = true;
+
+    fn new(spec: &PlanSpec, _input: &mut ChunkInputs) -> Self {
+        GlobalRegister::feeding(&spec.plan, spec.plan.reads[0])
+    }
+
+    #[inline(always)]
+    fn index(&self, _columns: WalkColumns, _i: usize, packed: u64) -> (u64, u64) {
+        (self.index_of(packed), self.all_taken())
+    }
+
+    #[inline(always)]
+    fn advance(&mut self, packed: u64) {
+        let taken = (packed & 1) * self.low_bit;
+        self.hist = ((self.hist << 1) | taken) & self.hist_mask;
+    }
+}
+
+/// A lane's shared [`Level1Walk`] as its row source (PAg/PAs with a
+/// perfect or finite first level, SAg/SAs, path): conditional `i`'s
+/// row is `fill[k] | (H & mask(history_bits))` off the walk's columns.
+#[derive(Debug, Clone, Copy)]
+struct WalkColumn {
+    /// The lane's walk in `ChunkInputs::walks`.
+    walk: usize,
+    /// [`reset_fill`] of the lane's width.
+    fill: [u64; 65],
+    /// The row mask too: these plans read `history_bits`-wide rows.
+    hist_mask: u64,
+    col_shift: u64,
+    col_mask: u64,
+    /// The all-taken row, or the unreachable `u64::MAX` when there is
+    /// none: zero-width rows, and path rows, which the scalar path
+    /// selector never reports as all-taken.
+    all_taken: u64,
+}
+
+impl RowSource for WalkColumn {
+    const PREFETCHES: bool = false;
+
+    fn new(spec: &PlanSpec, input: &mut ChunkInputs) -> Self {
+        let p = &spec.plan;
+        WalkColumn {
+            walk: input.walk_slot(p.level1),
+            fill: reset_fill(p.history_bits),
+            hist_mask: wide_low_mask(p.history_bits),
+            col_shift: u64::from(p.reads[0].col_bits),
+            col_mask: wide_low_mask(p.reads[0].col_bits),
+            all_taken: match (p.level1, p.history_bits) {
+                (Level1Read::PathHistory { .. }, _) | (_, 0) => u64::MAX,
+                (_, h) => wide_low_mask(h),
+            },
+        }
+    }
+
+    fn columns<'a>(&self, input: &'a ChunkInputs) -> WalkColumns<'a> {
+        let walk = &input.walks[self.walk];
+        (&walk.hist, &walk.age)
+    }
+
+    #[inline(always)]
+    fn index(&self, (hist, age): WalkColumns, i: usize, packed: u64) -> (u64, u64) {
+        // `age <= 64` always; the clamp only elides the bounds check.
+        let row = self.fill[usize::from(age[i]).min(64)] | (hist[i] & self.hist_mask);
+        let all_taken = (row == self.all_taken) as u64;
+        (
+            (row << self.col_shift) | ((packed >> 3) & self.col_mask),
+            all_taken,
+        )
+    }
+
+    fn bht_stats(&self, input: &ChunkInputs, seen: u64) -> Option<BhtStats> {
+        let walk = &input.walks[self.walk];
+        matches!(
+            walk.read,
+            Level1Read::PerfectBht | Level1Read::SetAssocBht { .. }
+        )
+        .then_some(BhtStats {
+            accesses: seen,
+            misses: walk.misses,
+        })
+    }
+}
+
+/// How a [`SingleReadGroup`]'s one counter read predicts and trains.
+trait CounterRule: std::fmt::Debug + Send + 'static {
+    /// Whether the rule reads the shared agree bias column.
+    const READS_BIAS: bool;
+
+    /// The chunk's bias column if the rule reads it, else empty.
+    #[inline(always)]
+    fn bias(input: &ChunkInputs) -> &[u8] {
+        match Self::READS_BIAS {
+            true => &input.bias_bits[..input.conditionals.len()],
+            false => &[],
+        }
+    }
+
+    /// `(predicted, toward)` for conditional `i`, given the counter's
+    /// high bit `msb` and the outcome `taken`: the predicted direction
+    /// and the one the counter trains toward.
+    fn judge(msb: u64, taken: u64, bias: &[u8], i: usize) -> (u64, u64);
+}
+
+/// The counter predicts the outcome and trains toward it.
 #[derive(Debug)]
-struct GlobalGroup {
-    hist: Vec<u64>,
-    hist_mask: Vec<u64>,
-    /// Value `hist` equals exactly when the history pattern is
-    /// all-taken; `u64::MAX` sentinel when the scheme has no (or a
-    /// zero-width) history register, which `hist` can never reach.
-    all_taken_ref: Vec<u64>,
-    xor_mask: Vec<u64>,
-    row_mask: Vec<u64>,
-    col_shift: Vec<u64>,
-    col_mask: Vec<u64>,
-    base: Vec<u64>,
+struct TowardOutcome;
+
+impl CounterRule for TowardOutcome {
+    const READS_BIAS: bool = false;
+
+    #[inline(always)]
+    fn judge(msb: u64, taken: u64, _bias: &[u8], _i: usize) -> (u64, u64) {
+        (msb, taken)
+    }
+}
+
+/// Agree: the counter predicts *agreement* with a per-branch bias bit
+/// latched at first execution. The latch sequence depends only on the
+/// shared (pc, outcome) stream, so `ChunkInputs::decode` latches it
+/// once, record-major, into each conditional's pre-latch (bit 0) and
+/// post-latch (bit 1) bias-is-taken flags (a shared latch array would
+/// corrupt pre-latch reads once the first lane had latched).
+#[derive(Debug)]
+struct AgreeWithBias;
+
+impl CounterRule for AgreeWithBias {
+    const READS_BIAS: bool = true;
+
+    #[inline(always)]
+    fn judge(msb: u64, taken: u64, bias: &[u8], i: usize) -> (u64, u64) {
+        let (pre, post) = (u64::from(bias[i] & 1), u64::from(bias[i] >> 1));
+        // Predict the bias if the counter says "agree", its complement
+        // otherwise (an XNOR); train toward agreement with the
+        // post-latch bias, not the raw outcome.
+        (1 ^ msb ^ pre, 1 ^ taken ^ post)
+    }
+}
+
+/// A walk's `(H, k)` columns over one chunk.
+type WalkColumns<'a> = (&'a [u64], &'a [u8]);
+
+/// A lane group for every plan with a single counter read: Direct
+/// (address-indexed, GAg/GAs, gshare) and agree on a
+/// [`GlobalRegister`], PAs (perfect or finite), SAs and path on a
+/// [`WalkColumn`]. The lane loop is compiled once per source and rule.
+/// Each lane owns the power-of-two arena region [`place_regions`]
+/// assigned it, and its loop indexes only that region's slice.
+#[derive(Debug)]
+struct SingleReadGroup<S, R> {
+    rows: Vec<S>,
+    region: Vec<std::ops::Range<usize>>,
+    /// Dynamic state per distinct branch, added at finish: a perfect
+    /// table's history width, agree's one bias bit, else 0.
+    branch_bits: Vec<u64>,
     /// All lanes' packed counter cells.
     arena: Vec<u64>,
-    /// Whether the fused loop runs its blocked two-phase prefetch
-    /// form: on when the arena outgrows [`PREFETCH_SPILL_BYTES`].
+    /// Whether the lane loop runs its blocked two-phase prefetch form:
+    /// on when the source allows it and the arena outgrows
+    /// [`PREFETCH_SPILL_BYTES`].
     prefetch: bool,
+    rule: PhantomData<R>,
 }
 
-impl GlobalGroup {
-    fn new(specs: &[PlanSpec]) -> Self {
+/// The single-read kernels by row source and counter rule.
+type DirectGroup = SingleReadGroup<GlobalRegister, TowardOutcome>;
+type WalkedGroup = SingleReadGroup<WalkColumn, TowardOutcome>;
+type AgreeBiasGroup = SingleReadGroup<GlobalRegister, AgreeWithBias>;
+
+impl<S: RowSource, R: CounterRule> SingleReadGroup<S, R> {
+    fn new(specs: &[PlanSpec], input: &mut ChunkInputs) -> Self {
         let (base, arena) = lane_arena(specs);
-        GlobalGroup {
-            hist: vec![0; specs.len()],
-            hist_mask: per_lane(specs, |p| wide_low_mask(p.history_bits)),
-            all_taken_ref: per_lane(specs, |p| all_taken_reference(p.history_bits)),
-            xor_mask: per_lane(specs, |p| match p.reads[0].index {
-                IndexFn::Unified { xor: true } => wide_low_mask(p.reads[0].row_bits),
+        input.needs_ids |= R::READS_BIAS;
+        input.needs_bias |= R::READS_BIAS;
+        SingleReadGroup {
+            rows: specs.iter().map(|s| S::new(s, input)).collect(),
+            region: (specs.iter().zip(base))
+                .map(|(s, base)| base as usize..(base + s.plan.reads[0].cells()) as usize)
+                .collect(),
+            branch_bits: per_lane(specs, |p| match (p.combine, p.level1) {
+                (CombineRule::AgreementVsBias, _) => 1,
+                (_, Level1Read::PerfectBht) => u64::from(p.history_bits),
                 _ => 0,
             }),
-            row_mask: per_lane(specs, |p| wide_low_mask(p.reads[0].row_bits)),
-            col_shift: per_lane(specs, |p| u64::from(p.reads[0].col_bits)),
-            col_mask: per_lane(specs, |p| wide_low_mask(p.reads[0].col_bits)),
-            base,
             // 8 bytes per packed cell.
-            prefetch: 8 * arena.len() as u64 > PREFETCH_SPILL_BYTES,
+            prefetch: S::PREFETCHES && 8 * arena.len() as u64 > PREFETCH_SPILL_BYTES,
             arena,
+            rule: PhantomData,
         }
-    }
-
-    /// One lane's pass over the conditional stream, with every lane
-    /// parameter, the history register, and all three accumulators
-    /// held in locals, so the inner loop touches
-    /// memory only for the (shared, cache-hot) conditional columns and
-    /// the lane's own arena region. The cell step is fused and
-    /// branch-free, semantically [`cell::step`].
-    #[inline(never)]
-    fn fused_lane(&mut self, lane: usize, stream: &[u64], seen: u64, warmup: u64) -> LaneCounts {
-        let col_shift = self.col_shift[lane];
-        let xor_mask = self.xor_mask[lane];
-        let row_mask = self.row_mask[lane];
-        let col_mask = self.col_mask[lane];
-        let base = self.base[lane];
-        let hist_mask = self.hist_mask[lane];
-        let all_taken_ref = self.all_taken_ref[lane];
-        let mut hist = self.hist[lane];
-        let (mut conflicts, mut harmless, mut wrong) = (0u64, 0u64, 0u64);
-        let arena = self.arena.as_mut_slice();
-        // Masking by `len - 1` (a power of two) also elides the
-        // bounds check.
-        let mask = arena.len() - 1;
-        for (i, &packed) in stream.iter().enumerate() {
-            let scored = (seen + i as u64 >= warmup) as u64;
-            let taken = packed & 1;
-            let word = packed >> 3;
-            let tag = (packed >> 1) & cell::EMPTY_OWNER;
-            let row = (hist ^ ((word >> col_shift) & xor_mask)) & row_mask;
-            let idx = (row << col_shift) | (word & col_mask);
-            let slot = ((base | idx) as usize) & mask;
-            let cell_word = arena[slot];
-            let owner = cell_word >> 2;
-            let bits = cell_word & 0b11;
-            let conflict = ((owner != cell::EMPTY_OWNER) & (owner != tag)) as u64;
-            conflicts += conflict;
-            harmless += conflict & ((hist == all_taken_ref) as u64);
-            wrong += scored & ((bits >= 2) as u64 ^ taken);
-            hist = ((hist << 1) | taken) & hist_mask;
-            // Saturating two-bit step: +1 below strong taken when
-            // taken, -1 above strong not-taken otherwise.
-            let inc = ((bits < 3) as u64) & taken;
-            let dec = ((bits > 0) as u64) & (1 - taken);
-            arena[slot] = (tag << 2) | (bits + inc - dec);
-        }
-        self.hist[lane] = hist;
-        (conflicts, harmless, wrong)
-    }
-
-    /// The fused loop in blocked two-phase form, for arenas past
-    /// [`PREFETCH_SPILL_BYTES`]: per window of [`PREFETCH_WINDOW`]
-    /// records, an address-generation pass runs the (arena-independent)
-    /// index and history recurrence, touches each upcoming arena slot —
-    /// the gather is the loop's one data-dependent load — and parks
-    /// `(slot << 1) | all_taken` in scratch; the second pass then
-    /// performs the identical counter read-modify-write and scoring.
-    /// Bit-identical to [`fused_lane`](Self::fused_lane) (the
-    /// in-window touch reads are value-discarded, and the RMW pass is
-    /// sequential).
-    #[inline(never)]
-    fn fused_prefetch_lane(
-        &mut self,
-        lane: usize,
-        stream: &[u64],
-        seen: u64,
-        warmup: u64,
-    ) -> LaneCounts {
-        let col_shift = self.col_shift[lane];
-        let xor_mask = self.xor_mask[lane];
-        let row_mask = self.row_mask[lane];
-        let col_mask = self.col_mask[lane];
-        let base = self.base[lane];
-        let hist_mask = self.hist_mask[lane];
-        let all_taken_ref = self.all_taken_ref[lane];
-        let mut hist = self.hist[lane];
-        let (mut conflicts, mut harmless, mut wrong) = (0u64, 0u64, 0u64);
-        let arena = self.arena.as_mut_slice();
-        let mask = arena.len() - 1;
-        let mut scratch = [0u64; PREFETCH_WINDOW];
-        let mut start = 0usize;
-        while start < stream.len() {
-            let end = stream.len().min(start + PREFETCH_WINDOW);
-            let block = &stream[start..end];
-            let mut h = hist;
-            for (j, &packed) in block.iter().enumerate() {
-                let taken = packed & 1;
-                let word = packed >> 3;
-                let row = (h ^ ((word >> col_shift) & xor_mask)) & row_mask;
-                let idx = (row << col_shift) | (word & col_mask);
-                let slot = ((base | idx) as usize) & mask;
-                scratch[j] = ((slot as u64) << 1) | ((h == all_taken_ref) as u64);
-                // Safe-code prefetch: pull the cell's line now, drop
-                // the value.
-                std::hint::black_box(arena[slot]);
-                h = ((h << 1) | taken) & hist_mask;
-            }
-            for (j, &packed) in block.iter().enumerate() {
-                let scored = (seen + (start + j) as u64 >= warmup) as u64;
-                let taken = packed & 1;
-                let tag = (packed >> 1) & cell::EMPTY_OWNER;
-                let slot = (scratch[j] >> 1) as usize;
-                let all_taken = scratch[j] & 1;
-                let cell_word = arena[slot];
-                let owner = cell_word >> 2;
-                let bits = cell_word & 0b11;
-                let conflict = ((owner != cell::EMPTY_OWNER) & (owner != tag)) as u64;
-                conflicts += conflict;
-                harmless += conflict & all_taken;
-                wrong += scored & ((bits >= 2) as u64 ^ taken);
-                let inc = ((bits < 3) as u64) & taken;
-                let dec = ((bits > 0) as u64) & (1 - taken);
-                arena[slot] = (tag << 2) | (bits + inc - dec);
-            }
-            hist = h;
-            start = end;
-        }
-        self.hist[lane] = hist;
-        (conflicts, harmless, wrong)
     }
 }
 
-impl GroupKernel for GlobalGroup {
+/// A lane's counts over conditionals `range` of the chunk's `(stream,
+/// bias, walk)` columns, its misses counted only when `scored`: per
+/// conditional, the source's index, then one fused counter
+/// read-modify-write there in the lane's arena region.
+/// Every lane parameter, the row state and the accumulators stay in
+/// locals, so the loop touches memory only for the (shared,
+/// cache-hot) chunk columns and the lane's own region.
+#[inline(always)]
+fn run_lane<S: RowSource, R: CounterRule>(
+    rows: &mut S,
+    arena: &mut [u64],
+    (stream, bias, columns): (&[u64], &[u8], WalkColumns),
+    range: std::ops::Range<usize>,
+    scored: bool,
+) -> LaneCounts {
+    // Masking by the region's `len - 1` (a power of two) elides the
+    // bounds check, and columns cut to the range's end elide theirs.
+    let mask = arena.len() - 1;
+    let stream = &stream[..range.end];
+    let bias = if R::READS_BIAS {
+        &bias[..range.end]
+    } else {
+        bias
+    };
+    let (mut conflicts, mut harmless, mut wrong) = (0u64, 0u64, 0u64);
+    for i in range {
+        let packed = stream[i];
+        let (index, all_taken) = rows.index(columns, i, packed);
+        let (conflict, miss) = access::<R>(arena, index as usize & mask, packed, bias, i);
+        conflicts += conflict;
+        harmless += conflict & all_taken;
+        if scored {
+            wrong += miss;
+        }
+        rows.advance(packed);
+    }
+    (conflicts, harmless, wrong)
+}
+
+/// One conditional's fused counter access-train at `slot` under rule
+/// `R`, branch-free: 1 on an owner conflict, and 1 when the rule's
+/// prediction missed; the cell is retagged and trained.
+#[inline(always)]
+fn access<R: CounterRule>(
+    arena: &mut [u64],
+    slot: usize,
+    packed: u64,
+    bias: &[u8],
+    i: usize,
+) -> (u64, u64) {
+    let taken = packed & 1;
+    let tag = (packed >> 1) & cell::EMPTY_OWNER;
+    let (bits, conflict) = peek(arena[slot], tag);
+    let (predicted, toward) = R::judge(bits >> 1, taken, bias, i);
+    arena[slot] = (tag << 2) | counter_step(bits, toward);
+    (conflict, predicted ^ taken)
+}
+
+impl<S: RowSource, R: CounterRule> GroupKernel for SingleReadGroup<S, R> {
+    /// The chunk splits at the warmup boundary once, so no record tests
+    /// whether it is scored. In the blocked two-phase prefetch form the
+    /// pass runs in windows of [`PREFETCH_WINDOW`] records, each led by
+    /// a run-ahead copy of the row source that touches the window's
+    /// arena slots (the gather is the loop's one data-dependent load)
+    /// before the read-modify-write pass consumes them. The touches
+    /// discard their values, so both forms are bit-identical.
     #[inline(never)]
     fn replay_lane(
         &mut self,
@@ -876,11 +1088,46 @@ impl GroupKernel for GlobalGroup {
         seen: u64,
         warmup: u64,
     ) -> LaneCounts {
-        if self.prefetch {
-            self.fused_prefetch_lane(lane, &input.conditionals, seen, warmup)
+        let mut rows = self.rows[lane];
+        let stream = &input.conditionals[..];
+        let columns = (stream, R::bias(input), rows.columns(input));
+        let arena = &mut self.arena[self.region[lane].clone()];
+        let mask = arena.len() - 1;
+        let boundary = warmup.saturating_sub(seen).min(stream.len() as u64) as usize;
+        let prefetch = S::PREFETCHES && self.prefetch;
+        let window = if prefetch {
+            PREFETCH_WINDOW
         } else {
-            self.fused_lane(lane, &input.conditionals, seen, warmup)
+            stream.len().max(1)
+        };
+        let mut counts = (0, 0, 0);
+        for start in (0..stream.len()).step_by(window) {
+            let end = stream.len().min(start + window);
+            if prefetch {
+                let mut ahead = rows;
+                for (i, &packed) in stream.iter().enumerate().take(end).skip(start) {
+                    let (index, _) = ahead.index(columns.2, i, packed);
+                    // Safe-code prefetch: pull the cell's line now,
+                    // drop the value.
+                    std::hint::black_box(arena[index as usize & mask]);
+                    ahead.advance(packed);
+                }
+            }
+            let mid = boundary.clamp(start, end);
+            let (c0, h0, _) = run_lane::<S, R>(&mut rows, arena, columns, start..mid, false);
+            let (c1, h1, w) = run_lane::<S, R>(&mut rows, arena, columns, mid..end, true);
+            counts = (counts.0 + c0 + c1, counts.1 + h0 + h1, counts.2 + w);
         }
+        self.rows[lane] = rows;
+        counts
+    }
+
+    fn extra_state_bits(&self, lane: usize, distinct: u64) -> u64 {
+        distinct * self.branch_bits[lane]
+    }
+
+    fn bht_stats(&self, lane: usize, input: &ChunkInputs, seen: u64) -> Option<BhtStats> {
+        self.rows[lane].bht_stats(input, seen)
     }
 
     fn prefetches(&self) -> bool {
@@ -923,6 +1170,13 @@ fn per_lane(specs: &[PlanSpec], f: impl Fn(&WalkPlan) -> u64) -> Vec<u64> {
     specs.iter().map(|s| f(&s.plan)).collect()
 }
 
+/// Every lane's history register, feeding its plan's `read`-th read.
+fn registers(specs: &[PlanSpec], read: usize) -> Vec<GlobalRegister> {
+    (specs.iter())
+        .map(|s| GlobalRegister::feeding(&s.plan, s.plan.reads[read]))
+        .collect()
+}
+
 /// The bases of every lane's `read`-th region, for three-read plans
 /// (see [`lane_arena`]).
 fn region_bases(bases: &[u64], read: usize) -> Vec<u64> {
@@ -959,206 +1213,6 @@ fn split_at_lane_limit<T>(mut specs: Vec<T>) -> Vec<Vec<T>> {
     out
 }
 
-/// A lane group for the per-address/per-set two-level plans
-/// ([`PlanKind::PerAddressPerfect`], [`PlanKind::PerAddressFinite`],
-/// [`PlanKind::PerSet`]): the [`GlobalGroup`] counter step with the
-/// row read off the lane's shared [`Level1Walk`], lane-major over the
-/// shared conditional stream.
-#[derive(Debug)]
-struct TwoLevelGroup {
-    /// Each lane's walk in [`ChunkInputs::walks`].
-    walk: Vec<usize>,
-    /// Each lane's [`reset_fill`] table.
-    fill: Vec<[u64; 65]>,
-    /// The row mask too: these plans read `history_bits`-wide rows.
-    hist_mask: Vec<u64>,
-    all_taken_ref: Vec<u64>,
-    col_shift: Vec<u64>,
-    col_mask: Vec<u64>,
-    base: Vec<u64>,
-    /// History width of perfect-table lanes, whose state grows with
-    /// the distinct-branch count; 0 for the static-cost tables.
-    dynamic_width: Vec<u64>,
-    arena: Vec<u64>,
-}
-
-impl TwoLevelGroup {
-    fn new(specs: &[PlanSpec], input: &mut ChunkInputs) -> Self {
-        let (base, arena) = lane_arena(specs);
-        TwoLevelGroup {
-            walk: specs
-                .iter()
-                .map(|s| input.walk_slot(s.plan.level1))
-                .collect(),
-            fill: specs
-                .iter()
-                .map(|s| reset_fill(s.plan.history_bits))
-                .collect(),
-            hist_mask: per_lane(specs, |p| wide_low_mask(p.history_bits)),
-            all_taken_ref: per_lane(specs, |p| all_taken_reference(p.history_bits)),
-            col_shift: per_lane(specs, |p| u64::from(p.reads[0].col_bits)),
-            col_mask: per_lane(specs, |p| wide_low_mask(p.reads[0].col_bits)),
-            base,
-            dynamic_width: per_lane(specs, |p| match p.level1 {
-                Level1Read::PerfectBht => u64::from(p.history_bits),
-                _ => 0,
-            }),
-            arena,
-        }
-    }
-}
-
-impl GroupKernel for TwoLevelGroup {
-    /// Per record and lane: the scalar sequence select → fused counter
-    /// access-train, branch-free; the selector train is the walk's.
-    #[inline(never)]
-    fn replay_lane(
-        &mut self,
-        lane: usize,
-        input: &ChunkInputs,
-        seen: u64,
-        warmup: u64,
-    ) -> LaneCounts {
-        let walk = &input.walks[self.walk[lane]];
-        let stream = &input.conditionals[..];
-        debug_assert!(walk.hist.len() == stream.len() && walk.age.len() == stream.len());
-        let fill = &self.fill[lane];
-        let hist_mask = self.hist_mask[lane];
-        let col_shift = self.col_shift[lane];
-        let col_mask = self.col_mask[lane];
-        let base = self.base[lane];
-        let all_taken_ref = self.all_taken_ref[lane];
-        let (mut conflicts, mut harmless, mut wrong) = (0u64, 0u64, 0u64);
-        let arena = self.arena.as_mut_slice();
-        let mask = arena.len() - 1;
-        let records = stream.iter().zip(&walk.hist).zip(&walk.age);
-        for (i, ((&packed, &hist), &age)) in records.enumerate() {
-            let scored = (seen + i as u64 >= warmup) as u64;
-            let taken = packed & 1;
-            let word = packed >> 3;
-            let tag = (packed >> 1) & cell::EMPTY_OWNER;
-            // `age <= 64` always; the clamp only elides the bounds check.
-            let row = fill[usize::from(age).min(64)] | (hist & hist_mask);
-            let idx = (row << col_shift) | (word & col_mask);
-            let slot = ((base | idx) as usize) & mask;
-            let cell_word = arena[slot];
-            let owner = cell_word >> 2;
-            let bits = cell_word & 0b11;
-            let conflict = ((owner != cell::EMPTY_OWNER) & (owner != tag)) as u64;
-            conflicts += conflict;
-            harmless += conflict & ((row == all_taken_ref) as u64);
-            wrong += scored & ((bits >= 2) as u64 ^ taken);
-            let inc = ((bits < 3) as u64) & taken;
-            let dec = ((bits > 0) as u64) & (1 - taken);
-            arena[slot] = (tag << 2) | (bits + inc - dec);
-        }
-        (conflicts, harmless, wrong)
-    }
-
-    fn extra_state_bits(&self, lane: usize, distinct: u64) -> u64 {
-        // Finite and per-set tables are static, already in the kernel's cost.
-        distinct * self.dynamic_width[lane]
-    }
-
-    fn bht_stats(&self, lane: usize, input: &ChunkInputs, seen: u64) -> Option<BhtStats> {
-        let walk = &input.walks[self.walk[lane]];
-        (!matches!(walk.read, Level1Read::SetHistories { .. })).then_some(BhtStats {
-            accesses: seen,
-            misses: walk.misses,
-        })
-    }
-}
-
-/// A lane group for [`PlanKind::AgreeBias`]: counters predict
-/// *agreement* with a per-branch bias bit latched at first execution.
-/// The bias latch sequence depends only on the shared (pc, outcome)
-/// stream — identical across every agree lane — so the [`LaneSet`]
-/// pre-pass latches it once, record-major, and parks each record's
-/// pre/post-latch bias in the shared `bias_bits` column the lane-major
-/// loop here reads (a naive shared latch array would corrupt pre-latch
-/// reads once the first lane had latched).
-#[derive(Debug)]
-struct AgreeGroup {
-    hist: Vec<u64>,
-    hist_mask: Vec<u64>,
-    all_taken_ref: Vec<u64>,
-    row_mask: Vec<u64>,
-    base: Vec<u64>,
-    arena: Vec<u64>,
-}
-
-impl AgreeGroup {
-    fn new(specs: &[PlanSpec]) -> Self {
-        let (base, arena) = lane_arena(specs);
-        AgreeGroup {
-            hist: vec![0; specs.len()],
-            hist_mask: per_lane(specs, |p| wide_low_mask(p.history_bits)),
-            all_taken_ref: per_lane(specs, |p| all_taken_reference(p.history_bits)),
-            row_mask: per_lane(specs, |p| wide_low_mask(p.reads[0].row_bits)),
-            base,
-            arena,
-        }
-    }
-}
-
-impl GroupKernel for AgreeGroup {
-    /// `bias_bits[i]` carries the shared pre-latch (bit 0) and
-    /// post-latch (bit 1) bias-is-taken flags of conditional `i`.
-    #[inline(never)]
-    fn replay_lane(
-        &mut self,
-        lane: usize,
-        input: &ChunkInputs,
-        seen: u64,
-        warmup: u64,
-    ) -> LaneCounts {
-        let (stream, bias_bits) = (&input.conditionals[..], &input.bias_bits[..]);
-        debug_assert_eq!(bias_bits.len(), stream.len());
-        let row_mask = self.row_mask[lane];
-        let base = self.base[lane];
-        let hist_mask = self.hist_mask[lane];
-        let all_taken_ref = self.all_taken_ref[lane];
-        let mut hist = self.hist[lane];
-        let (mut conflicts, mut harmless, mut wrong) = (0u64, 0u64, 0u64);
-        let arena = self.arena.as_mut_slice();
-        let mask = arena.len() - 1;
-        for (i, &packed) in stream.iter().enumerate() {
-            let scored = (seen + i as u64 >= warmup) as u64;
-            let taken = packed & 1;
-            let word = packed >> 3;
-            let tag = (packed >> 1) & cell::EMPTY_OWNER;
-            let pre = u64::from(bias_bits[i] & 1);
-            let post = u64::from((bias_bits[i] >> 1) & 1);
-            let row = (hist ^ (word & row_mask)) & row_mask;
-            let slot = ((base | row) as usize) & mask;
-            let cell_word = arena[slot];
-            let owner = cell_word >> 2;
-            let bits = cell_word & 0b11;
-            let conflict = ((owner != cell::EMPTY_OWNER) & (owner != tag)) as u64;
-            conflicts += conflict;
-            harmless += conflict & ((hist == all_taken_ref) as u64);
-            // Prediction: bias if the counter says "agree", its
-            // complement otherwise — an XNOR of the two bits.
-            let agree = (bits >= 2) as u64;
-            wrong += scored & ((1 ^ agree ^ pre) ^ taken);
-            // Training direction is agreement with the
-            // *post-latch* bias, not the raw outcome.
-            let agreement = 1 ^ taken ^ post;
-            let inc = ((bits < 3) as u64) & agreement;
-            let dec = ((bits > 0) as u64) & (1 - agreement);
-            arena[slot] = (tag << 2) | (bits + inc - dec);
-            hist = ((hist << 1) | taken) & hist_mask;
-        }
-        self.hist[lane] = hist;
-        (conflicts, harmless, wrong)
-    }
-
-    /// One BTB-resident bias bit per distinct branch.
-    fn extra_state_bits(&self, _lane: usize, distinct: u64) -> u64 {
-        distinct
-    }
-}
-
 /// A lane group for [`PlanKind::BiModeChoice`]: a peeked choice read
 /// steers each record to one of two direction regions; the selected
 /// counter trains toward the outcome and the choice counter trains too
@@ -1168,10 +1222,8 @@ impl GroupKernel for AgreeGroup {
 /// no alias accounting — exactly the scalar tables' split.
 #[derive(Debug)]
 struct BiModeGroup {
-    hist: Vec<u64>,
-    hist_mask: Vec<u64>,
-    all_taken_ref: Vec<u64>,
-    dir_mask: Vec<u64>,
+    /// Each lane's history register, feeding the direction reads.
+    regs: Vec<GlobalRegister>,
     choice_mask: Vec<u64>,
     taken_base: Vec<u64>,
     not_taken_base: Vec<u64>,
@@ -1184,10 +1236,7 @@ impl BiModeGroup {
         // Three regions per lane: taken, not-taken, choice.
         let (bases, arena) = lane_arena(specs);
         BiModeGroup {
-            hist: vec![0; specs.len()],
-            hist_mask: per_lane(specs, |p| wide_low_mask(p.history_bits)),
-            all_taken_ref: per_lane(specs, |p| all_taken_reference(p.history_bits)),
-            dir_mask: per_lane(specs, |p| wide_low_mask(p.reads[0].row_bits)),
+            regs: registers(specs, 0),
             choice_mask: per_lane(specs, |p| wide_low_mask(p.reads[2].col_bits)),
             taken_base: region_bases(&bases, 0),
             not_taken_base: region_bases(&bases, 1),
@@ -1207,55 +1256,37 @@ impl GroupKernel for BiModeGroup {
         warmup: u64,
     ) -> LaneCounts {
         let stream = &input.conditionals[..];
-        let dir_mask = self.dir_mask[lane];
         let choice_mask = self.choice_mask[lane];
         let taken_base = self.taken_base[lane];
         let not_taken_base = self.not_taken_base[lane];
         let choice_base = self.choice_base[lane];
-        let hist_mask = self.hist_mask[lane];
-        let all_taken_ref = self.all_taken_ref[lane];
-        let mut hist = self.hist[lane];
+        let mut reg = self.regs[lane];
         let (mut conflicts, mut harmless, mut wrong) = (0u64, 0u64, 0u64);
         let arena = self.arena.as_mut_slice();
         let mask = arena.len() - 1;
         for (i, &packed) in stream.iter().enumerate() {
             let scored = (seen + i as u64 >= warmup) as u64;
             let taken = packed & 1;
-            let word = packed >> 3;
-            let tag = (packed >> 1) & cell::EMPTY_OWNER;
-            let row = (hist ^ (word & dir_mask)) & dir_mask;
-            let choice_slot = ((choice_base | (word & choice_mask)) as usize) & mask;
+            let choice_slot = ((choice_base | ((packed >> 3) & choice_mask)) as usize) & mask;
             let choice_cell = arena[choice_slot];
-            let ch_bits = choice_cell & 0b11;
-            let use_taken = (ch_bits >= 2) as u64;
+            let use_taken = ((choice_cell & 0b11) >= 2) as u64;
             // Branchless region select between the two direction
-            // tables.
+            // tables; the selected counter trains toward the outcome.
             let dir_base =
                 not_taken_base ^ ((taken_base ^ not_taken_base) & use_taken.wrapping_neg());
-            let slot = ((dir_base | row) as usize) & mask;
-            let cell_word = arena[slot];
-            let owner = cell_word >> 2;
-            let bits = cell_word & 0b11;
-            let conflict = ((owner != cell::EMPTY_OWNER) & (owner != tag)) as u64;
+            let slot = ((dir_base | reg.index_of(packed)) as usize) & mask;
+            let (conflict, miss) = access::<TowardOutcome>(arena, slot, packed, &[], i);
             conflicts += conflict;
-            harmless += conflict & ((hist == all_taken_ref) as u64);
-            let predicted = (bits >= 2) as u64;
-            wrong += scored & (predicted ^ taken);
-            // Selected direction counter trains toward the outcome.
-            let inc = ((bits < 3) as u64) & taken;
-            let dec = ((bits > 0) as u64) & (1 - taken);
-            arena[slot] = (tag << 2) | (bits + inc - dec);
+            harmless += conflict & reg.all_taken();
+            wrong += scored & miss;
             // Choice trains toward the outcome except on the
             // bi-mode exception; its owner (empty) is preserved —
             // peek and retrain never tag.
-            let exception = (use_taken ^ taken) & (1 - (predicted ^ taken));
-            let train = 1 - exception;
-            let cinc = ((ch_bits < 3) as u64) & taken & train;
-            let cdec = ((ch_bits > 0) as u64) & (1 - taken) & train;
-            arena[choice_slot] = (choice_cell & !0b11u64) | (ch_bits + cinc - cdec);
-            hist = ((hist << 1) | taken) & hist_mask;
+            let exception = (use_taken ^ taken) & (1 - miss);
+            arena[choice_slot] = retrain(choice_cell, taken, 1 - exception);
+            reg.advance(packed);
         }
-        self.hist[lane] = hist;
+        self.regs[lane] = reg;
         (conflicts, harmless, wrong)
     }
 }
@@ -1267,9 +1298,8 @@ impl GroupKernel for BiModeGroup {
 /// read-modify-write per bank.
 #[derive(Debug)]
 struct GskewGroup {
-    hist: Vec<u64>,
-    hist_mask: Vec<u64>,
-    all_taken_ref: Vec<u64>,
+    /// Each lane's history register, hashed with the address.
+    regs: Vec<GlobalRegister>,
     /// The hash down-shift, `64 - bank_bits` (0 for a zero-bit bank).
     shift: Vec<u64>,
     /// All ones, or zero for a zero-bit bank: its hash key is then 0,
@@ -1284,9 +1314,7 @@ impl GskewGroup {
     fn new(specs: &[PlanSpec]) -> Self {
         let (bases, arena) = lane_arena(specs);
         GskewGroup {
-            hist: vec![0; specs.len()],
-            hist_mask: per_lane(specs, |p| wide_low_mask(p.history_bits)),
-            all_taken_ref: per_lane(specs, |p| all_taken_reference(p.history_bits)),
+            regs: registers(specs, 0),
             shift: per_lane(specs, |p| u64::from(64 - p.reads[0].row_bits) % 64),
             key_mask: per_lane(specs, |p| match p.reads[0].row_bits {
                 0 => 0,
@@ -1313,9 +1341,7 @@ impl GroupKernel for GskewGroup {
         let base0 = self.bank_base[0][lane];
         let base1 = self.bank_base[1][lane];
         let base2 = self.bank_base[2][lane];
-        let hist_mask = self.hist_mask[lane];
-        let all_taken_ref = self.all_taken_ref[lane];
-        let mut hist = self.hist[lane];
+        let mut reg = self.regs[lane];
         let (mut conflicts, mut harmless, mut wrong) = (0u64, 0u64, 0u64);
         let arena = self.arena.as_mut_slice();
         let mask = arena.len() - 1;
@@ -1324,8 +1350,8 @@ impl GroupKernel for GskewGroup {
             let taken = packed & 1;
             let word = packed >> 3;
             let tag = (packed >> 1) & cell::EMPTY_OWNER;
-            let key = ((word << 20) ^ hist) & key_mask;
-            let all_taken = (hist == all_taken_ref) as u64;
+            let key = ((word << 20) ^ reg.hist) & key_mask;
+            let all_taken = reg.all_taken();
             // Unrolled banks, all three loads issued before any
             // store: the bank regions are disjoint, but an
             // interleaved read-modify-write would force the
@@ -1342,13 +1368,8 @@ impl GroupKernel for GskewGroup {
                 ((base2 | (key.wrapping_mul(SKEW_BANK_MULTIPLIERS[2]) >> shift)) as usize) & mask;
             let (cell0, cell1, cell2) = (arena[slot0], arena[slot1], arena[slot2]);
             let step = |cell_word: u64| {
-                let owner = cell_word >> 2;
-                let bits = cell_word & 0b11;
-                let conflict = ((owner != cell::EMPTY_OWNER) & (owner != tag)) as u64;
-                let vote = (bits >= 2) as u64;
-                let inc = ((bits < 3) as u64) & taken;
-                let dec = ((bits > 0) as u64) & (1 - taken);
-                ((tag << 2) | (bits + inc - dec), conflict, vote)
+                let (bits, conflict) = peek(cell_word, tag);
+                ((tag << 2) | counter_step(bits, taken), conflict, bits >> 1)
             };
             let (next0, conflict0, vote0) = step(cell0);
             let (next1, conflict1, vote1) = step(cell1);
@@ -1360,9 +1381,9 @@ impl GroupKernel for GskewGroup {
             conflicts += conflict;
             harmless += conflict & all_taken.wrapping_neg();
             wrong += scored & ((vote0 + vote1 + vote2 >= 2) as u64 ^ taken);
-            hist = ((hist << 1) | taken) & hist_mask;
+            reg.advance(packed);
         }
-        self.hist[lane] = hist;
+        self.regs[lane] = reg;
         (conflicts, harmless, wrong)
     }
 
@@ -1383,11 +1404,9 @@ impl GroupKernel for GskewGroup {
 /// right" only when the components disagreed.
 #[derive(Debug)]
 struct TournamentGroup {
-    hist: Vec<u64>,
-    hist_mask: Vec<u64>,
-    all_taken_ref: Vec<u64>,
+    /// Each lane's history register, feeding the gshare component.
+    regs: Vec<GlobalRegister>,
     addr_mask: Vec<u64>,
-    gshare_mask: Vec<u64>,
     chooser_mask: Vec<u64>,
     addr_base: Vec<u64>,
     gshare_base: Vec<u64>,
@@ -1400,11 +1419,8 @@ impl TournamentGroup {
         // Three regions per lane: address-indexed, gshare, chooser.
         let (bases, arena) = lane_arena(specs);
         let mut group = TournamentGroup {
-            hist: vec![0; specs.len()],
-            hist_mask: per_lane(specs, |p| wide_low_mask(p.history_bits)),
-            all_taken_ref: per_lane(specs, |p| all_taken_reference(p.history_bits)),
+            regs: registers(specs, 1),
             addr_mask: per_lane(specs, |p| wide_low_mask(p.reads[0].col_bits)),
-            gshare_mask: per_lane(specs, |p| wide_low_mask(p.reads[1].row_bits)),
             chooser_mask: per_lane(specs, |p| wide_low_mask(p.reads[2].col_bits)),
             addr_base: region_bases(&bases, 0),
             gshare_base: region_bases(&bases, 1),
@@ -1432,67 +1448,38 @@ impl GroupKernel for TournamentGroup {
     ) -> LaneCounts {
         let stream = &input.conditionals[..];
         let addr_mask = self.addr_mask[lane];
-        let gshare_mask = self.gshare_mask[lane];
         let chooser_mask = self.chooser_mask[lane];
         let addr_base = self.addr_base[lane];
         let gshare_base = self.gshare_base[lane];
         let chooser_base = self.chooser_base[lane];
-        let hist_mask = self.hist_mask[lane];
-        let all_taken_ref = self.all_taken_ref[lane];
-        let mut hist = self.hist[lane];
+        let mut reg = self.regs[lane];
         let (mut conflicts, mut harmless, mut wrong) = (0u64, 0u64, 0u64);
         let arena = self.arena.as_mut_slice();
         let mask = arena.len() - 1;
         for (i, &packed) in stream.iter().enumerate() {
             let scored = (seen + i as u64 >= warmup) as u64;
-            let taken = packed & 1;
             let word = packed >> 3;
-            let tag = (packed >> 1) & cell::EMPTY_OWNER;
-            // Component 0: address-indexed (row always zero, so
-            // never an all-taken pattern).
+            // Both components access and train toward the outcome
+            // (disjoint regions, so in either order): address-indexed
+            // (row always zero, so never an all-taken pattern), then
+            // gshare (column-free, `history_bits` rows wide).
             let a_slot = ((addr_base | (word & addr_mask)) as usize) & mask;
-            let a_cell = arena[a_slot];
-            let a_owner = a_cell >> 2;
-            let a_bits = a_cell & 0b11;
-            let a_conflict = ((a_owner != cell::EMPTY_OWNER) & (a_owner != tag)) as u64;
-            // Component 1: gshare (column-free — the read is
-            // `history_bits` rows wide).
-            let g_row = (hist ^ (word & gshare_mask)) & gshare_mask;
-            let g_slot = ((gshare_base | g_row) as usize) & mask;
-            let g_cell = arena[g_slot];
-            let g_owner = g_cell >> 2;
-            let g_bits = g_cell & 0b11;
-            let g_conflict = ((g_owner != cell::EMPTY_OWNER) & (g_owner != tag)) as u64;
+            let (a_conflict, a_miss) = access::<TowardOutcome>(arena, a_slot, packed, &[], i);
+            let g_slot = ((gshare_base | reg.index_of(packed)) as usize) & mask;
+            let (g_conflict, g_miss) = access::<TowardOutcome>(arena, g_slot, packed, &[], i);
             conflicts += a_conflict + g_conflict;
-            harmless += g_conflict & ((hist == all_taken_ref) as u64);
-            let a_pred = (a_bits >= 2) as u64;
-            let g_pred = (g_bits >= 2) as u64;
+            harmless += g_conflict & reg.all_taken();
             let chooser_slot = ((chooser_base | (word & chooser_mask)) as usize) & mask;
             let chooser_cell = arena[chooser_slot];
-            let ch_bits = chooser_cell & 0b11;
-            let use_second = (ch_bits >= 2) as u64;
-            let predicted = a_pred ^ ((a_pred ^ g_pred) & use_second.wrapping_neg());
-            wrong += scored & (predicted ^ taken);
+            let use_second = ((chooser_cell & 0b11) >= 2) as u64;
+            wrong += scored & (a_miss ^ ((a_miss ^ g_miss) & use_second.wrapping_neg()));
             // Chooser trains toward "the second component was
             // right", only on disagreement; its owner (empty) is
             // preserved — the scalar chooser is untagged.
-            let train = a_pred ^ g_pred;
-            let toward_second = 1 ^ g_pred ^ taken;
-            let cinc = ((ch_bits < 3) as u64) & toward_second & train;
-            let cdec = ((ch_bits > 0) as u64) & (1 - toward_second) & train;
-            arena[chooser_slot] = (chooser_cell & !0b11u64) | (ch_bits + cinc - cdec);
-            // Both components train toward the outcome, owner
-            // re-tagged — the scalar access-then-retrain pair,
-            // fused as in [`cell::step`].
-            let a_inc = ((a_bits < 3) as u64) & taken;
-            let a_dec = ((a_bits > 0) as u64) & (1 - taken);
-            arena[a_slot] = (tag << 2) | (a_bits + a_inc - a_dec);
-            let g_inc = ((g_bits < 3) as u64) & taken;
-            let g_dec = ((g_bits > 0) as u64) & (1 - taken);
-            arena[g_slot] = (tag << 2) | (g_bits + g_inc - g_dec);
-            hist = ((hist << 1) | taken) & hist_mask;
+            arena[chooser_slot] = retrain(chooser_cell, 1 ^ g_miss, a_miss ^ g_miss);
+            reg.advance(packed);
         }
-        self.hist[lane] = hist;
+        self.regs[lane] = reg;
         (conflicts, harmless, wrong)
     }
 
@@ -1516,11 +1503,9 @@ impl GroupKernel for TournamentGroup {
 /// sentinel is unreachable).
 #[derive(Debug)]
 struct TaggedGroup {
-    hist: Vec<u64>,
-    hist_mask: Vec<u64>,
-    all_taken_ref: Vec<u64>,
+    /// Each lane's history register, indexing the direction caches.
+    regs: Vec<GlobalRegister>,
     choice_mask: Vec<u64>,
-    cache_mask: Vec<u64>,
     tag_mask: Vec<u64>,
     choice_base: Vec<u64>,
     taken_base: Vec<u64>,
@@ -1537,11 +1522,8 @@ impl TaggedGroup {
         // Three regions per lane: choice, taken-cache, not-taken-cache.
         let (bases, arena) = lane_arena(specs);
         let mut group = TaggedGroup {
-            hist: vec![0; specs.len()],
-            hist_mask: per_lane(specs, |p| wide_low_mask(p.history_bits)),
-            all_taken_ref: per_lane(specs, |p| all_taken_reference(p.history_bits)),
+            regs: registers(specs, 1),
             choice_mask: per_lane(specs, |p| wide_low_mask(p.reads[0].col_bits)),
-            cache_mask: per_lane(specs, |p| wide_low_mask(p.reads[1].row_bits)),
             tag_mask: per_lane(specs, |p| wide_low_mask(p.reads[1].tag_bits)),
             choice_base: region_bases(&bases, 0),
             taken_base: region_bases(&bases, 1),
@@ -1574,14 +1556,11 @@ impl GroupKernel for TaggedGroup {
     ) -> LaneCounts {
         let stream = &input.conditionals[..];
         let choice_mask = self.choice_mask[lane];
-        let cache_mask = self.cache_mask[lane];
         let tag_mask = self.tag_mask[lane];
         let choice_base = self.choice_base[lane];
         let taken_base = self.taken_base[lane];
         let not_taken_base = self.not_taken_base[lane];
-        let hist_mask = self.hist_mask[lane];
-        let all_taken_ref = self.all_taken_ref[lane];
-        let mut hist = self.hist[lane];
+        let mut reg = self.regs[lane];
         let (mut conflicts, mut harmless, mut wrong) = (0u64, 0u64, 0u64);
         let arena = self.arena.as_mut_slice();
         let mask = arena.len() - 1;
@@ -1590,21 +1569,19 @@ impl GroupKernel for TaggedGroup {
             let taken = packed & 1;
             let word = packed >> 3;
             let tag = (packed >> 1) & cell::EMPTY_OWNER;
-            let all_taken = (hist == all_taken_ref) as u64;
+            let all_taken = reg.all_taken();
             // The choice access: bias prediction plus the lane's
             // only alias accounting (the scalar caches are
             // uninstrumented).
             let choice_slot = ((choice_base | (word & choice_mask)) as usize) & mask;
             let choice_cell = arena[choice_slot];
-            let owner = choice_cell >> 2;
-            let c_bits = choice_cell & 0b11;
-            let conflict = ((owner != cell::EMPTY_OWNER) & (owner != tag)) as u64;
+            let (c_bits, conflict) = peek(choice_cell, tag);
             conflicts += conflict;
             harmless += conflict & all_taken;
             let bias = (c_bits >= 2) as u64;
             // Probe the cache opposite the bias for an exception.
             let cache_base = taken_base ^ ((not_taken_base ^ taken_base) & bias.wrapping_neg());
-            let entry_slot = ((cache_base | ((hist ^ word) & cache_mask)) as usize) & mask;
+            let entry_slot = ((cache_base | reg.index_of(packed)) as usize) & mask;
             let entry = arena[entry_slot];
             let entry_tag = entry >> 2;
             let entry_bits = entry & 0b11;
@@ -1615,9 +1592,7 @@ impl GroupKernel for TaggedGroup {
             wrong += scored & (predicted ^ taken);
             // Cache entry: train on a hit, allocate (evict) on a
             // wrong-bias miss, leave untouched otherwise.
-            let inc = ((entry_bits < 3) as u64) & taken;
-            let dec = ((entry_bits > 0) as u64) & (1 - taken);
-            let trained = (entry_tag << 2) | (entry_bits + inc - dec);
+            let trained = retrain(entry, taken, 1);
             let allocated = (partial << 2) | (1 + taken);
             let hit_m = hit.wrapping_neg();
             let alloc_m = ((1 - hit) & (taken ^ bias)).wrapping_neg();
@@ -1627,113 +1602,11 @@ impl GroupKernel for TaggedGroup {
             // already captured the anti-bias outcome; owner is
             // re-tagged either way (the scalar access touched it).
             let train = 1 - (hit & (taken ^ bias));
-            let cinc = ((c_bits < 3) as u64) & taken & train;
-            let cdec = ((c_bits > 0) as u64) & (1 - taken) & train;
-            arena[choice_slot] = (tag << 2) | (c_bits + cinc - cdec);
-            hist = ((hist << 1) | taken) & hist_mask;
+            arena[choice_slot] = (tag << 2) | (retrain(choice_cell, taken, train) & 0b11);
+            reg.advance(packed);
         }
-        self.hist[lane] = hist;
+        self.regs[lane] = reg;
         (conflicts, harmless, wrong)
-    }
-}
-
-/// A lane group for [`PlanKind::PathHistory`]: the unified counter
-/// read with its row selected by a global path register of hashed
-/// control-transfer targets. The register shifts on *every* control
-/// transfer (conditionals push their resolved destination,
-/// non-conditionals their target), so this group consumes the
-/// [`LaneSet`] per-chunk *event* column — one element per record —
-/// alongside the conditional stream. Path row selections never count
-/// as all-taken patterns, so harmless conflicts are structurally
-/// zero, as in the scalar selector.
-#[derive(Debug)]
-struct PathGroup {
-    /// The path register, kept masked to its width.
-    reg: Vec<u64>,
-    reg_mask: Vec<u64>,
-    /// Bits contributed per control transfer (the `q` parameter).
-    bpt: Vec<u64>,
-    bpt_mask: Vec<u64>,
-    row_mask: Vec<u64>,
-    col_shift: Vec<u64>,
-    col_mask: Vec<u64>,
-    base: Vec<u64>,
-    arena: Vec<u64>,
-}
-
-impl PathGroup {
-    fn new(specs: &[PlanSpec]) -> Self {
-        let (base, arena) = lane_arena(specs);
-        let bits_per_target = |p: &WalkPlan| match p.level1 {
-            Level1Read::PathHistory { bits_per_target } => bits_per_target,
-            ref other => unreachable!("path group from {other:?}"),
-        };
-        PathGroup {
-            reg: vec![0; specs.len()],
-            // A zero-width register is inert: the mask pins it to
-            // zero, matching the scalar push's width-0 no-op.
-            reg_mask: per_lane(specs, |p| wide_low_mask(p.history_bits)),
-            bpt: per_lane(specs, |p| u64::from(bits_per_target(p))),
-            bpt_mask: per_lane(specs, |p| wide_low_mask(bits_per_target(p))),
-            row_mask: per_lane(specs, |p| wide_low_mask(p.reads[0].row_bits)),
-            col_shift: per_lane(specs, |p| u64::from(p.reads[0].col_bits)),
-            col_mask: per_lane(specs, |p| wide_low_mask(p.reads[0].col_bits)),
-            base,
-            arena,
-        }
-    }
-}
-
-impl GroupKernel for PathGroup {
-    /// Walks the per-record event column (`(dest_word << 1) |
-    /// is_conditional`) with a cursor into the dense conditional
-    /// stream: conditionals read-modify-write their counter before
-    /// the register shifts in their destination; every record shifts.
-    #[inline(never)]
-    fn replay_lane(
-        &mut self,
-        lane: usize,
-        input: &ChunkInputs,
-        seen: u64,
-        warmup: u64,
-    ) -> LaneCounts {
-        let (stream, events) = (&input.conditionals[..], &input.events[..]);
-        let reg_mask = self.reg_mask[lane];
-        let bpt = self.bpt[lane];
-        let bpt_mask = self.bpt_mask[lane];
-        let row_mask = self.row_mask[lane];
-        let col_shift = self.col_shift[lane];
-        let col_mask = self.col_mask[lane];
-        let base = self.base[lane];
-        let mut reg = self.reg[lane];
-        let (mut conflicts, mut wrong) = (0u64, 0u64);
-        let arena = self.arena.as_mut_slice();
-        let mask = arena.len() - 1;
-        let mut ci = 0usize;
-        for &event in events {
-            if event & 1 == 1 {
-                let packed = stream[ci];
-                let scored = (seen + ci as u64 >= warmup) as u64;
-                ci += 1;
-                let taken = packed & 1;
-                let word = packed >> 3;
-                let tag = (packed >> 1) & cell::EMPTY_OWNER;
-                let idx = ((reg & row_mask) << col_shift) | (word & col_mask);
-                let slot = ((base | idx) as usize) & mask;
-                let cell_word = arena[slot];
-                let owner = cell_word >> 2;
-                let bits = cell_word & 0b11;
-                conflicts += ((owner != cell::EMPTY_OWNER) & (owner != tag)) as u64;
-                wrong += scored & ((bits >= 2) as u64 ^ taken);
-                let inc = ((bits < 3) as u64) & taken;
-                let dec = ((bits > 0) as u64) & (1 - taken);
-                arena[slot] = (tag << 2) | (bits + inc - dec);
-            }
-            reg = ((reg << bpt) | ((event >> 1) & bpt_mask)) & reg_mask;
-        }
-        debug_assert_eq!(ci, stream.len());
-        self.reg[lane] = reg;
-        (conflicts, 0, wrong)
     }
 }
 
@@ -1947,13 +1820,7 @@ impl LaneSet {
                 None => buckets.push((kind, vec![spec])),
             }
         }
-        let has = |kind| buckets.iter().any(|(k, _)| *k == kind);
-        let mut inputs = ChunkInputs {
-            needs_ids: has(PlanKind::AgreeBias),
-            needs_bias: has(PlanKind::AgreeBias),
-            needs_events: has(PlanKind::PathHistory),
-            ..ChunkInputs::default()
-        };
+        let mut inputs = ChunkInputs::default();
         let mut groups = Vec::new();
         for (kind, mut specs) in buckets {
             row_block_plans(&mut specs);
@@ -2054,31 +1921,10 @@ impl LaneSet {
     }
 }
 
-/// Replays `source` against every configuration through the tiered
-/// multilane kernels, one decode pass over the stream. Results come
-/// back in configuration order, bit-identical to [`Simulator::run`]
-/// per configuration.
-pub fn replay_multilane<S>(
-    configs: &[PredictorConfig],
-    source: &S,
-    simulator: Simulator,
-) -> Vec<SimResult>
-where
-    S: TraceSource + ?Sized,
-{
-    let mut lanes = LaneSet::new(configs, simulator);
-    let mut feeder = source.chunk_feeder();
-    let mut chunk = TraceChunk::with_capacity(TraceChunk::DEFAULT_LEN);
-    while feeder.refill(&mut chunk, TraceChunk::DEFAULT_LEN) > 0 {
-        lanes.replay_chunk(&chunk);
-    }
-    lanes.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bpred_trace::{BranchRecord, Trace};
+    use bpred_trace::{BranchRecord, Trace, TraceSource};
 
     fn trace(n: usize) -> Trace {
         let mut t = Trace::new();
@@ -2129,8 +1975,17 @@ mod tests {
         ]
     }
 
+    /// Every configuration through one [`LaneSet`]: a single shard.
+    fn one_lane_set(
+        configs: &[PredictorConfig],
+        t: &Trace,
+        simulator: Simulator,
+    ) -> Vec<SimResult> {
+        crate::run_batched(configs, t, simulator, configs.len().max(1))
+    }
+
     fn assert_matches_serial(configs: &[PredictorConfig], t: &Trace, simulator: Simulator) {
-        let multilane = replay_multilane(configs, t, simulator);
+        let multilane = one_lane_set(configs, t, simulator);
         for (config, got) in configs.iter().zip(&multilane) {
             let want = simulator.run(&mut config.kernel(), t);
             assert_eq!(&want, got, "{config}");
@@ -2248,7 +2103,7 @@ mod tests {
             };
             3
         ];
-        let results = replay_multilane(&configs, &trace(1_000), Simulator::new());
+        let results = one_lane_set(&configs, &trace(1_000), Simulator::new());
         assert_eq!(results[0], results[1]);
         assert_eq!(results[1], results[2]);
     }
@@ -2434,7 +2289,7 @@ mod tests {
             };
             3
         ]);
-        let results = replay_multilane(&configs, &trace(1_200), Simulator::new());
+        let results = one_lane_set(&configs, &trace(1_200), Simulator::new());
         assert_eq!(results[0], results[1]);
         assert_eq!(results[1], results[2]);
         assert_eq!(results[3], results[4]);
@@ -2467,7 +2322,7 @@ mod tests {
             };
             3
         ]);
-        let results = replay_multilane(&configs, &trace(1_200), Simulator::new());
+        let results = one_lane_set(&configs, &trace(1_200), Simulator::new());
         for k in [0, 3, 6] {
             assert_eq!(results[k], results[k + 1]);
             assert_eq!(results[k + 1], results[k + 2]);
@@ -2506,19 +2361,48 @@ mod tests {
         let past = LaneSet::new(&[lane(20)], Simulator::new());
         assert_eq!(at.prefetch_groups(), 0);
         assert_eq!(past.prefetch_groups(), usize::from(!force_scalar()));
+        // Agree lanes read their rows off a register too; walked lanes
+        // never prefetch, however large their arena.
+        let agree = PredictorConfig::Agree {
+            history_bits: 20,
+            index_bits: 20,
+        };
+        let pas = PredictorConfig::PasInfinite {
+            history_bits: 20,
+            col_bits: 0,
+        };
+        let agree_past = LaneSet::new(&[agree], Simulator::new());
+        assert_eq!(agree_past.prefetch_groups(), usize::from(!force_scalar()));
+        assert_eq!(LaneSet::new(&[pas], Simulator::new()).prefetch_groups(), 0);
     }
 
     #[test]
     fn prefetch_path_is_bit_identical() {
-        // Flip the prefetch flag on a second group built from the same
-        // specs and compare against the plain fused loop.
-        let specs = || -> Vec<PlanSpec> {
-            grouped_configs()
-                .iter()
-                .enumerate()
+        // For every rule the register source runs, force the prefetch
+        // form on a second group built from the same specs and compare
+        // against the plain loop.
+        fn forced<R: CounterRule>(
+            specs: &[PlanSpec],
+            input: &mut ChunkInputs,
+        ) -> Box<dyn GroupKernel> {
+            Box::new(SingleReadGroup::<GlobalRegister, R> {
+                prefetch: true,
+                ..SingleReadGroup::new(specs, input)
+            })
+        }
+        type Forced = fn(&[PlanSpec], &mut ChunkInputs) -> Box<dyn GroupKernel>;
+        let mut configs = grouped_configs();
+        configs.extend([(6, 8), (0, 3), (5, 5)].map(|(history_bits, index_bits)| {
+            PredictorConfig::Agree {
+                history_bits,
+                index_bits,
+            }
+        }));
+        let specs = |kind| -> Vec<PlanSpec> {
+            (configs.iter().enumerate())
                 .filter_map(|(index, config)| {
                     let plan = WalkPlan::of(config)?;
-                    (plan.kind() == PlanKind::Direct).then(|| PlanSpec {
+                    (plan.kind() == kind).then(|| PlanSpec {
                         index,
                         name: config.to_string(),
                         state_bits: 0,
@@ -2528,54 +2412,85 @@ mod tests {
                 .collect()
         };
         let mut input = ChunkInputs::default();
-        let mut plain = Group::new(PlanKind::Direct, specs(), &mut input);
-        let mut prefetched = Group {
-            kernel: Box::new(GlobalGroup {
-                prefetch: true,
-                ..GlobalGroup::new(&specs())
-            }),
-            ..Group::new(PlanKind::Direct, specs(), &mut input)
-        };
+        let kinds: [(PlanKind, Forced); 2] = [
+            (PlanKind::Direct, forced::<TowardOutcome>),
+            (PlanKind::AgreeBias, forced::<AgreeWithBias>),
+        ];
+        let mut pairs: Vec<(Group, Group)> = (kinds.into_iter())
+            .map(|(kind, forced)| {
+                let plain = Group::new(kind, specs(kind), &mut input);
+                let prefetched = Group {
+                    kernel: forced(&specs(kind), &mut input),
+                    ..Group::new(kind, specs(kind), &mut input)
+                };
+                assert!(!plain.kernel.prefetches() && prefetched.kernel.prefetches());
+                (plain, prefetched)
+            })
+            .collect();
         let (mut seen, warmup) = (0, 300);
         for chunk in trace(2_500).chunks(256) {
             input.decode(&chunk);
-            for group in [&mut plain, &mut prefetched] {
-                group.kernel.replay(&mut group.lanes, &input, seen, warmup);
+            for (plain, prefetched) in &mut pairs {
+                for group in [plain, prefetched] {
+                    group.kernel.replay(&mut group.lanes, &input, seen, warmup);
+                }
             }
             seen += input.conditionals.len() as u64;
         }
         let finish = |group: Group| {
-            let mut results = vec![None; grouped_configs().len()];
+            let mut results = vec![None; configs.len()];
             group.finish(&input, seen, seen - warmup, &mut results);
             results
         };
-        assert_eq!(finish(plain), finish(prefetched));
+        for (plain, prefetched) in pairs {
+            assert_eq!(finish(plain), finish(prefetched));
+        }
     }
 
     #[test]
     fn level1_walk_rows_match_the_scalar_tables() {
-        use bpred_core::{HistoryTable, PerfectBht, RowSelector, SetAssocBht, SetSelector};
+        use bpred_core::{
+            HistoryTable, PathRegister, PerfectBht, RowSelector, SetAssocBht, SetSelector,
+        };
+        use bpred_trace::BranchKind;
         enum Oracle {
             Table(Box<dyn HistoryTable>),
             Sets(SetSelector),
+            Path(PathRegister),
         }
         // Eight hot branches outliving 64 outcomes between evictions,
         // under a 1-in-16 drizzle of 200 cold ones that keeps evicting.
+        // Jumps, calls and returns fall between conditionals: only a
+        // path register sees them.
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        let t: Trace = (0..20_000)
-            .map(|_| {
-                // A 64-bit LCG; only its high bits are used.
-                x = x.wrapping_mul(0x5851_F42D_4C95_7F2D).wrapping_add(1);
-                let word = if x >> 60 == 0 {
-                    8 + (x >> 32) % 200
-                } else {
-                    (x >> 32) % 8
-                };
-                BranchRecord::conditional(4 * word, 0x100, Outcome::from_bit((x >> 59) & 1))
-            })
-            .collect();
+        let mut t = Trace::new();
+        for _ in 0..20_000 {
+            // A 64-bit LCG; only its high bits are used.
+            x = x.wrapping_mul(0x5851_F42D_4C95_7F2D).wrapping_add(1);
+            let word = if x >> 60 == 0 {
+                8 + (x >> 32) % 200
+            } else {
+                (x >> 32) % 8
+            };
+            let target = 4 * ((x >> 20) & 0xFFF);
+            let outcome = Outcome::from_bit((x >> 59) & 1);
+            t.push(BranchRecord::conditional(4 * word, target, outcome));
+            let kind = match (x >> 56) & 7 {
+                0 => BranchKind::Unconditional,
+                1 => BranchKind::Call,
+                2 => BranchKind::Return,
+                _ => continue,
+            };
+            t.push(BranchRecord::new(
+                0x800,
+                (x >> 8) & !3,
+                kind,
+                Outcome::Taken,
+            ));
+        }
         let finite = |entries, ways| Level1Read::SetAssocBht { entries, ways };
         let sets = |set_bits| Level1Read::SetHistories { set_bits };
+        let path = |bits_per_target| Level1Read::PathHistory { bits_per_target };
         let (perfect, widths) = (Level1Read::PerfectBht, [0, 1, 5, 16, 18, 63, 64]);
         for read in [
             finite(16, 1),
@@ -2584,6 +2499,10 @@ mod tests {
             perfect,
             sets(0),
             sets(3),
+            path(1),
+            path(2),
+            path(4),
+            path(16),
         ] {
             let mut oracles: Vec<Oracle> = (widths.iter())
                 .map(|&w| match read {
@@ -2593,6 +2512,9 @@ mod tests {
                     Level1Read::SetHistories { set_bits } => {
                         Oracle::Sets(SetSelector::new(w, set_bits))
                     }
+                    Level1Read::PathHistory { bits_per_target } => {
+                        Oracle::Path(PathRegister::new(w, bits_per_target))
+                    }
                     _ => Oracle::Table(Box::new(PerfectBht::new(w))),
                 })
                 .collect();
@@ -2601,9 +2523,18 @@ mod tests {
             for chunk in t.chunks(1_500) {
                 input.decode(&chunk);
                 let walk = &input.walks[slot];
-                for (i, &packed) in input.conditionals.iter().enumerate() {
-                    let (pc, outcome, age) =
-                        (packed >> 1, Outcome::from_bit(packed & 1), walk.age[i]);
+                assert_eq!(walk.hist.len(), input.conditionals.len(), "{read:?}");
+                let mut i = 0;
+                for record in chunk.iter() {
+                    if !record.is_conditional() {
+                        for oracle in &mut oracles {
+                            if let Oracle::Path(reg) = oracle {
+                                reg.push(record.target);
+                            }
+                        }
+                        continue;
+                    }
+                    let (pc, outcome, age) = (record.pc, record.outcome, walk.age[i]);
                     saturated |= age == 64;
                     for (&width, oracle) in widths.iter().zip(&mut oracles) {
                         let row = reset_fill(width)[usize::from(age)]
@@ -2615,9 +2546,18 @@ mod tests {
                                 sel.train(pc, 0, outcome, bpred_core::TableGeometry::new(0, 0));
                                 row
                             }
+                            Oracle::Path(reg) => {
+                                let row = reg.bits();
+                                reg.push(match outcome {
+                                    Outcome::Taken => record.target,
+                                    Outcome::NotTaken => pc.wrapping_add(4),
+                                });
+                                row
+                            }
                         };
                         assert_eq!(row, want, "{read:?} width {width} record {i}");
                     }
+                    i += 1;
                 }
                 for oracle in &oracles {
                     if let Oracle::Table(table) = oracle {
@@ -2630,9 +2570,26 @@ mod tests {
     }
 
     #[test]
+    fn counter_step_matches_the_scalar_counter() {
+        use bpred_core::{CounterState, TwoBitCounter};
+        for bits in 0..4u64 {
+            for (toward, outcome) in [(0, Outcome::NotTaken), (1, Outcome::Taken)] {
+                let state = CounterState::from_bits(bits as u8).expect("two-bit value");
+                let mut counter = TwoBitCounter::new(state);
+                counter.train(outcome);
+                let want = u64::from(counter.state().bits());
+                assert_eq!(counter_step(bits, toward), want, "{bits} toward {toward}");
+                let cell_word = (0x1234 << 2) | bits;
+                assert_eq!(retrain(cell_word, toward, 1), (0x1234 << 2) | want);
+                assert_eq!(retrain(cell_word, toward, 0), cell_word);
+            }
+        }
+    }
+
+    #[test]
     fn empty_inputs_are_empty_results() {
-        assert!(replay_multilane(&[], &trace(10), Simulator::new()).is_empty());
-        let results = replay_multilane(&grouped_configs(), &Trace::new(), Simulator::new());
+        assert!(one_lane_set(&[], &trace(10), Simulator::new()).is_empty());
+        let results = one_lane_set(&grouped_configs(), &Trace::new(), Simulator::new());
         assert!(results.iter().all(|r| r.conditionals == 0));
     }
 

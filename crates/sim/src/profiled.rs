@@ -5,7 +5,7 @@
 //! constructs — but checking that requires seeing the per-branch
 //! breakdown. [`BranchProfiler`] is an [`Observer`] that attributes
 //! every scored prediction to its static branch; [`ProfiledRun`]
-//! attaches it to one [`ReplayCore`](crate::ReplayCore) pass and pairs
+//! attaches it to one [`ReplayCore`] pass and pairs
 //! the attribution with the aggregate result, exposing the
 //! concentration of error mass the paper reasons about.
 

@@ -37,10 +37,11 @@
 //! memory-layout cost are the only differences.
 //!
 //! Sweeps that replay *many* configurations over one chunk stream go
-//! one tier further: [`replay_multilane`](crate::replay_multilane)
-//! (module [`multilane`](crate::multilane)) fuses compatible lanes
-//! into lane-major groups over shared counter arenas, with this core
-//! pinned underneath as the scalar fallback and bit-identity oracle.
+//! one tier further: a [`LaneSet`](crate::LaneSet) (module
+//! [`multilane`](crate::multilane), driven by
+//! [`run_configs`](crate::run_configs)) fuses compatible lanes into
+//! lane-major groups over shared counter arenas, with this core pinned
+//! underneath as the scalar fallback and bit-identity oracle.
 //!
 //! # Examples
 //!

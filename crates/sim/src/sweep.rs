@@ -4,7 +4,7 @@
 //! trace under different predictor configurations. [`run_configs`]
 //! executes a batch in parallel; results come back in input order.
 //! Since the batched-replay rework it accepts any [`TraceSource`] and
-//! routes through [`run_batched`](crate::run_batched), so a sweep makes
+//! routes through [`run_batched`], so a sweep makes
 //! one streaming pass per predictor shard instead of one full replay
 //! per configuration.
 

@@ -80,8 +80,9 @@ fn kind_from_code(code: u64) -> BranchKind {
 
 /// A run of branch records in structure-of-arrays layout.
 ///
-/// See the [module docs](self) for the layout and the role chunks play
-/// in the sweep pipeline. Chunks grow by [`push`](TraceChunk::push) /
+/// Addresses, taken-targets and outcome/kind metadata (four bits per
+/// record, sixteen records per word) are parallel arrays, and one chunk
+/// is the unit the sweep pipeline shares between lanes. Chunks grow by [`push`](TraceChunk::push) /
 /// [`append`](TraceChunk::append) /
 /// [`fill_from`](TraceChunk::fill_from) and are consumed positionally
 /// ([`record`](TraceChunk::record)) or sequentially

@@ -109,7 +109,7 @@ fn mask(bits: u32) -> u64 {
 /// A [`BranchBehavior`] compiled for the generator's step: loop and
 /// pattern periods pre-clamped and every probability turned into an
 /// exact 53-bit
-/// [threshold](crate::sampling::threshold), so resolving is integer
+/// [threshold], so resolving is integer
 /// compares only (see the [`sampling`](crate::sampling) module for why
 /// that is bit-identical to the float rule).
 ///

@@ -1,19 +1,18 @@
 //! Bit-identity harness for the multilane replay kernels.
 //!
-//! `bpred::sim::replay_multilane` (and the [`LaneSet`] the batched
-//! engine now runs on) promises results bit-identical to the pinned
-//! scalar fallback — `Simulator::run` once per configuration — for
-//! every `PredictorConfig` variant, every dispatch tier, any lane
-//! mix, and any chunking of the stream. These tests enforce that
-//! promise; the CI matrix re-runs the whole suite under
-//! `BPRED_FORCE_SCALAR=1` so the forced-fallback partition gets the
-//! same coverage.
+//! The [`LaneSet`] the batched engine runs on promises results
+//! bit-identical to the pinned scalar fallback — `Simulator::run` once
+//! per configuration — for every `PredictorConfig` variant, every
+//! dispatch tier, any lane mix, and any chunking of the stream. These
+//! tests enforce that promise; the CI matrix re-runs the whole suite
+//! under `BPRED_FORCE_SCALAR=1` so the forced-fallback partition gets
+//! the same coverage.
 
 use proptest::prelude::*;
 
 use bpred::core::{cell, PredictorConfig};
 use bpred::sim::{
-    replay_multilane, run_batched_chunked, LaneSet, SimResult, Simulator, LANE_TIER_LABELS,
+    run_batched, run_batched_chunked, LaneSet, SimResult, Simulator, LANE_TIER_LABELS,
 };
 use bpred::trace::{BranchKind, BranchRecord, Outcome, Trace, TraceChunk};
 use bpred::workloads::suite;
@@ -105,12 +104,23 @@ fn serial_reference(
         .collect()
 }
 
+/// Every configuration through one [`LaneSet`]: one shard holds them
+/// all, so lanes past the packed-lane limit share a set at any
+/// `BPRED_THREADS`.
+fn one_lane_set(
+    configs: &[PredictorConfig],
+    trace: &Trace,
+    simulator: Simulator,
+) -> Vec<SimResult> {
+    run_batched(configs, trace, simulator, configs.len().max(1))
+}
+
 #[test]
 fn every_variant_matches_the_scalar_oracle() {
     let trace = suite::espresso().scaled(8_000).trace(1996);
     let configs = every_variant();
     let serial = serial_reference(&configs, &trace, Simulator::new());
-    let multilane = replay_multilane(&configs, &trace, Simulator::new());
+    let multilane = one_lane_set(&configs, &trace, Simulator::new());
     assert_eq!(serial, multilane);
 }
 
@@ -120,7 +130,7 @@ fn every_variant_matches_with_a_mid_stream_warmup() {
     let configs = every_variant();
     let simulator = Simulator::with_warmup(1_000);
     let serial = serial_reference(&configs, &trace, simulator);
-    let multilane = replay_multilane(&configs, &trace, simulator);
+    let multilane = one_lane_set(&configs, &trace, simulator);
     assert_eq!(serial, multilane);
 }
 
@@ -141,7 +151,7 @@ fn chunk_boundaries_never_change_results() {
 
 #[test]
 fn a_group_wider_than_the_packed_lane_limit_splits_cleanly() {
-    // 41 groupable lanes force a second GlobalGroup (the limit is
+    // 41 groupable lanes force a second direct group (the limit is
     // cell::PACKED_LANES = 32), mixed with statics and scalar-tier
     // lanes on both sides of the split.
     let mut configs = vec![PredictorConfig::AlwaysTaken];
@@ -160,7 +170,7 @@ fn a_group_wider_than_the_packed_lane_limit_splits_cleanly() {
     configs.push(PredictorConfig::Btfn);
     let trace = suite::sdet().scaled(5_000).trace(3);
     let serial = serial_reference(&configs, &trace, Simulator::new());
-    let multilane = replay_multilane(&configs, &trace, Simulator::new());
+    let multilane = one_lane_set(&configs, &trace, Simulator::new());
     assert_eq!(serial, multilane);
 }
 
@@ -175,7 +185,7 @@ fn duplicate_configurations_stay_independent() {
     ];
     let trace = suite::espresso().scaled(2_000).trace(9);
     let serial = serial_reference(&configs, &trace, Simulator::new());
-    let multilane = replay_multilane(&configs, &trace, Simulator::new());
+    let multilane = one_lane_set(&configs, &trace, Simulator::new());
     assert_eq!(serial, multilane);
     assert!(multilane.windows(2).all(|w| w[0] == w[1]));
 }
@@ -195,7 +205,7 @@ fn lane_set_streams_one_chunk_at_a_time() {
     }
     assert_eq!(
         lanes.finish(),
-        replay_multilane(&configs, &trace, Simulator::new())
+        one_lane_set(&configs, &trace, Simulator::new())
     );
 }
 
@@ -260,7 +270,7 @@ fn each_plan_family_matches_the_scalar_oracle_alone() {
     for config in plan_family_variants() {
         let configs = [config];
         let serial = serial_reference(&configs, &trace, Simulator::new());
-        let multilane = replay_multilane(&configs, &trace, Simulator::new());
+        let multilane = one_lane_set(&configs, &trace, Simulator::new());
         assert_eq!(serial, multilane, "{config}");
     }
 }
@@ -282,7 +292,7 @@ fn plan_families_match_with_warmups_and_chunking() {
 
 #[test]
 fn a_plan_group_wider_than_the_packed_lane_limit_splits_cleanly() {
-    // 41 agree lanes force a second AgreeGroup (the limit is
+    // 41 agree lanes force a second agree group (the limit is
     // cell::PACKED_LANES = 32), interleaved with the other plan
     // families and a multi-structure lane on both sides of the split.
     let mut configs = vec![PredictorConfig::LastTime { addr_bits: 5 }];
@@ -298,7 +308,7 @@ fn a_plan_group_wider_than_the_packed_lane_limit_splits_cleanly() {
     });
     let trace = suite::sdet().scaled(4_000).trace(41);
     let serial = serial_reference(&configs, &trace, Simulator::new());
-    let multilane = replay_multilane(&configs, &trace, Simulator::new());
+    let multilane = one_lane_set(&configs, &trace, Simulator::new());
     assert_eq!(serial, multilane);
 }
 
@@ -320,7 +330,7 @@ fn duplicate_plan_configurations_stay_independent() {
     ]);
     let trace = suite::espresso().scaled(2_000).trace(13);
     let serial = serial_reference(&configs, &trace, Simulator::new());
-    let multilane = replay_multilane(&configs, &trace, Simulator::new());
+    let multilane = one_lane_set(&configs, &trace, Simulator::new());
     assert_eq!(serial, multilane);
     assert_eq!(multilane[0], multilane[1]);
     assert_eq!(multilane[1], multilane[2]);
@@ -374,7 +384,7 @@ fn per_address_lanes_sharing_first_level_walks_match_the_scalar_oracle() {
     let trace = suite::espresso().scaled(20_000).trace(61);
     let simulator = Simulator::with_warmup(500);
     let serial = serial_reference(&configs, &trace, simulator);
-    assert_eq!(serial, replay_multilane(&configs, &trace, simulator));
+    assert_eq!(serial, one_lane_set(&configs, &trace, simulator));
     let chunked = run_batched_chunked(&configs, &trace, simulator, 4, 777);
     assert_eq!(serial, chunked);
     let counts = LaneSet::new(&configs, simulator).lane_tier_counts();
@@ -471,7 +481,7 @@ fn every_plan_kind_splits_cleanly_past_the_packed_lane_limit() {
     }
     let trace = suite::sdet().scaled(2_500).trace(53);
     let serial = serial_reference(&configs, &trace, Simulator::with_warmup(400));
-    let multilane = replay_multilane(&configs, &trace, Simulator::with_warmup(400));
+    let multilane = one_lane_set(&configs, &trace, Simulator::with_warmup(400));
     assert_eq!(serial, multilane);
 
     let counts = LaneSet::new(&configs, Simulator::new()).lane_tier_counts();
@@ -616,7 +626,7 @@ proptest! {
         let serial = serial_reference(&configs, &trace, simulator);
         prop_assert_eq!(
             &serial,
-            &replay_multilane(&configs, &trace, simulator),
+            &one_lane_set(&configs, &trace, simulator),
             "one-shot multilane"
         );
         for chunk_len in [1, 7, len.max(2) - 1, len + chunk_extra] {
