@@ -1,6 +1,8 @@
 //! Runs every table and figure harness in paper order with shared
 //! options — the one-shot reproduction of the whole evaluation
-//! section.
+//! section. Every exhibit renders from one plan
+//! ([`experiments::paper`]), so each `(workload, configuration)` cell
+//! is simulated once.
 //!
 //! ```text
 //! cargo run --release -p bpred-bench --bin all -- [--quick] [--branches N] ...
@@ -9,7 +11,7 @@
 use std::process::ExitCode;
 
 use bpred_bench::Args;
-use bpred_sim::experiments::{self, render_difference, render_size_series, Table3Scheme};
+use bpred_sim::experiments::{self, render_difference, render_size_series};
 use bpred_sim::report::{percent, render_surface, render_tier};
 
 fn main() -> ExitCode {
@@ -21,28 +23,27 @@ fn main() -> ExitCode {
         eprintln!("all prints aligned text only; run the per-exhibit binaries (table1, fig4, ...) for --csv");
         return ExitCode::FAILURE;
     }
-    let opts = &args.options;
+    let paper = experiments::paper(&args.options);
 
     println!("================ Table 1 ================\n");
-    print!("{}", experiments::table1(opts).render());
+    print!("{}", paper.table1.render());
 
     println!("\n================ Table 2 ================\n");
-    print!("{}", experiments::table2(opts).render());
+    print!("{}", paper.table2.render());
 
     println!("\n================ Figure 2 (address-indexed) ================\n");
-    print!("{}", render_size_series(&experiments::fig2(opts)).render());
+    print!("{}", render_size_series(&paper.fig2).render());
 
     println!("\n================ Figure 3 (GAg) ================\n");
-    print!("{}", render_size_series(&experiments::fig3(opts)).render());
+    print!("{}", render_size_series(&paper.fig3).render());
 
     println!("\n================ Figure 4 (GAs surfaces) ================\n");
-    let gas_surfaces = experiments::fig4(opts);
-    for surface in &gas_surfaces {
+    for surface in &paper.fig4 {
         println!("{}", render_surface(surface));
     }
 
     println!("================ Figure 5 (GAs aliasing) ================\n");
-    for surface in &gas_surfaces {
+    for surface in &paper.fig4 {
         println!("GAs aliasing on {}", surface.workload);
         for tier in &surface.tiers {
             println!("{}", render_tier(tier, |p| p.result.alias_rate()));
@@ -67,35 +68,28 @@ fn main() -> ExitCode {
     }
 
     println!("================ Figure 6 (gshare surfaces) ================\n");
-    for surface in experiments::fig6(opts) {
-        println!("{}", render_surface(&surface));
+    for surface in &paper.fig6 {
+        println!("{}", render_surface(surface));
     }
 
     println!("================ Figure 7 (gshare - GAs, mpeg_play) ================\n");
-    print!("{}", render_difference(&experiments::fig7(opts)).render());
+    print!("{}", render_difference(&paper.fig7).render());
 
     println!("\n================ Figure 8 (path - GAs, mpeg_play) ================\n");
-    print!("{}", render_difference(&experiments::fig8(opts)).render());
+    print!("{}", render_difference(&paper.fig8).render());
 
     println!("\n================ Figure 9 (PAs perfect histories) ================\n");
-    for surface in experiments::fig9(opts) {
-        println!("{}", render_surface(&surface));
+    for surface in &paper.fig9 {
+        println!("{}", render_surface(surface));
     }
 
     println!("================ Figure 10 (PAs finite BHTs, mpeg_play) ================\n");
-    for surface in experiments::fig10(opts, &[128, 1024, 2048]) {
-        println!("{}", render_surface(&surface));
+    for surface in &paper.fig10 {
+        println!("{}", render_surface(surface));
     }
 
     println!("================ Table 3 ================\n");
-    let budgets: Vec<u32> = [9u32, 12, 15]
-        .into_iter()
-        .filter(|&b| b >= opts.min_bits && b <= opts.max_bits)
-        .collect();
-    print!(
-        "{}",
-        experiments::table3(opts, &budgets, &Table3Scheme::all()).render()
-    );
+    print!("{}", paper.table3.render());
 
     ExitCode::SUCCESS
 }

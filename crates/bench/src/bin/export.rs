@@ -1,6 +1,7 @@
 //! Exports every figure's data as CSV files for external plotting
 //! (gnuplot, matplotlib, R). One file per exhibit in the chosen
-//! output directory.
+//! output directory, every exhibit rendered from one plan
+//! ([`experiments::paper`]).
 //!
 //! ```text
 //! cargo run --release -p bpred-bench --bin export -- [out-dir] [--quick] [--branches N] ...
@@ -29,7 +30,7 @@ fn main() -> ExitCode {
         eprintln!("cannot create {}: {e}", out_dir.display());
         return ExitCode::FAILURE;
     }
-    let opts = &args.options;
+    let paper = experiments::paper(&args.options);
     let write = |name: &str, contents: String| {
         let path = out_dir.join(name);
         match fs::write(&path, contents) {
@@ -45,37 +46,34 @@ fn main() -> ExitCode {
     };
 
     let mut ok = true;
-    ok &= write("table1.csv", experiments::table1(opts).to_csv());
-    ok &= write("table2.csv", experiments::table2(opts).to_csv());
+    ok &= write("table1.csv", paper.table1.to_csv());
+    ok &= write("table2.csv", paper.table2.to_csv());
     ok &= write(
         "fig2_address_indexed.csv",
-        render_size_series(&experiments::fig2(opts)).to_csv(),
+        render_size_series(&paper.fig2).to_csv(),
     );
-    ok &= write(
-        "fig3_gag.csv",
-        render_size_series(&experiments::fig3(opts)).to_csv(),
-    );
-    for surface in experiments::fig4(opts) {
+    ok &= write("fig3_gag.csv", render_size_series(&paper.fig3).to_csv());
+    for surface in &paper.fig4 {
         ok &= write(
             &format!("fig4_gas_{}.csv", surface.workload),
-            surface_csv(&surface),
+            surface_csv(surface),
         );
     }
-    for surface in experiments::fig6(opts) {
+    for surface in &paper.fig6 {
         ok &= write(
             &format!("fig6_gshare_{}.csv", surface.workload),
-            surface_csv(&surface),
+            surface_csv(surface),
         );
     }
-    for surface in experiments::fig9(opts) {
+    for surface in &paper.fig9 {
         ok &= write(
             &format!("fig9_pas_{}.csv", surface.workload),
-            surface_csv(&surface),
+            surface_csv(surface),
         );
     }
-    for surface in experiments::fig10(opts, &[128, 1024, 2048]) {
+    for surface in &paper.fig10 {
         let label = surface.scheme.replace(['(', ')', 'x'], "_");
-        ok &= write(&format!("fig10_{label}.csv"), surface_csv(&surface));
+        ok &= write(&format!("fig10_{label}.csv"), surface_csv(surface));
     }
     let diff_csv = |diff: &[(u32, u32, f64)]| {
         let mut out = String::from("row_bits,col_bits,difference\n");
@@ -84,14 +82,8 @@ fn main() -> ExitCode {
         }
         out
     };
-    ok &= write(
-        "fig7_gshare_minus_gas.csv",
-        diff_csv(&experiments::fig7(opts)),
-    );
-    ok &= write(
-        "fig8_path_minus_gas.csv",
-        diff_csv(&experiments::fig8(opts)),
-    );
+    ok &= write("fig7_gshare_minus_gas.csv", diff_csv(&paper.fig7));
+    ok &= write("fig8_path_minus_gas.csv", diff_csv(&paper.fig8));
 
     if ok {
         ExitCode::SUCCESS

@@ -8,7 +8,8 @@
 //! --min-bits <n>   smallest tier, log2 counters (default 4)
 //! --max-bits <n>   largest tier, log2 counters (default 15, at most 30)
 //! --csv            emit CSV instead of aligned text (`all` rejects it)
-//! --quick          shorthand for --branches 50000 --max-bits 10
+//! --quick          shorthand for --branches 50000 --max-bits 10; an
+//!                  explicit --branches or --max-bits wins, in any order
 //! ```
 //!
 //! When `BPRED_CACHE_DIR` is set, [`Args::parse`] additionally opens
@@ -46,19 +47,17 @@ impl Args {
     /// Parses an explicit argument list (testable).
     pub fn parse_from(args: impl IntoIterator<Item = String>) -> Result<Args, ExitCode> {
         let mut options = ExperimentOptions::default();
-        let mut csv = false;
+        let (mut branches, mut max_bits) = (None, None);
+        let (mut csv, mut quick) = (false, false);
         let mut iter = args.into_iter();
         while let Some(arg) = iter.next() {
             match arg.as_str() {
-                "--branches" => options.branches = Some(require_number(&arg, iter.next())?),
+                "--branches" => branches = Some(require_number(&arg, iter.next())?),
                 "--seed" => options.seed = require_number(&arg, iter.next())? as u64,
                 "--min-bits" => options.min_bits = require_bits(&arg, iter.next())?,
-                "--max-bits" => options.max_bits = require_bits(&arg, iter.next())?,
+                "--max-bits" => max_bits = Some(require_bits(&arg, iter.next())?),
                 "--csv" => csv = true,
-                "--quick" => {
-                    options.branches = Some(50_000);
-                    options.max_bits = options.max_bits.min(10);
-                }
+                "--quick" => quick = true,
                 "--help" | "-h" => {
                     eprintln!(
                         "usage: [--branches N] [--seed N] [--min-bits N] [--max-bits N] [--csv] [--quick]"
@@ -71,6 +70,13 @@ impl Args {
                 }
             }
         }
+        // Explicit sizes win over --quick's, wherever the flags sit.
+        if quick {
+            options.branches = Some(50_000);
+            options.max_bits = options.max_bits.min(10);
+        }
+        options.branches = branches.or(options.branches);
+        options.max_bits = max_bits.unwrap_or(options.max_bits);
         if options.min_bits > options.max_bits {
             eprintln!("--min-bits must not exceed --max-bits");
             return Err(ExitCode::FAILURE);
@@ -146,6 +152,23 @@ mod tests {
         let args = parse(&["--quick"]).unwrap();
         assert_eq!(args.options.branches, Some(50_000));
         assert_eq!(args.options.max_bits, 10);
+    }
+
+    #[test]
+    fn explicit_sizes_win_over_quick_in_either_order() {
+        for args in [
+            ["--branches", "1000", "--quick", "--max-bits", "12"],
+            ["--quick", "--branches", "1000", "--max-bits", "12"],
+            ["--max-bits", "12", "--branches", "1000", "--quick"],
+        ] {
+            let options = parse(&args).unwrap().options;
+            assert_eq!(options.branches, Some(1000), "{args:?}");
+            assert_eq!(options.max_bits, 12, "{args:?}");
+        }
+        let capped = parse(&["--branches", "1000", "--quick"]).unwrap().options;
+        assert_eq!(capped.max_bits, 10);
+        let sized = parse(&["--max-bits", "8", "--quick"]).unwrap().options;
+        assert_eq!((sized.branches, sized.max_bits), (Some(50_000), 8));
     }
 
     #[test]

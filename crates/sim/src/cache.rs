@@ -201,7 +201,7 @@ where
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::run_configs;
     use bpred_trace::{BranchRecord, Outcome, Trace};
@@ -210,7 +210,7 @@ mod tests {
     use std::sync::Mutex;
 
     /// Serialises tests that touch the process-wide registry.
-    fn registry_lock() -> std::sync::MutexGuard<'static, ()> {
+    pub(crate) fn registry_lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }

@@ -64,7 +64,7 @@ impl Simulator {
 }
 
 /// The outcome of one simulation run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimResult {
     /// Name of the predictor configuration.
     pub predictor: String,

@@ -1,16 +1,38 @@
 //! Drivers for every table and figure of the paper's evaluation.
 //!
 //! Each function regenerates the data behind one exhibit of Sechrest,
-//! Lee & Mudge (ISCA 1996) on the synthetic workload models. The
-//! `bpred-bench` binaries are thin wrappers that call these and print
-//! the result; tests call them with reduced trace lengths.
+//! Lee & Mudge (ISCA 1996) on the synthetic workload models; [`paper`]
+//! regenerates all of them at once. The `bpred-bench` binaries are
+//! thin wrappers that call these and print the result; tests call them
+//! with reduced trace lengths.
+//!
+//! # Plans and views
+//!
+//! An exhibit is written once, as a function that reads its
+//! `(workload, configuration)` cells from a `Cells` value, and runs twice.
+//! The first run *declares*: each read records its cells in a plan and
+//! answers placeholders. The plan then simulates each workload's
+//! distinct cells once, and the second run *views*: each read answers
+//! the simulated results. [`paper`] runs every exhibit against one
+//! plan, so a cell several exhibits read — Figure 7 re-reads Figures 4
+//! and 6, Table 3 re-reads Figures 4, 6, 9 and 10 — is simulated once.
+//!
+//! A plan replays each workload in passes over one streaming source,
+//! each pass holding as many of the workload's cells, in declaration
+//! order, as fit in [`PREFETCH_SPILL_BYTES`] of packed counters (see
+//! DESIGN.md, "Paper plan").
+
+use std::collections::{HashMap, HashSet};
+use std::ops::{Range, RangeInclusive};
+use std::rc::Rc;
 
 use bpred_core::PredictorConfig;
-use bpred_trace::stats::TraceStats;
+use bpred_trace::stats::{StatsFold, TraceStats};
 use bpred_trace::{Trace, TraceSource};
 use bpred_workloads::{suite, WorkloadModel, WorkloadSource};
 
 use crate::cache::run_configs_keyed;
+use crate::multilane::PREFETCH_SPILL_BYTES;
 use crate::report::{percent, TextTable};
 use crate::{SimResult, Simulator, Surface};
 
@@ -69,13 +91,197 @@ impl ExperimentOptions {
             None => WorkloadSource::new(model.clone(), self.seed),
         }
     }
+
+    /// The tiers every surface sweeps, as log2 of the counter count.
+    fn tiers(&self) -> RangeInclusive<u32> {
+        self.min_bits..=self.max_bits
+    }
+}
+
+// ---------------------------------------------------------------- The plan
+
+/// A suite model, built once per plan and shared by every exhibit.
+type Model = Rc<WorkloadModel>;
+
+/// Where an exhibit reads its cells: a plan being declared, then the
+/// plan's results (see the module docs). An exhibit must read the same
+/// cells whatever the results are — every exhibit here does — and
+/// reading a cell the plan did not declare panics.
+#[derive(Debug, Default)]
+struct Cells {
+    models: HashMap<String, Model>,
+    /// Per workload, in first-declared order.
+    plan: Vec<PlanWorkload>,
+    /// The results by workload name, once the plan has run.
+    results: Option<HashMap<String, WorkloadCells>>,
+}
+
+/// One workload's declared cells.
+#[derive(Debug)]
+struct PlanWorkload {
+    model: Model,
+    /// Distinct configurations, in first-declared order.
+    configs: Vec<PredictorConfig>,
+    declared: HashSet<PredictorConfig>,
+    /// A view needs the workload's trace statistics.
+    stats: bool,
+}
+
+/// One workload's simulated cells.
+#[derive(Debug)]
+struct WorkloadCells {
+    results: HashMap<PredictorConfig, SimResult>,
+    stats: Option<TraceStats>,
+}
+
+impl Cells {
+    /// The suite model named `name`, built on first use.
+    fn model(&mut self, name: &str) -> Model {
+        let model = self.models.entry(name.to_owned()).or_insert_with(|| {
+            Rc::new(suite::by_name(name).expect("every exhibit reads suite benchmarks"))
+        });
+        Rc::clone(model)
+    }
+
+    /// All fourteen benchmarks, in Table 1 order.
+    fn all(&mut self) -> Vec<Model> {
+        suite::all_specs()
+            .iter()
+            .map(|spec| self.model(&spec.name))
+            .collect()
+    }
+
+    /// The three focus benchmarks of [`suite::focus`].
+    fn focus(&mut self) -> Vec<Model> {
+        ["espresso", "mpeg_play", "real_gcc"]
+            .map(|name| self.model(name))
+            .into()
+    }
+
+    fn declare(&mut self, model: &Model) -> &mut PlanWorkload {
+        let found = self
+            .plan
+            .iter()
+            .position(|w| w.model.name() == model.name());
+        let index = found.unwrap_or_else(|| {
+            self.plan.push(PlanWorkload {
+                model: Rc::clone(model),
+                configs: Vec::new(),
+                declared: HashSet::new(),
+                stats: false,
+            });
+            self.plan.len() - 1
+        });
+        &mut self.plan[index]
+    }
+
+    /// The results of `configs` on `model`, in order.
+    fn results(&mut self, model: &Model, configs: &[PredictorConfig]) -> Vec<SimResult> {
+        if let Some(results) = &self.results {
+            let cells = &results[model.name()].results;
+            return configs.iter().map(|config| cells[config].clone()).collect();
+        }
+        let workload = self.declare(model);
+        for &config in configs {
+            if workload.declared.insert(config) {
+                workload.configs.push(config);
+            }
+        }
+        vec![SimResult::default(); configs.len()]
+    }
+
+    /// The trace statistics of `model`.
+    fn stats(&mut self, model: &Model) -> TraceStats {
+        if let Some(results) = &self.results {
+            return results[model.name()]
+                .stats
+                .clone()
+                .expect("statistics were declared");
+        }
+        self.declare(model).stats = true;
+        StatsFold::new().finish()
+    }
+
+    /// Simulates every declared cell once, workload by workload, in
+    /// [`passes`] bounded by [`PREFETCH_SPILL_BYTES`]. Each pass goes
+    /// through [`run_configs_keyed`], so an installed result cache
+    /// serves and stores every cell. Statistics come from one more
+    /// streaming pass over the workload's chunks; no trace is
+    /// materialised.
+    fn simulate(&mut self, opts: &ExperimentOptions) {
+        let results = self
+            .plan
+            .iter()
+            .map(|w| {
+                let source = opts.source(&w.model);
+                let source_id = source.cache_id();
+                let mut results = HashMap::with_capacity(w.configs.len());
+                for pass in passes(&w.configs, PREFETCH_SPILL_BYTES) {
+                    let configs = &w.configs[pass];
+                    let simulated =
+                        run_configs_keyed(configs, &source, Simulator::new(), Some(&source_id));
+                    results.extend(configs.iter().copied().zip(simulated));
+                }
+                let stats = w.stats.then(|| TraceStats::measure_source(&source));
+                (w.model.name().to_owned(), WorkloadCells { results, stats })
+            })
+            .collect();
+        self.results = Some(results);
+    }
+}
+
+/// Splits a workload's cells into replay passes: consecutive runs, in
+/// declaration order, whose packed counter arenas (8 bytes per
+/// counter) total at most `budget_bytes`. A cell over the budget on
+/// its own gets a pass to itself.
+///
+/// Every lane group cycles its whole arena once per chunk, so a pass
+/// whose arenas outgrow the private caches pays for it on every chunk;
+/// [`Cells::simulate`] bounds passes by the prefetch gate's spill
+/// threshold.
+fn passes(configs: &[PredictorConfig], budget_bytes: u64) -> Vec<Range<usize>> {
+    let mut passes = Vec::new();
+    let (mut start, mut bytes) = (0, 0u64);
+    for (i, config) in configs.iter().enumerate() {
+        let cell = 8 * config.counters();
+        if i > start && bytes + cell > budget_bytes {
+            passes.push(start..i);
+            (start, bytes) = (i, 0);
+        }
+        bytes += cell;
+    }
+    if start < configs.len() {
+        passes.push(start..configs.len());
+    }
+    passes
+}
+
+/// Runs `exhibit` against one plan: declare its cells, simulate them,
+/// view.
+fn run<T>(opts: &ExperimentOptions, exhibit: impl Fn(&mut Cells) -> T) -> T {
+    let mut cells = Cells::default();
+    exhibit(&mut cells);
+    cells.simulate(opts);
+    exhibit(&mut cells)
+}
+
+/// `make(row_bits, col_bits)` over every split of every tier in
+/// `tiers` on `model`.
+fn surface(
+    cells: &mut Cells,
+    scheme: &str,
+    model: &Model,
+    tiers: impl IntoIterator<Item = u32>,
+    make: impl Fn(u32, u32) -> PredictorConfig,
+) -> Surface {
+    Surface::sweep_with(scheme, model.name(), tiers, make, |configs| {
+        cells.results(model, configs)
+    })
 }
 
 // ------------------------------------------------------------- Tables 1 & 2
 
-/// Table 1: benchmark characterization, paper's published trace
-/// numbers beside the synthetic model's measured statistics.
-pub fn table1(opts: &ExperimentOptions) -> TextTable {
+fn table1_in(cells: &mut Cells) -> TextTable {
     let mut table = TextTable::new(
         [
             "benchmark",
@@ -90,8 +296,8 @@ pub fn table1(opts: &ExperimentOptions) -> TextTable {
         .map(str::to_owned)
         .to_vec(),
     );
-    for model in suite::all() {
-        let stats = TraceStats::measure(&opts.trace(&model));
+    for model in cells.all() {
+        let stats = cells.stats(&model);
         let paper = model.paper_reference();
         table.push_row(vec![
             model.name().to_owned(),
@@ -107,9 +313,7 @@ pub fn table1(opts: &ExperimentOptions) -> TextTable {
     table
 }
 
-/// Table 2: branch execution-frequency buckets for the three focus
-/// benchmarks, paper beside model.
-pub fn table2(opts: &ExperimentOptions) -> TextTable {
+fn table2_in(cells: &mut Cells) -> TextTable {
     let mut table = TextTable::new(
         [
             "benchmark",
@@ -125,9 +329,8 @@ pub fn table2(opts: &ExperimentOptions) -> TextTable {
         .map(str::to_owned)
         .to_vec(),
     );
-    for model in suite::focus() {
-        let stats = TraceStats::measure(&opts.trace(&model));
-        let measured = stats.coverage;
+    for model in cells.focus() {
+        let measured = cells.stats(&model).coverage;
         let paper = model
             .paper_reference()
             .table2
@@ -147,6 +350,18 @@ pub fn table2(opts: &ExperimentOptions) -> TextTable {
     table
 }
 
+/// Table 1: benchmark characterization, paper's published trace
+/// numbers beside the synthetic model's measured statistics.
+pub fn table1(opts: &ExperimentOptions) -> TextTable {
+    run(opts, table1_in)
+}
+
+/// Table 2: branch execution-frequency buckets for the three focus
+/// benchmarks, paper beside model.
+pub fn table2(opts: &ExperimentOptions) -> TextTable {
+    run(opts, table2_in)
+}
+
 // ------------------------------------------------------------ Figures 2 & 3
 
 /// One benchmark's misprediction-rate series over table sizes.
@@ -159,44 +374,48 @@ pub struct SizeSeries {
 }
 
 fn size_sweep(
+    cells: &mut Cells,
     opts: &ExperimentOptions,
-    models: &[WorkloadModel],
     make: impl Fn(u32) -> PredictorConfig,
 ) -> Vec<SizeSeries> {
-    let sizes: Vec<u32> = (opts.min_bits..=opts.max_bits).collect();
+    let sizes: Vec<u32> = opts.tiers().collect();
     let configs: Vec<PredictorConfig> = sizes.iter().map(|&n| make(n)).collect();
-    models
+    cells
+        .all()
         .iter()
-        .map(|model| {
-            let source = opts.source(model);
-            let results = run_configs_keyed(
-                &configs,
-                &source,
-                Simulator::new(),
-                Some(&source.cache_id()),
-            );
-            SizeSeries {
-                benchmark: model.name().to_owned(),
-                points: sizes.iter().copied().zip(results).collect(),
-            }
+        .map(|model| SizeSeries {
+            benchmark: model.name().to_owned(),
+            points: sizes
+                .iter()
+                .copied()
+                .zip(cells.results(model, &configs))
+                .collect(),
         })
         .collect()
+}
+
+fn fig2_in(cells: &mut Cells, opts: &ExperimentOptions) -> Vec<SizeSeries> {
+    size_sweep(cells, opts, |n| PredictorConfig::AddressIndexed {
+        addr_bits: n,
+    })
+}
+
+fn fig3_in(cells: &mut Cells, opts: &ExperimentOptions) -> Vec<SizeSeries> {
+    size_sweep(cells, opts, |n| PredictorConfig::Gas {
+        history_bits: n,
+        col_bits: 0,
+    })
 }
 
 /// Figure 2: address-indexed predictors over all fourteen benchmarks,
 /// table sizes `2^min_bits ..= 2^max_bits`.
 pub fn fig2(opts: &ExperimentOptions) -> Vec<SizeSeries> {
-    size_sweep(opts, &suite::all(), |n| PredictorConfig::AddressIndexed {
-        addr_bits: n,
-    })
+    run(opts, |cells| fig2_in(cells, opts))
 }
 
 /// Figure 3: GAg over all fourteen benchmarks.
 pub fn fig3(opts: &ExperimentOptions) -> Vec<SizeSeries> {
-    size_sweep(opts, &suite::all(), |n| PredictorConfig::Gas {
-        history_bits: n,
-        col_bits: 0,
-    })
+    run(opts, |cells| fig3_in(cells, opts))
 }
 
 /// Renders Figure 2/3-style series as a table: one row per benchmark,
@@ -221,107 +440,85 @@ pub fn render_size_series(series: &[SizeSeries]) -> TextTable {
 
 // --------------------------------------------------------- Figures 4 — 10
 
+/// One scheme's surfaces over the three focus benchmarks.
+fn focus_surfaces(
+    cells: &mut Cells,
+    opts: &ExperimentOptions,
+    scheme: Table3Scheme,
+) -> Vec<Surface> {
+    cells
+        .focus()
+        .iter()
+        .map(|model| {
+            surface(cells, &scheme.label(), model, opts.tiers(), |r, c| {
+                scheme.config(r, c)
+            })
+        })
+        .collect()
+}
+
 /// Figure 4 (and the misprediction layer of Figure 5): GAs surfaces
 /// for the three focus benchmarks.
 pub fn fig4(opts: &ExperimentOptions) -> Vec<Surface> {
-    scheme_surfaces(opts, "GAs", |r, c| PredictorConfig::Gas {
-        history_bits: r,
-        col_bits: c,
-    })
+    run(opts, |cells| focus_surfaces(cells, opts, Table3Scheme::Gas))
 }
 
 /// Figure 6: gshare surfaces for the three focus benchmarks.
 pub fn fig6(opts: &ExperimentOptions) -> Vec<Surface> {
-    scheme_surfaces(opts, "gshare", |r, c| PredictorConfig::Gshare {
-        history_bits: r,
-        col_bits: c,
+    run(opts, |cells| {
+        focus_surfaces(cells, opts, Table3Scheme::Gshare)
     })
 }
 
 /// Figure 9: PAs surfaces with perfect first-level history for the
 /// three focus benchmarks.
 pub fn fig9(opts: &ExperimentOptions) -> Vec<Surface> {
-    scheme_surfaces(opts, "PAs(inf)", |r, c| PredictorConfig::PasInfinite {
-        history_bits: r,
-        col_bits: c,
+    run(opts, |cells| {
+        focus_surfaces(cells, opts, Table3Scheme::PasInfinite)
     })
 }
 
-/// Sweeps one scheme over the three focus benchmarks.
-pub fn scheme_surfaces(
+/// The point-wise `other − GAs` difference on mpeg_play.
+fn gas_difference(
+    cells: &mut Cells,
     opts: &ExperimentOptions,
-    scheme: &str,
-    make: impl Fn(u32, u32) -> PredictorConfig + Copy,
-) -> Vec<Surface> {
-    suite::focus()
-        .iter()
-        .map(|model| {
-            let source = opts.source(model);
-            Surface::sweep_keyed(
-                scheme,
-                model.name(),
-                opts.min_bits..=opts.max_bits,
-                &source,
-                Simulator::new(),
-                Some(&source.cache_id()),
-                make,
-            )
-        })
-        .collect()
+    other: &str,
+    make: impl Fn(u32, u32) -> PredictorConfig,
+) -> Vec<(u32, u32, f64)> {
+    let mpeg_play = cells.model("mpeg_play");
+    let gas = Table3Scheme::Gas;
+    let base = surface(cells, "GAs", &mpeg_play, opts.tiers(), |r, c| {
+        gas.config(r, c)
+    });
+    // base.rate - other.rate: positive = `other` superior.
+    base.difference(&surface(cells, other, &mpeg_play, opts.tiers(), make))
 }
 
-/// Sweeps one scheme on one named benchmark.
-pub fn scheme_surface_on(
-    opts: &ExperimentOptions,
-    scheme: &str,
-    benchmark: &str,
-    make: impl Fn(u32, u32) -> PredictorConfig,
-) -> Surface {
-    let model =
-        suite::by_name(benchmark).unwrap_or_else(|| panic!("unknown benchmark {benchmark:?}"));
-    let source = opts.source(&model);
-    Surface::sweep_keyed(
-        scheme,
-        benchmark,
-        opts.min_bits..=opts.max_bits,
-        &source,
-        Simulator::new(),
-        Some(&source.cache_id()),
-        make,
-    )
+fn fig7_in(cells: &mut Cells, opts: &ExperimentOptions) -> Vec<(u32, u32, f64)> {
+    gas_difference(cells, opts, "gshare", |r, c| {
+        Table3Scheme::Gshare.config(r, c)
+    })
+}
+
+fn fig8_in(cells: &mut Cells, opts: &ExperimentOptions) -> Vec<(u32, u32, f64)> {
+    gas_difference(cells, opts, "path", |r, c| PredictorConfig::Path {
+        row_bits: r,
+        col_bits: c,
+        bits_per_target: 2,
+    })
 }
 
 /// Figure 7: point-wise `gshare − GAs` misprediction difference on
 /// mpeg_play. Positive values mean gshare predicted *better* (its rate
 /// was lower), matching the paper's orientation.
 pub fn fig7(opts: &ExperimentOptions) -> Vec<(u32, u32, f64)> {
-    let gas = scheme_surface_on(opts, "GAs", "mpeg_play", |r, c| PredictorConfig::Gas {
-        history_bits: r,
-        col_bits: c,
-    });
-    let gshare = scheme_surface_on(opts, "gshare", "mpeg_play", |r, c| {
-        PredictorConfig::Gshare {
-            history_bits: r,
-            col_bits: c,
-        }
-    });
-    // gas.rate - gshare.rate: positive = gshare superior.
-    gas.difference(&gshare)
+    run(opts, |cells| fig7_in(cells, opts))
 }
 
 /// Figure 8: point-wise `path − GAs` difference on mpeg_play.
 /// Positive values mean the path scheme predicted better.
 pub fn fig8(opts: &ExperimentOptions) -> Vec<(u32, u32, f64)> {
-    let gas = scheme_surface_on(opts, "GAs", "mpeg_play", |r, c| PredictorConfig::Gas {
-        history_bits: r,
-        col_bits: c,
-    });
-    let path = scheme_surface_on(opts, "path", "mpeg_play", |r, c| PredictorConfig::Path {
-        row_bits: r,
-        col_bits: c,
-        bits_per_target: 2,
-    });
-    gas.difference(&path)
+    run(opts, |cells| fig8_in(cells, opts))
 }
 
 /// Renders a difference grid (Figures 7–8) as a table: one row per
@@ -350,27 +547,33 @@ pub fn render_difference(diff: &[(u32, u32, f64)]) -> TextTable {
     table
 }
 
-/// Figure 10: PAs surfaces on mpeg_play with finite 4-way first-level
-/// tables of the given entry counts (paper: 128, 1024, 2048).
-pub fn fig10(opts: &ExperimentOptions, entries: &[usize]) -> Vec<Surface> {
+fn fig10_in(cells: &mut Cells, opts: &ExperimentOptions, entries: &[usize]) -> Vec<Surface> {
+    let mpeg_play = cells.model("mpeg_play");
     entries
         .iter()
         .map(|&e| {
-            scheme_surface_on(opts, &format!("PAs({e}x4)"), "mpeg_play", |r, c| {
-                PredictorConfig::PasFinite {
-                    history_bits: r,
-                    col_bits: c,
-                    entries: e as u32,
-                    ways: 4,
-                }
-            })
+            let scheme = Table3Scheme::PasFinite(e);
+            surface(
+                cells,
+                &format!("PAs({e}x4)"),
+                &mpeg_play,
+                opts.tiers(),
+                |r, c| scheme.config(r, c),
+            )
         })
         .collect()
 }
 
+/// Figure 10: PAs surfaces on mpeg_play with finite 4-way first-level
+/// tables of the given entry counts (paper: 128, 1024, 2048).
+pub fn fig10(opts: &ExperimentOptions, entries: &[usize]) -> Vec<Surface> {
+    run(opts, |cells| fig10_in(cells, opts, entries))
+}
+
 // ----------------------------------------------------------------- Table 3
 
-/// The schemes compared in Table 3.
+/// The schemes compared in Table 3; Figures 4, 6, 9 and 10 sweep the
+/// same schemes as surfaces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Table3Scheme {
     /// GAs at every split.
@@ -443,51 +646,29 @@ pub struct BestConfig {
 }
 
 /// Finds the best split of `scheme` at `2^total_bits` counters on a
-/// trace source.
+/// trace source: the [best](crate::Tier::best) point of that one tier.
 pub fn best_config<S: TraceSource + Sync + ?Sized>(
     scheme: Table3Scheme,
     total_bits: u32,
     source: &S,
 ) -> BestConfig {
-    best_config_keyed(scheme, total_bits, source, None)
-}
-
-/// [`best_config`] with cache keying: when `source_id` names the
-/// stream (see [`crate::cache`]) and a process-wide result cache is
-/// installed, cached splits are loaded instead of re-simulated.
-pub fn best_config_keyed<S: TraceSource + Sync + ?Sized>(
-    scheme: Table3Scheme,
-    total_bits: u32,
-    source: &S,
-    source_id: Option<&str>,
-) -> BestConfig {
-    let shapes: Vec<(u32, u32)> = (0..=total_bits)
-        .rev()
-        .map(|c| (total_bits - c, c))
-        .collect();
-    let configs: Vec<PredictorConfig> = shapes.iter().map(|&(r, c)| scheme.config(r, c)).collect();
-    let results = run_configs_keyed(&configs, source, Simulator::new(), source_id);
-    let (shape, result) = shapes
-        .into_iter()
-        .zip(results)
-        .min_by(|(_, a), (_, b)| {
-            a.misprediction_rate()
-                .partial_cmp(&b.misprediction_rate())
-                .expect("rates are never NaN")
-        })
-        .expect("at least one shape");
+    let surface = Surface::sweep(
+        &scheme.label(),
+        "",
+        total_bits..=total_bits,
+        source,
+        Simulator::new(),
+        |r, c| scheme.config(r, c),
+    );
+    let best = surface.tiers[0].best();
     BestConfig {
-        row_bits: shape.0,
-        col_bits: shape.1,
-        result,
+        row_bits: best.row_bits,
+        col_bits: best.col_bits,
+        result: best.result.clone(),
     }
 }
 
-/// Table 3: best configuration and misprediction rate for each scheme
-/// at each counter budget (paper: 512, 4096, 32768 ⇒ `total_bits` of
-/// 9, 12, 15), for the three focus benchmarks. PAs rows include the
-/// first-level miss rate.
-pub fn table3(opts: &ExperimentOptions, budgets: &[u32], schemes: &[Table3Scheme]) -> TextTable {
+fn table3_in(cells: &mut Cells, budgets: &[u32], schemes: &[Table3Scheme]) -> TextTable {
     let mut headers = vec![
         "benchmark".to_owned(),
         "predictor".to_owned(),
@@ -496,14 +677,13 @@ pub fn table3(opts: &ExperimentOptions, budgets: &[u32], schemes: &[Table3Scheme
     headers.extend(budgets.iter().map(|b| format!("{} counters", 1u64 << b)));
     let mut table = TextTable::new(headers);
 
-    for model in suite::focus() {
-        let source = opts.source(&model);
-        let source_id = source.cache_id();
+    for model in cells.focus() {
         for &scheme in schemes {
             let mut row = vec![model.name().to_owned(), scheme.label(), String::new()];
             let mut miss_rate: Option<f64> = None;
             for &bits in budgets {
-                let best = best_config_keyed(scheme, bits, &source, Some(&source_id));
+                let tier = surface(cells, "", &model, [bits], |r, c| scheme.config(r, c));
+                let best = tier.tiers[0].best();
                 if best.result.bht.is_some() && matches!(scheme, Table3Scheme::PasFinite(_)) {
                     miss_rate = Some(best.result.bht_miss_rate());
                 }
@@ -511,7 +691,7 @@ pub fn table3(opts: &ExperimentOptions, budgets: &[u32], schemes: &[Table3Scheme
                     "2^{} x 2^{} ({})",
                     best.row_bits,
                     best.col_bits,
-                    percent(best.result.misprediction_rate())
+                    percent(best.rate())
                 ));
             }
             row[2] = miss_rate.map(percent).unwrap_or_else(|| "-".to_owned());
@@ -521,10 +701,81 @@ pub fn table3(opts: &ExperimentOptions, budgets: &[u32], schemes: &[Table3Scheme
     table
 }
 
+/// Table 3: best configuration and misprediction rate for each scheme
+/// at each counter budget (paper: 512, 4096, 32768 ⇒ `total_bits` of
+/// 9, 12, 15), for the three focus benchmarks. PAs rows include the
+/// first-level miss rate.
+pub fn table3(opts: &ExperimentOptions, budgets: &[u32], schemes: &[Table3Scheme]) -> TextTable {
+    run(opts, |cells| table3_in(cells, budgets, schemes))
+}
+
+// --------------------------------------------------------- The whole paper
+
+/// Every exhibit the `all` binary prints, each field equal to its
+/// per-exhibit function at the same options.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Paper {
+    /// [`table1`].
+    pub table1: TextTable,
+    /// [`table2`].
+    pub table2: TextTable,
+    /// [`fig2`].
+    pub fig2: Vec<SizeSeries>,
+    /// [`fig3`].
+    pub fig3: Vec<SizeSeries>,
+    /// [`fig4`] (and Figure 5's aliasing layer).
+    pub fig4: Vec<Surface>,
+    /// [`fig6`].
+    pub fig6: Vec<Surface>,
+    /// [`fig7`].
+    pub fig7: Vec<(u32, u32, f64)>,
+    /// [`fig8`].
+    pub fig8: Vec<(u32, u32, f64)>,
+    /// [`fig9`].
+    pub fig9: Vec<Surface>,
+    /// [`fig10`] at the paper's 128, 1024 and 2048 entries.
+    pub fig10: Vec<Surface>,
+    /// [`table3`] over [`Table3Scheme::all`] at the paper's budgets
+    /// (512, 4096 and 32,768 counters) that lie within the tiers.
+    pub table3: TextTable,
+}
+
+/// Every exhibit in paper order, which is also the order the plan
+/// declares their cells in.
+fn paper_in(cells: &mut Cells, opts: &ExperimentOptions) -> Paper {
+    let budgets: Vec<u32> = [9, 12, 15]
+        .into_iter()
+        .filter(|b| opts.tiers().contains(b))
+        .collect();
+    Paper {
+        table1: table1_in(cells),
+        table2: table2_in(cells),
+        fig2: fig2_in(cells, opts),
+        fig3: fig3_in(cells, opts),
+        fig4: focus_surfaces(cells, opts, Table3Scheme::Gas),
+        fig6: focus_surfaces(cells, opts, Table3Scheme::Gshare),
+        fig7: fig7_in(cells, opts),
+        fig8: fig8_in(cells, opts),
+        fig9: focus_surfaces(cells, opts, Table3Scheme::PasInfinite),
+        fig10: fig10_in(cells, opts, &[128, 1024, 2048]),
+        table3: table3_in(cells, &budgets, &Table3Scheme::all()),
+    }
+}
+
+/// The whole evaluation from one plan: every exhibit the `all` binary
+/// prints, with each distinct `(workload, configuration)` cell
+/// simulated once.
+pub fn paper(opts: &ExperimentOptions) -> Paper {
+    run(opts, |cells| paper_in(cells, opts))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::{self, tests::registry_lock, CellKey, ResultCache};
     use crate::run_configs;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{Arc, Mutex};
 
     fn tiny() -> ExperimentOptions {
         ExperimentOptions {
@@ -618,6 +869,212 @@ mod tests {
         }
     }
 
+    /// `tiny()` widened to tiers 4..=9, so Table 3 has its 512-counter
+    /// budget.
+    fn tiny_with_table3() -> ExperimentOptions {
+        ExperimentOptions {
+            branches: Some(2_000),
+            max_bits: 9,
+            ..tiny()
+        }
+    }
+
+    #[test]
+    fn paper_views_equal_the_standalone_exhibits() {
+        for opts in [tiny(), tiny_with_table3()] {
+            let paper = paper(&opts);
+            let budgets: Vec<u32> = [9, 12, 15]
+                .into_iter()
+                .filter(|b| opts.tiers().contains(b))
+                .collect();
+            assert_eq!(paper.table1, table1(&opts));
+            assert_eq!(paper.table2, table2(&opts));
+            assert_eq!(paper.fig2, fig2(&opts));
+            assert_eq!(paper.fig3, fig3(&opts));
+            assert_eq!(paper.fig4, fig4(&opts));
+            assert_eq!(paper.fig6, fig6(&opts));
+            assert_eq!(paper.fig7, fig7(&opts));
+            assert_eq!(paper.fig8, fig8(&opts));
+            assert_eq!(paper.fig9, fig9(&opts));
+            assert_eq!(paper.fig10, fig10(&opts, &[128, 1024, 2048]));
+            assert_eq!(paper.table3, table3(&opts, &budgets, &Table3Scheme::all()));
+        }
+    }
+
+    /// The plan `exhibit` declares, without simulating it.
+    fn declared(exhibit: impl FnOnce(&mut Cells)) -> Vec<PlanWorkload> {
+        let mut cells = Cells::default();
+        exhibit(&mut cells);
+        cells.plan
+    }
+
+    /// Lanes a plan replays, summed over its workloads.
+    fn lanes(plan: &[PlanWorkload]) -> usize {
+        plan.iter().map(|w| w.configs.len()).sum()
+    }
+
+    #[test]
+    fn the_paper_plan_declares_each_cell_once() {
+        let opts = tiny();
+        let plan = declared(|cells| {
+            paper_in(cells, &opts);
+        });
+        assert_eq!(plan.len(), 14);
+        for w in &plan {
+            let distinct: HashSet<_> = w.configs.iter().collect();
+            assert_eq!(distinct.len(), w.configs.len(), "{}", w.model.name());
+            assert!(w.stats, "{}", w.model.name());
+        }
+        // mpeg_play: Figure 2's sizes and seven surfaces (GAs, gshare,
+        // path, PAs(inf) and PAs at three first-level sizes). Figure
+        // 3's GAg points are GAs's single-column splits, and Figures 7
+        // and 8 and Table 3 add nothing.
+        let sizes = opts.tiers().count();
+        let surface: usize = opts.tiers().map(|t| t as usize + 1).sum();
+        let mpeg_play = plan.iter().find(|w| w.model.name() == "mpeg_play");
+        assert_eq!(mpeg_play.unwrap().configs.len(), sizes + 7 * surface);
+    }
+
+    #[test]
+    fn the_paper_plan_at_default_tiers_replays_2172_of_3054_lanes() {
+        let opts = ExperimentOptions::default();
+        let budgets = [9, 12, 15];
+        // Each per-exhibit function plans its own cells.
+        let separate = lanes(&declared(|c| drop(fig2_in(c, &opts))))
+            + lanes(&declared(|c| drop(fig3_in(c, &opts))))
+            + lanes(&declared(|c| {
+                drop(focus_surfaces(c, &opts, Table3Scheme::Gas))
+            }))
+            + lanes(&declared(|c| {
+                drop(focus_surfaces(c, &opts, Table3Scheme::Gshare))
+            }))
+            + lanes(&declared(|c| drop(fig7_in(c, &opts))))
+            + lanes(&declared(|c| drop(fig8_in(c, &opts))))
+            + lanes(&declared(|c| {
+                drop(focus_surfaces(c, &opts, Table3Scheme::PasInfinite))
+            }))
+            + lanes(&declared(|c| drop(fig10_in(c, &opts, &[128, 1024, 2048]))))
+            + lanes(&declared(|c| {
+                drop(table3_in(c, &budgets, &Table3Scheme::all()));
+            }));
+        assert_eq!(separate, 3_054);
+        assert_eq!(lanes(&declared(|c| drop(paper_in(c, &opts)))), 2_172);
+    }
+
+    fn gshare(history_bits: u32) -> PredictorConfig {
+        PredictorConfig::Gshare {
+            history_bits,
+            col_bits: 0,
+        }
+    }
+
+    #[test]
+    fn passes_keep_order_respect_the_budget_and_isolate_oversize_cells() {
+        // Packed bytes per cell: 8 << bits. The budget holds 2^10 counters.
+        let budget = 8 << 10;
+        let bits = [4, 9, 9, 12, 8, 8, 8, 8, 10, 0, 3, 11, 2];
+        let configs: Vec<PredictorConfig> = bits.into_iter().map(gshare).collect();
+        let split = passes(&configs, budget);
+        let bytes = |pass: &Range<usize>| -> u64 {
+            configs[pass.clone()].iter().map(|c| 8 * c.counters()).sum()
+        };
+        // Every cell in exactly one pass, in declaration order.
+        let flat: Vec<usize> = split.iter().flat_map(|p| p.clone()).collect();
+        assert_eq!(flat, (0..configs.len()).collect::<Vec<_>>());
+        for (i, pass) in split.iter().enumerate() {
+            assert!(!pass.is_empty());
+            if pass.len() > 1 {
+                assert!(bytes(pass) <= budget, "pass {pass:?} over budget");
+            }
+            // Greedy: the next cell would not have fit.
+            if let Some(next) = split.get(i + 1) {
+                assert!(bytes(pass) + 8 * configs[next.start].counters() > budget);
+            }
+        }
+        // The 2^12 and 2^11 cells are over the budget and run alone.
+        assert!(split.contains(&(3..4)));
+        assert!(split.contains(&(11..12)));
+        // A cell exactly at the budget fills a pass on its own.
+        assert_eq!(
+            split,
+            vec![0..2, 2..3, 3..4, 4..8, 8..9, 9..11, 11..12, 12..13]
+        );
+        assert!(passes(&[], budget).is_empty());
+        assert_eq!(passes(&[gshare(20)], budget), vec![0..1]);
+    }
+
+    #[test]
+    fn paper_passes_stay_within_the_prefetch_gate() {
+        let opts = ExperimentOptions::default();
+        for w in declared(|c| drop(paper_in(c, &opts))) {
+            for pass in passes(&w.configs, PREFETCH_SPILL_BYTES) {
+                let bytes: u64 = w.configs[pass.clone()]
+                    .iter()
+                    .map(|c| 8 * c.counters())
+                    .sum();
+                assert!(pass.len() == 1 || bytes <= PREFETCH_SPILL_BYTES);
+            }
+        }
+    }
+
+    /// Counts stores of cells whose source id carries `marker`; other
+    /// tests' sweeps may run while it is installed.
+    struct CountingCache {
+        map: Mutex<HashMap<String, SimResult>>,
+        marker: String,
+        puts: AtomicUsize,
+    }
+
+    impl ResultCache for CountingCache {
+        fn get(&self, key: &CellKey) -> Option<SimResult> {
+            self.map.lock().unwrap().get(&key.canonical()).cloned()
+        }
+
+        fn put(&self, key: &CellKey, result: &SimResult) {
+            if key.source_id.contains(&self.marker) {
+                self.puts.fetch_add(1, Ordering::Relaxed);
+            }
+            let mut map = self.map.lock().unwrap();
+            map.insert(key.canonical(), result.clone());
+        }
+    }
+
+    #[test]
+    fn a_second_paper_run_computes_no_cell() {
+        let _guard = registry_lock();
+        let opts = ExperimentOptions {
+            seed: 31_337,
+            ..tiny()
+        };
+        let cache = Arc::new(CountingCache {
+            map: Mutex::new(HashMap::new()),
+            marker: format!("/s{}/", opts.seed),
+            puts: AtomicUsize::new(0),
+        });
+        cache::install(cache.clone());
+        let cold = paper(&opts);
+        let computed = cache.puts.load(Ordering::Relaxed);
+        let warm = paper(&opts);
+        let recomputed = cache.puts.load(Ordering::Relaxed) - computed;
+        cache::uninstall();
+        assert_eq!(computed, lanes(&declared(|c| drop(paper_in(c, &opts)))));
+        assert_eq!(recomputed, 0);
+        assert_eq!(cold, warm);
+    }
+
+    #[test]
+    fn table_statistics_come_from_the_stream_not_a_trace() {
+        let opts = tiny();
+        for model in suite::focus() {
+            assert_eq!(
+                TraceStats::measure_source(&opts.source(&model)),
+                TraceStats::measure(&opts.trace(&model)),
+                "{}",
+                model.name()
+            );
+        }
+    }
+
     #[test]
     fn table3_has_rows_per_benchmark_and_scheme() {
         let schemes = [Table3Scheme::Gas, Table3Scheme::PasFinite(128)];
@@ -626,5 +1083,8 @@ mod tests {
         let text = t.render();
         assert!(text.contains("PAs(128)"));
         assert!(text.contains("32 counters"));
+        // With no budget in range, every row still names its benchmark.
+        let empty = table3(&tiny(), &[], &schemes).render();
+        assert!(empty.contains("espresso") && empty.contains("real_gcc"));
     }
 }

@@ -6,15 +6,15 @@
 //! single-column split (all rows). [`Surface::sweep`] runs the whole
 //! grid in parallel and records, per point, the misprediction rate and
 //! aliasing statistics, with the best-in-tier marked exactly as the
-//! paper blackens its best bars.
+//! paper blackens its best bars; [`Surface::sweep_with`] leaves the
+//! simulation to the caller.
 
 use std::ops::RangeInclusive;
 
 use bpred_core::PredictorConfig;
 use bpred_trace::TraceSource;
 
-use crate::cache::run_configs_keyed;
-use crate::{SimResult, Simulator};
+use crate::{run_configs, SimResult, Simulator};
 
 /// One simulated point of a surface.
 #[derive(Debug, Clone, PartialEq)]
@@ -116,32 +116,32 @@ impl Surface {
         simulator: Simulator,
         make: impl Fn(u32, u32) -> PredictorConfig,
     ) -> Surface {
-        Surface::sweep_keyed(scheme, workload, total_bits, source, simulator, None, make)
+        Surface::sweep_with(scheme, workload, total_bits, make, |configs| {
+            run_configs(configs, source, simulator)
+        })
     }
 
-    /// [`sweep`](Surface::sweep) with cache keying: when `source_id`
-    /// names the stream (see [`crate::cache`]) and a process-wide
-    /// result cache is installed, previously computed points are
-    /// loaded instead of re-simulated and fresh points are written
-    /// back. Results are bit-identical either way.
-    pub fn sweep_keyed<S: TraceSource + Sync + ?Sized>(
+    /// [`sweep`](Surface::sweep) with the simulation left to
+    /// `simulate`: it gets every point's configuration in one slice, in
+    /// the paper's order, and returns their results in the same order.
+    /// The paper's exhibits read their points from a shared plan this
+    /// way (see [`crate::experiments`]).
+    pub fn sweep_with(
         scheme: &str,
         workload: &str,
-        total_bits: RangeInclusive<u32>,
-        source: &S,
-        simulator: Simulator,
-        source_id: Option<&str>,
+        total_bits: impl IntoIterator<Item = u32>,
         make: impl Fn(u32, u32) -> PredictorConfig,
+        simulate: impl FnOnce(&[PredictorConfig]) -> Vec<SimResult>,
     ) -> Surface {
         let mut shapes: Vec<(u32, u32)> = Vec::new();
-        for total in total_bits.clone() {
+        for total in total_bits {
             // Paper orientation: address-indexed on the left.
             for col_bits in (0..=total).rev() {
                 shapes.push((total - col_bits, col_bits));
             }
         }
         let configs: Vec<PredictorConfig> = shapes.iter().map(|&(r, c)| make(r, c)).collect();
-        let results = run_configs_keyed(&configs, source, simulator, source_id);
+        let results = simulate(&configs);
 
         let mut tiers: Vec<Tier> = Vec::new();
         for ((row_bits, col_bits), result) in shapes.into_iter().zip(results) {

@@ -25,10 +25,16 @@
 //! assert_eq!(stats.static_conditionals, 11);
 //! assert_eq!(stats.static_for_fraction(0.5), 1);
 //! ```
+//!
+//! Every measurement is a fold over [`TraceChunk`]s ([`StatsFold`]):
+//! [`TraceStats::measure`] folds a materialised trace's chunks and
+//! [`TraceStats::measure_source`] a streaming source's, so the two
+//! agree by construction and a workload generator's statistics never
+//! need the whole trace in memory.
 
 use std::collections::HashMap;
 
-use crate::{Outcome, Trace};
+use crate::{Outcome, Trace, TraceChunk, TraceSource};
 
 /// Per-static-branch execution profile: how often each distinct branch
 /// address executed and how often it was taken.
@@ -74,19 +80,18 @@ impl BranchCounts {
 impl BranchProfile {
     /// Profiles the conditional branches of a trace.
     pub fn measure(trace: &Trace) -> Self {
-        let mut counts: HashMap<u64, BranchCounts> = HashMap::new();
-        let mut dynamic = 0u64;
-        for r in trace.iter().filter(|r| r.is_conditional()) {
-            dynamic += 1;
-            let entry = counts.entry(r.pc).or_default();
-            entry.executions += 1;
-            if r.outcome == Outcome::Taken {
-                entry.taken += 1;
+        TraceStats::measure(trace).profile
+    }
+
+    /// Adds the conditional branches of one chunk to the profile.
+    fn add(&mut self, chunk: &TraceChunk) {
+        for (i, &pc) in chunk.pcs().iter().enumerate() {
+            if chunk.is_conditional(i) {
+                self.dynamic_conditionals += 1;
+                let entry = self.counts.entry(pc).or_default();
+                entry.executions += 1;
+                entry.taken += u64::from(chunk.outcome(i) == Outcome::Taken);
             }
-        }
-        BranchProfile {
-            counts,
-            dynamic_conditionals: dynamic,
         }
     }
 
@@ -210,14 +215,51 @@ pub struct TraceStats {
     profile: BranchProfile,
 }
 
-impl TraceStats {
-    /// Measures a trace.
-    pub fn measure(trace: &Trace) -> Self {
-        let profile = BranchProfile::measure(trace);
+/// A chunk-at-a-time fold into [`TraceStats`]: [`add`](Self::add)
+/// every chunk of a record sequence in order, then
+/// [`finish`](Self::finish). Where the chunk boundaries fall never
+/// changes the result.
+///
+/// # Examples
+///
+/// ```
+/// use bpred_trace::stats::{StatsFold, TraceStats};
+/// use bpred_trace::{BranchRecord, Outcome, Trace, TraceSource};
+///
+/// let trace: Trace = (0..100u64)
+///     .map(|i| BranchRecord::conditional(0x40 + 4 * (i % 3), 0x20, Outcome::from(i % 2 == 0)))
+///     .collect();
+/// let mut fold = StatsFold::new();
+/// for chunk in trace.chunks(7) {
+///     fold.add(&chunk);
+/// }
+/// assert_eq!(fold.finish(), TraceStats::measure(&trace));
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct StatsFold {
+    profile: BranchProfile,
+    records: usize,
+}
+
+impl StatsFold {
+    /// An empty fold.
+    pub fn new() -> Self {
+        StatsFold::default()
+    }
+
+    /// Folds in the next chunk of the sequence.
+    pub fn add(&mut self, chunk: &TraceChunk) {
+        self.records += chunk.len();
+        self.profile.add(chunk);
+    }
+
+    /// The statistics of every chunk added so far.
+    pub fn finish(self) -> TraceStats {
+        let profile = self.profile;
         let taken: u64 = profile.counts.values().map(|c| c.taken).sum();
         let dynamic = profile.dynamic_conditionals();
         TraceStats {
-            total_records: trace.len(),
+            total_records: self.records,
             dynamic_conditionals: dynamic,
             static_conditionals: profile.static_conditionals(),
             static_for_90: profile.static_for_fraction(0.90),
@@ -230,6 +272,29 @@ impl TraceStats {
             coverage: profile.coverage_buckets(),
             profile,
         }
+    }
+}
+
+impl TraceStats {
+    /// Measures a trace.
+    pub fn measure(trace: &Trace) -> Self {
+        let mut fold = StatsFold::new();
+        trace
+            .chunks(TraceChunk::DEFAULT_LEN)
+            .for_each(|chunk| fold.add(&chunk));
+        fold.finish()
+    }
+
+    /// Measures a streaming source in one pass through a single reused
+    /// chunk buffer, without materialising the trace.
+    pub fn measure_source<S: TraceSource + ?Sized>(source: &S) -> Self {
+        let mut fold = StatsFold::new();
+        let mut feeder = source.chunk_feeder();
+        let mut chunk = TraceChunk::with_capacity(TraceChunk::DEFAULT_LEN);
+        while feeder.refill(&mut chunk, TraceChunk::DEFAULT_LEN) > 0 {
+            fold.add(&chunk);
+        }
+        fold.finish()
     }
 
     /// The per-branch profile the summary was computed from.
@@ -246,7 +311,7 @@ impl TraceStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::BranchRecord;
+    use crate::{BranchKind, BranchRecord};
 
     /// hot branch ×90 (always taken), 10 cold branches ×1 (not taken)
     fn skewed() -> Trace {
@@ -333,6 +398,62 @@ mod tests {
         assert_eq!(s.total_records, 101);
         assert_eq!(s.dynamic_conditionals, 100);
         assert_eq!(s.static_conditionals, 11);
+    }
+
+    /// A few thousand records over 40 PCs with skewed counts, taken
+    /// rates that differ per PC, and a jump, call or return between
+    /// some of the conditionals.
+    fn mixed(n: u64) -> Trace {
+        let mut t = Trace::new();
+        for i in 0..n {
+            let pc = 0x1000 + 4 * ((i * i) % 40);
+            t.push(BranchRecord::conditional(
+                pc,
+                0x80,
+                Outcome::from((i * 7 + pc) % 5 < 2),
+            ));
+            match i % 11 {
+                3 => t.push(BranchRecord::jump(0x9000 + i, 0x100)),
+                5 => t.push(BranchRecord::new(
+                    0xa000,
+                    0x200,
+                    BranchKind::Call,
+                    Outcome::Taken,
+                )),
+                7 => t.push(BranchRecord::new(
+                    0xa010,
+                    0xa004,
+                    BranchKind::Return,
+                    Outcome::Taken,
+                )),
+                _ => {}
+            }
+        }
+        t
+    }
+
+    #[test]
+    fn chunk_fold_matches_the_whole_trace_at_any_chunk_len() {
+        let trace = mixed(20_000);
+        // The whole-trace reference, record by record.
+        let mut counts: HashMap<u64, BranchCounts> = HashMap::new();
+        for r in trace.iter().filter(|r| r.is_conditional()) {
+            let c = counts.entry(r.pc).or_default();
+            c.executions += 1;
+            c.taken += u64::from(r.outcome == Outcome::Taken);
+        }
+        let whole = TraceStats::measure(&trace);
+        assert_eq!(whole.total_records, trace.len());
+        assert_eq!(whole.dynamic_conditionals, 20_000);
+        assert_eq!(whole.profile().counts, counts);
+        for chunk_len in [1, 7, TraceChunk::DEFAULT_LEN] {
+            let mut fold = StatsFold::new();
+            for chunk in trace.chunks(chunk_len) {
+                fold.add(&chunk);
+            }
+            assert_eq!(fold.finish(), whole, "chunk_len {chunk_len}");
+        }
+        assert_eq!(TraceStats::measure_source(&trace), whole);
     }
 
     #[test]

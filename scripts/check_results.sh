@@ -11,9 +11,10 @@
 #   scripts/check_results.sh            # regenerate and diff against the pin
 #   scripts/check_results.sh --regen    # refresh the pin in place
 #
-# The full run replays every benchmark at paper length — expect
-# minutes, not seconds. BPRED_CACHE_DIR is deliberately unset for the
-# run so the check exercises the engine, not the cache.
+# The full run replays every benchmark at paper length: about 15 s of
+# `all` on one core once built. BPRED_CACHE_DIR is deliberately unset
+# for the run so the check exercises the engine, not the cache. CI runs
+# this on the default matrix leg.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
