@@ -41,7 +41,9 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
 
+use bpred_bench::rustc_version;
 use bpred_core::PredictorConfig;
+use bpred_serve::json::escape;
 use bpred_sim::{dispatch_tier, run_batched_chunked, SimResult, Simulator, DEFAULT_SHARD_SIZE};
 use bpred_trace::{TraceChunk, TraceSource};
 use bpred_workloads::{suite, WorkloadSource};
@@ -269,21 +271,6 @@ fn generation_rate(source: &WorkloadSource, records: usize, reps: usize) -> f64 
     best
 }
 
-fn json_escape(text: &str) -> String {
-    text.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn rustc_version() -> String {
-    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".to_owned());
-    std::process::Command::new(rustc)
-        .arg("--version")
-        .output()
-        .ok()
-        .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_owned())
-        .filter(|v| !v.is_empty())
-        .unwrap_or_else(|| "unknown".to_owned())
-}
-
 fn main() -> ExitCode {
     let mut out_path = "BENCH_replay.json".to_owned();
     let mut quick = false;
@@ -476,11 +463,11 @@ fn main() -> ExitCode {
     let _ = writeln!(json, "  \"records\": {records},");
     let _ = writeln!(json, "  \"reps\": {reps},");
     let _ = writeln!(json, "  \"dispatch_tier\": \"{}\",", dispatch_tier());
-    let _ = writeln!(json, "  \"rustc\": \"{}\",", json_escape(&rustc_version()));
+    let _ = writeln!(json, "  \"rustc\": \"{}\",", escape(&rustc_version()));
     let _ = writeln!(
         json,
         "  \"rustflags\": \"{}\",",
-        json_escape(&std::env::var("RUSTFLAGS").unwrap_or_default())
+        escape(&std::env::var("RUSTFLAGS").unwrap_or_default())
     );
     let _ = writeln!(
         json,
@@ -494,7 +481,7 @@ fn main() -> ExitCode {
     let _ = writeln!(
         json,
         "  \"threads\": \"{}\",",
-        json_escape(&std::env::var("BPRED_THREADS").unwrap_or_default())
+        escape(&std::env::var("BPRED_THREADS").unwrap_or_default())
     );
     let _ = writeln!(json, "  \"gen_records_per_sec\": {gen_records_per_sec:.0},");
     let _ = writeln!(

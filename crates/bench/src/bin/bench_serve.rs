@@ -34,6 +34,8 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use bpred_bench::rustc_version;
+use bpred_serve::json::escape;
 use bpred_serve::peers::PeerSet;
 use bpred_serve::server::{Server, ServerConfig};
 use bpred_serve::service::{sweep_body, SweepRequest};
@@ -323,21 +325,6 @@ fn run_store_scenarios(
     (passes, cells, peer_cells)
 }
 
-fn json_escape(text: &str) -> String {
-    text.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn rustc_version() -> String {
-    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".to_owned());
-    std::process::Command::new(rustc)
-        .arg("--version")
-        .output()
-        .ok()
-        .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_owned())
-        .filter(|v| !v.is_empty())
-        .unwrap_or_else(|| "unknown".to_owned())
-}
-
 fn main() -> ExitCode {
     let mut out_path = "BENCH_serve.json".to_owned();
     let mut quick = false;
@@ -462,7 +449,7 @@ fn main() -> ExitCode {
     let _ = writeln!(json, "  \"requests_per_client\": {per_client},");
     let _ = writeln!(json, "  \"cold_every\": 8,");
     let _ = writeln!(json, "  \"bit_identity_asserted\": true,");
-    let _ = writeln!(json, "  \"rustc\": \"{}\",", json_escape(&rustc_version()));
+    let _ = writeln!(json, "  \"rustc\": \"{}\",", escape(&rustc_version()));
     let _ = writeln!(
         json,
         "  \"profile\": \"{}\",",
@@ -475,7 +462,7 @@ fn main() -> ExitCode {
     let _ = writeln!(
         json,
         "  \"threads\": \"{}\",",
-        json_escape(&std::env::var("BPRED_THREADS").unwrap_or_default())
+        escape(&std::env::var("BPRED_THREADS").unwrap_or_default())
     );
     let _ = writeln!(json, "  \"scenarios\": [");
     for (i, m) in measurements.iter().enumerate() {

@@ -109,6 +109,20 @@ fn require_bits(flag: &str, value: Option<String>) -> Result<u32, ExitCode> {
     Ok(require_number(flag, value)?.try_into().unwrap_or(u32::MAX))
 }
 
+/// The `rustc --version` line of the toolchain `RUSTC` names (plain
+/// `rustc` when unset), or `unknown`: the toolchain a `BENCH_*.json`
+/// artifact records.
+pub fn rustc_version() -> String {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".to_owned());
+    std::process::Command::new(rustc)
+        .arg("--version")
+        .output()
+        .ok()
+        .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_owned())
+        .filter(|v| !v.is_empty())
+        .unwrap_or_else(|| "unknown".to_owned())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

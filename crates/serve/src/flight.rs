@@ -25,7 +25,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Locks `mutex`, shrugging off poison: flight state transitions are
 /// single assignments, so a poisoned guard's data is still coherent.
-fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|e| e.into_inner())
 }
 

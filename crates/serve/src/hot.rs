@@ -20,6 +20,8 @@ use std::sync::Mutex;
 
 use bpred_sim::SimResult;
 
+use crate::flight::lock_recover;
+
 const SHARDS: usize = 16;
 
 /// Charged per entry on top of the payload size: map/queue slots and
@@ -57,9 +59,7 @@ impl HotTier {
 
     fn shard(&self, digest: u128) -> std::sync::MutexGuard<'_, Shard> {
         let nibble = (digest >> 124) as usize & 0xf;
-        self.shards[nibble]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
+        lock_recover(&self.shards[nibble])
     }
 
     /// Whether the tier accepts entries at all.
@@ -127,10 +127,7 @@ impl HotTier {
 
     /// Resident entries.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).map.len())
-            .sum()
+        self.shards.iter().map(|s| lock_recover(s).map.len()).sum()
     }
 
     /// Returns `true` when nothing is resident.

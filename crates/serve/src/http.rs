@@ -18,6 +18,7 @@
 //! pipeline requests while the framing stays unambiguous.
 
 use std::fmt;
+use std::io::Write as _;
 
 /// Maximum accepted size of the request line plus headers.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -243,31 +244,20 @@ pub fn response(
     body: &[u8],
     keep_alive: bool,
 ) -> Vec<u8> {
-    let mut head = format!(
+    let mut out = Vec::with_capacity(160 + body.len());
+    let _ = write!(
+        out,
         "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {}\r\n",
         reason(status),
         body.len(),
         if keep_alive { "keep-alive" } else { "close" },
     );
     for header in extra_headers {
-        head.push_str(header);
-        head.push_str("\r\n");
+        let _ = write!(out, "{header}\r\n");
     }
-    head.push_str("\r\n");
-    let mut out = head.into_bytes();
+    out.extend_from_slice(b"\r\n");
     out.extend_from_slice(body);
     out
-}
-
-/// A plain-text error response for a request that failed to parse.
-pub fn error_response(error: ParseError, keep_alive: bool) -> Vec<u8> {
-    response(
-        error.status(),
-        "text/plain; charset=utf-8",
-        &[],
-        format!("{error}\n").as_bytes(),
-        keep_alive,
-    )
 }
 
 /// Splits a query string into decoded `(key, value)` pairs, in

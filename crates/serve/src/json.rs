@@ -1,19 +1,25 @@
 //! Minimal JSON emission.
 //!
 //! The service's response bodies are JSON, but the workspace carries
-//! no serialisation dependency — responses are small and flat, so a
-//! string escaper and two tiny builders cover everything. Emission
-//! is deterministic: fields appear in insertion order and numbers
-//! format via Rust's shortest-round-trip `Display`, so identical
-//! responses are byte-identical (the cache-correctness smoke test
-//! relies on this).
+//! no serialisation dependency — responses are small and flat, so the
+//! body writer ([`crate::service::sweep_body`]) renders fields
+//! straight into one buffer and only strings need help: this module's
+//! escaper. Emission is deterministic: fields appear in a fixed order
+//! and numbers format via Rust's shortest-round-trip `Display`, so
+//! identical responses are byte-identical (the cache-correctness
+//! smoke test relies on this).
 
 use std::fmt::Write as _;
 
-/// Escapes `s` as the contents of a JSON string literal (without the
-/// surrounding quotes).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+/// Appends `s` to `out` as the contents of a JSON string literal
+/// (without the surrounding quotes). A string with nothing to escape
+/// — every config id, source id and predictor label the engine makes
+/// — is copied in one push.
+pub fn escape_into(out: &mut String, s: &str) {
+    if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        out.push_str(s);
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -27,78 +33,14 @@ pub fn escape(s: &str) -> String {
             c => out.push(c),
         }
     }
+}
+
+/// Escapes `s` as the contents of a JSON string literal (without the
+/// surrounding quotes).
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    escape_into(&mut out, s);
     out
-}
-
-/// Builds one JSON object, fields in insertion order.
-#[derive(Debug, Default)]
-pub struct Object {
-    body: String,
-}
-
-impl Object {
-    /// An empty object.
-    pub fn new() -> Self {
-        Object::default()
-    }
-
-    fn key(&mut self, key: &str) {
-        if !self.body.is_empty() {
-            self.body.push(',');
-        }
-        let _ = write!(self.body, "\"{}\":", escape(key));
-    }
-
-    /// Adds a string field.
-    pub fn str(mut self, key: &str, value: &str) -> Self {
-        self.key(key);
-        let _ = write!(self.body, "\"{}\"", escape(value));
-        self
-    }
-
-    /// Adds an integer field.
-    pub fn u64(mut self, key: &str, value: u64) -> Self {
-        self.key(key);
-        let _ = write!(self.body, "{value}");
-        self
-    }
-
-    /// Adds a float field (`null` when non-finite, which JSON cannot
-    /// represent).
-    pub fn f64(mut self, key: &str, value: f64) -> Self {
-        self.key(key);
-        if value.is_finite() {
-            let _ = write!(self.body, "{value}");
-        } else {
-            self.body.push_str("null");
-        }
-        self
-    }
-
-    /// Adds a pre-rendered JSON value (object, array, literal).
-    pub fn raw(mut self, key: &str, value: &str) -> Self {
-        self.key(key);
-        self.body.push_str(value);
-        self
-    }
-
-    /// Finishes the object.
-    pub fn build(self) -> String {
-        format!("{{{}}}", self.body)
-    }
-}
-
-/// Renders pre-rendered JSON values as an array.
-pub fn array(items: impl IntoIterator<Item = String>) -> String {
-    let mut body = String::from("[");
-    for (i, item) in items.into_iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        body.push_str(&item);
-    }
-    body.push(']');
-    body
 }
 
 #[cfg(test)]
@@ -109,31 +51,16 @@ mod tests {
     fn escapes_specials() {
         assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(escape("\u{1}"), "\\u0001");
+        assert_eq!(escape("\r\t\u{1f}"), "\\r\\t\\u001f");
         assert_eq!(escape("plain"), "plain");
+        assert_eq!(escape("gr\u{fc}n \u{2713}"), "gr\u{fc}n \u{2713}");
     }
 
     #[test]
-    fn object_builds_in_order() {
-        let obj = Object::new()
-            .str("name", "gshare")
-            .u64("count", 3)
-            .f64("rate", 0.125)
-            .raw("tags", &array(vec!["\"a\"".to_owned()]))
-            .build();
-        assert_eq!(
-            obj,
-            "{\"name\":\"gshare\",\"count\":3,\"rate\":0.125,\"tags\":[\"a\"]}"
-        );
-    }
-
-    #[test]
-    fn non_finite_floats_become_null() {
-        assert_eq!(Object::new().f64("x", f64::NAN).build(), "{\"x\":null}");
-    }
-
-    #[test]
-    fn empty_array_and_object() {
-        assert_eq!(array(Vec::new()), "[]");
-        assert_eq!(Object::new().build(), "{}");
+    fn escape_into_appends() {
+        let mut out = String::from("[\"");
+        escape_into(&mut out, "x\"y");
+        escape_into(&mut out, "-z");
+        assert_eq!(out, "[\"x\\\"y-z");
     }
 }

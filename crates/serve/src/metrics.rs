@@ -67,6 +67,9 @@ pub struct Metrics {
     pub queue_depth: AtomicU64,
     /// Sweep requests parsed successfully.
     pub sweep_requests: AtomicU64,
+    /// Sweep requests answered on the event loop, every cell from the
+    /// local store tiers (a subset of `sweep_requests`).
+    pub sweeps_inline: AtomicU64,
     /// Requests rejected with a 4xx.
     pub bad_requests: AtomicU64,
     /// Sweep cells requested (one per config per request).
@@ -134,7 +137,7 @@ impl Metrics {
     /// Renders the Prometheus text exposition format.
     pub fn render_prometheus(&self) -> String {
         let mut out = String::with_capacity(2048);
-        let counters: [(&str, &str, &AtomicU64); 9] = [
+        let counters: [(&str, &str, &AtomicU64); 10] = [
             (
                 "bpred_http_requests_total",
                 "HTTP requests accepted",
@@ -144,6 +147,11 @@ impl Metrics {
                 "bpred_sweep_requests_total",
                 "Sweep requests parsed successfully",
                 &self.sweep_requests,
+            ),
+            (
+                "bpred_sweeps_inline_total",
+                "Sweep requests answered on the event loop from the local store tiers",
+                &self.sweeps_inline,
             ),
             (
                 "bpred_bad_requests_total",
@@ -369,6 +377,7 @@ mod tests {
         assert!(text.contains("bpred_cache_hits_total 5"));
         assert!(text.contains("bpred_cache_misses_total 0"));
         assert!(text.contains("bpred_workload_models_built_total 0"));
+        assert!(text.contains("bpred_sweeps_inline_total 0"));
         assert!(text.contains("bpred_inflight_batches 0"));
         assert!(text.contains("bpred_batch_seconds_count 2"));
         // 3ms falls in le=0.01; 300ms in le=1; cumulative buckets.

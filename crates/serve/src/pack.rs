@@ -62,6 +62,8 @@ use std::time::{SystemTime, UNIX_EPOCH};
 
 use bpred_trace::fnv;
 
+use crate::flight::lock_recover;
+
 const PACKS_DIR: &str = "packs";
 const TMP_DIR: &str = "tmp";
 const INDEX_FILE: &str = "index.bin";
@@ -116,9 +118,7 @@ impl StripedIndex {
         let nibble = (digest >> 124) as usize & 0xf;
         // A poisoned stripe means a holder panicked between
         // single-statement map updates; the map is still consistent.
-        self.stripes[nibble]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
+        lock_recover(&self.stripes[nibble])
     }
 
     fn get(&self, digest: u128) -> Option<Loc> {
@@ -148,7 +148,7 @@ impl StripedIndex {
     fn remove_gen(&self, gen: u64) -> usize {
         let mut removed = 0;
         for stripe in &self.stripes {
-            let mut map = stripe.lock().unwrap_or_else(|e| e.into_inner());
+            let mut map = lock_recover(stripe);
             let before = map.len();
             map.retain(|_, loc| loc.gen != gen);
             removed += before - map.len();
@@ -160,7 +160,7 @@ impl StripedIndex {
     fn collect_gen(&self, gen: u64) -> Vec<(u128, Loc)> {
         let mut out = Vec::new();
         for stripe in &self.stripes {
-            let map = stripe.lock().unwrap_or_else(|e| e.into_inner());
+            let map = lock_recover(stripe);
             out.extend(
                 map.iter()
                     .filter(|(_, l)| l.gen == gen)
@@ -171,18 +171,14 @@ impl StripedIndex {
     }
 
     fn len(&self) -> usize {
-        self.stripes
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).len())
-            .sum()
+        self.stripes.iter().map(|s| lock_recover(s).len()).sum()
     }
 
     fn payload_bytes(&self) -> u64 {
         self.stripes
             .iter()
             .map(|s| {
-                s.lock()
-                    .unwrap_or_else(|e| e.into_inner())
+                lock_recover(s)
                     .values()
                     .map(|l| u64::from(l.len))
                     .sum::<u64>()
@@ -195,7 +191,7 @@ impl StripedIndex {
     fn snapshot(&self) -> Vec<(u128, Loc)> {
         let mut out = Vec::with_capacity(self.len());
         for stripe in &self.stripes {
-            let map = stripe.lock().unwrap_or_else(|e| e.into_inner());
+            let map = lock_recover(stripe);
             out.extend(map.iter().map(|(&d, &l)| (d, l)));
         }
         out
@@ -543,11 +539,11 @@ impl PackStore {
     }
 
     fn lock_segs(&self) -> MutexGuard<'_, BTreeMap<u64, SegMeta>> {
-        self.segs.lock().unwrap_or_else(|e| e.into_inner())
+        lock_recover(&self.segs)
     }
 
     fn lock_writer(&self) -> MutexGuard<'_, Option<Writer>> {
-        self.writer.lock().unwrap_or_else(|e| e.into_inner())
+        lock_recover(&self.writer)
     }
 
     /// Reads the raw payload stored for `digest`. `None` on a miss or

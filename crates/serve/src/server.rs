@@ -7,12 +7,15 @@
 //! its connections, and drives per-connection state machines through
 //! `Reading → Computing → Writing → Reading` with HTTP/1.1
 //! keep-alive and pipelining. Cheap routes (`/healthz`, `/metrics`,
-//! parse failures) are answered inline on the event loop; sweep
-//! requests are handed to a fixed **compute pool** over a bounded
-//! queue. When the queue is full the request is **shed** with `429
-//! Too Many Requests` + `Retry-After` instead of queueing
-//! unboundedly — in-flight work always completes, new work is
-//! refused at the door.
+//! parse failures) are answered inline on the event loop, and so is a
+//! sweep whose every cell the local store tiers hold (the service's
+//! [`probe`](SweepService::probe) stage: map probes and pack reads,
+//! never a model build, a peer fetch, a single-flight wait or a
+//! simulation). Every other sweep is handed, with what the probe
+//! found, to a fixed **compute pool** over a bounded queue. When the
+//! queue is full the request is **shed** with `429 Too Many
+//! Requests` + `Retry-After` instead of queueing unboundedly —
+//! in-flight work always completes, new work is refused at the door.
 //!
 //! Timeouts, all enforced by the shard's poll deadline:
 //!
@@ -57,11 +60,12 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use crate::flight::lock_recover;
 use crate::http::{self, parse_request, Parsed, Request};
 use crate::metrics::Metrics;
 use crate::reactor::{self, Entry, Interest, WakeChannel, Waker};
-use crate::service::{SweepRequest, SweepService};
-use crate::store::{ResultStore, StoreOptions};
+use crate::service::{BadRequest, Probed, Provenance, SweepRequest, SweepService};
+use crate::store::{self, ResultStore, StoreOptions};
 
 /// Server construction parameters.
 ///
@@ -139,6 +143,9 @@ struct Job {
     gen: u64,
     keep_alive: bool,
     sweep: SweepRequest,
+    /// The shard's local stage; `None` when the benchmark's model was
+    /// not built yet, so the worker runs the whole request.
+    probed: Option<Probed>,
 }
 
 /// A computed response on its way back to a shard.
@@ -160,10 +167,6 @@ impl std::fmt::Debug for Mailbox {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Mailbox").finish_non_exhaustive()
     }
-}
-
-fn lock_recover<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 impl Server {
@@ -228,6 +231,7 @@ impl Server {
                 wake: channel,
                 mailboxes: mailboxes.clone(),
                 jobs: job_tx.clone(),
+                service: service.clone(),
                 metrics: metrics.clone(),
                 store: store.clone(),
                 read_timeout: config.read_timeout,
@@ -317,31 +321,11 @@ fn worker_loop(
         let job = { lock_recover(job_rx).recv() };
         let Ok(job) = job else { return }; // channel closed: shutdown
         metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        let (status, bytes) = match service.execute(&job.sweep) {
-            Ok((body, provenance)) => (
-                200,
-                http::response(
-                    200,
-                    "application/json",
-                    &[format!("X-Bpred-Provenance: {}", provenance.header_value())],
-                    body.as_bytes(),
-                    job.keep_alive,
-                ),
-            ),
-            Err(bad) => {
-                Metrics::inc(&metrics.bad_requests);
-                (
-                    bad.status,
-                    http::response(
-                        bad.status,
-                        "text/plain; charset=utf-8",
-                        &[],
-                        format!("{}\n", bad.message).as_bytes(),
-                        job.keep_alive,
-                    ),
-                )
-            }
+        let answer = match job.probed {
+            Some(probed) => Ok(service.complete(&job.sweep, probed)),
+            None => service.execute(&job.sweep),
         };
+        let (status, bytes) = sweep_response(answer, job.keep_alive, metrics);
         metrics.observe_status(status);
         let mailbox = &mailboxes[job.shard];
         lock_recover(&mailbox.completions).push(Completion {
@@ -352,6 +336,43 @@ fn worker_loop(
         });
         mailbox.waker.wake();
     }
+}
+
+/// The response to an answered (or refused) sweep, counting a refusal.
+fn sweep_response(
+    answer: Result<(String, Provenance), BadRequest>,
+    keep_alive: bool,
+    metrics: &Metrics,
+) -> (u16, Vec<u8>) {
+    match answer {
+        Ok((body, provenance)) => (
+            200,
+            http::response(
+                200,
+                "application/json",
+                &[format!("X-Bpred-Provenance: {}", provenance.header_value())],
+                body.as_bytes(),
+                keep_alive,
+            ),
+        ),
+        Err(bad) => {
+            Metrics::inc(&metrics.bad_requests);
+            text(
+                bad.status,
+                format!("{}\n", bad.message).as_bytes(),
+                keep_alive,
+            )
+        }
+    }
+}
+
+/// A plain-text response.
+fn text(status: u16, body: &[u8], keep_alive: bool) -> (u16, Vec<u8>) {
+    let content_type = "text/plain; charset=utf-8";
+    (
+        status,
+        http::response(status, content_type, &[], body, keep_alive),
+    )
 }
 
 /// Per-connection state.
@@ -383,6 +404,11 @@ struct Conn {
 }
 
 const READ_CHUNK: usize = 16 * 1024;
+/// Most cells a sweep may have for the event loop to probe and answer
+/// it. A pack probe and the render cost about 4 µs a cell, so a larger
+/// warm sweep would hold the shard's other connections for
+/// milliseconds; it goes to the compute pool whole.
+const INLINE_MAX_CELLS: usize = 1024;
 /// Backpressure cap on buffered inbound bytes: one max-size request
 /// plus pipelined follow-on headroom. Beyond this the shard stops
 /// reading and TCP flow control takes over.
@@ -405,6 +431,7 @@ struct Shard {
     wake: WakeChannel,
     mailboxes: Arc<Vec<Mailbox>>,
     jobs: SyncSender<Job>,
+    service: Arc<SweepService>,
     metrics: Arc<Metrics>,
     store: Option<Arc<ResultStore>>,
     read_timeout: Duration,
@@ -542,17 +569,10 @@ impl Shard {
                         close_after_write: false,
                         peer_gone: false,
                     };
-                    let token = match self.free.pop() {
-                        Some(token) => {
-                            self.conns[token] = Some(conn);
-                            token
-                        }
-                        None => {
-                            self.conns.push(Some(conn));
-                            self.conns.len() - 1
-                        }
-                    };
-                    let _ = token;
+                    match self.free.pop() {
+                        Some(token) => self.conns[token] = Some(conn),
+                        None => self.conns.push(Some(conn)),
+                    }
                     self.metrics
                         .connections_open
                         .fetch_add(1, Ordering::Relaxed);
@@ -620,22 +640,23 @@ impl Shard {
             slot.as_ref()
                 .is_some_and(|c| c.gen == completion.gen && c.state == ConnState::Computing)
         });
-        if !alive {
-            return;
-        }
+        if alive
+            && self.respond(completion.token, completion.bytes, completion.close) == Flush::Done
         {
-            let conn = self.conns[completion.token]
-                .as_mut()
-                .expect("checked above");
-            conn.out = completion.bytes;
-            conn.out_pos = 0;
-            conn.close_after_write |= completion.close;
-            conn.state = ConnState::Writing;
-            conn.deadline = Some(Instant::now() + self.write_timeout);
-        }
-        if self.flush(completion.token) == Flush::Done {
             self.advance(completion.token);
         }
+    }
+
+    /// Queues `bytes` as the connection's response and writes as much
+    /// as the socket takes.
+    fn respond(&mut self, token: usize, bytes: Vec<u8>, close: bool) -> Flush {
+        let conn = self.conns[token].as_mut().expect("caller checked");
+        conn.out = bytes;
+        conn.out_pos = 0;
+        conn.close_after_write |= close;
+        conn.state = ConnState::Writing;
+        conn.deadline = Some(Instant::now() + self.write_timeout);
+        self.flush(token)
     }
 
     /// Parses and answers as many buffered requests as possible.
@@ -662,14 +683,9 @@ impl Shard {
                 Parsed::Error(error) => {
                     Metrics::inc(&self.metrics.bad_requests);
                     self.metrics.observe_status(error.status());
-                    let conn = self.conns[token].as_mut().expect("checked above");
                     conn.buf.clear();
-                    conn.out = http::error_response(error, false);
-                    conn.out_pos = 0;
-                    conn.close_after_write = true;
-                    conn.state = ConnState::Writing;
-                    conn.deadline = Some(Instant::now() + self.write_timeout);
-                    let _ = self.flush(token);
+                    let (_, bytes) = text(error.status(), format!("{error}\n").as_bytes(), false);
+                    let _ = self.respond(token, bytes, true);
                     return;
                 }
                 Parsed::Request(request, consumed) => {
@@ -689,200 +705,124 @@ impl Shard {
     /// `Pending` (the connection is `Computing`).
     fn handle(&mut self, token: usize, request: Request) -> Flush {
         let keep_alive = request.keep_alive;
-        let inline: Option<(u16, Vec<u8>)> = match (request.method.as_str(), request.path.as_str())
-        {
-            ("GET", "/healthz") => Some((
-                200,
-                http::response(200, "text/plain; charset=utf-8", &[], b"ok\n", keep_alive),
-            )),
+        let (status, bytes) = match (request.method.as_str(), request.path.as_str()) {
+            ("GET", "/healthz") => text(200, b"ok\n", keep_alive),
             ("GET", "/metrics") => {
                 let body = self.metrics.render_prometheus();
-                Some((
+                let content_type = "text/plain; version=0.0.4; charset=utf-8";
+                (
                     200,
-                    http::response(
-                        200,
-                        "text/plain; version=0.0.4; charset=utf-8",
-                        &[],
-                        body.as_bytes(),
-                        keep_alive,
-                    ),
-                ))
+                    http::response(200, content_type, &[], body.as_bytes(), keep_alive),
+                )
             }
             // Peer cell exchange: raw stored objects by digest,
             // answered inline (tier reads are a map probe or one
             // small pread — far cheaper than a sweep).
             ("GET", path) if path.starts_with("/cell/") => {
                 let digest = &path["/cell/".len()..];
-                Some(
-                    match self.store.as_deref().and_then(|s| s.get_raw(digest)) {
-                        Some(bytes) => (
-                            200,
-                            http::response(
-                                200,
-                                "application/octet-stream",
-                                &[],
-                                &bytes,
-                                keep_alive,
-                            ),
-                        ),
-                        None => {
-                            let digest_ok =
-                                digest.len() == 32 && digest.bytes().all(|b| b.is_ascii_hexdigit());
-                            let (status, message): (u16, &[u8]) = if self.store.is_none() {
-                                (404, b"no result store\n")
-                            } else if !digest_ok {
-                                (400, b"digest must be 32 hex digits\n")
-                            } else {
-                                (404, b"cell not stored here\n")
-                            };
-                            if status == 400 {
-                                Metrics::inc(&self.metrics.bad_requests);
-                            }
-                            (
-                                status,
-                                http::response(
-                                    status,
-                                    "text/plain; charset=utf-8",
-                                    &[],
-                                    message,
-                                    keep_alive,
-                                ),
-                            )
-                        }
-                    },
-                )
+                match self.store.as_deref().and_then(|s| s.get_raw(digest)) {
+                    Some(bytes) => (
+                        200,
+                        http::response(200, "application/octet-stream", &[], &bytes, keep_alive),
+                    ),
+                    None if self.store.is_none() => text(404, b"no result store\n", keep_alive),
+                    None if !store::digest_ok(digest) => {
+                        Metrics::inc(&self.metrics.bad_requests);
+                        text(400, b"digest must be 32 hex digits\n", keep_alive)
+                    }
+                    None => text(404, b"cell not stored here\n", keep_alive),
+                }
             }
             ("PUT", path) if path.starts_with("/cell/") => {
                 let digest = &path["/cell/".len()..];
-                Some(match self.store.as_deref() {
-                    None => (
-                        404,
-                        http::response(
-                            404,
-                            "text/plain; charset=utf-8",
-                            &[],
-                            b"no result store\n",
-                            keep_alive,
-                        ),
-                    ),
-                    Some(store) => match store.put_raw(digest, &request.body) {
-                        Ok(()) => (
-                            200,
-                            http::response(
-                                200,
-                                "text/plain; charset=utf-8",
-                                &[],
-                                b"stored\n",
-                                keep_alive,
-                            ),
-                        ),
-                        Err(message) => {
-                            Metrics::inc(&self.metrics.bad_requests);
-                            (
-                                400,
-                                http::response(
-                                    400,
-                                    "text/plain; charset=utf-8",
-                                    &[],
-                                    format!("{message}\n").as_bytes(),
-                                    keep_alive,
-                                ),
-                            )
-                        }
-                    },
-                })
+                match self
+                    .store
+                    .as_deref()
+                    .map(|s| s.put_raw(digest, &request.body))
+                {
+                    None => text(404, b"no result store\n", keep_alive),
+                    Some(Ok(())) => text(200, b"stored\n", keep_alive),
+                    Some(Err(message)) => {
+                        Metrics::inc(&self.metrics.bad_requests);
+                        text(400, format!("{message}\n").as_bytes(), keep_alive)
+                    }
+                }
             }
             ("GET", "/sweep") | ("POST", "/sweep") => {
                 let params = if request.method == "POST" {
-                    String::from_utf8_lossy(&request.body).into_owned()
+                    String::from_utf8_lossy(&request.body)
                 } else {
-                    request.query.clone()
+                    request.query.as_str().into()
                 };
-                match SweepRequest::parse(&params) {
-                    Ok(sweep) => {
-                        let conn = self.conns[token].as_ref().expect("caller checked");
-                        let job = Job {
-                            shard: self.id,
-                            token,
-                            gen: conn.gen,
-                            keep_alive,
-                            sweep,
-                        };
-                        match self.jobs.try_send(job) {
-                            Ok(()) => {
-                                self.metrics.queue_depth.fetch_add(1, Ordering::Relaxed);
-                                let conn = self.conns[token].as_mut().expect("caller checked");
-                                conn.state = ConnState::Computing;
-                                conn.deadline = None;
-                                return Flush::Pending;
-                            }
-                            Err(TrySendError::Full(_)) => {
-                                // Load shed: refuse at the door, tell
-                                // the client when to come back.
-                                Metrics::inc(&self.metrics.shed_total);
-                                Some((
-                                    429,
-                                    http::response(
-                                        429,
-                                        "text/plain; charset=utf-8",
-                                        &["Retry-After: 1".to_owned()],
-                                        b"compute queue full, retry shortly\n",
-                                        keep_alive,
-                                    ),
-                                ))
-                            }
-                            Err(TrySendError::Disconnected(_)) => Some((
-                                500,
-                                http::response(
-                                    500,
-                                    "text/plain; charset=utf-8",
-                                    &[],
-                                    b"compute pool unavailable\n",
-                                    false,
-                                ),
-                            )),
-                        }
-                    }
-                    Err(bad) => {
-                        Metrics::inc(&self.metrics.bad_requests);
-                        Some((
-                            bad.status,
-                            http::response(
-                                bad.status,
-                                "text/plain; charset=utf-8",
-                                &[],
-                                format!("{}\n", bad.message).as_bytes(),
-                                keep_alive,
-                            ),
-                        ))
-                    }
+                match self.sweep(token, keep_alive, &params) {
+                    Some(answered) => answered,
+                    None => return Flush::Pending,
                 }
             }
             _ => {
                 Metrics::inc(&self.metrics.bad_requests);
+                text(404, b"not found\n", keep_alive)
+            }
+        };
+
+        self.metrics.observe_status(status);
+        self.respond(token, bytes, !keep_alive || status == 500)
+    }
+
+    /// Answers a sweep from the local tiers, refuses it, or hands it to
+    /// the compute pool (`None`: the connection is `Computing`).
+    fn sweep(&mut self, token: usize, keep_alive: bool, params: &str) -> Option<(u16, Vec<u8>)> {
+        let probed = SweepRequest::parse(params).and_then(|sweep| {
+            let probed = match sweep.configs.len() {
+                0..=INLINE_MAX_CELLS => self.service.probe(&sweep, false)?,
+                _ => None,
+            };
+            Ok((probed, sweep))
+        });
+        let (probed, sweep) = match probed {
+            Ok((Some(probed), sweep)) if probed.is_complete() => {
+                Metrics::inc(&self.metrics.sweeps_inline);
+                let answer = Ok(self.service.complete(&sweep, probed));
+                return Some(sweep_response(answer, keep_alive, &self.metrics));
+            }
+            Ok(pending) => pending,
+            Err(bad) => return Some(sweep_response(Err(bad), keep_alive, &self.metrics)),
+        };
+        let conn = self.conns[token].as_mut().expect("caller checked");
+        let job = Job {
+            shard: self.id,
+            token,
+            gen: conn.gen,
+            keep_alive,
+            sweep,
+            probed,
+        };
+        match self.jobs.try_send(job) {
+            Ok(()) => {
+                self.metrics.queue_depth.fetch_add(1, Ordering::Relaxed);
+                conn.state = ConnState::Computing;
+                conn.deadline = None;
+                None
+            }
+            Err(TrySendError::Full(_)) => {
+                // Load shed: refuse at the door, tell the client when
+                // to come back.
+                Metrics::inc(&self.metrics.shed_total);
                 Some((
-                    404,
+                    429,
                     http::response(
-                        404,
+                        429,
                         "text/plain; charset=utf-8",
-                        &[],
-                        b"not found\n",
+                        &["Retry-After: 1".to_owned()],
+                        b"compute queue full, retry shortly\n",
                         keep_alive,
                     ),
                 ))
             }
-        };
-
-        let (status, bytes) = inline.expect("dispatched sweeps returned above");
-        self.metrics.observe_status(status);
-        let close = !keep_alive || status == 500;
-        let conn = self.conns[token].as_mut().expect("caller checked");
-        conn.out = bytes;
-        conn.out_pos = 0;
-        conn.close_after_write |= close;
-        conn.state = ConnState::Writing;
-        conn.deadline = Some(Instant::now() + self.write_timeout);
-        self.flush(token)
+            Err(TrySendError::Disconnected(_)) => {
+                Some(text(500, b"compute pool unavailable\n", false))
+            }
+        }
     }
 
     /// Drains the outbound buffer as far as the socket allows and

@@ -4,20 +4,21 @@
 //! A sweep request names one workload stream (benchmark, seed, trace
 //! length, warmup) and a list of predictor configurations. The
 //! service decomposes it into cells — one per configuration — and
-//! resolves each by the cheapest available path, in order:
+//! resolves each by the cheapest available path, in two stages:
 //!
-//! 1. **Store hit** — the cell's digest is in the result store.
-//! 2. **Coalesced wait** — another request is simulating the same
-//!    cell right now ([`Flight`] single-flight); wait for it.
-//! 3. **Simulate** — the residual misses run as *one* batch through
-//!    [`run_batched`], sharing a single streaming pass, then land in
-//!    the store for next time.
+//! 1. **Local** ([`SweepService::probe`]) — the cell's digest is in the
+//!    hot or pack tier. Cheap and non-blocking, so the server runs it
+//!    on its event loop and answers a fully local sweep there.
+//! 2. **Completion** ([`SweepService::complete`]) — the rest are asked
+//!    of peers, joined to another request's in-flight batch
+//!    ([`Flight`] single-flight), or simulated as *one* batch through
+//!    [`run_batched`] and stored for next time.
 //!
-//! The JSON body is deterministic (insertion-ordered fields, no
-//! timestamps, no cache provenance), so repeated identical requests
-//! return byte-identical bodies whether answered hot or cold — the
-//! provenance (`hits=… misses=… coalesced=…`) rides in the
-//! `X-Bpred-Provenance` response header instead.
+//! The JSON body is deterministic (fixed field order, no timestamps,
+//! no cache provenance), so repeated identical requests return
+//! byte-identical bodies whether answered hot or cold — the provenance
+//! (`hits=… misses=… coalesced=…`) rides in the `X-Bpred-Provenance`
+//! response header instead.
 //!
 //! Workload models are a pure function of their suite spec, so the
 //! service materialises each benchmark's model at most once per
@@ -27,6 +28,7 @@
 //! about 2.3 MiB once the three focus models are built, about 6.5 MiB
 //! if all fourteen are requested.
 
+use std::fmt::Write as _;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -37,9 +39,9 @@ use bpred_workloads::{suite, BenchmarkSpec, WorkloadModel, WorkloadSource};
 
 use crate::flight::{Flight, Join, LeaderGuard};
 use crate::http::parse_query;
-use crate::json::{array, Object};
+use crate::json::escape_into;
 use crate::metrics::Metrics;
-use crate::store::ResultStore;
+use crate::store::{Address, ResultStore, Tier};
 
 /// Default trace seed, matching the experiment drivers.
 pub const DEFAULT_SEED: u64 = 1996;
@@ -209,28 +211,50 @@ impl SweepService {
         &self.metrics
     }
 
-    /// The shared model for suite benchmark `name`, materialised on
-    /// first use; `None` for a name outside the suite. A build holds
-    /// only its own slot's once-cell, so requests for other benchmarks
-    /// never wait on it, and concurrent first requests for the same
-    /// one wait for a single build. A build that panics leaves its
-    /// slot empty for the next request to retry.
-    fn model(&self, name: &str) -> Option<Arc<WorkloadModel>> {
-        let slot = self.models.iter().find(|slot| slot.spec.name == name)?;
-        let model = slot.model.get_or_init(|| {
-            let model = Arc::new(WorkloadModel::from_spec(&slot.spec));
-            Metrics::inc(&self.metrics.workload_models_built);
-            model
-        });
+    /// The shared model of `slot`'s benchmark, materialised on first
+    /// use when `build` is set; `None` while it is unbuilt and `build`
+    /// is not. A build holds only its own slot's once-cell, so requests
+    /// for other benchmarks never wait on it, and concurrent first
+    /// requests for the same one wait for a single build. A build that
+    /// panics leaves its slot empty for the next request to retry.
+    fn model(&self, slot: &ModelSlot, build: bool) -> Option<Arc<WorkloadModel>> {
+        let model = if build {
+            slot.model.get_or_init(|| {
+                let model = Arc::new(WorkloadModel::from_spec(&slot.spec));
+                Metrics::inc(&self.metrics.workload_models_built);
+                model
+            })
+        } else {
+            slot.model.get()?
+        };
         Some(Arc::clone(model))
     }
 
     /// Answers one sweep request: the deterministic JSON body plus
-    /// provenance for the response header.
+    /// provenance for the response header. [`probe`](Self::probe), then
+    /// [`complete`](Self::complete): the server runs the two apart.
     pub fn execute(&self, request: &SweepRequest) -> Result<(String, Provenance), BadRequest> {
-        let model = self
-            .model(&request.workload)
+        let probed = self
+            .probe(request, true)?
+            .expect("a built model always probes");
+        Ok(self.complete(request, probed))
+    }
+
+    /// The local stage: the benchmark's model, the source identity, each
+    /// cell's address, and a hot/pack probe of each cell. It never asks
+    /// a peer, waits on another request or simulates; `Ok(None)` when
+    /// the model is unbuilt and `build` is false (a build takes
+    /// milliseconds). Nothing is counted until [`complete`](Self::complete),
+    /// so a probed request the pool then sheds leaves `/metrics` alone.
+    pub fn probe(&self, request: &SweepRequest, build: bool) -> Result<Option<Probed>, BadRequest> {
+        let slot = self
+            .models
+            .iter()
+            .find(|slot| slot.spec.name == request.workload)
             .ok_or_else(|| BadRequest::new(format!("unknown workload {:?}", request.workload)))?;
+        let Some(model) = self.model(slot, build) else {
+            return Ok(None);
+        };
         let source = match request.branches {
             Some(n) => WorkloadSource::with_length(model, request.seed, n),
             None => WorkloadSource::new(model, request.seed),
@@ -242,26 +266,58 @@ impl SweepService {
                 self.max_branches
             )));
         }
-        Metrics::inc(&self.metrics.sweep_requests);
-        Metrics::add(&self.metrics.cells, request.configs.len() as u64);
 
         let source_id = source.cache_id();
         let simulator = Simulator::with_warmup(request.warmup);
-        let keys: Vec<CellKey> = request
+        let addresses: Vec<Address> = request
             .configs
             .iter()
-            .map(|config| CellKey::new(&source_id, config, &simulator))
+            .map(|config| Address::of(&CellKey::new(&source_id, config, &simulator)))
             .collect();
-
-        let mut provenance = Provenance::default();
-        let mut results: Vec<Option<SimResult>> = vec![None; keys.len()];
-
-        // 1. Store hits.
+        let mut results: Vec<Option<SimResult>> = vec![None; addresses.len()];
+        let mut tiers = Vec::new();
         if let Some(store) = &self.store {
-            for (slot, key) in results.iter_mut().zip(&keys) {
-                if let Some(result) = store.get(key) {
+            for (slot, address) in results.iter_mut().zip(&addresses) {
+                if let Some((result, tier)) = store.probe(address) {
                     *slot = Some(result);
-                    provenance.hits += 1;
+                    tiers.push(tier);
+                }
+            }
+        }
+        Ok(Some(Probed {
+            source,
+            source_id,
+            simulator,
+            addresses,
+            results,
+            tiers,
+        }))
+    }
+
+    /// The completion stage: counts the request and its local hits,
+    /// then resolves whatever the local stage left through the peer
+    /// tier, single-flight and one simulated batch, and renders the
+    /// body. A fully probed request goes straight to rendering.
+    pub fn complete(&self, request: &SweepRequest, probed: Probed) -> (String, Provenance) {
+        let (source, simulator, addresses) = (&probed.source, probed.simulator, &probed.addresses);
+        let mut results = probed.results;
+        Metrics::inc(&self.metrics.sweep_requests);
+        Metrics::add(&self.metrics.cells, request.configs.len() as u64);
+        let mut provenance = Provenance {
+            hits: probed.tiers.len(),
+            ..Provenance::default()
+        };
+
+        // 1. Store hits: the local ones the probe found, then peers
+        // for the rest.
+        if let Some(store) = &self.store {
+            for &tier in &probed.tiers {
+                store.count_local_hit(tier);
+            }
+            for (slot, address) in results.iter_mut().zip(addresses) {
+                if slot.is_none() {
+                    *slot = store.get_peer(address);
+                    provenance.hits += usize::from(slot.is_some());
                 }
             }
         }
@@ -274,24 +330,25 @@ impl SweepService {
         // block on each other's unled work.
         let mut leaders: Vec<(usize, LeaderGuard<SimResult>)> = Vec::new();
         let mut followers: Vec<(usize, crate::flight::Waiter<SimResult>)> = Vec::new();
-        for (i, key) in keys.iter().enumerate() {
+        for (i, address) in addresses.iter().enumerate() {
             if results[i].is_some() {
                 continue;
             }
-            match self.flight.join(&key.digest()) {
+            match self.flight.join(&address.canonical) {
                 Join::Leader(guard) => leaders.push((i, guard)),
                 Join::Follower(waiter) => followers.push((i, waiter)),
             }
         }
 
-        // 3. Simulate all led cells as one batch. Re-check the store
-        // first: leadership can be won for a cell another request
+        // 3. Simulate all led cells as one batch. Re-check the local
+        // tiers first: leadership can be won for a cell another request
         // finished (and retired from the flight) between our store
-        // miss and our join — simulate only what is still absent.
+        // miss and our join — simulate only what is still absent. The
+        // peers already missed in step 1; they are not asked again.
         if let Some(store) = &self.store {
             let mut still_missing = Vec::with_capacity(leaders.len());
             for (i, guard) in leaders {
-                match store.get(&keys[i]) {
+                match store.get_local(&addresses[i]) {
                     Some(result) => {
                         provenance.hits += 1;
                         Metrics::inc(&self.metrics.cache_hits);
@@ -311,7 +368,7 @@ impl SweepService {
             Metrics::inc(&self.metrics.batches);
             Metrics::inc(&self.metrics.inflight_batches);
             let started = Instant::now();
-            let computed = run_batched(&configs, &source, simulator, DEFAULT_SHARD_SIZE);
+            let computed = run_batched(&configs, source, simulator, DEFAULT_SHARD_SIZE);
             self.metrics.batch_latency.observe(started.elapsed());
             self.metrics
                 .inflight_batches
@@ -321,7 +378,7 @@ impl SweepService {
             Metrics::add(&self.metrics.cache_misses, leaders.len() as u64);
             for ((i, guard), result) in leaders.into_iter().zip(computed) {
                 if let Some(store) = &self.store {
-                    let _ = store.put(&keys[i], &result);
+                    let _ = store.put_addressed(&addresses[i], &result);
                 }
                 guard.complete(result.clone());
                 results[i] = Some(result);
@@ -340,15 +397,11 @@ impl SweepService {
                 None => {
                     provenance.misses += 1;
                     Metrics::inc(&self.metrics.cache_misses);
-                    let solo = run_batched(
-                        &[request.configs[i]],
-                        &source,
-                        simulator,
-                        DEFAULT_SHARD_SIZE,
-                    )
-                    .remove(0);
+                    let solo =
+                        run_batched(&[request.configs[i]], source, simulator, DEFAULT_SHARD_SIZE)
+                            .remove(0);
                     if let Some(store) = &self.store {
-                        let _ = store.put(&keys[i], &solo);
+                        let _ = store.put_addressed(&addresses[i], &solo);
                     }
                     solo
                 }
@@ -360,66 +413,92 @@ impl SweepService {
             .into_iter()
             .map(|r| r.expect("every cell resolved"))
             .collect();
-        let body = sweep_body(request, source.conditionals(), &source_id, &resolved);
-        Ok((body, provenance))
+        let body = sweep_body(request, source.conditionals(), &probed.source_id, &resolved);
+        (body, provenance)
     }
 }
 
-/// Renders the deterministic JSON body for an answered sweep. Public
-/// so the load harness (`bench_serve`) can compute the expected body
-/// from direct engine results and assert bit-identity against what
-/// the server returned.
+/// What [`SweepService::probe`] found for one request: its source and
+/// cell addresses, the cells the local tiers answered, and the tier of
+/// each hit. Handed to [`SweepService::complete`], so no cell is
+/// addressed or probed twice.
+#[derive(Debug)]
+pub struct Probed {
+    source: WorkloadSource,
+    source_id: String,
+    simulator: Simulator,
+    addresses: Vec<Address>,
+    results: Vec<Option<SimResult>>,
+    tiers: Vec<Tier>,
+}
+
+impl Probed {
+    /// Whether the local tiers answered every cell, so completing the
+    /// request only renders its body.
+    pub fn is_complete(&self) -> bool {
+        self.tiers.len() == self.results.len()
+    }
+}
+
+/// Renders the deterministic JSON body for an answered sweep into one
+/// pre-sized buffer. Public so the load harness (`bench_serve`) can
+/// compute the expected body from direct engine results and assert
+/// bit-identity against what the server returned.
 pub fn sweep_body(
     request: &SweepRequest,
     conditionals: usize,
     source_id: &str,
     results: &[SimResult],
 ) -> String {
-    let cells: Vec<String> = request
-        .configs
-        .iter()
-        .zip(results)
-        .map(|(config, result)| cell_json(config, result))
-        .collect();
-    Object::new()
-        .str("workload", &request.workload)
-        .u64("seed", request.seed)
-        .u64("branches", conditionals as u64)
-        .u64("warmup", request.warmup as u64)
-        .u64("engine", u64::from(bpred_sim::ENGINE_VERSION))
-        .str("source_id", source_id)
-        .raw("cells", &array(cells))
-        .build()
-}
-
-fn cell_json(config: &PredictorConfig, result: &SimResult) -> String {
-    let mut obj = Object::new()
-        .str("config", &config.config_id())
-        .str("predictor", &result.predictor)
-        .u64("state_bits", result.state_bits)
-        .u64("conditionals", result.conditionals)
-        .u64("mispredictions", result.mispredictions)
-        .f64("misprediction_rate", result.misprediction_rate());
-    if let Some(alias) = &result.alias {
-        obj = obj.raw(
-            "alias",
-            &Object::new()
-                .u64("accesses", alias.accesses)
-                .u64("conflicts", alias.conflicts)
-                .u64("harmless_conflicts", alias.harmless_conflicts)
-                .build(),
+    // About 200 bytes per cell with aliasing stats; the head is the
+    // two strings plus under 120 bytes of keys and numbers.
+    let mut out =
+        String::with_capacity(128 + request.workload.len() + source_id.len() + 256 * results.len());
+    out.push_str("{\"workload\":\"");
+    escape_into(&mut out, &request.workload);
+    let _ = write!(
+        out,
+        "\",\"seed\":{},\"branches\":{conditionals},\"warmup\":{},\"engine\":{},\"source_id\":\"",
+        request.seed,
+        request.warmup,
+        bpred_sim::ENGINE_VERSION
+    );
+    escape_into(&mut out, source_id);
+    out.push_str("\",\"cells\":[");
+    for (i, (config, result)) in request.configs.iter().zip(results).enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"config\":\"");
+        escape_into(&mut out, &config.config_id());
+        out.push_str("\",\"predictor\":\"");
+        escape_into(&mut out, &result.predictor);
+        let _ = write!(
+            out,
+            "\",\"state_bits\":{},\"conditionals\":{},\"mispredictions\":{},\"misprediction_rate\":{}",
+            result.state_bits,
+            result.conditionals,
+            result.mispredictions,
+            result.misprediction_rate()
         );
+        if let Some(alias) = &result.alias {
+            let _ = write!(
+                out,
+                ",\"alias\":{{\"accesses\":{},\"conflicts\":{},\"harmless_conflicts\":{}}}",
+                alias.accesses, alias.conflicts, alias.harmless_conflicts
+            );
+        }
+        if let Some(bht) = &result.bht {
+            let _ = write!(
+                out,
+                ",\"bht\":{{\"accesses\":{},\"misses\":{}}}",
+                bht.accesses, bht.misses
+            );
+        }
+        out.push('}');
     }
-    if let Some(bht) = &result.bht {
-        obj = obj.raw(
-            "bht",
-            &Object::new()
-                .u64("accesses", bht.accesses)
-                .u64("misses", bht.misses)
-                .build(),
-        );
-    }
-    obj.build()
+    out.push_str("]}");
+    out
 }
 
 #[cfg(test)]

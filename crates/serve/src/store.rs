@@ -127,6 +127,31 @@ pub struct MigrateReport {
     pub bytes: u64,
 }
 
+/// A cell's canonical key and its content address, built once per
+/// cell so every tier lookup and the pack append share one hash. The
+/// digest is FNV-1a 128 of the canonical key — [`CellKey::digest`] as
+/// a number rather than hex.
+#[derive(Debug)]
+pub(crate) struct Address {
+    pub(crate) canonical: String,
+    pub(crate) digest: u128,
+}
+
+impl Address {
+    pub(crate) fn of(key: &CellKey) -> Address {
+        let canonical = key.canonical();
+        let digest = fnv::fnv128(canonical.as_bytes());
+        Address { canonical, digest }
+    }
+}
+
+/// The local tier that answered a [`ResultStore::probe`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Tier {
+    Hot,
+    Pack,
+}
+
 /// A tiered content-addressed cache of simulation results.
 ///
 /// Cheaply shareable via [`Arc`]; all methods take `&self` and are
@@ -229,48 +254,78 @@ impl ResultStore {
     /// by recomputation), and peer bytes are verified against the
     /// expected canonical key before being believed.
     pub fn get(&self, key: &CellKey) -> Option<SimResult> {
-        let canonical = key.canonical();
-        let hex = key.digest();
-        let digest = parse_digest(&hex)?;
+        self.get_addressed(&Address::of(key))
+    }
+
+    /// [`get`](Self::get) for a cell already addressed.
+    pub(crate) fn get_addressed(&self, address: &Address) -> Option<SimResult> {
+        self.get_local(address).or_else(|| self.get_peer(address))
+    }
+
+    /// A counted [`probe`](Self::probe).
+    pub(crate) fn get_local(&self, address: &Address) -> Option<SimResult> {
+        let (result, tier) = self.probe(address)?;
+        self.count_local_hit(tier);
+        Some(result)
+    }
+
+    /// Looks `address` up in the local tiers (hot, then pack), without
+    /// counting the hit: the caller reports it with
+    /// [`count_local_hit`](Self::count_local_hit) once the answer is
+    /// used. A pack hit is promoted to the hot tier; a corrupt pack
+    /// object is dropped.
+    pub(crate) fn probe(&self, address: &Address) -> Option<(SimResult, Tier)> {
+        let digest = address.digest;
         if let Some(result) = self.hot.get(digest) {
-            self.stats.hot_hits.fetch_add(1, Ordering::Relaxed);
-            return Some(result);
+            return Some((result, Tier::Hot));
         }
-        if let Some(bytes) = self.pack.get(digest) {
-            match codec::decode(&bytes, &canonical) {
-                Ok(result) => {
-                    self.hot.put(digest, &result, bytes.len());
-                    self.stats.pack_hits.fetch_add(1, Ordering::Relaxed);
-                    self.refresh_gauges();
-                    return Some(result);
-                }
-                // Corrupt on disk: drop it, but still give the peer
-                // tier a chance below.
-                Err(_) => self.pack.forget(digest),
-            }
-        }
-        let peers = self.peers.as_ref()?;
-        let bytes = peers.fetch(&hex)?;
-        match codec::decode(&bytes, &canonical) {
+        let bytes = self.pack.get(digest)?;
+        match codec::decode(&bytes, &address.canonical) {
             Ok(result) => {
-                let _ = self.pack.put(digest, &bytes);
                 self.hot.put(digest, &result, bytes.len());
-                self.stats.peer_hits.fetch_add(1, Ordering::Relaxed);
                 self.refresh_gauges();
-                Some(result)
+                Some((result, Tier::Pack))
             }
-            Err(_) => None,
+            Err(_) => {
+                self.pack.forget(digest);
+                None
+            }
         }
+    }
+
+    /// Counts one local-tier hit on `/metrics`.
+    pub(crate) fn count_local_hit(&self, tier: Tier) {
+        let counter = match tier {
+            Tier::Hot => &self.stats.hot_hits,
+            Tier::Pack => &self.stats.pack_hits,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Asks the peers for `address`, a local miss; a verified answer
+    /// lands in the pack and hot tiers.
+    pub(crate) fn get_peer(&self, address: &Address) -> Option<SimResult> {
+        let peers = self.peers.as_ref()?;
+        let bytes = peers.fetch(&format!("{:032x}", address.digest))?;
+        let result = codec::decode(&bytes, &address.canonical).ok()?;
+        let _ = self.pack.put(address.digest, &bytes);
+        self.hot.put(address.digest, &result, bytes.len());
+        self.stats.peer_hits.fetch_add(1, Ordering::Relaxed);
+        self.refresh_gauges();
+        Some(result)
     }
 
     /// Stores the result for `key` durably (a pack append) and in the
     /// hot tier.
     pub fn put(&self, key: &CellKey, result: &SimResult) -> io::Result<()> {
-        let bytes = codec::encode(&key.canonical(), result);
-        let digest = parse_digest(&key.digest())
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "bad digest"))?;
-        self.pack.put(digest, &bytes)?;
-        self.hot.put(digest, result, bytes.len());
+        self.put_addressed(&Address::of(key), result)
+    }
+
+    /// [`put`](Self::put) for a cell already addressed.
+    pub(crate) fn put_addressed(&self, address: &Address, result: &SimResult) -> io::Result<()> {
+        let bytes = codec::encode(&address.canonical, result);
+        self.pack.put(address.digest, &bytes)?;
+        self.hot.put(address.digest, result, bytes.len());
         self.refresh_gauges();
         Ok(())
     }
@@ -307,15 +362,16 @@ impl ResultStore {
     /// single-flighted: one computes, the rest wait for its result.
     /// If the computing caller panics, waiters recompute themselves.
     pub fn get_or_compute(&self, key: &CellKey, compute: impl FnOnce() -> SimResult) -> SimResult {
-        if let Some(result) = self.get(key) {
+        let address = Address::of(key);
+        if let Some(result) = self.get_addressed(&address) {
             return result;
         }
-        match self.flight.join(&key.digest()) {
+        match self.flight.join(&address.canonical) {
             Join::Leader(guard) => {
                 // Double-check under leadership: another leader may
                 // have stored the cell between our miss and our join.
-                let result = self.get(key).unwrap_or_else(compute);
-                let _ = self.put(key, &result);
+                let result = self.get_local(&address).unwrap_or_else(compute);
+                let _ = self.put_addressed(&address, &result);
                 guard.complete(result.clone());
                 result
             }
@@ -324,7 +380,7 @@ impl ResultStore {
                 None => {
                     // Leader aborted; compute independently.
                     let result = compute();
-                    let _ = self.put(key, &result);
+                    let _ = self.put_addressed(&address, &result);
                     result
                 }
             },
@@ -343,7 +399,8 @@ impl ResultStore {
     }
 }
 
-fn digest_ok(digest: &str) -> bool {
+/// Whether `digest` is 32 hex digits, the form of a content address.
+pub(crate) fn digest_ok(digest: &str) -> bool {
     digest.len() == 32 && digest.bytes().all(|b| b.is_ascii_hexdigit())
 }
 

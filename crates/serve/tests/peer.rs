@@ -204,3 +204,45 @@ fn dead_peer_degrades_to_local_compute() {
     assert_eq!(metric(addr, "bpred_store_hits_total{tier=\"peer\"}"), 0);
     node.shutdown();
 }
+
+#[test]
+fn local_miss_goes_to_the_pool_where_the_peer_answers_it() {
+    let node_a = start(scratch("pool-a"), None);
+    let (status, body_a) = get(node_a.addr(), SWEEP);
+    assert!(status.contains("200"), "got {status}");
+
+    let peers = PeerSet::from_list(&node_a.addr().to_string()).expect("peer list");
+    let node_b = start(scratch("pool-b"), Some(peers));
+    let addr = node_b.addr();
+    // Build B's espresso model on a cell A does not have, so the
+    // sweep below runs its local stage on the event loop.
+    let (status, _) = get(
+        addr,
+        "/sweep?workload=espresso&branches=20000&configs=bimodal:a=5",
+    );
+    assert!(status.contains("200"), "got {status}");
+    let misses = metric(addr, "bpred_cache_misses_total");
+
+    let one = "/sweep?workload=espresso&branches=20000&configs=gas:h=7,c=2";
+    let (status, body) = get(addr, one);
+    assert!(status.contains("200"), "got {status}");
+    assert_eq!(metric(addr, "bpred_store_hits_total{tier=\"peer\"}"), 1);
+    assert_eq!(metric(addr, "bpred_sweeps_inline_total"), 0);
+    assert_eq!(metric(addr, "bpred_cache_misses_total"), misses);
+    let text = String::from_utf8(body).expect("UTF-8");
+    let cell = text.find("{\"config\":\"gas:h=7,c=2\"").expect("cell");
+    let cell = &text[cell..text.len() - 2];
+    assert!(
+        String::from_utf8_lossy(&body_a).contains(cell),
+        "A's numbers"
+    );
+
+    // Now local: the repeat never leaves the event loop.
+    let (_, again) = get(addr, one);
+    assert_eq!(again, text.as_bytes());
+    assert_eq!(metric(addr, "bpred_sweeps_inline_total"), 1);
+    assert_eq!(metric(addr, "bpred_store_hits_total{tier=\"peer\"}"), 1);
+
+    node_b.shutdown();
+    node_a.shutdown();
+}

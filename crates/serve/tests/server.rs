@@ -4,11 +4,14 @@
 
 use std::fs;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
+use std::sync::mpsc;
 use std::thread;
 
 use bpred_serve::server::{Server, ServerConfig, ServerHandle};
+use bpred_serve::store::StoreOptions;
+use bpred_serve::PeerSet;
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir()
@@ -111,6 +114,7 @@ fn repeated_sweep_hits_the_cache_bit_identically() {
     assert_eq!(header(&headers, "Content-Type"), Some("application/json"));
     let misses_after_cold = metric(addr, "bpred_cache_misses_total");
     assert_eq!(misses_after_cold, 3);
+    assert_eq!(metric(addr, "bpred_sweeps_inline_total"), 0, "cold: pool");
 
     // Warm: answered from the store — bit-identical body, miss
     // counter parked.
@@ -127,7 +131,11 @@ fn repeated_sweep_hits_the_cache_bit_identically() {
         "no re-simulation on the warm request"
     );
     assert_eq!(metric(addr, "bpred_cache_hits_total"), 3);
+    // Answered on the event loop: no batch, nothing queued.
+    assert_eq!(metric(addr, "bpred_sweeps_inline_total"), 1);
     assert_eq!(metric(addr, "bpred_batches_total"), 1);
+    assert_eq!(metric(addr, "bpred_serve_queue_depth"), 0);
+    assert_eq!(metric(addr, "bpred_store_hits_total{tier=\"hot\"}"), 3);
     // Both requests shared one materialisation of the espresso model.
     assert_eq!(metric(addr, "bpred_workload_models_built_total"), 1);
 
@@ -261,5 +269,207 @@ fn metrics_exposition_is_well_formed() {
     ] {
         assert!(text.contains(series), "missing series {series}");
     }
+    server.shutdown();
+}
+
+#[test]
+fn half_warm_sweep_dispatches_once_and_probes_each_cell_once() {
+    let server = start(Some(scratch("half-warm")));
+    let addr = server.addr();
+    let warm = "/sweep?workload=espresso&branches=20000&configs=gshare:h=7,c=2;gas:h=7,c=2";
+    let (status, _, _) = get(addr, warm);
+    assert!(status.contains("200"), "got {status}");
+
+    let looked_up = || {
+        metric(addr, "bpred_store_hits_total{tier=\"hot\"}")
+            + metric(addr, "bpred_store_hits_total{tier=\"pack\"}")
+            + metric(addr, "bpred_cache_misses_total")
+    };
+    let (before, batches, inline) = (
+        looked_up(),
+        metric(addr, "bpred_batches_total"),
+        metric(addr, "bpred_sweeps_inline_total"),
+    );
+    let half = "/sweep?workload=espresso&branches=20000\
+                &configs=gshare:h=7,c=2;bimodal:a=9;gas:h=7,c=2;pas:h=4,c=2";
+    let (status, headers, _) = get(addr, half);
+    assert!(status.contains("200"), "got {status}");
+    assert_eq!(
+        header(&headers, "X-Bpred-Provenance"),
+        Some("hits=2 misses=2 coalesced=0")
+    );
+    assert_eq!(looked_up() - before, 4, "one lookup per cell");
+    assert_eq!(metric(addr, "bpred_batches_total") - batches, 1);
+    assert_eq!(metric(addr, "bpred_sweeps_inline_total"), inline);
+    server.shutdown();
+}
+
+#[test]
+fn restarted_server_builds_its_model_in_the_pool_then_answers_inline() {
+    let dir = scratch("restart");
+    let first = start(Some(dir.clone()));
+    let (_, _, cold_body) = get(first.addr(), SWEEP);
+    first.shutdown();
+
+    let server = start(Some(dir));
+    let addr = server.addr();
+    let (status, headers, body) = get(addr, SWEEP);
+    assert!(status.contains("200"), "got {status}");
+    assert_eq!(body, cold_body);
+    assert_eq!(
+        header(&headers, "X-Bpred-Provenance"),
+        Some("hits=3 misses=0 coalesced=0")
+    );
+    // Every cell was on disk, but the model was not built: the pool
+    // built it and answered from the pack tier.
+    assert_eq!(metric(addr, "bpred_workload_models_built_total"), 1);
+    assert_eq!(metric(addr, "bpred_sweeps_inline_total"), 0);
+    assert_eq!(metric(addr, "bpred_store_hits_total{tier=\"pack\"}"), 3);
+
+    let (_, _, again) = get(addr, SWEEP);
+    assert_eq!(again, cold_body);
+    assert_eq!(metric(addr, "bpred_sweeps_inline_total"), 1);
+    assert_eq!(metric(addr, "bpred_store_hits_total{tier=\"hot\"}"), 3);
+    assert_eq!(metric(addr, "bpred_workload_models_built_total"), 1);
+    server.shutdown();
+}
+
+/// A peer that answers nothing until told to: it reports each fetch
+/// it accepts on `accepted`, then answers `404` once per message on
+/// `release`. A worker fetching from it is held until released. The
+/// thread exits once `release` is dropped and one more connection
+/// arrives.
+fn held_peer() -> (
+    SocketAddr,
+    mpsc::Receiver<()>,
+    mpsc::Sender<()>,
+    thread::JoinHandle<()>,
+) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind peer");
+    let addr = listener.local_addr().expect("peer address");
+    let (accepted_tx, accepted) = mpsc::channel();
+    let (release, release_rx) = mpsc::channel::<()>();
+    let peer = thread::spawn(move || {
+        for stream in listener.incoming() {
+            let mut stream = stream.expect("peer accept");
+            let mut head = Vec::new();
+            let mut byte = [0u8; 1];
+            while !head.ends_with(b"\r\n\r\n") && stream.read(&mut byte).unwrap_or(0) == 1 {
+                head.push(byte[0]);
+            }
+            let _ = accepted_tx.send(());
+            if release_rx.recv().is_err() {
+                return;
+            }
+            let _ = stream.write_all(b"HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n");
+        }
+    });
+    (addr, accepted, release, peer)
+}
+
+#[test]
+fn warm_sweeps_are_answered_while_the_pool_sheds() {
+    let dir = scratch("shed");
+    let primer = start(Some(dir.clone()));
+    assert!(get(primer.addr(), SWEEP).0.contains("200"));
+    primer.shutdown();
+
+    let (peer, accepted, release, peer_thread) = held_peer();
+    let server = Server::start(ServerConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        workers: 1,
+        queue_depth: 1,
+        cache_dir: Some(dir),
+        store: StoreOptions {
+            peers: PeerSet::from_list(&peer.to_string()),
+            ..StoreOptions::default()
+        },
+        ..ServerConfig::default()
+    })
+    .expect("server starts");
+    let addr = server.addr();
+    // The pool builds the model; every cell is local, so no fetch.
+    assert!(get(addr, SWEEP).0.contains("200"));
+
+    // Hold the only worker in a peer fetch for a cold cell, then fill
+    // the one-slot queue behind it.
+    let cold = |h: u32| format!("/sweep?workload=espresso&branches=20000&configs=gshare:h={h},c=2");
+    let held = thread::spawn({
+        let target = cold(9);
+        move || get(addr, &target).0
+    });
+    accepted.recv().expect("the worker asks the peer");
+    let queued = thread::spawn({
+        let target = cold(10);
+        move || get(addr, &target).0
+    });
+    while metric(addr, "bpred_serve_queue_depth") == 0 {
+        thread::sleep(std::time::Duration::from_millis(1));
+    }
+
+    let (status, headers, _) = get(addr, SWEEP);
+    assert!(
+        status.contains("200"),
+        "warm sweep answered inline: {status}"
+    );
+    assert_eq!(
+        header(&headers, "X-Bpred-Provenance"),
+        Some("hits=3 misses=0 coalesced=0")
+    );
+    let (status, headers, _) = get(addr, &cold(11));
+    assert!(status.contains("429"), "cold sweep shed: {status}");
+    assert_eq!(header(&headers, "Retry-After"), Some("1"));
+    assert_eq!(metric(addr, "bpred_sweeps_inline_total"), 1);
+    assert_eq!(metric(addr, "bpred_serve_shed_total"), 1);
+
+    release.send(()).expect("release the held fetch");
+    assert!(held.join().expect("held client").contains("200"));
+    accepted.recv().expect("the queued sweep asks the peer");
+    release.send(()).expect("release the queued fetch");
+    assert!(queued.join().expect("queued client").contains("200"));
+    assert_eq!(metric(addr, "bpred_cache_misses_total"), 2);
+    assert!(accepted.try_recv().is_err(), "one fetch per cold cell");
+    drop(release);
+    drop(TcpStream::connect(peer));
+    peer_thread.join().expect("peer thread");
+    // The shed sweep was probed on the event loop but never counted.
+    assert_eq!(metric(addr, "bpred_sweep_requests_total"), 4);
+    assert_eq!(metric(addr, "bpred_cells_total"), 8);
+    server.shutdown();
+}
+
+#[test]
+fn warm_sweeps_past_the_inline_cell_cap_go_to_the_pool() {
+    let server = start(Some(scratch("cap")));
+    let addr = server.addr();
+    let sweep = |cells: usize| {
+        let configs = vec!["taken"; cells].join(";");
+        get(
+            addr,
+            &format!("/sweep?workload=espresso&branches=2000&configs={configs}"),
+        )
+    };
+    assert!(sweep(1).0.contains("200"));
+    let batches = metric(addr, "bpred_batches_total");
+
+    let (status, headers, _) = sweep(1024);
+    assert!(status.contains("200"), "got {status}");
+    assert_eq!(metric(addr, "bpred_sweeps_inline_total"), 1);
+    let (status, headers_past, _) = sweep(1025);
+    assert!(status.contains("200"), "got {status}");
+    assert_eq!(
+        metric(addr, "bpred_sweeps_inline_total"),
+        1,
+        "pool answered"
+    );
+    assert_eq!(metric(addr, "bpred_batches_total"), batches);
+    assert_eq!(
+        header(&headers, "X-Bpred-Provenance"),
+        Some("hits=1024 misses=0 coalesced=0")
+    );
+    assert_eq!(
+        header(&headers_past, "X-Bpred-Provenance"),
+        Some("hits=1025 misses=0 coalesced=0")
+    );
     server.shutdown();
 }

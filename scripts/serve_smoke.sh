@@ -6,6 +6,8 @@
 #   * both responses are bit-identical,
 #   * the second advances the hit counter, not the miss counter
 #     (i.e. it never re-entered the simulation engine),
+#   * the second is answered on the event loop (the inline counter
+#     moves, the batch counter does not),
 #   * both share one materialised workload model.
 #
 # Usage: scripts/serve_smoke.sh [port]   (default 8199)
@@ -35,7 +37,9 @@ for _ in $(seq 1 50); do
     fi
     sleep 0.1
 done
-curl -fsS "$BASE/healthz" | grep -q ok || { echo "FAIL: /healthz"; exit 1; }
+# Here-strings, not `echo … | grep -q`: under pipefail, grep -q exits on
+# the first match and the writer's SIGPIPE would fail the pipeline.
+grep -q ok <<<"$(curl -fsS "$BASE/healthz")" || { echo "FAIL: /healthz"; exit 1; }
 
 # One config from every PredictorConfig family, so the scalar-lane
 # assertion below really covers the full design space.
@@ -52,6 +56,8 @@ scrape() { curl -fsS "$BASE/metrics" | awk -v m="$1" '$1 == m { print $2 }'; }
 # tier-labelled throughput gauge.
 curl -fsS "$SWEEP" -o "$CACHE_DIR/cold.json"
 MISSES_COLD=$(scrape bpred_cache_misses_total)
+BATCHES_COLD=$(scrape bpred_batches_total)
+INLINE_COLD=$(scrape bpred_sweeps_inline_total)
 RECORDS_COLD=$(scrape bpred_records_replayed_total)
 PAIRS_LINE=$(curl -fsS "$BASE/metrics" | grep '^bpred_replay_pairs_per_sec{tier="')
 PAIRS_RATE=$(echo "$PAIRS_LINE" | awk '{ print $2 }')
@@ -85,6 +91,8 @@ MISSES_WARM=$(scrape bpred_cache_misses_total)
 HITS_WARM=$(scrape bpred_cache_hits_total)
 RECORDS_WARM=$(scrape bpred_records_replayed_total)
 MODELS_BUILT=$(scrape bpred_workload_models_built_total)
+BATCHES_WARM=$(scrape bpred_batches_total)
+INLINE_WARM=$(scrape bpred_sweeps_inline_total)
 
 cmp "$CACHE_DIR/cold.json" "$CACHE_DIR/warm.json" \
     || { echo "FAIL: cached response differs from cold response"; exit 1; }
@@ -93,6 +101,12 @@ cmp "$CACHE_DIR/cold.json" "$CACHE_DIR/warm.json" \
 [[ "$HITS_WARM" -gt 0 ]] || { echo "FAIL: warm request did not hit the cache"; exit 1; }
 [[ "$RECORDS_WARM" -eq "$RECORDS_COLD" ]] \
     || { echo "FAIL: warm request replayed records ($RECORDS_COLD -> $RECORDS_WARM)"; exit 1; }
+# The cold sweep went to the compute pool; the warm repeat was answered
+# on the event loop without a batch.
+[[ "$INLINE_COLD" == 0 && "$INLINE_WARM" == 1 ]] \
+    || { echo "FAIL: warm repeat not answered inline (bpred_sweeps_inline_total $INLINE_COLD -> $INLINE_WARM)"; exit 1; }
+[[ "$BATCHES_WARM" -eq "$BATCHES_COLD" ]] \
+    || { echo "FAIL: warm repeat ran a batch (bpred_batches_total $BATCHES_COLD -> $BATCHES_WARM)"; exit 1; }
 # Cold and warm sweeps share one materialisation of the espresso model.
 [[ "$MODELS_BUILT" == 1 ]] \
     || { echo "FAIL: espresso model built ${MODELS_BUILT:-?} times (bpred_workload_models_built_total)"; exit 1; }
@@ -114,11 +128,12 @@ for series in \
     'bpred_store_hot_bytes' \
     'bpred_replay_scalar_lanes' \
     'bpred_workload_models_built_total' \
+    'bpred_sweeps_inline_total' \
     'bpred_replay_group_lanes{plan="tournament"}' \
     'bpred_replay_group_lanes{plan="yags"}' \
     'bpred_replay_group_lanes{plan="path"}' \
     'bpred_replay_group_lanes{plan="last-time"}'; do
-    echo "$METRICS" | grep -qF "$series" \
+    grep -qF "$series" <<<"$METRICS" \
         || { echo "FAIL: /metrics missing series $series"; exit 1; }
 done
 OK_COUNT=$(echo "$METRICS" | grep -F 'bpred_serve_requests_total{status="200"}' | awk '{ print $2 }')
