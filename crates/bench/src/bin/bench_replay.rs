@@ -29,9 +29,9 @@
 //! actually ran lanes on the scalar tier is recorded as
 //! `"mode": "scalar-fallback"` instead of a misleading multilane
 //! number. A spill-scale scenario block re-measures the multilane
-//! tier at ~L2/~LLC/4×LLC arena footprints, and every row records
-//! the chunk-level prefetch the footprint gate resolved. Alongside the
-//! gshare headline `speedup`, the artifact carries a
+//! tier at arena footprints from within L2 to past the LLC, and every
+//! row records the chunk-level prefetch the footprint gate resolved.
+//! Alongside the gshare headline `speedup`, the artifact carries a
 //! `geomean_speedup` across all kernel families. `--quick` shrinks
 //! the trace and rep count for CI smoke use and additionally asserts
 //! that every family reports a non-fallback multilane row and that no
@@ -363,11 +363,12 @@ fn main() -> ExitCode {
     }
     std::env::remove_var("BPRED_FORCE_SCALAR");
 
-    // Spill-scale scenarios: identical-geometry gshare lanes sized so
-    // one fused group's shared arena lands at ~L2 (1 MiB), ~LLC
-    // (16 MiB), and 4×LLC (64 MiB) — 16 lanes × 2^(h+c) cells × 8 B.
-    // Each row records whether the footprint gate turned chunk-level
-    // prefetch on.
+    // Spill-scale scenarios: identical-geometry gshare lanes, one fused
+    // group's shared arena of 16 lanes × 2^(h+c) cells × CELL_BYTES:
+    // 512 KiB, 8 MiB and 32 MiB. The names date from 8-byte cells
+    // (1, 16 and 64 MiB); the shapes stay so the rows stay comparable
+    // across artifacts. Each row records whether the footprint gate
+    // turned chunk-level prefetch on.
     let spill_scenarios: [(&str, u32); 3] =
         [("spill-l2", 11), ("spill-llc", 15), ("spill-4xllc", 17)];
     for (name, history_bits) in spill_scenarios {

@@ -1,14 +1,18 @@
 //! Packed counter-cell primitives.
 //!
-//! A *cell* is the single-`u64` second-level table entry introduced by
-//! the replay-path rebuild: the low two bits hold a saturating-counter
-//! state, the high 62 bits the conflict-detection owner tag (the
-//! branch address that last touched the counter, the paper's
-//! direct-mapped-cache analogy). [`CounterTable`](crate::CounterTable)
-//! — the scalar oracle every fast path is measured against — and the
-//! multilane replay kernels in `bpred-sim` both step cells through the
-//! helpers in this module, so there is exactly one definition of the
-//! cell transition function in the workspace.
+//! A *cell* is the scalar second-level table entry, one `u64`: the low
+//! two bits hold a saturating-counter state, the high 62 bits the
+//! conflict-detection owner tag (the branch address that last touched
+//! the counter, the paper's direct-mapped-cache analogy).
+//! [`CounterTable`](crate::CounterTable), the scalar oracle every fast
+//! path is measured against, steps its cells through the helpers in
+//! this module.
+//!
+//! The fused multilane kernels in `bpred-sim` keep their own 4-byte
+//! cells: the same two counter bits under a 30-bit owner tag that maps
+//! each 62-bit [`tag`] exactly (see `bpred_sim::multilane`). The two
+//! representations are independent on purpose, so the multilane
+//! identity tests check the narrow tags against the full ones.
 //!
 //! # Examples
 //!
@@ -32,9 +36,8 @@ use crate::counter::next_counter_bits;
 /// instruction in the last word of the address space).
 pub const EMPTY_OWNER: u64 = (1 << 62) - 1;
 
-/// Lanes per fused multilane replay group in `bpred-sim` (the number
-/// of two-bit counter fields one `u64` holds): larger sweeps split
-/// into several groups.
+/// Lanes per fused multilane replay group in `bpred-sim`: larger
+/// sweeps split into several groups, each with its own counter arena.
 pub const PACKED_LANES: usize = 32;
 
 /// A cell holding `counter_bits` with no owner recorded yet.

@@ -13,9 +13,12 @@ use std::time::Duration;
 
 use crate::store::StoreStats;
 
-/// Upper bounds (seconds) of the batch-latency histogram buckets; a
-/// `+Inf` bucket is implicit.
-pub const LATENCY_BOUNDS: [f64; 5] = [0.001, 0.01, 0.1, 1.0, 10.0];
+/// Upper bounds (seconds) of the batch-latency histogram buckets, two
+/// per decade from 10 µs (a one-cell batch on a short trace) to 10 s;
+/// a `+Inf` bucket is implicit.
+pub const LATENCY_BOUNDS: [f64; 13] = [
+    0.00001, 0.00003, 0.0001, 0.0003, 0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0,
+];
 
 /// A histogram of batch latencies with fixed bounds.
 #[derive(Debug, Default)]
@@ -370,6 +373,7 @@ mod tests {
         let m = Metrics::new();
         Metrics::inc(&m.http_requests);
         Metrics::add(&m.cache_hits, 5);
+        m.batch_latency.observe(Duration::from_micros(20));
         m.batch_latency.observe(Duration::from_millis(3));
         m.batch_latency.observe(Duration::from_millis(300));
         let text = m.render_prometheus();
@@ -379,11 +383,20 @@ mod tests {
         assert!(text.contains("bpred_workload_models_built_total 0"));
         assert!(text.contains("bpred_sweeps_inline_total 0"));
         assert!(text.contains("bpred_inflight_batches 0"));
-        assert!(text.contains("bpred_batch_seconds_count 2"));
-        // 3ms falls in le=0.01; 300ms in le=1; cumulative buckets.
-        assert!(text.contains("bpred_batch_seconds_bucket{le=\"0.01\"} 1"));
-        assert!(text.contains("bpred_batch_seconds_bucket{le=\"1\"} 2"));
-        assert!(text.contains("bpred_batch_seconds_bucket{le=\"+Inf\"} 2"));
+        assert!(text.contains("bpred_batch_seconds_count 3"));
+        // 20µs falls in le=0.00003, 3ms in le=0.003, 300ms in le=0.3;
+        // cumulative buckets, one per bound plus +Inf.
+        assert_eq!(
+            text.matches("bpred_batch_seconds_bucket{").count(),
+            LATENCY_BOUNDS.len() + 1
+        );
+        assert!(text.contains("bpred_batch_seconds_bucket{le=\"0.00001\"} 0"));
+        assert!(text.contains("bpred_batch_seconds_bucket{le=\"0.00003\"} 1"));
+        assert!(text.contains("bpred_batch_seconds_bucket{le=\"0.001\"} 1"));
+        assert!(text.contains("bpred_batch_seconds_bucket{le=\"0.003\"} 2"));
+        assert!(text.contains("bpred_batch_seconds_bucket{le=\"0.1\"} 2"));
+        assert!(text.contains("bpred_batch_seconds_bucket{le=\"1\"} 3"));
+        assert!(text.contains("bpred_batch_seconds_bucket{le=\"+Inf\"} 3"));
         assert!(text.contains("# TYPE bpred_records_replayed_total counter"));
     }
 

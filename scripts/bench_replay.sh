@@ -12,7 +12,7 @@
 # (tournament/YAGS/path/last-time); a multilane row whose sweep ran
 # lanes on the scalar tier is marked "mode": "scalar-fallback"
 # rather than recorded as a multilane number. A spill-scale family
-# (16-lane gshare sweeps at ~L2 / ~LLC / 4×LLC arena footprints)
+# (16-lane gshare sweeps at arena footprints from within L2 to past the LLC)
 # records the prefetch mode the footprint gate resolved per row; the
 # summary carries a geomean speedup across every family measured
 # both scalar and multilane.
