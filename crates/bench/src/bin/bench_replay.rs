@@ -41,18 +41,13 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
 
+use bpred_bench::replay_rows::{families, spill_rows, Family};
 use bpred_bench::rustc_version;
 use bpred_core::PredictorConfig;
 use bpred_serve::json::escape;
 use bpred_sim::{dispatch_tier, run_batched_chunked, SimResult, Simulator, DEFAULT_SHARD_SIZE};
 use bpred_trace::{TraceChunk, TraceSource};
 use bpred_workloads::{suite, WorkloadSource};
-
-/// One family sweep: a name plus the configurations replayed together.
-struct Family {
-    name: &'static str,
-    configs: Vec<PredictorConfig>,
-}
 
 /// A measured (family × mode) cell. `mode` is the requested dispatch
 /// mode, rewritten to `"scalar-fallback"` when a multilane
@@ -77,156 +72,6 @@ fn resolved_prefetch() -> &'static str {
     } else {
         "off"
     }
-}
-
-fn families() -> Vec<Family> {
-    let gshare = (2..10u32)
-        .flat_map(|history_bits| {
-            (1..=4u32).map(move |col_bits| PredictorConfig::Gshare {
-                history_bits,
-                col_bits,
-            })
-        })
-        .collect::<Vec<_>>();
-    assert_eq!(gshare.len(), 32, "the acceptance sweep is 32 points");
-    vec![
-        Family {
-            name: "gshare",
-            configs: gshare,
-        },
-        Family {
-            name: "gas",
-            configs: (2..10u32)
-                .flat_map(|history_bits| {
-                    (1..=4u32).map(move |col_bits| PredictorConfig::Gas {
-                        history_bits,
-                        col_bits,
-                    })
-                })
-                .collect(),
-        },
-        Family {
-            name: "address-indexed",
-            configs: (1..=16u32)
-                .map(|addr_bits| PredictorConfig::AddressIndexed { addr_bits })
-                .collect(),
-        },
-        Family {
-            name: "static",
-            configs: vec![
-                PredictorConfig::AlwaysTaken,
-                PredictorConfig::AlwaysNotTaken,
-                PredictorConfig::Btfn,
-            ],
-        },
-        // The table-walk-plan families: per-address/per-set history
-        // schemes and the dealiased predictors, grouped since the plan
-        // refactor (previously pinned to the scalar fallback).
-        Family {
-            name: "pas",
-            configs: (2..6u32)
-                .map(|history_bits| PredictorConfig::PasInfinite {
-                    history_bits,
-                    col_bits: 2,
-                })
-                .collect(),
-        },
-        Family {
-            name: "pas-finite",
-            // One 1024x4 first level under eight history widths: the
-            // lanes share one first-level walk per chunk.
-            configs: (2..=9u32)
-                .map(|history_bits| PredictorConfig::PasFinite {
-                    history_bits,
-                    col_bits: 2,
-                    entries: 1024,
-                    ways: 4,
-                })
-                .collect(),
-        },
-        Family {
-            name: "sas",
-            configs: (2..6u32)
-                .map(|history_bits| PredictorConfig::Sas {
-                    history_bits,
-                    set_bits: 4,
-                    col_bits: 2,
-                })
-                .collect(),
-        },
-        Family {
-            name: "agree",
-            configs: (4..12u32)
-                .map(|index_bits| PredictorConfig::Agree {
-                    history_bits: index_bits.min(8),
-                    index_bits,
-                })
-                .collect(),
-        },
-        Family {
-            name: "bimode",
-            configs: (4..12u32)
-                .map(|direction_bits| PredictorConfig::BiMode {
-                    history_bits: direction_bits.min(8),
-                    direction_bits,
-                    choice_bits: direction_bits,
-                })
-                .collect(),
-        },
-        Family {
-            name: "gskew",
-            configs: (4..12u32)
-                .map(|bank_bits| PredictorConfig::Gskew {
-                    history_bits: bank_bits.min(10),
-                    bank_bits,
-                })
-                .collect(),
-        },
-        // The multi-structure families: chooser-over-two-subplans,
-        // tagged direction caches, the path-history register feed,
-        // and the degenerate single-bit table — the last schemes off
-        // the scalar fallback.
-        Family {
-            name: "tournament",
-            configs: (4..12u32)
-                .map(|bits| PredictorConfig::Tournament {
-                    addr_bits: bits,
-                    history_bits: bits.min(10),
-                    chooser_bits: bits,
-                })
-                .collect(),
-        },
-        Family {
-            name: "yags",
-            configs: (4..12u32)
-                .map(|cache_bits| PredictorConfig::Yags {
-                    choice_bits: cache_bits,
-                    cache_bits,
-                    tag_bits: 6,
-                })
-                .collect(),
-        },
-        Family {
-            name: "path",
-            configs: (4..12u32)
-                .map(|row_bits| PredictorConfig::Path {
-                    row_bits,
-                    col_bits: 2,
-                    bits_per_target: 4,
-                })
-                .collect(),
-        },
-        Family {
-            name: "lasttime",
-            // 32 lanes: the single-bit walk is nearly free, so a
-            // narrow family would measure the shared chunk generation
-            // it amortizes rather than the kernel.
-            configs: (1..=16u32)
-                .chain(1..=16u32)
-                .map(|addr_bits| PredictorConfig::LastTime { addr_bits })
-                .collect(),
-        },
-    ]
 }
 
 /// Replays `configs` against `source` `reps` times and returns the
@@ -363,22 +208,9 @@ fn main() -> ExitCode {
     }
     std::env::remove_var("BPRED_FORCE_SCALAR");
 
-    // Spill-scale scenarios: identical-geometry gshare lanes, one fused
-    // group's shared arena of 16 lanes × 2^(h+c) cells × CELL_BYTES:
-    // 512 KiB, 8 MiB and 32 MiB. The names date from 8-byte cells
-    // (1, 16 and 64 MiB); the shapes stay so the rows stay comparable
-    // across artifacts. Each row records whether the footprint gate
-    // turned chunk-level prefetch on.
-    let spill_scenarios: [(&str, u32); 3] =
-        [("spill-l2", 11), ("spill-llc", 15), ("spill-4xllc", 17)];
-    for (name, history_bits) in spill_scenarios {
-        let configs = vec![
-            PredictorConfig::Gshare {
-                history_bits,
-                col_bits: 2,
-            };
-            16
-        ];
+    // Spill-scale scenarios (`spill_rows`): each row records
+    // whether the footprint gate turned chunk-level prefetch on.
+    for Family { name, configs } in spill_rows() {
         let (pairs_per_sec, _) = measure(&configs, &source, records, reps);
         let prefetch = resolved_prefetch();
         eprintln!(

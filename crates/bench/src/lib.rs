@@ -21,6 +21,8 @@
 use std::process::ExitCode;
 
 use bpred_core::TableGeometry;
+
+pub mod replay_rows;
 use bpred_sim::experiments::ExperimentOptions;
 
 /// Parsed command-line options for an experiment binary.

@@ -8,7 +8,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use crate::{BranchPredictor, TableGeometry};
+use crate::{BranchPredictor, TableGeometry, WalkPlan};
 
 /// A buildable description of one predictor configuration.
 ///
@@ -178,62 +178,15 @@ impl PredictorConfig {
 
     /// Number of second-level two-bit counters (0 for static schemes;
     /// for the tournament, the sum over components and chooser). The
-    /// tier key of the paper's constant-cost comparisons.
+    /// tier key of the paper's constant-cost comparisons, read off the
+    /// configuration's [`WalkPlan`], the one place that knows table
+    /// geometry.
     ///
     /// Every parsed configuration has table widths within
     /// [`TableGeometry::MAX_TOTAL_BITS`], so the count never
-    /// overflows; a hand-built variant with wider tables panics here
-    /// as it would in [`build`](Self::build).
+    /// overflows.
     pub fn counters(&self) -> u64 {
-        match *self {
-            PredictorConfig::AlwaysTaken
-            | PredictorConfig::AlwaysNotTaken
-            | PredictorConfig::Btfn => 0,
-            PredictorConfig::LastTime { addr_bits } => 1u64 << addr_bits,
-            PredictorConfig::AddressIndexed { addr_bits } => 1u64 << addr_bits,
-            PredictorConfig::Gas {
-                history_bits,
-                col_bits,
-            }
-            | PredictorConfig::Gshare {
-                history_bits,
-                col_bits,
-            }
-            | PredictorConfig::PasInfinite {
-                history_bits,
-                col_bits,
-            } => 1u64 << (history_bits + col_bits),
-            PredictorConfig::PasFinite {
-                history_bits,
-                col_bits,
-                ..
-            } => 1u64 << (history_bits + col_bits),
-            PredictorConfig::Path {
-                row_bits, col_bits, ..
-            } => 1u64 << (row_bits + col_bits),
-            PredictorConfig::Tournament {
-                addr_bits,
-                history_bits,
-                chooser_bits,
-            } => (1u64 << addr_bits) + (1u64 << history_bits) + (1u64 << chooser_bits),
-            PredictorConfig::Sas {
-                history_bits,
-                col_bits,
-                ..
-            } => 1u64 << (history_bits + col_bits),
-            PredictorConfig::Agree { index_bits, .. } => 1u64 << index_bits,
-            PredictorConfig::BiMode {
-                direction_bits,
-                choice_bits,
-                ..
-            } => 2 * (1u64 << direction_bits) + (1u64 << choice_bits),
-            PredictorConfig::Gskew { bank_bits, .. } => 3 * (1u64 << bank_bits),
-            PredictorConfig::Yags {
-                choice_bits,
-                cache_bits,
-                ..
-            } => (1u64 << choice_bits) + 2 * (1u64 << cache_bits),
-        }
+        WalkPlan::of(self).map_or(0, |plan| plan.cells())
     }
 
     /// Index widths (log2 of the entry count) of every table the

@@ -46,6 +46,15 @@ use crate::store::{Address, ResultStore, Tier};
 /// Default trace seed, matching the experiment drivers.
 pub const DEFAULT_SEED: u64 = 1996;
 
+/// The most second-level counters one sweep may ask for, summed over
+/// its configurations ([`PredictorConfig::counters`]): 2^24, a 64 MiB
+/// fused counter arena or 128 MiB of scalar-oracle cells. A whole
+/// workload's share of the paper plan fits; one table at
+/// [`TableGeometry::MAX_TOTAL_BITS`](bpred_core::TableGeometry::MAX_TOTAL_BITS)
+/// does not. [`SweepRequest::parse`] refuses a sweep over it, so no
+/// model is built and no cell computed for it.
+pub const MAX_SWEEP_COUNTERS: u64 = 1 << 24;
+
 /// A parsed sweep request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepRequest {
@@ -132,6 +141,13 @@ impl SweepRequest {
             return Err(BadRequest::new(
                 "missing parameter: configs (e.g. configs=gshare:h=8,c=2;gas:h=8,c=2)",
             ));
+        }
+        let counters = (configs.iter()).fold(0u64, |sum, c| sum.saturating_add(c.counters()));
+        if counters > MAX_SWEEP_COUNTERS {
+            return Err(BadRequest::new(format!(
+                "configs hold {counters} counters, over the per-sweep budget of \
+                 {MAX_SWEEP_COUNTERS}"
+            )));
         }
         Ok(SweepRequest {
             workload,
@@ -532,6 +548,23 @@ mod tests {
         assert!(SweepRequest::parse("workload=e&configs=gshare:h=6&seed=x").is_err());
         assert!(SweepRequest::parse("workload=e&configs=gshare:h=6&branches=0").is_err());
         assert!(SweepRequest::parse("workload=e&configs=gshare:h=6&bogus=1").is_err());
+    }
+
+    #[test]
+    fn parse_holds_sweeps_to_the_counter_budget() {
+        let sweep = |configs: &str| SweepRequest::parse(&format!("workload=e&configs={configs}"));
+        // Exactly the budget is accepted, one table past it is not, and
+        // neither is a list of legal tables that adds up past it.
+        assert!(sweep("gshare:h=24,c=0").is_ok());
+        assert!(sweep("gshare:h=12,c=12;taken").is_ok());
+        let over = sweep("gshare:h=30,c=0").unwrap_err();
+        assert_eq!(over.status, 400);
+        assert!(
+            over.message.contains(&MAX_SWEEP_COUNTERS.to_string()),
+            "{over:?}"
+        );
+        assert!(sweep("gshare:h=24,c=0;bimodal:a=1").is_err());
+        assert!(sweep(&["gskew:h=8,b=21"; 6].join(";")).is_err());
     }
 
     #[test]

@@ -192,6 +192,43 @@ fn oversize_configs_get_400_and_leave_every_worker_alive() {
     server.shutdown();
 }
 
+/// Sends `sweep`, which asks for more counters than the per-sweep
+/// budget, and requires a 400 that names the budget.
+fn assert_over_budget(addr: SocketAddr, sweep: &str) {
+    let (status, _, body) = get(addr, sweep);
+    assert!(status.contains("400"), "got {status}");
+    let reason = String::from_utf8_lossy(&body);
+    let budget = bpred_serve::service::MAX_SWEEP_COUNTERS.to_string();
+    assert!(reason.contains(&budget), "{reason}");
+}
+
+#[test]
+fn a_table_over_the_sweep_budget_gets_400_and_builds_nothing() {
+    let server = start(Some(scratch("budget-one")));
+    let addr = server.addr();
+    // One legal table of 2^30 counters: a 4 GiB arena had it run.
+    assert_over_budget(addr, "/sweep?workload=espresso&configs=gshare:h=30,c=0");
+    assert_eq!(metric(addr, "bpred_workload_models_built_total"), 0);
+    assert_eq!(metric(addr, "bpred_cache_misses_total"), 0);
+    assert_eq!(metric(addr, "bpred_bad_requests_total"), 1);
+    let (status, _, _) = get(addr, SWEEP);
+    assert!(status.contains("200"), "got {status}");
+    server.shutdown();
+}
+
+#[test]
+fn legal_tables_that_add_up_past_the_sweep_budget_get_400() {
+    let server = start(None);
+    let addr = server.addr();
+    // Each 3 x 2^21 counters, well inside the budget alone; six of
+    // them are past it.
+    let configs = ["gskew:h=8,b=21"; 6].join(";");
+    assert_over_budget(addr, &format!("/sweep?workload=espresso&configs={configs}"));
+    assert_eq!(metric(addr, "bpred_workload_models_built_total"), 0);
+    assert_eq!(metric(addr, "bpred_cache_misses_total"), 0);
+    server.shutdown();
+}
+
 #[test]
 fn eight_concurrent_clients_are_served() {
     let dir = scratch("concurrent");

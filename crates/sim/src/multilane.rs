@@ -34,13 +34,16 @@
 //!   The row source is the lane's global history register, advanced
 //!   in the loop (Direct lanes and agree), or its shared first-level
 //!   walk (PAs, SAs, path). The counter rule trains toward the outcome,
-//!   or, for agree, toward agreement with the shared bias column. The
-//!   multi-read plans keep their own loops over the same counter step
-//!   and history register: bi-mode's choice-steered direction tables,
-//!   gskew's majority of three skewed banks, tournament's chooser over
-//!   two components, and YAGS's tagged exception caches over a choice
-//!   bias. The one-bit LastTime table has a loop of its own, with no
-//!   shared arena. Groups iterate lanes in *row-blocked* order
+//!   or, for agree, toward agreement with the shared bias column. Every
+//!   plan with several reads runs one other lane loop, `MultiReadGroup`,
+//!   over its global history register, compiled once per *combine
+//!   rule*: bi-mode's choice-steered direction tables, gskew's majority
+//!   of three skewed banks, tournament's chooser over two components,
+//!   and YAGS's tagged exception caches over a choice bias. A rule is a
+//!   small per-lane value (region bases and masks) with one
+//!   per-conditional step, so a new rule is one `Combine` impl and one
+//!   arm in `Group::new`. The one-bit LastTime table has a loop of its
+//!   own, with no shared arena. Groups iterate lanes in *row-blocked* order
 //!   (descending region size, ties by configuration position — the
 //!   same order the arena placer assigns bases), so consecutive lanes
 //!   of a sweep walk adjacent arena regions and same-row reads land in
@@ -63,7 +66,9 @@
 //!   CI). It changes the code path, never the results.
 
 use std::collections::HashMap;
+use std::hint::select_unpredictable;
 use std::marker::PhantomData;
+use std::ops::Range;
 
 use bpred_core::{
     cell, reset_pattern, AliasStats, BhtStats, CombineRule, IndexFn, Level1Read, PlanKind,
@@ -219,44 +224,33 @@ struct StaticUnit {
     /// Result slot in the caller's configuration order.
     index: usize,
     scheme: StaticScheme,
+    /// The kernel's display name.
+    name: String,
     mispredictions: u64,
 }
 
 impl StaticUnit {
-    /// Scores a whole chunk. `conditionals`/`taken` are the chunk's
-    /// shared counts; the bulk word paths apply once the warmup prefix
-    /// is consumed, with a per-record fallback for the (rare) chunk
-    /// that crosses the warmup boundary.
-    fn replay_chunk(
-        &mut self,
-        chunk: &TraceChunk,
-        seen: u64,
-        warmup: u64,
-        conditionals: u64,
-        taken: u64,
-    ) {
-        if seen >= warmup {
+    /// Scores a whole chunk whose first `unscored` conditionals fall in
+    /// the warmup prefix. `conditionals`/`taken` are the chunk's shared
+    /// counts; the bulk word paths apply once the warmup prefix is
+    /// consumed, with a per-record fallback for the (rare) chunk that
+    /// crosses the warmup boundary.
+    fn replay_chunk(&mut self, chunk: &TraceChunk, unscored: u64, conditionals: u64, taken: u64) {
+        if unscored == 0 {
             self.mispredictions += match self.scheme {
                 StaticScheme::AlwaysTaken => conditionals - taken,
                 StaticScheme::AlwaysNotTaken => taken,
                 StaticScheme::Btfn => btfn_wrong(chunk),
             };
         } else {
-            self.replay_chunk_scalar(chunk, seen, warmup);
+            self.replay_chunk_scalar(chunk, unscored);
         }
     }
 
     /// Per-record path for chunks that straddle the warmup boundary.
-    fn replay_chunk_scalar(&mut self, chunk: &TraceChunk, mut seen: u64, warmup: u64) {
-        for record in chunk.iter() {
-            if !record.is_conditional() {
-                continue;
-            }
-            let scored = seen >= warmup;
-            seen += 1;
-            if !scored {
-                continue;
-            }
+    fn replay_chunk_scalar(&mut self, chunk: &TraceChunk, unscored: u64) {
+        let conditionals = chunk.iter().filter(|record| record.is_conditional());
+        for record in conditionals.skip(unscored as usize) {
             let predicted = match self.scheme {
                 StaticScheme::AlwaysTaken => Outcome::Taken,
                 StaticScheme::AlwaysNotTaken => Outcome::NotTaken,
@@ -268,11 +262,7 @@ impl StaticUnit {
 
     fn finish(self, scored: u64) -> SimResult {
         SimResult {
-            predictor: match self.scheme {
-                StaticScheme::AlwaysTaken => "always-taken".to_owned(),
-                StaticScheme::AlwaysNotTaken => "always-not-taken".to_owned(),
-                StaticScheme::Btfn => "btfn".to_owned(),
-            },
+            predictor: self.name,
             state_bits: 0,
             conditionals: scored,
             mispredictions: self.mispredictions,
@@ -317,7 +307,7 @@ struct PlanSpec {
 /// slot in the caller's configuration order, display name, static
 /// state cost, and the three accumulators the kernels add into once
 /// per lane and chunk.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct LaneTally {
     index: usize,
     name: String,
@@ -743,21 +733,16 @@ fn reset_fill(width: u32) -> [u64; 65] {
 /// measured ~35% slower on the tournament and YAGS kernels).
 trait GroupKernel: std::fmt::Debug + Send {
     /// Feeds one decoded chunk through lane `lane` and returns its
-    /// counts. `seen`/`warmup` reproduce the scalar core's warmup
-    /// scoring exactly.
-    fn replay_lane(
-        &mut self,
-        lane: usize,
-        input: &ChunkInputs,
-        seen: u64,
-        warmup: u64,
-    ) -> LaneCounts;
+    /// counts. The chunk's first `unscored` conditionals fall in the
+    /// warmup prefix: they train the lane but score no miss, exactly
+    /// as in the scalar core.
+    fn replay_lane(&mut self, lane: usize, input: &ChunkInputs, unscored: usize) -> LaneCounts;
 
     /// Feeds one decoded chunk through every lane, adding each lane's
     /// counts into its tally (`lanes` is in kernel lane order).
-    fn replay(&mut self, lanes: &mut [LaneTally], input: &ChunkInputs, seen: u64, warmup: u64) {
+    fn replay(&mut self, lanes: &mut [LaneTally], input: &ChunkInputs, unscored: usize) {
         for (lane, tally) in lanes.iter_mut().enumerate() {
-            tally.add(self.replay_lane(lane, input, seen, warmup));
+            tally.add(self.replay_lane(lane, input, unscored));
         }
     }
 
@@ -811,10 +796,12 @@ impl Group {
             PlanKind::PerAddressFinite => ("pas-finite", Box::new(WalkedGroup::new(&specs, input))),
             PlanKind::PerSet => ("per-set", Box::new(WalkedGroup::new(&specs, input))),
             PlanKind::AgreeBias => ("agree", Box::new(AgreeBiasGroup::new(&specs, input))),
-            PlanKind::BiModeChoice => ("bimode", Box::new(BiModeGroup::new(&specs))),
-            PlanKind::SkewedMajority => ("gskew", Box::new(GskewGroup::new(&specs))),
-            PlanKind::TournamentChooser => ("tournament", Box::new(TournamentGroup::new(&specs))),
-            PlanKind::TaggedChoice => ("yags", Box::new(TaggedGroup::new(&specs))),
+            PlanKind::BiModeChoice => ("bimode", MultiReadGroup::<BiMode>::boxed(&specs)),
+            PlanKind::SkewedMajority => ("gskew", MultiReadGroup::<Gskew>::boxed(&specs)),
+            PlanKind::TournamentChooser => {
+                ("tournament", MultiReadGroup::<Tournament>::boxed(&specs))
+            }
+            PlanKind::TaggedChoice => ("yags", MultiReadGroup::<Yags>::boxed(&specs)),
             PlanKind::PathHistory => ("path", Box::new(WalkedGroup::new(&specs, input))),
             PlanKind::LastOutcome => ("last-time", Box::new(LastTimeGroup::new(&specs))),
         };
@@ -826,9 +813,7 @@ impl Group {
                     index: spec.index,
                     name: spec.name,
                     state_bits: spec.state_bits,
-                    conflicts: 0,
-                    harmless: 0,
-                    mispredictions: 0,
+                    ..LaneTally::default()
                 })
                 .collect(),
             kernel,
@@ -945,7 +930,7 @@ trait RowSource: Copy + std::fmt::Debug + Send + 'static {
 }
 
 /// The global history register as a row source (address-indexed,
-/// GAg/GAs, gshare and agree; the multi-read kernels keep one too),
+/// GAg/GAs, gshare and agree; every multi-read lane keeps one too),
 /// advanced inside the lane loop: the row is `history ^ ((word >>
 /// col_bits) & xor_mask)`. Every read it feeds (bar gskew's hashed
 /// banks) has at least `history_bits` row bits, so the history needs
@@ -1158,7 +1143,7 @@ type LaneColumns<'a> = (&'a [u64], &'a [u32], &'a [u8], WalkColumns<'a>);
 #[derive(Debug)]
 struct SingleReadGroup<S, R> {
     rows: Vec<S>,
-    region: Vec<std::ops::Range<usize>>,
+    region: Vec<Range<usize>>,
     /// Dynamic state per distinct branch, added at finish: a perfect
     /// table's history width, agree's one bias bit, else 0.
     branch_bits: Vec<u64>,
@@ -1178,14 +1163,12 @@ type AgreeBiasGroup = SingleReadGroup<GlobalRegister, AgreeWithBias>;
 
 impl<S: RowSource, R: CounterRule> SingleReadGroup<S, R> {
     fn new(specs: &[PlanSpec], input: &mut ChunkInputs) -> Self {
-        let (base, arena) = lane_arena(specs);
+        let (region, arena) = lane_arena(specs, |_| None);
         input.needs_ids |= R::READS_BIAS;
         input.needs_bias |= R::READS_BIAS;
         SingleReadGroup {
             rows: specs.iter().map(|s| S::new(s, input)).collect(),
-            region: (specs.iter().zip(base))
-                .map(|(s, base)| base as usize..(base + s.plan.reads[0].cells()) as usize)
-                .collect(),
+            region,
             branch_bits: per_lane(specs, |p| match (p.combine, p.level1) {
                 (CombineRule::AgreementVsBias, _) => 1,
                 (_, Level1Read::PerfectBht) => u64::from(p.history_bits),
@@ -1266,19 +1249,12 @@ impl<S: RowSource, R: CounterRule> GroupKernel for SingleReadGroup<S, R> {
     /// before the read-modify-write pass consumes them. The touches
     /// discard their values, so both forms are bit-identical.
     #[inline(never)]
-    fn replay_lane(
-        &mut self,
-        lane: usize,
-        input: &ChunkInputs,
-        seen: u64,
-        warmup: u64,
-    ) -> LaneCounts {
+    fn replay_lane(&mut self, lane: usize, input: &ChunkInputs, unscored: usize) -> LaneCounts {
         let mut rows = self.rows[lane];
         let stream = &input.conditionals[..];
         let columns = (stream, &input.tags[..], R::bias(input), rows.columns(input));
         let arena = &mut self.arena[self.region[lane].clone()];
         let mask = arena.len() - 1;
-        let boundary = warmup.saturating_sub(seen).min(stream.len() as u64) as usize;
         let prefetch = S::PREFETCHES && self.prefetch;
         let window = if prefetch {
             PREFETCH_WINDOW
@@ -1298,7 +1274,8 @@ impl<S: RowSource, R: CounterRule> GroupKernel for SingleReadGroup<S, R> {
                     ahead.advance(packed);
                 }
             }
-            let mid = boundary.clamp(start, end);
+            // The bound always holds; stating it measured ~5% faster.
+            let mid = unscored.min(stream.len()).clamp(start, end);
             let (c0, h0, _) = run_lane::<S, R>(&mut rows, arena, columns, start..mid, false);
             let (c1, h1, w) = run_lane::<S, R>(&mut rows, arena, columns, mid..end, true);
             counts = (counts.0 + c0 + c1, counts.1 + h0 + h1, counts.2 + w);
@@ -1339,15 +1316,27 @@ fn place_regions(sizes: &[u64]) -> (Vec<u64>, usize) {
 
 /// Places every lane's table regions (its plan's reads, in order) into
 /// one arena of untouched cells in the workspace default counter state
-/// (weakly taken). Returns the region bases, lane-major, and the arena.
-fn lane_arena(specs: &[PlanSpec]) -> (Vec<u64>, Vec<Cell>) {
-    let sizes: Vec<u64> = specs
-        .iter()
-        .flat_map(|s| s.plan.reads.iter().map(TableRead::cells))
-        .collect();
+/// (weakly taken), bar the reads whose region `fill` gives another
+/// initial cell. Returns the regions, lane-major, and the arena.
+fn lane_arena(
+    specs: &[PlanSpec],
+    fill: fn(usize) -> Option<Cell>,
+) -> (Vec<Range<usize>>, Vec<Cell>) {
+    let reads = || specs.iter().flat_map(|s| s.plan.reads.iter().enumerate());
+    let sizes: Vec<u64> = reads().map(|(_, table)| table.cells()).collect();
     let (bases, len) = place_regions(&sizes);
     let bits = TwoBitCounter::default().state().bits();
-    (bases, vec![owned(NarrowTags::EMPTY, bits.into()); len])
+    let mut arena = vec![owned(NarrowTags::EMPTY, bits.into()); len];
+    let regions = (reads().zip(bases))
+        .map(|((read, table), base)| {
+            let region = base as usize..(base + table.cells()) as usize;
+            if let Some(cell) = fill(read) {
+                arena[region.clone()].fill(cell);
+            }
+            region
+        })
+        .collect();
+    (regions, arena)
 }
 
 /// One per-lane parameter column: `f` of each lane's plan.
@@ -1355,28 +1344,11 @@ fn per_lane(specs: &[PlanSpec], f: impl Fn(&WalkPlan) -> u64) -> Vec<u64> {
     specs.iter().map(|s| f(&s.plan)).collect()
 }
 
-/// Every lane's history register, feeding its plan's `read`-th read.
-fn registers(specs: &[PlanSpec], read: usize) -> Vec<GlobalRegister> {
-    (specs.iter())
-        .map(|s| GlobalRegister::feeding(&s.plan, s.plan.reads[read]))
-        .collect()
-}
-
-/// The bases of every lane's `read`-th region, for three-read plans
-/// (see [`lane_arena`]).
-fn region_bases(bases: &[u64], read: usize) -> Vec<u64> {
-    bases.iter().skip(read).step_by(3).copied().collect()
-}
-
-/// Row-blocked lane order: sorts plan specs by descending arena
-/// footprint (ties by configuration position) *before* group split —
-/// the exact order [`place_regions`] assigns bases in. Groups then
-/// iterate lanes in placement order, so consecutive lanes of a sweep
-/// walk adjacent arena regions and same-row reads of the shared arena
-/// land in neighbouring cache lines instead of striding the whole
-/// footprint. Pure iteration-order change: lanes are independent and
-/// each result goes to its lane's own slot, so output order (and every
-/// result bit) is unchanged.
+/// Row-blocked lane order (see the module docs): sorts plan specs by
+/// descending arena footprint, ties by configuration position, before
+/// the group split — the order [`place_regions`] assigns bases in.
+/// Lanes are independent and each result goes to its own slot, so only
+/// the iteration order changes.
 fn row_block_plans(specs: &mut [PlanSpec]) {
     specs.sort_by(|a, b| {
         b.plan
@@ -1388,7 +1360,7 @@ fn row_block_plans(specs: &mut [PlanSpec]) {
 
 /// Splits groupable specs into group-sized chunks, preserving order:
 /// the first [`cell::PACKED_LANES`] lanes form the first group, and so
-/// on (the same first-k policy [`LaneSet::new`] always used).
+/// on.
 fn split_at_lane_limit<T>(mut specs: Vec<T>) -> Vec<Vec<T>> {
     let mut out = Vec::new();
     while !specs.is_empty() {
@@ -1398,398 +1370,337 @@ fn split_at_lane_limit<T>(mut specs: Vec<T>) -> Vec<Vec<T>> {
     out
 }
 
-/// A lane group for [`PlanKind::BiModeChoice`]: a peeked choice read
-/// steers each record to one of two direction regions; the selected
-/// counter trains toward the outcome and the choice counter trains too
-/// unless the bi-mode exception holds (choice disagreed but the
-/// selected counter was right). The choice cells are only ever peeked
-/// and retrained, so their owner tags stay empty and they contribute
-/// no alias accounting — exactly the scalar tables' split.
+/// How a [`MultiReadGroup`] lane combines its counter reads: one small
+/// `Copy` value per lane, its region bases and masks, stepped once per
+/// conditional inside the group's one lane loop. A new combine rule is
+/// one impl of this trait plus one arm in `Group::new`.
+trait Combine: Copy + std::fmt::Debug + Send + 'static {
+    /// The read the lane's history register feeds.
+    const REGISTER_READ: usize;
+    /// Alias-instrumented table accesses per conditional.
+    const ACCESSES: u64;
+
+    /// The rule of a lane with plan `plan`, whose regions start at
+    /// `bases` (one per read, in read order).
+    fn new(plan: &WalkPlan, bases: &[u64]) -> Self;
+
+    /// The initial cell of read `read`'s region, when it is not the
+    /// arena's untagged weakly-taken default.
+    fn fill(_read: usize) -> Option<Cell> {
+        None
+    }
+
+    /// One conditional, `packed` with owner `tag`, under history `reg`:
+    /// predicts and trains in the lane's regions of `arena`, and returns
+    /// its conflicts, harmless conflicts and 1 on a miss.
+    fn step(&self, arena: &mut [Cell], reg: &GlobalRegister, packed: u64, tag: u32) -> LaneCounts;
+}
+
+/// A lane group for every plan with several counter reads (bi-mode,
+/// gskew, tournament, YAGS), its lane loop compiled once per
+/// [`Combine`] rule. Every lane keeps a [`GlobalRegister`]; its regions
+/// sit in the one shared arena, each slot masked by the arena's length.
 #[derive(Debug)]
-struct BiModeGroup {
-    /// Each lane's history register, feeding the direction reads.
-    regs: Vec<GlobalRegister>,
-    choice_mask: Vec<u64>,
-    taken_base: Vec<u64>,
-    not_taken_base: Vec<u64>,
-    choice_base: Vec<u64>,
+struct MultiReadGroup<C> {
+    /// Each lane's rule and history register.
+    lanes: Vec<(C, GlobalRegister)>,
     arena: Vec<Cell>,
 }
 
-impl BiModeGroup {
-    fn new(specs: &[PlanSpec]) -> Self {
-        // Three regions per lane: taken, not-taken, choice.
-        let (bases, arena) = lane_arena(specs);
-        BiModeGroup {
-            regs: registers(specs, 0),
-            choice_mask: per_lane(specs, |p| wide_low_mask(p.reads[2].col_bits)),
-            taken_base: region_bases(&bases, 0),
-            not_taken_base: region_bases(&bases, 1),
-            choice_base: region_bases(&bases, 2),
-            arena,
-        }
+impl<C: Combine> MultiReadGroup<C> {
+    fn boxed(specs: &[PlanSpec]) -> Box<dyn GroupKernel> {
+        let (regions, arena) = lane_arena(specs, C::fill);
+        let mut bases = regions.iter().map(|region| region.start as u64);
+        let lanes = (specs.iter())
+            .map(|spec| {
+                let plan = &spec.plan;
+                let bases: Vec<u64> = bases.by_ref().take(plan.reads.len()).collect();
+                let reg = GlobalRegister::feeding(plan, plan.reads[C::REGISTER_READ]);
+                (C::new(plan, &bases), reg)
+            })
+            .collect();
+        Box::new(MultiReadGroup { lanes, arena })
     }
 }
 
-impl GroupKernel for BiModeGroup {
+/// A lane's counts over the conditionals `stream` with owner `tags`,
+/// its misses counted only when `scored`. The rule, the register and
+/// the accumulators stay in locals.
+#[inline(always)]
+fn step_lane<C: Combine>(
+    rule: C,
+    reg: &mut GlobalRegister,
+    arena: &mut [Cell],
+    (stream, tags): (&[u64], &[u32]),
+    scored: bool,
+) -> LaneCounts {
+    let (mut conflicts, mut harmless, mut wrong) = (0u64, 0u64, 0u64);
+    for (&packed, &tag) in stream.iter().zip(tags) {
+        let (conflict, harmless_conflict, miss) = rule.step(arena, reg, packed, tag);
+        conflicts += conflict;
+        harmless += harmless_conflict;
+        if scored {
+            wrong += miss;
+        }
+        reg.advance(packed);
+    }
+    (conflicts, harmless, wrong)
+}
+
+impl<C: Combine> GroupKernel for MultiReadGroup<C> {
+    /// The chunk splits at the warmup boundary once, so no record tests
+    /// whether it is scored.
     #[inline(never)]
-    fn replay_lane(
-        &mut self,
-        lane: usize,
-        input: &ChunkInputs,
-        seen: u64,
-        warmup: u64,
-    ) -> LaneCounts {
+    fn replay_lane(&mut self, lane: usize, input: &ChunkInputs, unscored: usize) -> LaneCounts {
+        let (rule, mut reg) = self.lanes[lane];
         let stream = &input.conditionals[..];
-        let choice_mask = self.choice_mask[lane];
-        let taken_base = self.taken_base[lane];
-        let not_taken_base = self.not_taken_base[lane];
-        let choice_base = self.choice_base[lane];
-        let mut reg = self.regs[lane];
-        let (mut conflicts, mut harmless, mut wrong) = (0u64, 0u64, 0u64);
+        let (warm, scored) = stream.split_at(unscored);
+        let (warm_tags, scored_tags) = input.tags[..stream.len()].split_at(unscored);
         let arena = self.arena.as_mut_slice();
-        let mask = arena.len() - 1;
-        for (i, (&packed, &tag)) in stream.iter().zip(&input.tags).enumerate() {
-            let scored = (seen + i as u64 >= warmup) as u64;
-            let taken = packed & 1;
-            let choice_slot = ((choice_base | ((packed >> 3) & choice_mask)) as usize) & mask;
-            let choice_cell = arena[choice_slot];
-            let use_taken = ((choice_cell & 0b11) >= 2) as u64;
-            // Branchless region select between the two direction
-            // tables; the selected counter trains toward the outcome.
-            let dir_base =
-                not_taken_base ^ ((taken_base ^ not_taken_base) & use_taken.wrapping_neg());
-            let slot = ((dir_base | reg.index_of(packed)) as usize) & mask;
-            let (conflict, miss) = access::<TowardOutcome>(arena, slot, packed, tag, &[], i);
-            conflicts += conflict;
-            harmless += conflict & reg.all_taken();
-            wrong += scored & miss;
-            // Choice trains toward the outcome except on the
-            // bi-mode exception; its owner (empty) is preserved —
-            // peek and retrain never tag.
-            let exception = (use_taken ^ taken) & (1 - miss);
-            arena[choice_slot] = retrain(choice_cell, taken, 1 - exception);
-            reg.advance(packed);
-        }
-        self.regs[lane] = reg;
-        (conflicts, harmless, wrong)
+        let (c0, h0, _) = step_lane(rule, &mut reg, arena, (warm, warm_tags), false);
+        let (c1, h1, wrong) = step_lane(rule, &mut reg, arena, (scored, scored_tags), true);
+        self.lanes[lane].1 = reg;
+        (c0 + c1, h0 + h1, wrong)
+    }
+
+    fn accesses_per_conditional(&self) -> Option<u64> {
+        Some(C::ACCESSES)
     }
 }
 
-/// A lane group for [`PlanKind::SkewedMajority`]: three skewed bank
-/// reads per record, majority vote, total-update training. Each lane
-/// owns three disjoint bank regions, so the scalar
-/// access-access-access / train-train-train sequence fuses into one
-/// read-modify-write per bank.
-#[derive(Debug)]
-struct GskewGroup {
-    /// Each lane's history register, hashed with the address.
-    regs: Vec<GlobalRegister>,
+/// Slot `base | index`, masked by the arena's power-of-two length.
+#[inline(always)]
+fn slot(arena: &[Cell], base: u64, index: u64) -> usize {
+    (base | index) as usize & (arena.len() - 1)
+}
+
+/// Bi-mode ([`PlanKind::BiModeChoice`]): a peeked choice read steers
+/// each record to one of two direction regions; the selected counter
+/// trains toward the outcome and the choice counter trains too unless
+/// the bi-mode exception holds (choice disagreed but the selected
+/// counter was right). The choice cells are only ever peeked and
+/// retrained, so their owner tags stay empty and they contribute no
+/// alias accounting — exactly the scalar tables' split.
+#[derive(Debug, Clone, Copy)]
+struct BiMode {
+    /// Region bases: taken, not-taken, choice.
+    bases: [u64; 3],
+    choice_mask: u64,
+}
+
+impl Combine for BiMode {
+    const REGISTER_READ: usize = 0;
+    const ACCESSES: u64 = 1;
+
+    fn new(plan: &WalkPlan, bases: &[u64]) -> Self {
+        BiMode {
+            bases: bases.try_into().expect("three reads"),
+            choice_mask: wide_low_mask(plan.reads[2].col_bits),
+        }
+    }
+
+    #[inline(always)]
+    fn step(&self, arena: &mut [Cell], reg: &GlobalRegister, packed: u64, tag: u32) -> LaneCounts {
+        let [taken_base, not_taken_base, choice_base] = self.bases;
+        let taken = packed & 1;
+        let choice_slot = slot(arena, choice_base, (packed >> 3) & self.choice_mask);
+        let choice_cell = arena[choice_slot];
+        let use_taken = (choice_cell & 0b11) >= 2;
+        // Region select between the direction tables, kept a cmov (x86
+        // would branch on it); the selected counter trains toward the outcome.
+        let dir_base = select_unpredictable(use_taken, taken_base, not_taken_base);
+        let dir_slot = slot(arena, dir_base, reg.index_of(packed));
+        let (conflict, miss) = access::<TowardOutcome>(arena, dir_slot, packed, tag, &[], 0);
+        // Choice trains toward the outcome except on the bi-mode
+        // exception; its owner (empty) is preserved — peek and retrain
+        // never tag.
+        let exception = (u64::from(use_taken) ^ taken) & (1 - miss);
+        arena[choice_slot] = retrain(choice_cell, taken, 1 - exception);
+        (conflict, conflict & reg.all_taken(), miss)
+    }
+}
+
+/// gskew ([`PlanKind::SkewedMajority`]): three skewed bank reads per
+/// record, majority vote, total-update training. Each lane owns three
+/// disjoint bank regions, so the scalar access-access-access /
+/// train-train-train sequence fuses into one read-modify-write per
+/// bank.
+#[derive(Debug, Clone, Copy)]
+struct Gskew {
+    bases: [u64; 3],
     /// The hash down-shift, `64 - bank_bits` (0 for a zero-bit bank).
-    shift: Vec<u64>,
+    shift: u64,
     /// All ones, or zero for a zero-bit bank: its hash key is then 0,
     /// so every bank index is 0 — the scalar `Gskew` rule for
     /// single-counter banks.
-    key_mask: Vec<u64>,
-    bank_base: [Vec<u64>; 3],
-    arena: Vec<Cell>,
+    key_mask: u64,
 }
 
-impl GskewGroup {
-    fn new(specs: &[PlanSpec]) -> Self {
-        let (bases, arena) = lane_arena(specs);
-        GskewGroup {
-            regs: registers(specs, 0),
-            shift: per_lane(specs, |p| u64::from(64 - p.reads[0].row_bits) % 64),
-            key_mask: per_lane(specs, |p| match p.reads[0].row_bits {
-                0 => 0,
-                _ => u64::MAX,
-            }),
-            bank_base: [0, 1, 2].map(|bank| region_bases(&bases, bank)),
-            arena,
+impl Combine for Gskew {
+    const REGISTER_READ: usize = 0;
+    const ACCESSES: u64 = 3;
+
+    fn new(plan: &WalkPlan, bases: &[u64]) -> Self {
+        let bank_bits = plan.reads[0].row_bits;
+        Gskew {
+            bases: bases.try_into().expect("three reads"),
+            shift: u64::from(64 - bank_bits) % 64,
+            key_mask: if bank_bits == 0 { 0 } else { u64::MAX },
         }
     }
-}
 
-impl GroupKernel for GskewGroup {
-    #[inline(never)]
-    fn replay_lane(
-        &mut self,
-        lane: usize,
-        input: &ChunkInputs,
-        seen: u64,
-        warmup: u64,
-    ) -> LaneCounts {
-        let stream = &input.conditionals[..];
-        let shift = self.shift[lane];
-        let key_mask = self.key_mask[lane];
-        let base0 = self.bank_base[0][lane];
-        let base1 = self.bank_base[1][lane];
-        let base2 = self.bank_base[2][lane];
-        let mut reg = self.regs[lane];
-        let (mut conflicts, mut harmless, mut wrong) = (0u64, 0u64, 0u64);
-        let arena = self.arena.as_mut_slice();
-        let mask = arena.len() - 1;
-        for (i, (&packed, &tag)) in stream.iter().zip(&input.tags).enumerate() {
-            let scored = (seen + i as u64 >= warmup) as u64;
-            let taken = packed & 1;
-            let word = packed >> 3;
-            let key = ((word << 20) ^ reg.hist) & key_mask;
-            let all_taken = reg.all_taken();
-            // Unrolled banks, all three loads issued before any
-            // store: the bank regions are disjoint, but an
-            // interleaved read-modify-write would force the
-            // compiler to order every load after the previous
-            // bank's store (it cannot prove the slots don't
-            // alias). The scalar predict-all-banks-then-train-
-            // all-banks sequence is equivalent to one fused RMW
-            // per bank either way.
-            let slot0 =
-                ((base0 | (key.wrapping_mul(SKEW_BANK_MULTIPLIERS[0]) >> shift)) as usize) & mask;
-            let slot1 =
-                ((base1 | (key.wrapping_mul(SKEW_BANK_MULTIPLIERS[1]) >> shift)) as usize) & mask;
-            let slot2 =
-                ((base2 | (key.wrapping_mul(SKEW_BANK_MULTIPLIERS[2]) >> shift)) as usize) & mask;
-            let (cell0, cell1, cell2) = (arena[slot0], arena[slot1], arena[slot2]);
-            let step = |cell_word: Cell| {
-                let (bits, conflict) = peek(cell_word, tag);
-                (owned(tag, counter_step(bits, taken)), conflict, bits >> 1)
-            };
-            let (next0, conflict0, vote0) = step(cell0);
-            let (next1, conflict1, vote1) = step(cell1);
-            let (next2, conflict2, vote2) = step(cell2);
-            arena[slot0] = next0;
-            arena[slot1] = next1;
-            arena[slot2] = next2;
-            let conflict = conflict0 + conflict1 + conflict2;
+    #[inline(always)]
+    fn step(&self, arena: &mut [Cell], reg: &GlobalRegister, packed: u64, tag: u32) -> LaneCounts {
+        let taken = packed & 1;
+        let key = (((packed >> 3) << 20) ^ reg.hist) & self.key_mask;
+        // All three loads issue before any store: an interleaved
+        // read-modify-write would order each load after the previous
+        // bank's store (the compiler cannot prove the disjoint slots
+        // apart). Either way it is one fused RMW per bank.
+        let slots: [usize; 3] = std::array::from_fn(|bank| {
+            let index = key.wrapping_mul(SKEW_BANK_MULTIPLIERS[bank]) >> self.shift;
+            slot(arena, self.bases[bank], index)
+        });
+        let cells = slots.map(|s| arena[s]);
+        let (mut conflicts, mut votes) = (0, 0);
+        for (s, cell_word) in slots.into_iter().zip(cells) {
+            let (bits, conflict) = peek(cell_word, tag);
+            arena[s] = owned(tag, counter_step(bits, taken));
             conflicts += conflict;
-            harmless += conflict & all_taken.wrapping_neg();
-            wrong += scored & ((vote0 + vote1 + vote2 >= 2) as u64 ^ taken);
-            reg.advance(packed);
+            votes += bits >> 1;
         }
-        self.regs[lane] = reg;
-        (conflicts, harmless, wrong)
-    }
-
-    /// Three bank accesses per conditional.
-    fn accesses_per_conditional(&self) -> Option<u64> {
-        Some(3)
+        let miss = (votes >= 2) as u64 ^ taken;
+        (conflicts, conflicts & reg.all_taken().wrapping_neg(), miss)
     }
 }
 
-/// A lane group for [`PlanKind::TournamentChooser`]: a per-address
-/// chooser read steers between two component reads — an
-/// address-indexed table (read 0) and a gshare table (read 1) — per
-/// the [`Combining`](bpred_core::Combining) kernel. Both components
+/// Tournament ([`PlanKind::TournamentChooser`]): a per-address chooser
+/// read steers between two component reads — an address-indexed table
+/// (read 0) and a gshare table (read 1) — per the
+/// [`Combining`](bpred_core::Combining) kernel. Both components
 /// access-then-train exactly like the scalar [`cell::step`]; the
 /// chooser is the scalar kernel's bare counter vector, so its cells
 /// are peeked and retrained with their owner preserved (never tagged,
 /// no alias accounting) and train toward "the second component was
 /// right" only when the components disagreed.
-#[derive(Debug)]
-struct TournamentGroup {
-    /// Each lane's history register, feeding the gshare component.
-    regs: Vec<GlobalRegister>,
-    addr_mask: Vec<u64>,
-    chooser_mask: Vec<u64>,
-    addr_base: Vec<u64>,
-    gshare_base: Vec<u64>,
-    chooser_base: Vec<u64>,
-    arena: Vec<Cell>,
+#[derive(Debug, Clone, Copy)]
+struct Tournament {
+    /// Region bases: address-indexed, gshare, chooser.
+    bases: [u64; 3],
+    addr_mask: u64,
+    chooser_mask: u64,
 }
 
-impl TournamentGroup {
-    fn new(specs: &[PlanSpec]) -> Self {
-        // Three regions per lane: address-indexed, gshare, chooser.
-        let (bases, arena) = lane_arena(specs);
-        let mut group = TournamentGroup {
-            regs: registers(specs, 1),
-            addr_mask: per_lane(specs, |p| wide_low_mask(p.reads[0].col_bits)),
-            chooser_mask: per_lane(specs, |p| wide_low_mask(p.reads[2].col_bits)),
-            addr_base: region_bases(&bases, 0),
-            gshare_base: region_bases(&bases, 1),
-            chooser_base: region_bases(&bases, 2),
-            arena,
-        };
-        // The scalar chooser starts weakly-not-taken ("trust the first
-        // component"), unlike the arena's weakly-taken default.
-        for (spec, &base) in specs.iter().zip(&group.chooser_base) {
-            let cells = spec.plan.reads[2].cells();
-            group.arena[base as usize..(base + cells) as usize].fill(owned(NarrowTags::EMPTY, 1));
+impl Combine for Tournament {
+    const REGISTER_READ: usize = 1;
+    /// Both components, whose stats the scalar kernel sums; not the chooser.
+    const ACCESSES: u64 = 2;
+
+    fn new(plan: &WalkPlan, bases: &[u64]) -> Self {
+        Tournament {
+            bases: bases.try_into().expect("three reads"),
+            addr_mask: wide_low_mask(plan.reads[0].col_bits),
+            chooser_mask: wide_low_mask(plan.reads[2].col_bits),
         }
-        group
+    }
+
+    /// The scalar chooser starts weakly-not-taken ("trust the first
+    /// component"), unlike the arena's weakly-taken default.
+    fn fill(read: usize) -> Option<Cell> {
+        (read == 2).then_some(owned(NarrowTags::EMPTY, 1))
+    }
+
+    #[inline(always)]
+    fn step(&self, arena: &mut [Cell], reg: &GlobalRegister, packed: u64, tag: u32) -> LaneCounts {
+        let [addr_base, gshare_base, chooser_base] = self.bases;
+        let word = packed >> 3;
+        // Both components access and train toward the outcome
+        // (disjoint regions, so in either order): address-indexed (row
+        // always zero, so never an all-taken pattern), then gshare
+        // (column-free, `history_bits` rows wide).
+        let a_slot = slot(arena, addr_base, word & self.addr_mask);
+        let (a_conflict, a_miss) = access::<TowardOutcome>(arena, a_slot, packed, tag, &[], 0);
+        let g_slot = slot(arena, gshare_base, reg.index_of(packed));
+        let (g_conflict, g_miss) = access::<TowardOutcome>(arena, g_slot, packed, tag, &[], 0);
+        let chooser_slot = slot(arena, chooser_base, word & self.chooser_mask);
+        let chooser_cell = arena[chooser_slot];
+        let use_second = ((chooser_cell & 0b11) >= 2) as u64;
+        // The untagged chooser trains toward "the second was right".
+        arena[chooser_slot] = retrain(chooser_cell, 1 ^ g_miss, a_miss ^ g_miss);
+        let miss = a_miss ^ ((a_miss ^ g_miss) & use_second.wrapping_neg());
+        (a_conflict + g_conflict, g_conflict & reg.all_taken(), miss)
     }
 }
 
-impl GroupKernel for TournamentGroup {
-    #[inline(never)]
-    fn replay_lane(
-        &mut self,
-        lane: usize,
-        input: &ChunkInputs,
-        seen: u64,
-        warmup: u64,
-    ) -> LaneCounts {
-        let stream = &input.conditionals[..];
-        let addr_mask = self.addr_mask[lane];
-        let chooser_mask = self.chooser_mask[lane];
-        let addr_base = self.addr_base[lane];
-        let gshare_base = self.gshare_base[lane];
-        let chooser_base = self.chooser_base[lane];
-        let mut reg = self.regs[lane];
-        let (mut conflicts, mut harmless, mut wrong) = (0u64, 0u64, 0u64);
-        let arena = self.arena.as_mut_slice();
-        let mask = arena.len() - 1;
-        for (i, (&packed, &tag)) in stream.iter().zip(&input.tags).enumerate() {
-            let scored = (seen + i as u64 >= warmup) as u64;
-            let word = packed >> 3;
-            // Both components access and train toward the outcome
-            // (disjoint regions, so in either order): address-indexed
-            // (row always zero, so never an all-taken pattern), then
-            // gshare (column-free, `history_bits` rows wide).
-            let a_slot = ((addr_base | (word & addr_mask)) as usize) & mask;
-            let (a_conflict, a_miss) = access::<TowardOutcome>(arena, a_slot, packed, tag, &[], i);
-            let g_slot = ((gshare_base | reg.index_of(packed)) as usize) & mask;
-            let (g_conflict, g_miss) = access::<TowardOutcome>(arena, g_slot, packed, tag, &[], i);
-            conflicts += a_conflict + g_conflict;
-            harmless += g_conflict & reg.all_taken();
-            let chooser_slot = ((chooser_base | (word & chooser_mask)) as usize) & mask;
-            let chooser_cell = arena[chooser_slot];
-            let use_second = ((chooser_cell & 0b11) >= 2) as u64;
-            wrong += scored & (a_miss ^ ((a_miss ^ g_miss) & use_second.wrapping_neg()));
-            // Chooser trains toward "the second component was
-            // right", only on disagreement; its owner (empty) is
-            // preserved — the scalar chooser is untagged.
-            arena[chooser_slot] = retrain(chooser_cell, 1 ^ g_miss, a_miss ^ g_miss);
-            reg.advance(packed);
-        }
-        self.regs[lane] = reg;
-        (conflicts, harmless, wrong)
-    }
-
-    /// Both components access per conditional (the scalar kernel sums
-    /// its components' stats); the chooser is never an access.
-    fn accesses_per_conditional(&self) -> Option<u64> {
-        Some(2)
-    }
+/// YAGS ([`PlanKind::TaggedChoice`]): an untagged choice read gives the
+/// bias; the opposite direction cache — a tagged exception store — is
+/// probed at `history ^ address`, and a tag hit overrides the bias.
+/// Training steps the probed entry on a hit, allocates (unconditional
+/// eviction, tag + weak counter) on a wrong-bias miss, and retrains
+/// the choice unless a hit already captured the anti-bias outcome —
+/// exactly the [`Yags`](bpred_core::Yags) sequence. Cache entries hold
+/// the partial tag in the owner bits and the `u16::MAX` empty sentinel
+/// (partial tags are at most 8 bits, so the sentinel is unreachable).
+#[derive(Debug, Clone, Copy)]
+struct Yags {
+    /// Region bases: choice, taken cache, not-taken cache.
+    bases: [u64; 3],
+    choice_mask: u64,
+    tag_mask: u64,
 }
 
-/// A lane group for [`PlanKind::TaggedChoice`] (YAGS): an untagged
-/// choice read gives the bias; the opposite direction cache — a
-/// tagged exception store — is probed at `history ^ address`, and a
-/// tag hit overrides the bias. Training steps the probed entry on a
-/// hit, allocates (unconditional eviction, tag + weak counter) on a
-/// wrong-bias miss, and retrains the choice unless a hit already
-/// captured the anti-bias outcome — exactly the
-/// [`Yags`](bpred_core::Yags) sequence. Cache entries live in the
-/// shared arena with the partial tag in the owner bits and the
-/// `u16::MAX` empty sentinel (partial tags are at most 8 bits, so the
-/// sentinel is unreachable).
-#[derive(Debug)]
-struct TaggedGroup {
-    /// Each lane's history register, indexing the direction caches.
-    regs: Vec<GlobalRegister>,
-    choice_mask: Vec<u64>,
-    tag_mask: Vec<u64>,
-    choice_base: Vec<u64>,
-    taken_base: Vec<u64>,
-    not_taken_base: Vec<u64>,
-    arena: Vec<Cell>,
-}
+impl Combine for Yags {
+    const REGISTER_READ: usize = 1;
+    /// The choice access only: the scalar caches are uninstrumented.
+    const ACCESSES: u64 = 1;
 
-impl TaggedGroup {
-    /// The empty-entry tag of a direction-cache cell, matching the
-    /// scalar cache's `u16::MAX` sentinel.
-    const EMPTY_TAG: u32 = u16::MAX as u32;
-
-    fn new(specs: &[PlanSpec]) -> Self {
-        // Three regions per lane: choice, taken-cache, not-taken-cache.
-        let (bases, arena) = lane_arena(specs);
-        let mut group = TaggedGroup {
-            regs: registers(specs, 1),
-            choice_mask: per_lane(specs, |p| wide_low_mask(p.reads[0].col_bits)),
-            tag_mask: per_lane(specs, |p| wide_low_mask(p.reads[1].tag_bits)),
-            choice_base: region_bases(&bases, 0),
-            taken_base: region_bases(&bases, 1),
-            not_taken_base: region_bases(&bases, 2),
-            arena,
-        };
-        // Empty cache entries: sentinel tag, weakly-taken counter in
-        // the taken cache / weakly-not-taken in the not-taken cache
-        // (the scalar caches' initial counters — never observable
-        // before an allocation overwrites them, kept identical anyway).
-        for (lane, spec) in specs.iter().enumerate() {
-            let cells = spec.plan.reads[1].cells();
-            for (base, bits) in [(group.taken_base[lane], 2), (group.not_taken_base[lane], 1)] {
-                group.arena[base as usize..(base + cells) as usize]
-                    .fill(owned(Self::EMPTY_TAG, bits));
-            }
+    fn new(plan: &WalkPlan, bases: &[u64]) -> Self {
+        Yags {
+            bases: bases.try_into().expect("three reads"),
+            choice_mask: wide_low_mask(plan.reads[0].col_bits),
+            tag_mask: wide_low_mask(plan.reads[1].tag_bits),
         }
-        group
     }
-}
 
-impl GroupKernel for TaggedGroup {
-    #[inline(never)]
-    fn replay_lane(
-        &mut self,
-        lane: usize,
-        input: &ChunkInputs,
-        seen: u64,
-        warmup: u64,
-    ) -> LaneCounts {
-        let stream = &input.conditionals[..];
-        let choice_mask = self.choice_mask[lane];
-        let tag_mask = self.tag_mask[lane];
-        let choice_base = self.choice_base[lane];
-        let taken_base = self.taken_base[lane];
-        let not_taken_base = self.not_taken_base[lane];
-        let mut reg = self.regs[lane];
-        let (mut conflicts, mut harmless, mut wrong) = (0u64, 0u64, 0u64);
-        let arena = self.arena.as_mut_slice();
-        let mask = arena.len() - 1;
-        for (i, (&packed, &tag)) in stream.iter().zip(&input.tags).enumerate() {
-            let scored = (seen + i as u64 >= warmup) as u64;
-            let taken = packed & 1;
-            let word = packed >> 3;
-            let all_taken = reg.all_taken();
-            // The choice access: bias prediction plus the lane's
-            // only alias accounting (the scalar caches are
-            // uninstrumented).
-            let choice_slot = ((choice_base | (word & choice_mask)) as usize) & mask;
-            let choice_cell = arena[choice_slot];
-            let (c_bits, conflict) = peek(choice_cell, tag);
-            conflicts += conflict;
-            harmless += conflict & all_taken;
-            let bias = (c_bits >= 2) as u64;
-            // Probe the cache opposite the bias for an exception.
-            let cache_base = taken_base ^ ((not_taken_base ^ taken_base) & bias.wrapping_neg());
-            let entry_slot = ((cache_base | reg.index_of(packed)) as usize) & mask;
-            let entry = arena[entry_slot];
-            let entry_tag = u64::from(entry >> 2);
-            let entry_bits = entry & 0b11;
-            let partial = word & tag_mask;
-            let hit = (entry_tag == partial) as u64;
-            let entry_pred = (entry_bits >= 2) as u64;
-            let predicted = bias ^ ((bias ^ entry_pred) & hit.wrapping_neg());
-            wrong += scored & (predicted ^ taken);
-            // Cache entry: train on a hit, allocate (evict) on a
-            // wrong-bias miss, leave untouched otherwise.
-            let trained = retrain(entry, taken, 1);
-            let allocated = owned(partial as u32, 1 + taken);
-            let hit_m = (hit as Cell).wrapping_neg();
-            let alloc_m = ((1 - hit) & (taken ^ bias)).wrapping_neg() as Cell;
-            arena[entry_slot] =
-                (trained & hit_m) | (allocated & alloc_m) | (entry & !(hit_m | alloc_m));
-            // Choice: retrain toward the outcome unless a hit
-            // already captured the anti-bias outcome; owner is
-            // re-tagged either way (the scalar access touched it).
-            let train = 1 - (hit & (taken ^ bias));
-            arena[choice_slot] = owned(tag, u64::from(retrain(choice_cell, taken, train) & 0b11));
-            reg.advance(packed);
-        }
-        self.regs[lane] = reg;
-        (conflicts, harmless, wrong)
+    /// Empty cache entries: the scalar caches' `u16::MAX` sentinel tag
+    /// over their initial counters, weakly toward each cache's direction
+    /// (never observable before an allocation overwrites them).
+    fn fill(read: usize) -> Option<Cell> {
+        let empty = u32::from(u16::MAX);
+        [None, Some(owned(empty, 2)), Some(owned(empty, 1))][read]
+    }
+
+    #[inline(always)]
+    fn step(&self, arena: &mut [Cell], reg: &GlobalRegister, packed: u64, tag: u32) -> LaneCounts {
+        let [choice_base, taken_base, not_taken_base] = self.bases;
+        let taken = packed & 1;
+        let word = packed >> 3;
+        // The choice access: the bias, and the lane's only alias counts.
+        let choice_slot = slot(arena, choice_base, word & self.choice_mask);
+        let choice_cell = arena[choice_slot];
+        let (c_bits, conflict) = peek(choice_cell, tag);
+        let bias = u64::from(c_bits >= 2);
+        // Probe the cache opposite the bias for an exception.
+        let cache_base = select_unpredictable(bias != 0, not_taken_base, taken_base);
+        let entry_slot = slot(arena, cache_base, reg.index_of(packed));
+        let entry = arena[entry_slot];
+        let partial = word & self.tag_mask;
+        let hit = (u64::from(entry >> 2) == partial) as u64;
+        let entry_pred = ((entry & 0b11) >= 2) as u64;
+        let predicted = bias ^ ((bias ^ entry_pred) & hit.wrapping_neg());
+        // Cache entry: train on a hit, allocate (evict) on a wrong-bias
+        // miss, leave untouched otherwise.
+        let trained = retrain(entry, taken, 1);
+        let allocated = owned(partial as u32, 1 + taken);
+        let hit_m = (hit as Cell).wrapping_neg();
+        let alloc_m = ((1 - hit) & (taken ^ bias)).wrapping_neg() as Cell;
+        arena[entry_slot] =
+            (trained & hit_m) | (allocated & alloc_m) | (entry & !(hit_m | alloc_m));
+        // Choice: retrain toward the outcome unless a hit captured the
+        // anti-bias outcome; re-tagged either way (the scalar access was).
+        let train = 1 - (hit & (taken ^ bias));
+        arena[choice_slot] = owned(tag, u64::from(retrain(choice_cell, taken, train) & 0b11));
+        (conflict, conflict & reg.all_taken(), predicted ^ taken)
     }
 }
 
@@ -1820,7 +1731,7 @@ impl LastTimeGroup {
 
     /// Walks one chunk through lanes `lane..lane + N` together and
     /// returns their mispredictions. The chunk is split at the warmup
-    /// boundary once instead of testing `seen >= warmup` per record:
+    /// boundary once instead of testing each record: the `unscored`
     /// warmup records update the table without scoring, scored records
     /// pay one load + xor + blind store each. Walking lanes in blocks
     /// amortizes the shared record decode and overlaps same-entry
@@ -1829,11 +1740,9 @@ impl LastTimeGroup {
         &mut self,
         lane: usize,
         stream: &[u64],
-        seen: u64,
-        warmup: u64,
+        unscored: usize,
     ) -> [u64; N] {
-        let boundary = warmup.saturating_sub(seen).min(stream.len() as u64) as usize;
-        let (unscored, rest) = stream.split_at(boundary);
+        let (warm, scored) = stream.split_at(unscored);
         let masks: [u64; N] = std::array::from_fn(|k| self.addr_mask[lane + k]);
         let block: &mut [Vec<u8>; N] = (&mut self.table[lane..lane + N])
             .try_into()
@@ -1846,13 +1755,13 @@ impl LastTimeGroup {
             *table = &mut std::mem::take(table)[..=(mask as usize)];
         }
         let mut wrong = [0u64; N];
-        for &packed in unscored {
+        for &packed in warm {
             let (taken, key) = ((packed & 1) as u8, packed >> 3);
             for k in 0..N {
                 tables[k][(key & masks[k]) as usize] = taken;
             }
         }
-        for &packed in rest {
+        for &packed in scored {
             let (taken, key) = ((packed & 1) as u8, packed >> 3);
             for k in 0..N {
                 let idx = (key & masks[k]) as usize;
@@ -1866,39 +1775,33 @@ impl LastTimeGroup {
 
 impl GroupKernel for LastTimeGroup {
     /// Lanes in octets, then a quad, then one at a time.
-    fn replay(&mut self, lanes: &mut [LaneTally], input: &ChunkInputs, seen: u64, warmup: u64) {
+    fn replay(&mut self, lanes: &mut [LaneTally], input: &ChunkInputs, unscored: usize) {
         let stream = &input.conditionals[..];
         let mut lane = 0;
         while lane + 8 <= lanes.len() {
-            let wrong = self.replay_block::<8>(lane, stream, seen, warmup);
+            let wrong = self.replay_block::<8>(lane, stream, unscored);
             for (tally, wrong) in lanes[lane..].iter_mut().zip(wrong) {
                 tally.mispredictions += wrong;
             }
             lane += 8;
         }
         if lane + 4 <= lanes.len() {
-            let wrong = self.replay_block::<4>(lane, stream, seen, warmup);
+            let wrong = self.replay_block::<4>(lane, stream, unscored);
             for (tally, wrong) in lanes[lane..].iter_mut().zip(wrong) {
                 tally.mispredictions += wrong;
             }
             lane += 4;
         }
         for (lane, tally) in lanes.iter_mut().enumerate().skip(lane) {
-            tally.add(self.replay_lane(lane, input, seen, warmup));
+            tally.add(self.replay_lane(lane, input, unscored));
         }
     }
 
     /// One lane alone: the tail of [`replay`](GroupKernel::replay)'s
     /// octets and quad.
     #[inline(never)]
-    fn replay_lane(
-        &mut self,
-        lane: usize,
-        input: &ChunkInputs,
-        seen: u64,
-        warmup: u64,
-    ) -> LaneCounts {
-        let [wrong] = self.replay_block::<1>(lane, &input.conditionals, seen, warmup);
+    fn replay_lane(&mut self, lane: usize, input: &ChunkInputs, unscored: usize) -> LaneCounts {
+        let [wrong] = self.replay_block::<1>(lane, &input.conditionals, unscored);
         (0, 0, wrong)
     }
 
@@ -1974,16 +1877,12 @@ impl LaneSet {
                 statics.push(StaticUnit {
                     index,
                     scheme,
+                    name: config.kernel().name(),
                     mispredictions: 0,
                 });
                 continue;
             }
-            let plan = if force_scalar {
-                None
-            } else {
-                WalkPlan::of(config)
-            };
-            let Some(plan) = plan else {
+            let Some(plan) = WalkPlan::of(config).filter(|_| !force_scalar) else {
                 scalars.push((index, ReplayCore::from_config(config, simulator)));
                 continue;
             };
@@ -2064,21 +1963,21 @@ impl LaneSet {
     /// [`ReplayCore::feed`] over the same records.
     pub fn replay_chunk(&mut self, chunk: &TraceChunk) {
         let (conditionals, taken) = conditional_counts(chunk);
+        // The chunk's conditionals in the warmup prefix, split off once
+        // for every tier.
+        let unscored = conditionals.min(self.warmup.saturating_sub(self.seen));
         if !self.groups.is_empty() {
             self.inputs.decode(chunk);
             for group in &mut self.groups {
-                group
-                    .kernel
-                    .replay(&mut group.lanes, &self.inputs, self.seen, self.warmup);
+                (group.kernel).replay(&mut group.lanes, &self.inputs, unscored as usize);
             }
         }
         for unit in &mut self.statics {
-            unit.replay_chunk(chunk, self.seen, self.warmup, conditionals, taken);
+            unit.replay_chunk(chunk, unscored, conditionals, taken);
         }
         for (_, lane) in &mut self.scalars {
             lane.replay_chunk_dispatched(chunk);
         }
-        let unscored = conditionals.min(self.warmup.saturating_sub(self.seen));
         self.scored += conditionals - unscored;
         self.seen += conditionals;
     }
@@ -2613,12 +2512,16 @@ mod tests {
                 (plain, prefetched)
             })
             .collect();
-        let (mut seen, warmup) = (0, 300);
+        let (mut seen, warmup) = (0, 300u64);
         for chunk in trace(2_500).chunks(256) {
             input.decode(&chunk);
+            let unscored = input
+                .conditionals
+                .len()
+                .min(warmup.saturating_sub(seen) as usize);
             for (plain, prefetched) in &mut pairs {
                 for group in [plain, prefetched] {
-                    group.kernel.replay(&mut group.lanes, &input, seen, warmup);
+                    group.kernel.replay(&mut group.lanes, &input, unscored);
                 }
             }
             seen += input.conditionals.len() as u64;
