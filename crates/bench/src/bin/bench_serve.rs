@@ -289,7 +289,8 @@ fn start_node(cache_dir: &std::path::Path, options: StoreOptions) -> bpred_serve
 }
 
 /// Store-tier comparison: cold compute into pack segments, repeat
-/// hits served by the hot tier, and a cold node warming itself
+/// hits served by the hot tier, the same repeats served from pack
+/// segments by a node with no hot tier, and a cold node warming itself
 /// entirely over the peer protocol. Returns the passes plus the peer-warm cell
 /// accounting `(cells, peer_cells)`.
 fn run_store_scenarios(
@@ -305,6 +306,26 @@ fn run_store_scenarios(
     let packed = start_node(&packed_dir, store_options(None));
     passes.push(store_pass(packed.addr(), "pack_cold", warm, 1));
     passes.push(store_pass(packed.addr(), "hot_warm", warm, repeats));
+
+    // Pack warm: with the hot tier off, every repeat is read from the
+    // segments the first (unrecorded) pass wrote.
+    let pack_dir = scratch.join("pack-only");
+    let pack_node = start_node(
+        &pack_dir,
+        StoreOptions {
+            hot_bytes: 0,
+            ..store_options(None)
+        },
+    );
+    store_pass(pack_node.addr(), "pack_fill", warm, 1);
+    passes.push(store_pass(pack_node.addr(), "pack_warm", warm, repeats));
+    let stats = pack_node.store().expect("node has a store").stats();
+    assert_eq!(stats.hot_hits.load(std::sync::atomic::Ordering::Relaxed), 0);
+    assert!(
+        stats.pack_hits.load(std::sync::atomic::Ordering::Relaxed) >= (warm.len() * repeats) as u64,
+        "pack_warm repeats are answered from pack segments"
+    );
+    pack_node.shutdown();
 
     // Peer warm: a cold node whose only source of cells is the warm
     // packed node — every cell must arrive by digest fetch.
@@ -414,7 +435,7 @@ fn main() -> ExitCode {
     let _ = std::fs::remove_dir_all(&cache_dir);
 
     // Store-tier comparison on the warm pool: cold pack writes, hot
-    // repeats, and a two-node peer warm-up.
+    // repeats, pack repeats, and a two-node peer warm-up.
     let store_scratch =
         std::env::temp_dir().join(format!("bpred-bench-store-{}", std::process::id()));
     let store_repeats = if quick { 8 } else { 32 };

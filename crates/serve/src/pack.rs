@@ -49,15 +49,26 @@
 //! eviction drops whole sealed segments, oldest generation first,
 //! and compacts mostly-dead sealed segments by rewriting their live
 //! frames into the current active segment.
+//!
+//! *Held read handles.* Every segment's [`SegMeta`] carries a read
+//! handle, so a cell read is one positioned read (`pread`) with no
+//! path lookup, open or close. Active segments get theirs before any
+//! of their frames is indexed, so a reader never sees a frame whose
+//! segment it cannot read, whatever renames happen after. Sealed
+//! segments open theirs on first read, and at most
+//! [`MAX_SEALED_HANDLES`] stay open: the least recently read one is
+//! closed to admit another. A handle is dropped with its `SegMeta`,
+//! so GC frees a deleted segment's disk space at once.
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::process;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use bpred_trace::fnv;
@@ -89,9 +100,14 @@ const MAX_FRAME_PAYLOAD: u32 = 64 * 1024 * 1024;
 
 const INDEX_STRIPES: usize = 16;
 
+/// Most sealed segments whose read handle stays open at once. Sealed
+/// segments outnumber it only in stores of hundreds of MiB (8 MiB
+/// segments), whose reads then reopen the least recently read ones.
+const MAX_SEALED_HANDLES: usize = 64;
+
 /// Where a cell's payload lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Loc {
+pub(crate) struct Loc {
     gen: u64,
     /// Byte offset of the payload (not the frame) within the segment.
     offset: u64,
@@ -140,8 +156,15 @@ impl StripedIndex {
         }
     }
 
-    fn remove(&self, digest: u128) -> Option<Loc> {
-        self.stripe(digest).remove(&digest)
+    /// Removes the entry for `digest` only if it still points at
+    /// `loc`; a newer entry put meanwhile stays.
+    fn remove_if(&self, digest: u128, loc: Loc) -> bool {
+        let mut map = self.stripe(digest);
+        let matches = map.get(&digest) == Some(&loc);
+        if matches {
+            map.remove(&digest);
+        }
+        matches
     }
 
     /// Removes every entry pointing into segment `gen`.
@@ -199,8 +222,10 @@ impl StripedIndex {
 }
 
 /// Bookkeeping for one on-disk segment (sealed or active).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct SegMeta {
+    /// The segment's name on disk; changed only under the `segs`
+    /// lock, together with the rename.
     path: PathBuf,
     /// File size in bytes (valid prefix for a foreign active).
     bytes: u64,
@@ -212,6 +237,42 @@ struct SegMeta {
     sealed: bool,
     /// `true` for this process's own active segment.
     ours: bool,
+    /// Read handle: always open for an active segment, opened on
+    /// first read for a sealed one (see [`MAX_SEALED_HANDLES`]).
+    reader: Option<Arc<File>>,
+    /// The store's read clock at this segment's latest read.
+    last_read: u64,
+}
+
+impl SegMeta {
+    fn new(path: PathBuf, bytes: u64, sealed: bool, ours: bool, reader: Option<File>) -> SegMeta {
+        SegMeta {
+            path,
+            bytes,
+            live_cells: 0,
+            live_bytes: 0,
+            sealed,
+            ours,
+            reader: reader.map(Arc::new),
+            last_read: 0,
+        }
+    }
+}
+
+/// Closes the least recently read sealed handles until at most
+/// [`MAX_SEALED_HANDLES`] are open. A reader still holding a closed
+/// handle's `Arc` finishes its read first.
+fn trim_sealed_handles(segs: &mut BTreeMap<u64, SegMeta>) {
+    let mut open: Vec<&mut SegMeta> = segs
+        .values_mut()
+        .filter(|m| m.sealed && m.reader.is_some())
+        .collect();
+    while open.len() > MAX_SEALED_HANDLES {
+        let oldest = (0..open.len())
+            .min_by_key(|&i| open[i].last_read)
+            .expect("more handles open than the limit");
+        open.swap_remove(oldest).reader = None;
+    }
 }
 
 /// The open append handle.
@@ -252,6 +313,9 @@ pub struct PackStore {
     writer: Mutex<Option<Writer>>,
     segs: Mutex<BTreeMap<u64, SegMeta>>,
     seal_bytes: u64,
+    /// Read clock for the least-recently-read handle choice; a
+    /// statistic that publishes no other data.
+    reads: AtomicU64,
 }
 
 fn seg_path(dir: &Path, gen: u64) -> PathBuf {
@@ -314,8 +378,9 @@ type SegmentScan = (u64, Vec<(u128, u64, u32)>, u64);
 /// One full pass over a segment file. A torn or corrupt frame ends
 /// the scan; `None` means the file is not a recognisable segment at
 /// all.
-fn scan_segment(path: &Path) -> io::Result<Option<SegmentScan>> {
-    let bytes = fs::read(path)?;
+fn scan_segment(mut file: &File) -> io::Result<Option<SegmentScan>> {
+    let mut bytes = Vec::new();
+    file.read_to_end(&mut bytes)?;
     if bytes.len() < SEG_HEADER_LEN as usize || &bytes[..4] != SEG_MAGIC {
         return Ok(None);
     }
@@ -381,17 +446,7 @@ impl PackStore {
         let mut segs: BTreeMap<u64, SegMeta> = BTreeMap::new();
         for (gen, path) in &sealed {
             let bytes = fs::metadata(path)?.len();
-            segs.insert(
-                *gen,
-                SegMeta {
-                    path: path.clone(),
-                    bytes,
-                    live_cells: 0,
-                    live_bytes: 0,
-                    sealed: true,
-                    ours: false,
-                },
-            );
+            segs.insert(*gen, SegMeta::new(path.clone(), bytes, true, false, None));
         }
 
         // The persistent index covers sealed segments; entries for
@@ -412,7 +467,7 @@ impl PackStore {
                 continue;
             }
             index_dirty = true;
-            if let Some((_, frames, _)) = scan_segment(path)? {
+            if let Some((_, frames, _)) = scan_segment(&File::open(path)?)? {
                 for (digest, offset, len) in frames {
                     index.insert_if_newer(
                         digest,
@@ -434,7 +489,10 @@ impl PackStore {
         let our_path = dir.join(&our_name);
         let mut writer: Option<Writer> = None;
         for path in actives {
-            let Some((gen, frames, valid_len)) = scan_segment(&path)? else {
+            // The scan reads through the handle reads will use, so it
+            // stays valid when the segment's writer seals it later.
+            let reader = File::open(&path)?;
+            let Some((gen, frames, valid_len)) = scan_segment(&reader)? else {
                 continue;
             };
             let ours = path == our_path;
@@ -454,14 +512,7 @@ impl PackStore {
                 file.seek(SeekFrom::Start(valid_len))?;
                 segs.insert(
                     gen,
-                    SegMeta {
-                        path: path.clone(),
-                        bytes: valid_len,
-                        live_cells: 0,
-                        live_bytes: 0,
-                        sealed: false,
-                        ours: true,
-                    },
+                    SegMeta::new(path.clone(), valid_len, false, true, Some(reader)),
                 );
                 writer = Some(Writer {
                     file,
@@ -472,14 +523,7 @@ impl PackStore {
             } else {
                 segs.insert(
                     gen,
-                    SegMeta {
-                        path,
-                        bytes: valid_len,
-                        live_cells: 0,
-                        live_bytes: 0,
-                        sealed: false,
-                        ours: false,
-                    },
+                    SegMeta::new(path, valid_len, false, false, Some(reader)),
                 );
             }
         }
@@ -501,6 +545,7 @@ impl PackStore {
             writer: Mutex::new(writer),
             segs: Mutex::new(segs),
             seal_bytes: seal_bytes.max(SEG_HEADER_LEN + FRAME_OVERHEAD),
+            reads: AtomicU64::new(0),
         };
         if index_dirty {
             let _ = store.write_index();
@@ -550,30 +595,66 @@ impl PackStore {
     /// on any read failure (the entry is forgotten so the cell heals
     /// by recomputation).
     pub fn get(&self, digest: u128) -> Option<Vec<u8>> {
-        let loc = self.index.get(digest)?;
-        // The segment may seal (rename) between the path lookup and
-        // the read; one retry with a fresh path covers that window.
-        for _ in 0..2 {
-            let path = self.lock_segs().get(&loc.gen).map(|m| m.path.clone());
-            let Some(path) = path else { break };
-            if let Ok(bytes) = read_at(&path, loc.offset, loc.len as usize) {
-                return Some(bytes);
-            }
-        }
-        self.forget(digest);
-        None
+        self.read(digest).map(|(bytes, _)| bytes)
     }
 
-    /// Drops the index entry for `digest` (the frame bytes stay in
-    /// their segment as dead space until GC).
-    pub fn forget(&self, digest: u128) {
-        if let Some(old) = self.index.remove(digest) {
-            let mut segs = self.lock_segs();
-            if let Some(meta) = segs.get_mut(&old.gen) {
-                meta.live_cells = meta.live_cells.saturating_sub(1);
-                meta.live_bytes = meta.live_bytes.saturating_sub(u64::from(old.len));
+    /// [`get`](Self::get), also returning the location read, which a
+    /// caller that rejects the bytes passes to [`forget`](Self::forget).
+    pub(crate) fn read(&self, digest: u128) -> Option<(Vec<u8>, Loc)> {
+        let loc = self.index.get(digest)?;
+        match self.read_loc(loc) {
+            Ok(bytes) => Some((bytes, loc)),
+            Err(_) => {
+                self.forget(digest, loc);
+                None
             }
         }
+    }
+
+    /// One positioned read of `loc`'s payload through its segment's
+    /// held handle.
+    fn read_loc(&self, loc: Loc) -> io::Result<Vec<u8>> {
+        let file = self.reader(loc.gen)?;
+        let mut buf = vec![0u8; loc.len as usize];
+        file.read_exact_at(&mut buf, loc.offset)?;
+        Ok(buf)
+    }
+
+    /// Segment `gen`'s read handle, opening a sealed segment's on its
+    /// first read. `NotFound` once GC has dropped the segment.
+    fn reader(&self, gen: u64) -> io::Result<Arc<File>> {
+        let mut segs = self.lock_segs();
+        let meta = segs.get_mut(&gen).ok_or(io::ErrorKind::NotFound)?;
+        meta.last_read = self.reads.fetch_add(1, Ordering::Relaxed);
+        if let Some(file) = &meta.reader {
+            return Ok(file.clone());
+        }
+        let file = Arc::new(File::open(&meta.path)?);
+        meta.reader = Some(file.clone());
+        trim_sealed_handles(&mut segs);
+        Ok(file)
+    }
+
+    /// Drops the index entry for `digest` if it still points at `loc`
+    /// (the frame bytes stay in their segment as dead space until GC).
+    /// A newer entry put since `loc` was read stays.
+    pub(crate) fn forget(&self, digest: u128, loc: Loc) {
+        if self.index.remove_if(digest, loc) {
+            let mut segs = self.lock_segs();
+            if let Some(meta) = segs.get_mut(&loc.gen) {
+                meta.live_cells = meta.live_cells.saturating_sub(1);
+                meta.live_bytes = meta.live_bytes.saturating_sub(u64::from(loc.len));
+            }
+        }
+    }
+
+    /// Sealed segments whose read handle is open.
+    #[cfg(test)]
+    fn open_sealed_handles(&self) -> usize {
+        self.lock_segs()
+            .values()
+            .filter(|m| m.sealed && m.reader.is_some())
+            .count()
     }
 
     /// Appends the payload for `digest` to the active segment,
@@ -636,17 +717,22 @@ impl PackStore {
     }
 
     /// Renames an active segment to its immutable name. The next
-    /// `put` starts a fresh active on demand.
+    /// `put` starts a fresh active on demand. The rename happens under
+    /// the `segs` lock, so whoever reads a `SegMeta.path` under it
+    /// (a handle opened by path, GC deleting a file) sees the name
+    /// the file has on disk.
     fn seal_writer(&self, mut writer: Writer) -> io::Result<()> {
         writer.file.flush()?;
         let sealed_path = seg_path(&self.dir, writer.gen);
-        fs::rename(&writer.path, &sealed_path)?;
         let mut segs = self.lock_segs();
+        fs::rename(&writer.path, &sealed_path)?;
         if let Some(meta) = segs.get_mut(&writer.gen) {
             meta.path = sealed_path;
             meta.sealed = true;
             meta.ours = false;
+            meta.last_read = self.reads.fetch_add(1, Ordering::Relaxed);
         }
+        trim_sealed_handles(&mut segs);
         Ok(())
     }
 
@@ -734,7 +820,7 @@ impl PackStore {
             for (digest, loc) in self.index.collect_gen(gen) {
                 // The codec layer re-validates payloads at decode, so
                 // a plain byte copy is enough here.
-                if let Ok(payload) = read_at(&path, loc.offset, loc.len as usize) {
+                if let Ok(payload) = self.read_loc(loc) {
                     self.put(digest, &payload)?;
                 }
             }
@@ -764,16 +850,13 @@ fn new_active(dir: &Path, name: &str, segs: &mut BTreeMap<u64, SegMeta>) -> io::
         .truncate(true)
         .open(&path)?;
     file.write_all(&seg_header(gen))?;
+    // The read handle exists before any frame of this segment is
+    // indexed: a reader that finds one can read it after the seal's
+    // rename too.
+    let reader = File::open(&path)?;
     segs.insert(
         gen,
-        SegMeta {
-            path: path.clone(),
-            bytes: SEG_HEADER_LEN,
-            live_cells: 0,
-            live_bytes: 0,
-            sealed: false,
-            ours: true,
-        },
+        SegMeta::new(path.clone(), SEG_HEADER_LEN, false, true, Some(reader)),
     );
     Ok(Writer {
         file,
@@ -781,14 +864,6 @@ fn new_active(dir: &Path, name: &str, segs: &mut BTreeMap<u64, SegMeta>) -> io::
         path,
         offset: SEG_HEADER_LEN,
     })
-}
-
-fn read_at(path: &Path, offset: u64, len: usize) -> io::Result<Vec<u8>> {
-    let mut file = File::open(path)?;
-    file.seek(SeekFrom::Start(offset))?;
-    let mut buf = vec![0u8; len];
-    file.read_exact(&mut buf)?;
-    Ok(buf)
 }
 
 /// Reads and validates `index.bin`; `None` means absent or corrupt
@@ -987,7 +1062,7 @@ mod tests {
         store.seal_active().unwrap();
         // Kill most cells so sealed segments go mostly-dead.
         for i in 0..36u128 {
-            store.forget(i);
+            store.forget(i, store.index.get(i).unwrap());
         }
         let before_segments = store.segments();
         let report = store.gc(u64::MAX).unwrap();
@@ -996,6 +1071,119 @@ mod tests {
         for i in 36..40u128 {
             assert_eq!(store.get(i).unwrap(), payload(i as u8, 100), "cell {i}");
         }
+    }
+
+    #[test]
+    fn a_location_taken_before_a_seal_reads_after_it() {
+        let dir = tempdir("pack-seal-read");
+        let store = PackStore::open(&dir, 1 << 20).unwrap();
+        store.put(7, &payload(7, 300)).unwrap();
+        // A reader finds the cell in the active segment, whose handle
+        // was opened before the frame was indexed...
+        let loc = store.index.get(7).unwrap();
+        let (active, handle) = {
+            let segs = store.lock_segs();
+            let meta = &segs[&loc.gen];
+            (
+                meta.path.clone(),
+                meta.reader.clone().expect("active holds a handle"),
+            )
+        };
+        // ...and the writer seals (renames) the segment before the read.
+        store.seal_active().unwrap();
+        assert!(!active.exists(), "the seal renamed the active segment");
+        assert!(Arc::ptr_eq(&handle, &store.reader(loc.gen).unwrap()));
+        assert_eq!(store.read_loc(loc).unwrap(), payload(7, 300));
+        assert_eq!(store.read(7), Some((payload(7, 300), loc)));
+        assert!(store.contains(7), "the cell stays indexed");
+    }
+
+    #[test]
+    fn forget_drops_only_the_location_that_was_read() {
+        let dir = tempdir("pack-forget");
+        let store = PackStore::open(&dir, 1 << 20).unwrap();
+        store.put(42, &payload(1, 64)).unwrap();
+        let stale = store.index.get(42).unwrap();
+        store.put(42, &payload(2, 96)).unwrap();
+        store.forget(42, stale);
+        assert_eq!(store.get(42).unwrap(), payload(2, 96), "newer entry kept");
+        store.forget(42, store.index.get(42).unwrap());
+        assert!(!store.contains(42));
+        assert_eq!(store.payload_bytes(), 0);
+    }
+
+    #[test]
+    fn sealed_handles_stay_within_the_limit() {
+        let dir = tempdir("pack-handles");
+        let cells = MAX_SEALED_HANDLES as u128 + 8;
+        let store = PackStore::open(&dir, 1 << 20).unwrap();
+        for i in 0..cells {
+            store.put(i, &payload(i as u8, 64 + i as usize)).unwrap();
+            store.seal_active().unwrap();
+        }
+        assert_eq!(
+            store.segments(),
+            cells as usize,
+            "one sealed segment a cell"
+        );
+        assert_eq!(store.open_sealed_handles(), MAX_SEALED_HANDLES);
+        drop(store);
+        let store = PackStore::open(&dir, 1 << 20).unwrap();
+        assert_eq!(
+            store.open_sealed_handles(),
+            0,
+            "sealed handles open on first read"
+        );
+        for _ in 0..2 {
+            for i in (0..cells).rev() {
+                assert_eq!(store.get(i).unwrap(), payload(i as u8, 64 + i as usize));
+                assert!(store.open_sealed_handles() <= MAX_SEALED_HANDLES);
+            }
+        }
+        assert_eq!(store.len(), cells as usize);
+        assert_eq!(store.open_sealed_handles(), MAX_SEALED_HANDLES);
+    }
+
+    #[test]
+    fn gc_closes_the_handles_of_deleted_segments() {
+        let dir = tempdir("pack-gc-handles");
+        // Three 100-byte cells a segment: cells 3k..3k+3 share one.
+        let store = PackStore::open(&dir, 400).unwrap();
+        for i in 0..30u128 {
+            store.put(i, &payload(i as u8, 100)).unwrap();
+        }
+        store.seal_active().unwrap();
+        for i in [19u128, 20, 22, 23, 25, 26] {
+            store.forget(i, store.index.get(i).unwrap());
+        }
+        // Every sealed segment's handle is open before the pass.
+        assert_eq!(store.open_sealed_handles(), 10);
+        assert_eq!(fds_under(&dir).len(), 10);
+        let report = store.gc(store.file_bytes() / 2).unwrap();
+        assert!(report.evicted > 0, "{report:?}");
+        assert!(report.compacted_segments > 0, "{report:?}");
+        let deleted: Vec<String> = fds_under(&dir)
+            .into_iter()
+            .filter(|link| link.ends_with(" (deleted)"))
+            .collect();
+        assert!(deleted.is_empty(), "fds on deleted segments: {deleted:?}");
+        for i in 0..30u128 {
+            if let Some(bytes) = store.get(i) {
+                assert_eq!(bytes, payload(i as u8, 100));
+            }
+        }
+    }
+
+    /// Targets of this process's open fds that lie under `dir`.
+    fn fds_under(dir: &Path) -> Vec<String> {
+        let dir = dir.canonicalize().unwrap();
+        let dir = dir.to_string_lossy();
+        fs::read_dir("/proc/self/fd")
+            .unwrap()
+            .filter_map(|entry| fs::read_link(entry.ok()?.path()).ok())
+            .map(|target| target.to_string_lossy().into_owned())
+            .filter(|target| target.starts_with(&*dir))
+            .collect()
     }
 
     fn tempdir(tag: &str) -> PathBuf {

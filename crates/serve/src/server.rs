@@ -491,7 +491,12 @@ impl Shard {
                 .min(Duration::from_millis(500));
             let _ = reactor::poll(&mut entries, timeout);
 
-            self.wake.drain();
+            // The wake entry is first. Draining it only when it is
+            // readable saves a `recv` that would fail with EAGAIN on
+            // every request the shard answers itself.
+            if entries[0].readiness.readable {
+                self.wake.drain();
+            }
             let completions =
                 std::mem::take(&mut *lock_recover(&self.mailboxes[self.id].completions));
             for completion in completions {
@@ -608,7 +613,16 @@ impl Shard {
                     conn.peer_gone = true;
                     break;
                 }
-                Ok(n) => conn.buf.extend_from_slice(&scratch[..n]),
+                Ok(n) => {
+                    conn.buf.extend_from_slice(&scratch[..n]);
+                    // A short read emptied the socket: stop here
+                    // rather than pay a `read` that fails with EAGAIN.
+                    // Poll is level-triggered, so bytes or an EOF that
+                    // arrive later wake the next pass.
+                    if n < scratch.len() {
+                        break;
+                    }
+                }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {

@@ -279,7 +279,7 @@ impl ResultStore {
         if let Some(result) = self.hot.get(digest) {
             return Some((result, Tier::Hot));
         }
-        let bytes = self.pack.get(digest)?;
+        let (bytes, loc) = self.pack.read(digest)?;
         match codec::decode(&bytes, &address.canonical) {
             Ok(result) => {
                 self.hot.put(digest, &result, bytes.len());
@@ -287,7 +287,7 @@ impl ResultStore {
                 Some((result, Tier::Pack))
             }
             Err(_) => {
-                self.pack.forget(digest);
+                self.pack.forget(digest, loc);
                 None
             }
         }

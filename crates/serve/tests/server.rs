@@ -277,6 +277,67 @@ fn eight_concurrent_clients_are_served() {
     server.shutdown();
 }
 
+/// Splits a `Connection: close` response read to EOF into its status
+/// line and body, asserting it is the only response on the wire.
+fn only_response(response: &[u8]) -> (String, Vec<u8>) {
+    let text = String::from_utf8_lossy(response);
+    assert_eq!(text.matches("HTTP/1.1 ").count(), 1, "one response: {text}");
+    let split = response
+        .windows(4)
+        .position(|w| w == b"\r\n\r\n")
+        .expect("response has a header/body boundary");
+    let status = text.lines().next().expect("status line").to_owned();
+    (status, response[split + 4..].to_vec())
+}
+
+#[test]
+fn a_request_written_in_two_parts_is_answered_once() {
+    let server = start(None);
+    let addr = server.addr();
+    let before = metric(addr, "bpred_http_requests_total");
+
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .write_all(b"GET /healthz HTTP/1.1\r\nHo")
+        .expect("first part");
+    thread::sleep(std::time::Duration::from_millis(20));
+    stream
+        .write_all(b"st: localhost\r\nConnection: close\r\n\r\n")
+        .expect("second part");
+    let mut response = Vec::new();
+    stream.read_to_end(&mut response).expect("read response");
+    let (status, body) = only_response(&response);
+    assert!(status.contains("200"), "got {status}");
+    assert_eq!(body, b"ok\n");
+
+    // The split request and this scrape, nothing else.
+    assert_eq!(metric(addr, "bpred_http_requests_total") - before, 2);
+    server.shutdown();
+}
+
+#[test]
+fn a_half_closed_client_still_gets_its_response() {
+    let server = start(Some(scratch("half-close")));
+    let addr = server.addr();
+    // Cold (answered by the pool), then warm (answered on the shard).
+    let mut bodies = Vec::new();
+    for _ in 0..2 {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        write!(stream, "GET {SWEEP} HTTP/1.1\r\nHost: localhost\r\n\r\n").expect("send");
+        stream
+            .shutdown(std::net::Shutdown::Write)
+            .expect("half-close");
+        let mut response = Vec::new();
+        stream.read_to_end(&mut response).expect("read response");
+        let (status, body) = only_response(&response);
+        assert!(status.contains("200"), "got {status}");
+        bodies.push(body);
+    }
+    assert_eq!(bodies[0], bodies[1]);
+    assert_eq!(metric(addr, "bpred_sweeps_inline_total"), 1);
+    server.shutdown();
+}
+
 #[test]
 fn metrics_exposition_is_well_formed() {
     let server = start(None);

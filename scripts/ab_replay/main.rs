@@ -13,7 +13,8 @@
 //! `pairs` pairs. One call is one `LaneSet` build, replay and finish over
 //! pre-generated chunks (the whole `paper` call for the paper row); a
 //! pair interleaves base and head calls, alternating which goes first,
-//! until each side has run for at least [`MIN_SAMPLE`]. Each pair gives
+//! until each side has run for at least [`MIN_SAMPLE`] and at least
+//! [`MIN_CALLS`] times. Each pair gives
 //! a time ratio head/base; a row reports their median, quartiles and
 //! the pairs head won.
 
@@ -25,6 +26,11 @@ use bpred_bench::replay_rows::{families, spill_rows};
 /// Shortest time per side per pair: long enough that timer and
 /// scheduler noise is a small fraction of it.
 const MIN_SAMPLE: Duration = Duration::from_millis(250);
+
+/// Fewest calls per side per pair: a row whose call outlasts
+/// [`MIN_SAMPLE`] (the paper row, about 400 ms) would otherwise get two
+/// calls a side, too few to average out one slow call.
+const MIN_CALLS: usize = 6;
 
 /// Conditional branches of the family rows, as in `BENCH_replay.json`.
 const FAMILY_BRANCHES: usize = 120_000;
@@ -155,9 +161,8 @@ fn main() {
         assert!(head == base, "{}: head and base results differ", row.name);
         let once = Instant::now();
         (row.base)();
-        let reps = (MIN_SAMPLE.as_secs_f64() / once.elapsed().as_secs_f64())
-            .ceil()
-            .max(2.0) as usize;
+        let reps = ((MIN_SAMPLE.as_secs_f64() / once.elapsed().as_secs_f64()).ceil() as usize)
+            .max(MIN_CALLS);
         let (mut ratios, mut head_s, mut base_s) = (Vec::new(), Vec::new(), Vec::new());
         for _ in 0..pairs {
             let (h, b) = pair(&mut row, reps);
