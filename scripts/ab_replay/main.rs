@@ -30,7 +30,7 @@ const MIN_SAMPLE: Duration = Duration::from_millis(250);
 /// Fewest calls per side per pair: a row whose call outlasts
 /// [`MIN_SAMPLE`] (the paper row, about 400 ms) would otherwise get two
 /// calls a side, too few to average out one slow call.
-const MIN_CALLS: usize = 6;
+const MIN_CALLS: usize = 10;
 
 /// Conditional branches of the family rows, as in `BENCH_replay.json`.
 const FAMILY_BRANCHES: usize = 120_000;
