@@ -50,13 +50,13 @@
 //! and compacts mostly-dead sealed segments by rewriting their live
 //! frames into the current active segment.
 //!
-//! *Held read handles.* Every segment's [`SegMeta`] carries a read
+//! *Held read handles.* Every segment's `SegMeta` carries a read
 //! handle, so a cell read is one positioned read (`pread`) with no
 //! path lookup, open or close. Active segments get theirs before any
 //! of their frames is indexed, so a reader never sees a frame whose
 //! segment it cannot read, whatever renames happen after. Sealed
 //! segments open theirs on first read, and at most
-//! [`MAX_SEALED_HANDLES`] stay open: the least recently read one is
+//! `MAX_SEALED_HANDLES` stay open: the least recently read one is
 //! closed to admit another. A handle is dropped with its `SegMeta`,
 //! so GC frees a deleted segment's disk space at once.
 

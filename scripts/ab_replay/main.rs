@@ -29,7 +29,8 @@ const MIN_SAMPLE: Duration = Duration::from_millis(250);
 
 /// Fewest calls per side per pair: a row whose call outlasts
 /// [`MIN_SAMPLE`] (the paper row, about 400 ms) would otherwise get two
-/// calls a side, too few to average out one slow call.
+/// calls a side, too few to average out one slow call. At six its
+/// quartiles still spanned 0.065; at ten, 0.039.
 const MIN_CALLS: usize = 10;
 
 /// Conditional branches of the family rows, as in `BENCH_replay.json`.
