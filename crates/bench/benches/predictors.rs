@@ -1,13 +1,14 @@
 //! Criterion microbenchmarks: single-thread prediction throughput of
-//! every scheme on a fixed workload, plus the enum-kernel vs
-//! `Box<dyn>` dispatch comparison. These measure the simulator itself
+//! every scheme on a fixed workload, plus the per-chunk scalar lane vs
+//! per-record `Box<dyn>` dispatch comparison. These measure the simulator itself
 //! (predictions per second), complementing the accuracy harnesses in
 //! `src/bin/`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use bpred_core::PredictorConfig;
-use bpred_sim::{run_config, Simulator};
+use bpred_sim::{run_config, scalar_lane, Simulator};
+use bpred_trace::{TraceChunk, TraceSource};
 use bpred_workloads::suite;
 
 const BRANCHES: usize = 50_000;
@@ -87,13 +88,15 @@ fn predictor_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-/// Enum-dispatched [`PredictorKernel`](bpred_core::PredictorKernel)
-/// (the hot path since the replay-core rework) against the same
-/// replay over a `Box<dyn BranchPredictor>` (`PredictorConfig::build`,
-/// a boxed kernel): identical `ReplayCore`, identical results,
-/// differing only in how predict/update dispatch.
+/// The scalar tier's per-chunk lane ([`scalar_lane`]: one virtual
+/// call per chunk, a monomorphized record loop inside) against the
+/// same replay over a `Box<dyn BranchPredictor>`
+/// (`PredictorConfig::build`, one virtual call per predict and update)
+/// and over the concrete `Gshare` type: identical `ReplayCore`,
+/// identical results, differing only in how predict/update dispatch.
 fn dispatch_comparison(c: &mut Criterion) {
     let trace = suite::mpeg_play().scaled(BRANCHES).trace(1);
+    let chunks: Vec<TraceChunk> = trace.chunks(TraceChunk::DEFAULT_LEN).collect();
     let sweep: Vec<PredictorConfig> = (6..14)
         .map(|history_bits| PredictorConfig::Gshare {
             history_bits,
@@ -129,11 +132,17 @@ fn dispatch_comparison(c: &mut Criterion) {
                 .sum::<u64>()
         });
     });
-    group.bench_function("enum-kernel", |b| {
+    group.bench_function("chunk-lane", |b| {
         b.iter(|| {
             sweep
                 .iter()
-                .map(|cfg| run_config(*cfg, &trace, Simulator::new()).mispredictions)
+                .map(|cfg| {
+                    let mut lane = scalar_lane(cfg, Simulator::new());
+                    for chunk in &chunks {
+                        lane.feed_chunk(chunk);
+                    }
+                    lane.finish().mispredictions
+                })
                 .sum::<u64>()
         });
     });

@@ -12,7 +12,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 use bpred_core::PredictorConfig;
-use bpred_sim::{run_batched_chunked, Simulator, DEFAULT_SHARD_SIZE};
+use bpred_sim::{run_batched_chunked, run_config, scalar_lane, Simulator, DEFAULT_SHARD_SIZE};
 use bpred_trace::TraceChunk;
 use bpred_workloads::{suite, WorkloadSource};
 
@@ -79,26 +79,24 @@ fn components(c: &mut Criterion) {
                 .sum::<usize>()
         });
     });
-    group.bench_function("lane-feed-enum", |b| {
+    group.bench_function("lane-feed-boxed", |b| {
         b.iter(|| {
-            let mut lane = ReplayCore::from_config(&config, Simulator::new());
+            let mut lane = ReplayCore::new(config.build(), Simulator::new());
             for record in trace.iter() {
                 lane.feed(record);
             }
             lane.finish()
         });
     });
-    group.bench_function("lane-feed-stream-hoisted", |b| {
-        b.iter(|| {
-            let mut lane = ReplayCore::from_config(&config, Simulator::new());
-            lane.replay_dispatched(&trace);
-            lane.finish()
-        });
+    group.bench_function("lane-feed-stream-visited", |b| {
+        b.iter(|| run_config(config, &trace, Simulator::new()));
     });
-    group.bench_function("lane-feed-chunks-hoisted", |b| {
+    group.bench_function("lane-feed-chunks", |b| {
         b.iter(|| {
-            let mut lane = ReplayCore::from_config(&config, Simulator::new());
-            lane.replay_chunks(&chunks);
+            let mut lane = scalar_lane(&config, Simulator::new());
+            for chunk in &chunks {
+                lane.feed_chunk(chunk);
+            }
             lane.finish()
         });
     });

@@ -14,8 +14,9 @@
 //!
 //! Modes per family:
 //!
-//! - `scalar` — `BPRED_FORCE_SCALAR=1`: every lane is the pinned
-//!   hoisted-dispatch [`ReplayCore`](bpred_sim::ReplayCore) fallback.
+//! - `scalar` — `BPRED_FORCE_SCALAR=1`: every lane is a
+//!   [`ScalarLane`](bpred_sim::ScalarLane), the configuration's
+//!   concrete scheme behind one virtual call per chunk.
 //! - `multilane` — the default tier
 //!   ([`dispatch_tier`]): the fused
 //!   lane-major group kernels.

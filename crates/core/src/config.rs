@@ -1,14 +1,17 @@
 //! Declarative predictor configurations.
 //!
 //! [`PredictorConfig`] names every scheme the workspace can simulate,
-//! builds it (as a kernel or a boxed predictor), and round-trips through
-//! a compact text syntax (`"gshare:h=8,c=4"`) so experiment binaries can
-//! take predictors on the command line.
+//! builds it (handed by value to a [`SchemeVisitor`], or boxed), and
+//! round-trips through a compact text syntax (`"gshare:h=8,c=4"`) so
+//! experiment binaries can take predictors on the command line.
 
 use std::fmt;
 use std::str::FromStr;
 
-use crate::{BranchPredictor, TableGeometry, WalkPlan};
+use crate::{
+    AddressIndexed, Agree, AlwaysNotTaken, AlwaysTaken, BiMode, BranchPredictor, Btfn, Combining,
+    Gas, Gshare, Gskew, LastTime, Pas, PathBased, Sas, TableGeometry, WalkPlan, Yags,
+};
 
 /// A buildable description of one predictor configuration.
 ///
@@ -140,11 +143,111 @@ pub enum PredictorConfig {
     },
 }
 
+/// Rank-2 visitor over the concrete scheme a [`PredictorConfig`]
+/// describes.
+///
+/// [`PredictorConfig::visit`] builds the scheme and hands it over by
+/// value, so code generic over [`BranchPredictor`] (a whole replay
+/// loop, say) monomorphizes per scheme behind one match.
+pub trait SchemeVisitor {
+    /// What the visit produces.
+    type Output;
+
+    /// Receives the configuration's freshly built scheme.
+    fn visit<P: BranchPredictor + Send + 'static>(self, predictor: P) -> Self::Output;
+}
+
 impl PredictorConfig {
+    /// Builds this configuration's concrete scheme and hands it to
+    /// `visitor`: the one place a configuration is mapped to its
+    /// scheme. [`build`](Self::build) is the smallest visitor: it
+    /// boxes the scheme.
+    pub fn visit<V: SchemeVisitor>(&self, visitor: V) -> V::Output {
+        match *self {
+            PredictorConfig::AlwaysTaken => visitor.visit(AlwaysTaken),
+            PredictorConfig::AlwaysNotTaken => visitor.visit(AlwaysNotTaken),
+            PredictorConfig::Btfn => visitor.visit(Btfn),
+            PredictorConfig::LastTime { addr_bits } => visitor.visit(LastTime::new(addr_bits)),
+            PredictorConfig::AddressIndexed { addr_bits } => {
+                visitor.visit(AddressIndexed::new(addr_bits))
+            }
+            PredictorConfig::Gas {
+                history_bits,
+                col_bits,
+            } => visitor.visit(Gas::new(history_bits, col_bits)),
+            PredictorConfig::Gshare {
+                history_bits,
+                col_bits,
+            } => visitor.visit(Gshare::new(history_bits, col_bits)),
+            PredictorConfig::Path {
+                row_bits,
+                col_bits,
+                bits_per_target,
+            } => visitor.visit(PathBased::new(row_bits, col_bits, bits_per_target)),
+            PredictorConfig::PasInfinite {
+                history_bits,
+                col_bits,
+            } => visitor.visit(Pas::perfect(history_bits, col_bits)),
+            PredictorConfig::PasFinite {
+                history_bits,
+                col_bits,
+                entries,
+                ways,
+            } => visitor.visit(Pas::with_bht(
+                history_bits,
+                col_bits,
+                entries as usize,
+                ways as usize,
+            )),
+            PredictorConfig::Tournament {
+                addr_bits,
+                history_bits,
+                chooser_bits,
+            } => visitor.visit(Combining::new(
+                AddressIndexed::new(addr_bits),
+                Gshare::new(history_bits, 0),
+                chooser_bits,
+            )),
+            PredictorConfig::Sas {
+                history_bits,
+                set_bits,
+                col_bits,
+            } => visitor.visit(Sas::new(history_bits, set_bits, col_bits)),
+            PredictorConfig::Agree {
+                history_bits,
+                index_bits,
+            } => visitor.visit(Agree::new(history_bits, index_bits)),
+            PredictorConfig::BiMode {
+                history_bits,
+                direction_bits,
+                choice_bits,
+            } => visitor.visit(BiMode::new(history_bits, direction_bits, choice_bits)),
+            PredictorConfig::Gskew {
+                history_bits,
+                bank_bits,
+            } => visitor.visit(Gskew::new(history_bits, bank_bits)),
+            PredictorConfig::Yags {
+                choice_bits,
+                cache_bits,
+                tag_bits,
+            } => visitor.visit(Yags::new(choice_bits, cache_bits, tag_bits)),
+        }
+    }
+
     /// Builds the predictor this configuration describes, boxed behind
-    /// the trait (the [`kernel`](Self::kernel) with dynamic dispatch).
+    /// the trait: one virtual call per predict or update.
     pub fn build(&self) -> Box<dyn BranchPredictor> {
-        Box::new(self.kernel())
+        struct Boxed;
+
+        impl SchemeVisitor for Boxed {
+            type Output = Box<dyn BranchPredictor>;
+
+            fn visit<P: BranchPredictor + Send + 'static>(self, predictor: P) -> Self::Output {
+                Box::new(predictor)
+            }
+        }
+
+        self.visit(Boxed)
     }
 
     /// The configuration's stable canonical identifier.
@@ -836,6 +939,120 @@ mod tests {
             assert!(seen.insert(id.clone()), "duplicate config id {id}");
             let parsed: PredictorConfig = id.parse().unwrap_or_else(|e| panic!("{id}: {e}"));
             assert_eq!(parsed, cfg, "{id}");
+        }
+    }
+
+    /// Replays a short fixed sequence through `predictor`: its
+    /// predictions, then its name, state cost and statistics.
+    fn fingerprint<P: BranchPredictor + ?Sized>(predictor: &mut P) -> String {
+        use bpred_trace::{BranchRecord, Outcome};
+
+        let mut out = String::new();
+        for i in 0..300u64 {
+            let (pc, target) = (0x400 + 4 * (i % 13), 0x100 + 8 * (i % 3));
+            if i % 11 == 10 {
+                predictor.note_control_transfer(&BranchRecord::jump(pc, target));
+                continue;
+            }
+            let outcome = Outcome::from((i * 7) % 5 < 3);
+            let predicted = predictor.predict(pc, target);
+            out.push(if predicted == Outcome::Taken {
+                'T'
+            } else {
+                'N'
+            });
+            predictor.update(pc, target, outcome);
+        }
+        format!(
+            "{out} {} {} {:?} {:?}",
+            predictor.name(),
+            predictor.state_bits(),
+            predictor.alias_stats(),
+            predictor.bht_stats()
+        )
+    }
+
+    #[test]
+    fn visit_and_build_give_the_same_scheme_for_every_variant() {
+        struct Fingerprint;
+
+        impl SchemeVisitor for Fingerprint {
+            type Output = String;
+
+            fn visit<P: BranchPredictor + Send + 'static>(self, mut predictor: P) -> String {
+                fingerprint(&mut predictor)
+            }
+        }
+
+        let configs = [
+            PredictorConfig::AlwaysTaken,
+            PredictorConfig::AlwaysNotTaken,
+            PredictorConfig::Btfn,
+            PredictorConfig::LastTime { addr_bits: 6 },
+            PredictorConfig::AddressIndexed { addr_bits: 6 },
+            PredictorConfig::Gas {
+                history_bits: 6,
+                col_bits: 2,
+            },
+            PredictorConfig::Gshare {
+                history_bits: 7,
+                col_bits: 2,
+            },
+            PredictorConfig::Path {
+                row_bits: 6,
+                col_bits: 2,
+                bits_per_target: 3,
+            },
+            PredictorConfig::PasInfinite {
+                history_bits: 5,
+                col_bits: 2,
+            },
+            PredictorConfig::PasFinite {
+                history_bits: 5,
+                col_bits: 2,
+                entries: 64,
+                ways: 2,
+            },
+            PredictorConfig::Tournament {
+                addr_bits: 6,
+                history_bits: 6,
+                chooser_bits: 6,
+            },
+            PredictorConfig::Sas {
+                history_bits: 5,
+                set_bits: 3,
+                col_bits: 2,
+            },
+            PredictorConfig::Agree {
+                history_bits: 6,
+                index_bits: 8,
+            },
+            PredictorConfig::BiMode {
+                history_bits: 6,
+                direction_bits: 7,
+                choice_bits: 7,
+            },
+            PredictorConfig::Gskew {
+                history_bits: 6,
+                bank_bits: 7,
+            },
+            PredictorConfig::Gskew {
+                history_bits: 4,
+                bank_bits: 0,
+            },
+            PredictorConfig::Gskew {
+                history_bits: 0,
+                bank_bits: 0,
+            },
+            PredictorConfig::Yags {
+                choice_bits: 7,
+                cache_bits: 6,
+                tag_bits: 6,
+            },
+        ];
+        for config in configs {
+            let visited = config.visit(Fingerprint);
+            assert_eq!(visited, fingerprint(&mut *config.build()), "{config}");
         }
     }
 

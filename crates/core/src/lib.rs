@@ -57,7 +57,6 @@ mod fsm;
 mod geometry;
 mod global;
 mod history;
-mod kernel;
 mod peraddr;
 mod plan;
 mod predictor;
@@ -72,7 +71,7 @@ pub use aliasing::AliasStats;
 pub use bht::{BhtStats, HistoryTable, PerfectBht, SetAssocBht};
 pub use btb::{BranchTargetBuffer, BtbStats};
 pub use combining::Combining;
-pub use config::{ParseConfigError, PredictorConfig};
+pub use config::{ParseConfigError, PredictorConfig, SchemeVisitor};
 pub use counter::{CounterState, SaturatingCounter, TwoBitCounter};
 pub use dealiased::{Agree, BiMode, Gskew};
 pub use delayed::DelayedUpdate;
@@ -83,7 +82,6 @@ pub use global::{
     PathSelector,
 };
 pub use history::{reset_pattern, HistoryRegister, PathRegister};
-pub use kernel::{KernelVisitor, PredictorKernel, TournamentKernel};
 pub use peraddr::{Pas, SelfSelector};
 pub use plan::{
     CombineRule, IndexFn, Level1Read, PlanKind, TableRead, WalkPlan, SKEW_BANK_MULTIPLIERS,

@@ -1186,12 +1186,29 @@ mod tests {
             .collect()
     }
 
-    fn tempdir(tag: &str) -> PathBuf {
+    /// A fresh scratch directory, removed with its contents on drop.
+    struct TempDir(PathBuf);
+
+    impl std::ops::Deref for TempDir {
+        type Target = Path;
+
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn tempdir(tag: &str) -> TempDir {
         static N: AtomicU64 = AtomicU64::new(0);
         let n = N.fetch_add(1, Ordering::Relaxed);
         let dir =
             std::env::temp_dir().join(format!("bpred-{tag}-{}-{n}-{:x}", process::id(), now_gen()));
         fs::create_dir_all(&dir).unwrap();
-        dir
+        TempDir(dir)
     }
 }

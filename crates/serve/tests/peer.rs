@@ -5,7 +5,7 @@
 use std::fs;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use bpred_core::PredictorConfig;
 use bpred_serve::codec;
@@ -15,12 +15,31 @@ use bpred_serve::store::StoreOptions;
 use bpred_sim::cache::CellKey;
 use bpred_sim::{SimResult, Simulator};
 
-fn scratch(tag: &str) -> PathBuf {
+/// A fresh scratch directory unique to `tag` (and this process),
+/// cleaned before use so reruns start empty, and removed on drop.
+fn scratch(tag: &str) -> Scratch {
     let dir = std::env::temp_dir()
         .join("bpred-serve-peer")
         .join(format!("{}-{tag}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
-    dir
+    Scratch(dir)
+}
+
+/// A scratch directory, removed with its contents when dropped.
+struct Scratch(PathBuf);
+
+impl std::ops::Deref for Scratch {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = fs::remove_dir_all(&self.0);
+    }
 }
 
 fn options(peers: Option<PeerSet>) -> StoreOptions {
@@ -32,11 +51,11 @@ fn options(peers: Option<PeerSet>) -> StoreOptions {
     }
 }
 
-fn start(cache: PathBuf, peers: Option<PeerSet>) -> ServerHandle {
+fn start(cache: &Path, peers: Option<PeerSet>) -> ServerHandle {
     Server::start(ServerConfig {
         addr: "127.0.0.1:0".to_owned(),
         workers: 2,
-        cache_dir: Some(cache),
+        cache_dir: Some(cache.to_path_buf()),
         store: options(peers),
         ..ServerConfig::default()
     })
@@ -115,7 +134,8 @@ fn sample_result() -> SimResult {
 
 #[test]
 fn cell_routes_serve_and_accept_verified_objects() {
-    let server = start(scratch("cell"), None);
+    let dir = scratch("cell");
+    let server = start(&dir, None);
     let addr = server.addr();
     let key = sample_key();
     let object = codec::encode(&key.canonical(), &sample_result());
@@ -158,14 +178,16 @@ const SWEEP: &str =
 fn cold_node_warm_fetches_every_cell_from_its_peer() {
     // Node A computes the sweep; node B, configured with A as a
     // peer, must answer the same sweep without simulating anything.
-    let node_a = start(scratch("peer-a"), None);
+    let dir_a = scratch("peer-a");
+    let node_a = start(&dir_a, None);
     let addr_a = node_a.addr();
     let (status, body_a) = get(addr_a, SWEEP);
     assert!(status.contains("200"), "got {status}");
     assert_eq!(metric(addr_a, "bpred_cache_misses_total"), 3);
 
     let peers = PeerSet::from_list(&addr_a.to_string()).expect("peer list");
-    let node_b = start(scratch("peer-b"), Some(peers));
+    let dir_b = scratch("peer-b");
+    let node_b = start(&dir_b, Some(peers));
     let addr_b = node_b.addr();
     let (status, body_b) = get(addr_b, SWEEP);
     assert!(status.contains("200"), "got {status}");
@@ -196,7 +218,8 @@ fn dead_peer_degrades_to_local_compute() {
     // Port 1: connection refused. The node must still answer by
     // simulating, just without peer help.
     let peers = PeerSet::from_list("127.0.0.1:1").expect("peer list");
-    let node = start(scratch("peer-dead"), Some(peers));
+    let dir = scratch("peer-dead");
+    let node = start(&dir, Some(peers));
     let addr = node.addr();
     let (status, _) = get(addr, SWEEP);
     assert!(status.contains("200"), "got {status}");
@@ -207,12 +230,14 @@ fn dead_peer_degrades_to_local_compute() {
 
 #[test]
 fn local_miss_goes_to_the_pool_where_the_peer_answers_it() {
-    let node_a = start(scratch("pool-a"), None);
+    let dir_a = scratch("pool-a");
+    let node_a = start(&dir_a, None);
     let (status, body_a) = get(node_a.addr(), SWEEP);
     assert!(status.contains("200"), "got {status}");
 
     let peers = PeerSet::from_list(&node_a.addr().to_string()).expect("peer list");
-    let node_b = start(scratch("pool-b"), Some(peers));
+    let dir_b = scratch("pool-b");
+    let node_b = start(&dir_b, Some(peers));
     let addr = node_b.addr();
     // Build B's espresso model on a cell A does not have, so the
     // sweep below runs its local stage on the event loop.

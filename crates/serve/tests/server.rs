@@ -5,7 +5,7 @@
 use std::fs;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 use std::thread;
 
@@ -13,19 +13,38 @@ use bpred_serve::server::{Server, ServerConfig, ServerHandle};
 use bpred_serve::store::StoreOptions;
 use bpred_serve::PeerSet;
 
-fn scratch(tag: &str) -> PathBuf {
+/// A fresh scratch directory unique to `tag` (and this process),
+/// cleaned before use so reruns start empty, and removed on drop.
+fn scratch(tag: &str) -> Scratch {
     let dir = std::env::temp_dir()
         .join("bpred-serve-e2e")
         .join(format!("{}-{tag}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
-    dir
+    Scratch(dir)
 }
 
-fn start(cache: Option<PathBuf>) -> ServerHandle {
+/// A scratch directory, removed with its contents when dropped.
+struct Scratch(PathBuf);
+
+impl std::ops::Deref for Scratch {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = fs::remove_dir_all(&self.0);
+    }
+}
+
+fn start(cache: Option<&Path>) -> ServerHandle {
     Server::start(ServerConfig {
         addr: "127.0.0.1:0".to_owned(),
         workers: 4,
-        cache_dir: cache,
+        cache_dir: cache.map(Path::to_path_buf),
         max_branches: 2_000_000,
         ..ServerConfig::default()
     })
@@ -101,7 +120,7 @@ fn healthz_and_unknown_routes() {
 #[test]
 fn repeated_sweep_hits_the_cache_bit_identically() {
     let dir = scratch("repeat");
-    let server = start(Some(dir));
+    let server = start(Some(&dir));
     let addr = server.addr();
 
     // Cold: everything simulates.
@@ -204,7 +223,8 @@ fn assert_over_budget(addr: SocketAddr, sweep: &str) {
 
 #[test]
 fn a_table_over_the_sweep_budget_gets_400_and_builds_nothing() {
-    let server = start(Some(scratch("budget-one")));
+    let dir = scratch("budget-one");
+    let server = start(Some(&dir));
     let addr = server.addr();
     // One legal table of 2^30 counters: a 4 GiB arena had it run.
     assert_over_budget(addr, "/sweep?workload=espresso&configs=gshare:h=30,c=0");
@@ -232,7 +252,7 @@ fn legal_tables_that_add_up_past_the_sweep_budget_get_400() {
 #[test]
 fn eight_concurrent_clients_are_served() {
     let dir = scratch("concurrent");
-    let server = start(Some(dir));
+    let server = start(Some(&dir));
     let addr = server.addr();
 
     // Mixed identical and distinct sweeps, healthz, and metrics —
@@ -317,7 +337,8 @@ fn a_request_written_in_two_parts_is_answered_once() {
 
 #[test]
 fn a_half_closed_client_still_gets_its_response() {
-    let server = start(Some(scratch("half-close")));
+    let dir = scratch("half-close");
+    let server = start(Some(&dir));
     let addr = server.addr();
     // Cold (answered by the pool), then warm (answered on the shard).
     let mut bodies = Vec::new();
@@ -372,7 +393,8 @@ fn metrics_exposition_is_well_formed() {
 
 #[test]
 fn half_warm_sweep_dispatches_once_and_probes_each_cell_once() {
-    let server = start(Some(scratch("half-warm")));
+    let dir = scratch("half-warm");
+    let server = start(Some(&dir));
     let addr = server.addr();
     let warm = "/sweep?workload=espresso&branches=20000&configs=gshare:h=7,c=2;gas:h=7,c=2";
     let (status, _, _) = get(addr, warm);
@@ -405,11 +427,11 @@ fn half_warm_sweep_dispatches_once_and_probes_each_cell_once() {
 #[test]
 fn restarted_server_builds_its_model_in_the_pool_then_answers_inline() {
     let dir = scratch("restart");
-    let first = start(Some(dir.clone()));
+    let first = start(Some(&dir));
     let (_, _, cold_body) = get(first.addr(), SWEEP);
     first.shutdown();
 
-    let server = start(Some(dir));
+    let server = start(Some(&dir));
     let addr = server.addr();
     let (status, headers, body) = get(addr, SWEEP);
     assert!(status.contains("200"), "got {status}");
@@ -468,7 +490,7 @@ fn held_peer() -> (
 #[test]
 fn warm_sweeps_are_answered_while_the_pool_sheds() {
     let dir = scratch("shed");
-    let primer = start(Some(dir.clone()));
+    let primer = start(Some(&dir));
     assert!(get(primer.addr(), SWEEP).0.contains("200"));
     primer.shutdown();
 
@@ -477,7 +499,7 @@ fn warm_sweeps_are_answered_while_the_pool_sheds() {
         addr: "127.0.0.1:0".to_owned(),
         workers: 1,
         queue_depth: 1,
-        cache_dir: Some(dir),
+        cache_dir: Some(dir.to_path_buf()),
         store: StoreOptions {
             peers: PeerSet::from_list(&peer.to_string()),
             ..StoreOptions::default()
@@ -538,7 +560,8 @@ fn warm_sweeps_are_answered_while_the_pool_sheds() {
 
 #[test]
 fn warm_sweeps_past_the_inline_cell_cap_go_to_the_pool() {
-    let server = start(Some(scratch("cap")));
+    let dir = scratch("cap");
+    let server = start(Some(&dir));
     let addr = server.addr();
     let sweep = |cells: usize| {
         let configs = vec!["taken"; cells].join(";");

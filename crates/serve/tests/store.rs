@@ -17,13 +17,30 @@ use bpred_sim::cache::CellKey;
 use bpred_sim::{SimResult, Simulator};
 
 /// A fresh scratch directory unique to `tag` (and this process),
-/// cleaned before use so reruns start empty.
-fn scratch(tag: &str) -> PathBuf {
+/// cleaned before use so reruns start empty, and removed on drop.
+fn scratch(tag: &str) -> Scratch {
     let dir = std::env::temp_dir()
         .join("bpred-serve-tests")
         .join(format!("{}-{tag}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
-    dir
+    Scratch(dir)
+}
+
+/// A scratch directory, removed with its contents when dropped.
+struct Scratch(PathBuf);
+
+impl std::ops::Deref for Scratch {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = fs::remove_dir_all(&self.0);
+    }
 }
 
 fn key(tag: &str) -> CellKey {

@@ -12,8 +12,8 @@
 //! workers (see [`crate::ring`]), overlapping generation with replay.
 //!
 //! Each shard replays its lanes through one [`LaneSet`]: fused
-//! multilane groups per plan kind, or the scalar
-//! [`ReplayCore`](crate::ReplayCore) dispatch under
+//! multilane groups per plan kind, or one per-chunk
+//! [`ScalarLane`](crate::ScalarLane) per configuration under
 //! `BPRED_FORCE_SCALAR`. Because lanes are independent, a batched run
 //! is *bit-identical* to running each configuration alone through
 //! [`Simulator::run`], which

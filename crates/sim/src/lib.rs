@@ -5,11 +5,15 @@
 //!
 //! # Replay core & observers
 //!
-//! Every replay in this crate — [`Simulator::run`], the batched sweep
-//! lanes, [`ProfiledRun`], [`interference::classify`] — is one
-//! [`ReplayCore`] pass: predict, score after warmup, update, note
-//! non-conditional control transfers. Measurement concerns that used
-//! to be separate hand-rolled loops are [`Observer`]s attached to that
+//! Every scalar replay in this crate — [`Simulator::run`],
+//! [`run_config`], the sweep engine's [`ScalarLane`]s, [`ProfiledRun`],
+//! [`interference::classify`] — is one [`ReplayCore`] pass: predict,
+//! score after warmup, update, note non-conditional control
+//! transfers. A configuration reaches its concrete scheme through
+//! [`PredictorConfig::visit`](bpred_core::PredictorConfig::visit), so
+//! [`run_config`] and the scalar lanes run the record loop
+//! monomorphized per scheme. Measurement concerns that used to be
+//! separate hand-rolled loops are [`Observer`]s attached to that
 //! single feed path; observers see the predictor only through a shared
 //! borrow, so attaching any combination of them cannot change results
 //! (enforced by `tests/observers.rs` at the workspace root).
@@ -87,7 +91,7 @@ pub use engine::{SimResult, Simulator};
 pub use interference::{InterferenceObserver, InterferenceStats};
 pub use multilane::{dispatch_tier, LaneSet, LANE_TIER_LABELS};
 pub use profiled::{BranchOutcomeCounts, BranchProfiler, ProfiledRun};
-pub use replay::{Observer, ReplayCore};
+pub use replay::{scalar_lane, Observer, ReplayCore, ScalarLane};
 pub use replicate::{replicate, Replication};
 pub use report::TextTable;
 pub use surface::{Surface, SurfacePoint, Tier};

@@ -49,8 +49,10 @@
 //!   of a sweep walk adjacent arena regions and same-row reads land in
 //!   neighbouring cache lines.
 //! * **Scalar fallback** — under `BPRED_FORCE_SCALAR` every lane
-//!   replays through the hoisted [`ReplayCore`] dispatch instead. The
-//!   scalar kernel remains the oracle: multilane results are
+//!   replays through a [`ScalarLane`] instead: the configuration's
+//!   concrete scheme, built once by
+//!   [`PredictorConfig::visit`], behind one virtual call per chunk.
+//!   The scalar schemes remain the oracle: multilane results are
 //!   bit-identical by construction and by test (`tests/multilane.rs`
 //!   at the workspace root).
 //!
@@ -72,15 +74,11 @@ use std::ops::Range;
 
 use bpred_core::{
     cell, reset_pattern, AliasStats, BhtStats, CombineRule, IndexFn, Level1Read, PlanKind,
-    PredictorConfig, PredictorKernel, TableRead, TwoBitCounter, WalkPlan, SKEW_BANK_MULTIPLIERS,
+    PredictorConfig, TableRead, TwoBitCounter, WalkPlan, SKEW_BANK_MULTIPLIERS,
 };
 use bpred_trace::{Outcome, TraceChunk};
 
-use crate::{ReplayCore, SimResult, Simulator};
-
-/// One scalar-tier lane: a [`ReplayCore`] over the enum-dispatched
-/// kernel, exactly as the pre-multilane batch engine ran it.
-type Lane = ReplayCore<PredictorKernel>;
+use crate::{scalar_lane, ScalarLane, SimResult, Simulator};
 
 /// Mask of the low bit of every 4-bit metadata field in a chunk
 /// metadata word.
@@ -620,7 +618,7 @@ struct Level1Walk {
 
 impl Level1Walk {
     fn new(read: Level1Read) -> Self {
-        // `PredictorConfig::kernel` has validated finite geometries.
+        // `PredictorConfig::build` has validated finite geometries.
         let len = match read {
             Level1Read::PerfectBht => 0,
             Level1Read::SetAssocBht { entries, .. } => entries,
@@ -1851,7 +1849,7 @@ pub struct LaneSet {
     scored: u64,
     groups: Vec<Group>,
     statics: Vec<StaticUnit>,
-    scalars: Vec<(usize, Lane)>,
+    scalars: Vec<(usize, Box<dyn ScalarLane + Send>)>,
     inputs: ChunkInputs,
 }
 
@@ -1877,23 +1875,23 @@ impl LaneSet {
                 statics.push(StaticUnit {
                     index,
                     scheme,
-                    name: config.kernel().name(),
+                    name: config.build().name(),
                     mispredictions: 0,
                 });
                 continue;
             }
             let Some(plan) = WalkPlan::of(config).filter(|_| !force_scalar) else {
-                scalars.push((index, ReplayCore::from_config(config, simulator)));
+                scalars.push((index, scalar_lane(config, simulator)));
                 continue;
             };
-            // Name and state cost come from the kernel itself — the
-            // single source of the describe() rules — captured once
-            // at build and the kernel dropped.
-            let kernel = config.kernel();
+            // Name and state cost come from the scalar scheme itself —
+            // the single source of the describe() rules — captured
+            // once at build and the scheme dropped.
+            let scheme = config.build();
             let spec = PlanSpec {
                 index,
-                name: kernel.name(),
-                state_bits: kernel.state_bits(),
+                name: scheme.name(),
+                state_bits: scheme.state_bits(),
                 plan,
             };
             let kind = spec.plan.kind();
@@ -1960,7 +1958,7 @@ impl LaneSet {
 
     /// Feeds one chunk through every lane. Chunks must arrive in
     /// stream order; record semantics per lane are identical to
-    /// [`ReplayCore::feed`] over the same records.
+    /// [`ReplayCore::feed`](crate::ReplayCore::feed) over the same records.
     pub fn replay_chunk(&mut self, chunk: &TraceChunk) {
         let (conditionals, taken) = conditional_counts(chunk);
         // The chunk's conditionals in the warmup prefix, split off once
@@ -1976,7 +1974,7 @@ impl LaneSet {
             unit.replay_chunk(chunk, unscored, conditionals, taken);
         }
         for (_, lane) in &mut self.scalars {
-            lane.replay_chunk_dispatched(chunk);
+            lane.feed_chunk(chunk);
         }
         self.scored += conditionals - unscored;
         self.seen += conditionals;
@@ -2070,7 +2068,7 @@ mod tests {
     fn assert_matches_serial(configs: &[PredictorConfig], t: &Trace, simulator: Simulator) {
         let multilane = one_lane_set(configs, t, simulator);
         for (config, got) in configs.iter().zip(&multilane) {
-            let want = simulator.run(&mut config.kernel(), t);
+            let want = simulator.run(&mut config.build(), t);
             assert_eq!(&want, got, "{config}");
         }
     }

@@ -19,28 +19,27 @@
 //! [`SimResult`] bit-identical to a bare run (`tests/observers.rs` at
 //! the workspace root enforces this).
 //!
-//! The core is generic over the predictor type. The hot sweep paths
-//! instantiate it with [`PredictorKernel`] and replay through
-//! [`replay_dispatched`](ReplayCore::replay_dispatched), which
-//! resolves the enum variant *once per stream* and runs the whole
-//! record loop monomorphized; legacy call sites instantiate the core
-//! with `&mut dyn BranchPredictor` (or any concrete scheme) and keep
+//! The core is generic over the predictor type: a concrete scheme
+//! monomorphizes the whole record loop, while `&mut dyn
+//! BranchPredictor` or a boxed [`PredictorConfig::build`] keeps
 //! trait-object semantics. Records can arrive one at a time
-//! ([`feed`](ReplayCore::feed)), as a stream, or as
-//! structure-of-arrays [`TraceChunk`]s
-//! ([`feed_chunk`](ReplayCore::feed_chunk) /
-//! [`replay_chunks`](ReplayCore::replay_chunks) /
-//! [`replay_chunk_dispatched`](ReplayCore::replay_chunk_dispatched) —
-//! the chunked sweep pipeline's feed path, hoisted per chunk). Every
+//! ([`feed`](ReplayCore::feed)), as a stream
+//! ([`replay`](ReplayCore::replay)), or as structure-of-arrays
+//! [`TraceChunk`]s ([`feed_chunk`](ReplayCore::feed_chunk)). Every
 //! shape reassembles the same record sequence through the same feed
-//! site, so the replayed bit-stream is identical — dispatch and
+//! site, so the replayed bit-stream is identical; dispatch and
 //! memory-layout cost are the only differences.
+//!
+//! A configuration reaches its concrete scheme through
+//! [`PredictorConfig::visit`]. [`scalar_lane`] builds a [`ScalarLane`]
+//! that way: a core over the concrete scheme behind one virtual call
+//! per chunk, the scalar tier of the sweep engine.
 //!
 //! Sweeps that replay *many* configurations over one chunk stream go
 //! one tier further: a [`LaneSet`](crate::LaneSet) (module
 //! [`multilane`](crate::multilane), driven by
 //! [`run_configs`](crate::run_configs)) fuses compatible lanes into
-//! lane-major groups over shared counter arenas, with this core pinned
+//! lane-major groups over shared counter arenas, with [`ScalarLane`]s
 //! underneath as the scalar fallback and bit-identity oracle.
 //!
 //! # Examples
@@ -56,7 +55,7 @@
 //!     .map(|i| BranchRecord::conditional(0x40, 0x20, Outcome::from(i % 4 != 0)))
 //!     .collect();
 //! let config = PredictorConfig::Gshare { history_bits: 6, col_bits: 2 };
-//! let mut core = ReplayCore::new(config.kernel(), Simulator::new());
+//! let mut core = ReplayCore::new(config.build(), Simulator::new());
 //! core.replay(&trace);
 //! let result = core.finish();
 //! assert_eq!(result.conditionals, 100);
@@ -73,17 +72,15 @@
 //!     .map(|i| BranchRecord::conditional(0x40 + 4 * (i % 2), 0x20, Outcome::Taken))
 //!     .collect();
 //! let mut profiler = BranchProfiler::new();
-//! let mut core = ReplayCore::new(PredictorConfig::Btfn.kernel(), Simulator::new());
+//! let mut core = ReplayCore::new(PredictorConfig::Btfn.build(), Simulator::new());
 //! core.replay_observed(&trace, &mut profiler);
 //! assert_eq!(profiler.counts().len(), 2); // two static branches seen
 //! # let _ = core.finish();
 //! ```
 
-use std::borrow::Borrow;
+use std::fmt;
 
-use bpred_core::{
-    AliasStats, BhtStats, BranchPredictor, KernelVisitor, PredictorConfig, PredictorKernel,
-};
+use bpred_core::{AliasStats, BhtStats, BranchPredictor, PredictorConfig, SchemeVisitor};
 use bpred_trace::{BranchRecord, Outcome, TraceChunk, TraceSource};
 
 use crate::{SimResult, Simulator};
@@ -180,9 +177,8 @@ tuple_observer!(A: 0, B: 1, C: 2, D: 3);
 /// One predictor advancing through a record stream, with the scoring
 /// and statistics bookkeeping shared by every replay flavour.
 ///
-/// A core is built around a predictor ([`new`](ReplayCore::new) or
-/// [`from_config`](ReplayCore::from_config)), fed records one at a
-/// time ([`feed`](ReplayCore::feed) /
+/// A core is built around a predictor ([`new`](ReplayCore::new)),
+/// fed records one at a time ([`feed`](ReplayCore::feed) /
 /// [`feed_observed`](ReplayCore::feed_observed), or whole sources via
 /// [`replay`](ReplayCore::replay) /
 /// [`replay_observed`](ReplayCore::replay_observed)), and consumed
@@ -199,161 +195,6 @@ pub struct ReplayCore<P: BranchPredictor> {
     mispredictions: u64,
     alias_before: AliasStats,
     bht_before: BhtStats,
-}
-
-impl ReplayCore<PredictorKernel> {
-    /// A core over the enum-dispatched kernel of `config` — the hot
-    /// path the batched sweep lanes use.
-    pub fn from_config(config: &PredictorConfig, simulator: Simulator) -> Self {
-        ReplayCore::new(config.kernel(), simulator)
-    }
-
-    /// Replays `source` with the kernel's variant resolved *once*, so
-    /// the whole record loop runs monomorphized.
-    ///
-    /// Per-record enum dispatch costs an indirect jump per predict and
-    /// per update that the replay loop cannot hide; hoisting the match
-    /// out of the loop recovers fully static dispatch for entire
-    /// streams. Record-interleaved consumers (the batch lanes) cannot
-    /// hoist and keep using [`feed`](ReplayCore::feed). The replayed
-    /// bit-stream is identical either way.
-    pub fn replay_dispatched<S: TraceSource + ?Sized>(&mut self, source: &S) {
-        self.run_hoisted(FusedStreamJob { source });
-    }
-
-    /// [`replay_dispatched`](ReplayCore::replay_dispatched) with an
-    /// observer attached.
-    pub fn replay_observed_dispatched<S, O>(&mut self, source: &S, observer: &mut O)
-    where
-        S: TraceSource + ?Sized,
-        O: Observer,
-    {
-        self.run_hoisted(StreamJob { source, observer });
-    }
-
-    /// Replays a whole chunk sequence with the kernel's variant
-    /// resolved once for the entire run, iterating each chunk's
-    /// structure-of-arrays storage in the monomorphized inner loop.
-    ///
-    /// Accepts owned chunks, references, or `Arc`s (anything
-    /// [`Borrow<TraceChunk>`]), so both a [`TraceSource::chunks`] view
-    /// and the sweep pipeline's shared ring chunks replay through the
-    /// same path. Record semantics are identical to
-    /// [`replay`](ReplayCore::replay) over the concatenated records.
-    pub fn replay_chunks<I>(&mut self, chunks: I)
-    where
-        I: IntoIterator,
-        I::Item: Borrow<TraceChunk>,
-    {
-        self.run_hoisted(FusedChunksJob { chunks });
-    }
-
-    /// Feeds one chunk with the kernel's variant resolved once per
-    /// chunk — the batch workers' feed path, where lanes interleave at
-    /// chunk granularity so a whole-stream hoist is impossible but a
-    /// per-chunk hoist still amortises dispatch over thousands of
-    /// records.
-    #[inline]
-    pub fn replay_chunk_dispatched(&mut self, chunk: &TraceChunk) {
-        self.run_hoisted(FusedChunksJob {
-            chunks: std::iter::once(chunk),
-        });
-    }
-
-    /// Resolves the kernel's variant once and runs `job` against a
-    /// concrete-typed twin of this core, folding the bookkeeping (and
-    /// the trained predictor) back afterwards. Baselines stay the
-    /// outer core's: `finish` must report deltas from construction,
-    /// not from this call.
-    fn run_hoisted<J: ReplayJob>(&mut self, job: J) {
-        struct Hoisted<'a, J> {
-            core: &'a mut ReplayCore<PredictorKernel>,
-            job: J,
-        }
-
-        impl<J: ReplayJob> KernelVisitor for Hoisted<'_, J> {
-            type Output = ();
-
-            fn visit<P: BranchPredictor>(self, predictor: P, rewrap: fn(P) -> PredictorKernel) {
-                let mut inner = ReplayCore {
-                    predictor,
-                    warmup: self.core.warmup,
-                    seen: self.core.seen,
-                    scored: self.core.scored,
-                    mispredictions: self.core.mispredictions,
-                    alias_before: self.core.alias_before,
-                    bht_before: self.core.bht_before,
-                };
-                self.job.run(&mut inner);
-                self.core.seen = inner.seen;
-                self.core.scored = inner.scored;
-                self.core.mispredictions = inner.mispredictions;
-                self.core.predictor = rewrap(inner.predictor);
-            }
-        }
-
-        let kernel = std::mem::replace(
-            &mut self.predictor,
-            PredictorKernel::AlwaysNotTaken(bpred_core::AlwaysNotTaken),
-        );
-        kernel.visit(Hoisted { core: self, job });
-    }
-}
-
-/// A unit of replay work runnable against any concrete predictor
-/// type: the bridge between the kernel visitor (which monomorphizes
-/// per scheme) and the various feed shapes (record streams, chunk
-/// sequences).
-trait ReplayJob {
-    /// Feeds the job's records through `core`.
-    fn run<P: BranchPredictor>(self, core: &mut ReplayCore<P>);
-}
-
-/// Replays a full [`TraceSource`] stream with an observer.
-struct StreamJob<'a, S: ?Sized, O> {
-    source: &'a S,
-    observer: &'a mut O,
-}
-
-impl<S: TraceSource + ?Sized, O: Observer> ReplayJob for StreamJob<'_, S, O> {
-    fn run<P: BranchPredictor>(self, core: &mut ReplayCore<P>) {
-        for record in self.source.stream() {
-            core.feed_observed(&record, &mut *self.observer);
-        }
-    }
-}
-
-/// Replays a full [`TraceSource`] stream through the fused
-/// no-observer [`feed`](ReplayCore::feed).
-struct FusedStreamJob<'a, S: ?Sized> {
-    source: &'a S,
-}
-
-impl<S: TraceSource + ?Sized> ReplayJob for FusedStreamJob<'_, S> {
-    fn run<P: BranchPredictor>(self, core: &mut ReplayCore<P>) {
-        for record in self.source.stream() {
-            core.feed(&record);
-        }
-    }
-}
-
-/// Replays a chunk sequence through the fused no-observer
-/// [`feed_chunk`](ReplayCore::feed_chunk) — the sweep pipeline's
-/// inner loop.
-struct FusedChunksJob<I> {
-    chunks: I,
-}
-
-impl<I> ReplayJob for FusedChunksJob<I>
-where
-    I: IntoIterator,
-    I::Item: Borrow<TraceChunk>,
-{
-    fn run<P: BranchPredictor>(self, core: &mut ReplayCore<P>) {
-        for chunk in self.chunks {
-            core.feed_chunk(chunk.borrow());
-        }
-    }
 }
 
 impl<P: BranchPredictor> ReplayCore<P> {
@@ -435,19 +276,6 @@ impl<P: BranchPredictor> ReplayCore<P> {
         }
     }
 
-    /// [`feed_chunk`](ReplayCore::feed_chunk) with an observer
-    /// attached. Records are reassembled from the parallel arrays one
-    /// at a time and fed through
-    /// [`feed_observed`](ReplayCore::feed_observed) — the single
-    /// predict/update site — so chunked and record-at-a-time replays
-    /// are the same bit-stream by construction.
-    #[inline]
-    pub fn feed_chunk_observed<O: Observer>(&mut self, chunk: &TraceChunk, observer: &mut O) {
-        for record in chunk.iter() {
-            self.feed_observed(&record, observer);
-        }
-    }
-
     /// Feeds every record of `source` through the core.
     pub fn replay<S: TraceSource + ?Sized>(&mut self, source: &S) {
         for record in source.stream() {
@@ -488,6 +316,78 @@ impl<P: BranchPredictor> ReplayCore<P> {
             bht,
         }
     }
+}
+
+/// A scalar-tier lane: one configuration's [`ReplayCore`] over its
+/// concrete scheme, fed a chunk at a time behind one virtual call.
+///
+/// Built by [`scalar_lane`]. The chunk's record loop is
+/// [`ReplayCore::feed_chunk`], monomorphized per scheme, and it runs
+/// on a stack copy of the core: the lane moves its core out for the
+/// chunk and puts it back, so the scheme's fields stay in registers
+/// instead of being reloaded through the box on every record
+/// (EXPERIMENTS.md, "Dispatch cost").
+pub trait ScalarLane {
+    /// Feeds every record of `chunk` (see [`ReplayCore::feed_chunk`]).
+    fn feed_chunk(&mut self, chunk: &TraceChunk);
+
+    /// Closes the lane (see [`ReplayCore::finish`]).
+    fn finish(self: Box<Self>) -> SimResult;
+}
+
+impl fmt::Debug for dyn ScalarLane + Send {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("ScalarLane")
+    }
+}
+
+/// The core parks in the `Option` between chunks; it is `None` only
+/// while a chunk runs.
+struct StackLane<P: BranchPredictor>(Option<ReplayCore<P>>);
+
+impl<P: BranchPredictor> ScalarLane for StackLane<P> {
+    fn feed_chunk(&mut self, chunk: &TraceChunk) {
+        let mut core = self.0.take().expect("lane core is parked between chunks");
+        core.feed_chunk(chunk);
+        self.0 = Some(core);
+    }
+
+    fn finish(self: Box<Self>) -> SimResult {
+        self.0.expect("lane core is parked between chunks").finish()
+    }
+}
+
+/// Builds `config`'s [`ScalarLane`], scoring under `simulator`'s
+/// warmup policy: the scheme is resolved once here, through
+/// [`PredictorConfig::visit`], and never again per record.
+///
+/// # Examples
+///
+/// ```
+/// use bpred_core::PredictorConfig;
+/// use bpred_sim::{scalar_lane, Simulator};
+/// use bpred_trace::{BranchRecord, Outcome, Trace, TraceChunk};
+///
+/// let trace: Trace = (0..100)
+///     .map(|i| BranchRecord::conditional(0x40, 0x20, Outcome::from(i % 4 != 0)))
+///     .collect();
+/// let config = PredictorConfig::Gshare { history_bits: 6, col_bits: 2 };
+/// let mut lane = scalar_lane(&config, Simulator::new());
+/// lane.feed_chunk(&trace.iter().copied().collect::<TraceChunk>());
+/// assert_eq!(lane.finish(), Simulator::new().run(&mut config.build(), &trace));
+/// ```
+pub fn scalar_lane(config: &PredictorConfig, simulator: Simulator) -> Box<dyn ScalarLane + Send> {
+    struct Build(Simulator);
+
+    impl SchemeVisitor for Build {
+        type Output = Box<dyn ScalarLane + Send>;
+
+        fn visit<P: BranchPredictor + Send + 'static>(self, predictor: P) -> Self::Output {
+            Box::new(StackLane(Some(ReplayCore::new(predictor, self.0))))
+        }
+    }
+
+    config.visit(Build(simulator))
 }
 
 #[cfg(test)]
@@ -555,23 +455,15 @@ mod tests {
     #[test]
     fn observed_and_bare_replays_are_identical() {
         let t = trace(400);
-        let mut bare = ReplayCore::from_config(
-            &PredictorConfig::Gshare {
-                history_bits: 5,
-                col_bits: 2,
-            },
-            Simulator::new(),
-        );
+        let config = PredictorConfig::Gshare {
+            history_bits: 5,
+            col_bits: 2,
+        };
+        let mut bare = ReplayCore::new(config.build(), Simulator::new());
         bare.replay(&t);
 
         let mut observer = (Counting::default(), Counting::default());
-        let mut observed = ReplayCore::from_config(
-            &PredictorConfig::Gshare {
-                history_bits: 5,
-                col_bits: 2,
-            },
-            Simulator::new(),
-        );
+        let mut observed = ReplayCore::new(config.build(), Simulator::new());
         observed.replay_observed(&t, &mut observer);
         assert_eq!(bare.finish(), observed.finish());
         assert_eq!(observer.0.conditionals, 400);

@@ -8,7 +8,7 @@
 //! one streaming pass per predictor shard instead of one full replay
 //! per configuration.
 
-use bpred_core::PredictorConfig;
+use bpred_core::{BranchPredictor, PredictorConfig, SchemeVisitor};
 use bpred_trace::{Trace, TraceSource};
 
 use crate::batch::{run_batched, DEFAULT_SHARD_SIZE};
@@ -54,11 +54,21 @@ where
 
 /// Simulates one configuration (convenience wrapper matching
 /// [`run_configs`] semantics for a single point), replayed through the
-/// configuration's enum-dispatched kernel.
+/// configuration's concrete scheme with the record loop monomorphized.
 pub fn run_config(config: PredictorConfig, trace: &Trace, simulator: Simulator) -> SimResult {
-    let mut core = ReplayCore::from_config(&config, simulator);
-    core.replay_dispatched(trace);
-    core.finish()
+    struct Run<'a>(&'a Trace, Simulator);
+
+    impl SchemeVisitor for Run<'_> {
+        type Output = SimResult;
+
+        fn visit<P: BranchPredictor + Send + 'static>(self, predictor: P) -> SimResult {
+            let mut core = ReplayCore::new(predictor, self.1);
+            core.replay(self.0);
+            core.finish()
+        }
+    }
+
+    config.visit(Run(trace, simulator))
 }
 
 #[cfg(test)]

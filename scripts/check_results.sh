@@ -14,7 +14,8 @@
 # The full run replays every benchmark at paper length: about 15 s of
 # `all` on one core once built. BPRED_CACHE_DIR is deliberately unset
 # for the run so the check exercises the engine, not the cache. CI runs
-# this on the default matrix leg.
+# this on both matrix legs; with BPRED_FORCE_SCALAR=1 every lane replays
+# on the scalar tier, about 90 s on one core.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."

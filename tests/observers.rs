@@ -13,10 +13,10 @@ use proptest::prelude::*;
 
 use bpred::core::PredictorConfig;
 use bpred::sim::{
-    interference, BranchProfiler, InterferenceObserver, ProfiledRun, ReplayCore, SimResult,
-    Simulator,
+    interference, scalar_lane, BranchProfiler, InterferenceObserver, ProfiledRun, ReplayCore,
+    SimResult, Simulator,
 };
-use bpred::trace::{BranchRecord, Outcome, Trace};
+use bpred::trace::{BranchRecord, Outcome, Trace, TraceChunk, TraceSource};
 
 /// One configuration of every `PredictorConfig` variant (mirrors the
 /// determinism harness).
@@ -109,7 +109,7 @@ fn observed_run(
     trace: &Trace,
     simulator: Simulator,
 ) -> (SimResult, BranchProfiler) {
-    let mut core = ReplayCore::from_config(config, simulator);
+    let mut core = ReplayCore::new(config.build(), simulator);
     let mut profiler = BranchProfiler::new();
     let mut interference = InterferenceObserver::for_predictor(core.predictor());
     core.replay_observed(trace, &mut (&mut profiler, &mut interference));
@@ -130,27 +130,35 @@ fn observers_are_inert_for_every_variant() {
 
 #[test]
 fn hoisted_dispatch_matches_per_record_dispatch_for_every_variant() {
-    // `replay_dispatched` resolves the kernel variant once per stream;
-    // `replay` dispatches on the enum per record. Same bit-stream,
-    // same result — including when the hoisted run resumes a core that
-    // has already consumed records.
+    // A scalar lane resolves the scheme once, at build, and feeds each
+    // chunk through one virtual call; `Simulator::run` over `build()`
+    // dispatches through the box per record. Same bit-stream, same
+    // result at every chunk length — including when the lane resumes a
+    // core that has already consumed records.
     let trace = mixed_trace(4_000);
+    let twice: Trace = trace.iter().chain(trace.iter()).copied().collect();
     for simulator in [Simulator::new(), Simulator::with_warmup(500)] {
         for config in every_variant() {
-            let mut per_record = ReplayCore::from_config(&config, simulator);
-            per_record.replay(&trace);
+            let per_record = simulator.run(&mut config.build(), &trace);
+            let per_record_twice = simulator.run(&mut config.build(), &twice);
+            for len in [1, 7, 4096, trace.len()] {
+                let chunks: Vec<TraceChunk> = trace.chunks(len).collect();
+                let mut hoisted = scalar_lane(&config, simulator);
+                for chunk in &chunks {
+                    hoisted.feed_chunk(chunk);
+                }
+                assert_eq!(per_record, hoisted.finish(), "{config} in chunks of {len}");
 
-            let mut hoisted = ReplayCore::from_config(&config, simulator);
-            hoisted.replay_dispatched(&trace);
-            assert_eq!(per_record.finish(), hoisted.finish(), "{config}");
-
-            let mut resumed = ReplayCore::from_config(&config, simulator);
-            resumed.replay(&trace);
-            resumed.replay_dispatched(&trace);
-            let mut twice = ReplayCore::from_config(&config, simulator);
-            twice.replay(&trace);
-            twice.replay(&trace);
-            assert_eq!(twice.finish(), resumed.finish(), "{config} resumed");
+                let mut resumed = scalar_lane(&config, simulator);
+                for chunk in chunks.iter().chain(&chunks) {
+                    resumed.feed_chunk(chunk);
+                }
+                assert_eq!(
+                    per_record_twice,
+                    resumed.finish(),
+                    "{config} resumed in chunks of {len}"
+                );
+            }
         }
     }
 }

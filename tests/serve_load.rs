@@ -7,7 +7,7 @@
 use std::fs;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -21,12 +21,31 @@ use bpred_workloads::{suite, WorkloadSource};
 
 use proptest::prelude::*;
 
-fn scratch(tag: &str) -> PathBuf {
+/// A fresh scratch directory unique to `tag` (and this process),
+/// cleaned before use so reruns start empty, and removed on drop.
+fn scratch(tag: &str) -> Scratch {
     let dir = std::env::temp_dir()
         .join("bpred-serve-load")
         .join(format!("{}-{tag}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
-    dir
+    Scratch(dir)
+}
+
+/// A scratch directory, removed with its contents when dropped.
+struct Scratch(PathBuf);
+
+impl std::ops::Deref for Scratch {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = fs::remove_dir_all(&self.0);
+    }
 }
 
 /// Reads one response from a keep-alive stream: (status, headers,
@@ -82,9 +101,10 @@ fn expected_body(query: &str) -> Vec<u8> {
 
 #[test]
 fn keepalive_clients_pipelining_sweeps_get_bit_identical_bodies() {
+    let dir = scratch("pipeline");
     let server = Server::start(ServerConfig {
         addr: "127.0.0.1:0".to_owned(),
-        cache_dir: Some(scratch("pipeline")),
+        cache_dir: Some(dir.to_path_buf()),
         ..ServerConfig::default()
     })
     .expect("server starts");
@@ -338,7 +358,7 @@ proptest! {
             peers: None,
             auto_migrate: true,
         };
-        let store = Arc::new(ResultStore::open_with(&dir, options.clone()).expect("open"));
+        let store = Arc::new(ResultStore::open_with(&*dir, options.clone()).expect("open"));
         let model = suite::by_name("espresso").expect("espresso exists");
         let simulator = Simulator::new();
 
@@ -380,9 +400,8 @@ proptest! {
         if hot_bytes == 0 {
             prop_assert_eq!(store.hot_len(), 0, "disabled hot tier stays empty");
         }
-        let reopened = ResultStore::open_with(&dir, options).expect("reopen");
+        let reopened = ResultStore::open_with(&*dir, options).expect("reopen");
         prop_assert_eq!(reopened.len(), store.len());
         prop_assert_eq!(reopened.total_bytes(), store.total_bytes());
-        let _ = fs::remove_dir_all(&dir);
     }
 }
