@@ -219,3 +219,44 @@ proptest! {
         }
     }
 }
+
+/// A fixed trace that reaches every corner of the binary encoding:
+/// every kind and outcome, negative pc and target deltas, pcs at and
+/// above 2^63, and deltas whose zigzag needs a 10-byte varint.
+fn pinned_trace() -> Trace {
+    let wide = 0x8000_0000_0100_0100u64;
+    vec![
+        BranchRecord::conditional(0x0040_0100, 0x0040_00c0, Outcome::Taken),
+        BranchRecord::jump(0x0040_0104, 0x0041_0000),
+        BranchRecord::new(0x0041_0000, 0x0040_0108, BranchKind::Call, Outcome::Taken),
+        BranchRecord::new(0x0040_0108, 0x0040_0200, BranchKind::Return, Outcome::Taken),
+        BranchRecord::new(
+            0x0100_0040,
+            0x0200_0000,
+            BranchKind::Indirect,
+            Outcome::Taken,
+        ),
+        // pc delta -(2^63) + 0xc0: a 10-byte varint.
+        BranchRecord::conditional(wide, wide - 0x100, Outcome::NotTaken),
+        // pc delta 2^63 - 16 - 0x0100_0100: a 10-byte varint again.
+        BranchRecord::new(u64::MAX - 15, 0x10, BranchKind::Call, Outcome::Taken),
+        BranchRecord::new(0x20, u64::MAX - 11, BranchKind::Return, Outcome::Taken),
+        BranchRecord::conditional(0x1c, 0x8, Outcome::Taken),
+        BranchRecord::new(0x1c, 0x1c, BranchKind::Indirect, Outcome::NotTaken),
+    ]
+    .into_iter()
+    .collect()
+}
+
+/// The encoding's bytes are pinned through their FNV-64: trace-file
+/// cache keys (`tracefile:<fingerprint>`) hash them, so a change here
+/// silently orphans every cached trace-file result.
+#[test]
+fn encoding_and_fingerprint_bytes_are_pinned() {
+    let trace = pinned_trace();
+    let bytes = binfmt::encode(&trace);
+    assert_eq!(bytes.len(), 83);
+    assert_eq!(bpred_trace::fnv::fnv64(&bytes), 0x74fa_4261_9038_8051);
+    assert_eq!(trace.fingerprint(), 0x74fa_4261_9038_8051);
+    assert_eq!(binfmt::decode(&bytes), Ok(trace));
+}
