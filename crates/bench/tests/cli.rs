@@ -71,3 +71,64 @@ fn bench_artifacts_escape_control_characters() {
         .expect("one-line rustflags field");
     assert_eq!(json_unescape(value).as_deref(), Some(flags), "{value}");
 }
+
+/// A scratch file path unique to this test process.
+fn scratch_file(name: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("bpred-cli-{}-{name}", std::process::id()))
+}
+
+fn simulate(trace: &std::path::Path) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_simulate"))
+        .arg(trace)
+        .args(["bimodal:a=10", "gshare:h=8,c=2", "pas:h=6,c=2"])
+        .env_remove("BPRED_CACHE_DIR")
+        .output()
+        .expect("the simulate binary runs")
+}
+
+#[test]
+fn simulate_refuses_a_declared_count_the_file_cannot_hold() {
+    // A valid 16-byte header and no records: neither the declared
+    // count nor its reservation may take the process down.
+    for count in [u64::MAX, 1 << 40, 1 << 26, 1] {
+        let path = scratch_file(&format!("count-{count}.bpt"));
+        let mut bytes = b"BPRT\x01\x00\x00\x00".to_vec();
+        bytes.extend_from_slice(&count.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let output = simulate(&path);
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(output.status.code(), Some(1), "count {count}");
+        assert!(output.stdout.is_empty(), "count {count}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(stderr.lines().count(), 1, "one-line message: {stderr:?}");
+        assert!(
+            stderr.contains(&format!("decoded 0 of {count} records")),
+            "{stderr:?}"
+        );
+    }
+}
+
+#[test]
+fn binary_and_text_trace_files_simulate_identically() {
+    let mut tables = Vec::new();
+    for ext in ["bpt", "txt"] {
+        let path = scratch_file(&format!("espresso.{ext}"));
+        let generated = Command::new(env!("CARGO_BIN_EXE_tracegen"))
+            .arg("espresso")
+            .arg(&path)
+            .args(["5000", "7"])
+            .output()
+            .expect("the tracegen binary runs");
+        assert!(generated.status.success(), "{generated:?}");
+        let output = simulate(&path);
+        let _ = std::fs::remove_file(&path);
+        assert!(output.status.success(), "{output:?}");
+        let stdout = String::from_utf8(output.stdout).unwrap();
+        // The first line names the file; the rest is the table.
+        let (title, table) = stdout.split_once('\n').unwrap();
+        assert!(title.contains("records"), "{title:?}");
+        assert!(table.contains("gshare:h=8,c=2"), "{table}");
+        tables.push(table.to_owned());
+    }
+    assert_eq!(tables[0], tables[1]);
+}

@@ -333,8 +333,19 @@ impl ResultStore {
     /// Reads the raw stored object for `digest_hex` from the *local*
     /// tiers only — this is what `GET /cell/<digest>` serves, so two
     /// peers asking each other can never loop.
+    ///
+    /// Only an object [`put_raw`](Self::put_raw) would accept is served;
+    /// anything else (bit rot in a segment) is a miss, and forgotten.
     pub fn get_raw(&self, digest_hex: &str) -> Option<Vec<u8>> {
-        self.pack.get(parse_digest(digest_hex)?)
+        let digest = parse_digest(digest_hex)?;
+        let (bytes, loc) = self.pack.read(digest)?;
+        match codec::decode_verified(&bytes) {
+            Ok((key, _)) if fnv::fnv128(key.as_bytes()) == digest => Some(bytes),
+            _ => {
+                self.pack.forget(digest, loc);
+                None
+            }
+        }
     }
 
     /// Accepts a raw object for `digest_hex` (the `PUT /cell/…`

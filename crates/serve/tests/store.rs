@@ -436,3 +436,123 @@ fn gc_drops_sealed_segments_but_never_the_active_one() {
     let _ = store.gc(0).unwrap();
     assert_eq!(store.get(&fresh), Some(result(777)));
 }
+
+// ------------------------------------------------------- corruption
+
+/// A store's whole on-disk state after twelve puts with a tiny seal
+/// threshold, so most cells sit in sealed segments that
+/// `packs/index.bin` covers; plus the cells that were put.
+struct Sealed {
+    /// `(name under packs/, bytes)` for every file there.
+    files: Vec<(String, Vec<u8>)>,
+    cells: Vec<(CellKey, SimResult)>,
+}
+
+fn sealed() -> &'static Sealed {
+    static SEALED: std::sync::OnceLock<Sealed> = std::sync::OnceLock::new();
+    SEALED.get_or_init(|| {
+        let dir = scratch("flip-fixture");
+        let cells: Vec<(CellKey, SimResult)> = (0..12u64)
+            .map(|i| (key(&format!("f{i}")), result(i)))
+            .collect();
+        {
+            let store = packed(&dir, 0, 256);
+            for (k, r) in &cells {
+                store.put(k, r).unwrap();
+            }
+        }
+        let mut files: Vec<(String, Vec<u8>)> = fs::read_dir(dir.join("packs"))
+            .unwrap()
+            .map(|e| e.unwrap())
+            .map(|e| {
+                let name = e.file_name().into_string().unwrap();
+                (name, fs::read(e.path()).unwrap())
+            })
+            .collect();
+        files.sort();
+        assert!(files.iter().any(|(n, _)| n == "index.bin"));
+        assert!(files.iter().filter(|(n, _)| n.starts_with("seg-")).count() >= 4);
+        Sealed { files, cells }
+    })
+}
+
+/// Writes the sealed fixture into a fresh directory with the bytes at
+/// `flips` (positions taken modulo the file's length) of the file
+/// `target` picks XORed, reopens the store there and checks that every
+/// read answers nothing or exactly what was put.
+fn reopen_flipped(
+    case: &str,
+    pick: impl Fn(&str) -> bool,
+    target: usize,
+    flips: &[(usize, u8)],
+) -> Result<(), TestCaseError> {
+    static CASES: AtomicUsize = AtomicUsize::new(0);
+    let fixture = sealed();
+    let dir = scratch(&format!(
+        "flip-{case}-{}",
+        CASES.fetch_add(1, Ordering::Relaxed)
+    ));
+    let packs = dir.join("packs");
+    fs::create_dir_all(&packs).unwrap();
+    let candidates: Vec<&str> = fixture
+        .files
+        .iter()
+        .map(|(n, _)| n.as_str())
+        .filter(|n| pick(n))
+        .collect();
+    let flipped = candidates[target % candidates.len()];
+    for (name, bytes) in &fixture.files {
+        let mut bytes = bytes.clone();
+        if name == flipped {
+            for &(pos, flip) in flips {
+                let len = bytes.len();
+                bytes[pos % len] ^= flip;
+            }
+        }
+        fs::write(packs.join(name), bytes).unwrap();
+    }
+    let store = packed(&dir, 0, 256);
+    prop_assert!(store.len() <= fixture.cells.len());
+    // Raw reads first: a typed read that rejects a cell also forgets
+    // it, which would hide what a raw read of it serves.
+    for (k, r) in &fixture.cells {
+        if let Some(raw) = store.get_raw(&k.digest()) {
+            prop_assert_eq!(
+                raw,
+                codec::encode(&k.canonical(), r),
+                "{} flipped at {:?}",
+                flipped,
+                flips
+            );
+        }
+    }
+    for (k, r) in &fixture.cells {
+        if let Some(got) = store.get(k) {
+            prop_assert_eq!(&got, r, "{} flipped at {:?}", flipped, flips);
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn byte_flips_in_sealed_segments_never_serve_a_wrong_cell(
+        target in 0usize..64,
+        flips in prop::collection::vec((any::<usize>(), 1u8..=255), 1..4),
+    ) {
+        reopen_flipped("seg", |n| n.starts_with("seg-"), target, &flips)?;
+    }
+
+    #[test]
+    fn byte_flips_in_the_persistent_index_never_serve_a_wrong_cell(
+        // Its header fields, its records, or anywhere in the file.
+        flips in prop::collection::vec(
+            (prop_oneof![0usize..24, 4096usize..4096 + 12 * 40, any::<usize>()], 1u8..=255),
+            1..4,
+        ),
+    ) {
+        reopen_flipped("index", |n| n == "index.bin", 0, &flips)?;
+    }
+}

@@ -13,9 +13,12 @@
 //! in `bpred-sim` generates (or decodes) each chunk once, wraps it in
 //! an `Arc`, and lets every shard worker replay the same chunk
 //! sequence, so trace production is paid once per sweep instead of
-//! once per shard. Any [`TraceSource`](crate::TraceSource) can be
-//! viewed as a chunk sequence through
-//! [`TraceSource::chunks`](crate::TraceSource::chunks).
+//! once per shard. Every [`TraceSource`](crate::TraceSource) produces
+//! its chunks through one
+//! [`TraceSource::chunk_feeder`](crate::TraceSource::chunk_feeder),
+//! which refills a reused chunk;
+//! [`TraceSource::chunks`](crate::TraceSource::chunks) is that feeder
+//! handing out owned chunks.
 //!
 //! # Layout
 //!
@@ -24,11 +27,12 @@
 //! * `pcs[i]` — branch instruction address;
 //! * `targets[i]` — taken-target address;
 //! * four bits of `meta[i / 16]` at `4 * (i % 16)` — bit 0 is the
-//!   resolved outcome (taken = 1), bits 1–3 the [`BranchKind`] code.
+//!   resolved outcome (taken = 1), bits 1–3 the
+//!   [`BranchKind::code`].
 //!
-//! The packing is an in-memory layout only, not a persistence format;
-//! the on-disk formats stay in [`binfmt`](crate::binfmt) and
-//! [`textfmt`](crate::textfmt).
+//! The packing is an in-memory layout only, not a persistence format.
+//! It shares only the kind codes with the on-disk formats,
+//! [`binfmt`](crate::binfmt) and [`textfmt`](crate::textfmt).
 //!
 //! # Examples
 //!
@@ -53,38 +57,13 @@ const META_BITS: usize = 4;
 /// Mask of one record's metadata field.
 const META_MASK: u64 = (1 << META_BITS) - 1;
 
-/// Three-bit code of a [`BranchKind`], the packing used inside
-/// metadata words (the kind's index in [`BranchKind::ALL`]).
-#[inline]
-fn kind_code(kind: BranchKind) -> u64 {
-    match kind {
-        BranchKind::Conditional => 0,
-        BranchKind::Unconditional => 1,
-        BranchKind::Call => 2,
-        BranchKind::Return => 3,
-        BranchKind::Indirect => 4,
-    }
-}
-
-/// Inverse of [`kind_code`].
-#[inline]
-fn kind_from_code(code: u64) -> BranchKind {
-    match code {
-        0 => BranchKind::Conditional,
-        1 => BranchKind::Unconditional,
-        2 => BranchKind::Call,
-        3 => BranchKind::Return,
-        _ => BranchKind::Indirect,
-    }
-}
-
 /// A run of branch records in structure-of-arrays layout.
 ///
 /// Addresses, taken-targets and outcome/kind metadata (four bits per
 /// record, sixteen records per word) are parallel arrays, and one chunk
-/// is the unit the sweep pipeline shares between lanes. Chunks grow by [`push`](TraceChunk::push) /
-/// [`append`](TraceChunk::append) /
-/// [`fill_from`](TraceChunk::fill_from) and are consumed positionally
+/// is the unit the sweep pipeline shares between lanes. Chunks grow by
+/// [`push`](TraceChunk::push) / [`append`](TraceChunk::append) /
+/// [`extend`](Extend::extend) and are consumed positionally
 /// ([`record`](TraceChunk::record)) or sequentially
 /// ([`iter`](TraceChunk::iter)); both directions round-trip records
 /// bit-exactly.
@@ -165,33 +144,13 @@ impl TraceChunk {
         let i = self.pcs.len();
         self.pcs.push(pc);
         self.targets.push(target);
-        let bits = outcome.as_bit() | (kind_code(kind) << 1);
+        let bits = outcome.as_bit() | (u64::from(kind.code()) << 1);
         if i.is_multiple_of(RECORDS_PER_META_WORD) {
             self.meta.push(bits);
         } else {
             let shift = (i % RECORDS_PER_META_WORD) * META_BITS;
             self.meta[i / RECORDS_PER_META_WORD] |= bits << shift;
         }
-    }
-
-    /// Drains up to `max` records from `records` into the chunk,
-    /// returning how many were taken. The iterator is taken by
-    /// mutable reference so a generator can fill chunk after chunk
-    /// from one pass; because the parameter is generic, the fill loop
-    /// monomorphizes over the concrete iterator — a workload generator
-    /// writes straight into the arrays with no boxed per-record call.
-    pub fn fill_from<I: Iterator<Item = BranchRecord>>(
-        &mut self,
-        records: &mut I,
-        max: usize,
-    ) -> usize {
-        let mut taken = 0;
-        while taken < max {
-            let Some(record) = records.next() else { break };
-            self.push(&record);
-            taken += 1;
-        }
-        taken
     }
 
     /// The branch instruction addresses as a flat slice, one per
@@ -240,7 +199,8 @@ impl TraceChunk {
         BranchRecord {
             pc: self.pcs[i],
             target: self.targets[i],
-            kind: kind_from_code(bits >> 1),
+            // `append` writes only valid codes.
+            kind: BranchKind::from_code((bits >> 1) as u8).unwrap_or(BranchKind::Indirect),
             outcome: Outcome::from_bit(bits & 1),
         }
     }
@@ -252,7 +212,7 @@ impl TraceChunk {
     /// Panics if `i >= self.len()`.
     #[inline]
     pub fn is_conditional(&self, i: usize) -> bool {
-        self.meta_bits(i) >> 1 == kind_code(BranchKind::Conditional)
+        self.meta_bits(i) >> 1 == u64::from(BranchKind::Conditional.code())
     }
 
     /// The resolved outcome of record `i`.
@@ -335,7 +295,7 @@ impl Iterator for ChunkRecords<'_> {
         Some(BranchRecord {
             pc,
             target,
-            kind: kind_from_code(bits >> 1),
+            kind: BranchKind::from_code((bits >> 1) as u8).unwrap_or(BranchKind::Indirect),
             outcome: Outcome::from_bit(bits & 1),
         })
     }
@@ -390,23 +350,6 @@ mod tests {
     }
 
     #[test]
-    fn fill_from_stops_at_max_and_at_exhaustion() {
-        let records = every_kind();
-        let mut stream = records.iter().copied();
-        let mut chunk = TraceChunk::with_capacity(4);
-        assert_eq!(chunk.fill_from(&mut stream, 4), 4);
-        assert_eq!(chunk.len(), 4);
-        let mut rest = TraceChunk::new();
-        assert_eq!(rest.fill_from(&mut stream, 100), records.len() - 4);
-        let mut empty = TraceChunk::new();
-        assert_eq!(empty.fill_from(&mut stream, 8), 0);
-        assert!(empty.is_empty());
-        // The two chunks partition the sequence in order.
-        let rejoined: Vec<BranchRecord> = chunk.iter().chain(rest.iter()).collect();
-        assert_eq!(rejoined, records);
-    }
-
-    #[test]
     fn chunked_source_view_round_trips() {
         let trace: Trace = every_kind().into_iter().collect();
         for chunk_len in [1, 3, trace.len() - 1, trace.len(), trace.len() + 1] {
@@ -438,7 +381,7 @@ mod tests {
             let word = chunk.meta_words()[i / TraceChunk::META_RECORDS_PER_WORD];
             let bits = (word >> ((i % TraceChunk::META_RECORDS_PER_WORD) * META_BITS)) & META_MASK;
             assert_eq!(bits & 1, want.outcome.as_bit());
-            assert_eq!(bits >> 1, kind_code(want.kind));
+            assert_eq!(bits >> 1, u64::from(want.kind.code()));
         }
         // Unused high fields of the final metadata word stay zero.
         let tail = records.len() % TraceChunk::META_RECORDS_PER_WORD;

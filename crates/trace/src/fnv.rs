@@ -60,6 +60,20 @@ impl Fnv64 {
     }
 }
 
+/// Hashes everything written, so an encoder can stream into the hash
+/// instead of building the bytes first.
+impl std::io::Write for Fnv64 {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        // The inherent `Fnv64::write`, which feeds the hash.
+        Fnv64::write(self, bytes);
+        Ok(bytes.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
 /// FNV-1a 64-bit hash of a byte slice.
 pub fn fnv64(bytes: &[u8]) -> u64 {
     let mut h = Fnv64::new();
@@ -101,6 +115,13 @@ mod tests {
         let mut h = Fnv64::new();
         h.write(b"foo");
         h.write(b"bar");
+        assert_eq!(h.finish(), fnv64(b"foobar"));
+    }
+
+    #[test]
+    fn io_writes_feed_the_hash() {
+        let mut h = Fnv64::new();
+        std::io::Write::write_all(&mut h, b"foobar").unwrap();
         assert_eq!(h.finish(), fnv64(b"foobar"));
     }
 

@@ -1,9 +1,11 @@
 //! Trace file I/O.
 //!
-//! Thin filesystem wrappers over [`crate::binfmt`] and
-//! [`crate::textfmt`], choosing the format by file extension: `.bpt`
-//! (and anything unrecognised) is the binary format, `.txt`/`.trace`
-//! the text format.
+//! Filesystem wrappers over [`crate::binfmt`] and [`crate::textfmt`],
+//! choosing the format by file extension: `.bpt` (and anything
+//! unrecognised) is the binary format, `.txt`/`.trace` the text format.
+//! Binary files stream through [`binfmt::TraceWriter`] and
+//! [`binfmt::TraceReader`] over a buffered file, so no copy of the
+//! whole file is held in memory.
 //!
 //! # Examples
 //!
@@ -19,8 +21,8 @@
 //! # Ok::<(), std::io::Error>(())
 //! ```
 
-use std::fs;
-use std::io::{Error, ErrorKind};
+use std::fs::{self, File};
+use std::io::{BufReader, BufWriter, Error, ErrorKind};
 use std::path::Path;
 
 use crate::{binfmt, textfmt, Trace};
@@ -43,7 +45,7 @@ pub fn save<P: AsRef<Path>>(path: P, trace: &Trace) -> Result<(), Error> {
     if is_text_path(path) {
         fs::write(path, textfmt::emit(trace))
     } else {
-        fs::write(path, binfmt::encode(trace))
+        binfmt::write_trace(BufWriter::new(File::create(path)?), trace).map(drop)
     }
 }
 
@@ -60,15 +62,16 @@ pub fn load<P: AsRef<Path>>(path: P) -> Result<Trace, Error> {
         let text = fs::read_to_string(path)?;
         textfmt::parse(&text).map_err(|e| Error::new(ErrorKind::InvalidData, e))
     } else {
-        let bytes = fs::read(path)?;
-        binfmt::decode(&bytes).map_err(|e| Error::new(ErrorKind::InvalidData, e))
+        let file = File::open(path)?;
+        let len = file.metadata()?.len();
+        binfmt::read_trace(BufReader::new(file), len)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BranchRecord, Outcome};
+    use crate::{BranchRecord, DecodeTraceError, Outcome};
 
     fn sample() -> Trace {
         (0..50u64)
@@ -109,6 +112,19 @@ mod tests {
         std::fs::write(&path, b"not a trace").unwrap();
         let err = load(&path).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::InvalidData);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn binary_format_faults_carry_their_decode_error() {
+        let path = temp_path("faults.bpt");
+        let mut bytes = binfmt::encode(&sample());
+        bytes.truncate(bytes.len() - 1);
+        std::fs::write(&path, &bytes).unwrap();
+        let err = load(&path).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidData);
+        let fault = err.get_ref().unwrap().downcast_ref::<DecodeTraceError>();
+        assert_eq!(fault, binfmt::decode(&bytes).err().as_ref());
         let _ = std::fs::remove_file(&path);
     }
 

@@ -10,13 +10,15 @@
 //!   slicing, and collection support;
 //! * [`TraceSource`] — a restartable streaming view of a record
 //!   sequence, letting generators feed the simulation engine without
-//!   materialising a full trace;
+//!   materialising a full trace; each source produces chunks through
+//!   one [`ChunkFeeder`];
 //! * [`TraceChunk`] — a structure-of-arrays run of records (parallel
 //!   address/target arrays, bit-packed outcome/kind words), the unit
 //!   the chunked sweep pipeline decodes once and shares across shard
 //!   workers;
-//! * [`binfmt`] / [`textfmt`] — a compact binary format and a line-oriented
-//!   text format for storing traces on disk;
+//! * [`binfmt`] — the compact binary format, one streaming encoder and
+//!   one decoder; [`textfmt`] — a line-oriented text format; [`io`] —
+//!   trace files in either format;
 //! * [`stats`] — workload characterization (static/dynamic branch counts,
 //!   bias, and dynamic-coverage buckets) mirroring Tables 1–2 of
 //!   Sechrest, Lee & Mudge (ISCA 1996).
@@ -48,7 +50,6 @@ mod record;
 mod source;
 pub mod stats;
 mod stream;
-pub mod streamfmt;
 pub mod textfmt;
 
 pub use chunk::{ChunkRecords, TraceChunk};

@@ -9,18 +9,21 @@ use crate::Outcome;
 /// kind in the record lets the simulation engine skip or specially handle
 /// them (for example, path-based predictors shift target bits for every
 /// control transfer they observe).
+///
+/// Each kind's discriminant is its three-bit [`code`](Self::code).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[repr(u8)]
 pub enum BranchKind {
     /// A conditional direct branch (the object of prediction).
-    Conditional,
+    Conditional = 0,
     /// An unconditional direct jump.
-    Unconditional,
+    Unconditional = 1,
     /// A direct function call.
-    Call,
+    Call = 2,
     /// A function return (indirect).
-    Return,
+    Return = 3,
     /// Any other indirect control transfer.
-    Indirect,
+    Indirect = 4,
 }
 
 impl BranchKind {
@@ -35,6 +38,22 @@ impl BranchKind {
     #[inline]
     pub fn is_conditional(self) -> bool {
         matches!(self, BranchKind::Conditional)
+    }
+
+    /// The kind's three-bit code: its field in a binary trace record's
+    /// tag ([`binfmt`](crate::binfmt)) and in a
+    /// [`TraceChunk`](crate::TraceChunk)'s metadata words. Trace files
+    /// and the cache keys that hash them depend on these values, so
+    /// they never change.
+    #[inline]
+    pub const fn code(self) -> u8 {
+        self as u8
+    }
+
+    /// The kind whose [`code`](Self::code) is `code`, if any.
+    #[inline]
+    pub fn from_code(code: u8) -> Option<Self> {
+        Self::ALL.get(usize::from(code)).copied()
     }
 
     /// Single-character mnemonic used by the text trace format.
@@ -62,7 +81,8 @@ impl BranchKind {
         }
     }
 
-    /// All kinds, in mnemonic order. Useful for exhaustive tests.
+    /// All kinds, in [`code`](Self::code) order. Useful for exhaustive
+    /// tests.
     pub const ALL: [BranchKind; 5] = [
         BranchKind::Conditional,
         BranchKind::Unconditional,
@@ -183,6 +203,17 @@ mod tests {
             assert_eq!(BranchKind::from_mnemonic(c), Some(kind));
         }
         assert_eq!(BranchKind::from_mnemonic('?'), None);
+    }
+
+    #[test]
+    fn codes_are_positions_in_all() {
+        for (i, kind) in BranchKind::ALL.into_iter().enumerate() {
+            assert_eq!(usize::from(kind.code()), i);
+            assert_eq!(BranchKind::from_code(kind.code()), Some(kind));
+        }
+        for code in 5..=u8::MAX {
+            assert_eq!(BranchKind::from_code(code), None);
+        }
     }
 
     #[test]

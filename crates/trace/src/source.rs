@@ -9,7 +9,9 @@
 //! concurrently, and lets a deterministic generator serve as a source
 //! directly (each call re-seeds and replays).
 //!
-//! [`Trace`] implements the trait by iterating its records, so any API
+//! A source fills [`TraceChunk`]s in one place,
+//! [`TraceSource::chunk_feeder`]; [`TraceSource::chunks`] is built on
+//! it. [`Trace`] implements the trait over its record slice, so any API
 //! accepting `&impl TraceSource` still accepts an in-memory trace.
 //!
 //! # Examples
@@ -59,41 +61,38 @@ pub trait TraceSource {
     /// [`stream`](Self::stream), in order: every chunk except possibly
     /// the last holds `chunk_len` records, empty chunks are never
     /// yielded, and concatenating the chunks reproduces the stream
-    /// bit-for-bit. The default implementation drains the boxed
-    /// stream; sources with a concrete generator (an in-memory
-    /// [`Trace`], a workload model) override it to fill the chunk
-    /// arrays monomorphically, without a per-record virtual call.
+    /// bit-for-bit. Each chunk is a fresh buffer filled by one
+    /// [`chunk_feeder`](Self::chunk_feeder) refill; sources do not
+    /// override this method.
     ///
     /// # Panics
     ///
     /// Panics if `chunk_len` is zero.
     fn chunks(&self, chunk_len: usize) -> Box<dyn Iterator<Item = TraceChunk> + '_> {
         assert!(chunk_len > 0, "chunk length must be positive");
-        let mut stream = self.stream();
+        let mut feeder = self.chunk_feeder();
         Box::new(std::iter::from_fn(move || {
             let mut chunk = TraceChunk::with_capacity(chunk_len);
-            chunk.fill_from(&mut stream, chunk_len);
-            (!chunk.is_empty()).then_some(chunk)
+            (feeder.refill(&mut chunk, chunk_len) > 0).then_some(chunk)
         }))
     }
 
-    /// Opens a refill cursor over the record sequence, for consumers
-    /// that reuse one chunk buffer instead of collecting owned chunks.
+    /// Opens a refill cursor over the record sequence: the one way a
+    /// source produces [`TraceChunk`]s.
     ///
-    /// Where [`chunks`](Self::chunks) allocates a fresh chunk per call,
-    /// a feeder writes into a caller-provided buffer: the single-worker
-    /// sweep path drives its whole replay from one chunk's worth of
-    /// memory, touching the allocator only once. The record sequence is
-    /// exactly [`stream`](Self::stream)'s, split at `max`-record
-    /// boundaries by the caller's refill sizes. The default drains the
-    /// boxed stream; generator-backed sources override it to fill the
-    /// arrays monomorphically.
+    /// A feeder writes into a caller-provided buffer, so the
+    /// single-worker sweep path replays from one chunk's worth of
+    /// memory. The record sequence is exactly [`stream`](Self::stream)'s,
+    /// split at the caller's refill sizes. The default drains the boxed
+    /// stream, one virtual call per record; a [`Trace`] copies runs of
+    /// its slice, and a workload model fills the arrays monomorphically.
     fn chunk_feeder(&self) -> Box<dyn ChunkFeeder + '_> {
         struct StreamFeeder<'a>(Box<dyn Iterator<Item = BranchRecord> + 'a>);
         impl ChunkFeeder for StreamFeeder<'_> {
             fn refill(&mut self, chunk: &mut TraceChunk, max: usize) -> usize {
                 chunk.clear();
-                chunk.fill_from(&mut self.0, max)
+                chunk.extend(self.0.by_ref().take(max));
+                chunk.len()
             }
         }
         Box::new(StreamFeeder(self.stream()))
@@ -123,15 +122,19 @@ impl TraceSource for Trace {
         self.clone()
     }
 
-    fn chunks(&self, chunk_len: usize) -> Box<dyn Iterator<Item = TraceChunk> + '_> {
-        assert!(chunk_len > 0, "chunk length must be positive");
-        Box::new(self.records().chunks(chunk_len).map(|run| {
-            let mut chunk = TraceChunk::with_capacity(run.len());
-            for record in run {
-                chunk.push(record);
+    fn chunk_feeder(&self) -> Box<dyn ChunkFeeder + '_> {
+        // Copies each run straight out of the record slice.
+        struct SliceFeeder<'a>(&'a [BranchRecord]);
+        impl ChunkFeeder for SliceFeeder<'_> {
+            fn refill(&mut self, chunk: &mut TraceChunk, max: usize) -> usize {
+                let (run, rest) = self.0.split_at(max.min(self.0.len()));
+                self.0 = rest;
+                chunk.clear();
+                chunk.extend(run.iter().copied());
+                run.len()
             }
-            chunk
-        }))
+        }
+        Box::new(SliceFeeder(self.records()))
     }
 }
 
@@ -146,10 +149,6 @@ impl<T: TraceSource + ?Sized> TraceSource for &T {
 
     fn collect_trace(&self) -> Trace {
         (**self).collect_trace()
-    }
-
-    fn chunks(&self, chunk_len: usize) -> Box<dyn Iterator<Item = TraceChunk> + '_> {
-        (**self).chunks(chunk_len)
     }
 
     fn chunk_feeder(&self) -> Box<dyn ChunkFeeder + '_> {
@@ -216,7 +215,7 @@ mod tests {
                 .collect();
             assert_eq!(rejoined, t.records(), "chunk_len {chunk_len}");
         }
-        // The specialised Trace override agrees with the generic
+        // The trace's slice feeder agrees with the generic
         // stream-draining default (exercised through a plain wrapper).
         struct Wrapped(Trace);
         impl TraceSource for Wrapped {
@@ -228,6 +227,31 @@ mod tests {
         let a: Vec<TraceChunk> = t.chunks(4).collect();
         let b: Vec<TraceChunk> = wrapped.chunks(4).collect();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn refills_stop_at_max_and_at_exhaustion() {
+        // The trace's slice feeder and the stream-draining default.
+        struct Wrapped(Trace);
+        impl TraceSource for Wrapped {
+            fn stream(&self) -> Box<dyn Iterator<Item = BranchRecord> + '_> {
+                self.0.stream()
+            }
+        }
+        let t = sample();
+        let wrapped = Wrapped(t.clone());
+        for mut feeder in [t.chunk_feeder(), wrapped.chunk_feeder()] {
+            let mut chunk = TraceChunk::with_capacity(4);
+            let mut rejoined = Vec::new();
+            for (max, want) in [(4, 4), (1, 1), (0, 0), (3, 3), (100, 2)] {
+                assert_eq!(feeder.refill(&mut chunk, max), want);
+                assert_eq!(chunk.len(), want);
+                rejoined.extend(chunk.iter());
+            }
+            assert_eq!(rejoined, t.records());
+            assert_eq!(feeder.refill(&mut chunk, 8), 0);
+            assert!(chunk.is_empty());
+        }
     }
 
     #[test]

@@ -27,10 +27,10 @@
 //! ```
 //!
 //! Every measurement is a fold over [`TraceChunk`]s ([`StatsFold`]):
-//! [`TraceStats::measure`] folds a materialised trace's chunks and
-//! [`TraceStats::measure_source`] a streaming source's, so the two
-//! agree by construction and a workload generator's statistics never
-//! need the whole trace in memory.
+//! [`TraceStats::measure_source`] folds any source's chunks through one
+//! reused buffer, and [`TraceStats::measure`] is that fold over a
+//! materialised trace, so the two agree by construction and a workload
+//! generator's statistics never need the whole trace in memory.
 
 use std::collections::HashMap;
 
@@ -276,13 +276,10 @@ impl StatsFold {
 }
 
 impl TraceStats {
-    /// Measures a trace.
+    /// Measures a trace: [`measure_source`](Self::measure_source)
+    /// over its chunks.
     pub fn measure(trace: &Trace) -> Self {
-        let mut fold = StatsFold::new();
-        trace
-            .chunks(TraceChunk::DEFAULT_LEN)
-            .for_each(|chunk| fold.add(&chunk));
-        fold.finish()
+        TraceStats::measure_source(trace)
     }
 
     /// Measures a streaming source in one pass through a single reused

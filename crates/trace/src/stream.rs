@@ -117,11 +117,13 @@ impl Trace {
     /// Two traces have the same fingerprint exactly when they hold the
     /// same records in the same order (up to 64-bit hash collisions).
     /// The value is an FNV-1a hash over the canonical binary encoding
-    /// ([`binfmt`](crate::binfmt)), so it is identical across
-    /// platforms and releases and can key persistent caches of
-    /// simulation results for on-disk traces.
+    /// ([`binfmt`](crate::binfmt)), written straight into the hasher,
+    /// so it is identical across platforms and releases and can key
+    /// persistent caches of simulation results for on-disk traces.
     pub fn fingerprint(&self) -> u64 {
-        crate::fnv::fnv64(&crate::binfmt::encode(self))
+        crate::binfmt::write_trace(crate::fnv::Fnv64::new(), self)
+            .expect("hashing cannot fail")
+            .finish()
     }
 }
 

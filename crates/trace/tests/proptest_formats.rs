@@ -34,6 +34,101 @@ fn arb_trace() -> impl Strategy<Value = Trace> {
     prop::collection::vec(arb_record(), 0..200).prop_map(Trace::from_records)
 }
 
+/// The whole-buffer decoder as it stood before the format had a single
+/// codec, kept as the oracle the streaming decoder must agree with on
+/// every input. One change: it reserves no more records than the
+/// buffer can hold (three bytes each), where it used to trust the
+/// header's count.
+mod oracle {
+    use bpred_trace::{BranchKind, BranchRecord, DecodeTraceError, Outcome, Trace};
+
+    fn kind_from_code(code: u8) -> Option<BranchKind> {
+        Some(match code {
+            0 => BranchKind::Conditional,
+            1 => BranchKind::Unconditional,
+            2 => BranchKind::Call,
+            3 => BranchKind::Return,
+            4 => BranchKind::Indirect,
+            _ => return None,
+        })
+    }
+
+    fn unzigzag(v: u64) -> i64 {
+        ((v >> 1) as i64) ^ -((v & 1) as i64)
+    }
+
+    fn get_u8(buf: &mut &[u8]) -> Option<u8> {
+        let (&byte, rest) = buf.split_first()?;
+        *buf = rest;
+        Some(byte)
+    }
+
+    fn get_varint(buf: &mut &[u8]) -> Option<u64> {
+        let mut v = 0u64;
+        let mut shift = 0u32;
+        loop {
+            if shift >= 64 {
+                return None;
+            }
+            let byte = get_u8(buf)?;
+            v |= u64::from(byte & 0x7f) << shift;
+            if byte & 0x80 == 0 {
+                return Some(v);
+            }
+            shift += 7;
+        }
+    }
+
+    pub fn decode(mut buf: &[u8]) -> Result<Trace, DecodeTraceError> {
+        if buf.len() < 16 {
+            return Err(DecodeTraceError::BadMagic);
+        }
+        let (header, rest) = buf.split_at(16);
+        buf = rest;
+        if &header[0..4] != b"BPRT" {
+            return Err(DecodeTraceError::BadMagic);
+        }
+        let version = u16::from_le_bytes([header[4], header[5]]);
+        if version != 1 {
+            return Err(DecodeTraceError::UnsupportedVersion { found: version });
+        }
+        let count = u64::from_le_bytes(header[8..16].try_into().expect("8-byte slice"));
+        let room = (buf.len() / 3) as u64;
+        let mut trace = Trace::with_capacity(count.min(room) as usize);
+        let mut prev_pc = 0i64;
+        for index in 0..count {
+            let truncated = DecodeTraceError::Truncated {
+                decoded: index,
+                expected: count,
+            };
+            let tag = get_u8(&mut buf).ok_or_else(|| truncated.clone())?;
+            let kind = kind_from_code(tag & 0x07)
+                .filter(|_| tag & !0x0f == 0)
+                .ok_or(DecodeTraceError::BadTag { tag, index })?;
+            let outcome = Outcome::from(tag & 0x08 != 0);
+            let pc_delta = get_varint(&mut buf).ok_or_else(|| truncated.clone())?;
+            let target_delta = get_varint(&mut buf).ok_or(truncated)?;
+            let pc = prev_pc.wrapping_add(unzigzag(pc_delta));
+            let target = pc.wrapping_add(unzigzag(target_delta));
+            prev_pc = pc;
+            trace.push(BranchRecord::new(pc as u64, target as u64, kind, outcome));
+        }
+        Ok(trace)
+    }
+}
+
+/// A valid version-1 header declaring `count` records.
+fn header(count: u64) -> Vec<u8> {
+    let mut bytes = b"BPRT\x01\x00\x00\x00".to_vec();
+    bytes.extend_from_slice(&count.to_le_bytes());
+    bytes
+}
+
+/// Record counts from small to any `u64`.
+fn arb_count() -> impl Strategy<Value = u64> {
+    prop_oneof![0u64..64, any::<u64>(), Just(u64::MAX), Just(1 << 40)]
+}
+
 proptest! {
     #[test]
     fn binary_round_trip(trace in arb_trace()) {
@@ -51,6 +146,48 @@ proptest! {
     fn decode_never_panics_on_arbitrary_bytes(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
         // Corrupt input must produce Err, never a panic.
         let _ = binfmt::decode(&bytes);
+    }
+
+    #[test]
+    fn decode_matches_the_oracle_on_arbitrary_bytes(
+        bytes in prop::collection::vec(any::<u8>(), 0..256),
+    ) {
+        prop_assert_eq!(binfmt::decode(&bytes), oracle::decode(&bytes));
+    }
+
+    #[test]
+    fn any_declared_count_over_a_short_body_never_panics(
+        count in arb_count(),
+        body in prop::collection::vec(any::<u8>(), 0..=64),
+    ) {
+        let mut bytes = header(count);
+        bytes.extend_from_slice(&body);
+        let decoded = binfmt::decode(&bytes);
+        prop_assert_eq!(&decoded, &oracle::decode(&bytes));
+        if let Ok(trace) = decoded {
+            prop_assert_eq!(trace.len() as u64, count);
+            prop_assert!(trace.len() <= body.len() / 3);
+        }
+    }
+
+    #[test]
+    fn a_count_beyond_the_records_present_is_truncated(
+        trace in prop::collection::vec(arb_record(), 0..8).prop_map(Trace::from_records),
+        count in arb_count(),
+    ) {
+        let mut bytes = binfmt::encode(&trace);
+        bytes[8..16].copy_from_slice(&count.to_le_bytes());
+        let decoded = binfmt::decode(&bytes);
+        prop_assert_eq!(&decoded, &oracle::decode(&bytes));
+        let present = trace.len() as u64;
+        if count > present {
+            prop_assert_eq!(
+                decoded,
+                Err(DecodeTraceError::Truncated { decoded: present, expected: count })
+            );
+        } else {
+            prop_assert_eq!(decoded, Ok(trace.truncated(count as usize)));
+        }
     }
 
     #[test]

@@ -555,19 +555,6 @@ impl TraceSource for WorkloadSource {
         Box::new(self.model.stream_of_length(self.seed, self.conditionals))
     }
 
-    fn chunks(&self, chunk_len: usize) -> Box<dyn Iterator<Item = TraceChunk> + '_> {
-        assert!(chunk_len > 0, "chunk length must be positive");
-        // One generator pass per chunk sequence; each chunk is filled
-        // through the monomorphized `TraceStream::fill_chunk` loop
-        // rather than the boxed record stream.
-        let mut stream = self.model.stream_of_length(self.seed, self.conditionals);
-        Box::new(std::iter::from_fn(move || {
-            let mut chunk = TraceChunk::with_capacity(chunk_len);
-            stream.fill_chunk(&mut chunk, chunk_len);
-            (!chunk.is_empty()).then_some(chunk)
-        }))
-    }
-
     fn chunk_feeder(&self) -> Box<dyn ChunkFeeder + '_> {
         // One generator pass, refilling the caller's buffer through the
         // monomorphized `TraceStream::fill_chunk` loop.

@@ -11,7 +11,7 @@ use std::io::BufWriter;
 
 use bpred::core::{BranchPredictor, Gshare};
 use bpred::sim::report::percent;
-use bpred::trace::streamfmt::{TraceReader, TraceWriter};
+use bpred::trace::binfmt::{TraceReader, TraceWriter};
 use bpred::workloads::suite;
 
 fn main() -> Result<(), std::io::Error> {
@@ -66,5 +66,7 @@ fn main() -> Result<(), std::io::Error> {
     );
 
     std::fs::remove_file(&path)?;
+    // The reader handed back every conditional branch the writer wrote.
+    assert_eq!(conditionals, trace.conditional_len() as u64);
     Ok(())
 }
