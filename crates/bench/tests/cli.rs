@@ -19,6 +19,24 @@ fn all_rejects_csv_instead_of_ignoring_it() {
     assert!(stderr.contains("--csv"), "{stderr:?}");
 }
 
+/// The whole quick reproduction, pinned: the FNV-1a 64 digest of what
+/// `all --quick --seed 1996` prints. The benchmark's `paper-repro`
+/// workload pins the same digest.
+#[test]
+fn all_quick_prints_the_pinned_reproduction() {
+    let output = Command::new(env!("CARGO_BIN_EXE_all"))
+        .args(["--quick", "--seed", "1996"])
+        .env_remove("BPRED_CACHE_DIR")
+        .output()
+        .expect("the all binary runs");
+    assert!(output.status.success(), "{output:?}");
+    let digest = bpred_trace::fnv::fnv64(&output.stdout);
+    assert_eq!(
+        digest, 0x45ef_13f0_33da_98f6,
+        "all --quick --seed 1996 printed digest {digest:#018x}"
+    );
+}
+
 /// Decodes the body of a JSON string literal; `None` on a raw control
 /// character or an escape JSON does not define.
 fn json_unescape(text: &str) -> Option<String> {
