@@ -442,18 +442,27 @@ pub fn all() -> Vec<WorkloadModel> {
     all_specs().iter().map(WorkloadModel::from_spec).collect()
 }
 
+/// The specifications of the paper's three focus benchmarks
+/// (espresso, mpeg_play, real_gcc), in [`focus`] order.
+pub fn focus_specs() -> Vec<BenchmarkSpec> {
+    vec![espresso_spec(), mpeg_play_spec(), real_gcc_spec()]
+}
+
 /// The paper's three focus benchmarks (espresso, mpeg_play, real_gcc)
 /// used for every surface figure.
 pub fn focus() -> Vec<WorkloadModel> {
-    vec![espresso(), mpeg_play(), real_gcc()]
+    focus_specs().iter().map(WorkloadModel::from_spec).collect()
+}
+
+/// Looks up a benchmark specification by its paper name, without
+/// materialising its model.
+pub fn spec(name: &str) -> Option<BenchmarkSpec> {
+    all_specs().into_iter().find(|s| s.name == name)
 }
 
 /// Looks up a model by its paper name.
 pub fn by_name(name: &str) -> Option<WorkloadModel> {
-    all_specs()
-        .into_iter()
-        .find(|s| s.name == name)
-        .map(|s| WorkloadModel::from_spec(&s))
+    spec(name).map(|s| WorkloadModel::from_spec(&s))
 }
 
 #[cfg(test)]
