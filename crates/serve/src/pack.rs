@@ -591,15 +591,13 @@ impl PackStore {
         lock_recover(&self.writer)
     }
 
-    /// Reads the raw payload stored for `digest`. `None` on a miss or
-    /// on any read failure (the entry is forgotten so the cell heals
-    /// by recomputation).
-    pub fn get(&self, digest: u128) -> Option<Vec<u8>> {
-        self.read(digest).map(|(bytes, _)| bytes)
-    }
-
-    /// [`get`](Self::get), also returning the location read, which a
-    /// caller that rejects the bytes passes to [`forget`](Self::forget).
+    /// Reads the raw payload stored for `digest`, with the location
+    /// read, which a caller that rejects the bytes passes to
+    /// [`forget`](Self::forget). `None` on a miss or on any read
+    /// failure (the entry is forgotten so the cell heals by
+    /// recomputation). The bytes are not checked against the frame's
+    /// CRC: every caller decodes them through a verifying codec before
+    /// believing them.
     pub(crate) fn read(&self, digest: u128) -> Option<(Vec<u8>, Loc)> {
         let loc = self.index.get(digest)?;
         match self.read_loc(loc) {
@@ -902,6 +900,11 @@ mod tests {
         (0..len).map(|i| tag.wrapping_add(i as u8)).collect()
     }
 
+    /// The payload stored for `digest`, as the store read it.
+    fn read_payload(store: &PackStore, digest: u128) -> Option<Vec<u8>> {
+        store.read(digest).map(|(bytes, _)| bytes)
+    }
+
     #[test]
     fn put_get_round_trip_survives_reopen() {
         let dir = tempdir("pack-roundtrip");
@@ -911,12 +914,15 @@ mod tests {
         }
         assert_eq!(store.len(), 50);
         for i in 0..50u128 {
-            assert_eq!(store.get(i).unwrap(), payload(i as u8, 100 + i as usize));
+            assert_eq!(
+                read_payload(&store, i).unwrap(),
+                payload(i as u8, 100 + i as usize)
+            );
         }
         drop(store);
         let reopened = PackStore::open(&dir, 1 << 20).unwrap();
         assert_eq!(reopened.len(), 50);
-        assert_eq!(reopened.get(7).unwrap(), payload(7, 107));
+        assert_eq!(read_payload(&reopened, 7).unwrap(), payload(7, 107));
     }
 
     #[test]
@@ -926,7 +932,7 @@ mod tests {
         store.put(42, &payload(1, 64)).unwrap();
         store.put(42, &payload(2, 96)).unwrap();
         assert_eq!(store.len(), 1);
-        assert_eq!(store.get(42).unwrap(), payload(2, 96));
+        assert_eq!(read_payload(&store, 42).unwrap(), payload(2, 96));
     }
 
     #[test]
@@ -938,7 +944,7 @@ mod tests {
         }
         assert!(store.segments() > 2, "tiny seal threshold should roll");
         for i in 0..20u128 {
-            assert_eq!(store.get(i).unwrap(), payload(i as u8, 128));
+            assert_eq!(read_payload(&store, i).unwrap(), payload(i as u8, 128));
         }
     }
 
@@ -969,9 +975,9 @@ mod tests {
         let reopened = PackStore::open(&dir, 1 << 20).unwrap();
         assert_eq!(reopened.len(), 10, "prefix survives the torn tail");
         for i in 0..10u128 {
-            assert_eq!(reopened.get(i).unwrap(), payload(i as u8, 200));
+            assert_eq!(read_payload(&reopened, i).unwrap(), payload(i as u8, 200));
         }
-        assert!(reopened.get(99).is_none());
+        assert!(read_payload(&reopened, 99).is_none());
     }
 
     #[test]
@@ -988,7 +994,7 @@ mod tests {
         let rebuilt = PackStore::open(&dir, 512).unwrap();
         assert_eq!(rebuilt.len(), 30);
         for i in 0..30u128 {
-            assert_eq!(rebuilt.get(i).unwrap(), payload(i as u8, 100));
+            assert_eq!(read_payload(&rebuilt, i).unwrap(), payload(i as u8, 100));
         }
         assert!(
             dir.join(PACKS_DIR).join(INDEX_FILE).exists(),
@@ -1043,10 +1049,10 @@ mod tests {
         assert!(report.freed_bytes > 0);
         assert!(store.file_bytes() < before);
         // Newest cells survive (they live in the newest segments).
-        assert!(store.get(29).is_some());
+        assert!(read_payload(&store, 29).is_some());
         // Survivors still read back correctly after the pass.
         for i in 0..30u128 {
-            if let Some(bytes) = store.get(i) {
+            if let Some(bytes) = read_payload(&store, i) {
                 assert_eq!(bytes, payload(i as u8, 100));
             }
         }
@@ -1069,7 +1075,11 @@ mod tests {
         assert!(report.compacted_segments > 0, "{report:?}");
         assert!(store.segments() < before_segments);
         for i in 36..40u128 {
-            assert_eq!(store.get(i).unwrap(), payload(i as u8, 100), "cell {i}");
+            assert_eq!(
+                read_payload(&store, i).unwrap(),
+                payload(i as u8, 100),
+                "cell {i}"
+            );
         }
     }
 
@@ -1106,7 +1116,11 @@ mod tests {
         let stale = store.index.get(42).unwrap();
         store.put(42, &payload(2, 96)).unwrap();
         store.forget(42, stale);
-        assert_eq!(store.get(42).unwrap(), payload(2, 96), "newer entry kept");
+        assert_eq!(
+            read_payload(&store, 42).unwrap(),
+            payload(2, 96),
+            "newer entry kept"
+        );
         store.forget(42, store.index.get(42).unwrap());
         assert!(!store.contains(42));
         assert_eq!(store.payload_bytes(), 0);
@@ -1136,7 +1150,10 @@ mod tests {
         );
         for _ in 0..2 {
             for i in (0..cells).rev() {
-                assert_eq!(store.get(i).unwrap(), payload(i as u8, 64 + i as usize));
+                assert_eq!(
+                    read_payload(&store, i).unwrap(),
+                    payload(i as u8, 64 + i as usize)
+                );
                 assert!(store.open_sealed_handles() <= MAX_SEALED_HANDLES);
             }
         }
@@ -1168,7 +1185,7 @@ mod tests {
             .collect();
         assert!(deleted.is_empty(), "fds on deleted segments: {deleted:?}");
         for i in 0..30u128 {
-            if let Some(bytes) = store.get(i) {
+            if let Some(bytes) = read_payload(&store, i) {
                 assert_eq!(bytes, payload(i as u8, 100));
             }
         }
