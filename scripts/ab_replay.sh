@@ -14,8 +14,9 @@
 # function is 64-byte aligned on both sides, so code placement moves
 # neither side's loops between builds.
 #
-# Each row (every BENCH_replay.json family and spill row, then
-# experiments::paper at 20,000 branches) first asserts that both sides
+# Each row (every BENCH_replay.json family and spill row, the paper
+# plan's GAs and PAs(inf) shapes, then experiments::paper at 20,000
+# branches) first asserts that both sides
 # give bit-identical results, then times `pairs` alternating pairs
 # (default 15, at least 10 for a gate verdict). Per row the artifact
 # records the median time ratio head/base, its quartiles and the pairs
@@ -68,6 +69,7 @@ publish = false
 
 [dependencies]
 bpred-bench = { path = "$REPO/crates/bench" }
+bpred-core = { path = "$REPO/crates/core" }
 bpred-trace = { path = "$REPO/crates/trace" }
 bpred-workloads = { path = "$REPO/crates/workloads" }
 bpred-sim = { path = "$REPO/crates/sim" }

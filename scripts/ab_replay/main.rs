@@ -7,8 +7,9 @@
 //! Usage: `ab_replay <base-rev> <head-rev> <pairs> <out.json>`.
 //!
 //! Rows: every `BENCH_replay.json` family and spill row (the
-//! `bpred_bench::replay_rows` definitions, 120k branches of `mpeg_play`
-//! at seed 2), then `experiments::paper` at 20,000 branches. Each row
+//! `bpred_bench::replay_rows` definitions), then the paper plan's own
+//! shapes ([`plan_rows`]), all on 120k branches of `mpeg_play` at seed
+//! 2, then `experiments::paper` at 20,000 branches. Each row
 //! first asserts that both sides give bit-identical results, then times
 //! `pairs` pairs. One call is one `LaneSet` build, replay and finish over
 //! pre-generated chunks (the whole `paper` call for the paper row); a
@@ -21,7 +22,8 @@
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-use bpred_bench::replay_rows::{families, spill_rows};
+use bpred_bench::replay_rows::{families, spill_rows, Family};
+use bpred_core::PredictorConfig;
 
 /// Shortest time per side per pair: long enough that timer and
 /// scheduler noise is a small fraction of it.
@@ -80,6 +82,39 @@ fn quantile(xs: &[f64], q: f64) -> f64 {
     xs[lo] + (xs[hi] - xs[lo]) * (at - lo as f64)
 }
 
+/// The shapes the paper plan replays, each as one lane set: GAs at
+/// every split of 2^15 counters (Table 3's largest budget), and the GAs
+/// and PAs(inf) surfaces over tiers 4..=15 (Figures 4 and 9).
+fn plan_rows() -> Vec<Family> {
+    let surface = |make: fn(u32, u32) -> PredictorConfig| -> Vec<PredictorConfig> {
+        (4..=15u32)
+            .flat_map(|tier| (0..=tier).map(move |col_bits| make(tier - col_bits, col_bits)))
+            .collect()
+    };
+    let gas = |history_bits, col_bits| PredictorConfig::Gas {
+        history_bits,
+        col_bits,
+    };
+    let pas = |history_bits, col_bits| PredictorConfig::PasInfinite {
+        history_bits,
+        col_bits,
+    };
+    vec![
+        Family {
+            name: "plan-gas-2^15",
+            configs: (0..=15).map(|col_bits| gas(15 - col_bits, col_bits)).collect(),
+        },
+        Family {
+            name: "plan-gas-surface",
+            configs: surface(gas),
+        },
+        Family {
+            name: "plan-pas-surface",
+            configs: surface(pas),
+        },
+    ]
+}
+
 fn family_rows() -> Vec<Row> {
     let head_chunks: Vec<bpred_trace::TraceChunk> = {
         let model = bpred_workloads::suite::mpeg_play().scaled(FAMILY_BRANCHES);
@@ -96,6 +131,7 @@ fn family_rows() -> Vec<Row> {
     families()
         .into_iter()
         .chain(spill_rows())
+        .chain(plan_rows())
         .map(|family| {
             let ids: Vec<String> = family.configs.iter().map(|c| c.config_id()).collect();
             let head_configs = family.configs.clone();
