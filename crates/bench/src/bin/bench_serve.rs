@@ -292,7 +292,6 @@ fn store_options(peers: Option<PeerSet>) -> StoreOptions {
         hot_bytes: 64 << 20,
         seal_bytes: 8 << 20,
         peers,
-        auto_migrate: true,
     }
 }
 

@@ -46,7 +46,6 @@
 
 mod aliasing;
 mod bht;
-mod btb;
 pub mod cell;
 mod combining;
 mod config;
@@ -69,7 +68,6 @@ mod yags;
 
 pub use aliasing::AliasStats;
 pub use bht::{BhtStats, HistoryTable, PerfectBht, SetAssocBht};
-pub use btb::{BranchTargetBuffer, BtbStats};
 pub use combining::Combining;
 pub use config::{ParseConfigError, PredictorConfig, SchemeVisitor};
 pub use counter::{CounterState, SaturatingCounter, TwoBitCounter};

@@ -230,7 +230,7 @@ mod reference_models {
     use proptest::prelude::*;
     use std::collections::HashMap;
 
-    use bpred_core::{BranchTargetBuffer, HistoryTable, SetAssocBht};
+    use bpred_core::{HistoryTable, SetAssocBht};
     use bpred_trace::Outcome;
 
     proptest! {
@@ -255,42 +255,6 @@ mod reference_models {
             }
             // Cold misses only: one per distinct branch.
             prop_assert_eq!(bht.stats().misses as usize, model.len());
-        }
-
-        /// A BTB with capacity for the whole working set behaves like a
-        /// map from pc to the most recent taken-target.
-        #[test]
-        fn big_btb_matches_a_map(
-            ops in prop::collection::vec((0u64..32, 0u64..8), 1..300),
-        ) {
-            let mut btb = BranchTargetBuffer::new(128, 4);
-            let mut model: HashMap<u64, u64> = HashMap::new();
-            for (slot, t) in ops {
-                let pc = 0x200 + 4 * slot;
-                let target = 0x4000 + 4 * t;
-                prop_assert_eq!(btb.lookup(pc), model.get(&pc).copied());
-                btb.record(pc, target);
-                model.insert(pc, target);
-            }
-        }
-
-        /// BTB statistics invariants hold under arbitrary access mixes.
-        #[test]
-        fn btb_stats_invariants(
-            ops in prop::collection::vec((0u64..200, any::<bool>()), 1..400),
-        ) {
-            let mut btb = BranchTargetBuffer::new(16, 2);
-            for (slot, record_too) in ops {
-                let pc = 0x300 + 4 * slot;
-                let _ = btb.lookup(pc);
-                if record_too {
-                    btb.record(pc, 0x8000 + pc);
-                }
-            }
-            let s = btb.stats();
-            prop_assert!(s.hits <= s.lookups);
-            prop_assert!(s.wrong_target <= s.hits + s.lookups);
-            prop_assert!((0.0..=1.0).contains(&s.hit_rate()));
         }
     }
 }

@@ -4,7 +4,6 @@
 //! ```text
 //! serve [--addr HOST:PORT] [--cache-dir DIR] [--shards N] [--workers N]
 //!       [--queue N] [--max-branches N] [--peers HOST:PORT,...]
-//! serve store migrate DIR     pack a legacy flat object tree into segments
 //! serve store stats DIR       print tier sizes and counts
 //! ```
 //!
@@ -22,13 +21,12 @@ use std::process::ExitCode;
 
 use bpred_serve::peers::PeerSet;
 use bpred_serve::server::{Server, ServerConfig};
-use bpred_serve::store::{self, ResultStore, StoreOptions};
+use bpred_serve::store::{self, ResultStore};
 
 fn usage() -> ! {
     eprintln!(
         "usage: serve [--addr HOST:PORT] [--cache-dir DIR] [--shards N] [--workers N]\n\
          \x20            [--queue N] [--max-branches N] [--peers HOST:PORT,...]\n\
-         \x20      serve store migrate DIR\n\
          \x20      serve store stats DIR\n\
          \n\
          endpoints:\n\
@@ -47,59 +45,14 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// `serve store migrate DIR` — pack a legacy flat tree into segments.
-fn store_migrate(dir: &str) -> ExitCode {
-    // Opening the store migrates any `objects/` tree it finds; all
-    // this subcommand adds is the report.
-    match ResultStore::open_with(dir, StoreOptions::from_env()) {
-        Ok(store) => {
-            match store.migration() {
-                Some(report) => println!(
-                    "migrated {} objects ({} bytes) into pack segments, skipped {} corrupt or stray",
-                    report.migrated, report.bytes, report.skipped
-                ),
-                None => println!("no legacy objects/ tree; store is already packed"),
-            }
-            println!(
-                "store now holds {} cells in {} segments ({} payload bytes)",
-                store.len(),
-                store.segments(),
-                store.total_bytes()
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: cannot open store at {dir}: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// `serve store stats DIR` — sizes and counts per tier, read-only
-/// with respect to the legacy tree (no auto-migration).
+/// `serve store stats DIR` — sizes and counts per tier.
 fn store_stats(dir: &str) -> ExitCode {
-    let options = StoreOptions {
-        auto_migrate: false,
-        ..StoreOptions::from_env()
-    };
-    match ResultStore::open_with(dir, options) {
+    match ResultStore::open(dir) {
         Ok(store) => {
             println!("engine version : {}", store::engine_version());
             println!("cells          : {}", store.len());
             println!("segments       : {}", store.segments());
             println!("payload bytes  : {}", store.total_bytes());
-            let legacy = std::path::Path::new(dir).join("objects");
-            if legacy.is_dir() {
-                let objects: usize = std::fs::read_dir(&legacy)
-                    .map(|fans| {
-                        fans.filter_map(|f| f.ok())
-                            .filter_map(|f| std::fs::read_dir(f.path()).ok())
-                            .map(|files| files.count())
-                            .sum()
-                    })
-                    .unwrap_or(0);
-                println!("legacy objects : {objects} (run `serve store migrate {dir}`)");
-            }
             ExitCode::SUCCESS
         }
         Err(e) => {
@@ -114,7 +67,6 @@ fn main() -> ExitCode {
 
     if args.first().map(String::as_str) == Some("store") {
         return match (args.get(1).map(String::as_str), args.get(2)) {
-            (Some("migrate"), Some(dir)) if args.len() == 3 => store_migrate(dir),
             (Some("stats"), Some(dir)) if args.len() == 3 => store_stats(dir),
             _ => usage(),
         };

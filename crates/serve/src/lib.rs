@@ -69,4 +69,4 @@ pub use metrics::Metrics;
 pub use peers::PeerSet;
 pub use server::{Server, ServerConfig, ServerHandle};
 pub use service::{sweep_body, SweepRequest, SweepService};
-pub use store::{install_from_env, GcReport, MigrateReport, ResultStore, StoreOptions, StoreStats};
+pub use store::{install_from_env, GcReport, ResultStore, StoreOptions, StoreStats};

@@ -697,10 +697,11 @@ impl PackStore {
         Ok(())
     }
 
-    /// Seals the current active segment (even if small); used by
-    /// tests and `store migrate` to leave a fully indexed store
-    /// behind. A no-op when nothing has been appended.
-    pub fn seal_active(&self) -> io::Result<()> {
+    /// Seals the current active segment (even if small), leaving a
+    /// fully indexed store behind. A no-op when nothing has been
+    /// appended.
+    #[cfg(test)]
+    fn seal_active(&self) -> io::Result<()> {
         let mut guard = self.lock_writer();
         let Some(writer) = guard.take() else {
             return Ok(());

@@ -22,16 +22,10 @@
 //! Concurrent compute for the same cell stays single-flighted via
 //! [`crate::flight`].
 //!
-//! The legacy one-file-per-object layout (`objects/<aa>/<digest>.bin`)
-//! is only ever read: opening a store over a directory that still has
-//! an `objects/` tree packs it into segments and removes it (also
-//! exposed as `serve store migrate`).
-//!
 //! The store implements [`ResultCache`], so
 //! [`bpred_sim::cache::install`]ing one memoises every keyed sweep in
 //! the process; [`install_from_env`] does that from `BPRED_CACHE_DIR`.
 
-use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -49,9 +43,6 @@ use crate::peers::PeerSet;
 
 pub use crate::pack::GcReport;
 
-const OBJECTS_DIR: &str = "objects";
-const LEGACY_INDEX_FILE: &str = "index.log";
-
 /// Tuning for [`ResultStore::open_with`].
 #[derive(Debug, Clone)]
 pub struct StoreOptions {
@@ -61,8 +52,6 @@ pub struct StoreOptions {
     pub seal_bytes: u64,
     /// Peers to fetch missing cells from.
     pub peers: Option<PeerSet>,
-    /// Migrate a legacy `objects/` tree into segments at open.
-    pub auto_migrate: bool,
 }
 
 impl Default for StoreOptions {
@@ -71,7 +60,6 @@ impl Default for StoreOptions {
             hot_bytes: 64 << 20,
             seal_bytes: 8 << 20,
             peers: None,
-            auto_migrate: true,
         }
     }
 }
@@ -116,17 +104,6 @@ pub struct StoreStats {
     pub hot_bytes: AtomicU64,
 }
 
-/// What migrating a legacy flat tree into pack segments did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MigrateReport {
-    /// Objects packed into segments.
-    pub migrated: usize,
-    /// Corrupt, misnamed or stray entries dropped.
-    pub skipped: usize,
-    /// Payload bytes migrated.
-    pub bytes: u64,
-}
-
 /// A cell's canonical key and its content address, built once per
 /// cell so every tier lookup and the pack append share one hash. The
 /// digest is FNV-1a 128 of the canonical key — [`CellKey::digest`] as
@@ -164,7 +141,6 @@ pub struct ResultStore {
     peers: Option<PeerSet>,
     stats: Arc<StoreStats>,
     flight: Flight<SimResult>,
-    migration: Option<MigrateReport>,
 }
 
 impl ResultStore {
@@ -176,17 +152,11 @@ impl ResultStore {
 
     /// Opens (creating if needed) the store rooted at `root`.
     ///
-    /// A leftover partial active segment is recovered, a missing or
-    /// corrupt persistent index is rebuilt by scanning segments, and
-    /// (unless `auto_migrate` is off) a legacy flat `objects/` tree is
-    /// packed into segments first.
+    /// A leftover partial active segment is recovered, and a missing or
+    /// corrupt persistent index is rebuilt by scanning segments.
     pub fn open_with(root: impl Into<PathBuf>, options: StoreOptions) -> io::Result<ResultStore> {
         let root = root.into();
         let pack = PackStore::open(&root, options.seal_bytes)?;
-        let mut migration = None;
-        if options.auto_migrate && root.join(OBJECTS_DIR).is_dir() {
-            migration = Some(migrate_flat_tree(&root, &pack)?);
-        }
         let store = ResultStore {
             root,
             pack,
@@ -194,7 +164,6 @@ impl ResultStore {
             peers: options.peers,
             stats: Arc::new(StoreStats::default()),
             flight: Flight::new(),
-            migration,
         };
         store.refresh_gauges();
         Ok(store)
@@ -208,11 +177,6 @@ impl ResultStore {
     /// Per-tier hit counters and gauges, shared with `/metrics`.
     pub fn stats(&self) -> Arc<StoreStats> {
         self.stats.clone()
-    }
-
-    /// The migration performed at open, if any.
-    pub fn migration(&self) -> Option<MigrateReport> {
-        self.migration
     }
 
     /// Number of cached cells on disk.
@@ -420,50 +384,6 @@ fn parse_digest(hex: &str) -> Option<u128> {
         return None;
     }
     u128::from_str_radix(hex, 16).ok()
-}
-
-/// Packs every valid object of a legacy flat `objects/` tree into the
-/// segment store, seals it, then removes the tree (and the old
-/// journal). Corrupt or misnamed objects, and any stray entry that is
-/// not `objects/<aa>/<digest>.bin`, are counted as skipped and dropped
-/// with the tree — they were unreadable in the old layout too.
-fn migrate_flat_tree(root: &Path, pack: &PackStore) -> io::Result<MigrateReport> {
-    let mut report = MigrateReport::default();
-    let objects = root.join(OBJECTS_DIR);
-    for fan in fs::read_dir(&objects)? {
-        let fan = fan?;
-        if !fan.file_type()?.is_dir() {
-            report.skipped += 1;
-            continue;
-        }
-        for entry in fs::read_dir(fan.path())? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let hex = name.to_str().and_then(|n| n.strip_suffix(".bin"));
-            let digest = hex
-                .and_then(parse_digest)
-                .filter(|_| entry.file_type().is_ok_and(|t| t.is_file()));
-            let (Some(hex), Some(digest)) = (hex, digest) else {
-                report.skipped += 1;
-                continue;
-            };
-            let bytes = fs::read(entry.path())?;
-            let valid = codec::decode_verified(&bytes)
-                .map(|(key, _)| fnv::fnv128_hex(key.as_bytes()) == hex)
-                .unwrap_or(false);
-            if valid {
-                pack.put(digest, &bytes)?;
-                report.migrated += 1;
-                report.bytes += bytes.len() as u64;
-            } else {
-                report.skipped += 1;
-            }
-        }
-    }
-    pack.seal_active()?;
-    let _ = fs::remove_dir_all(&objects);
-    let _ = fs::remove_file(root.join(LEGACY_INDEX_FILE));
-    Ok(report)
 }
 
 impl ResultCache for ResultStore {

@@ -2,9 +2,14 @@
 //! noise never panics, valid requests round-trip under any read-chunk
 //! split (including folding and body boundaries landing mid-chunk),
 //! and prefix feeding is monotone — `Incomplete` until the full
-//! request, then the same parse as one-shot.
+//! request, then the same parse as one-shot. Then the `/sweep` query
+//! parser: any mix of known and unknown keys, huge or zero numbers and
+//! configs of every scheme ends in a sweep within the counter budget
+//! or a 400, never a panic.
 
+use bpred_core::PredictorConfig;
 use bpred_serve::http::{parse_request, Parsed, Request};
+use bpred_serve::service::{SweepRequest, MAX_SWEEP_COUNTERS};
 use proptest::prelude::*;
 
 /// A string drawn from `alphabet`, `min..max` chars (the vendored
@@ -18,6 +23,113 @@ fn chars_of(alphabet: &'static str, min: usize, max: usize) -> impl Strategy<Val
 const LOWER: &str = "abcdefghijklmnopqrstuvwxyz";
 const ALNUM: &str = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789";
 const QUERYISH: &str = "abcdefghijklmnopqrstuvwxyz0123456789%+.=-";
+
+/// Every scheme name the config parser knows, aliases included, with
+/// the parameter letters it reads.
+const SCHEMES: [(&str, &str); 18] = [
+    ("taken", ""),
+    ("not-taken", ""),
+    ("btfn", ""),
+    ("last", "a"),
+    ("bimodal", "a"),
+    ("gag", "h"),
+    ("gas", "hc"),
+    ("gshare", "hc"),
+    ("path", "rcq"),
+    ("pas", "hcew"),
+    ("pag", "hew"),
+    ("tournament", "ahk"),
+    ("sas", "hsc"),
+    ("sag", "hs"),
+    ("agree", "hi"),
+    ("bimode", "hdk"),
+    ("gskew", "hb"),
+    ("yags", "kbt"),
+];
+
+/// Every parameter letter any scheme reads.
+const PARAM_KEYS: [char; 13] = [
+    'a', 'h', 'c', 'r', 'q', 'e', 'w', 'k', 's', 'i', 'd', 'b', 't',
+];
+
+/// The powers of two up to `2^max_bits`.
+fn powers_of_two(max_bits: u32) -> Vec<u64> {
+    (0..=max_bits).map(|bits| 1u64 << bits).collect()
+}
+
+/// A parameter value in 0..=70: often under 13, where tables fit, or
+/// a power of two, as `w=` needs.
+fn param_value() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        0u64..=12,
+        0u64..=24,
+        0u64..=70,
+        prop::sample::select(powers_of_two(6)),
+    ]
+}
+
+/// One `<scheme>[:<k>=<v>,…]` config: each of the scheme's own letters
+/// present three times in four, half the time one more letter of any
+/// scheme, and `e=` (first-level entries) up to 2^40.
+fn config_text() -> impl Strategy<Value = String> {
+    let entries = prop_oneof![
+        0u64..=70,
+        0u64..=1 << 40,
+        prop::sample::select(powers_of_two(40)),
+    ];
+    let present = prop::sample::select(vec![true, true, true, false]);
+    let own = prop::collection::vec((present, param_value()), 4);
+    let extra = (
+        any::<bool>(),
+        prop::sample::select(PARAM_KEYS.to_vec()),
+        param_value(),
+    );
+    let scheme = prop::sample::select(SCHEMES.to_vec());
+    (scheme, own, entries, extra).prop_map(|((scheme, letters), own, entries, extra)| {
+        let mut params: Vec<(char, u64)> = (letters.chars().zip(own))
+            .filter(|(_, (present, _))| *present)
+            .map(|(key, (_, value))| (key, if key == 'e' { entries } else { value }))
+            .collect();
+        if let (true, key, value) = extra {
+            params.push((key, value));
+        }
+        let params: Vec<String> = params.iter().map(|(k, v)| format!("{k}={v}")).collect();
+        if params.is_empty() {
+            scheme.to_owned()
+        } else {
+            format!("{scheme}:{}", params.join(","))
+        }
+    })
+}
+
+/// A `configs=` value: zero to three configs joined by `;`.
+fn config_list() -> impl Strategy<Value = String> {
+    prop::collection::vec(config_text(), 0..4).prop_map(|configs| configs.join(";"))
+}
+
+/// A value for any query key: counts from zero past `u128::MAX`,
+/// non-numbers, workload names known and unknown, or a config list.
+fn query_value() -> impl Strategy<Value = String> {
+    let words = [
+        "0",
+        "1",
+        "1996",
+        "4294967296",
+        "18446744073709551615",
+        "18446744073709551616",
+        "340282366920938463463374607431768211456",
+        "-1",
+        "x",
+        "",
+        "espresso",
+        "real_gcc",
+        "nope",
+    ];
+    prop_oneof![
+        prop::sample::select(words.map(str::to_owned).to_vec()),
+        config_list(),
+    ]
+}
 
 /// Reference one-shot parse, as (method, path, query, body,
 /// keep_alive, consumed).
@@ -169,5 +281,56 @@ proptest! {
         prop_assert_eq!(got.query, want.query);
         prop_assert_eq!(got.body, want.body);
         prop_assert_eq!(got.keep_alive, want.keep_alive);
+    }
+}
+
+proptest! {
+    // One parse per case, so many cases are cheap; most end in a 400,
+    // and a few hundred in a sweep.
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// A `/sweep` query of known and unknown keys parses to a sweep
+    /// with configs, within `MAX_SWEEP_COUNTERS`, whose config ids
+    /// parse back to the same configs; anything else is a 400. The
+    /// debug build traps integer overflow, so no arithmetic on a huge
+    /// value goes unnoticed.
+    #[test]
+    fn sweep_queries_parse_to_a_budgeted_sweep_or_a_400(
+        with_head in prop::sample::select(vec![true, true, true, false]),
+        configs in config_list(),
+        extra in prop::collection::vec(
+            (
+                prop::sample::select(vec![
+                    "workload", "seed", "branches", "warmup", "configs", "bogus", "Workload",
+                ]),
+                query_value(),
+            ),
+            0..3,
+        ),
+    ) {
+        let mut pairs: Vec<String> = Vec::new();
+        if with_head {
+            pairs.push("workload=espresso".to_owned());
+            pairs.push(format!("configs={configs}"));
+        }
+        pairs.extend(extra.iter().map(|(key, value)| format!("{key}={value}")));
+        let query = pairs.join("&");
+        match SweepRequest::parse(&query) {
+            Ok(request) => {
+                prop_assert!(!request.configs.is_empty(), "{query}: no configs");
+                let counters: u128 = request.configs.iter().map(|c| u128::from(c.counters())).sum();
+                prop_assert!(
+                    counters <= u128::from(MAX_SWEEP_COUNTERS),
+                    "{query}: {counters} counters"
+                );
+                for config in &request.configs {
+                    prop_assert_eq!(
+                        config.config_id().parse::<PredictorConfig>(),
+                        Ok(*config)
+                    );
+                }
+            }
+            Err(bad) => prop_assert_eq!(bad.status, 400, "{}: {:?}", query, bad),
+        }
     }
 }

@@ -47,7 +47,6 @@ fn options(peers: Option<PeerSet>) -> StoreOptions {
         hot_bytes: 16 << 20,
         seal_bytes: 1 << 20,
         peers,
-        auto_migrate: true,
     }
 }
 

@@ -1,5 +1,5 @@
 //! Result-store integration tests: codec properties, tiered
-//! round-trips, crash recovery, migration, peer-object validation,
+//! round-trips, crash recovery, leftover flat trees, peer-object validation,
 //! concurrent single-flight, and eviction.
 
 use std::fs;
@@ -77,22 +77,9 @@ fn packed(dir: &Path, hot_bytes: u64, seal_bytes: u64) -> ResultStore {
             hot_bytes,
             seal_bytes,
             peers: None,
-            auto_migrate: true,
         },
     )
     .unwrap()
-}
-
-/// Writes `cells` as a legacy flat tree: one `codec::encode`d object
-/// per cell at `objects/<aa>/<digest>.bin`.
-fn write_legacy_tree(dir: &Path, cells: &[(CellKey, SimResult)]) {
-    for (key, result) in cells {
-        let digest = key.digest();
-        let fan = dir.join("objects").join(&digest[..2]);
-        fs::create_dir_all(&fan).unwrap();
-        let bytes = codec::encode(&key.canonical(), result);
-        fs::write(fan.join(format!("{digest}.bin")), bytes).unwrap();
-    }
 }
 
 // ------------------------------------------------------------ codec
@@ -301,48 +288,30 @@ fn persistent_index_is_an_optimisation_not_the_truth() {
 }
 
 #[test]
-fn migration_packs_a_legacy_flat_tree() {
-    // The second input adds stray entries no flat store ever wrote: a
-    // plain file directly under `objects/` and a non-`.bin` file in a
-    // fan directory. They count as skipped and leave with the tree.
-    let strays: [&[&str]; 2] = [&[], &["README", "00/notes.txt"]];
-    for (case, stray) in strays.iter().enumerate() {
-        let dir = scratch(&format!("migrate-{case}"));
-        let cells: Vec<_> = (0..10u64)
-            .map(|i| (key(&format!("m{i}")), result(i)))
-            .collect();
-        write_legacy_tree(&dir, &cells);
-        fs::write(dir.join("index.log"), b"legacy journal").unwrap();
-        // Plant one corrupt object: it must be skipped, not migrated.
-        let corrupt = dir.join("objects").join("00");
-        fs::create_dir_all(&corrupt).unwrap();
-        fs::write(
-            corrupt.join("00000000000000000000000000000000.bin"),
-            b"not a result object",
-        )
-        .unwrap();
-        for path in *stray {
-            fs::write(dir.join("objects").join(path), b"stray").unwrap();
-        }
+fn a_leftover_flat_tree_is_not_read_or_removed() {
+    // The pre-pack layout: one `codec::encode`d object per cell at
+    // `objects/<aa>/<digest>.bin`, beside an `index.log` journal.
+    let dir = scratch("flat-leftover");
+    let cell = key("f1");
+    let digest = cell.digest();
+    let object = dir
+        .join("objects")
+        .join(&digest[..2])
+        .join(format!("{digest}.bin"));
+    fs::create_dir_all(object.parent().unwrap()).unwrap();
+    fs::write(&object, codec::encode(&cell.canonical(), &result(1))).unwrap();
+    let journal = dir.join("index.log");
+    fs::write(&journal, b"legacy journal").unwrap();
 
-        let store = packed(&dir, 1 << 20, 1 << 20);
-        let report = store.migration().expect("migration ran");
-        assert_eq!(report.migrated, 10, "case {case}");
-        assert_eq!(report.skipped, 1 + stray.len(), "case {case}");
-        assert!(report.bytes > 0);
-        assert!(!dir.join("objects").exists(), "legacy tree removed");
-        assert!(!dir.join("index.log").exists(), "legacy journal removed");
-        for (key, result) in &cells {
-            assert_eq!(store.get(key).as_ref(), Some(result));
-        }
-
-        // Re-opening does not migrate again.
-        drop(store);
-        let store = packed(&dir, 1 << 20, 1 << 20);
-        assert!(store.migration().is_none(), "case {case}: migrated twice");
-        assert!(!dir.join("objects").exists());
-        assert_eq!(store.len(), 10);
-    }
+    let store = packed(&dir, 1 << 20, 1 << 20);
+    assert_eq!(store.get(&cell), None, "a flat object answered a cell");
+    assert_eq!(store.len(), 0);
+    drop(store);
+    assert!(object.is_file(), "the store removed a file it does not own");
+    assert!(
+        journal.is_file(),
+        "the store removed a file it does not own"
+    );
 }
 
 #[test]

@@ -43,8 +43,9 @@
 //! `cargo test -q` at the workspace root runs the tier-1 integration
 //! tests (paper claims, determinism, golden workload statistics);
 //! `cargo test -q --workspace` adds per-crate unit and property
-//! tests; `cargo bench -p bpred-bench --bench sweeps` measures
-//! whole-tier sweeps through the batched engine.
+//! tests; `scripts/bench_replay.sh` measures replay throughput per
+//! family through the batched engine, and `scripts/ab_replay.sh`
+//! times it against a base revision.
 //!
 //! # Examples
 //!

@@ -79,7 +79,7 @@ fn every_variant() -> Vec<PredictorConfig> {
 }
 
 /// The acceptance sweep: 32 configurations mixing four schemes over a
-/// range of sizes (mirrors the `engine-32x120k` criterion bench).
+/// range of sizes.
 fn acceptance_configs() -> Vec<PredictorConfig> {
     (2..10u32)
         .flat_map(|history_bits| {

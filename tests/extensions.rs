@@ -3,8 +3,7 @@
 //! delayed updates, per-branch attribution, and the CPI model.
 
 use bpred::core::{
-    Agree, BiMode, BranchTargetBuffer, DelayedUpdate, Gshare, Gskew, PredictorConfig, Sas,
-    SpeculativeGshare,
+    Agree, BiMode, DelayedUpdate, Gshare, Gskew, PredictorConfig, Sas, SpeculativeGshare,
 };
 use bpred::sim::{run_config, CpiModel, ProfiledRun, Simulator};
 use bpred::trace::Trace;
@@ -156,29 +155,6 @@ fn cpi_model_is_monotone_in_rate() {
     let shallow_gap = model.cpi(bad) - model.cpi(good);
     let deep_gap = deep.cpi(bad) - deep.cpi(good);
     assert!(deep_gap > shallow_gap);
-}
-
-/// The BTB substrate tracks targets on a real workload: hot branches
-/// hit, and the hit rate grows with capacity.
-#[test]
-fn btb_hit_rate_scales_with_capacity() {
-    let trace = trace_of("verilog", 100_000);
-    let mut rates = Vec::new();
-    for entries in [64usize, 512, 4096] {
-        let mut btb = BranchTargetBuffer::new(entries, 4);
-        for r in trace.iter().filter(|r| r.is_conditional()) {
-            let _ = btb.lookup(r.pc);
-            if r.outcome.is_taken() {
-                btb.record(r.pc, r.target);
-            }
-        }
-        rates.push(btb.stats().hit_rate());
-    }
-    assert!(rates[0] < rates[1] && rates[1] < rates[2], "{rates:?}");
-    assert!(
-        rates[2] > 0.9,
-        "a 4K-entry BTB should capture the working set"
-    );
 }
 
 /// Boxed dyn predictors from every extension config behave and report

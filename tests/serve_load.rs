@@ -356,7 +356,6 @@ proptest! {
             // ~2 cells per segment: every storm crosses many seals.
             seal_bytes: 512,
             peers: None,
-            auto_migrate: true,
         };
         let store = Arc::new(ResultStore::open_with(&*dir, options.clone()).expect("open"));
         let model = suite::by_name("espresso").expect("espresso exists");
