@@ -1,13 +1,21 @@
 //! Shared plumbing for the experiment binaries.
 //!
-//! Every binary regenerating a paper exhibit accepts the same flags:
+//! Two binaries reproduce the paper, both from one plan
+//! ([`experiments::paper`](bpred_sim::experiments::paper)): `all`
+//! prints every exhibit as text
+//! ([`Paper::render`](bpred_sim::experiments::Paper::render)) and
+//! `export` writes them as CSV files
+//! ([`Paper::csv_files`](bpred_sim::experiments::Paper::csv_files)).
+//! The others are ablations, tools and timing harnesses. Every
+//! experiment binary accepts the same flags:
 //!
 //! ```text
 //! --branches <n>   trace length in conditional branches (default: model)
 //! --seed <n>       trace seed (default 1996)
 //! --min-bits <n>   smallest tier, log2 counters (default 4)
 //! --max-bits <n>   largest tier, log2 counters (default 15, at most 30)
-//! --csv            emit CSV instead of aligned text (`all` rejects it)
+//! --csv            emit CSV instead of aligned text (`all` rejects it;
+//!                  `export` writes CSV files either way)
 //! --quick          shorthand for --branches 50000 --max-bits 10; an
 //!                  explicit --branches or --max-bits wins, in any order
 //! ```
@@ -16,7 +24,11 @@
 //! the result store rooted there and installs it as the process-wide
 //! sweep cache (see [`bpred_serve::store`]): previously computed
 //! sweep cells load from disk instead of re-simulating, and fresh
-//! cells persist for the next run. Unset, nothing changes.
+//! cells persist for the next run. Unset, nothing changes. Only keyed
+//! sweeps consult the cache: those of `all`, of `export` (which takes
+//! its output directory first, parses the rest with
+//! [`Args::parse_from`] and installs the store itself) and of
+//! `simulate`.
 
 use std::process::ExitCode;
 

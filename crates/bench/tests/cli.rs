@@ -1,6 +1,10 @@
-//! Command-line behaviour of the exhibit binaries, run as processes.
+//! Command-line behaviour of the bench binaries, run as processes.
 
+use std::path::Path;
 use std::process::Command;
+
+use bpred_serve::ResultStore;
+use bpred_trace::fnv::Fnv64;
 
 #[test]
 fn all_rejects_csv_instead_of_ignoring_it() {
@@ -17,6 +21,7 @@ fn all_rejects_csv_instead_of_ignoring_it() {
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert_eq!(stderr.lines().count(), 1, "one-line message: {stderr:?}");
     assert!(stderr.contains("--csv"), "{stderr:?}");
+    assert!(stderr.contains("export"), "points at export: {stderr:?}");
 }
 
 /// The whole quick reproduction, pinned: the FNV-1a 64 digest of what
@@ -35,6 +40,96 @@ fn all_quick_prints_the_pinned_reproduction() {
         digest, 0x45ef_13f0_33da_98f6,
         "all --quick --seed 1996 printed digest {digest:#018x}"
     );
+}
+
+/// Runs `export <out> --quick --seed 1996`, with the result store at
+/// `cache` or none, and returns each file it reports as `(name,
+/// contents)` in write order.
+fn export_quick(out: &Path, cache: Option<&Path>) -> Vec<(String, Vec<u8>)> {
+    let mut command = Command::new(env!("CARGO_BIN_EXE_export"));
+    command.arg(out).args(["--quick", "--seed", "1996"]);
+    match cache {
+        Some(dir) => command.env("BPRED_CACHE_DIR", dir),
+        None => command.env_remove("BPRED_CACHE_DIR"),
+    };
+    let output = command.output().expect("the export binary runs");
+    assert!(output.status.success(), "{output:?}");
+    String::from_utf8(output.stdout)
+        .unwrap()
+        .lines()
+        .map(|line| {
+            let path = Path::new(line.strip_prefix("wrote ").expect("one line per file"));
+            let name = path.file_name().unwrap().to_str().unwrap().to_owned();
+            (name, std::fs::read(path).expect("a reported file exists"))
+        })
+        .collect()
+}
+
+/// Every exhibit as CSV, pinned: the files `export --quick --seed
+/// 1996` writes, by name in write order, and one FNV-1a 64 digest
+/// over each name followed by its contents.
+#[test]
+fn export_quick_writes_the_pinned_csv_files() {
+    let out = scratch_file("export");
+    let files = export_quick(&out, None);
+    let _ = std::fs::remove_dir_all(&out);
+    let names: Vec<&str> = files.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(
+        names,
+        [
+            "table1.csv",
+            "table2.csv",
+            "fig2_address_indexed.csv",
+            "fig3_gag.csv",
+            "fig4_gas_espresso.csv",
+            "fig4_gas_mpeg_play.csv",
+            "fig4_gas_real_gcc.csv",
+            "fig6_gshare_espresso.csv",
+            "fig6_gshare_mpeg_play.csv",
+            "fig6_gshare_real_gcc.csv",
+            "fig9_pas_espresso.csv",
+            "fig9_pas_mpeg_play.csv",
+            "fig9_pas_real_gcc.csv",
+            "fig10_PAs_128_4_.csv",
+            "fig10_PAs_1024_4_.csv",
+            "fig10_PAs_2048_4_.csv",
+            "fig7_gshare_minus_gas.csv",
+            "fig8_path_minus_gas.csv",
+            "table3.csv",
+        ]
+    );
+    let mut hasher = Fnv64::new();
+    for (name, contents) in &files {
+        hasher.write(name.as_bytes());
+        hasher.write(contents);
+    }
+    let digest = hasher.finish();
+    assert_eq!(
+        digest, 0x369f_b09e_a6c7_8f7d,
+        "export --quick --seed 1996 wrote digest {digest:#018x}"
+    );
+}
+
+/// `export` reads and writes the result store `BPRED_CACHE_DIR`
+/// names: the first run stores the plan's cells, and the second,
+/// answered from them, writes the same bytes and stores nothing new.
+#[test]
+fn export_uses_the_result_store() {
+    let cache = scratch_file("export-cache");
+    let cells = || ResultStore::open(&cache).expect("the store opens").len();
+    let cold_out = scratch_file("export-cold");
+    let cold = export_quick(&cold_out, Some(&cache));
+    let stored = cells();
+    let warm_out = scratch_file("export-warm");
+    let warm = export_quick(&warm_out, Some(&cache));
+    let restored = cells();
+    for dir in [&cache, &cold_out, &warm_out] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+    assert!(stored > 0, "the first run stored no cell");
+    assert_eq!(restored, stored, "the second run computed cells");
+    assert_eq!(cold.len(), 19);
+    assert!(cold == warm, "the cached run wrote different files");
 }
 
 /// Decodes the body of a JSON string literal; `None` on a raw control

@@ -15,7 +15,7 @@
 //!   ([`PerfectBht`]) or finite tag-checked ([`SetAssocBht`])
 //!   first-level tables;
 //! * static baselines ([`AlwaysTaken`], [`AlwaysNotTaken`], [`Btfn`],
-//!   [`ProfileStatic`], [`LastTime`]) and McFarling's combining
+//!   [`LastTime`]) and McFarling's combining
 //!   predictor ([`Combining`]);
 //! * aliasing accounting ([`AliasStats`]) built into every table
 //!   access, distinguishing the paper's harmless all-ones-pattern
@@ -87,7 +87,7 @@ pub use plan::{
 pub use predictor::BranchPredictor;
 pub use setsel::{Sas, SetSelector};
 pub use speculative::SpeculativeGshare;
-pub use static_pred::{AlwaysNotTaken, AlwaysTaken, Btfn, LastTime, ProfileStatic};
+pub use static_pred::{AlwaysNotTaken, AlwaysTaken, Btfn, LastTime};
 pub use table::CounterTable;
 pub use twolevel::{RowSelection, RowSelector, TwoLevel};
 pub use yags::Yags;

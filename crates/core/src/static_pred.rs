@@ -1,11 +1,9 @@
-//! Static baseline predictors: always-taken, always-not-taken,
-//! backward-taken/forward-not-taken, and a profile-guided static
-//! predictor in the spirit of Fisher & Freudenberger (ASPLOS 1992).
+//! Static baseline predictors: always-taken, always-not-taken and
+//! backward-taken/forward-not-taken, beside Smith's one-bit
+//! last-time predictor.
 //!
 //! These anchor the bottom of every comparison: a dynamic scheme that
 //! cannot beat BTFN is not earning its transistors.
-
-use std::collections::HashMap;
 
 use bpred_trace::Outcome;
 
@@ -93,64 +91,6 @@ impl BranchPredictor for Btfn {
     }
 }
 
-/// A profile-guided static predictor: each branch is permanently
-/// predicted in the majority direction observed in a profiling run;
-/// unprofiled branches fall back to BTFN.
-///
-/// # Examples
-///
-/// ```
-/// use bpred_core::{BranchPredictor, ProfileStatic};
-/// use bpred_trace::Outcome;
-///
-/// let p = ProfileStatic::from_directions([(0x40, Outcome::Taken)]);
-/// let mut p = p;
-/// assert_eq!(p.predict(0x40, 0x100), Outcome::Taken);
-/// // Unprofiled: falls back to BTFN (forward target -> not taken).
-/// assert_eq!(p.predict(0x44, 0x100), Outcome::NotTaken);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ProfileStatic {
-    directions: HashMap<u64, Outcome>,
-}
-
-impl ProfileStatic {
-    /// Builds the predictor from `(pc, majority direction)` pairs.
-    pub fn from_directions<I>(directions: I) -> Self
-    where
-        I: IntoIterator<Item = (u64, Outcome)>,
-    {
-        ProfileStatic {
-            directions: directions.into_iter().collect(),
-        }
-    }
-
-    /// Number of profiled branches.
-    pub fn profiled_branches(&self) -> usize {
-        self.directions.len()
-    }
-}
-
-impl BranchPredictor for ProfileStatic {
-    fn predict(&mut self, pc: u64, target: u64) -> Outcome {
-        self.directions
-            .get(&pc)
-            .copied()
-            .unwrap_or_else(|| Outcome::from(target < pc))
-    }
-
-    fn update(&mut self, _pc: u64, _target: u64, _outcome: Outcome) {}
-
-    fn name(&self) -> String {
-        format!("profile-static({} branches)", self.directions.len())
-    }
-
-    fn state_bits(&self) -> u64 {
-        // One direction bit per profiled branch.
-        self.directions.len() as u64
-    }
-}
-
 /// Dynamic one-bit "last time" predictor (Smith's simplest scheme): a
 /// table of single bits recording each branch's previous outcome.
 ///
@@ -221,26 +161,6 @@ mod tests {
         let mut p = Btfn;
         assert_eq!(p.predict(0x100, 0x100), Outcome::NotTaken); // self-target is forward-ish
         assert_eq!(p.predict(0x100, 0xfc), Outcome::Taken);
-    }
-
-    #[test]
-    fn profile_static_uses_profile_then_fallback() {
-        let mut p =
-            ProfileStatic::from_directions([(0x40, Outcome::NotTaken), (0x44, Outcome::Taken)]);
-        assert_eq!(p.profiled_branches(), 2);
-        assert_eq!(p.predict(0x40, 0x10), Outcome::NotTaken); // profile wins over BTFN
-        assert_eq!(p.predict(0x44, 0x100), Outcome::Taken);
-        assert_eq!(p.predict(0x48, 0x10), Outcome::Taken); // fallback BTFN backward
-        assert_eq!(p.state_bits(), 2);
-    }
-
-    #[test]
-    fn updates_do_not_change_static_predictors() {
-        let mut p = ProfileStatic::from_directions([(0x40, Outcome::Taken)]);
-        for _ in 0..10 {
-            p.update(0x40, 0x10, Outcome::NotTaken);
-        }
-        assert_eq!(p.predict(0x40, 0x10), Outcome::Taken);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! Each function regenerates the data behind one exhibit of Sechrest,
 //! Lee & Mudge (ISCA 1996) on the synthetic workload models; [`paper`]
-//! regenerates all of them at once. The `bpred-bench` binaries are
-//! thin wrappers that call these and print the result; tests call them
-//! with reduced trace lengths.
+//! regenerates all of them at once. The `bpred-bench` binaries `all`
+//! and `export` print [`Paper::render`] and write [`Paper::csv_files`];
+//! tests call the drivers with reduced trace lengths.
 //!
 //! # Plans and views
 //!
@@ -27,11 +27,11 @@ use std::ops::{Range, RangeInclusive};
 
 use bpred_core::PredictorConfig;
 use bpred_trace::stats::{StatsFold, TraceStats};
-use bpred_trace::{Trace, TraceSource};
+use bpred_trace::Trace;
 use bpred_workloads::{suite, BenchmarkSpec, WorkloadModel, WorkloadSource};
 
 use crate::cache::run_configs_keyed;
-use crate::report::{percent, TextTable};
+use crate::report::{percent, render_surface, render_tier, surface_csv, TextTable};
 use crate::{SimResult, Simulator, Surface};
 
 /// Common knobs shared by all experiment drivers.
@@ -79,10 +79,10 @@ impl ExperimentOptions {
         }
     }
 
-    /// A streaming [`TraceSource`] over the same records
-    /// [`trace`](Self::trace) would materialise. Sweep drivers hand
-    /// this to the batched engine so long traces are generated on the
-    /// fly instead of held in memory.
+    /// A streaming [`TraceSource`](bpred_trace::TraceSource) over the
+    /// same records [`trace`](Self::trace) would materialise. Sweep
+    /// drivers hand this to the batched engine so long traces are
+    /// generated on the fly instead of held in memory.
     pub fn source(&self, model: &WorkloadModel) -> WorkloadSource {
         self.source_of(model.clone())
     }
@@ -616,41 +616,6 @@ impl Table3Scheme {
     }
 }
 
-/// One Table 3 entry: the best configuration of a scheme at a fixed
-/// counter budget.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BestConfig {
-    /// Row bits of the winning split.
-    pub row_bits: u32,
-    /// Column bits of the winning split.
-    pub col_bits: u32,
-    /// The winning run.
-    pub result: SimResult,
-}
-
-/// Finds the best split of `scheme` at `2^total_bits` counters on a
-/// trace source: the [best](crate::Tier::best) point of that one tier.
-pub fn best_config<S: TraceSource + Sync + ?Sized>(
-    scheme: Table3Scheme,
-    total_bits: u32,
-    source: &S,
-) -> BestConfig {
-    let surface = Surface::sweep(
-        &scheme.label(),
-        "",
-        total_bits..=total_bits,
-        source,
-        Simulator::new(),
-        |r, c| scheme.config(r, c),
-    );
-    let best = surface.tiers[0].best();
-    BestConfig {
-        row_bits: best.row_bits,
-        col_bits: best.col_bits,
-        result: best.result.clone(),
-    }
-}
-
 fn table3_in(cells: &mut Cells, budgets: &[u32], schemes: &[Table3Scheme]) -> TextTable {
     let mut headers = vec![
         "benchmark".to_owned(),
@@ -752,11 +717,151 @@ pub fn paper(opts: &ExperimentOptions) -> Paper {
     run(opts, |cells| paper_in(cells, opts))
 }
 
+impl Paper {
+    /// Every exhibit as aligned text in paper order, each under its own
+    /// heading: what the `all` binary prints. Figure 5 is Figure 4's
+    /// aliasing layer.
+    pub fn render(&self) -> String {
+        // One block per surface, a blank line between blocks.
+        let blocks = |exhibit: &[Surface], render: fn(&Surface) -> String| {
+            let rendered: Vec<String> = exhibit.iter().map(render).collect();
+            rendered.join("\n")
+        };
+        let sections = [
+            ("Table 1", self.table1.render()),
+            ("Table 2", self.table2.render()),
+            (
+                "Figure 2 (address-indexed)",
+                render_size_series(&self.fig2).render(),
+            ),
+            ("Figure 3 (GAg)", render_size_series(&self.fig3).render()),
+            (
+                "Figure 4 (GAs surfaces)",
+                blocks(&self.fig4, render_surface),
+            ),
+            (
+                "Figure 5 (GAs aliasing)",
+                blocks(&self.fig4, render_aliasing),
+            ),
+            (
+                "Figure 6 (gshare surfaces)",
+                blocks(&self.fig6, render_surface),
+            ),
+            (
+                "Figure 7 (gshare - GAs, mpeg_play)",
+                render_difference(&self.fig7).render(),
+            ),
+            (
+                "Figure 8 (path - GAs, mpeg_play)",
+                render_difference(&self.fig8).render(),
+            ),
+            (
+                "Figure 9 (PAs perfect histories)",
+                blocks(&self.fig9, render_surface),
+            ),
+            (
+                "Figure 10 (PAs finite BHTs, mpeg_play)",
+                blocks(&self.fig10, render_surface),
+            ),
+            ("Table 3", self.table3.render()),
+        ];
+        // A blank line closes every section but the last.
+        let sections: Vec<String> = sections
+            .into_iter()
+            .map(|(title, body)| format!("================ {title} ================\n\n{body}"))
+            .collect();
+        sections.join("\n")
+    }
+
+    /// Every exhibit as CSV for external plotting: `(file name,
+    /// contents)` pairs in the order the `export` binary writes them,
+    /// one file per table, per series figure, per difference grid and
+    /// per surface.
+    pub fn csv_files(&self) -> Vec<(String, String)> {
+        let mut files = vec![
+            ("table1.csv".to_owned(), self.table1.to_csv()),
+            ("table2.csv".to_owned(), self.table2.to_csv()),
+            (
+                "fig2_address_indexed.csv".to_owned(),
+                render_size_series(&self.fig2).to_csv(),
+            ),
+            (
+                "fig3_gag.csv".to_owned(),
+                render_size_series(&self.fig3).to_csv(),
+            ),
+        ];
+        let by_workload = [
+            ("fig4_gas", &self.fig4),
+            ("fig6_gshare", &self.fig6),
+            ("fig9_pas", &self.fig9),
+        ];
+        for (prefix, surfaces) in by_workload {
+            for surface in surfaces {
+                files.push((
+                    format!("{prefix}_{}.csv", surface.workload),
+                    surface_csv(surface),
+                ));
+            }
+        }
+        for surface in &self.fig10 {
+            let label = surface.scheme.replace(['(', ')', 'x'], "_");
+            files.push((format!("fig10_{label}.csv"), surface_csv(surface)));
+        }
+        files.push((
+            "fig7_gshare_minus_gas.csv".to_owned(),
+            difference_csv(&self.fig7),
+        ));
+        files.push((
+            "fig8_path_minus_gas.csv".to_owned(),
+            difference_csv(&self.fig8),
+        ));
+        files.push(("table3.csv".to_owned(), self.table3.to_csv()));
+        files
+    }
+}
+
+/// Figure 5 for one workload: the aliasing rate of every GAs point,
+/// best-in-tier (by misprediction) marked, and the harmless share of
+/// aliasing in the largest tier.
+fn render_aliasing(surface: &Surface) -> String {
+    let mut out = format!("GAs aliasing on {}\n", surface.workload);
+    for tier in &surface.tiers {
+        out += &render_tier(tier, |p| p.result.alias_rate());
+        out += "\n";
+    }
+    if let Some(tier) = surface.tiers.last() {
+        let (conflicts, harmless) = tier
+            .points
+            .iter()
+            .filter_map(|p| p.result.alias)
+            .fold((0u64, 0u64), |(c, h), a| {
+                (c + a.conflicts, h + a.harmless_conflicts)
+            });
+        if conflicts > 0 {
+            out += &format!(
+                "harmless share in 2^{} tier: {}\n",
+                tier.total_bits,
+                percent(harmless as f64 / conflicts as f64)
+            );
+        }
+    }
+    out
+}
+
+/// A difference grid (Figures 7 and 8) as CSV rows
+/// `row_bits,col_bits,difference`.
+fn difference_csv(diff: &[(u32, u32, f64)]) -> String {
+    let mut out = String::from("row_bits,col_bits,difference\n");
+    for &(r, c, d) in diff {
+        out += &format!("{r},{c},{d:.6}\n");
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cache::{self, tests::registry_lock, CellKey, ResultCache};
-    use crate::run_configs;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{Arc, Mutex};
 
@@ -830,26 +935,6 @@ mod tests {
         let small = surfaces[0].tier(6).unwrap().best().rate();
         let large = surfaces[1].tier(6).unwrap().best().rate();
         assert!(large <= small + 0.02, "small {small}, large {large}");
-    }
-
-    #[test]
-    fn best_config_is_min_over_splits() {
-        let model = suite::espresso().scaled(4_000);
-        let trace = model.trace(1);
-        let best = best_config(Table3Scheme::Gshare, 6, &trace);
-        assert_eq!(best.row_bits + best.col_bits, 6);
-        // Exhaustive check against a manual sweep.
-        for c in 0..=6u32 {
-            let r = run_configs(
-                &[PredictorConfig::Gshare {
-                    history_bits: 6 - c,
-                    col_bits: c,
-                }],
-                &trace,
-                Simulator::new(),
-            );
-            assert!(best.result.misprediction_rate() <= r[0].misprediction_rate() + 1e-12);
-        }
     }
 
     /// `tiny()` widened to tiers 4..=9, so Table 3 has its 512-counter
