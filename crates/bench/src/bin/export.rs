@@ -1,10 +1,12 @@
 //! Exports every exhibit's data as CSV files for external plotting
 //! (gnuplot, matplotlib, R): [`Paper::csv_files`](experiments::Paper::csv_files),
-//! one file per exhibit in the chosen output directory, every exhibit
-//! rendered from one plan ([`experiments::paper`]).
+//! one file per exhibit in the output directory (`results` unless
+//! given), every exhibit rendered from one plan ([`experiments::paper`]).
+//! With `BPRED_CACHE_DIR` set, the plan's cells are read from and
+//! stored in the result store there.
 //!
 //! ```text
-//! cargo run --release -p bpred-bench --bin export -- [out-dir] [--quick] [--branches N] ...
+//! cargo run --release -p bpred-bench --bin export -- [DIR] [--quick] [--branches N] ...
 //! ```
 
 use std::fs;
@@ -12,28 +14,26 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use bpred_bench::Args;
-use bpred_sim::experiments;
+use bpred_sim::{experiments, ResultCache};
 
 fn main() -> ExitCode {
-    let mut raw: Vec<String> = std::env::args().skip(1).collect();
-    let out_dir = if raw.first().map(|a| !a.starts_with("--")).unwrap_or(false) {
-        PathBuf::from(raw.remove(0))
-    } else {
-        PathBuf::from("results")
-    };
-    let args = match Args::parse_from(raw) {
-        Ok(args) => args,
+    let (args, out_dir) = match Args::parse_with_dir(std::env::args().skip(1)) {
+        Ok(parsed) => parsed,
         Err(code) => return code,
     };
-    // Install the result store when BPRED_CACHE_DIR is set, as
-    // `Args::parse` does for the other drivers.
-    bpred_serve::install_from_env();
+    if args.csv {
+        eprintln!("export writes CSV files always and takes no --csv; run all for text");
+        return ExitCode::FAILURE;
+    }
+    let out_dir = out_dir.unwrap_or_else(|| PathBuf::from("results"));
     if let Err(e) = fs::create_dir_all(&out_dir) {
         eprintln!("cannot create {}: {e}", out_dir.display());
         return ExitCode::FAILURE;
     }
+    let store = bpred_serve::open_from_env();
+    let cache = store.as_ref().map(|store| store as &dyn ResultCache);
     let mut ok = true;
-    for (name, contents) in experiments::paper(&args.options).csv_files() {
+    for (name, contents) in experiments::paper(&args.options, cache).csv_files() {
         let path = out_dir.join(name);
         match fs::write(&path, contents) {
             Ok(()) => println!("wrote {}", path.display()),

@@ -24,7 +24,7 @@ use std::process::ExitCode;
 
 use bpred_core::PredictorConfig;
 use bpred_sim::report::percent;
-use bpred_sim::{run_configs_keyed, CpiModel, ProfiledRun, Simulator, TextTable};
+use bpred_sim::{run_configs_keyed, CpiModel, ProfiledRun, ResultCache, Simulator, TextTable};
 use bpred_trace::io;
 
 fn main() -> ExitCode {
@@ -82,11 +82,14 @@ fn main() -> ExitCode {
         .map(str::to_owned)
         .to_vec(),
     );
-    // Install the result store when BPRED_CACHE_DIR is set; the
-    // trace's content fingerprint keys the cells.
-    bpred_serve::install_from_env();
+    // With BPRED_CACHE_DIR set, the trace's content fingerprint keys
+    // the cells in the result store there.
+    let store = bpred_serve::open_from_env();
     let source_id = format!("tracefile:{:016x}", trace.fingerprint());
-    let results = run_configs_keyed(&configs, &trace, Simulator::new(), Some(&source_id));
+    let cache = store
+        .as_ref()
+        .map(|store| (store as &dyn ResultCache, source_id.as_str()));
+    let results = run_configs_keyed(&configs, &trace, Simulator::new(), cache);
     for (config, result) in configs.iter().zip(results) {
         table.push_row(vec![
             config.config_id(),

@@ -14,22 +14,23 @@
 //! --seed <n>       trace seed (default 1996)
 //! --min-bits <n>   smallest tier, log2 counters (default 4)
 //! --max-bits <n>   largest tier, log2 counters (default 15, at most 30)
-//! --csv            emit CSV instead of aligned text (`all` rejects it;
-//!                  `export` writes CSV files either way)
+//! --csv            emit CSV instead of aligned text (`all` and `export`
+//!                  reject it: one prints text, the other writes CSV files)
 //! --quick          shorthand for --branches 50000 --max-bits 10; an
 //!                  explicit --branches or --max-bits wins, in any order
 //! ```
 //!
-//! When `BPRED_CACHE_DIR` is set, [`Args::parse`] additionally opens
-//! the result store rooted there and installs it as the process-wide
-//! sweep cache (see [`bpred_serve::store`]): previously computed
-//! sweep cells load from disk instead of re-simulating, and fresh
-//! cells persist for the next run. Unset, nothing changes. Only keyed
-//! sweeps consult the cache: those of `all`, of `export` (which takes
-//! its output directory first, parses the rest with
-//! [`Args::parse_from`] and installs the store itself) and of
-//! `simulate`.
+//! `export` also takes its output directory, anywhere among the flags
+//! ([`Args::parse_with_dir`]).
+//!
+//! The binaries whose sweeps are keyed — `all`, `export` and
+//! `simulate` — open the result store `BPRED_CACHE_DIR` names
+//! ([`bpred_serve::open_from_env`]) and pass it to those sweeps:
+//! previously computed cells load from disk instead of re-simulating,
+//! and fresh cells persist for the next run. Unset, nothing changes,
+//! and no other binary opens or creates the directory.
 
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 use bpred_core::TableGeometry;
@@ -48,62 +49,83 @@ pub struct Args {
 
 impl Args {
     /// Parses `std::env::args`, printing usage and exiting on error.
-    ///
-    /// Also installs the on-disk result cache when `BPRED_CACHE_DIR`
-    /// is set (see the crate docs); [`parse_from`](Self::parse_from)
-    /// stays pure for tests.
     pub fn parse() -> Result<Args, ExitCode> {
-        let args = Self::parse_from(std::env::args().skip(1))?;
-        bpred_serve::install_from_env();
-        Ok(args)
+        Self::parse_from(std::env::args().skip(1))
     }
 
     /// Parses an explicit argument list (testable).
     pub fn parse_from(args: impl IntoIterator<Item = String>) -> Result<Args, ExitCode> {
-        let mut options = ExperimentOptions::default();
-        let (mut branches, mut max_bits) = (None, None);
-        let (mut csv, mut quick) = (false, false);
-        let mut iter = args.into_iter();
-        while let Some(arg) = iter.next() {
-            match arg.as_str() {
-                "--branches" => branches = Some(require_number(&arg, iter.next())?),
-                "--seed" => options.seed = require_number(&arg, iter.next())? as u64,
-                "--min-bits" => options.min_bits = require_bits(&arg, iter.next())?,
-                "--max-bits" => max_bits = Some(require_bits(&arg, iter.next())?),
-                "--csv" => csv = true,
-                "--quick" => quick = true,
-                "--help" | "-h" => {
-                    eprintln!(
-                        "usage: [--branches N] [--seed N] [--min-bits N] [--max-bits N] [--csv] [--quick]"
-                    );
-                    return Err(ExitCode::SUCCESS);
-                }
-                other => {
-                    eprintln!("unknown argument {other:?}; try --help");
+        parse_args(args, false).map(|(args, _)| args)
+    }
+
+    /// [`parse_from`](Self::parse_from) for a binary that also takes
+    /// one directory argument, anywhere among the flags; `None` when
+    /// it is absent.
+    pub fn parse_with_dir(
+        args: impl IntoIterator<Item = String>,
+    ) -> Result<(Args, Option<PathBuf>), ExitCode> {
+        parse_args(args, true)
+    }
+}
+
+/// The flag parser behind [`Args`]; `takes_dir` admits one positional
+/// directory argument.
+fn parse_args(
+    args: impl IntoIterator<Item = String>,
+    takes_dir: bool,
+) -> Result<(Args, Option<PathBuf>), ExitCode> {
+    let mut options = ExperimentOptions::default();
+    let (mut branches, mut max_bits) = (None, None);
+    let (mut csv, mut quick) = (false, false);
+    let mut dir = None;
+    let mut iter = args.into_iter();
+    while let Some(arg) = iter.next() {
+        match arg.as_str() {
+            "--branches" => branches = Some(require_number(&arg, iter.next())?),
+            "--seed" => options.seed = require_number(&arg, iter.next())? as u64,
+            "--min-bits" => options.min_bits = require_bits(&arg, iter.next())?,
+            "--max-bits" => max_bits = Some(require_bits(&arg, iter.next())?),
+            "--csv" => csv = true,
+            "--quick" => quick = true,
+            "--help" | "-h" => {
+                let dir = if takes_dir { " [DIR]" } else { "" };
+                eprintln!(
+                    "usage:{dir} [--branches N] [--seed N] [--min-bits N] [--max-bits N] [--csv] [--quick]"
+                );
+                return Err(ExitCode::SUCCESS);
+            }
+            other if takes_dir && !other.starts_with('-') => {
+                if dir.is_some() {
+                    eprintln!("one directory only; {other:?} is a second");
                     return Err(ExitCode::FAILURE);
                 }
+                dir = Some(PathBuf::from(other));
+            }
+            other => {
+                eprintln!("unknown argument {other:?}; try --help");
+                return Err(ExitCode::FAILURE);
             }
         }
-        // Explicit sizes win over --quick's, wherever the flags sit.
-        if quick {
-            options.branches = Some(50_000);
-            options.max_bits = options.max_bits.min(10);
-        }
-        options.branches = branches.or(options.branches);
-        options.max_bits = max_bits.unwrap_or(options.max_bits);
-        if options.min_bits > options.max_bits {
-            eprintln!("--min-bits must not exceed --max-bits");
-            return Err(ExitCode::FAILURE);
-        }
-        if options.max_bits > TableGeometry::MAX_TOTAL_BITS {
-            eprintln!(
-                "--max-bits must not exceed {} (the largest supported table)",
-                TableGeometry::MAX_TOTAL_BITS
-            );
-            return Err(ExitCode::FAILURE);
-        }
-        Ok(Args { options, csv })
     }
+    // Explicit sizes win over --quick's, wherever the flags sit.
+    if quick {
+        options.branches = Some(50_000);
+        options.max_bits = options.max_bits.min(10);
+    }
+    options.branches = branches.or(options.branches);
+    options.max_bits = max_bits.unwrap_or(options.max_bits);
+    if options.min_bits > options.max_bits {
+        eprintln!("--min-bits must not exceed --max-bits");
+        return Err(ExitCode::FAILURE);
+    }
+    if options.max_bits > TableGeometry::MAX_TOTAL_BITS {
+        eprintln!(
+            "--max-bits must not exceed {} (the largest supported table)",
+            TableGeometry::MAX_TOTAL_BITS
+        );
+        return Err(ExitCode::FAILURE);
+    }
+    Ok((Args { options, csv }, dir))
 }
 
 fn require_number(flag: &str, value: Option<String>) -> Result<usize, ExitCode> {
@@ -205,6 +227,26 @@ mod tests {
         assert!(parse(&["--seed"]).is_err());
         assert!(parse(&["--seed", "abc"]).is_err());
         assert!(parse(&["--min-bits", "9", "--max-bits", "5"]).is_err());
+    }
+
+    #[test]
+    fn a_directory_is_taken_anywhere_once_and_only_where_asked() {
+        let with_dir = |args: &[&str]| Args::parse_with_dir(args.iter().map(|s| s.to_string()));
+        for args in [
+            ["out", "--quick", "--seed", "7"],
+            ["--quick", "out", "--seed", "7"],
+            ["--quick", "--seed", "7", "out"],
+        ] {
+            let (parsed, dir) = with_dir(&args).unwrap();
+            assert_eq!(dir, Some(PathBuf::from("out")), "{args:?}");
+            assert_eq!(
+                parsed.options,
+                parse(&["--quick", "--seed", "7"]).unwrap().options
+            );
+        }
+        assert_eq!(with_dir(&["--quick"]).unwrap().1, None);
+        assert!(with_dir(&["out", "--quick", "again"]).is_err());
+        assert!(parse(&["out", "--quick"]).is_err());
     }
 
     #[test]

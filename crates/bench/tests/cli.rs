@@ -1,7 +1,8 @@
 //! Command-line behaviour of the bench binaries, run as processes.
 
+use std::ffi::OsStr;
 use std::path::Path;
-use std::process::Command;
+use std::process::{Command, Output};
 
 use bpred_serve::ResultStore;
 use bpred_trace::fnv::Fnv64;
@@ -42,17 +43,39 @@ fn all_quick_prints_the_pinned_reproduction() {
     );
 }
 
-/// Runs `export <out> --quick --seed 1996`, with the result store at
-/// `cache` or none, and returns each file it reports as `(name,
-/// contents)` in write order.
-fn export_quick(out: &Path, cache: Option<&Path>) -> Vec<(String, Vec<u8>)> {
-    let mut command = Command::new(env!("CARGO_BIN_EXE_export"));
-    command.arg(out).args(["--quick", "--seed", "1996"]);
+/// Runs the binary `exe` with `args`, with the result store at `cache`
+/// or none.
+fn run<S: AsRef<OsStr>>(exe: &str, args: &[S], cache: Option<&Path>) -> Output {
+    let mut command = Command::new(exe);
+    command.args(args);
     match cache {
         Some(dir) => command.env("BPRED_CACHE_DIR", dir),
         None => command.env_remove("BPRED_CACHE_DIR"),
     };
-    let output = command.output().expect("the export binary runs");
+    command.output().expect("the binary runs")
+}
+
+/// Cells in the result store at `dir`.
+fn stored_cells(dir: &Path) -> usize {
+    ResultStore::open(dir).expect("the store opens").len()
+}
+
+/// Runs `export <out> --quick --seed 1996`, with the result store at
+/// `cache` or none, and returns each file it reports as `(name,
+/// contents)` in write order.
+fn export_quick(out: &Path, cache: Option<&Path>) -> Vec<(String, Vec<u8>)> {
+    let args = [
+        out.as_os_str(),
+        "--quick".as_ref(),
+        "--seed".as_ref(),
+        "1996".as_ref(),
+    ];
+    export_files(run(env!("CARGO_BIN_EXE_export"), &args, cache))
+}
+
+/// The files a successful `export` run reports, as `(name, contents)`
+/// in write order.
+fn export_files(output: Output) -> Vec<(String, Vec<u8>)> {
     assert!(output.status.success(), "{output:?}");
     String::from_utf8(output.stdout)
         .unwrap()
@@ -98,16 +121,59 @@ fn export_quick_writes_the_pinned_csv_files() {
             "table3.csv",
         ]
     );
-    let mut hasher = Fnv64::new();
-    for (name, contents) in &files {
-        hasher.write(name.as_bytes());
-        hasher.write(contents);
-    }
-    let digest = hasher.finish();
+    let digest = csv_digest(&files);
     assert_eq!(
         digest, 0x369f_b09e_a6c7_8f7d,
         "export --quick --seed 1996 wrote digest {digest:#018x}"
     );
+}
+
+/// One FNV-1a 64 digest over each file's name followed by its
+/// contents.
+fn csv_digest(files: &[(String, Vec<u8>)]) -> u64 {
+    let mut hasher = Fnv64::new();
+    for (name, contents) in files {
+        hasher.write(name.as_bytes());
+        hasher.write(contents);
+    }
+    hasher.finish()
+}
+
+/// The output directory may follow the flags: `export --quick DIR`
+/// writes the pinned files too (the default seed is 1996).
+#[test]
+fn export_takes_its_directory_after_the_flags() {
+    let out = scratch_file("export-last");
+    let args = ["--quick".as_ref(), out.as_os_str()];
+    let files = export_files(run(env!("CARGO_BIN_EXE_export"), &args, None));
+    let _ = std::fs::remove_dir_all(&out);
+    assert_eq!(files.len(), 19);
+    assert_eq!(csv_digest(&files), 0x369f_b09e_a6c7_8f7d);
+}
+
+#[test]
+fn export_rejects_csv_and_a_second_directory() {
+    let out = scratch_file("export-refused");
+    let other = scratch_file("export-refused-2");
+    for args in [
+        [out.as_os_str(), "--quick".as_ref(), "--csv".as_ref()],
+        [out.as_os_str(), "--quick".as_ref(), other.as_os_str()],
+    ] {
+        let output = run(env!("CARGO_BIN_EXE_export"), &args, None);
+        assert_eq!(output.status.code(), Some(1), "{args:?}");
+        assert!(output.stdout.is_empty(), "{args:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(stderr.lines().count(), 1, "one-line message: {stderr:?}");
+        assert!(!out.exists() && !other.exists(), "{args:?} wrote files");
+    }
+}
+
+#[test]
+fn export_help_names_the_directory() {
+    let output = run(env!("CARGO_BIN_EXE_export"), &["--help"], None);
+    assert!(output.status.success(), "{output:?}");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("[DIR]"), "{stderr:?}");
 }
 
 /// `export` reads and writes the result store `BPRED_CACHE_DIR`
@@ -116,13 +182,12 @@ fn export_quick_writes_the_pinned_csv_files() {
 #[test]
 fn export_uses_the_result_store() {
     let cache = scratch_file("export-cache");
-    let cells = || ResultStore::open(&cache).expect("the store opens").len();
     let cold_out = scratch_file("export-cold");
     let cold = export_quick(&cold_out, Some(&cache));
-    let stored = cells();
+    let stored = stored_cells(&cache);
     let warm_out = scratch_file("export-warm");
     let warm = export_quick(&warm_out, Some(&cache));
-    let restored = cells();
+    let restored = stored_cells(&cache);
     for dir in [&cache, &cold_out, &warm_out] {
         let _ = std::fs::remove_dir_all(dir);
     }
@@ -130,6 +195,81 @@ fn export_uses_the_result_store() {
     assert_eq!(restored, stored, "the second run computed cells");
     assert_eq!(cold.len(), 19);
     assert!(cold == warm, "the cached run wrote different files");
+}
+
+/// `all` reads and writes the result store `BPRED_CACHE_DIR` names,
+/// as `export` does.
+#[test]
+fn all_uses_the_result_store() {
+    let cache = scratch_file("all-cache");
+    let all = || run(env!("CARGO_BIN_EXE_all"), &["--quick"], Some(&cache));
+    let cold = all();
+    let stored = stored_cells(&cache);
+    let warm = all();
+    let restored = stored_cells(&cache);
+    let _ = std::fs::remove_dir_all(&cache);
+    assert!(cold.status.success() && warm.status.success(), "{cold:?}");
+    assert!(stored > 0, "the first run stored no cell");
+    assert_eq!(restored, stored, "the second run computed cells");
+    assert!(
+        cold.stdout == warm.stdout,
+        "the cached run printed different text"
+    );
+    assert_eq!(bpred_trace::fnv::fnv64(&cold.stdout), 0x45ef_13f0_33da_98f6);
+}
+
+/// `simulate` keys its cells by the trace file's contents in the
+/// result store `BPRED_CACHE_DIR` names.
+#[test]
+fn simulate_uses_the_result_store() {
+    let trace = scratch_file("cached.bpt");
+    let generated = run(
+        env!("CARGO_BIN_EXE_tracegen"),
+        &[
+            "espresso".as_ref(),
+            trace.as_os_str(),
+            "5000".as_ref(),
+            "7".as_ref(),
+        ],
+        None,
+    );
+    assert!(generated.status.success(), "{generated:?}");
+    let cache = scratch_file("simulate-cache");
+    let simulate = || {
+        let args = [
+            trace.as_os_str(),
+            "bimodal:a=10".as_ref(),
+            "gshare:h=8,c=2".as_ref(),
+        ];
+        run(env!("CARGO_BIN_EXE_simulate"), &args, Some(&cache))
+    };
+    let cold = simulate();
+    let stored = stored_cells(&cache);
+    let warm = simulate();
+    let restored = stored_cells(&cache);
+    let _ = std::fs::remove_dir_all(&cache);
+    let _ = std::fs::remove_file(&trace);
+    assert!(cold.status.success() && warm.status.success(), "{cold:?}");
+    assert_eq!(stored, 2, "one cell per configuration");
+    assert_eq!(restored, stored, "the second run computed cells");
+    assert!(
+        cold.stdout == warm.stdout,
+        "the cached run printed different text"
+    );
+}
+
+/// Only the binaries with keyed sweeps open the result store: any other
+/// binary leaves a `BPRED_CACHE_DIR` that does not exist uncreated.
+#[test]
+fn a_driver_without_keyed_sweeps_leaves_the_cache_dir_alone() {
+    let cache = scratch_file("untouched-cache");
+    let output = run(
+        env!("CARGO_BIN_EXE_ablation_fsm"),
+        &["--quick"],
+        Some(&cache),
+    );
+    assert!(output.status.success(), "{output:?}");
+    assert!(!cache.exists(), "ablation_fsm created {}", cache.display());
 }
 
 /// Decodes the body of a JSON string literal; `None` on a raw control

@@ -9,7 +9,9 @@
 //!
 //! `--cache-dir` defaults to `BPRED_CACHE_DIR` when set; with neither,
 //! the server runs uncached (every cell simulates). The bound address
-//! is printed on startup — use port 0 to let the OS pick.
+//! is printed on startup — use port 0 to let the OS pick. The store
+//! only grows: to trim it, stop the server and delete old sealed
+//! segments (`packs/seg-*.pack`) or the whole directory.
 //!
 //! Env knobs (flags win): `BPRED_SERVE_QUEUE` (compute queue depth),
 //! `BPRED_SERVE_TIMEOUT_MS` (read/write timeout),
@@ -21,7 +23,7 @@ use std::process::ExitCode;
 
 use bpred_serve::peers::PeerSet;
 use bpred_serve::server::{Server, ServerConfig};
-use bpred_serve::store::{self, ResultStore};
+use bpred_serve::store::ResultStore;
 
 fn usage() -> ! {
     eprintln!(
@@ -40,7 +42,9 @@ fn usage() -> ! {
          --queue $BPRED_SERVE_QUEUE (64), --cache-dir $BPRED_CACHE_DIR (unset: uncached),\n\
          --peers $BPRED_SERVE_PEERS (unset: no peer fetch);\n\
          timeouts via BPRED_SERVE_TIMEOUT_MS (10000) and BPRED_SERVE_IDLE_MS (30000);\n\
-         store tuning via BPRED_STORE_HOT_BYTES and BPRED_STORE_SEAL_BYTES"
+         store tuning via BPRED_STORE_HOT_BYTES and BPRED_STORE_SEAL_BYTES;\n\
+         the store only grows: to trim it, stop the server and delete old\n\
+         sealed segments (DIR/packs/seg-*.pack) or the whole directory"
     );
     std::process::exit(2);
 }
@@ -49,7 +53,7 @@ fn usage() -> ! {
 fn store_stats(dir: &str) -> ExitCode {
     match ResultStore::open(dir) {
         Ok(store) => {
-            println!("engine version : {}", store::engine_version());
+            println!("engine version : {}", bpred_sim::ENGINE_VERSION);
             println!("cells          : {}", store.len());
             println!("segments       : {}", store.segments());
             println!("payload bytes  : {}", store.total_bytes());

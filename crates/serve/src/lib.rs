@@ -15,10 +15,12 @@
 //!   nodes** fetched by digest over HTTP ([`peers`]); every tier's
 //!   bytes are verified (checksum + embedded canonical key) before
 //!   being believed. [`ResultStore`] implements
-//!   [`ResultCache`](bpred_sim::ResultCache), so installing one via
-//!   [`install_from_env`] transparently memoises every keyed sweep in
-//!   the process (the `bpred-bench` binaries do this when
-//!   `BPRED_CACHE_DIR` is set).
+//!   [`ResultCache`](bpred_sim::ResultCache), so a keyed sweep given
+//!   one is memoised (the `bpred-bench` binaries `all`, `export` and
+//!   `simulate` pass the store [`open_from_env`] opens when
+//!   `BPRED_CACHE_DIR` is set). The store only grows; trim it by
+//!   stopping its users and deleting old sealed segments or the whole
+//!   directory.
 //!
 //! * **[`server`]** — a dependency-free event-driven HTTP/1.1
 //!   service: sharded readiness loops over nonblocking `std::net`
@@ -69,4 +71,4 @@ pub use metrics::Metrics;
 pub use peers::PeerSet;
 pub use server::{Server, ServerConfig, ServerHandle};
 pub use service::{sweep_body, SweepRequest, SweepService};
-pub use store::{install_from_env, GcReport, ResultStore, StoreOptions, StoreStats};
+pub use store::{open_from_env, ResultStore, StoreOptions, StoreStats};

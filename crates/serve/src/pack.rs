@@ -39,16 +39,16 @@
 //! sealed cells: a 4 KiB header page (`BPIX` magic, entry count,
 //! checksum) followed by fixed 40-byte records, so it can be read
 //! back in one pass (or mapped) without parsing. It covers sealed
-//! segments only and is rewritten atomically at seal/GC; active
+//! segments only and is rewritten atomically at each seal; active
 //! segments are always rescanned at open, and a missing or corrupt
 //! index is rebuilt by scanning every segment. The index is an
-//! optimisation, never the source of truth.
+//! optimisation, never the source of truth: entries for a segment no
+//! longer on disk are dropped at open, so its cells read as misses.
 //!
-//! *GC by segment generation.* [`PackStore::gc`] never touches an
-//! active segment, so a cell being written can never be collected —
-//! eviction drops whole sealed segments, oldest generation first,
-//! and compacts mostly-dead sealed segments by rewriting their live
-//! frames into the current active segment.
+//! *Growth.* Nothing here deletes a segment; a superseded or
+//! forgotten frame stays in its segment as dead space. The store is
+//! trimmed offline: with no process using it, delete old sealed
+//! segments (oldest generation first) or the whole directory.
 //!
 //! *Held read handles.* Every segment's `SegMeta` carries a read
 //! handle, so a cell read is one positioned read (`pread`) with no
@@ -57,8 +57,7 @@
 //! segment it cannot read, whatever renames happen after. Sealed
 //! segments open theirs on first read, and at most
 //! `MAX_SEALED_HANDLES` stay open: the least recently read one is
-//! closed to admit another. A handle is dropped with its `SegMeta`,
-//! so GC frees a deleted segment's disk space at once.
+//! closed to admit another.
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
@@ -143,54 +142,24 @@ impl StripedIndex {
 
     /// Inserts `loc` unless an entry with a newer `(gen, offset)`
     /// already exists — makes open-time rescans idempotent no matter
-    /// the order segments are visited in. Returns the superseded
-    /// location, if any.
-    fn insert_if_newer(&self, digest: u128, loc: Loc) -> Option<Loc> {
+    /// the order segments are visited in.
+    fn insert_if_newer(&self, digest: u128, loc: Loc) {
         let mut map = self.stripe(digest);
-        match map.get(&digest).copied() {
-            Some(old) if (old.gen, old.offset) >= (loc.gen, loc.offset) => None,
-            old => {
-                map.insert(digest, loc);
-                old
-            }
+        if map
+            .get(&digest)
+            .is_none_or(|old| (old.gen, old.offset) < (loc.gen, loc.offset))
+        {
+            map.insert(digest, loc);
         }
     }
 
     /// Removes the entry for `digest` only if it still points at
     /// `loc`; a newer entry put meanwhile stays.
-    fn remove_if(&self, digest: u128, loc: Loc) -> bool {
+    fn remove_if(&self, digest: u128, loc: Loc) {
         let mut map = self.stripe(digest);
-        let matches = map.get(&digest) == Some(&loc);
-        if matches {
+        if map.get(&digest) == Some(&loc) {
             map.remove(&digest);
         }
-        matches
-    }
-
-    /// Removes every entry pointing into segment `gen`.
-    fn remove_gen(&self, gen: u64) -> usize {
-        let mut removed = 0;
-        for stripe in &self.stripes {
-            let mut map = lock_recover(stripe);
-            let before = map.len();
-            map.retain(|_, loc| loc.gen != gen);
-            removed += before - map.len();
-        }
-        removed
-    }
-
-    /// Entries pointing into segment `gen`.
-    fn collect_gen(&self, gen: u64) -> Vec<(u128, Loc)> {
-        let mut out = Vec::new();
-        for stripe in &self.stripes {
-            let map = lock_recover(stripe);
-            out.extend(
-                map.iter()
-                    .filter(|(_, l)| l.gen == gen)
-                    .map(|(&d, &l)| (d, l)),
-            );
-        }
-        out
     }
 
     fn len(&self) -> usize {
@@ -227,16 +196,8 @@ struct SegMeta {
     /// The segment's name on disk; changed only under the `segs`
     /// lock, together with the rename.
     path: PathBuf,
-    /// File size in bytes (valid prefix for a foreign active).
-    bytes: u64,
-    /// Cells in the index that still point here.
-    live_cells: u64,
-    /// Payload bytes of those live cells.
-    live_bytes: u64,
-    /// Sealed segments are immutable and GC-eligible.
+    /// Sealed segments are immutable.
     sealed: bool,
-    /// `true` for this process's own active segment.
-    ours: bool,
     /// Read handle: always open for an active segment, opened on
     /// first read for a sealed one (see [`MAX_SEALED_HANDLES`]).
     reader: Option<Arc<File>>,
@@ -245,14 +206,10 @@ struct SegMeta {
 }
 
 impl SegMeta {
-    fn new(path: PathBuf, bytes: u64, sealed: bool, ours: bool, reader: Option<File>) -> SegMeta {
+    fn new(path: PathBuf, sealed: bool, reader: Option<File>) -> SegMeta {
         SegMeta {
             path,
-            bytes,
-            live_cells: 0,
-            live_bytes: 0,
             sealed,
-            ours,
             reader: reader.map(Arc::new),
             last_read: 0,
         }
@@ -283,21 +240,6 @@ struct Writer {
     path: PathBuf,
     /// Next append offset == current file length.
     offset: u64,
-}
-
-/// What a [`PackStore::gc`] pass did (cells and file bytes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct GcReport {
-    /// Live cells dropped with their segments.
-    pub evicted: usize,
-    /// Segment file bytes deleted.
-    pub freed_bytes: u64,
-    /// Segments rewritten by compaction.
-    pub compacted_segments: usize,
-    /// Cells remaining.
-    pub kept: usize,
-    /// File bytes remaining across all segments.
-    pub kept_bytes: u64,
 }
 
 /// The pack-segment disk tier. All methods take `&self` and are safe
@@ -445,8 +387,7 @@ impl PackStore {
         let index = StripedIndex::new();
         let mut segs: BTreeMap<u64, SegMeta> = BTreeMap::new();
         for (gen, path) in &sealed {
-            let bytes = fs::metadata(path)?.len();
-            segs.insert(*gen, SegMeta::new(path.clone(), bytes, true, false, None));
+            segs.insert(*gen, SegMeta::new(path.clone(), true, None));
         }
 
         // The persistent index covers sealed segments; entries for
@@ -505,38 +446,22 @@ impl PackStore {
             for &(digest, offset, len) in &frames {
                 index.insert_if_newer(digest, Loc { gen, offset, len });
             }
+            segs.insert(gen, SegMeta::new(path.clone(), false, Some(reader)));
             if ours {
                 let file = OpenOptions::new().write(true).open(&path)?;
                 file.set_len(valid_len)?;
                 let mut file = file;
                 file.seek(SeekFrom::Start(valid_len))?;
-                segs.insert(
-                    gen,
-                    SegMeta::new(path.clone(), valid_len, false, true, Some(reader)),
-                );
                 writer = Some(Writer {
                     file,
                     gen,
                     path,
                     offset: valid_len,
                 });
-            } else {
-                segs.insert(
-                    gen,
-                    SegMeta::new(path, valid_len, false, false, Some(reader)),
-                );
             }
         }
         // No leftover of our own to adopt: the writer stays `None`
         // until the first `put` creates a fresh active on demand.
-
-        // Live-cell accounting per segment, from the merged index.
-        for (_, loc) in index.snapshot() {
-            if let Some(meta) = segs.get_mut(&loc.gen) {
-                meta.live_cells += 1;
-                meta.live_bytes += u64::from(loc.len);
-            }
-        }
 
         let store = PackStore {
             dir,
@@ -566,11 +491,6 @@ impl PackStore {
     /// Payload bytes of live cells.
     pub fn payload_bytes(&self) -> u64 {
         self.index.payload_bytes()
-    }
-
-    /// File bytes across all segments (sealed + active).
-    pub fn file_bytes(&self) -> u64 {
-        self.lock_segs().values().map(|m| m.bytes).sum()
     }
 
     /// Segments on disk (sealed + active).
@@ -619,7 +539,7 @@ impl PackStore {
     }
 
     /// Segment `gen`'s read handle, opening a sealed segment's on its
-    /// first read. `NotFound` once GC has dropped the segment.
+    /// first read. `NotFound` for a segment the store does not hold.
     fn reader(&self, gen: u64) -> io::Result<Arc<File>> {
         let mut segs = self.lock_segs();
         let meta = segs.get_mut(&gen).ok_or(io::ErrorKind::NotFound)?;
@@ -634,16 +554,10 @@ impl PackStore {
     }
 
     /// Drops the index entry for `digest` if it still points at `loc`
-    /// (the frame bytes stay in their segment as dead space until GC).
-    /// A newer entry put since `loc` was read stays.
+    /// (the frame bytes stay in their segment as dead space). A newer
+    /// entry put since `loc` was read stays.
     pub(crate) fn forget(&self, digest: u128, loc: Loc) {
-        if self.index.remove_if(digest, loc) {
-            let mut segs = self.lock_segs();
-            if let Some(meta) = segs.get_mut(&loc.gen) {
-                meta.live_cells = meta.live_cells.saturating_sub(1);
-                meta.live_bytes = meta.live_bytes.saturating_sub(u64::from(loc.len));
-            }
-        }
+        self.index.remove_if(digest, loc);
     }
 
     /// Sealed segments whose read handle is open.
@@ -673,22 +587,8 @@ impl PackStore {
             len: payload.len() as u32,
         };
         writer.offset += frame.len() as u64;
-        let full = writer.offset >= self.seal_bytes;
-        {
-            let mut segs = self.lock_segs();
-            if let Some(meta) = segs.get_mut(&writer.gen) {
-                meta.bytes = writer.offset;
-                meta.live_cells += 1;
-                meta.live_bytes += u64::from(loc.len);
-            }
-            if let Some(old) = self.index.insert_if_newer(digest, loc) {
-                if let Some(meta) = segs.get_mut(&old.gen) {
-                    meta.live_cells = meta.live_cells.saturating_sub(1);
-                    meta.live_bytes = meta.live_bytes.saturating_sub(u64::from(old.len));
-                }
-            }
-        }
-        if full {
+        self.index.insert_if_newer(digest, loc);
+        if writer.offset >= self.seal_bytes {
             let writer = guard.take().expect("held above");
             self.seal_writer(writer)?;
             drop(guard);
@@ -717,9 +617,8 @@ impl PackStore {
 
     /// Renames an active segment to its immutable name. The next
     /// `put` starts a fresh active on demand. The rename happens under
-    /// the `segs` lock, so whoever reads a `SegMeta.path` under it
-    /// (a handle opened by path, GC deleting a file) sees the name
-    /// the file has on disk.
+    /// the `segs` lock, so whoever reads a `SegMeta.path` under it (a
+    /// handle opened by path) sees the name the file has on disk.
     fn seal_writer(&self, mut writer: Writer) -> io::Result<()> {
         writer.file.flush()?;
         let sealed_path = seg_path(&self.dir, writer.gen);
@@ -728,7 +627,6 @@ impl PackStore {
         if let Some(meta) = segs.get_mut(&writer.gen) {
             meta.path = sealed_path;
             meta.sealed = true;
-            meta.ours = false;
             meta.last_read = self.reads.fetch_add(1, Ordering::Relaxed);
         }
         trim_sealed_handles(&mut segs);
@@ -775,66 +673,6 @@ impl PackStore {
         drop(file);
         fs::rename(&tmp, self.dir.join(INDEX_FILE))
     }
-
-    /// Trims the store to at most `max_bytes` of segment files by
-    /// dropping whole sealed segments, oldest generation first, then
-    /// compacts sealed segments that are mostly dead space by
-    /// rewriting their live frames into the active segment.
-    ///
-    /// Active segments are never evicted or rewritten, so a cell
-    /// being appended concurrently can never be collected.
-    pub fn gc(&self, max_bytes: u64) -> io::Result<GcReport> {
-        let mut report = GcReport::default();
-        let mut total = self.file_bytes();
-
-        let victims: Vec<(u64, PathBuf, u64)> = self
-            .lock_segs()
-            .iter()
-            .filter(|(_, m)| m.sealed)
-            .map(|(&g, m)| (g, m.path.clone(), m.bytes))
-            .collect();
-        for (gen, path, bytes) in victims {
-            if total <= max_bytes {
-                break;
-            }
-            report.evicted += self.index.remove_gen(gen);
-            let _ = fs::remove_file(&path);
-            self.lock_segs().remove(&gen);
-            report.freed_bytes += bytes;
-            total -= bytes;
-        }
-
-        // Compaction: a sealed segment whose live payload (plus frame
-        // overhead) fills less than half its file is rewritten.
-        let candidates: Vec<(u64, PathBuf)> = self
-            .lock_segs()
-            .iter()
-            .filter(|(_, m)| {
-                m.sealed
-                    && (m.live_bytes + m.live_cells * FRAME_OVERHEAD + SEG_HEADER_LEN) * 2 < m.bytes
-            })
-            .map(|(&g, m)| (g, m.path.clone()))
-            .collect();
-        for (gen, path) in candidates {
-            for (digest, loc) in self.index.collect_gen(gen) {
-                // The codec layer re-validates payloads at decode, so
-                // a plain byte copy is enough here.
-                if let Ok(payload) = self.read_loc(loc) {
-                    self.put(digest, &payload)?;
-                }
-            }
-            // Anything still pointing here failed its rewrite read.
-            self.index.remove_gen(gen);
-            let _ = fs::remove_file(&path);
-            self.lock_segs().remove(&gen);
-            report.compacted_segments += 1;
-        }
-
-        let _ = self.write_index();
-        report.kept = self.index.len();
-        report.kept_bytes = self.file_bytes();
-        Ok(report)
-    }
 }
 
 fn new_active(dir: &Path, name: &str, segs: &mut BTreeMap<u64, SegMeta>) -> io::Result<Writer> {
@@ -853,10 +691,7 @@ fn new_active(dir: &Path, name: &str, segs: &mut BTreeMap<u64, SegMeta>) -> io::
     // indexed: a reader that finds one can read it after the seal's
     // rename too.
     let reader = File::open(&path)?;
-    segs.insert(
-        gen,
-        SegMeta::new(path.clone(), SEG_HEADER_LEN, false, true, Some(reader)),
-    );
+    segs.insert(gen, SegMeta::new(path.clone(), false, Some(reader)));
     Ok(Writer {
         file,
         gen,
@@ -1023,68 +858,6 @@ mod tests {
     }
 
     #[test]
-    fn gc_never_touches_the_active_segment() {
-        let dir = tempdir("pack-gc-active");
-        let store = PackStore::open(&dir, 1 << 20).unwrap();
-        for i in 0..10u128 {
-            store.put(i, &payload(i as u8, 100)).unwrap();
-        }
-        // Everything is in the (unsealable) active segment: a zero
-        // budget must evict nothing.
-        let report = store.gc(0).unwrap();
-        assert_eq!(report.evicted, 0);
-        assert_eq!(store.len(), 10);
-    }
-
-    #[test]
-    fn gc_drops_oldest_sealed_segments_to_budget() {
-        let dir = tempdir("pack-gc-budget");
-        let store = PackStore::open(&dir, 400).unwrap();
-        for i in 0..30u128 {
-            store.put(i, &payload(i as u8, 100)).unwrap();
-        }
-        let before = store.file_bytes();
-        assert!(store.segments() > 3);
-        let report = store.gc(before / 2).unwrap();
-        assert!(report.evicted > 0);
-        assert!(report.freed_bytes > 0);
-        assert!(store.file_bytes() < before);
-        // Newest cells survive (they live in the newest segments).
-        assert!(read_payload(&store, 29).is_some());
-        // Survivors still read back correctly after the pass.
-        for i in 0..30u128 {
-            if let Some(bytes) = read_payload(&store, i) {
-                assert_eq!(bytes, payload(i as u8, 100));
-            }
-        }
-    }
-
-    #[test]
-    fn compaction_rewrites_mostly_dead_segments() {
-        let dir = tempdir("pack-compact");
-        let store = PackStore::open(&dir, 2048).unwrap();
-        for i in 0..40u128 {
-            store.put(i, &payload(i as u8, 100)).unwrap();
-        }
-        store.seal_active().unwrap();
-        // Kill most cells so sealed segments go mostly-dead.
-        for i in 0..36u128 {
-            store.forget(i, store.index.get(i).unwrap());
-        }
-        let before_segments = store.segments();
-        let report = store.gc(u64::MAX).unwrap();
-        assert!(report.compacted_segments > 0, "{report:?}");
-        assert!(store.segments() < before_segments);
-        for i in 36..40u128 {
-            assert_eq!(
-                read_payload(&store, i).unwrap(),
-                payload(i as u8, 100),
-                "cell {i}"
-            );
-        }
-    }
-
-    #[test]
     fn a_location_taken_before_a_seal_reads_after_it() {
         let dir = tempdir("pack-seal-read");
         let store = PackStore::open(&dir, 1 << 20).unwrap();
@@ -1160,48 +933,6 @@ mod tests {
         }
         assert_eq!(store.len(), cells as usize);
         assert_eq!(store.open_sealed_handles(), MAX_SEALED_HANDLES);
-    }
-
-    #[test]
-    fn gc_closes_the_handles_of_deleted_segments() {
-        let dir = tempdir("pack-gc-handles");
-        // Three 100-byte cells a segment: cells 3k..3k+3 share one.
-        let store = PackStore::open(&dir, 400).unwrap();
-        for i in 0..30u128 {
-            store.put(i, &payload(i as u8, 100)).unwrap();
-        }
-        store.seal_active().unwrap();
-        for i in [19u128, 20, 22, 23, 25, 26] {
-            store.forget(i, store.index.get(i).unwrap());
-        }
-        // Every sealed segment's handle is open before the pass.
-        assert_eq!(store.open_sealed_handles(), 10);
-        assert_eq!(fds_under(&dir).len(), 10);
-        let report = store.gc(store.file_bytes() / 2).unwrap();
-        assert!(report.evicted > 0, "{report:?}");
-        assert!(report.compacted_segments > 0, "{report:?}");
-        let deleted: Vec<String> = fds_under(&dir)
-            .into_iter()
-            .filter(|link| link.ends_with(" (deleted)"))
-            .collect();
-        assert!(deleted.is_empty(), "fds on deleted segments: {deleted:?}");
-        for i in 0..30u128 {
-            if let Some(bytes) = read_payload(&store, i) {
-                assert_eq!(bytes, payload(i as u8, 100));
-            }
-        }
-    }
-
-    /// Targets of this process's open fds that lie under `dir`.
-    fn fds_under(dir: &Path) -> Vec<String> {
-        let dir = dir.canonicalize().unwrap();
-        let dir = dir.to_string_lossy();
-        fs::read_dir("/proc/self/fd")
-            .unwrap()
-            .filter_map(|entry| fs::read_link(entry.ok()?.path()).ok())
-            .map(|target| target.to_string_lossy().into_owned())
-            .filter(|target| target.starts_with(&*dir))
-            .collect()
     }
 
     /// A fresh scratch directory, removed with its contents on drop.

@@ -3,8 +3,9 @@
 //! Every sweep cell — one `(workload stream, predictor config,
 //! warmup, engine version)` tuple — is pure and deterministic, so its
 //! [`SimResult`] can be stored under the stable digest of its
-//! [`CellKey`] and reused forever (until [`ENGINE_VERSION`] changes,
-//! which changes every key). Reads fall through three tiers:
+//! [`CellKey`] and reused forever (until
+//! [`ENGINE_VERSION`](bpred_sim::ENGINE_VERSION) changes, which
+//! changes every key). Reads fall through three tiers:
 //!
 //! 1. **hot** — a sharded, byte-bounded in-memory tier of decoded
 //!    results ([`crate::hot`]); repeat hits never touch the
@@ -19,29 +20,31 @@
 //! plus embedded-canonical-key verification — so every answer is
 //! bit-identical to a local `run_configs_keyed` recomputation; a
 //! corrupt object (or a lying peer) is a miss, never a wrong number.
-//! Concurrent compute for the same cell stays single-flighted via
-//! [`crate::flight`].
+//! The store itself never computes a cell: the sweep service
+//! ([`crate::service`]) single-flights concurrent computes of one cell.
 //!
-//! The store implements [`ResultCache`], so
-//! [`bpred_sim::cache::install`]ing one memoises every keyed sweep in
-//! the process; [`install_from_env`] does that from `BPRED_CACHE_DIR`.
+//! The store implements [`ResultCache`], so passing one to a keyed
+//! sweep ([`bpred_sim::cache::run_configs_keyed`]) memoises it;
+//! [`open_from_env`] opens the store `BPRED_CACHE_DIR` names.
+//!
+//! The store only grows: nothing in it deletes a cell. To trim it,
+//! stop every process using it and delete old sealed segments
+//! (`packs/seg-*.pack`) or the whole directory; a reopen drops the
+//! deleted segments' cells from the index, and they read as misses.
 
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bpred_sim::cache::{CellKey, ResultCache};
-use bpred_sim::{SimResult, ENGINE_VERSION};
+use bpred_sim::SimResult;
 use bpred_trace::fnv;
 
 use crate::codec;
-use crate::flight::{Flight, Join};
 use crate::hot::HotTier;
 use crate::pack::PackStore;
 use crate::peers::PeerSet;
-
-pub use crate::pack::GcReport;
 
 /// Tuning for [`ResultStore::open_with`].
 #[derive(Debug, Clone)]
@@ -135,12 +138,10 @@ pub(crate) enum Tier {
 /// safe to call from many threads.
 #[derive(Debug)]
 pub struct ResultStore {
-    root: PathBuf,
     pack: PackStore,
     hot: HotTier,
     peers: Option<PeerSet>,
     stats: Arc<StoreStats>,
-    flight: Flight<SimResult>,
 }
 
 impl ResultStore {
@@ -155,23 +156,15 @@ impl ResultStore {
     /// A leftover partial active segment is recovered, and a missing or
     /// corrupt persistent index is rebuilt by scanning segments.
     pub fn open_with(root: impl Into<PathBuf>, options: StoreOptions) -> io::Result<ResultStore> {
-        let root = root.into();
-        let pack = PackStore::open(&root, options.seal_bytes)?;
+        let pack = PackStore::open(&root.into(), options.seal_bytes)?;
         let store = ResultStore {
-            root,
             pack,
             hot: HotTier::new(options.hot_bytes),
             peers: options.peers,
             stats: Arc::new(StoreStats::default()),
-            flight: Flight::new(),
         };
         store.refresh_gauges();
         Ok(store)
-    }
-
-    /// The store's root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
     }
 
     /// Per-tier hit counters and gauges, shared with `/metrics`.
@@ -218,12 +211,8 @@ impl ResultStore {
     /// by recomputation), and peer bytes are verified against the
     /// expected canonical key before being believed.
     pub fn get(&self, key: &CellKey) -> Option<SimResult> {
-        self.get_addressed(&Address::of(key))
-    }
-
-    /// [`get`](Self::get) for a cell already addressed.
-    pub(crate) fn get_addressed(&self, address: &Address) -> Option<SimResult> {
-        self.get_local(address).or_else(|| self.get_peer(address))
+        let address = Address::of(key);
+        self.get_local(&address).or_else(|| self.get_peer(&address))
     }
 
     /// A counted [`probe`](Self::probe).
@@ -331,47 +320,6 @@ impl ResultStore {
         self.refresh_gauges();
         Ok(())
     }
-
-    /// Returns the cached result for `key`, or computes, stores, and
-    /// returns it. Concurrent callers for the same cell are
-    /// single-flighted: one computes, the rest wait for its result.
-    /// If the computing caller panics, waiters recompute themselves.
-    pub fn get_or_compute(&self, key: &CellKey, compute: impl FnOnce() -> SimResult) -> SimResult {
-        let address = Address::of(key);
-        if let Some(result) = self.get_addressed(&address) {
-            return result;
-        }
-        match self.flight.join(&address.canonical) {
-            Join::Leader(guard) => {
-                // Double-check under leadership: another leader may
-                // have stored the cell between our miss and our join.
-                let result = self.get_local(&address).unwrap_or_else(compute);
-                let _ = self.put_addressed(&address, &result);
-                guard.complete(result.clone());
-                result
-            }
-            Join::Follower(waiter) => match waiter.wait() {
-                Some(result) => result,
-                None => {
-                    // Leader aborted; compute independently.
-                    let result = compute();
-                    let _ = self.put_addressed(&address, &result);
-                    result
-                }
-            },
-        }
-    }
-
-    /// Trims the store to at most `max_bytes` on disk.
-    ///
-    /// Whole sealed segments are dropped oldest generation first and
-    /// mostly-dead ones compacted; the active segment is never touched,
-    /// so a cell being written concurrently can never be collected.
-    pub fn gc(&self, max_bytes: u64) -> io::Result<GcReport> {
-        let report = self.pack.gc(max_bytes)?;
-        self.refresh_gauges();
-        Ok(report)
-    }
 }
 
 /// Whether `digest` is 32 hex digits, the form of a content address.
@@ -399,33 +347,19 @@ impl ResultCache for ResultStore {
 
 /// When `BPRED_CACHE_DIR` is set and non-empty, opens the store
 /// rooted there (honouring the `BPRED_STORE_*` / `BPRED_SERVE_PEERS`
-/// environment) and installs it as the process-wide result cache for
-/// keyed sweeps (see [`bpred_sim::cache`]). Returns the installed
-/// store, or `None` when the variable is unset/empty or the store
-/// cannot be opened (a warning is printed; simulation proceeds
-/// uncached).
-pub fn install_from_env() -> Option<Arc<ResultStore>> {
+/// environment) for a binary to pass to its keyed sweeps. `None` when
+/// the variable is unset or empty, or when the store cannot be opened
+/// (a warning is printed; the binary runs uncached).
+pub fn open_from_env() -> Option<ResultStore> {
     let dir = std::env::var("BPRED_CACHE_DIR").ok()?;
     if dir.is_empty() {
         return None;
     }
-    match ResultStore::open(&dir) {
-        Ok(store) => {
-            let store = Arc::new(store);
-            bpred_sim::cache::install(store.clone());
-            Some(store)
-        }
-        Err(e) => {
+    ResultStore::open(&dir)
+        .map_err(|e| {
             eprintln!(
                 "warning: BPRED_CACHE_DIR={dir}: cannot open result store ({e}); running uncached"
-            );
-            None
-        }
-    }
-}
-
-/// The store format the current binary writes, surfaced for
-/// diagnostics: engine version the cache keys are bound to.
-pub const fn engine_version() -> u32 {
-    ENGINE_VERSION
+            )
+        })
+        .ok()
 }

@@ -1,12 +1,10 @@
 //! Result-store integration tests: codec properties, tiered
-//! round-trips, crash recovery, leftover flat trees, peer-object validation,
-//! concurrent single-flight, and eviction.
+//! round-trips, crash recovery, leftover flat trees, peer-object
+//! validation, and segments deleted by hand.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::thread;
 
 use proptest::prelude::*;
 
@@ -334,76 +332,76 @@ fn raw_object_exchange_validates_digests() {
     assert_eq!(store.get_raw(&b.digest()), None);
 }
 
-#[test]
-fn concurrent_writers_compute_once() {
-    let dir = scratch("flight");
-    let store = Arc::new(packed(&dir, 1 << 20, 1 << 20));
-    let computes = Arc::new(AtomicUsize::new(0));
-    let k = key("cw");
-
-    let mut handles = Vec::new();
-    for _ in 0..2 {
-        let store = store.clone();
-        let computes = computes.clone();
-        let k = k.clone();
-        handles.push(thread::spawn(move || {
-            store.get_or_compute(&k, || {
-                computes.fetch_add(1, Ordering::SeqCst);
-                // Give the other thread time to join as a follower.
-                thread::sleep(std::time::Duration::from_millis(30));
-                result(42)
-            })
-        }));
+/// The content addresses of the cells in a segment file, read frame by
+/// frame: a 16-byte `BPSG` header, then `BPCL` frames of magic, u128
+/// digest, u32 length, payload and u64 checksum.
+fn segment_digests(bytes: &[u8]) -> Vec<String> {
+    let mut digests = Vec::new();
+    let mut pos = 16;
+    while let Some(head) = bytes.get(pos..pos + 24) {
+        assert_eq!(&head[..4], b"BPCL", "frame at byte {pos}");
+        let digest = u128::from_le_bytes(head[4..20].try_into().unwrap());
+        digests.push(format!("{digest:032x}"));
+        let len = u32::from_le_bytes(head[20..24].try_into().unwrap()) as usize;
+        pos += 24 + len + 8;
     }
-    for h in handles {
-        assert_eq!(h.join().unwrap(), result(42));
-    }
-    assert_eq!(
-        computes.load(Ordering::SeqCst),
-        1,
-        "exactly one thread computed; the other waited or read the store"
-    );
-    assert_eq!(store.get(&k), Some(result(42)));
+    digests
 }
 
+/// The store only grows; it is trimmed offline by deleting sealed
+/// segments. A reopen must read a deleted segment's cells as clean
+/// misses, though the persistent index still names them, and keep
+/// every other cell.
 #[test]
-fn gc_drops_sealed_segments_but_never_the_active_one() {
-    let dir = scratch("gc");
-    let store = packed(&dir, 0, 256); // tiny seal: every few puts roll
-    for i in 0..20u64 {
-        store.put(&key(&format!("gc{i}")), &result(i)).unwrap();
-    }
-    assert!(store.segments() > 3);
-
-    // Learn the current on-disk footprint from a no-op pass.
-    let full = store.gc(u64::MAX).unwrap();
-    assert_eq!(full.evicted, 0);
-    assert_eq!(full.kept, 20);
-
-    let budget = full.kept_bytes / 2;
-    let report = store.gc(budget).unwrap();
-    assert!(report.evicted > 0);
-    assert!(report.freed_bytes > 0);
-    assert!(report.kept_bytes <= budget, "{report:?} vs budget {budget}");
-    assert_eq!(report.kept, store.len());
-    assert_eq!(report.kept + report.evicted, 20);
-
-    // Survivors read back correctly, and a reopen agrees.
-    drop(store);
-    let store = packed(&dir, 0, 256);
-    assert_eq!(store.len(), report.kept);
-    for i in 0..20u64 {
-        if let Some(r) = store.get(&key(&format!("gc{i}"))) {
-            assert_eq!(r, result(i));
+fn a_deleted_sealed_segment_reads_as_misses() {
+    let dir = scratch("trim");
+    let cells: Vec<CellKey> = (0..20).map(|i| key(&format!("d{i}"))).collect();
+    {
+        let store = packed(&dir, 0, 256); // tiny seal: many sealed segments
+        for (i, cell) in cells.iter().enumerate() {
+            store.put(cell, &result(i as u64)).unwrap();
         }
     }
+    let packs = dir.join("packs");
+    assert!(packs.join("index.bin").exists(), "sealing wrote the index");
+    let oldest = fs::read_dir(&packs)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| {
+            path.file_name()
+                .unwrap()
+                .to_string_lossy()
+                .starts_with("seg-")
+        })
+        .min()
+        .expect("a sealed segment");
+    let deleted = segment_digests(&fs::read(&oldest).unwrap());
+    assert!(!deleted.is_empty());
+    fs::remove_file(&oldest).unwrap();
 
-    // A cell written *during* GC accounting can never be collected:
-    // it lands in the active segment, which GC skips by construction.
-    let fresh = key("gc-during");
-    store.put(&fresh, &result(777)).unwrap();
-    let _ = store.gc(0).unwrap();
-    assert_eq!(store.get(&fresh), Some(result(777)));
+    let survivors = cells.len() - deleted.len();
+    for _ in 0..2 {
+        let store = packed(&dir, 0, 256);
+        // Counted before any read could forget a dangling entry.
+        assert_eq!(store.len(), survivors);
+        for (i, cell) in cells.iter().enumerate() {
+            if deleted.contains(&cell.digest()) {
+                assert_eq!(store.get(cell), None, "cell {i} was deleted");
+                assert_eq!(store.get_raw(&cell.digest()), None, "cell {i}");
+            } else {
+                assert_eq!(store.get(cell), Some(result(i as u64)), "cell {i}");
+            }
+        }
+        assert_eq!(store.len(), survivors);
+    }
+
+    // A deleted cell heals when it is stored again.
+    let store = packed(&dir, 0, 256);
+    let healed = cells.iter().position(|c| deleted.contains(&c.digest()));
+    let healed = healed.expect("a deleted cell");
+    store.put(&cells[healed], &result(healed as u64)).unwrap();
+    assert_eq!(store.get(&cells[healed]), Some(result(healed as u64)));
+    assert_eq!(store.len(), survivors + 1);
 }
 
 // ------------------------------------------------------- corruption

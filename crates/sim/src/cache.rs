@@ -5,18 +5,17 @@
 //! deterministic, every sweep cell is a pure function of its inputs
 //! and can be memoised. This module defines the *key* of that
 //! function ([`CellKey`]), the cache interface ([`ResultCache`]), and
-//! keyed sweep entry points ([`run_configs_keyed`]) that consult an
-//! installed cache before falling back to the batched replay engine.
+//! the keyed sweep entry point ([`run_configs_keyed`]) that consults a
+//! cache the caller passes before falling back to the batched replay
+//! engine.
 //!
 //! The cache itself lives elsewhere (the `bpred-serve` crate provides
 //! a content-addressed on-disk store); this crate only carries the
-//! hook so the simulation layers stay dependency-free. A process-wide
-//! cache is installed with [`install`] — typically from the
-//! `BPRED_CACHE_DIR` environment variable by the experiment binaries
-//! — and every keyed sweep in the process then reads and writes
-//! through it. With no cache installed (the default, and the test
-//! suite's configuration) the keyed entry points behave exactly like
-//! their unkeyed counterparts.
+//! hook so the simulation layers stay dependency-free. A binary opens
+//! its cache once — the experiment binaries from the
+//! `BPRED_CACHE_DIR` environment variable — and passes it down to
+//! every keyed sweep it runs. With no cache passed the keyed entry
+//! point behaves exactly like its unkeyed counterpart.
 //!
 //! # Key scheme
 //!
@@ -35,8 +34,6 @@
 //!   stale caches are invalidated wholesale instead of silently served.
 //!
 //! [`WorkloadSource::cache_id`]: https://docs.rs/bpred-workloads
-
-use std::sync::{Arc, OnceLock, RwLock};
 
 use bpred_core::PredictorConfig;
 use bpred_trace::{fnv, TraceSource};
@@ -125,33 +122,10 @@ pub trait ResultCache: Send + Sync {
     fn put(&self, key: &CellKey, result: &SimResult);
 }
 
-fn registry() -> &'static RwLock<Option<Arc<dyn ResultCache>>> {
-    static REGISTRY: OnceLock<RwLock<Option<Arc<dyn ResultCache>>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| RwLock::new(None))
-}
-
-/// Installs `cache` as the process-wide result cache consulted by
-/// every keyed sweep. Replaces any previously installed cache.
-pub fn install(cache: Arc<dyn ResultCache>) {
-    *registry().write().expect("cache registry poisoned") = Some(cache);
-}
-
-/// Removes the process-wide result cache; keyed sweeps fall back to
-/// plain simulation.
-pub fn uninstall() {
-    *registry().write().expect("cache registry poisoned") = None;
-}
-
-/// The currently installed process-wide cache, if any.
-pub fn installed() -> Option<Arc<dyn ResultCache>> {
-    registry().read().expect("cache registry poisoned").clone()
-}
-
 /// [`run_configs`](crate::run_configs) with cache keying: when a
-/// `source_id` is given and a process-wide cache is
-/// [installed](install), cached cells are returned without replaying
-/// the source, and only the misses are simulated (still batched
-/// through one shared streaming pass) and written back.
+/// cache is given with the source's id, cached cells are returned
+/// without replaying the source, and only the misses are simulated
+/// (still batched through one shared streaming pass) and written back.
 ///
 /// Results are in `configs` order and bit-identical to the uncached
 /// path: the batched engine feeds each predictor independently, so
@@ -160,19 +134,18 @@ pub fn installed() -> Option<Arc<dyn ResultCache>> {
 /// enforces), and cached entries were produced by that same path
 /// under the same [`ENGINE_VERSION`].
 ///
-/// With `source_id` of `None`, or no installed cache, this is exactly
+/// With `cache` of `None` this is exactly
 /// [`run_configs`](crate::run_configs).
 pub fn run_configs_keyed<S>(
     configs: &[PredictorConfig],
     source: &S,
     simulator: Simulator,
-    source_id: Option<&str>,
+    cache: Option<(&dyn ResultCache, &str)>,
 ) -> Vec<SimResult>
 where
     S: TraceSource + Sync + ?Sized,
 {
-    let cache = source_id.and_then(|_| installed());
-    let (Some(source_id), Some(cache)) = (source_id, cache) else {
+    let Some((cache, source_id)) = cache else {
         return run_batched(configs, source, simulator, DEFAULT_SHARD_SIZE);
     };
 
@@ -201,7 +174,7 @@ where
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::run_configs;
     use bpred_trace::{BranchRecord, Outcome, Trace};
@@ -209,22 +182,14 @@ pub(crate) mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
 
-    /// Serialises tests that touch the process-wide registry.
-    pub(crate) fn registry_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     #[derive(Default)]
     struct MemoryCache {
         map: Mutex<HashMap<String, SimResult>>,
-        gets: AtomicUsize,
         puts: AtomicUsize,
     }
 
     impl ResultCache for MemoryCache {
         fn get(&self, key: &CellKey) -> Option<SimResult> {
-            self.gets.fetch_add(1, Ordering::Relaxed);
             self.map
                 .lock()
                 .expect("cache poisoned")
@@ -291,58 +256,39 @@ pub(crate) mod tests {
 
     #[test]
     fn second_sweep_is_served_from_cache() {
-        let _guard = registry_lock();
-        let cache = Arc::new(MemoryCache::default());
-        install(cache.clone());
+        let cache = MemoryCache::default();
+        let keyed = Some((&cache as &dyn ResultCache, "trace:test"));
 
         let t = trace(2_000);
-        let cold = run_configs_keyed(&configs(), &t, Simulator::new(), Some("trace:test"));
+        let cold = run_configs_keyed(&configs(), &t, Simulator::new(), keyed);
         assert_eq!(cache.puts.load(Ordering::Relaxed), configs().len());
 
-        let warm = run_configs_keyed(&configs(), &t, Simulator::new(), Some("trace:test"));
+        let warm = run_configs_keyed(&configs(), &t, Simulator::new(), keyed);
         // No new computations: the put count did not advance.
         assert_eq!(cache.puts.load(Ordering::Relaxed), configs().len());
         assert_eq!(cold, warm);
-        uninstall();
     }
 
     #[test]
     fn cached_results_match_uncached_exactly() {
-        let _guard = registry_lock();
         let t = trace(3_000);
         let reference = run_configs(&configs(), &t, Simulator::new());
 
-        let cache = Arc::new(MemoryCache::default());
-        install(cache.clone());
+        let cache = MemoryCache::default();
+        let keyed = Some((&cache as &dyn ResultCache, "trace:mix"));
         // Pre-warm half the cells, then sweep: hits and misses must
         // interleave back into exactly the reference results.
         let half: Vec<PredictorConfig> = configs().into_iter().step_by(2).collect();
-        run_configs_keyed(&half, &t, Simulator::new(), Some("trace:mix"));
-        let mixed = run_configs_keyed(&configs(), &t, Simulator::new(), Some("trace:mix"));
+        run_configs_keyed(&half, &t, Simulator::new(), keyed);
+        let mixed = run_configs_keyed(&configs(), &t, Simulator::new(), keyed);
         assert_eq!(mixed, reference);
-        uninstall();
     }
 
     #[test]
-    fn unkeyed_sweeps_bypass_the_cache() {
-        let _guard = registry_lock();
-        let cache = Arc::new(MemoryCache::default());
-        install(cache.clone());
-        let t = trace(500);
-        let keyed_none = run_configs_keyed(&configs(), &t, Simulator::new(), None);
-        assert_eq!(cache.gets.load(Ordering::Relaxed), 0);
-        assert_eq!(cache.puts.load(Ordering::Relaxed), 0);
-        assert_eq!(keyed_none, run_configs(&configs(), &t, Simulator::new()));
-        uninstall();
-    }
-
-    #[test]
-    fn no_installed_cache_is_plain_simulation() {
-        let _guard = registry_lock();
-        uninstall();
+    fn no_cache_is_plain_simulation() {
         let t = trace(400);
         assert_eq!(
-            run_configs_keyed(&configs(), &t, Simulator::new(), Some("trace:x")),
+            run_configs_keyed(&configs(), &t, Simulator::new(), None),
             run_configs(&configs(), &t, Simulator::new())
         );
     }

@@ -30,7 +30,7 @@ use bpred_trace::stats::{StatsFold, TraceStats};
 use bpred_trace::Trace;
 use bpred_workloads::{suite, BenchmarkSpec, WorkloadModel, WorkloadSource};
 
-use crate::cache::run_configs_keyed;
+use crate::cache::{run_configs_keyed, ResultCache};
 use crate::report::{percent, render_surface, render_tier, surface_csv, TextTable};
 use crate::{SimResult, Simulator, Surface};
 
@@ -181,12 +181,12 @@ impl Cells {
 
     /// Simulates every declared cell once, workload by workload, in
     /// [`passes`] bounded by [`PASS_COUNTERS`]. Each pass goes
-    /// through [`run_configs_keyed`], so an installed result cache
-    /// serves and stores every cell. Statistics come from one more
+    /// through [`run_configs_keyed`], so `cache`, when given, serves
+    /// and stores every cell. Statistics come from one more
     /// streaming pass over the workload's chunks; no trace is
     /// materialised. A workload's model is built when its passes start
     /// and dropped when they end, so one model is resident at a time.
-    fn simulate(&mut self, opts: &ExperimentOptions) {
+    fn simulate(&mut self, opts: &ExperimentOptions, cache: Option<&dyn ResultCache>) {
         let results = self
             .plan
             .iter()
@@ -196,8 +196,8 @@ impl Cells {
                 let mut results = HashMap::with_capacity(w.configs.len());
                 for pass in passes(&w.configs, PASS_COUNTERS) {
                     let configs = &w.configs[pass];
-                    let simulated =
-                        run_configs_keyed(configs, &source, Simulator::new(), Some(&source_id));
+                    let keyed = cache.map(|cache| (cache, source_id.as_str()));
+                    let simulated = run_configs_keyed(configs, &source, Simulator::new(), keyed);
                     results.extend(configs.iter().copied().zip(simulated));
                 }
                 let stats = w.stats.then(|| TraceStats::measure_source(&source));
@@ -236,12 +236,16 @@ fn passes(configs: &[PredictorConfig], budget: u64) -> Vec<Range<usize>> {
     passes
 }
 
-/// Runs `exhibit` against one plan: declare its cells, simulate them,
-/// view.
-fn run<T>(opts: &ExperimentOptions, exhibit: impl Fn(&mut Cells) -> T) -> T {
+/// Runs `exhibit` against one plan: declare its cells, simulate them
+/// (through `cache`, when given), view.
+fn run<T>(
+    opts: &ExperimentOptions,
+    cache: Option<&dyn ResultCache>,
+    exhibit: impl Fn(&mut Cells) -> T,
+) -> T {
     let mut cells = Cells::default();
     exhibit(&mut cells);
-    cells.simulate(opts);
+    cells.simulate(opts, cache);
     exhibit(&mut cells)
 }
 
@@ -333,13 +337,13 @@ fn table2_in(cells: &mut Cells) -> TextTable {
 /// Table 1: benchmark characterization, paper's published trace
 /// numbers beside the synthetic model's measured statistics.
 pub fn table1(opts: &ExperimentOptions) -> TextTable {
-    run(opts, table1_in)
+    run(opts, None, table1_in)
 }
 
 /// Table 2: branch execution-frequency buckets for the three focus
 /// benchmarks, paper beside model.
 pub fn table2(opts: &ExperimentOptions) -> TextTable {
-    run(opts, table2_in)
+    run(opts, None, table2_in)
 }
 
 // ------------------------------------------------------------ Figures 2 & 3
@@ -389,12 +393,12 @@ fn fig3_in(cells: &mut Cells, opts: &ExperimentOptions) -> Vec<SizeSeries> {
 /// Figure 2: address-indexed predictors over all fourteen benchmarks,
 /// table sizes `2^min_bits ..= 2^max_bits`.
 pub fn fig2(opts: &ExperimentOptions) -> Vec<SizeSeries> {
-    run(opts, |cells| fig2_in(cells, opts))
+    run(opts, None, |cells| fig2_in(cells, opts))
 }
 
 /// Figure 3: GAg over all fourteen benchmarks.
 pub fn fig3(opts: &ExperimentOptions) -> Vec<SizeSeries> {
-    run(opts, |cells| fig3_in(cells, opts))
+    run(opts, None, |cells| fig3_in(cells, opts))
 }
 
 /// Renders Figure 2/3-style series as a table: one row per benchmark,
@@ -438,12 +442,14 @@ fn focus_surfaces(
 /// Figure 4 (and the misprediction layer of Figure 5): GAs surfaces
 /// for the three focus benchmarks.
 pub fn fig4(opts: &ExperimentOptions) -> Vec<Surface> {
-    run(opts, |cells| focus_surfaces(cells, opts, Table3Scheme::Gas))
+    run(opts, None, |cells| {
+        focus_surfaces(cells, opts, Table3Scheme::Gas)
+    })
 }
 
 /// Figure 6: gshare surfaces for the three focus benchmarks.
 pub fn fig6(opts: &ExperimentOptions) -> Vec<Surface> {
-    run(opts, |cells| {
+    run(opts, None, |cells| {
         focus_surfaces(cells, opts, Table3Scheme::Gshare)
     })
 }
@@ -451,7 +457,7 @@ pub fn fig6(opts: &ExperimentOptions) -> Vec<Surface> {
 /// Figure 9: PAs surfaces with perfect first-level history for the
 /// three focus benchmarks.
 pub fn fig9(opts: &ExperimentOptions) -> Vec<Surface> {
-    run(opts, |cells| {
+    run(opts, None, |cells| {
         focus_surfaces(cells, opts, Table3Scheme::PasInfinite)
     })
 }
@@ -495,13 +501,13 @@ fn fig8_in(cells: &mut Cells, opts: &ExperimentOptions) -> Vec<(u32, u32, f64)> 
 /// mpeg_play. Positive values mean gshare predicted *better* (its rate
 /// was lower), matching the paper's orientation.
 pub fn fig7(opts: &ExperimentOptions) -> Vec<(u32, u32, f64)> {
-    run(opts, |cells| fig7_in(cells, opts))
+    run(opts, None, |cells| fig7_in(cells, opts))
 }
 
 /// Figure 8: point-wise `path − GAs` difference on mpeg_play.
 /// Positive values mean the path scheme predicted better.
 pub fn fig8(opts: &ExperimentOptions) -> Vec<(u32, u32, f64)> {
-    run(opts, |cells| fig8_in(cells, opts))
+    run(opts, None, |cells| fig8_in(cells, opts))
 }
 
 /// Renders a difference grid (Figures 7–8) as a table: one row per
@@ -550,7 +556,7 @@ fn fig10_in(cells: &mut Cells, opts: &ExperimentOptions, entries: &[usize]) -> V
 /// Figure 10: PAs surfaces on mpeg_play with finite 4-way first-level
 /// tables of the given entry counts (paper: 128, 1024, 2048).
 pub fn fig10(opts: &ExperimentOptions, entries: &[usize]) -> Vec<Surface> {
-    run(opts, |cells| fig10_in(cells, opts, entries))
+    run(opts, None, |cells| fig10_in(cells, opts, entries))
 }
 
 // ----------------------------------------------------------------- Table 3
@@ -654,7 +660,7 @@ fn table3_in(cells: &mut Cells, budgets: &[u32], schemes: &[Table3Scheme]) -> Te
 /// 9, 12, 15), for the three focus benchmarks. PAs rows include the
 /// first-level miss rate.
 pub fn table3(opts: &ExperimentOptions, budgets: &[u32], schemes: &[Table3Scheme]) -> TextTable {
-    run(opts, |cells| table3_in(cells, budgets, schemes))
+    run(opts, None, |cells| table3_in(cells, budgets, schemes))
 }
 
 // --------------------------------------------------------- The whole paper
@@ -712,9 +718,10 @@ fn paper_in(cells: &mut Cells, opts: &ExperimentOptions) -> Paper {
 
 /// The whole evaluation from one plan: every exhibit the `all` binary
 /// prints, with each distinct `(workload, configuration)` cell
-/// simulated once.
-pub fn paper(opts: &ExperimentOptions) -> Paper {
-    run(opts, |cells| paper_in(cells, opts))
+/// simulated once. With a `cache`, cells it holds are read instead of
+/// simulated, and the rest are stored in it.
+pub fn paper(opts: &ExperimentOptions, cache: Option<&dyn ResultCache>) -> Paper {
+    run(opts, cache, |cells| paper_in(cells, opts))
 }
 
 impl Paper {
@@ -861,9 +868,9 @@ fn difference_csv(diff: &[(u32, u32, f64)]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::{self, tests::registry_lock, CellKey, ResultCache};
+    use crate::cache::CellKey;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Arc, Mutex};
+    use std::sync::Mutex;
 
     fn tiny() -> ExperimentOptions {
         ExperimentOptions {
@@ -950,7 +957,7 @@ mod tests {
     #[test]
     fn paper_views_equal_the_standalone_exhibits() {
         for opts in [tiny(), tiny_with_table3()] {
-            let paper = paper(&opts);
+            let paper = paper(&opts, None);
             let budgets: Vec<u32> = [9, 12, 15]
                 .into_iter()
                 .filter(|b| opts.tiers().contains(b))
@@ -1087,11 +1094,10 @@ mod tests {
         assert_eq!(count, 45);
     }
 
-    /// Counts stores of cells whose source id carries `marker`; other
-    /// tests' sweeps may run while it is installed.
+    /// A memo that counts its stores.
+    #[derive(Default)]
     struct CountingCache {
         map: Mutex<HashMap<String, SimResult>>,
-        marker: String,
         puts: AtomicUsize,
     }
 
@@ -1101,9 +1107,7 @@ mod tests {
         }
 
         fn put(&self, key: &CellKey, result: &SimResult) {
-            if key.source_id.contains(&self.marker) {
-                self.puts.fetch_add(1, Ordering::Relaxed);
-            }
+            self.puts.fetch_add(1, Ordering::Relaxed);
             let mut map = self.map.lock().unwrap();
             map.insert(key.canonical(), result.clone());
         }
@@ -1111,25 +1115,16 @@ mod tests {
 
     #[test]
     fn a_second_paper_run_computes_no_cell() {
-        let _guard = registry_lock();
-        let opts = ExperimentOptions {
-            seed: 31_337,
-            ..tiny()
-        };
-        let cache = Arc::new(CountingCache {
-            map: Mutex::new(HashMap::new()),
-            marker: format!("/s{}/", opts.seed),
-            puts: AtomicUsize::new(0),
-        });
-        cache::install(cache.clone());
-        let cold = paper(&opts);
+        let opts = tiny();
+        let cache = CountingCache::default();
+        let cold = paper(&opts, Some(&cache));
         let computed = cache.puts.load(Ordering::Relaxed);
-        let warm = paper(&opts);
+        let warm = paper(&opts, Some(&cache));
         let recomputed = cache.puts.load(Ordering::Relaxed) - computed;
-        cache::uninstall();
         assert_eq!(computed, lanes(&declared(|c| drop(paper_in(c, &opts)))));
         assert_eq!(recomputed, 0);
         assert_eq!(cold, warm);
+        assert_eq!(cold, paper(&opts, None));
     }
 
     #[test]

@@ -171,7 +171,7 @@ fn paper_row() -> Row {
                 branches: Some(PAPER_BRANCHES),
                 ..Default::default()
             };
-            format!("{:?}", bpred_sim::experiments::paper(&opts))
+            format!("{:?}", bpred_sim::experiments::paper(&opts, None))
         }),
         base: Box::new(|| {
             let opts = base_sim::experiments::ExperimentOptions {

@@ -16,7 +16,7 @@ fn quick_paper_renders_the_pinned_reproduction() {
         seed: 1996,
         ..ExperimentOptions::default()
     };
-    let digest = fnv64(experiments::paper(&opts).render().as_bytes());
+    let digest = fnv64(experiments::paper(&opts, None).render().as_bytes());
     assert_eq!(
         digest, 0x45ef_13f0_33da_98f6,
         "the quick paper rendered digest {digest:#018x}"

@@ -13,9 +13,10 @@ use std::thread;
 use std::time::Duration;
 
 use bpred_serve::server::{Server, ServerConfig};
-use bpred_serve::service::{sweep_body, SweepRequest};
+use bpred_serve::service::{sweep_body, SweepRequest, SweepService};
 use bpred_serve::store::{ResultStore, StoreOptions};
-use bpred_sim::cache::{run_configs_keyed, CellKey};
+use bpred_serve::Metrics;
+use bpred_sim::cache::run_configs_keyed;
 use bpred_sim::Simulator;
 use bpred_workloads::{suite, WorkloadSource};
 
@@ -339,11 +340,12 @@ fn shed_connection_stays_usable_for_the_retry() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Concurrent hit/miss storms over arbitrary key sets leave the
-    /// tiered store exactly consistent with the objects — with the
-    /// seal threshold squeezed so segments roll over mid-storm, and
-    /// the hot tier ranging from disabled through tiny (evicting
-    /// constantly) to roomy.
+    /// Concurrent hit/miss storms of sweeps over arbitrary key sets,
+    /// through one service and its shared store (probe, single-flight,
+    /// put), leave the tiered store exactly consistent with the
+    /// objects — with the seal threshold squeezed so segments roll
+    /// over mid-storm, and the hot tier ranging from disabled through
+    /// tiny (evicting constantly) to roomy.
     #[test]
     fn striped_index_survives_concurrent_storms(
         seeds in proptest::collection::vec(0u64..50, 4..24),
@@ -358,30 +360,30 @@ proptest! {
             peers: None,
         };
         let store = Arc::new(ResultStore::open_with(&*dir, options.clone()).expect("open"));
-        let model = suite::by_name("espresso").expect("espresso exists");
-        let simulator = Simulator::new();
+        let service = Arc::new(SweepService::new(
+            Some(store.clone()),
+            Arc::new(Metrics::new()),
+            ServerConfig::default().max_branches,
+        ));
 
         // Every thread walks the whole key set: first toucher of a
         // key computes (miss), racers coalesce, repeats hit.
         let mut handles = Vec::new();
         for t in 0..threads {
-            let store = store.clone();
+            let service = service.clone();
             let seeds = seeds.clone();
-            let model = model.clone();
             handles.push(thread::spawn(move || {
                 for i in 0..seeds.len() {
                     // Rotate the walk per thread to maximise distinct
                     // concurrent keys (stripe spread).
                     let seed = seeds[(i + t) % seeds.len()];
-                    let source = WorkloadSource::with_length(model.clone(), seed, 500);
-                    let config = bpred_core::PredictorConfig::Gshare { history_bits: 5, col_bits: 2 };
-                    let key = CellKey::new(&source.cache_id(), &config, &simulator);
-                    let result = store.get_or_compute(&key, || {
-                        run_configs_keyed(&[config], &source, simulator, None).remove(0)
-                    });
+                    let query =
+                        format!("workload=espresso&seed={seed}&branches=500&configs=gshare:h=5,c=2");
+                    let request = SweepRequest::parse(&query).expect("storm query parses");
+                    let (body, _) = service.execute(&request).expect("storm sweep answers");
                     // Every observer sees the same deterministic cell.
-                    let direct = run_configs_keyed(&[config], &source, simulator, None).remove(0);
-                    assert_eq!(result, direct);
+                    let direct = expected_body(&query);
+                    assert_eq!(body.into_bytes(), direct);
                 }
             }));
         }
