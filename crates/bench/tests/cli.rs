@@ -218,6 +218,51 @@ fn all_uses_the_result_store() {
     assert_eq!(bpred_trace::fnv::fnv64(&cold.stdout), 0x45ef_13f0_33da_98f6);
 }
 
+/// `all` reopens a store of sealed segments: with a 4 KiB seal
+/// threshold the first run seals dozens of them, and the second run
+/// is answered from them, as scanned at open, with the same bytes.
+/// The segments are the store's only files.
+#[test]
+fn all_reopens_a_store_of_sealed_segments() {
+    let cache = scratch_file("all-sealed-cache");
+    let all = || {
+        Command::new(env!("CARGO_BIN_EXE_all"))
+            .arg("--quick")
+            .env("BPRED_CACHE_DIR", &cache)
+            .env("BPRED_STORE_SEAL_BYTES", "4096")
+            .output()
+            .expect("the all binary runs")
+    };
+    let cold = all();
+    let stored = stored_cells(&cache);
+    let warm = all();
+    let restored = stored_cells(&cache);
+    let names: Vec<String> = std::fs::read_dir(cache.join("packs"))
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .collect();
+    let tmp = cache.join("tmp").exists();
+    let _ = std::fs::remove_dir_all(&cache);
+    assert!(cold.status.success() && warm.status.success(), "{cold:?}");
+    assert!(stored > 0, "the first run stored no cell");
+    assert_eq!(restored, stored, "the second run computed cells");
+    for output in [&cold, &warm] {
+        assert_eq!(
+            bpred_trace::fnv::fnv64(&output.stdout),
+            0x45ef_13f0_33da_98f6
+        );
+    }
+    let sealed = names.iter().filter(|n| n.starts_with("seg-")).count();
+    assert!(sealed > 1, "the first run sealed {sealed} segments");
+    assert!(
+        names
+            .iter()
+            .all(|n| n.ends_with(".pack") && (n.starts_with("seg-") || n.starts_with("active-"))),
+        "{names:?}"
+    );
+    assert!(!tmp, "the store made a tmp/ directory");
+}
+
 /// `simulate` keys its cells by the trace file's contents in the
 /// result store `BPRED_CACHE_DIR` names.
 #[test]

@@ -136,13 +136,6 @@ impl CounterTable {
         let idx = self.cell_index(row, col);
         self.cells[idx] = cell::retrain(self.cells[idx], outcome);
     }
-
-    /// The state of the counter at `(row, col)` — exposed for tests and
-    /// table-dump tooling.
-    pub fn counter_state(&self, row: u64, col: u64) -> CounterState {
-        let bits = cell::counter_bits(self.cells[self.cell_index(row, col)]);
-        CounterState::from_bits(bits).expect("two-bit value")
-    }
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
 //! Pack-segment disk tier: cells appended into large checksummed
-//! segments with a page-aligned persistent index.
+//! segments, indexed in memory by scanning them at open.
 //!
 //! Replaces the one-file-per-object layout for scale — a hundred
 //! million cells is a hundred million inodes in that layout, but
@@ -8,7 +8,6 @@
 //! ```text
 //! <root>/packs/seg-<gen:016x>.pack      sealed, immutable segment
 //! <root>/packs/active-<pid>-<n>.pack    this process's append segment
-//! <root>/packs/index.bin                persistent index of sealed cells
 //! ```
 //!
 //! *Segment format.* A 16-byte header (`BPSG` magic, format version,
@@ -28,22 +27,22 @@
 //! are allocated from a wall-clock base and checked unique on disk,
 //! so segment age order is generation order.
 //!
-//! *Crash recovery.* Opening a store scans any active segment left by
-//! a previous incarnation frame by frame and truncates at the first
-//! torn or corrupt frame — everything before the tear is kept.
+//! *Open.* The segments are the store's only on-disk state. Opening
+//! a store scans every segment frame by frame into the in-memory
+//! index; where one digest has frames in several segments, the newest
+//! `(generation, offset)` wins, whatever order the directory lists
+//! them in. A torn or corrupt frame ends its segment's scan, so that
+//! frame and the segment's later cells read as misses and heal by
+//! recomputation. A deleted segment's cells read as misses too. An
+//! index file or `tmp/` directory that an older version of the store
+//! left beside the segments is neither read nor removed.
+//!
+//! *Crash recovery.* An active segment left by a previous incarnation
+//! of this process is truncated at the first torn or corrupt frame —
+//! everything before the tear is kept — and appended to again.
 //! Active segments owned by *other live processes* are scanned but
 //! never truncated (their writer may still be appending; a partial
 //! final frame simply ends the scan).
-//!
-//! *Persistent index.* `index.bin` is a page-aligned snapshot of the
-//! sealed cells: a 4 KiB header page (`BPIX` magic, entry count,
-//! checksum) followed by fixed 40-byte records, so it can be read
-//! back in one pass (or mapped) without parsing. It covers sealed
-//! segments only and is rewritten atomically at each seal; active
-//! segments are always rescanned at open, and a missing or corrupt
-//! index is rebuilt by scanning every segment. The index is an
-//! optimisation, never the source of truth: entries for a segment no
-//! longer on disk are dropped at open, so its cells read as misses.
 //!
 //! *Growth.* Nothing here deletes a segment; a superseded or
 //! forgotten frame stays in its segment as dead space. The store is
@@ -75,8 +74,6 @@ use bpred_trace::fnv;
 use crate::flight::lock_recover;
 
 const PACKS_DIR: &str = "packs";
-const TMP_DIR: &str = "tmp";
-const INDEX_FILE: &str = "index.bin";
 
 const SEG_MAGIC: &[u8; 4] = b"BPSG";
 const SEG_VERSION: u16 = 1;
@@ -85,13 +82,6 @@ const SEG_HEADER_LEN: u64 = 16;
 const FRAME_MAGIC: &[u8; 4] = b"BPCL";
 /// magic + digest + len field + trailing crc.
 const FRAME_OVERHEAD: u64 = 4 + 16 + 4 + 8;
-
-const INDEX_MAGIC: &[u8; 4] = b"BPIX";
-const INDEX_VERSION: u16 = 1;
-/// The header occupies one whole page so the record array that
-/// follows is page-aligned (mmap- and read-once-friendly).
-const INDEX_PAGE: usize = 4096;
-const INDEX_ENTRY_LEN: usize = 40;
 
 /// Refuse to parse obviously insane frame lengths (the codec caps
 /// bodies well below this); bounds damage from a corrupt length field.
@@ -177,17 +167,6 @@ impl StripedIndex {
             })
             .sum()
     }
-
-    /// Point-in-time copy (not atomic across stripes; callers
-    /// tolerate concurrent churn).
-    fn snapshot(&self) -> Vec<(u128, Loc)> {
-        let mut out = Vec::with_capacity(self.len());
-        for stripe in &self.stripes {
-            let map = lock_recover(stripe);
-            out.extend(map.iter().map(|(&d, &l)| (d, l)));
-        }
-        out
-    }
 }
 
 /// Bookkeeping for one on-disk segment (sealed or active).
@@ -247,7 +226,6 @@ struct Writer {
 #[derive(Debug)]
 pub struct PackStore {
     dir: PathBuf,
-    tmp: PathBuf,
     index: StripedIndex,
     /// Created lazily on the first `put` (and after each seal), so a
     /// process that only reads never litters the directory with
@@ -363,13 +341,11 @@ fn scan_segment(mut file: &File) -> io::Result<Option<SegmentScan>> {
 
 impl PackStore {
     /// Opens (creating if needed) the pack tier under `root`,
-    /// recovering any partial active segment and merging the
-    /// persistent index with whatever segments exist on disk.
+    /// indexing every segment on disk by scanning its frames and
+    /// recovering any partial active segment of our own.
     pub fn open(root: &Path, seal_bytes: u64) -> io::Result<PackStore> {
         let dir = root.join(PACKS_DIR);
-        let tmp = root.join(TMP_DIR);
         fs::create_dir_all(&dir)?;
-        fs::create_dir_all(&tmp)?;
 
         let mut sealed: Vec<(u64, PathBuf)> = Vec::new();
         let mut actives: Vec<PathBuf> = Vec::new();
@@ -386,40 +362,13 @@ impl PackStore {
 
         let index = StripedIndex::new();
         let mut segs: BTreeMap<u64, SegMeta> = BTreeMap::new();
-        for (gen, path) in &sealed {
-            segs.insert(*gen, SegMeta::new(path.clone(), true, None));
-        }
-
-        // The persistent index covers sealed segments; entries for
-        // segments that no longer exist are dropped, and sealed
-        // segments it does not mention get rescanned below.
-        let mut covered: std::collections::HashSet<u64> = std::collections::HashSet::new();
-        if let Some(entries) = load_index_file(&dir.join(INDEX_FILE)) {
-            for (digest, loc) in entries {
-                if segs.contains_key(&loc.gen) {
-                    covered.insert(loc.gen);
-                    index.insert_if_newer(digest, loc);
-                }
-            }
-        }
-        let mut index_dirty = false;
-        for (gen, path) in &sealed {
-            if covered.contains(gen) {
-                continue;
-            }
-            index_dirty = true;
-            if let Some((_, frames, _)) = scan_segment(&File::open(path)?)? {
+        for (gen, path) in sealed {
+            if let Some((_, frames, _)) = scan_segment(&File::open(&path)?)? {
                 for (digest, offset, len) in frames {
-                    index.insert_if_newer(
-                        digest,
-                        Loc {
-                            gen: *gen,
-                            offset,
-                            len,
-                        },
-                    );
+                    index.insert_if_newer(digest, Loc { gen, offset, len });
                 }
             }
+            segs.insert(gen, SegMeta::new(path, true, None));
         }
 
         // Recover our own leftover active (same pid + instance can
@@ -463,19 +412,14 @@ impl PackStore {
         // No leftover of our own to adopt: the writer stays `None`
         // until the first `put` creates a fresh active on demand.
 
-        let store = PackStore {
+        Ok(PackStore {
             dir,
-            tmp,
             index,
             writer: Mutex::new(writer),
             segs: Mutex::new(segs),
             seal_bytes: seal_bytes.max(SEG_HEADER_LEN + FRAME_OVERHEAD),
             reads: AtomicU64::new(0),
-        };
-        if index_dirty {
-            let _ = store.write_index();
-        }
-        Ok(store)
+        })
     }
 
     /// Number of live cells.
@@ -591,15 +535,12 @@ impl PackStore {
         if writer.offset >= self.seal_bytes {
             let writer = guard.take().expect("held above");
             self.seal_writer(writer)?;
-            drop(guard);
-            let _ = self.write_index();
         }
         Ok(())
     }
 
-    /// Seals the current active segment (even if small), leaving a
-    /// fully indexed store behind. A no-op when nothing has been
-    /// appended.
+    /// Seals the current active segment (even if small). A no-op when
+    /// nothing has been appended.
     #[cfg(test)]
     fn seal_active(&self) -> io::Result<()> {
         let mut guard = self.lock_writer();
@@ -610,9 +551,7 @@ impl PackStore {
             *guard = Some(writer); // nothing but the header yet
             return Ok(());
         }
-        self.seal_writer(writer)?;
-        drop(guard);
-        self.write_index()
+        self.seal_writer(writer)
     }
 
     /// Renames an active segment to its immutable name. The next
@@ -631,47 +570,6 @@ impl PackStore {
         }
         trim_sealed_handles(&mut segs);
         Ok(())
-    }
-
-    /// Writes the page-aligned persistent index (sealed cells only)
-    /// atomically via a temp file + rename.
-    pub fn write_index(&self) -> io::Result<()> {
-        let sealed: std::collections::HashSet<u64> = self
-            .lock_segs()
-            .iter()
-            .filter(|(_, m)| m.sealed)
-            .map(|(&g, _)| g)
-            .collect();
-        let mut entries: Vec<(u128, Loc)> = self
-            .index
-            .snapshot()
-            .into_iter()
-            .filter(|(_, loc)| sealed.contains(&loc.gen))
-            .collect();
-        entries.sort_by_key(|&(d, _)| d); // deterministic for same content
-
-        let mut records = Vec::with_capacity(entries.len() * INDEX_ENTRY_LEN);
-        for (digest, loc) in &entries {
-            records.extend_from_slice(&digest.to_le_bytes());
-            records.extend_from_slice(&loc.gen.to_le_bytes());
-            records.extend_from_slice(&loc.offset.to_le_bytes());
-            records.extend_from_slice(&loc.len.to_le_bytes());
-            records.extend_from_slice(&0u32.to_le_bytes());
-        }
-        let mut header = vec![0u8; INDEX_PAGE];
-        header[..4].copy_from_slice(INDEX_MAGIC);
-        header[4..6].copy_from_slice(&INDEX_VERSION.to_le_bytes());
-        header[8..16].copy_from_slice(&(entries.len() as u64).to_le_bytes());
-        header[16..24].copy_from_slice(&fnv::fnv64(&records).to_le_bytes());
-
-        static COUNTER: AtomicU64 = AtomicU64::new(0);
-        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-        let tmp = self.tmp.join(format!("index.{}.{n}", process::id()));
-        let mut file = File::create(&tmp)?;
-        file.write_all(&header)?;
-        file.write_all(&records)?;
-        drop(file);
-        fs::rename(&tmp, self.dir.join(INDEX_FILE))
     }
 }
 
@@ -698,34 +596,6 @@ fn new_active(dir: &Path, name: &str, segs: &mut BTreeMap<u64, SegMeta>) -> io::
         path,
         offset: SEG_HEADER_LEN,
     })
-}
-
-/// Reads and validates `index.bin`; `None` means absent or corrupt
-/// (callers fall back to scanning segments).
-fn load_index_file(path: &Path) -> Option<Vec<(u128, Loc)>> {
-    let bytes = fs::read(path).ok()?;
-    if bytes.len() < INDEX_PAGE || &bytes[..4] != INDEX_MAGIC {
-        return None;
-    }
-    let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-    if version != INDEX_VERSION {
-        return None;
-    }
-    let count = u64::from_le_bytes(bytes[8..16].try_into().ok()?) as usize;
-    let checksum = u64::from_le_bytes(bytes[16..24].try_into().ok()?);
-    let records = bytes.get(INDEX_PAGE..INDEX_PAGE + count.checked_mul(INDEX_ENTRY_LEN)?)?;
-    if fnv::fnv64(records) != checksum {
-        return None;
-    }
-    let mut entries = Vec::with_capacity(count);
-    for rec in records.chunks_exact(INDEX_ENTRY_LEN) {
-        let digest = u128::from_le_bytes(rec[..16].try_into().ok()?);
-        let gen = u64::from_le_bytes(rec[16..24].try_into().ok()?);
-        let offset = u64::from_le_bytes(rec[24..32].try_into().ok()?);
-        let len = u32::from_le_bytes(rec[32..36].try_into().ok()?);
-        entries.push((digest, Loc { gen, offset, len }));
-    }
-    Some(entries)
 }
 
 #[cfg(test)]
@@ -817,8 +687,8 @@ mod tests {
     }
 
     #[test]
-    fn index_rebuild_from_packs_matches() {
-        let dir = tempdir("pack-rebuild");
+    fn sealed_segments_reopen_by_scan() {
+        let dir = tempdir("pack-rescan");
         {
             let store = PackStore::open(&dir, 512).unwrap();
             for i in 0..30u128 {
@@ -826,35 +696,77 @@ mod tests {
             }
             store.seal_active().unwrap();
         }
-        fs::remove_file(dir.join(PACKS_DIR).join(INDEX_FILE)).unwrap();
-        let rebuilt = PackStore::open(&dir, 512).unwrap();
-        assert_eq!(rebuilt.len(), 30);
+        let reopened = PackStore::open(&dir, 512).unwrap();
+        assert_eq!(reopened.len(), 30);
         for i in 0..30u128 {
-            assert_eq!(read_payload(&rebuilt, i).unwrap(), payload(i as u8, 100));
+            assert_eq!(read_payload(&reopened, i).unwrap(), payload(i as u8, 100));
         }
-        assert!(
-            dir.join(PACKS_DIR).join(INDEX_FILE).exists(),
-            "rebuild rewrites the persistent index"
-        );
     }
 
     #[test]
-    fn corrupt_index_falls_back_to_scan() {
-        let dir = tempdir("pack-badindex");
+    fn the_newest_frame_of_a_digest_wins_at_reopen() {
+        let dir = tempdir("pack-newest");
         {
-            let store = PackStore::open(&dir, 512).unwrap();
-            for i in 0..20u128 {
-                store.put(i, &payload(i as u8, 100)).unwrap();
+            // Digest 5 in each of eight sealed segments, newest last.
+            let store = PackStore::open(&dir, 1 << 20).unwrap();
+            for n in 0..8u8 {
+                store.put(5, &payload(n, 64 + n as usize)).unwrap();
+                store.put(100 + u128::from(n), &payload(n, 32)).unwrap();
+                store.seal_active().unwrap();
+            }
+            assert_eq!(store.segments(), 8);
+        }
+        let reopened = PackStore::open(&dir, 1 << 20).unwrap();
+        assert_eq!(reopened.len(), 9, "a superseded frame is not counted");
+        assert_eq!(read_payload(&reopened, 5).unwrap(), payload(7, 71));
+        for n in 0..8u8 {
+            let digest = 100 + u128::from(n);
+            assert_eq!(read_payload(&reopened, digest).unwrap(), payload(n, 32));
+        }
+    }
+
+    #[test]
+    fn a_corrupt_frame_ends_its_sealed_segments_scan() {
+        let dir = tempdir("pack-corrupt-frame");
+        let len = 100usize;
+        {
+            let store = PackStore::open(&dir, 1 << 20).unwrap();
+            for i in 0..10u128 {
+                store.put(i, &payload(i as u8, len)).unwrap();
+            }
+            store.seal_active().unwrap();
+            for i in 10..15u128 {
+                store.put(i, &payload(i as u8, len)).unwrap();
             }
             store.seal_active().unwrap();
         }
-        let index_path = dir.join(PACKS_DIR).join(INDEX_FILE);
-        let mut bytes = fs::read(&index_path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xff;
-        fs::write(&index_path, &bytes).unwrap();
-        let reopened = PackStore::open(&dir, 512).unwrap();
-        assert_eq!(reopened.len(), 20);
+        // Flip one payload byte of frame 4 in the older segment.
+        let oldest = fs::read_dir(dir.join(PACKS_DIR))
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .min()
+            .expect("two sealed segments");
+        let mut bytes = fs::read(&oldest).unwrap();
+        let frame = FRAME_OVERHEAD as usize + len;
+        bytes[SEG_HEADER_LEN as usize + 4 * frame + 24 + 7] ^= 0x5a;
+        fs::write(&oldest, &bytes).unwrap();
+
+        let reopened = PackStore::open(&dir, 1 << 20).unwrap();
+        assert_eq!(reopened.len(), 4 + 5);
+        for i in 0..15u128 {
+            let read = read_payload(&reopened, i);
+            if (4..10).contains(&i) {
+                assert_eq!(read, None, "cell {i} is at or after the corrupt frame");
+            } else {
+                assert_eq!(read, Some(payload(i as u8, len)), "cell {i}");
+            }
+        }
+        reopened.put(4, &payload(4, len)).unwrap();
+        assert_eq!(read_payload(&reopened, 4).unwrap(), payload(4, len));
+        drop(reopened);
+        let healed = PackStore::open(&dir, 1 << 20).unwrap();
+        assert_eq!(read_payload(&healed, 4).unwrap(), payload(4, len));
+        assert_eq!(healed.len(), 4 + 5 + 1);
     }
 
     #[test]

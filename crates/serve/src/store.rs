@@ -10,8 +10,8 @@
 //! 1. **hot** — a sharded, byte-bounded in-memory tier of decoded
 //!    results ([`crate::hot`]); repeat hits never touch the
 //!    filesystem.
-//! 2. **pack** — checksummed append-only pack segments with a
-//!    persistent page-aligned index ([`crate::pack`]).
+//! 2. **pack** — checksummed append-only pack segments, indexed in
+//!    memory by scanning them at open ([`crate::pack`]).
 //! 3. **peer** — other serve nodes named in `BPRED_SERVE_PEERS`,
 //!    asked by digest over `GET /cell/<digest>` ([`crate::peers`])
 //!    before the cell is recomputed.
@@ -153,8 +153,8 @@ impl ResultStore {
 
     /// Opens (creating if needed) the store rooted at `root`.
     ///
-    /// A leftover partial active segment is recovered, and a missing or
-    /// corrupt persistent index is rebuilt by scanning segments.
+    /// Every pack segment is scanned to index its cells, and a leftover
+    /// partial active segment is recovered.
     pub fn open_with(root: impl Into<PathBuf>, options: StoreOptions) -> io::Result<ResultStore> {
         let pack = PackStore::open(&root.into(), options.seal_bytes)?;
         let store = ResultStore {

@@ -256,36 +256,6 @@ fn torn_active_tail_recovers_prefix_and_heals() {
 }
 
 #[test]
-fn persistent_index_is_an_optimisation_not_the_truth() {
-    let dir = scratch("pidx");
-    {
-        let store = packed(&dir, 0, 256); // tiny seal: many sealed segments
-        for i in 0..12u64 {
-            store.put(&key(&format!("p{i}")), &result(i)).unwrap();
-        }
-    }
-    let index = dir.join("packs").join("index.bin");
-    assert!(index.exists(), "sealing wrote the persistent index");
-
-    // Missing index: rebuilt by scanning segments.
-    fs::remove_file(&index).unwrap();
-    {
-        let store = packed(&dir, 0, 256);
-        assert_eq!(store.len(), 12);
-        assert_eq!(store.get(&key("p3")), Some(result(3)));
-    }
-
-    // Corrupt index: detected by checksum, rebuilt the same way.
-    let mut bytes = fs::read(&index).unwrap();
-    let last = bytes.len() - 1;
-    bytes[last] ^= 0xff;
-    fs::write(&index, &bytes).unwrap();
-    let store = packed(&dir, 0, 256);
-    assert_eq!(store.len(), 12);
-    assert_eq!(store.get(&key("p7")), Some(result(7)));
-}
-
-#[test]
 fn a_leftover_flat_tree_is_not_read_or_removed() {
     // The pre-pack layout: one `codec::encode`d object per cell at
     // `objects/<aa>/<digest>.bin`, beside an `index.log` journal.
@@ -309,6 +279,67 @@ fn a_leftover_flat_tree_is_not_read_or_removed() {
     assert!(
         journal.is_file(),
         "the store removed a file it does not own"
+    );
+}
+
+/// The index file and `tmp/` directory an older store kept beside its
+/// segments: the store reads its cells from the segments alone and
+/// leaves both in place. The planted index is well formed (a `BPIX`
+/// header page, then checksummed 40-byte records) and lies: one record
+/// names a segment that is not on disk, one a cell no segment holds.
+#[test]
+fn a_leftover_index_and_tmp_dir_are_not_read_or_removed() {
+    let dir = scratch("index-leftover");
+    let cells: Vec<CellKey> = (0..12).map(|i| key(&format!("l{i}"))).collect();
+    {
+        let store = packed(&dir, 0, 256); // tiny seal: many sealed segments
+        for (i, cell) in cells.iter().enumerate() {
+            store.put(cell, &result(i as u64)).unwrap();
+        }
+    }
+    let packs = dir.join("packs");
+    let sealed_gen = fs::read_dir(&packs)
+        .unwrap()
+        .find_map(|entry| {
+            let name = entry.unwrap().file_name().into_string().unwrap();
+            let hex = name.strip_prefix("seg-")?.strip_suffix(".pack")?;
+            u64::from_str_radix(hex, 16).ok()
+        })
+        .expect("a sealed segment");
+    let mut records = Vec::new();
+    for (digest, gen) in [(1u128, 1), (2, sealed_gen)] {
+        records.extend_from_slice(&digest.to_le_bytes());
+        records.extend_from_slice(&gen.to_le_bytes());
+        records.extend_from_slice(&16u64.to_le_bytes()); // offset
+        records.extend_from_slice(&8u32.to_le_bytes()); // len
+        records.extend_from_slice(&0u32.to_le_bytes());
+    }
+    let mut index = vec![0u8; 4096];
+    index[..4].copy_from_slice(b"BPIX");
+    index[4..6].copy_from_slice(&1u16.to_le_bytes());
+    index[8..16].copy_from_slice(&2u64.to_le_bytes());
+    index[16..24].copy_from_slice(&bpred_trace::fnv::fnv64(&records).to_le_bytes());
+    index.extend_from_slice(&records);
+    let index_file = packs.join("index.bin");
+    fs::write(&index_file, &index).unwrap();
+    let tmp = dir.join("tmp");
+    fs::create_dir_all(&tmp).unwrap();
+
+    let store = packed(&dir, 0, 256);
+    assert_eq!(store.len(), cells.len(), "only the scanned cells count");
+    for (i, cell) in cells.iter().enumerate() {
+        assert_eq!(store.get(cell), Some(result(i as u64)), "cell {i}");
+        assert_eq!(
+            store.get_raw(&cell.digest()),
+            Some(codec::encode(&cell.canonical(), &result(i as u64))),
+            "cell {i}"
+        );
+    }
+    drop(store);
+    assert_eq!(fs::read(&index_file).unwrap(), index, "the index changed");
+    assert!(
+        tmp.is_dir(),
+        "the store removed a directory it does not own"
     );
 }
 
@@ -350,8 +381,7 @@ fn segment_digests(bytes: &[u8]) -> Vec<String> {
 
 /// The store only grows; it is trimmed offline by deleting sealed
 /// segments. A reopen must read a deleted segment's cells as clean
-/// misses, though the persistent index still names them, and keep
-/// every other cell.
+/// misses and keep every other cell.
 #[test]
 fn a_deleted_sealed_segment_reads_as_misses() {
     let dir = scratch("trim");
@@ -363,7 +393,6 @@ fn a_deleted_sealed_segment_reads_as_misses() {
         }
     }
     let packs = dir.join("packs");
-    assert!(packs.join("index.bin").exists(), "sealing wrote the index");
     let oldest = fs::read_dir(&packs)
         .unwrap()
         .map(|entry| entry.unwrap().path())
@@ -407,8 +436,8 @@ fn a_deleted_sealed_segment_reads_as_misses() {
 // ------------------------------------------------------- corruption
 
 /// A store's whole on-disk state after twelve puts with a tiny seal
-/// threshold, so most cells sit in sealed segments that
-/// `packs/index.bin` covers; plus the cells that were put.
+/// threshold, so most cells sit in sealed segments; plus the cells
+/// that were put.
 struct Sealed {
     /// `(name under packs/, bytes)` for every file there.
     files: Vec<(String, Vec<u8>)>,
@@ -437,35 +466,26 @@ fn sealed() -> &'static Sealed {
             })
             .collect();
         files.sort();
-        assert!(files.iter().any(|(n, _)| n == "index.bin"));
         assert!(files.iter().filter(|(n, _)| n.starts_with("seg-")).count() >= 4);
         Sealed { files, cells }
     })
 }
 
 /// Writes the sealed fixture into a fresh directory with the bytes at
-/// `flips` (positions taken modulo the file's length) of the file
-/// `target` picks XORed, reopens the store there and checks that every
-/// read answers nothing or exactly what was put.
-fn reopen_flipped(
-    case: &str,
-    pick: impl Fn(&str) -> bool,
-    target: usize,
-    flips: &[(usize, u8)],
-) -> Result<(), TestCaseError> {
+/// `flips` (positions taken modulo the file's length) of the sealed
+/// segment `target` picks XORed, reopens the store there and checks
+/// that every read answers nothing or exactly what was put.
+fn reopen_flipped(target: usize, flips: &[(usize, u8)]) -> Result<(), TestCaseError> {
     static CASES: AtomicUsize = AtomicUsize::new(0);
     let fixture = sealed();
-    let dir = scratch(&format!(
-        "flip-{case}-{}",
-        CASES.fetch_add(1, Ordering::Relaxed)
-    ));
+    let dir = scratch(&format!("flip-{}", CASES.fetch_add(1, Ordering::Relaxed)));
     let packs = dir.join("packs");
     fs::create_dir_all(&packs).unwrap();
     let candidates: Vec<&str> = fixture
         .files
         .iter()
         .map(|(n, _)| n.as_str())
-        .filter(|n| pick(n))
+        .filter(|n| n.starts_with("seg-"))
         .collect();
     let flipped = candidates[target % candidates.len()];
     for (name, bytes) in &fixture.files {
@@ -509,17 +529,6 @@ proptest! {
         target in 0usize..64,
         flips in prop::collection::vec((any::<usize>(), 1u8..=255), 1..4),
     ) {
-        reopen_flipped("seg", |n| n.starts_with("seg-"), target, &flips)?;
-    }
-
-    #[test]
-    fn byte_flips_in_the_persistent_index_never_serve_a_wrong_cell(
-        // Its header fields, its records, or anywhere in the file.
-        flips in prop::collection::vec(
-            (prop_oneof![0usize..24, 4096usize..4096 + 12 * 40, any::<usize>()], 1u8..=255),
-            1..4,
-        ),
-    ) {
-        reopen_flipped("index", |n| n == "index.bin", 0, &flips)?;
+        reopen_flipped(target, &flips)?;
     }
 }

@@ -62,7 +62,7 @@ use bpred_trace::{BranchKind, BranchRecord, ChunkFeeder, Outcome, Trace, TraceCh
 use crate::behavior::{mix64, BranchBehavior, Rule};
 use crate::layout::TextLayout;
 use crate::sampling::{draw_below, threshold, AliasTable};
-use crate::spec::{BehaviorMix, BenchmarkSpec, BiasRange, PaperReference};
+use crate::spec::{BehaviorMix, BenchmarkSpec, BiasRange};
 use crate::weights::bucket_weights;
 
 /// One static branch of a materialised synthetic program, as
@@ -133,7 +133,6 @@ pub struct WorkloadModel {
     jump_threshold: u64,
     /// [`threshold`] of the spec's sequence coherence.
     coherence_threshold: u64,
-    paper: PaperReference,
     /// Stable FNV-1a hash of the originating spec's
     /// [canonical string](BenchmarkSpec::canonical_string).
     fingerprint: u64,
@@ -190,7 +189,6 @@ impl WorkloadModel {
             jump_fraction: spec.jump_fraction,
             jump_threshold: threshold(spec.jump_fraction),
             coherence_threshold: threshold(spec.sequence_coherence),
-            paper: spec.paper,
             fingerprint: bpred_trace::fnv::fnv64(spec.canonical_string().as_bytes()),
         }
     }
@@ -237,12 +235,6 @@ impl WorkloadModel {
     /// (see [`WorkloadSource::cache_id`]).
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
-    }
-
-    /// The paper's published numbers for the benchmark this model
-    /// stands in for.
-    pub fn paper_reference(&self) -> &PaperReference {
-        &self.paper
     }
 
     /// Returns the model with a different default trace length.
