@@ -43,7 +43,6 @@ use std::time::{Duration, Instant};
 
 use bpred_bench::rustc_version;
 use bpred_serve::json::escape;
-use bpred_serve::peers::PeerSet;
 use bpred_serve::server::{Server, ServerConfig};
 use bpred_serve::service::{sweep_body, SweepRequest};
 use bpred_serve::store::StoreOptions;
@@ -287,14 +286,6 @@ fn store_pass(
     }
 }
 
-fn store_options(peers: Option<PeerSet>) -> StoreOptions {
-    StoreOptions {
-        hot_bytes: 64 << 20,
-        seal_bytes: 8 << 20,
-        peers,
-    }
-}
-
 fn start_node(cache_dir: &std::path::Path, options: StoreOptions) -> bpred_serve::ServerHandle {
     let _ = std::fs::remove_dir_all(cache_dir);
     Server::start(ServerConfig {
@@ -307,23 +298,22 @@ fn start_node(cache_dir: &std::path::Path, options: StoreOptions) -> bpred_serve
 }
 
 /// Store-tier comparison: cold compute into pack segments, repeat
-/// hits served by the hot tier, the same repeats served from pack
-/// segments by a node with no hot tier, and a cold node warming itself
-/// entirely over the peer protocol. Returns the passes plus the peer-warm cell
-/// accounting `(cells, peer_cells)`.
+/// hits served by the hot tier, and the same repeats served from pack
+/// segments by a node with no hot tier.
 fn run_store_scenarios(
     warm: &[Target],
     repeats: usize,
     scratch: &std::path::Path,
-) -> (Vec<StorePass>, usize, u64) {
+) -> Vec<StorePass> {
     let mut passes = Vec::new();
 
     // First pass computes every cell (cold), repeat passes must be
     // answered from the in-memory hot tier.
     let packed_dir = scratch.join("packed");
-    let packed = start_node(&packed_dir, store_options(None));
+    let packed = start_node(&packed_dir, StoreOptions::default());
     passes.push(store_pass(packed.addr(), "pack_cold", warm, 1));
     passes.push(store_pass(packed.addr(), "hot_warm", warm, repeats));
+    packed.shutdown();
 
     // Pack warm: with the hot tier off, every repeat is read from the
     // segments the first (unrecorded) pass wrote.
@@ -332,7 +322,7 @@ fn run_store_scenarios(
         &pack_dir,
         StoreOptions {
             hot_bytes: 0,
-            ..store_options(None)
+            ..StoreOptions::default()
         },
     );
     store_pass(pack_node.addr(), "pack_fill", warm, 1);
@@ -345,23 +335,8 @@ fn run_store_scenarios(
     );
     pack_node.shutdown();
 
-    // Peer warm: a cold node whose only source of cells is the warm
-    // packed node — every cell must arrive by digest fetch.
-    let peer_dir = scratch.join("peer");
-    let peers = PeerSet::from_list(&packed.addr().to_string()).expect("peer list");
-    let cold_node = start_node(&peer_dir, store_options(Some(peers)));
-    passes.push(store_pass(cold_node.addr(), "peer_warm", warm, 1));
-    let store = cold_node.store().expect("node has a store");
-    let cells = store.len();
-    let peer_cells = store
-        .stats()
-        .peer_hits
-        .load(std::sync::atomic::Ordering::Relaxed);
-    cold_node.shutdown();
-    packed.shutdown();
-
     let _ = std::fs::remove_dir_all(scratch);
-    (passes, cells, peer_cells)
+    passes
 }
 
 fn main() -> ExitCode {
@@ -458,30 +433,16 @@ fn main() -> ExitCode {
     let _ = std::fs::remove_dir_all(&cache_dir);
 
     // Store-tier comparison on the warm pool: cold pack writes, hot
-    // repeats, pack repeats, and a two-node peer warm-up.
+    // repeats and pack repeats.
     let store_scratch =
         std::env::temp_dir().join(format!("bpred-bench-store-{}", std::process::id()));
     let store_repeats = if quick { 8 } else { 32 };
-    let (store_passes, peer_total, peer_cells) =
-        run_store_scenarios(&warm, store_repeats, &store_scratch);
+    let store_passes = run_store_scenarios(&warm, store_repeats, &store_scratch);
     for pass in &store_passes {
         eprintln!(
             "store {:<10} {:>4} reqs  p50 {:>7.3} ms  p99 {:>7.3} ms",
             pass.scenario, pass.requests, pass.p50_ms, pass.p99_ms
         );
-    }
-    let peer_fraction = if peer_total == 0 {
-        0.0
-    } else {
-        peer_cells as f64 / peer_total as f64
-    };
-    eprintln!(
-        "store peer_warm    {peer_cells}/{peer_total} cells arrived via peer fetch ({:.0}%)",
-        peer_fraction * 100.0
-    );
-    if peer_fraction < 0.9 {
-        eprintln!("error: peer warm-up below 90% — the peer tier is not pulling its weight");
-        return ExitCode::FAILURE;
     }
 
     let mut json = String::new();
@@ -543,11 +504,7 @@ fn main() -> ExitCode {
             pass.scenario, pass.requests, pass.p50_ms, pass.p99_ms
         );
     }
-    let _ = writeln!(json, "    ],");
-    let _ = writeln!(
-        json,
-        "    \"peer_warm\": {{\"cells\": {peer_total}, \"peer_cells\": {peer_cells}, \"peer_fraction\": {peer_fraction:.3}}}"
-    );
+    let _ = writeln!(json, "    ]");
     let _ = writeln!(json, "  }}");
     let _ = writeln!(json, "}}");
 

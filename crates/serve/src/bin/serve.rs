@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! serve [--addr HOST:PORT] [--cache-dir DIR] [--shards N] [--workers N]
-//!       [--queue N] [--max-branches N] [--peers HOST:PORT,...]
+//!       [--queue N] [--max-branches N]
 //! serve store stats DIR       print tier sizes and counts
 //! ```
 //!
@@ -16,31 +16,26 @@
 //! Env knobs (flags win): `BPRED_SERVE_QUEUE` (compute queue depth),
 //! `BPRED_SERVE_TIMEOUT_MS` (read/write timeout),
 //! `BPRED_SERVE_IDLE_MS` (keep-alive idle timeout),
-//! `BPRED_SERVE_PEERS` (peer nodes for cell exchange),
 //! `BPRED_STORE_HOT_BYTES` / `BPRED_STORE_SEAL_BYTES` (store tuning).
 
 use std::process::ExitCode;
 
-use bpred_serve::peers::PeerSet;
 use bpred_serve::server::{Server, ServerConfig};
 use bpred_serve::store::ResultStore;
 
 fn usage() -> ! {
     eprintln!(
         "usage: serve [--addr HOST:PORT] [--cache-dir DIR] [--shards N] [--workers N]\n\
-         \x20            [--queue N] [--max-branches N] [--peers HOST:PORT,...]\n\
+         \x20            [--queue N] [--max-branches N]\n\
          \x20      serve store stats DIR\n\
          \n\
          endpoints:\n\
          \x20 GET /healthz\n\
          \x20 GET /metrics\n\
          \x20 GET /sweep?workload=<name>&configs=<cfg>;<cfg>[&seed=N][&branches=N][&warmup=N]\n\
-         \x20 GET /cell/<digest>   (peer cell exchange)\n\
-         \x20 PUT /cell/<digest>\n\
          \n\
          defaults: --addr 127.0.0.1:8199, --shards 2, --workers 4, --max-branches 2000000,\n\
-         --queue $BPRED_SERVE_QUEUE (64), --cache-dir $BPRED_CACHE_DIR (unset: uncached),\n\
-         --peers $BPRED_SERVE_PEERS (unset: no peer fetch);\n\
+         --queue $BPRED_SERVE_QUEUE (64), --cache-dir $BPRED_CACHE_DIR (unset: uncached);\n\
          timeouts via BPRED_SERVE_TIMEOUT_MS (10000) and BPRED_SERVE_IDLE_MS (30000);\n\
          store tuning via BPRED_STORE_HOT_BYTES and BPRED_STORE_SEAL_BYTES;\n\
          the store only grows: to trim it, stop the server and delete old\n\
@@ -99,14 +94,6 @@ fn main() -> ExitCode {
         match args[i].as_str() {
             "--addr" => config.addr = value(&args, &mut i, "--addr"),
             "--cache-dir" => config.cache_dir = Some(value(&args, &mut i, "--cache-dir").into()),
-            "--peers" => {
-                let list = value(&args, &mut i, "--peers");
-                config.store.peers = PeerSet::from_list(&list);
-                if config.store.peers.is_none() {
-                    eprintln!("error: --peers needs a comma-separated host:port list");
-                    return ExitCode::from(2);
-                }
-            }
             "--workers" => {
                 config.workers = match value(&args, &mut i, "--workers").parse() {
                     Ok(n) if n > 0 => n,
@@ -157,18 +144,10 @@ fn main() -> ExitCode {
         .as_ref()
         .map(|d| format!("result store at {}", d.display()))
         .unwrap_or_else(|| "uncached (set BPRED_CACHE_DIR or --cache-dir)".to_owned());
-    let peer_note = config
-        .store
-        .peers
-        .as_ref()
-        .map(|p| format!("peers: {}", p.addrs().join(", ")));
     match Server::start(config) {
         Ok(handle) => {
             println!("bpred-serve listening on http://{}", handle.addr());
             println!("{cache_note}");
-            if let Some(note) = peer_note {
-                println!("{note}");
-            }
             // Serve until killed.
             loop {
                 std::thread::park();

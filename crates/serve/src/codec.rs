@@ -171,9 +171,9 @@ pub fn decode(bytes: &[u8], expect_key: &str) -> Result<SimResult, CodecError> {
 /// accepting whatever canonical key it embeds — the key is returned
 /// alongside the result so the caller can judge identity itself.
 ///
-/// This is how a peer-pushed object is validated: the store checks
-/// that the digest of the returned key matches the content address
-/// the object claims to answer, without knowing the key in advance.
+/// [`ResultStore::get_raw`](crate::ResultStore::get_raw) reads by
+/// digest alone, so it checks that the digest of the returned key is
+/// the content address it read, without knowing the key in advance.
 pub fn decode_verified(bytes: &[u8]) -> Result<(String, SimResult), CodecError> {
     if bytes.len() < MAGIC.len() + 4 + 8 {
         return Err(CodecError::Truncated);

@@ -5,20 +5,20 @@
 //! reruns. This crate makes that structure operational with two
 //! layers:
 //!
-//! * **[`store`]** — a tiered content-addressed cache of
+//! * **[`store`]** — a two-tier content-addressed cache of
 //!   [`SimResult`](bpred_sim::SimResult)s, keyed by the stable digest
 //!   of a sweep cell's [`CellKey`](bpred_sim::CellKey) (workload
 //!   stream identity × predictor configuration × warmup × engine
 //!   version). Reads fall through a sharded in-memory **hot tier**
-//!   ([`hot`]), checksummed append-only **pack segments** with a
-//!   persistent page-aligned index ([`pack`]), and optional **peer
-//!   nodes** fetched by digest over HTTP ([`peers`]); every tier's
-//!   bytes are verified (checksum + embedded canonical key) before
-//!   being believed. [`ResultStore`] implements
-//!   [`ResultCache`](bpred_sim::ResultCache), so a keyed sweep given
-//!   one is memoised (the `bpred-bench` binaries `all`, `export` and
-//!   `simulate` pass the store [`open_from_env`] opens when
-//!   `BPRED_CACHE_DIR` is set). The store only grows; trim it by
+//!   ([`hot`]) to checksummed append-only **pack segments**, indexed
+//!   in memory by scanning them at open ([`pack`]); pack bytes are
+//!   verified (checksum + embedded canonical key) before being
+//!   believed. Only results this process computed are stored: no
+//!   route or option accepts a cell from outside. [`ResultStore`]
+//!   implements [`ResultCache`](bpred_sim::ResultCache), so a keyed
+//!   sweep given one is memoised (the `bpred-bench` binaries `all`,
+//!   `export` and `simulate` pass the store [`open_from_env`] opens
+//!   when `BPRED_CACHE_DIR` is set). The store only grows; trim it by
 //!   stopping its users and deleting old sealed segments or the whole
 //!   directory.
 //!
@@ -61,14 +61,12 @@ pub mod http;
 pub mod json;
 pub mod metrics;
 pub mod pack;
-pub mod peers;
 pub mod reactor;
 pub mod server;
 pub mod service;
 pub mod store;
 
 pub use metrics::Metrics;
-pub use peers::PeerSet;
 pub use server::{Server, ServerConfig, ServerHandle};
 pub use service::{sweep_body, SweepRequest, SweepService};
 pub use store::{open_from_env, ResultStore, StoreOptions, StoreStats};

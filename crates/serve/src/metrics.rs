@@ -268,11 +268,6 @@ impl Metrics {
             "bpred_store_hits_total{{tier=\"pack\"}} {}",
             tier(|s| &s.pack_hits)
         );
-        let _ = writeln!(
-            out,
-            "bpred_store_hits_total{{tier=\"peer\"}} {}",
-            tier(|s| &s.peer_hits)
-        );
         let _ = writeln!(out, "# HELP bpred_store_segments Pack segments on disk");
         let _ = writeln!(out, "# TYPE bpred_store_segments gauge");
         let _ = writeln!(out, "bpred_store_segments {}", tier(|s| &s.segments));
@@ -516,19 +511,16 @@ mod tests {
         let text = m.render_prometheus();
         assert!(text.contains("bpred_store_hits_total{tier=\"hot\"} 0"));
         assert!(text.contains("bpred_store_hits_total{tier=\"pack\"} 0"));
-        assert!(text.contains("bpred_store_hits_total{tier=\"peer\"} 0"));
         assert!(text.contains("bpred_store_segments 0"));
         assert!(text.contains("bpred_store_hot_bytes 0"));
 
         let stats = Arc::new(StoreStats::default());
         stats.hot_hits.fetch_add(3, Ordering::Relaxed);
-        stats.peer_hits.fetch_add(1, Ordering::Relaxed);
         stats.segments.store(2, Ordering::Relaxed);
         stats.hot_bytes.store(4096, Ordering::Relaxed);
         m.attach_store(stats);
         let text = m.render_prometheus();
         assert!(text.contains("bpred_store_hits_total{tier=\"hot\"} 3"));
-        assert!(text.contains("bpred_store_hits_total{tier=\"peer\"} 1"));
         assert!(text.contains("bpred_store_segments 2"));
         assert!(text.contains("bpred_store_hot_bytes 4096"));
     }

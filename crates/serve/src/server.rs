@@ -8,10 +8,10 @@
 //! `Reading → Computing → Writing → Reading` with HTTP/1.1
 //! keep-alive and pipelining. Cheap routes (`/healthz`, `/metrics`,
 //! parse failures) are answered inline on the event loop, and so is a
-//! sweep whose every cell the local store tiers hold (the service's
+//! sweep whose every cell the store holds (the service's
 //! [`probe`](SweepService::probe) stage: map probes and pack reads,
-//! never a model build, a peer fetch, a single-flight wait or a
-//! simulation). Every other sweep is handed, with what the probe
+//! never a model build, a single-flight wait or a simulation). Every
+//! other sweep is handed, with what the probe
 //! found, to a fixed **compute pool** over a bounded queue. When the
 //! queue is full the request is **shed** with `429 Too Many
 //! Requests` + `Retry-After` instead of queueing unboundedly —
@@ -41,15 +41,9 @@
 //! | `GET /metrics`      | Prometheus text exposition                  |
 //! | `GET /sweep?…`      | sweep JSON (parameters in the query)        |
 //! | `POST /sweep`       | sweep JSON (parameters form-encoded body)   |
-//! | `GET /cell/<digest>`| raw stored cell object (peer exchange)      |
-//! | `PUT /cell/<digest>`| store a verified cell object (peer exchange)|
 //!
-//! The `/cell` routes are the peer protocol: a node configured with
-//! `BPRED_SERVE_PEERS` fetches cells it misses from its peers by
-//! digest before computing them. GETs answer from local tiers only
-//! (never recursing into this node's own peers), and PUTs verify the
-//! object's checksum and that its embedded key hashes to the digest
-//! before storing — peers can prime a cache but never poison it.
+//! Every other route is a `404`. No route reads or writes a stored
+//! cell directly: the store holds only results this server computed.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -65,7 +59,7 @@ use crate::http::{self, parse_request, Parsed, Request};
 use crate::metrics::Metrics;
 use crate::reactor::{self, Entry, Interest, WakeChannel, Waker};
 use crate::service::{BadRequest, Probed, Provenance, SweepRequest, SweepService};
-use crate::store::{self, ResultStore, StoreOptions};
+use crate::store::{ResultStore, StoreOptions};
 
 /// Server construction parameters.
 ///
@@ -94,9 +88,8 @@ pub struct ServerConfig {
     pub write_timeout: Duration,
     /// Idle keep-alive connections are closed after this window.
     pub idle_timeout: Duration,
-    /// Result-store tuning (tiers, seal threshold, peers); the
-    /// default honours the `BPRED_STORE_*` / `BPRED_SERVE_PEERS`
-    /// environment.
+    /// Result-store tuning (hot-tier budget, seal threshold); the
+    /// default honours the `BPRED_STORE_*` environment.
     pub store: StoreOptions,
 }
 
@@ -233,7 +226,6 @@ impl Server {
                 jobs: job_tx.clone(),
                 service: service.clone(),
                 metrics: metrics.clone(),
-                store: store.clone(),
                 read_timeout: config.read_timeout,
                 write_timeout: config.write_timeout,
                 idle_timeout: config.idle_timeout,
@@ -321,6 +313,8 @@ fn worker_loop(
         let job = { lock_recover(job_rx).recv() };
         let Ok(job) = job else { return }; // channel closed: shutdown
         metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
+        #[cfg(test)]
+        tests::gate();
         let answer = match job.probed {
             Some(probed) => Ok(service.complete(&job.sweep, probed)),
             None => service.execute(&job.sweep),
@@ -433,7 +427,6 @@ struct Shard {
     jobs: SyncSender<Job>,
     service: Arc<SweepService>,
     metrics: Arc<Metrics>,
-    store: Option<Arc<ResultStore>>,
     read_timeout: Duration,
     write_timeout: Duration,
     idle_timeout: Duration,
@@ -729,39 +722,6 @@ impl Shard {
                     http::response(200, content_type, &[], body.as_bytes(), keep_alive),
                 )
             }
-            // Peer cell exchange: raw stored objects by digest,
-            // answered inline (tier reads are a map probe or one
-            // small pread — far cheaper than a sweep).
-            ("GET", path) if path.starts_with("/cell/") => {
-                let digest = &path["/cell/".len()..];
-                match self.store.as_deref().and_then(|s| s.get_raw(digest)) {
-                    Some(bytes) => (
-                        200,
-                        http::response(200, "application/octet-stream", &[], &bytes, keep_alive),
-                    ),
-                    None if self.store.is_none() => text(404, b"no result store\n", keep_alive),
-                    None if !store::digest_ok(digest) => {
-                        Metrics::inc(&self.metrics.bad_requests);
-                        text(400, b"digest must be 32 hex digits\n", keep_alive)
-                    }
-                    None => text(404, b"cell not stored here\n", keep_alive),
-                }
-            }
-            ("PUT", path) if path.starts_with("/cell/") => {
-                let digest = &path["/cell/".len()..];
-                match self
-                    .store
-                    .as_deref()
-                    .map(|s| s.put_raw(digest, &request.body))
-                {
-                    None => text(404, b"no result store\n", keep_alive),
-                    Some(Ok(())) => text(200, b"stored\n", keep_alive),
-                    Some(Err(message)) => {
-                        Metrics::inc(&self.metrics.bad_requests);
-                        text(400, format!("{message}\n").as_bytes(), keep_alive)
-                    }
-                }
-            }
             ("GET", "/sweep") | ("POST", "/sweep") => {
                 let params = if request.method == "POST" {
                     String::from_utf8_lossy(&request.body)
@@ -880,5 +840,155 @@ impl Shard {
             },
         );
         Flush::Done
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+
+    /// The longest any wait in these tests may take.
+    const WAIT: Duration = Duration::from_secs(10);
+
+    /// A hold on the compute pool: while it is set, a worker that takes
+    /// a job reports it on `taken`, then waits for one message on
+    /// `release` (at most [`WAIT`]) before running it. Only one test
+    /// may set it, since every server in this test binary shares it.
+    struct Gate {
+        taken: mpsc::Sender<()>,
+        release: mpsc::Receiver<()>,
+    }
+
+    static GATE: Mutex<Option<Gate>> = Mutex::new(None);
+
+    /// The seam `worker_loop` passes before each job.
+    pub(super) fn gate() {
+        if let Some(gate) = lock_recover(&GATE).as_ref() {
+            let _ = gate.taken.send(());
+            let _ = gate.release.recv_timeout(WAIT);
+        }
+    }
+
+    /// One request over a fresh connection: (status line, headers, body).
+    fn get(addr: SocketAddr, target: &str) -> (String, Vec<String>, Vec<u8>) {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.set_read_timeout(Some(WAIT)).expect("read timeout");
+        write!(
+            stream,
+            "GET {target} HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n"
+        )
+        .expect("send request");
+        let mut response = Vec::new();
+        stream.read_to_end(&mut response).expect("read response");
+        let split = response
+            .windows(4)
+            .position(|w| w == b"\r\n\r\n")
+            .expect("response has a header/body boundary");
+        let head = String::from_utf8(response[..split].to_vec()).expect("ASCII head");
+        let mut lines = head.lines().map(str::to_owned);
+        let status = lines.next().expect("status line");
+        (status, lines.collect(), response[split + 4..].to_vec())
+    }
+
+    fn header<'a>(headers: &'a [String], name: &str) -> Option<&'a str> {
+        headers.iter().find_map(|h| {
+            let (n, v) = h.split_once(':')?;
+            n.eq_ignore_ascii_case(name).then(|| v.trim())
+        })
+    }
+
+    /// One counter value from `/metrics`.
+    fn metric(addr: SocketAddr, name: &str) -> u64 {
+        let text = String::from_utf8(get(addr, "/metrics").2).expect("metrics are UTF-8");
+        text.lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+            .unwrap_or_else(|| panic!("metric {name} missing"))
+            .parse()
+            .unwrap_or_else(|_| panic!("metric {name} is not an integer"))
+    }
+
+    const SWEEP: &str =
+        "/sweep?workload=espresso&branches=20000&configs=gshare:h=7,c=2;gas:h=7,c=2;bimodal:a=9";
+
+    #[test]
+    fn warm_sweeps_are_answered_while_the_pool_sheds() {
+        let dir = std::env::temp_dir().join(format!("bpred-serve-shed-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let start = |workers: usize, queue_depth: usize| {
+            Server::start(ServerConfig {
+                workers,
+                queue_depth,
+                cache_dir: Some(dir.clone()),
+                ..ServerConfig::default()
+            })
+            .expect("server starts")
+        };
+        let primer = start(4, 64);
+        assert!(get(primer.addr(), SWEEP).0.contains("200"));
+        primer.shutdown();
+
+        let server = start(1, 1);
+        let addr = server.addr();
+        // The pool builds the model; every cell is on disk.
+        assert!(get(addr, SWEEP).0.contains("200"));
+
+        // Hold the only worker on a cold sweep, then fill the one-slot
+        // queue behind it.
+        let (taken_tx, taken) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        *lock_recover(&GATE) = Some(Gate {
+            taken: taken_tx,
+            release: release_rx,
+        });
+        let cold =
+            |h: u32| format!("/sweep?workload=espresso&branches=20000&configs=gshare:h={h},c=2");
+        let held = std::thread::spawn({
+            let target = cold(9);
+            move || get(addr, &target).0
+        });
+        taken
+            .recv_timeout(WAIT)
+            .expect("the worker takes the held sweep");
+        let queued = std::thread::spawn({
+            let target = cold(10);
+            move || get(addr, &target).0
+        });
+        let deadline = Instant::now() + WAIT;
+        while metric(addr, "bpred_serve_queue_depth") == 0 {
+            assert!(Instant::now() < deadline, "the queued sweep never queued");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        let (status, headers, _) = get(addr, SWEEP);
+        assert!(
+            status.contains("200"),
+            "warm sweep answered inline: {status}"
+        );
+        assert_eq!(
+            header(&headers, "X-Bpred-Provenance"),
+            Some("hits=3 misses=0 coalesced=0")
+        );
+        let (status, headers, _) = get(addr, &cold(11));
+        assert!(status.contains("429"), "cold sweep shed: {status}");
+        assert_eq!(header(&headers, "Retry-After"), Some("1"));
+        assert_eq!(metric(addr, "bpred_sweeps_inline_total"), 1);
+        assert_eq!(metric(addr, "bpred_serve_shed_total"), 1);
+
+        release.send(()).expect("release the held sweep");
+        assert!(held.join().expect("held client").contains("200"));
+        taken
+            .recv_timeout(WAIT)
+            .expect("the worker takes the queued sweep");
+        release.send(()).expect("release the queued sweep");
+        assert!(queued.join().expect("queued client").contains("200"));
+        assert_eq!(metric(addr, "bpred_cache_misses_total"), 2);
+        assert!(taken.try_recv().is_err(), "one job per dispatched sweep");
+        *lock_recover(&GATE) = None;
+        // The shed sweep was probed on the event loop but never counted.
+        assert_eq!(metric(addr, "bpred_sweep_requests_total"), 4);
+        assert_eq!(metric(addr, "bpred_cells_total"), 8);
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

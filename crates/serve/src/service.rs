@@ -9,9 +9,9 @@
 //! 1. **Local** ([`SweepService::probe`]) — the cell's digest is in the
 //!    hot or pack tier. Cheap and non-blocking, so the server runs it
 //!    on its event loop and answers a fully local sweep there.
-//! 2. **Completion** ([`SweepService::complete`]) — the rest are asked
-//!    of peers, joined to another request's in-flight batch
-//!    ([`Flight`] single-flight), or simulated as *one* batch through
+//! 2. **Completion** ([`SweepService::complete`]) — the rest are
+//!    joined to another request's in-flight batch ([`Flight`]
+//!    single-flight), or simulated as *one* batch through
 //!    [`run_batched`] and stored for next time.
 //!
 //! The JSON body is deterministic (fixed field order, no timestamps,
@@ -257,8 +257,8 @@ impl SweepService {
     }
 
     /// The local stage: the benchmark's model, the source identity, each
-    /// cell's address, and a hot/pack probe of each cell. It never asks
-    /// a peer, waits on another request or simulates; `Ok(None)` when
+    /// cell's address, and a hot/pack probe of each cell. It never
+    /// waits on another request or simulates; `Ok(None)` when
     /// the model is unbuilt and `build` is false (a build takes
     /// milliseconds). Nothing is counted until [`complete`](Self::complete),
     /// so a probed request the pool then sheds leaves `/metrics` alone.
@@ -310,10 +310,10 @@ impl SweepService {
         }))
     }
 
-    /// The completion stage: counts the request and its local hits,
-    /// then resolves whatever the local stage left through the peer
-    /// tier, single-flight and one simulated batch, and renders the
-    /// body. A fully probed request goes straight to rendering.
+    /// The completion stage: counts the request and its store hits,
+    /// then resolves whatever the local stage left through
+    /// single-flight and one simulated batch, and renders the body. A
+    /// fully probed request goes straight to rendering.
     pub fn complete(&self, request: &SweepRequest, probed: Probed) -> (String, Provenance) {
         let (source, simulator, addresses) = (&probed.source, probed.simulator, &probed.addresses);
         let mut results = probed.results;
@@ -324,17 +324,10 @@ impl SweepService {
             ..Provenance::default()
         };
 
-        // 1. Store hits: the local ones the probe found, then peers
-        // for the rest.
+        // 1. Store hits: the ones the probe found.
         if let Some(store) = &self.store {
             for &tier in &probed.tiers {
-                store.count_local_hit(tier);
-            }
-            for (slot, address) in results.iter_mut().zip(addresses) {
-                if slot.is_none() {
-                    *slot = store.get_peer(address);
-                    provenance.hits += usize::from(slot.is_some());
-                }
+                store.count_hit(tier);
             }
         }
         Metrics::add(&self.metrics.cache_hits, provenance.hits as u64);
@@ -356,15 +349,14 @@ impl SweepService {
             }
         }
 
-        // 3. Simulate all led cells as one batch. Re-check the local
-        // tiers first: leadership can be won for a cell another request
+        // 3. Simulate all led cells as one batch. Re-check the store
+        // first: leadership can be won for a cell another request
         // finished (and retired from the flight) between our store
-        // miss and our join — simulate only what is still absent. The
-        // peers already missed in step 1; they are not asked again.
+        // miss and our join — simulate only what is still absent.
         if let Some(store) = &self.store {
             let mut still_missing = Vec::with_capacity(leaders.len());
             for (i, guard) in leaders {
-                match store.get_local(&addresses[i]) {
+                match store.get_addressed(&addresses[i]) {
                     Some(result) => {
                         provenance.hits += 1;
                         Metrics::inc(&self.metrics.cache_hits);
@@ -435,7 +427,7 @@ impl SweepService {
 }
 
 /// What [`SweepService::probe`] found for one request: its source and
-/// cell addresses, the cells the local tiers answered, and the tier of
+/// cell addresses, the cells the store answered, and the tier of
 /// each hit. Handed to [`SweepService::complete`], so no cell is
 /// addressed or probed twice.
 #[derive(Debug)]
@@ -449,7 +441,7 @@ pub struct Probed {
 }
 
 impl Probed {
-    /// Whether the local tiers answered every cell, so completing the
+    /// Whether the store answered every cell, so completing the
     /// request only renders its body.
     pub fn is_complete(&self) -> bool {
         self.tiers.len() == self.results.len()

@@ -5,23 +5,21 @@
 //! [`SimResult`] can be stored under the stable digest of its
 //! [`CellKey`] and reused forever (until
 //! [`ENGINE_VERSION`](bpred_sim::ENGINE_VERSION) changes, which
-//! changes every key). Reads fall through three tiers:
+//! changes every key). Reads fall through two local tiers:
 //!
 //! 1. **hot** — a sharded, byte-bounded in-memory tier of decoded
 //!    results ([`crate::hot`]); repeat hits never touch the
 //!    filesystem.
 //! 2. **pack** — checksummed append-only pack segments, indexed in
 //!    memory by scanning them at open ([`crate::pack`]).
-//! 3. **peer** — other serve nodes named in `BPRED_SERVE_PEERS`,
-//!    asked by digest over `GET /cell/<digest>` ([`crate::peers`])
-//!    before the cell is recomputed.
 //!
-//! Whatever the tier, bytes are decoded by the [`codec`] — checksum
-//! plus embedded-canonical-key verification — so every answer is
-//! bit-identical to a local `run_configs_keyed` recomputation; a
-//! corrupt object (or a lying peer) is a miss, never a wrong number.
-//! The store itself never computes a cell: the sweep service
-//! ([`crate::service`]) single-flights concurrent computes of one cell.
+//! Only [`put`](ResultStore::put) writes a cell, with a result this
+//! process computed; nothing accepts a result from outside. Pack bytes
+//! are decoded by the [`codec`] — checksum plus embedded-canonical-key
+//! verification — so a corrupt object is a miss that heals by
+//! recomputation. The store itself never computes a cell: the sweep
+//! service ([`crate::service`]) single-flights concurrent computes of
+//! one cell.
 //!
 //! The store implements [`ResultCache`], so passing one to a keyed
 //! sweep ([`bpred_sim::cache::run_configs_keyed`]) memoises it;
@@ -44,7 +42,6 @@ use bpred_trace::fnv;
 use crate::codec;
 use crate::hot::HotTier;
 use crate::pack::PackStore;
-use crate::peers::PeerSet;
 
 /// Tuning for [`ResultStore::open_with`].
 #[derive(Debug, Clone)]
@@ -53,8 +50,6 @@ pub struct StoreOptions {
     pub hot_bytes: u64,
     /// Active pack segment seal threshold in bytes.
     pub seal_bytes: u64,
-    /// Peers to fetch missing cells from.
-    pub peers: Option<PeerSet>,
 }
 
 impl Default for StoreOptions {
@@ -62,15 +57,13 @@ impl Default for StoreOptions {
         StoreOptions {
             hot_bytes: 64 << 20,
             seal_bytes: 8 << 20,
-            peers: None,
         }
     }
 }
 
 impl StoreOptions {
     /// Defaults overridden by the environment:
-    /// `BPRED_STORE_HOT_BYTES`, `BPRED_STORE_SEAL_BYTES`, and
-    /// `BPRED_SERVE_PEERS`.
+    /// `BPRED_STORE_HOT_BYTES` and `BPRED_STORE_SEAL_BYTES`.
     pub fn from_env() -> StoreOptions {
         let mut options = StoreOptions::default();
         if let Some(v) = env_u64("BPRED_STORE_HOT_BYTES") {
@@ -78,9 +71,6 @@ impl StoreOptions {
         }
         if let Some(v) = env_u64("BPRED_STORE_SEAL_BYTES") {
             options.seal_bytes = v;
-        }
-        if let Ok(list) = std::env::var("BPRED_SERVE_PEERS") {
-            options.peers = PeerSet::from_list(&list);
         }
         options
     }
@@ -99,8 +89,6 @@ pub struct StoreStats {
     pub hot_hits: AtomicU64,
     /// Cells answered from pack segments.
     pub pack_hits: AtomicU64,
-    /// Cells answered by a peer fetch.
-    pub peer_hits: AtomicU64,
     /// Segments on disk (gauge).
     pub segments: AtomicU64,
     /// Hot-tier resident bytes (gauge).
@@ -125,14 +113,14 @@ impl Address {
     }
 }
 
-/// The local tier that answered a [`ResultStore::probe`].
+/// The tier that answered a [`ResultStore::probe`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Tier {
     Hot,
     Pack,
 }
 
-/// A tiered content-addressed cache of simulation results.
+/// A two-tier content-addressed cache of simulation results.
 ///
 /// Cheaply shareable via [`Arc`]; all methods take `&self` and are
 /// safe to call from many threads.
@@ -140,7 +128,6 @@ pub(crate) enum Tier {
 pub struct ResultStore {
     pack: PackStore,
     hot: HotTier,
-    peers: Option<PeerSet>,
     stats: Arc<StoreStats>,
 }
 
@@ -160,7 +147,6 @@ impl ResultStore {
         let store = ResultStore {
             pack,
             hot: HotTier::new(options.hot_bytes),
-            peers: options.peers,
             stats: Arc::new(StoreStats::default()),
         };
         store.refresh_gauges();
@@ -206,25 +192,24 @@ impl ResultStore {
             .store(self.hot.bytes(), Ordering::Relaxed);
     }
 
-    /// Looks up the result for `key`, trying hot → pack → peers.
-    /// `None` on a miss; a corrupt object is dropped (the cell heals
-    /// by recomputation), and peer bytes are verified against the
-    /// expected canonical key before being believed.
+    /// Looks up the result for `key`, trying hot, then pack. `None` on
+    /// a miss; a corrupt object is dropped (the cell heals by
+    /// recomputation).
     pub fn get(&self, key: &CellKey) -> Option<SimResult> {
-        let address = Address::of(key);
-        self.get_local(&address).or_else(|| self.get_peer(&address))
+        self.get_addressed(&Address::of(key))
     }
 
-    /// A counted [`probe`](Self::probe).
-    pub(crate) fn get_local(&self, address: &Address) -> Option<SimResult> {
+    /// [`get`](Self::get) for a cell already addressed: a counted
+    /// [`probe`](Self::probe).
+    pub(crate) fn get_addressed(&self, address: &Address) -> Option<SimResult> {
         let (result, tier) = self.probe(address)?;
-        self.count_local_hit(tier);
+        self.count_hit(tier);
         Some(result)
     }
 
-    /// Looks `address` up in the local tiers (hot, then pack), without
+    /// Looks `address` up in the hot tier, then the pack, without
     /// counting the hit: the caller reports it with
-    /// [`count_local_hit`](Self::count_local_hit) once the answer is
+    /// [`count_hit`](Self::count_hit) once the answer is
     /// used. A pack hit is promoted to the hot tier; a corrupt pack
     /// object is dropped.
     pub(crate) fn probe(&self, address: &Address) -> Option<(SimResult, Tier)> {
@@ -246,26 +231,13 @@ impl ResultStore {
         }
     }
 
-    /// Counts one local-tier hit on `/metrics`.
-    pub(crate) fn count_local_hit(&self, tier: Tier) {
+    /// Counts one tier hit on `/metrics`.
+    pub(crate) fn count_hit(&self, tier: Tier) {
         let counter = match tier {
             Tier::Hot => &self.stats.hot_hits,
             Tier::Pack => &self.stats.pack_hits,
         };
         counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Asks the peers for `address`, a local miss; a verified answer
-    /// lands in the pack and hot tiers.
-    pub(crate) fn get_peer(&self, address: &Address) -> Option<SimResult> {
-        let peers = self.peers.as_ref()?;
-        let bytes = peers.fetch(&format!("{:032x}", address.digest))?;
-        let result = codec::decode(&bytes, &address.canonical).ok()?;
-        let _ = self.pack.put(address.digest, &bytes);
-        self.hot.put(address.digest, &result, bytes.len());
-        self.stats.peer_hits.fetch_add(1, Ordering::Relaxed);
-        self.refresh_gauges();
-        Some(result)
     }
 
     /// Stores the result for `key` durably (a pack append) and in the
@@ -283,12 +255,14 @@ impl ResultStore {
         Ok(())
     }
 
-    /// Reads the raw stored object for `digest_hex` from the *local*
-    /// tiers only — this is what `GET /cell/<digest>` serves, so two
-    /// peers asking each other can never loop.
+    /// Reads the raw stored object for `digest_hex` (32 hex digits)
+    /// from the pack. Its one caller is the benchmark's traced serve
+    /// pass, which times the codec's decode share of a pack hit on
+    /// these bytes.
     ///
-    /// Only an object [`put_raw`](Self::put_raw) would accept is served;
-    /// anything else (bit rot in a segment) is a miss, and forgotten.
+    /// Only an object that decodes cleanly and whose embedded canonical
+    /// key hashes to `digest_hex` is returned; anything else (bit rot
+    /// in a segment) is a miss, and forgotten.
     pub fn get_raw(&self, digest_hex: &str) -> Option<Vec<u8>> {
         let digest = parse_digest(digest_hex)?;
         let (bytes, loc) = self.pack.read(digest)?;
@@ -300,35 +274,12 @@ impl ResultStore {
             }
         }
     }
-
-    /// Accepts a raw object for `digest_hex` (the `PUT /cell/…`
-    /// handler). The bytes must decode cleanly and their embedded
-    /// canonical key must hash to `digest_hex`; anything else is
-    /// rejected, so a peer can prime caches but never poison them.
-    pub fn put_raw(&self, digest_hex: &str, bytes: &[u8]) -> Result<(), String> {
-        if !digest_ok(digest_hex) {
-            return Err("digest must be 32 hex digits".to_owned());
-        }
-        let (stored_key, result) =
-            codec::decode_verified(bytes).map_err(|e| format!("bad object: {e}"))?;
-        if fnv::fnv128_hex(stored_key.as_bytes()) != digest_hex {
-            return Err("object key does not hash to the given digest".to_owned());
-        }
-        let digest = parse_digest(digest_hex).expect("digest_ok checked");
-        self.pack.put(digest, bytes).map_err(|e| e.to_string())?;
-        self.hot.put(digest, &result, bytes.len());
-        self.refresh_gauges();
-        Ok(())
-    }
 }
 
-/// Whether `digest` is 32 hex digits, the form of a content address.
-pub(crate) fn digest_ok(digest: &str) -> bool {
-    digest.len() == 32 && digest.bytes().all(|b| b.is_ascii_hexdigit())
-}
-
+/// A content address from its 32 hex digits; `None` for any other
+/// string.
 fn parse_digest(hex: &str) -> Option<u128> {
-    if !digest_ok(hex) {
+    if hex.len() != 32 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
         return None;
     }
     u128::from_str_radix(hex, 16).ok()
@@ -346,8 +297,8 @@ impl ResultCache for ResultStore {
 }
 
 /// When `BPRED_CACHE_DIR` is set and non-empty, opens the store
-/// rooted there (honouring the `BPRED_STORE_*` / `BPRED_SERVE_PEERS`
-/// environment) for a binary to pass to its keyed sweeps. `None` when
+/// rooted there (honouring the `BPRED_STORE_*` environment) for a
+/// binary to pass to its keyed sweeps. `None` when
 /// the variable is unset or empty, or when the store cannot be opened
 /// (a warning is printed; the binary runs uncached).
 pub fn open_from_env() -> Option<ResultStore> {

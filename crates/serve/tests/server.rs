@@ -4,14 +4,16 @@
 
 use std::fs;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::mpsc;
 use std::thread;
 
+use bpred_core::PredictorConfig;
+use bpred_serve::codec;
 use bpred_serve::server::{Server, ServerConfig, ServerHandle};
-use bpred_serve::store::StoreOptions;
-use bpred_serve::PeerSet;
+use bpred_sim::cache::CellKey;
+use bpred_sim::{SimResult, Simulator};
+use bpred_workloads::{suite, WorkloadSource};
 
 /// A fresh scratch directory unique to `tag` (and this process),
 /// cleaned before use so reruns start empty, and removed on drop.
@@ -454,110 +456,6 @@ fn restarted_server_builds_its_model_in_the_pool_then_answers_inline() {
     server.shutdown();
 }
 
-/// A peer that answers nothing until told to: it reports each fetch
-/// it accepts on `accepted`, then answers `404` once per message on
-/// `release`. A worker fetching from it is held until released. The
-/// thread exits once `release` is dropped and one more connection
-/// arrives.
-fn held_peer() -> (
-    SocketAddr,
-    mpsc::Receiver<()>,
-    mpsc::Sender<()>,
-    thread::JoinHandle<()>,
-) {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind peer");
-    let addr = listener.local_addr().expect("peer address");
-    let (accepted_tx, accepted) = mpsc::channel();
-    let (release, release_rx) = mpsc::channel::<()>();
-    let peer = thread::spawn(move || {
-        for stream in listener.incoming() {
-            let mut stream = stream.expect("peer accept");
-            let mut head = Vec::new();
-            let mut byte = [0u8; 1];
-            while !head.ends_with(b"\r\n\r\n") && stream.read(&mut byte).unwrap_or(0) == 1 {
-                head.push(byte[0]);
-            }
-            let _ = accepted_tx.send(());
-            if release_rx.recv().is_err() {
-                return;
-            }
-            let _ = stream.write_all(b"HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n");
-        }
-    });
-    (addr, accepted, release, peer)
-}
-
-#[test]
-fn warm_sweeps_are_answered_while_the_pool_sheds() {
-    let dir = scratch("shed");
-    let primer = start(Some(&dir));
-    assert!(get(primer.addr(), SWEEP).0.contains("200"));
-    primer.shutdown();
-
-    let (peer, accepted, release, peer_thread) = held_peer();
-    let server = Server::start(ServerConfig {
-        addr: "127.0.0.1:0".to_owned(),
-        workers: 1,
-        queue_depth: 1,
-        cache_dir: Some(dir.to_path_buf()),
-        store: StoreOptions {
-            peers: PeerSet::from_list(&peer.to_string()),
-            ..StoreOptions::default()
-        },
-        ..ServerConfig::default()
-    })
-    .expect("server starts");
-    let addr = server.addr();
-    // The pool builds the model; every cell is local, so no fetch.
-    assert!(get(addr, SWEEP).0.contains("200"));
-
-    // Hold the only worker in a peer fetch for a cold cell, then fill
-    // the one-slot queue behind it.
-    let cold = |h: u32| format!("/sweep?workload=espresso&branches=20000&configs=gshare:h={h},c=2");
-    let held = thread::spawn({
-        let target = cold(9);
-        move || get(addr, &target).0
-    });
-    accepted.recv().expect("the worker asks the peer");
-    let queued = thread::spawn({
-        let target = cold(10);
-        move || get(addr, &target).0
-    });
-    while metric(addr, "bpred_serve_queue_depth") == 0 {
-        thread::sleep(std::time::Duration::from_millis(1));
-    }
-
-    let (status, headers, _) = get(addr, SWEEP);
-    assert!(
-        status.contains("200"),
-        "warm sweep answered inline: {status}"
-    );
-    assert_eq!(
-        header(&headers, "X-Bpred-Provenance"),
-        Some("hits=3 misses=0 coalesced=0")
-    );
-    let (status, headers, _) = get(addr, &cold(11));
-    assert!(status.contains("429"), "cold sweep shed: {status}");
-    assert_eq!(header(&headers, "Retry-After"), Some("1"));
-    assert_eq!(metric(addr, "bpred_sweeps_inline_total"), 1);
-    assert_eq!(metric(addr, "bpred_serve_shed_total"), 1);
-
-    release.send(()).expect("release the held fetch");
-    assert!(held.join().expect("held client").contains("200"));
-    accepted.recv().expect("the queued sweep asks the peer");
-    release.send(()).expect("release the queued fetch");
-    assert!(queued.join().expect("queued client").contains("200"));
-    assert_eq!(metric(addr, "bpred_cache_misses_total"), 2);
-    assert!(accepted.try_recv().is_err(), "one fetch per cold cell");
-    drop(release);
-    drop(TcpStream::connect(peer));
-    peer_thread.join().expect("peer thread");
-    // The shed sweep was probed on the event loop but never counted.
-    assert_eq!(metric(addr, "bpred_sweep_requests_total"), 4);
-    assert_eq!(metric(addr, "bpred_cells_total"), 8);
-    server.shutdown();
-}
-
 #[test]
 fn warm_sweeps_past_the_inline_cell_cap_go_to_the_pool() {
     let dir = scratch("cap");
@@ -592,5 +490,52 @@ fn warm_sweeps_past_the_inline_cell_cap_go_to_the_pool() {
         header(&headers_past, "X-Bpred-Provenance"),
         Some("hits=1025 misses=0 coalesced=0")
     );
+    server.shutdown();
+}
+
+/// No request can plant a result: a forged object for a real cell,
+/// PUT to `/cell/<digest>`, is refused as an unknown route, and the
+/// sweep over that cell answers what an uncached server computes.
+#[test]
+fn a_forged_cell_cannot_be_planted() {
+    let dir = scratch("forged");
+    let server = start(Some(&dir));
+    let model = suite::by_name("espresso").expect("espresso is in the suite");
+    let source = WorkloadSource::with_length(model, 1996, 20_000);
+    let config: PredictorConfig = "gshare:h=7,c=2".parse().expect("config parses");
+    let key = CellKey::new(&source.cache_id(), &config, &Simulator::new());
+    let forged = SimResult {
+        predictor: "forged".to_owned(),
+        state_bits: 0,
+        conditionals: 20_000,
+        mispredictions: 1,
+        alias: None,
+        bht: None,
+    };
+    let body = codec::encode(&key.canonical(), &forged);
+
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    write!(
+        stream,
+        "PUT /cell/{} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+        key.digest(),
+        body.len()
+    )
+    .expect("send head");
+    stream.write_all(&body).expect("send body");
+    let mut response = String::new();
+    stream.read_to_string(&mut response).expect("read response");
+    assert!(response.starts_with("HTTP/1.1 404"), "got {response:?}");
+
+    let sweep = "/sweep?workload=espresso&branches=20000&seed=1996&configs=gshare:h=7,c=2";
+    let (status, _, served) = get(server.addr(), sweep);
+    assert!(status.contains("200"), "got {status}");
+    let uncached = start(None);
+    let (_, _, computed) = get(uncached.addr(), sweep);
+    assert_eq!(
+        String::from_utf8(served).unwrap(),
+        String::from_utf8(computed).unwrap()
+    );
+    uncached.shutdown();
     server.shutdown();
 }

@@ -1,6 +1,6 @@
 //! Result-store integration tests: codec properties, tiered
-//! round-trips, crash recovery, leftover flat trees, peer-object
-//! validation, and segments deleted by hand.
+//! round-trips, crash recovery, leftover flat trees, raw reads by
+//! digest, and segments deleted by hand.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -74,7 +74,6 @@ fn packed(dir: &Path, hot_bytes: u64, seal_bytes: u64) -> ResultStore {
         StoreOptions {
             hot_bytes,
             seal_bytes,
-            peers: None,
         },
     )
     .unwrap()
@@ -344,23 +343,19 @@ fn a_leftover_index_and_tmp_dir_are_not_read_or_removed() {
 }
 
 #[test]
-fn raw_object_exchange_validates_digests() {
+fn get_raw_reads_stored_objects_by_digest() {
     let dir = scratch("raw");
     let store = packed(&dir, 1 << 20, 1 << 20);
     let a = key("a");
     let b = key("b");
-    let bytes_a = codec::encode(&a.canonical(), &result(1));
 
-    // A peer-pushed object must hash to the digest it claims.
-    assert!(store.put_raw(&b.digest(), &bytes_a).is_err());
-    assert!(store.put_raw("zz", &bytes_a).is_err());
-    assert!(store.put_raw(&a.digest(), b"garbage").is_err());
-    assert_eq!(store.len(), 0);
-
-    store.put_raw(&a.digest(), &bytes_a).unwrap();
-    assert_eq!(store.get(&a), Some(result(1)));
-    assert_eq!(store.get_raw(&a.digest()).unwrap(), bytes_a);
-    assert_eq!(store.get_raw(&b.digest()), None);
+    store.put(&a, &result(1)).unwrap();
+    assert_eq!(
+        store.get_raw(&a.digest()),
+        Some(codec::encode(&a.canonical(), &result(1)))
+    );
+    assert_eq!(store.get_raw(&b.digest()), None, "absent digest");
+    assert_eq!(store.get_raw("zz"), None, "not a digest");
 }
 
 /// The content addresses of the cells in a segment file, read frame by

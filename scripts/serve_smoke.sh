@@ -8,7 +8,9 @@
 #     (i.e. it never re-entered the simulation engine),
 #   * the second is answered on the event loop (the inline counter
 #     moves, the batch counter does not),
-#   * both share one materialised workload model.
+#   * both share one materialised workload model,
+#   * no route stores a cell from outside (`PUT /cell/...` is a 404),
+#     and `--peers` is an unknown argument.
 #
 # Usage: scripts/serve_smoke.sh [port]   (default 8199)
 
@@ -123,7 +125,6 @@ for series in \
     'bpred_serve_queue_depth' \
     'bpred_store_hits_total{tier="hot"}' \
     'bpred_store_hits_total{tier="pack"}' \
-    'bpred_store_hits_total{tier="peer"}' \
     'bpred_store_segments' \
     'bpred_store_hot_bytes' \
     'bpred_replay_scalar_lanes' \
@@ -139,13 +140,20 @@ done
 OK_COUNT=$(echo "$METRICS" | grep -F 'bpred_serve_requests_total{status="200"}' | awk '{ print $2 }')
 [[ "$OK_COUNT" -gt 0 ]] || { echo "FAIL: no 200s counted in bpred_serve_requests_total"; exit 1; }
 
-# The warm sweep was answered by the in-memory hot tier (no peers
-# are configured, so that counter stays parked at zero).
+# The warm sweep was answered by the in-memory hot tier.
 HOT_HITS=$(echo "$METRICS" | grep -F 'bpred_store_hits_total{tier="hot"}' | awk '{ print $2 }')
-PEER_HITS=$(echo "$METRICS" | grep -F 'bpred_store_hits_total{tier="peer"}' | awk '{ print $2 }')
 SEGMENTS=$(scrape bpred_store_segments)
 [[ "$HOT_HITS" -gt 0 ]] || { echo "FAIL: warm sweep bypassed the hot tier"; exit 1; }
-[[ "$PEER_HITS" -eq 0 ]] || { echo "FAIL: peer hits counted with no peers configured"; exit 1; }
 [[ "$SEGMENTS" -ge 1 ]] || { echo "FAIL: no pack segments after a cached sweep"; exit 1; }
+
+# Nothing can plant a cell: there is no `/cell` route, so a PUT of any
+# object under a well-formed digest is an unknown route.
+PUT_STATUS=$(curl -s -o /dev/null -w '%{http_code}' -X PUT --data-binary 'forged' \
+    "$BASE/cell/0123456789abcdef0123456789abcdef")
+[[ "$PUT_STATUS" == 404 ]] || { echo "FAIL: PUT /cell answered $PUT_STATUS, not 404"; exit 1; }
+# And there is no peer tier to configure.
+PEERS_EXIT=0
+./target/release/serve --peers x >/dev/null 2>&1 || PEERS_EXIT=$?
+[[ "$PEERS_EXIT" -eq 2 ]] || { echo "FAIL: serve --peers x exited $PEERS_EXIT, not 2"; exit 1; }
 
 echo "OK: sweep served, cache hit bit-identical (hits=$HITS_WARM misses=$MISSES_WARM records=$RECORDS_WARM ${PAIRS_LINE})"

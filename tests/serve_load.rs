@@ -357,7 +357,6 @@ proptest! {
             hot_bytes,
             // ~2 cells per segment: every storm crosses many seals.
             seal_bytes: 512,
-            peers: None,
         };
         let store = Arc::new(ResultStore::open_with(&*dir, options.clone()).expect("open"));
         let service = Arc::new(SweepService::new(
