@@ -28,14 +28,10 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let benchmark = args.next().unwrap_or_else(|| "espresso".to_owned());
     let config_text = args.next().unwrap_or_else(|| "gas:h=8,c=7".to_owned());
-    let branches: usize = args
-        .next()
-        .map(|s| s.parse().expect("branches must be a number"))
-        .unwrap_or(400_000);
-    let seed: u64 = args
-        .next()
-        .map(|s| s.parse().expect("seed must be a number"))
-        .unwrap_or(1996);
+    let (branches, seed) = match bpred_bench::parse_length_and_seed(args) {
+        Ok((branches, seed)) => (branches.unwrap_or(400_000), seed),
+        Err(code) => return code,
+    };
 
     let Some(model) = suite::by_name(&benchmark) else {
         eprintln!("unknown benchmark {benchmark:?}");

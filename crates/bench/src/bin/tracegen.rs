@@ -23,21 +23,9 @@ fn main() -> ExitCode {
         eprintln!("usage: tracegen <benchmark|cfg> <output-file> [branches] [seed]");
         return ExitCode::FAILURE;
     };
-    let branches: Option<usize> = match args.next().map(|s| s.parse()) {
-        Some(Ok(n)) => Some(n),
-        Some(Err(_)) => {
-            eprintln!("branches must be a number");
-            return ExitCode::FAILURE;
-        }
-        None => None,
-    };
-    let seed: u64 = match args.next().map(|s| s.parse()) {
-        Some(Ok(n)) => n,
-        Some(Err(_)) => {
-            eprintln!("seed must be a number");
-            return ExitCode::FAILURE;
-        }
-        None => 1996,
+    let (branches, seed) = match bpred_bench::parse_length_and_seed(args) {
+        Ok(parsed) => parsed,
+        Err(code) => return code,
     };
 
     let trace = if workload == "cfg" {

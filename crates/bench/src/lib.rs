@@ -81,7 +81,7 @@ fn parse_args(
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--branches" => branches = Some(require_number(&arg, iter.next())?),
+            "--branches" => branches = Some(require_branches(&arg, iter.next())?),
             "--seed" => options.seed = require_number(&arg, iter.next())? as u64,
             "--min-bits" => options.min_bits = require_bits(&arg, iter.next())?,
             "--max-bits" => max_bits = Some(require_bits(&arg, iter.next())?),
@@ -137,6 +137,40 @@ fn require_number(flag: &str, value: Option<String>) -> Result<usize, ExitCode> 
         eprintln!("{flag}: {text:?} is not a number");
         ExitCode::FAILURE
     })
+}
+
+/// A trace length: a number above zero, since a model cannot generate
+/// an empty trace.
+fn require_branches(flag: &str, value: Option<String>) -> Result<usize, ExitCode> {
+    let branches = require_number(flag, value)?;
+    if branches == 0 {
+        eprintln!("{flag} must be positive");
+        return Err(ExitCode::FAILURE);
+    }
+    Ok(branches)
+}
+
+/// The optional `[branches] [seed]` arguments the trace tools
+/// (`tracegen`, `diagnose`) take after their own: a trace length
+/// above zero (`None` when absent) and a seed (the default
+/// [`ExperimentOptions`] seed when absent); nothing may follow them.
+/// Prints one line on error.
+pub fn parse_length_and_seed(
+    mut args: impl Iterator<Item = String>,
+) -> Result<(Option<usize>, u64), ExitCode> {
+    let branches = match args.next() {
+        Some(text) => Some(require_branches("branches", Some(text))?),
+        None => None,
+    };
+    let seed = match args.next() {
+        Some(text) => require_number("seed", Some(text))? as u64,
+        None => ExperimentOptions::default().seed,
+    };
+    if let Some(extra) = args.next() {
+        eprintln!("unexpected argument {extra:?}");
+        return Err(ExitCode::FAILURE);
+    }
+    Ok((branches, seed))
 }
 
 /// A table-size flag's value in bits; values past `u32` saturate, so
@@ -226,6 +260,7 @@ mod tests {
         assert!(parse(&["--bogus"]).is_err());
         assert!(parse(&["--seed"]).is_err());
         assert!(parse(&["--seed", "abc"]).is_err());
+        assert!(parse(&["--branches", "0"]).is_err());
         assert!(parse(&["--min-bits", "9", "--max-bits", "5"]).is_err());
     }
 

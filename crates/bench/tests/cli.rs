@@ -309,12 +309,96 @@ fn simulate_uses_the_result_store() {
 fn a_driver_without_keyed_sweeps_leaves_the_cache_dir_alone() {
     let cache = scratch_file("untouched-cache");
     let output = run(
-        env!("CARGO_BIN_EXE_ablation_fsm"),
+        env!("CARGO_BIN_EXE_ablation_dealiased"),
         &["--quick"],
         Some(&cache),
     );
     assert!(output.status.success(), "{output:?}");
-    assert!(!cache.exists(), "ablation_fsm created {}", cache.display());
+    assert!(
+        !cache.exists(),
+        "ablation_dealiased created {}",
+        cache.display()
+    );
+}
+
+/// The studies beyond the paper that bear on its thesis, and the
+/// per-class diagnosis tool, pinned: the FNV-1a 64 digest of what each
+/// prints.
+#[test]
+fn extension_studies_print_their_pinned_output() {
+    let cases: [(&str, &[&str], u64); 5] = [
+        (
+            env!("CARGO_BIN_EXE_ablation_dealiased"),
+            &["--quick", "--seed", "1996"],
+            0xec0f_ccc0_bde8_700e,
+        ),
+        (
+            env!("CARGO_BIN_EXE_ablation_interference"),
+            &["--quick", "--seed", "1996"],
+            0x6878_7591_5c32_7a11,
+        ),
+        (
+            env!("CARGO_BIN_EXE_ablation_scaling"),
+            &["--quick", "--seed", "1996"],
+            0xe554_7cf5_5af0_942b,
+        ),
+        (
+            env!("CARGO_BIN_EXE_ablation_seeds"),
+            &["--quick", "--seed", "1996"],
+            0xa46a_a2d6_b4b5_6feb,
+        ),
+        (
+            env!("CARGO_BIN_EXE_diagnose"),
+            &["espresso", "gas:h=6,c=3", "20000", "1996"],
+            0xc4c7_bdd2_27dc_90bd,
+        ),
+    ];
+    for (exe, args, pinned) in cases {
+        let output = run(exe, args, None);
+        assert!(output.status.success(), "{exe} {args:?}: {output:?}");
+        let digest = bpred_trace::fnv::fnv64(&output.stdout);
+        assert_eq!(
+            digest, pinned,
+            "{exe} {args:?} printed digest {digest:#018x}"
+        );
+    }
+}
+
+/// A trace length or seed that is not a number, a zero trace length
+/// or an argument past the seed ends the trace tools with one line and
+/// exit 1.
+#[test]
+fn trace_tools_reject_bad_arguments() {
+    let trace = scratch_file("rejected.bpt");
+    let trace = trace.to_str().unwrap();
+    let cases: [(&str, &[&str]); 7] = [
+        (
+            env!("CARGO_BIN_EXE_diagnose"),
+            &["espresso", "gas:h=6,c=3", "abc"],
+        ),
+        (
+            env!("CARGO_BIN_EXE_diagnose"),
+            &["espresso", "gas:h=6,c=3", "20000", "x"],
+        ),
+        (
+            env!("CARGO_BIN_EXE_diagnose"),
+            &["espresso", "gas:h=6,c=3", "0"],
+        ),
+        (env!("CARGO_BIN_EXE_tracegen"), &["espresso", trace, "0"]),
+        (env!("CARGO_BIN_EXE_tracegen"), &["cfg", trace, "0"]),
+        (
+            env!("CARGO_BIN_EXE_tracegen"),
+            &["espresso", trace, "100", "7", "extra"],
+        ),
+        (env!("CARGO_BIN_EXE_ablation_seeds"), &["--branches", "0"]),
+    ];
+    for (exe, args) in cases {
+        let output = run(exe, args, None);
+        assert_eq!(output.status.code(), Some(1), "{exe} {args:?}: {output:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(stderr.lines().count(), 1, "{exe} {args:?}: {stderr:?}");
+    }
+    assert!(!Path::new(trace).exists(), "tracegen wrote {trace}");
 }
 
 /// Decodes the body of a JSON string literal; `None` on a raw control

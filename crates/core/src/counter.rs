@@ -123,85 +123,9 @@ impl TwoBitCounter {
 
 impl Default for TwoBitCounter {
     /// Weakly taken — the workspace default initial state. Most dynamic
-    /// branches are taken (loops), so this trains fastest; it is also
-    /// what the ablation harness varies.
+    /// branches are taken (loops), so this trains fastest.
     fn default() -> Self {
         TwoBitCounter::new(CounterState::WeakTaken)
-    }
-}
-
-/// An `n`-bit saturating up/down counter predicting taken when in the
-/// upper half of its range. Generalises [`TwoBitCounter`] for ablation
-/// studies of counter width.
-///
-/// # Examples
-///
-/// ```
-/// use bpred_core::SaturatingCounter;
-/// use bpred_trace::Outcome;
-///
-/// let mut c = SaturatingCounter::new(3, 4); // 3-bit counter starting at 4
-/// assert_eq!(c.predict(), Outcome::Taken);
-/// for _ in 0..10 {
-///     c.train(Outcome::NotTaken);
-/// }
-/// assert_eq!(c.value(), 0); // saturated low
-/// assert_eq!(c.predict(), Outcome::NotTaken);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SaturatingCounter {
-    value: u32,
-    max: u32,
-}
-
-impl SaturatingCounter {
-    /// Creates an `n`-bit counter (`1 ≤ n ≤ 16`) starting at `value`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits` is 0 or greater than 16, or if `value` does not
-    /// fit in `bits` bits.
-    pub fn new(bits: u32, value: u32) -> Self {
-        assert!(
-            (1..=16).contains(&bits),
-            "counter width {bits} out of range 1..=16"
-        );
-        let max = (1u32 << bits) - 1;
-        assert!(value <= max, "initial value {value} exceeds {max}");
-        SaturatingCounter { value, max }
-    }
-
-    /// The current counter value.
-    #[inline]
-    pub fn value(self) -> u32 {
-        self.value
-    }
-
-    /// The maximum (saturated) value, `2^bits - 1`.
-    #[inline]
-    pub fn max(self) -> u32 {
-        self.max
-    }
-
-    /// Predicts taken when the value is in the upper half of the range.
-    #[inline]
-    pub fn predict(self) -> Outcome {
-        Outcome::from(2 * self.value > self.max)
-    }
-
-    /// Counts up on taken, down on not-taken, saturating at the ends.
-    #[inline]
-    pub fn train(&mut self, outcome: Outcome) {
-        match outcome {
-            Outcome::Taken => {
-                if self.value < self.max {
-                    self.value += 1;
-                }
-            }
-            Outcome::NotTaken => {
-                self.value = self.value.saturating_sub(1);
-            }
-        }
     }
 }
 
@@ -271,61 +195,5 @@ mod tests {
     #[test]
     fn default_is_weak_taken() {
         assert_eq!(TwoBitCounter::default().state(), CounterState::WeakTaken);
-    }
-
-    #[test]
-    fn wide_counter_matches_two_bit_semantics() {
-        // A 2-bit SaturatingCounter behaves exactly like TwoBitCounter.
-        for init in 0..4u32 {
-            let mut wide = SaturatingCounter::new(2, init);
-            let mut narrow = TwoBitCounter::new(CounterState::from_bits(init as u8).unwrap());
-            for o in [
-                Outcome::Taken,
-                Outcome::Taken,
-                Outcome::NotTaken,
-                Outcome::Taken,
-                Outcome::NotTaken,
-                Outcome::NotTaken,
-                Outcome::NotTaken,
-            ] {
-                assert_eq!(wide.predict(), narrow.predict(), "init {init}");
-                wide.train(o);
-                narrow.train(o);
-            }
-        }
-    }
-
-    #[test]
-    fn saturating_counter_bounds() {
-        let mut c = SaturatingCounter::new(3, 7);
-        c.train(Outcome::Taken);
-        assert_eq!(c.value(), 7);
-        for _ in 0..20 {
-            c.train(Outcome::NotTaken);
-        }
-        assert_eq!(c.value(), 0);
-        assert_eq!(c.max(), 7);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn zero_width_counter_panics() {
-        let _ = SaturatingCounter::new(0, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds")]
-    fn oversized_init_panics() {
-        let _ = SaturatingCounter::new(2, 4);
-    }
-
-    #[test]
-    fn one_bit_counter_is_last_time() {
-        let mut c = SaturatingCounter::new(1, 0);
-        assert_eq!(c.predict(), Outcome::NotTaken);
-        c.train(Outcome::Taken);
-        assert_eq!(c.predict(), Outcome::Taken);
-        c.train(Outcome::NotTaken);
-        assert_eq!(c.predict(), Outcome::NotTaken);
     }
 }

@@ -51,8 +51,6 @@ mod combining;
 mod config;
 mod counter;
 mod dealiased;
-mod delayed;
-mod fsm;
 mod geometry;
 mod global;
 mod history;
@@ -60,7 +58,6 @@ mod peraddr;
 mod plan;
 mod predictor;
 mod setsel;
-mod speculative;
 mod static_pred;
 mod table;
 mod twolevel;
@@ -70,10 +67,8 @@ pub use aliasing::AliasStats;
 pub use bht::{BhtStats, HistoryTable, PerfectBht, SetAssocBht};
 pub use combining::Combining;
 pub use config::{ParseConfigError, PredictorConfig, SchemeVisitor};
-pub use counter::{CounterState, SaturatingCounter, TwoBitCounter};
+pub use counter::{CounterState, TwoBitCounter};
 pub use dealiased::{Agree, BiMode, Gskew};
-pub use delayed::DelayedUpdate;
-pub use fsm::{FsmPredictor, FsmSpec, InvalidFsmError};
 pub use geometry::TableGeometry;
 pub use global::{
     AddressIndexed, Gas, GlobalSelector, Gshare, GshareSelector, NullSelector, PathBased,
@@ -86,7 +81,6 @@ pub use plan::{
 };
 pub use predictor::BranchPredictor;
 pub use setsel::{Sas, SetSelector};
-pub use speculative::SpeculativeGshare;
 pub use static_pred::{AlwaysNotTaken, AlwaysTaken, Btfn, LastTime};
 pub use table::CounterTable;
 pub use twolevel::{RowSelection, RowSelector, TwoLevel};

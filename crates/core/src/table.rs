@@ -46,8 +46,7 @@ impl CounterTable {
         Self::with_initial_state(geometry, TwoBitCounter::default().state())
     }
 
-    /// Creates a table with every counter in `initial` state — the knob
-    /// the counter-initialisation ablation turns.
+    /// Creates a table with every counter in `initial` state.
     pub fn with_initial_state(geometry: TableGeometry, initial: CounterState) -> Self {
         let n = geometry.counters() as usize;
         CounterTable {

@@ -11,7 +11,7 @@
 
 use bpred_trace::{BranchRecord, Outcome};
 
-use crate::{AliasStats, BranchPredictor, CounterState, CounterTable, TableGeometry};
+use crate::{AliasStats, BranchPredictor, CounterTable, TableGeometry};
 
 /// The output of a row-selection box for one branch instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,20 +119,6 @@ impl<S: RowSelector> TwoLevel<S> {
         TwoLevel {
             selector,
             table: CounterTable::new(geometry),
-            pending: None,
-        }
-    }
-
-    /// As [`with_selector`](Self::with_selector) but with every counter
-    /// initialised to `initial`.
-    pub fn with_selector_and_initial_state(
-        selector: S,
-        geometry: TableGeometry,
-        initial: CounterState,
-    ) -> Self {
-        TwoLevel {
-            selector,
-            table: CounterTable::with_initial_state(geometry, initial),
             pending: None,
         }
     }
@@ -301,15 +287,5 @@ mod tests {
     fn name_comes_from_the_selector() {
         let p = TwoLevel::with_selector(ZeroSelector::default(), TableGeometry::new(1, 1));
         assert_eq!(p.name(), "zero(2^1 x 2^1)");
-    }
-
-    #[test]
-    fn initial_state_is_configurable() {
-        let p = TwoLevel::with_selector_and_initial_state(
-            ZeroSelector::default(),
-            TableGeometry::new(0, 0),
-            CounterState::StrongNotTaken,
-        );
-        assert_eq!(p.table().peek(0, 0), Outcome::NotTaken);
     }
 }

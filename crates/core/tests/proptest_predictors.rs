@@ -6,7 +6,7 @@ use proptest::prelude::*;
 
 use bpred_core::{
     AddressIndexed, BranchPredictor, CounterState, Gas, Gshare, HistoryRegister, Pas,
-    PredictorConfig, SaturatingCounter, TableGeometry, TwoBitCounter,
+    PredictorConfig, TableGeometry, TwoBitCounter,
 };
 use bpred_trace::Outcome;
 
@@ -43,25 +43,6 @@ proptest! {
             prop_assert!(after <= 3);
             // Transitions move at most one step.
             prop_assert!((after as i8 - before as i8).abs() <= 1);
-        }
-    }
-
-    #[test]
-    fn saturating_counter_tracks_reference_model(
-        bits in 1u32..=8,
-        outcomes in prop::collection::vec(any::<bool>(), 0..128),
-    ) {
-        let max = (1u32 << bits) - 1;
-        let mut reference = max / 2;
-        let mut counter = SaturatingCounter::new(bits, reference);
-        for taken in outcomes {
-            if taken {
-                reference = (reference + 1).min(max);
-            } else {
-                reference = reference.saturating_sub(1);
-            }
-            counter.train(Outcome::from(taken));
-            prop_assert_eq!(counter.value(), reference);
         }
     }
 

@@ -74,7 +74,6 @@ pub mod experiments;
 pub mod interference;
 pub mod multilane;
 mod profiled;
-pub mod ranking;
 mod replay;
 mod replicate;
 pub mod report;

@@ -7,9 +7,9 @@
 //! variables, executed block by block. Branch correlation arises here
 //! the way it does in real code — two branches test the same variable,
 //! or a loop guard implies the tests inside the loop body — rather
-//! than being injected as an explicit history function. Useful as an
-//! independent check that predictor rankings are not an artefact of
-//! the statistical generator.
+//! than being injected as an explicit history function. `tracegen cfg`
+//! writes its trace to a file, and it is a structural reference to
+//! hold the statistical generator's correlation against.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

@@ -1,10 +1,8 @@
 //! Integration tests for the extensions beyond the paper: the
 //! dealiased predictors its conclusion motivated, per-set history,
-//! delayed updates, per-branch attribution, and the CPI model.
+//! per-branch attribution, context switching, and the CPI model.
 
-use bpred::core::{
-    Agree, BiMode, DelayedUpdate, Gshare, Gskew, PredictorConfig, Sas, SpeculativeGshare,
-};
+use bpred::core::{Agree, BiMode, Gshare, Gskew, PredictorConfig, Sas};
 use bpred::sim::{run_config, CpiModel, ProfiledRun, Simulator};
 use bpred::trace::Trace;
 use bpred::workloads::{suite, Multiprogrammed};
@@ -78,25 +76,6 @@ fn more_history_sets_help_on_self_history_workloads() {
         many_sets < one_set,
         "2^10 sets {many_sets:.4} should beat 1 set {one_set:.4}"
     );
-}
-
-/// Delayed updates cost accuracy, monotonically in the delay (allowing
-/// small noise), and never corrupt determinism.
-#[test]
-fn update_delay_degrades_gracefully() {
-    let trace = trace_of("espresso", 80_000);
-    let sim = Simulator::new();
-    let mut rates = Vec::new();
-    for delay in [0usize, 4, 16] {
-        let mut p = DelayedUpdate::new(Gshare::new(10, 2), delay);
-        rates.push(sim.run(&mut p, &trace).misprediction_rate());
-    }
-    // Any delay strictly hurts: espresso's correlated branches depend
-    // on the newest history bits, which a lagging update hides.
-    assert!(rates[0] < rates[1], "{rates:?}");
-    assert!(rates[0] < rates[2], "{rates:?}");
-    // But stale tables still carry signal: far better than chance.
-    assert!(rates[1] < 0.45 && rates[2] < 0.45, "{rates:?}");
 }
 
 /// Per-branch attribution reproduces the paper's concentration
@@ -209,35 +188,4 @@ fn context_switching_pollutes_predictor_state() {
     );
     let churny_rate = run_config(config, &churny.trace(9, 60_000), sim).misprediction_rate();
     assert!(churny_rate > solo_avg - 0.005);
-}
-
-/// Real front ends shift *predicted* outcomes into the history and
-/// repair later, rather than waiting for resolution. On a workload
-/// with globally correlated branches, speculative history (mostly
-/// correct recent bits) must beat a committed history that lags by
-/// the same resolution delay (missing recent bits outright).
-#[test]
-fn speculative_history_beats_stale_history_on_correlated_code() {
-    let trace = trace_of("espresso", 120_000);
-    let sim = Simulator::new();
-    const DELAY: usize = 8;
-    let speculative = sim
-        .run(&mut SpeculativeGshare::new(10, 10, DELAY), &trace)
-        .misprediction_rate();
-    let stale = sim
-        .run(&mut DelayedUpdate::new(Gshare::new(10, 0), DELAY), &trace)
-        .misprediction_rate();
-    let fresh = sim
-        .run(&mut Gshare::new(10, 0), &trace)
-        .misprediction_rate();
-    assert!(
-        speculative < stale,
-        "speculative {speculative:.4} should beat stale {stale:.4}"
-    );
-    // And it should recover most of the gap to an (unrealistic)
-    // zero-latency predictor.
-    assert!(
-        speculative < fresh + (stale - fresh) * 0.8,
-        "{fresh:.4} {speculative:.4} {stale:.4}"
-    );
 }
